@@ -12,7 +12,7 @@ import (
 	"plim/internal/cost"
 	"plim/internal/diskcache"
 	"plim/internal/exec"
-	"plim/internal/lru"
+	"plim/internal/memo"
 	"plim/internal/progress"
 	"plim/internal/sched"
 	"plim/internal/suite"
@@ -60,9 +60,8 @@ type Engine struct {
 	rwCache    *core.RewriteCache
 
 	// execPlans memoizes bit-sliced execution plans by program fingerprint
-	// (see Engine.ExecuteBatch); planMu guards it.
-	planMu    sync.Mutex
-	execPlans *lru.Map[uint64, *exec.Plan]
+	// (see Engine.ExecuteBatch).
+	execPlans *memo.Cache[uint64, *exec.Plan]
 
 	// disk is the persistent second tier below both caches, opened at
 	// construction when WithPersistentCache names a directory.
@@ -125,7 +124,8 @@ func NewEngine(opts ...Option) *Engine {
 	if e.cache {
 		e.benchCache = suite.NewCacheWithBudget(e.cacheBudget)
 		e.rwCache = core.NewRewriteCacheWithBudget(e.cacheBudget)
-		e.execPlans = lru.New[uint64, *exec.Plan](e.cacheBudget)
+		e.execPlans = memo.New(e.cacheBudget, (*exec.Plan).MemSize, "plan-probe",
+			func(fp uint64) (string, string) { return "fp", fmt.Sprintf("%016x", fp) })
 	}
 	if e.persistDir != "" && e.err == nil {
 		d, err := diskcache.Open(e.persistDir)
@@ -415,6 +415,10 @@ func (e *Engine) observer(ctx context.Context) progress.Func {
 // use. Engines have no Close method, so the pool's workers are stopped by
 // a GC cleanup once the engine becomes unreachable (parked workers hold
 // only the pool, not the engine, so they never keep the engine alive).
+// Every method that runs a graph on the pool therefore defers
+// runtime.KeepAlive(e): an engine a caller discards mid-call, as in
+// NewEngine().Explore(ctx, opts), must not have its pool stopped under a
+// running graph.
 func (e *Engine) scheduler() *sched.Pool {
 	e.schedOnce.Do(func() {
 		pool := sched.New(e.workers)
@@ -460,6 +464,7 @@ func (e *Engine) Run(ctx context.Context, m *MIG, cfg Config) (*Report, error) {
 	}
 	ctx, csp := e.traceCtx(ctx, "run")
 	defer csp.End()
+	defer runtime.KeepAlive(e)
 	reps, err := core.RunStaged(ctx, m, []Config{cfg}, core.StagedOptions{
 		Effort:    e.effort,
 		Sched:     e.scheduler(),
@@ -485,6 +490,7 @@ func (e *Engine) RunAll(ctx context.Context, m *MIG, cfgs []Config) ([]*Report, 
 	}
 	ctx, csp := e.traceCtx(ctx, "run-all")
 	defer csp.End()
+	defer runtime.KeepAlive(e)
 	return core.RunStaged(ctx, m, cfgs, core.StagedOptions{
 		Effort:    e.effort,
 		Sched:     e.scheduler(),
@@ -511,6 +517,7 @@ func (e *Engine) RunSuite(ctx context.Context, cfgs []Config, benchmarks ...stri
 	}
 	ctx, csp := e.traceCtx(ctx, "suite")
 	defer csp.End()
+	defer runtime.KeepAlive(e)
 	return tables.RunSuite(ctx, cfgs, tables.Options{
 		Benchmarks:   benchmarks,
 		Effort:       e.effort,
@@ -542,6 +549,7 @@ func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResu
 	}
 	ctx, csp := e.traceCtx(ctx, "explore")
 	defer csp.End()
+	defer runtime.KeepAlive(e)
 	if len(opts.Efforts) == 0 {
 		opts.Efforts = []int{e.effort}
 	}
@@ -651,37 +659,15 @@ func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
 }
 
 // plan returns the bit-sliced execution plan for p, memoized by program
-// fingerprint when caching is on. Plans are immutable and shared; callers
-// must not mutate a Program after executing it through the engine, or a
-// later fingerprint-identical call may be served the stale plan.
-func (e *Engine) plan(p *Program) (*exec.Plan, error) {
+// fingerprint when caching is on (concurrent calls share one lowering).
+// Plans are immutable and shared; callers must not mutate a Program after
+// executing it through the engine, or a later fingerprint-identical call
+// may be served the stale plan.
+func (e *Engine) plan(ctx context.Context, p *Program) (*exec.Plan, error) {
 	if e.execPlans == nil {
 		return exec.Compile(p)
 	}
-	fp := p.Fingerprint()
-	e.planMu.Lock()
-	if ent, ok := e.execPlans.Get(fp); ok {
-		pl := ent.Value
-		e.planMu.Unlock()
-		return pl, nil
-	}
-	e.planMu.Unlock()
-	pl, err := exec.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	e.planMu.Lock()
-	if ent, ok := e.execPlans.Get(fp); ok {
-		// A concurrent call compiled the same program first; share its plan.
-		pl = ent.Value
-	} else {
-		ent := e.execPlans.Add(fp, pl)
-		ent.Evictable = true
-		e.execPlans.SetCost(ent, pl.MemSize())
-		e.execPlans.EvictExcess(nil)
-	}
-	e.planMu.Unlock()
-	return pl, nil
+	return e.execPlans.Do(ctx, p.Fingerprint(), func() (*exec.Plan, error) { return exec.Compile(p) })
 }
 
 // ExecuteBatch evaluates a compiled program over a bit-sliced batch of
@@ -713,7 +699,8 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 	}
 	ctx, csp := e.traceCtx(ctx, "execute-batch")
 	defer csp.End()
-	pl, err := e.plan(p)
+	defer runtime.KeepAlive(e)
+	pl, err := e.plan(ctx, p)
 	if err != nil {
 		return nil, err
 	}

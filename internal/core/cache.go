@@ -2,61 +2,30 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"plim/internal/diskcache"
-	"plim/internal/lru"
+	"plim/internal/memo"
 	"plim/internal/mig"
 	"plim/internal/progress"
 	"plim/internal/rewrite"
-	"plim/internal/trace"
 )
 
-// errComputePanicked is what waiters observe when the computing caller
-// panicked instead of completing: the entry is gone, so they retry (and hit
-// the same panic in their own stack if it is deterministic).
-var errComputePanicked = errors.New("core: rewrite computation panicked")
-
 // RewriteCache memoizes rewriting runs across configurations, benchmarks
-// and engine calls. Entries are keyed by (function fingerprint, rewrite
-// kind, effort), so any structurally identical MIG — e.g. the same
+// and engine calls. It is a memo.Cache keyed by (function fingerprint,
+// rewrite kind, effort), so any structurally identical MIG — e.g. the same
 // benchmark rebuilt by a later table — reuses the stored result instead of
-// rewriting again.
-//
-// Concurrent callers with the same key share one computation
-// (singleflight): the first caller rewrites and emits the progress events,
-// the rest wait on the result. Failed computations (typically context
-// cancellation) are never cached; the next caller retries.
-//
-// The cache is byte-budgeted: each completed entry is charged its graph's
-// estimated size (mig.MemSize), and completing a computation evicts the
-// least-recently-used completed entries until the total fits the budget —
-// so long-lived engines do not accumulate one rewritten MIG per distinct
-// function they ever saw. In-flight computations are never evicted. Waiters that already
-// hold an entry observe its result even if it is evicted concurrently —
-// eviction only unindexes.
+// rewriting again. Entries are charged their graph's estimated size
+// (mig.MemSize) against the byte budget, and each probe records a "cache
+// rewrite-probe" span. Only the caller that computes emits progress
+// events.
 //
 // Cached MIGs are shared across callers and must be treated as read-only.
 // The compilation stages only read their input, so the staged runners can
 // share entries freely; the public facade clones before handing a cached
 // graph to user code.
 type RewriteCache struct {
-	mu      sync.Mutex
-	entries *lru.Map[rewriteKey, *rewriteEntry]
-
-	// hits/misses count memory-tier probe outcomes (a probe that attaches
-	// to an in-flight computation counts as a hit; disk-tier accounting
-	// lives in diskcache.Counters). Feeds plimserve_cache_probe_total.
-	hits, misses atomic.Uint64
-
-	// disk, when non-nil, is the persistent second tier: an in-memory miss
-	// probes the disk before computing, and freshly computed results are
-	// written back (best-effort). Disk-served results are byte-identical to
-	// computed ones and emit no progress events, exactly like memory hits.
-	disk *diskcache.Cache
+	m *memo.Cache[rewriteKey, rewriteResult]
 }
 
 type rewriteKey struct {
@@ -65,11 +34,9 @@ type rewriteKey struct {
 	effort int
 }
 
-type rewriteEntry struct {
-	done chan struct{} // closed when the computation finishes
-	m    *mig.MIG
-	st   rewrite.Stats
-	err  error
+type rewriteResult struct {
+	m  *mig.MIG
+	st rewrite.Stats
 }
 
 // NewRewriteCache returns an unbounded cache (every distinct key is kept
@@ -83,22 +50,41 @@ func NewRewriteCache() *RewriteCache {
 // entries once their summed estimated bytes exceed budget; budget ≤ 0
 // means unbounded.
 func NewRewriteCacheWithBudget(budget int) *RewriteCache {
-	return &RewriteCache{entries: lru.New[rewriteKey, *rewriteEntry](budget)}
+	return &RewriteCache{memo.New(budget,
+		func(r rewriteResult) int { return r.m.MemSize() },
+		"rewrite-probe",
+		func(k rewriteKey) (string, string) { return "fp", fmt.Sprintf("%016x", k.fp) })}
+}
+
+// rewriteTier adapts the disk cache's rewrite entries to memo.Tier.
+type rewriteTier struct{ d *diskcache.Cache }
+
+func (t rewriteTier) Load(k rewriteKey) (rewriteResult, diskcache.ProbeOutcome) {
+	m, st, out := t.d.ProbeRewrite(k.fp, uint8(k.kind), k.effort)
+	return rewriteResult{m, st}, out
+}
+
+func (t rewriteTier) Store(k rewriteKey, r rewriteResult) error {
+	return t.d.StoreRewrite(k.fp, uint8(k.kind), k.effort, r.m, r.st)
 }
 
 // SetDisk installs (or, with nil, removes) the persistent second tier.
 // It must be called before the cache is shared across goroutines.
-func (c *RewriteCache) SetDisk(d *diskcache.Cache) { c.disk = d }
-
-// Len reports the number of cached rewrites (including in-flight ones).
-func (c *RewriteCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries.Len()
+// Disk-served results are byte-identical to computed ones and, like
+// memory hits, emit no progress events.
+func (c *RewriteCache) SetDisk(d *diskcache.Cache) {
+	if d == nil {
+		c.m.SetTier(nil)
+		return
+	}
+	c.m.SetTier(rewriteTier{d})
 }
 
+// Len reports the number of cached rewrites (including in-flight ones).
+func (c *RewriteCache) Len() int { return c.m.Len() }
+
 // Budget reports the cache's byte budget (≤ 0 = unbounded).
-func (c *RewriteCache) Budget() int { return c.entries.Budget() }
+func (c *RewriteCache) Budget() int { return c.m.Budget() }
 
 // Probes reports the memory-tier probe counters: hits (including probes
 // that attached to an in-flight computation) and misses (probes that had
@@ -107,127 +93,28 @@ func (c *RewriteCache) Probes() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	return c.m.Probes()
 }
 
 // Rewrite is core.Rewrite memoized through the cache. A nil *RewriteCache
 // computes directly (the uncached path). On a hit no progress events are
 // emitted — the rewrite simply did not run again.
 func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, obs progress.Func, label string) (*mig.MIG, rewrite.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		// Checked up front so a cancelled caller never races a ready cache
-		// hit into returning a result.
-		return nil, rewrite.Stats{}, err
-	}
 	if c == nil {
+		if err := ctx.Err(); err != nil {
+			return nil, rewrite.Stats{}, err
+		}
 		return Rewrite(ctx, m, kind, effort, obs, label)
 	}
-	key := rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}
-	// One cache span per probe, a child of the enclosing rewrite task span.
-	// It covers the lookup (and, for a coalesced caller, the wait on the
-	// in-flight computation), never the computation itself, and is annotated
-	// with the resolved outcome: memory-hit / disk-hit / verify-miss /
-	// compute. Zero Handle (free no-ops) when ctx carries no trace.
-	sp := trace.StartNoCtx(ctx, "cache", "rewrite-probe")
-	if sp.Traced() {
-		sp.Attr("fp", fmt.Sprintf("%016x", key.fp))
-	}
-	first := true
-	for {
-		c.mu.Lock()
-		ent, ok := c.entries.Get(key)
-		if first {
-			first = false
-			if ok {
-				c.hits.Add(1)
-			} else {
-				c.misses.Add(1)
-			}
+	r, err := c.m.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
+		out, st, err := Rewrite(ctx, m, kind, effort, obs, label)
+		if err == nil && out == m {
+			// Effort 0 (or RewriteNone on an already-clean graph) can hand
+			// the caller's own MIG back; the cache must never retain a
+			// graph the caller may keep mutating.
+			out = m.Clone()
 		}
-		if !ok {
-			e := &rewriteEntry{done: make(chan struct{})}
-			handle := c.entries.Add(key, e)
-			c.mu.Unlock()
-			// Publish via defer so a panicking rewrite (a compiler-invariant
-			// panic, a malformed caller-built MIG) still unindexes the entry
-			// and closes done — otherwise every future caller of this key
-			// would block forever on an entry nobody is computing.
-			completed := false
-			func() {
-				defer func() {
-					if !completed && e.err == nil {
-						e.err = errComputePanicked
-					}
-					c.mu.Lock()
-					if e.err != nil {
-						// Don't poison the cache with (usually cancellation)
-						// errors; waiters observe the error and retry or
-						// fail themselves.
-						c.entries.Delete(key)
-					} else {
-						handle.Evictable = true
-						c.entries.SetCost(handle, e.m.MemSize())
-						c.entries.EvictExcess(nil)
-					}
-					c.mu.Unlock()
-					close(e.done)
-				}()
-				if c.disk != nil {
-					dm, dst, out := c.disk.ProbeRewrite(key.fp, uint8(kind), effort)
-					if out == diskcache.ProbeHit {
-						// Disk hit: the stored graph was computed (possibly by
-						// another process) from a fingerprint-identical input,
-						// so it is byte-identical to what Rewrite would
-						// produce. No progress events, like any cache hit.
-						e.m, e.st = dm, dst
-						completed = true
-						sp.Attr("outcome", "disk-hit")
-						sp.End()
-						return
-					}
-					if out == diskcache.ProbeVerifyMiss {
-						sp.Attr("outcome", "verify-miss")
-					} else {
-						sp.Attr("outcome", "compute")
-					}
-				} else {
-					sp.Attr("outcome", "compute")
-				}
-				sp.End() // the computation itself is the task span's time
-				e.m, e.st, e.err = Rewrite(ctx, m, kind, effort, obs, label)
-				if e.err == nil && e.m == m {
-					// Effort 0 (or RewriteNone on an already-clean graph) can
-					// hand the caller's own MIG back; the cache must never
-					// retain a graph the caller may keep mutating.
-					e.m = m.Clone()
-				}
-				completed = true
-				if e.err == nil && c.disk != nil {
-					// Best-effort write-back; a failed store only costs the
-					// next cold process a recomputation.
-					_ = c.disk.StoreRewrite(key.fp, uint8(kind), effort, e.m, e.st)
-				}
-			}()
-			if e.err != nil {
-				return nil, rewrite.Stats{}, e.err
-			}
-			return e.m, e.st, nil
-		}
-		e := ent.Value
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			if e.err == nil {
-				sp.Attr("outcome", "memory-hit")
-				sp.End()
-				return e.m, e.st, nil
-			}
-			// The computing caller failed; its entry is gone. Retry: either
-			// this caller computes (and reports its own error) or it waits
-			// on a newer computation.
-		case <-ctx.Done():
-			sp.End()
-			return nil, rewrite.Stats{}, ctx.Err()
-		}
-	}
+		return rewriteResult{out, st}, err
+	})
+	return r.m, r.st, err
 }

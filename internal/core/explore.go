@@ -179,7 +179,7 @@ func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 				label = fmt.Sprintf("%s/s%d", name, shrink)
 			}
 			gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
-				m, err := opts.BenchCache.BuildScaled(name, shrink)
+				m, err := opts.BenchCache.BuildScaledContext(ctx, name, shrink)
 				if err != nil {
 					genErrs[gi] = fmt.Errorf("core: explore %s (shrink %d): %w", name, shrink, err)
 					return

@@ -1,16 +1,16 @@
-// Package lru provides the least-recently-used bookkeeping shared by the
-// repository's memoization caches (core.RewriteCache, suite.Cache). It is a
-// map plus an intrusive recency list with a cost budget; eviction is
-// explicit and skips entries the caller has marked not-yet-evictable, which
-// is how the singleflight caches protect in-flight computations (waiters
-// hold the entry pointer, so evicting a completed entry only drops it from
-// the index — it never invalidates a reader).
+// Package lru provides the least-recently-used bookkeeping of memo.Cache,
+// its one consumer (which in turn backs the rewrite, benchmark and
+// exec-plan caches). It is a map plus an intrusive recency list with a cost
+// budget; eviction is explicit and skips entries the caller has marked
+// not-yet-evictable, which is how memo.Cache protects in-flight
+// computations (waiters hold the entry pointer, so evicting a completed
+// entry only drops it from the index — it never invalidates a reader).
 //
 // The budget is expressed in the caller's cost unit — the memoization
-// caches charge estimated bytes (mig.MemSize), the way diskcache.GC budgets
-// the disk tier. Entries enter with cost 0 (in-flight computations occupy
-// no budget and are pinned via Evictable anyway); the caller sets the real
-// cost with SetCost once the value exists.
+// caches charge estimated bytes (mig.MemSize, exec.Plan.MemSize), the way
+// diskcache.GC budgets the disk tier. Entries enter with cost 0 (in-flight
+// computations occupy no budget and are pinned via Evictable anyway); the
+// caller sets the real cost with SetCost once the value exists.
 //
 // The container performs no locking; callers guard every method with their
 // own mutex.

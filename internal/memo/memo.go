@@ -1,0 +1,181 @@
+// Package memo is the repository's one memoization primitive: Cache[K, V]
+// backs the rewrite cache (core.RewriteCache), the benchmark cache
+// (suite.Cache) and the engine's execution-plan cache. Every hit, from
+// memory or from the persistent Tier below it, must be byte-identical to a
+// fresh computation, so Cache.Do owns the whole discipline once:
+// singleflight with cancellable waiters, never caching a failed or
+// panicked computation, the tier probe and write-back, byte-budgeted LRU
+// eviction of completed entries, and one outcome-annotated trace span plus
+// hit/miss counters per probe. Cached values are shared and read-only.
+package memo
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+
+	"plim/internal/diskcache"
+	"plim/internal/lru"
+	"plim/internal/trace"
+)
+
+// ErrPanicked marks an entry whose computing caller panicked instead of
+// completing; the panic itself propagates to that caller. Waiters observe
+// it on an entry that is already unindexed, so they retry (and hit the
+// same panic in their own stack if it is deterministic).
+var ErrPanicked = errors.New("memo: computation panicked")
+
+// Tier is a persistent second level below the in-memory cache. Load
+// reports diskcache.ProbeHit with a value byte-identical to what the
+// compute function would produce; any other outcome is a miss. Store
+// errors are ignored: a failed store only costs a later process a
+// recomputation.
+type Tier[K comparable, V any] interface {
+	Load(K) (V, diskcache.ProbeOutcome)
+	Store(K, V) error
+}
+
+// Cache memoizes compute functions by key. The zero value is not usable;
+// call New.
+type Cache[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries *lru.Map[K, *entry[V]] // waiters hold the entry, so eviction only unindexes
+
+	// hits/misses count first-probe outcomes of the memory tier; a probe
+	// that attaches to an in-flight computation counts as a hit.
+	hits, misses atomic.Uint64
+
+	tier  Tier[K, V]
+	size  func(V) int
+	probe string
+	attr  func(K) (string, string)
+}
+
+type entry[V any] struct {
+	done chan struct{} // closed when the computation finishes
+	v    V
+	err  error
+}
+
+// New returns a cache evicting least-recently-used completed entries once
+// their summed size(v) exceeds budget (≤ 0 = unbounded). probe names the
+// cache's trace span; attr, when non-nil, labels a traced span with one
+// key attribute and is only called when the span is recorded.
+func New[K comparable, V any](budget int, size func(V) int, probe string, attr func(K) (string, string)) *Cache[K, V] {
+	return &Cache[K, V]{entries: lru.New[K, *entry[V]](budget), size: size, probe: probe, attr: attr}
+}
+
+// SetTier installs (or, with nil, removes) the persistent second tier. It
+// must be called before the cache is shared across goroutines.
+func (c *Cache[K, V]) SetTier(t Tier[K, V]) { c.tier = t }
+
+// Len reports the number of indexed entries, in-flight ones included.
+func (c *Cache[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries.Len()
+}
+
+// Budget reports the byte budget (≤ 0 = unbounded).
+func (c *Cache[K, V]) Budget() int { return c.entries.Budget() }
+
+// Probes reports the memory tier's hit and miss counters.
+func (c *Cache[K, V]) Probes() (hits, misses uint64) {
+	return c.hits.Load(), c.misses.Load()
+}
+
+// Do returns the value cached for key, computing it with compute on a
+// miss. A cancelled ctx fails up front, before any cached value is
+// served, and releases a waiter early with ctx.Err(); the computation it
+// waited on still completes and is cached for the next caller.
+func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
+	var zero V
+	if err := ctx.Err(); err != nil {
+		return zero, err
+	}
+	// The span covers the lookup (and, for a waiter, the wait), never the
+	// computation: that time belongs to the enclosing task span. Zero
+	// Handle (free no-ops) when ctx carries no trace.
+	sp := trace.StartNoCtx(ctx, "cache", c.probe)
+	if sp.Traced() && c.attr != nil {
+		sp.Attr(c.attr(key))
+	}
+	c.mu.Lock()
+	ent, ok := c.entries.Get(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	for {
+		if !ok {
+			e := &entry[V]{done: make(chan struct{})}
+			handle := c.entries.Add(key, e)
+			c.mu.Unlock()
+			c.fill(key, e, handle, sp, compute)
+			if e.err != nil {
+				return zero, e.err
+			}
+			return e.v, nil
+		}
+		e := ent.Value
+		c.mu.Unlock()
+		select {
+		case <-e.done:
+			if e.err == nil {
+				sp.Attr("outcome", "memory-hit")
+				sp.End()
+				return e.v, nil
+			}
+			// The computing caller failed and its entry is gone: either
+			// this caller computes (and reports its own error) or it waits
+			// on a newer computation.
+		case <-ctx.Done():
+			sp.End()
+			return zero, ctx.Err()
+		}
+		c.mu.Lock()
+		ent, ok = c.entries.Get(key)
+	}
+}
+
+// fill resolves a fresh entry from the tier or compute and publishes it.
+func (c *Cache[K, V]) fill(key K, e *entry[V], handle *lru.Entry[K, *entry[V]], sp trace.Handle, compute func() (V, error)) {
+	// Publish via defer so a panicking computation still unindexes the
+	// entry and closes done; otherwise every later caller of the key would
+	// block on an entry nobody is computing. ErrPanicked stands until the
+	// tier or compute returns.
+	e.err = ErrPanicked
+	defer func() {
+		c.mu.Lock()
+		if e.err != nil {
+			c.entries.Delete(key)
+		} else {
+			handle.Evictable = true
+			c.entries.SetCost(handle, c.size(e.v))
+			c.entries.EvictExcess(nil)
+		}
+		c.mu.Unlock()
+		close(e.done)
+	}()
+	outcome := "compute"
+	if c.tier != nil {
+		v, out := c.tier.Load(key)
+		if out == diskcache.ProbeHit {
+			e.v, e.err = v, nil
+			sp.Attr("outcome", "disk-hit")
+			sp.End()
+			return
+		}
+		if out == diskcache.ProbeVerifyMiss {
+			outcome = "verify-miss"
+		}
+	}
+	sp.Attr("outcome", outcome)
+	sp.End()
+	e.v, e.err = compute()
+	if e.err == nil && c.tier != nil {
+		_ = c.tier.Store(key, e.v)
+	}
+}

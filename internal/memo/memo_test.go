@@ -1,0 +1,252 @@
+package memo
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"plim/internal/diskcache"
+	"plim/internal/trace"
+)
+
+// fakeTier is an in-memory Tier reporting a fixed outcome for every key.
+type fakeTier struct {
+	out    diskcache.ProbeOutcome
+	val    int
+	stored []int
+}
+
+func (f *fakeTier) Load(string) (int, diskcache.ProbeOutcome) {
+	if f.out == diskcache.ProbeHit {
+		return f.val, f.out
+	}
+	return 0, f.out
+}
+
+func (f *fakeTier) Store(_ string, v int) error {
+	f.stored = append(f.stored, v)
+	return nil
+}
+
+func newIntCache() *Cache[string, int] {
+	return New(0, func(int) int { return 8 }, "test-probe",
+		func(k string) (string, string) { return "key", k })
+}
+
+// probeSpan returns the single cache span recorded in tr and its outcome.
+func probeSpan(t *testing.T, tr *trace.Trace) (key, outcome string) {
+	t.Helper()
+	var n int
+	for _, sp := range tr.Spans() {
+		if sp.Kind != "cache" || sp.Name != "test-probe" {
+			continue
+		}
+		n++
+		if sp.Dur < 0 {
+			t.Fatal("probe span left open")
+		}
+		for _, a := range sp.Attrs {
+			switch a.Key {
+			case "key":
+				key = a.Value
+			case "outcome":
+				outcome = a.Value
+			}
+		}
+	}
+	if n != 1 {
+		t.Fatalf("recorded %d probe spans, want 1", n)
+	}
+	return key, outcome
+}
+
+var errBoom = errors.New("boom")
+
+// TestDoTierOutcomes drives one probe per case through a fake tier and
+// checks the span outcome, the value served, when the tier is written and
+// what the next probe of the key sees: a memory hit after a success, a
+// fresh computation after a failure.
+func TestDoTierOutcomes(t *testing.T) {
+	cases := []struct {
+		name        string
+		tier        *fakeTier // nil = no tier installed
+		compute     func() (int, error)
+		wantOutcome string
+		wantVal     int
+		wantErr     error
+		wantPanic   bool
+		wantStored  []int
+		wantCached  bool
+	}{
+		{name: "no tier", compute: func() (int, error) { return 42, nil },
+			wantOutcome: "compute", wantVal: 42, wantCached: true},
+		{name: "disk hit", tier: &fakeTier{out: diskcache.ProbeHit, val: 7},
+			compute:     func() (int, error) { panic("disk hit must not compute") },
+			wantOutcome: "disk-hit", wantVal: 7, wantCached: true},
+		{name: "disk miss", tier: &fakeTier{out: diskcache.ProbeMiss},
+			compute:     func() (int, error) { return 42, nil },
+			wantOutcome: "compute", wantVal: 42, wantStored: []int{42}, wantCached: true},
+		{name: "verify miss", tier: &fakeTier{out: diskcache.ProbeVerifyMiss},
+			compute:     func() (int, error) { return 42, nil },
+			wantOutcome: "verify-miss", wantVal: 42, wantStored: []int{42}, wantCached: true},
+		{name: "compute error", tier: &fakeTier{out: diskcache.ProbeMiss},
+			compute:     func() (int, error) { return 42, errBoom },
+			wantOutcome: "compute", wantErr: errBoom},
+		{name: "compute panic", tier: &fakeTier{out: diskcache.ProbeMiss},
+			compute:     func() (int, error) { panic("compute failed") },
+			wantOutcome: "compute", wantPanic: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newIntCache()
+			if tc.tier != nil {
+				c.SetTier(tc.tier)
+			}
+			tr := trace.New()
+			ctx := trace.NewContext(context.Background(), tr)
+			var (
+				v        int
+				err      error
+				panicked bool
+			)
+			func() {
+				defer func() { panicked = recover() != nil }()
+				v, err = c.Do(ctx, "k", tc.compute)
+			}()
+			if panicked != tc.wantPanic {
+				t.Fatalf("panicked = %v, want %v", panicked, tc.wantPanic)
+			}
+			if !tc.wantPanic && (v != tc.wantVal || !errors.Is(err, tc.wantErr)) {
+				t.Fatalf("Do = (%d, %v), want (%d, %v)", v, err, tc.wantVal, tc.wantErr)
+			}
+			if key, outcome := probeSpan(t, tr); key != "k" || outcome != tc.wantOutcome {
+				t.Fatalf("span key=%q outcome=%q, want k / %s", key, outcome, tc.wantOutcome)
+			}
+			if tc.tier != nil && !slices.Equal(tc.tier.stored, tc.wantStored) {
+				t.Fatalf("tier stores %v, want %v", tc.tier.stored, tc.wantStored)
+			}
+			if hits, misses := c.Probes(); hits != 0 || misses != 1 {
+				t.Fatalf("probes %d hits / %d misses, want 0 / 1", hits, misses)
+			}
+
+			wantLen := 0
+			if tc.wantCached {
+				wantLen = 1
+			}
+			if got := c.Len(); got != wantLen {
+				t.Fatalf("Len = %d after the first probe, want %d", got, wantLen)
+			}
+			tr = trace.New()
+			recomputed := false
+			again, err := c.Do(trace.NewContext(context.Background(), tr), "k", func() (int, error) { recomputed = true; return 9, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recomputed == tc.wantCached {
+				t.Fatalf("second probe recomputed = %v with cached = %v", recomputed, tc.wantCached)
+			}
+			if tc.wantCached {
+				if _, outcome := probeSpan(t, tr); again != tc.wantVal || outcome != "memory-hit" {
+					t.Fatalf("second probe served %d (%s), want the memory hit %d", again, outcome, tc.wantVal)
+				}
+			}
+		})
+	}
+}
+
+// TestCancelledWaiterLeavesComputationCached: a caller waiting on another
+// caller's computation returns ctx.Err() as soon as its context is
+// cancelled, while the computation itself runs on and is cached for the
+// next caller.
+func TestCancelledWaiterLeavesComputationCached(t *testing.T) {
+	c := newIntCache()
+	release := make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Do(context.Background(), "k", func() (int, error) { <-release; return 7, nil })
+		leader <- err
+	}()
+	waitFor(t, func() bool { return c.Len() == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.Do(ctx, "k", func() (int, error) { return 0, errors.New("waiter computed") })
+		waiter <- err
+	}()
+	waitFor(t, func() bool { hits, _ := c.Probes(); return hits == 1 })
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.Do(context.Background(), "k", func() (int, error) { return 0, errors.New("recomputed") })
+	if err != nil || v != 7 {
+		t.Fatalf("next caller got (%d, %v), want the cached 7", v, err)
+	}
+}
+
+// TestWaiterRetriesAfterLeaderPanic: a waiter attached to a computation
+// whose caller panics does not inherit the panic or wedge; it computes the
+// value itself.
+func TestWaiterRetriesAfterLeaderPanic(t *testing.T) {
+	c := newIntCache()
+	release := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.Do(context.Background(), "k", func() (int, error) { <-release; panic("leader failed") })
+	}()
+	waitFor(t, func() bool { return c.Len() == 1 })
+
+	waiter := make(chan int, 1)
+	go func() {
+		v, err := c.Do(context.Background(), "k", func() (int, error) { return 5, nil })
+		if err != nil {
+			t.Error(err)
+		}
+		waiter <- v
+	}()
+	waitFor(t, func() bool { hits, _ := c.Probes(); return hits == 1 })
+	close(release)
+	if r := <-leader; r == nil {
+		t.Fatal("leader's panic was swallowed")
+	}
+	if v := <-waiter; v != 5 {
+		t.Fatalf("waiter got %d, want its own computation's 5", v)
+	}
+}
+
+// TestDoCancelledUpFront: a cancelled context fails before a ready hit is
+// served.
+func TestDoCancelledUpFront(t *testing.T) {
+	c := newIntCache()
+	if _, err := c.Do(context.Background(), "k", func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Do(ctx, "k", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
+	}
+	if hits, misses := c.Probes(); hits != 0 || misses != 1 {
+		t.Fatalf("cancelled probe was counted: %d hits / %d misses", hits, misses)
+	}
+}
+
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -2,61 +2,31 @@ package suite
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 
 	"plim/internal/diskcache"
-	"plim/internal/lru"
+	"plim/internal/memo"
 	"plim/internal/mig"
-	"plim/internal/trace"
 )
 
-// errBuildPanicked is what waiters observe when the building caller
-// panicked instead of completing; the entry is gone, so they retry.
-var errBuildPanicked = errors.New("suite: benchmark build panicked")
-
-// Cache memoizes benchmark generator output per (name, shrink). Every
-// generator is deterministic, so a cached graph is structurally identical
-// to a fresh build; the expensive word-level construction (and the
-// follow-up Cleanup/Validate) runs once.
+// Cache memoizes benchmark generator output per (name, shrink) in a
+// memo.Cache. Every generator is deterministic, so a cached graph is
+// structurally identical to a fresh build; the expensive word-level
+// construction (and the follow-up Cleanup/Validate) runs once. Errors
+// (unknown benchmark, validation failure) are not cached, builds are
+// charged their estimated size (mig.MemSize) against the byte budget, and
+// each probe records a "cache benchmark-probe" span.
 //
 // Cached MIGs are shared between callers and must be treated as read-only.
 // The compilation flow only reads its input, so internal/tables hands the
 // shared instance straight to the staged runner; plim.Engine.Benchmark
 // clones before returning a cached graph to user code.
-//
-// Concurrent callers of the same key share one build (singleflight).
-// Errors (unknown benchmark, validation failure) are not cached. The cache
-// is byte-budgeted: completed builds are charged their estimated size
-// (mig.MemSize) and least-recently-used completed entries are evicted once
-// the total exceeds the budget (in-flight builds are never evicted), so
-// engines sweeping many (name, shrink) combinations stay bounded.
 type Cache struct {
-	mu      sync.Mutex
-	entries *lru.Map[buildKey, *buildEntry]
-
-	// disk, when non-nil, is the persistent second tier: an in-memory miss
-	// probes the disk before running the generator, and fresh builds are
-	// written back (best-effort). Generators are deterministic and their
-	// output serializes fingerprint-faithfully, so a disk-served graph is
-	// structurally identical to a fresh build.
-	disk *diskcache.Cache
-
-	// hits/misses count memory-tier probe outcomes (probes attaching to an
-	// in-flight build count as hits). Feeds plimserve_cache_probe_total.
-	hits, misses atomic.Uint64
+	m *memo.Cache[buildKey, *mig.MIG]
 }
 
 type buildKey struct {
 	name   string
 	shrink int
-}
-
-type buildEntry struct {
-	done chan struct{}
-	m    *mig.MIG
-	err  error
 }
 
 // NewCache returns an unbounded benchmark cache; long-lived callers should
@@ -69,30 +39,47 @@ func NewCache() *Cache {
 // once their summed estimated bytes exceed budget; budget ≤ 0 means
 // unbounded.
 func NewCacheWithBudget(budget int) *Cache {
-	return &Cache{entries: lru.New[buildKey, *buildEntry](budget)}
+	return &Cache{memo.New(budget, (*mig.MIG).MemSize, "benchmark-probe",
+		func(k buildKey) (string, string) { return "benchmark", k.name })}
+}
+
+// buildTier adapts the disk cache's benchmark entries to memo.Tier.
+type buildTier struct{ d *diskcache.Cache }
+
+func (t buildTier) Load(k buildKey) (*mig.MIG, diskcache.ProbeOutcome) {
+	return t.d.ProbeBenchmark(k.name, k.shrink)
+}
+
+func (t buildTier) Store(k buildKey, m *mig.MIG) error {
+	return t.d.StoreBenchmark(k.name, k.shrink, m)
 }
 
 // SetDisk installs (or, with nil, removes) the persistent second tier.
 // It must be called before the cache is shared across goroutines.
-func (c *Cache) SetDisk(d *diskcache.Cache) { c.disk = d }
+// Generators are deterministic and their output serializes
+// fingerprint-faithfully, so a disk-served graph is structurally identical
+// to a fresh build.
+func (c *Cache) SetDisk(d *diskcache.Cache) {
+	if d == nil {
+		c.m.SetTier(nil)
+		return
+	}
+	c.m.SetTier(buildTier{d})
+}
 
 // Len reports the number of cached benchmark builds (including in-flight
 // ones).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries.Len()
-}
+func (c *Cache) Len() int { return c.m.Len() }
 
 // Budget reports the cache's byte budget (≤ 0 = unbounded).
-func (c *Cache) Budget() int { return c.entries.Budget() }
+func (c *Cache) Budget() int { return c.m.Budget() }
 
 // Probes reports the memory-tier probe counters. Nil-safe.
 func (c *Cache) Probes() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	return c.m.Probes()
 }
 
 // BuildScaled is suite.BuildScaled memoized through the cache. The
@@ -105,89 +92,14 @@ func (c *Cache) BuildScaled(name string, shrink int) (*mig.MIG, error) {
 // BuildScaledContext is BuildScaled with a context whose trace (if any)
 // receives a cache-probe span annotated with the outcome — memory-hit /
 // disk-hit / verify-miss / compute — as a child of the enclosing generate
-// task span. The context does not cancel the build: generators are fast
-// and singleflight-shared, so a build always runs to completion once
-// started.
+// task span. A cancelled ctx fails with ctx.Err() and releases a caller
+// waiting on another caller's build; a build itself always runs to
+// completion once started (generators are fast and take no context).
 func (c *Cache) BuildScaledContext(ctx context.Context, name string, shrink int) (*mig.MIG, error) {
 	if c == nil {
 		return BuildScaled(name, shrink)
 	}
-	sp := trace.StartNoCtx(ctx, "cache", "benchmark-probe")
-	if sp.Traced() {
-		sp.Attr("benchmark", name)
-	}
-	key := buildKey{name: name, shrink: shrink}
-	first := true
-	for {
-		c.mu.Lock()
-		ent, ok := c.entries.Get(key)
-		if first {
-			first = false
-			if ok {
-				c.hits.Add(1)
-			} else {
-				c.misses.Add(1)
-			}
-		}
-		if !ok {
-			e := &buildEntry{done: make(chan struct{})}
-			handle := c.entries.Add(key, e)
-			c.mu.Unlock()
-			// Publish via defer so a panicking generator still unindexes
-			// the entry and closes done — waiters here have no context to
-			// bail out on, so a stuck entry would deadlock them forever.
-			completed := false
-			func() {
-				defer func() {
-					if !completed && e.err == nil {
-						e.err = errBuildPanicked
-					}
-					c.mu.Lock()
-					if e.err != nil {
-						c.entries.Delete(key)
-					} else {
-						handle.Evictable = true
-						c.entries.SetCost(handle, e.m.MemSize())
-						c.entries.EvictExcess(nil)
-					}
-					c.mu.Unlock()
-					close(e.done)
-				}()
-				if c.disk != nil {
-					dm, out := c.disk.ProbeBenchmark(name, shrink)
-					if out == diskcache.ProbeHit {
-						e.m = dm
-						completed = true
-						sp.Attr("outcome", "disk-hit")
-						sp.End()
-						return
-					}
-					if out == diskcache.ProbeVerifyMiss {
-						sp.Attr("outcome", "verify-miss")
-					} else {
-						sp.Attr("outcome", "compute")
-					}
-				} else {
-					sp.Attr("outcome", "compute")
-				}
-				sp.End() // generator time belongs to the generate task span
-				e.m, e.err = BuildScaled(name, shrink)
-				completed = true
-				if e.err == nil && c.disk != nil {
-					_ = c.disk.StoreBenchmark(name, shrink, e.m)
-				}
-			}()
-			return e.m, e.err
-		}
-		e := ent.Value
-		c.mu.Unlock()
-		<-e.done
-		if e.err == nil {
-			sp.Attr("outcome", "memory-hit")
-			sp.End()
-			return e.m, nil
-		}
-		// The building caller failed and removed the entry; retry so this
-		// caller either rebuilds or reports its own error.
-	}
+	return c.m.Do(ctx, buildKey{name: name, shrink: shrink}, func() (*mig.MIG, error) {
+		return BuildScaled(name, shrink)
+	})
 }

@@ -92,3 +92,40 @@ func TestEngineUntracedStaysInert(t *testing.T) {
 		t.Fatalf("untraced engine accumulated %d spans", len(tr.Spans()))
 	}
 }
+
+// TestEngineTraceExploreProbesCaches: a traced sweep records its cache
+// probes like the suite runner does, one benchmark-probe per (benchmark,
+// shrink) generate task beside the rewrite probes.
+func TestEngineTraceExploreProbesCaches(t *testing.T) {
+	eng := NewEngine(WithTrace(true))
+	_, err := eng.Explore(context.Background(), ExploreOptions{
+		Benchmarks: []string{"ctrl", "router"},
+		Shrinks:    []int{4, 8},
+		Efforts:    []int{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := map[string]int{}
+	benchProbes := map[string]int{}
+	for _, sp := range eng.TakeTrace().Spans() {
+		if sp.Kind != "cache" {
+			continue
+		}
+		probes[sp.Name]++
+		if sp.Name == "benchmark-probe" {
+			for _, a := range sp.Attrs {
+				if a.Key == "benchmark" {
+					benchProbes[a.Value]++
+				}
+			}
+		}
+	}
+	if benchProbes["ctrl"] != 2 || benchProbes["router"] != 2 || probes["benchmark-probe"] != 4 {
+		t.Fatalf("benchmark probes %v (by benchmark %v), want 2 per benchmark over 2 shrinks", probes, benchProbes)
+	}
+	// 2 benchmarks × 2 shrinks × 3 distinct Table I pipelines.
+	if probes["rewrite-probe"] != 12 {
+		t.Fatalf("rewrite probes %d, want 12", probes["rewrite-probe"])
+	}
+}
