@@ -9,12 +9,13 @@
 //
 //   - rewrite results, keyed by (input-MIG fingerprint, rewrite kind,
 //     effort) exactly like core.RewriteCache, holding the rewritten MIG in
-//     the .mig text format plus its rewrite.Stats;
+//     the compact binary MIG encoding (mig.AppendBinary) plus its
+//     rewrite.Stats;
 //   - benchmark builds, keyed by (benchmark name, shrink) exactly like
 //     suite.Cache, holding the generated MIG.
 //
 // Every entry is one file: a small text header (magic, format version, the
-// full key, payload length and CRC-32) followed by the .mig payload.
+// full key, payload length and CRC-32) followed by the binary MIG payload.
 // Writes go through a temp file in the cache directory and an atomic
 // rename, so concurrent processes sharing a directory never observe a
 // partially written entry and the last writer simply wins. Reads verify
@@ -26,8 +27,8 @@
 //
 // Invalidation is by construction: keys are content-addressed (a different
 // input graph, algorithm or effort is a different file) and FormatVersion
-// is bumped whenever the .mig serialization, the stats layout or the
-// fingerprint function changes, which orphans every old entry at once.
+// is bumped whenever the MIG encoding, the stats layout or the fingerprint
+// function changes, which orphans every old entry at once.
 package diskcache
 
 import (
@@ -46,14 +47,15 @@ import (
 )
 
 // FormatVersion is written into every entry header and checked on load.
-// Bump it whenever the entry layout, the .mig text format, rewrite.Stats
-// or mig.Fingerprint changes incompatibly; all existing entries then read
-// as misses and are rewritten on the next store.
+// Bump it whenever the entry layout, the binary MIG encoding,
+// rewrite.Stats or mig.Fingerprint changes incompatibly; all existing
+// entries then read as misses and are rewritten on the next store.
 //
 // Version history: 1 = initial layout; 2 = entries additionally record the
 // stored graph's own fingerprint (the "out" header line), enabling
-// load-time re-verification under SetVerify.
-const FormatVersion = 2
+// load-time re-verification under SetVerify; 3 = binary MIG payload
+// (mig.AppendBinary) in place of .mig text.
+const FormatVersion = 3
 
 const magic = "plimcache"
 
@@ -198,16 +200,20 @@ func sanitize(name string) string {
 	return fmt.Sprintf("x%x", name)
 }
 
-// Storable reports whether m round-trips faithfully through the .mig text
-// format, which a persisted entry must (a disk hit is contractually
-// byte-identical to a fresh computation). Two properties are required:
+// Storable reports whether m round-trips faithfully through the MIG
+// serializations, which a persisted entry must (a disk hit is
+// contractually byte-identical to a fresh computation). Two properties
+// are required:
 //
-//   - canonical numbering: the format puts all PIs before any majority
-//     node, so a graph that interleaves them would come back renumbered —
-//     structurally equivalent but not fingerprint- or node-order-identical;
-//   - token-safe names: the format is line- and whitespace-delimited, so a
+//   - canonical numbering: both the binary payload and the .mig text
+//     format put all PIs before any majority node, so a graph that
+//     interleaves them would come back renumbered — structurally
+//     equivalent but not fingerprint- or node-order-identical;
+//   - token-safe names: the binary payload carries any name, but the .mig
+//     text interchange format is line- and whitespace-delimited, where a
 //     model/PI/PO name containing whitespace would be truncated (or, with
-//     a newline, reparsed as a directive) on load.
+//     a newline, reparsed as a directive). Requiring them keeps every
+//     cached graph exportable as .mig text unchanged.
 //
 // Both are only violable by hand-built MIGs — every generator, Cleanup and
 // rewrite output is canonical with identifier-style names — and such
@@ -235,7 +241,7 @@ func Storable(m *mig.MIG) bool {
 }
 
 // tokenSafe reports whether a name survives the whitespace-delimited .mig
-// format unchanged ("" is fine: nameless pins serialize as bare
+// text format unchanged ("" is fine: nameless pins serialize as bare
 // directives).
 func tokenSafe(name string) bool {
 	return !strings.ContainsFunc(name, unicode.IsSpace)
@@ -298,7 +304,7 @@ func (c *Cache) parseRewrite(payload []byte, header []string, fp uint64, kind ui
 		&st.CompHistAfter[0], &st.CompHistAfter[1], &st.CompHistAfter[2], &st.CompHistAfter[3]); err != nil {
 		return nil, st, ProbeMiss
 	}
-	m, err := mig.Read(bytes.NewReader(payload))
+	m, err := mig.ReadBinary(payload)
 	if err != nil || m.Validate() != nil {
 		return nil, st, ProbeMiss
 	}
@@ -310,7 +316,7 @@ func (c *Cache) parseRewrite(payload []byte, header []string, fp uint64, kind ui
 
 // checkOut re-verifies a parsed graph against the "out <fingerprint>"
 // header line recorded at store time. The line must parse regardless of
-// the verify switch (it is part of the v2 layout); the fingerprint itself
+// the verify switch (it is part of the layout since v2); the fingerprint itself
 // is only recomputed and compared when SetVerify armed the cache.
 func (c *Cache) checkOut(line string, m *mig.MIG) ProbeOutcome {
 	var want uint64
@@ -366,7 +372,7 @@ func (c *Cache) parseBenchmark(payload []byte, header []string, name string, shr
 		gotName != name || gotShrink != shrink {
 		return nil, ProbeMiss
 	}
-	m, err := mig.Read(bytes.NewReader(payload))
+	m, err := mig.ReadBinary(payload)
 	if err != nil || m.Validate() != nil {
 		return nil, ProbeMiss
 	}
@@ -392,15 +398,12 @@ func (c *Cache) store(path, entryKind string, header []byte, m *mig.MIG) error {
 }
 
 func (c *Cache) storeFile(path, entryKind string, header []byte, m *mig.MIG) error {
-	var payload bytes.Buffer
-	if err := m.Write(&payload); err != nil {
-		return fmt.Errorf("diskcache: serialize: %w", err)
-	}
+	payload := m.AppendBinary(nil)
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s %d %s\n", magic, FormatVersion, entryKind)
 	buf.Write(header)
-	fmt.Fprintf(&buf, "payload %d %08x\n", payload.Len(), crc32.ChecksumIEEE(payload.Bytes()))
-	buf.Write(payload.Bytes())
+	fmt.Fprintf(&buf, "payload %d %08x\n", len(payload), crc32.ChecksumIEEE(payload))
+	buf.Write(payload)
 
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {

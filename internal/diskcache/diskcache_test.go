@@ -217,6 +217,80 @@ func TestVersionBumpInvalidates(t *testing.T) {
 	}
 }
 
+// TestV2TextEntryMigrates: an entry left by format version 2 — its header
+// over a .mig text payload — is a miss and counts as one, and the next
+// store replaces it with a current entry that hits.
+func TestV2TextEntryMigrates(t *testing.T) {
+	m := testMIG("v2", 8)
+	fp := m.Fingerprint()
+	var text bytes.Buffer
+	if err := m.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	v2 := func(header string) []byte {
+		return fmt.Appendf(nil, "%spayload %d %08x\n%s", header, text.Len(), crc32ieee(text.Bytes()), text.Bytes())
+	}
+	cases := []struct {
+		kind   string
+		path   func(c *Cache) string
+		header string
+		load   func(c *Cache) (*mig.MIG, bool)
+		store  func(c *Cache) error
+		counts func(Counters) (hits, misses uint64)
+	}{
+		{
+			kind:   "rewrite",
+			path:   func(c *Cache) string { return rewritePath(c.Dir(), fp, 2, 5) },
+			header: fmt.Sprintf("plimcache 2 rewrite\nkey %016x 2 5\nout %016x\nstats 3 60 41 12 9 1 2 3 4 5 6 7 8\n", fp, fp),
+			load: func(c *Cache) (*mig.MIG, bool) {
+				got, st, ok := c.LoadRewrite(fp, 2, 5)
+				return got, ok && st == testStats()
+			},
+			store:  func(c *Cache) error { return c.StoreRewrite(fp, 2, 5, m, testStats()) },
+			counts: func(n Counters) (uint64, uint64) { return n.RewriteHits, n.RewriteMisses },
+		},
+		{
+			kind:   "bench",
+			path:   func(c *Cache) string { return benchPath(c.Dir(), "v2", 2) },
+			header: fmt.Sprintf("plimcache 2 bench\nkey %q 2\nout %016x\n", "v2", fp),
+			load:   func(c *Cache) (*mig.MIG, bool) { return c.LoadBenchmark("v2", 2) },
+			store:  func(c *Cache) error { return c.StoreBenchmark("v2", 2, m) },
+			counts: func(n Counters) (uint64, uint64) { return n.BenchmarkHits, n.BenchmarkMisses },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			c := open(t)
+			if err := os.WriteFile(tc.path(c), v2(tc.header), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := tc.load(c); ok {
+				t.Fatal("v2 text entry served as a hit")
+			}
+			if hits, misses := tc.counts(c.Counters()); hits != 0 || misses != 1 {
+				t.Fatalf("v2 entry counted %d hits / %d misses, want 0 / 1", hits, misses)
+			}
+			if err := tc.store(c); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(entryFile(t, c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("%s %d %s\n", magic, FormatVersion, tc.kind); !strings.HasPrefix(string(data), want) {
+				t.Fatalf("store left %q, want a %q entry", data[:min(len(data), 32)], want)
+			}
+			got, ok := tc.load(c)
+			if !ok || got.Fingerprint() != fp {
+				t.Fatal("the replacing entry did not hit with the stored graph")
+			}
+			if hits, misses := tc.counts(c.Counters()); hits != 1 || misses != 1 {
+				t.Fatalf("after the store: %d hits / %d misses, want 1 / 1", hits, misses)
+			}
+		})
+	}
+}
+
 // TestMismatchedKeyInsideEntry: an entry whose header key disagrees with
 // its file name (e.g. a file copied or renamed by hand) is a miss.
 func TestMismatchedKeyInsideEntry(t *testing.T) {
@@ -413,11 +487,8 @@ func TestVerifyOnLoadRejectsCRCCollision(t *testing.T) {
 		if !ok {
 			t.Fatal("no payload line")
 		}
-		var payload bytes.Buffer
-		if err := imposter.Write(&payload); err != nil {
-			t.Fatal(err)
-		}
-		forged := fmt.Sprintf("%spayload %d %08x\n%s", head, payload.Len(), crc32ieee(payload.Bytes()), payload.Bytes())
+		payload := imposter.AppendBinary(nil)
+		forged := fmt.Sprintf("%spayload %d %08x\n%s", head, len(payload), crc32ieee(payload), payload)
 		if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -87,7 +87,9 @@ func (m *MIG) Write(w io.Writer) error {
 // stabilize after one round trip.
 func Read(r io.Reader) (*MIG, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	// Lines may reach 64 MiB; the buffer starts at bufio's default size and
+	// grows only for the rare long line.
+	sc.Buffer(nil, 64*1024*1024)
 	m := New("")
 	// File node numbering: 0 = const, then PIs, then majority nodes in
 	// order of appearance. Because our in-memory numbering is identical,

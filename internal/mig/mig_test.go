@@ -319,6 +319,19 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadLongLine pins the line cap: the scanner starts at bufio's
+// default size and grows, so a line longer than 1 MiB still parses.
+func TestReadLongLine(t *testing.T) {
+	long := strings.Repeat("m", 2<<20)
+	m, err := Read(strings.NewReader(".model " + long + "\n.pi a\n.po 1 f\n.end\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Name != long || m.NumPIs() != 1 || m.NumPOs() != 1 {
+		t.Fatalf("long-line netlist parsed as name len %d, %d PIs, %d POs", len(m.Name), m.NumPIs(), m.NumPOs())
+	}
+}
+
 func TestWriteDOT(t *testing.T) {
 	m := New("dot")
 	x := m.AddPI("x")
@@ -642,16 +655,32 @@ func TestFingerprintCoversPinNames(t *testing.T) {
 	}
 }
 
-// roundTrip serializes m and parses it back.
-func roundTrip(t *testing.T, m *MIG) *MIG {
+// codec is one of the two serializations a graph round-trips through: the
+// .mig text interchange format and the binary disk-cache payload.
+type codec struct {
+	name   string
+	encode func(t *testing.T, m *MIG) []byte
+	decode func(b []byte) (*MIG, error)
+}
+
+var codecs = []codec{
+	{"text", func(t *testing.T, m *MIG) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}, func(b []byte) (*MIG, error) { return Read(bytes.NewReader(b)) }},
+	{"binary", func(_ *testing.T, m *MIG) []byte { return m.AppendBinary(nil) }, ReadBinary},
+}
+
+// roundTrip serializes m with c and parses it back.
+func roundTrip(t *testing.T, c codec, m *MIG) *MIG {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := c.decode(c.encode(t, m))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", c.name, err)
 	}
 	return got
 }
@@ -661,7 +690,8 @@ func roundTrip(t *testing.T, m *MIG) *MIG {
 // of a canonically numbered graph — including nameless PIs and POs, which
 // Write used to rename to x0/x1/… defaults — must reproduce the
 // fingerprint exactly, or disk-served entries would silently never match
-// freshly built graphs.
+// freshly built graphs. The binary codec the disk cache stores must do the
+// same.
 func TestWriteReadPreservesFingerprint(t *testing.T) {
 	named := New("named")
 	a := named.AddPI("a[0]")
@@ -683,17 +713,19 @@ func TestWriteReadPreservesFingerprint(t *testing.T) {
 	q := raw.AddPI("q")
 	raw.AddPO(raw.RawMaj(p, p, q), "o")
 
-	for _, m := range []*MIG{named, anon, raw} {
-		got := roundTrip(t, m)
-		if got.Fingerprint() != m.Fingerprint() {
-			t.Errorf("%s: round trip changed fingerprint", m.Name)
-			for i := 0; i < m.NumPIs(); i++ {
-				if m.PIName(i) != got.PIName(i) {
-					t.Errorf("%s: PI %d name %q became %q", m.Name, i, m.PIName(i), got.PIName(i))
+	for _, cd := range codecs {
+		for _, m := range []*MIG{named, anon, raw} {
+			got := roundTrip(t, cd, m)
+			if got.Fingerprint() != m.Fingerprint() {
+				t.Errorf("%s %s: round trip changed fingerprint", cd.name, m.Name)
+				for i := 0; i < m.NumPIs(); i++ {
+					if m.PIName(i) != got.PIName(i) {
+						t.Errorf("%s %s: PI %d name %q became %q", cd.name, m.Name, i, m.PIName(i), got.PIName(i))
+					}
 				}
 			}
+			MustBeEquivalent(m, got, 2, 7)
 		}
-		MustBeEquivalent(m, got, 2, 7)
 	}
 }
 
@@ -701,7 +733,8 @@ func TestWriteReadPreservesFingerprint(t *testing.T) {
 // majority node, but the file format numbers all PIs first. Write must
 // renumber signals into file order — emitting raw in-memory ids used to
 // rebind edges silently — and the result must stabilize after one round
-// trip (Write∘Read is then the identity on the serialized form).
+// trip (Write∘Read is then the identity on the serialized form). The
+// binary codec renumbers the same way.
 func TestWriteRenumbersInterleavedPIs(t *testing.T) {
 	m := New("interleave")
 	p := m.AddPI("p")
@@ -710,31 +743,26 @@ func TestWriteRenumbersInterleavedPIs(t *testing.T) {
 	r := m.AddPI("r") // PI created after a majority node
 	m.AddPO(m.Or(g, r), "o")
 
-	got := roundTrip(t, m)
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumMaj() != m.NumMaj() || got.NumPIs() != m.NumPIs() {
-		t.Fatalf("round trip changed shape: maj %d→%d pi %d→%d",
-			m.NumMaj(), got.NumMaj(), m.NumPIs(), got.NumPIs())
-	}
-	MustBeEquivalent(m, got, 2, 7)
+	for _, cd := range codecs {
+		got := roundTrip(t, cd, m)
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got.NumMaj() != m.NumMaj() || got.NumPIs() != m.NumPIs() {
+			t.Fatalf("%s: round trip changed shape: maj %d→%d pi %d→%d",
+				cd.name, m.NumMaj(), got.NumMaj(), m.NumPIs(), got.NumPIs())
+		}
+		MustBeEquivalent(m, got, 2, 7)
 
-	// Once canonical, further round trips are fingerprint- and
-	// byte-stable.
-	again := roundTrip(t, got)
-	if again.Fingerprint() != got.Fingerprint() {
-		t.Fatal("second round trip changed fingerprint")
-	}
-	var first, second bytes.Buffer
-	if err := got.Write(&first); err != nil {
-		t.Fatal(err)
-	}
-	if err := again.Write(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("serialized form not stable after one round trip")
+		// Once canonical, further round trips are fingerprint- and
+		// byte-stable.
+		again := roundTrip(t, cd, got)
+		if again.Fingerprint() != got.Fingerprint() {
+			t.Fatalf("%s: second round trip changed fingerprint", cd.name)
+		}
+		if !bytes.Equal(cd.encode(t, got), cd.encode(t, again)) {
+			t.Fatalf("%s: serialized form not stable after one round trip", cd.name)
+		}
 	}
 }
 
