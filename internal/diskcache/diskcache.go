@@ -316,8 +316,8 @@ func (c *Cache) parseRewrite(payload []byte, header []string, fp uint64, kind ui
 
 // checkOut re-verifies a parsed graph against the "out <fingerprint>"
 // header line recorded at store time. The line must parse regardless of
-// the verify switch (it is part of the layout since v2); the fingerprint itself
-// is only recomputed and compared when SetVerify armed the cache.
+// the verify switch (it is part of the layout since v2); the fingerprint
+// itself is only recomputed and compared when SetVerify armed the cache.
 func (c *Cache) checkOut(line string, m *mig.MIG) ProbeOutcome {
 	var want uint64
 	if _, err := fmt.Sscanf(line, "out %x", &want); err != nil {

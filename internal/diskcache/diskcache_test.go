@@ -221,73 +221,42 @@ func TestVersionBumpInvalidates(t *testing.T) {
 // over a .mig text payload — is a miss and counts as one, and the next
 // store replaces it with a current entry that hits.
 func TestV2TextEntryMigrates(t *testing.T) {
+	c := open(t)
 	m := testMIG("v2", 8)
 	fp := m.Fingerprint()
 	var text bytes.Buffer
 	if err := m.Write(&text); err != nil {
 		t.Fatal(err)
 	}
-	v2 := func(header string) []byte {
-		return fmt.Appendf(nil, "%spayload %d %08x\n%s", header, text.Len(), crc32ieee(text.Bytes()), text.Bytes())
+	v2 := fmt.Appendf(nil, "plimcache 2 rewrite\nkey %016x 2 5\nout %016x\nstats 3 60 41 12 9 1 2 3 4 5 6 7 8\npayload %d %08x\n%s",
+		fp, fp, text.Len(), crc32ieee(text.Bytes()), text.Bytes())
+	path := rewritePath(c.Dir(), fp, 2, 5)
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	cases := []struct {
-		kind   string
-		path   func(c *Cache) string
-		header string
-		load   func(c *Cache) (*mig.MIG, bool)
-		store  func(c *Cache) error
-		counts func(Counters) (hits, misses uint64)
-	}{
-		{
-			kind:   "rewrite",
-			path:   func(c *Cache) string { return rewritePath(c.Dir(), fp, 2, 5) },
-			header: fmt.Sprintf("plimcache 2 rewrite\nkey %016x 2 5\nout %016x\nstats 3 60 41 12 9 1 2 3 4 5 6 7 8\n", fp, fp),
-			load: func(c *Cache) (*mig.MIG, bool) {
-				got, st, ok := c.LoadRewrite(fp, 2, 5)
-				return got, ok && st == testStats()
-			},
-			store:  func(c *Cache) error { return c.StoreRewrite(fp, 2, 5, m, testStats()) },
-			counts: func(n Counters) (uint64, uint64) { return n.RewriteHits, n.RewriteMisses },
-		},
-		{
-			kind:   "bench",
-			path:   func(c *Cache) string { return benchPath(c.Dir(), "v2", 2) },
-			header: fmt.Sprintf("plimcache 2 bench\nkey %q 2\nout %016x\n", "v2", fp),
-			load:   func(c *Cache) (*mig.MIG, bool) { return c.LoadBenchmark("v2", 2) },
-			store:  func(c *Cache) error { return c.StoreBenchmark("v2", 2, m) },
-			counts: func(n Counters) (uint64, uint64) { return n.BenchmarkHits, n.BenchmarkMisses },
-		},
+	if _, _, ok := c.LoadRewrite(fp, 2, 5); ok {
+		t.Fatal("v2 text entry served as a hit")
 	}
-	for _, tc := range cases {
-		t.Run(tc.kind, func(t *testing.T) {
-			c := open(t)
-			if err := os.WriteFile(tc.path(c), v2(tc.header), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := tc.load(c); ok {
-				t.Fatal("v2 text entry served as a hit")
-			}
-			if hits, misses := tc.counts(c.Counters()); hits != 0 || misses != 1 {
-				t.Fatalf("v2 entry counted %d hits / %d misses, want 0 / 1", hits, misses)
-			}
-			if err := tc.store(c); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(entryFile(t, c))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := fmt.Sprintf("%s %d %s\n", magic, FormatVersion, tc.kind); !strings.HasPrefix(string(data), want) {
-				t.Fatalf("store left %q, want a %q entry", data[:min(len(data), 32)], want)
-			}
-			got, ok := tc.load(c)
-			if !ok || got.Fingerprint() != fp {
-				t.Fatal("the replacing entry did not hit with the stored graph")
-			}
-			if hits, misses := tc.counts(c.Counters()); hits != 1 || misses != 1 {
-				t.Fatalf("after the store: %d hits / %d misses, want 1 / 1", hits, misses)
-			}
-		})
+	if n := c.Counters(); n.RewriteHits != 0 || n.RewriteMisses != 1 {
+		t.Fatalf("v2 entry counted as %+v, want one miss", n)
+	}
+
+	if err := c.StoreRewrite(fp, 2, 5, m, testStats()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s %d rewrite\n", magic, FormatVersion); !strings.HasPrefix(string(data), want) {
+		t.Fatalf("store left %q, want a %q entry", data[:min(len(data), 32)], want)
+	}
+	got, st, ok := c.LoadRewrite(fp, 2, 5)
+	if !ok || st != testStats() || got.Fingerprint() != fp {
+		t.Fatal("the replacing entry did not hit with the stored graph")
+	}
+	if n := c.Counters(); n.RewriteHits != 1 || n.RewriteMisses != 1 {
+		t.Fatalf("after the store: %+v, want one hit and one miss", n)
 	}
 }
 

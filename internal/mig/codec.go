@@ -35,7 +35,7 @@ const (
 )
 
 var (
-	errTruncated = errors.New("mig: binary: truncated payload")
+	errTruncated = errors.New("mig: binary: truncated payload or malformed varint")
 	errOversized = errors.New("mig: binary: count exceeds the bytes left")
 )
 
@@ -45,17 +45,7 @@ var (
 // canonically numbered graph ReadBinary(AppendBinary(nil)) reproduces m
 // fingerprint-identically.
 func (m *MIG) AppendBinary(dst []byte) []byte {
-	fileID := make([]uint32, len(m.nodes))
-	for i, pi := range m.piNodes {
-		fileID[pi] = uint32(i + 1)
-	}
-	next := uint32(len(m.piNodes) + 1)
-	for i := range m.nodes {
-		if m.nodes[i].kind == KindMaj {
-			fileID[i] = next
-			next++
-		}
-	}
+	fileID := m.fileIDs()
 	dst = binary.AppendUvarint(dst, uint64(len(m.piNodes)))
 	dst = binary.AppendUvarint(dst, uint64(m.NumMaj()))
 	dst = binary.AppendUvarint(dst, uint64(len(m.pos)))
@@ -126,7 +116,9 @@ func ReadBinary(b []byte) (*MIG, error) {
 	lens := make([]int, 1+numPIs+numPOs)
 	total := 0
 	for i := range lens {
-		// Every name still to come needs at least its length byte.
+		// Every name still to come needs at least its length byte, and
+		// the names so far must fit in what is left; checked after the
+		// last length, that keeps the slice below in bounds.
 		n, err := d.count(len(lens)-1-i, 1)
 		if err != nil {
 			return nil, err
@@ -136,11 +128,8 @@ func ReadBinary(b []byte) (*MIG, error) {
 			return nil, errTruncated
 		}
 	}
-	blob, err := d.take(total)
-	if err != nil {
-		return nil, err
-	}
-	names := string(blob)
+	names := string(d.b[d.off : d.off+total])
+	d.off += total
 	name := func(i int) string {
 		s := names[:lens[i]]
 		names = names[lens[i]:]
@@ -190,7 +179,7 @@ func ReadBinary(b []byte) (*MIG, error) {
 	return m, nil
 }
 
-// decoder reads uvarints and byte runs off the front of a payload.
+// decoder reads uvarints off the front of a payload.
 type decoder struct {
 	b   []byte
 	off int
@@ -219,13 +208,4 @@ func (d *decoder) count(reserve, per int) (int, error) {
 		return 0, errOversized
 	}
 	return int(v), nil
-}
-
-func (d *decoder) take(n int) ([]byte, error) {
-	if n > d.left() {
-		return nil, errTruncated
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b, nil
 }

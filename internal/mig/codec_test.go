@@ -115,7 +115,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(tinyBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := ReadBinary(data); err == nil {
-			checkDecoded(t, codecs[1], m)
+			checkDecoded(t, binaryCodec, m)
 		}
 	})
 }
@@ -125,7 +125,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte(".model m\n.pi a\n.pi b\n.maj 0 1 !2\n.po !3 f\n.end\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := Read(bytes.NewReader(data)); err == nil {
-			checkDecoded(t, codecs[0], m)
+			checkDecoded(t, textCodec, m)
 		}
 	})
 }

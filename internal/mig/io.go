@@ -34,17 +34,7 @@ import (
 func (m *MIG) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, ".model %s\n", m.Name)
-	fileID := make([]uint32, len(m.nodes))
-	for i, pi := range m.piNodes {
-		fileID[pi] = uint32(i + 1)
-	}
-	next := uint32(len(m.piNodes) + 1)
-	for i := range m.nodes {
-		if m.nodes[i].kind == KindMaj {
-			fileID[i] = next
-			next++
-		}
-	}
+	fileID := m.fileIDs()
 	tok := func(s Signal) string {
 		if s.Complemented() {
 			return fmt.Sprintf("!%d", fileID[s.Node()])
@@ -75,6 +65,24 @@ func (m *MIG) Write(w io.Writer) error {
 	}
 	fmt.Fprintln(bw, ".end")
 	return bw.Flush()
+}
+
+// fileIDs maps every node to its id in file order, the numbering both
+// serializations use: the constant is 0, the PIs follow in input order
+// and the majority nodes keep their relative order after them.
+func (m *MIG) fileIDs() []uint32 {
+	fileID := make([]uint32, len(m.nodes))
+	for i, pi := range m.piNodes {
+		fileID[pi] = uint32(i + 1)
+	}
+	next := uint32(len(m.piNodes) + 1)
+	for i := range m.nodes {
+		if m.nodes[i].kind == KindMaj {
+			fileID[i] = next
+			next++
+		}
+	}
+	return fileID
 }
 
 // Read parses a .mig file produced by Write. Majority nodes are inserted

@@ -663,17 +663,18 @@ type codec struct {
 	decode func(b []byte) (*MIG, error)
 }
 
-var codecs = []codec{
-	{"text", func(t *testing.T, m *MIG) []byte {
+var (
+	textCodec = codec{"text", func(t *testing.T, m *MIG) []byte {
 		t.Helper()
 		var buf bytes.Buffer
 		if err := m.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
-	}, func(b []byte) (*MIG, error) { return Read(bytes.NewReader(b)) }},
-	{"binary", func(_ *testing.T, m *MIG) []byte { return m.AppendBinary(nil) }, ReadBinary},
-}
+	}, func(b []byte) (*MIG, error) { return Read(bytes.NewReader(b)) }}
+	binaryCodec = codec{"binary", func(_ *testing.T, m *MIG) []byte { return m.AppendBinary(nil) }, ReadBinary}
+	codecs      = []codec{textCodec, binaryCodec}
+)
 
 // roundTrip serializes m with c and parses it back.
 func roundTrip(t *testing.T, c codec, m *MIG) *MIG {
