@@ -9,7 +9,8 @@
 // The package provides structural-hash construction (the trivial majority
 // rules Ω.M are applied eagerly), word-parallel simulation, structural
 // queries (levels, fanouts, topological order) used by the compiler's node
-// selection, and a text serialization format.
+// selection, the .mig text interchange format and a compact binary codec
+// for the persistent cache.
 package mig
 
 import (
