@@ -64,11 +64,10 @@ type Allocator struct {
 	freeStack []uint32  // LIFO policy
 	freeHeap  writeHeap // MinWrite policy
 
-	// Acquire-time scratch for free-set entries skipped because they lack
-	// headroom for the current request. Reused across calls so a cap-heavy
-	// compilation does not allocate per Acquire.
+	// Acquire-time scratch for LIFO free-stack entries skipped because they
+	// lack headroom for the current request. Reused across calls so a
+	// cap-heavy compilation does not allocate per Acquire.
 	skipStack []uint32
-	skipHeap  []heapEntry
 }
 
 // New returns an allocator with the given policy and write cap (0 = none).
@@ -158,8 +157,10 @@ func (a *Allocator) Acquire(need uint64) uint32 {
 		}
 		a.skipStack = skipped[:0]
 	case MinWrite:
-		skipped := a.skipHeap[:0]
-		for a.freeHeap.Len() > 0 {
+		// The heap pops in write order and headroom only shrinks as writes
+		// grow, so when the least-written free device cannot take need more
+		// writes, no free device can.
+		if a.freeHeap.Len() > 0 && a.eligible(a.freeHeap[0].addr, need) {
 			addr := a.freeHeap.pop()
 			if debugCheck {
 				for _, e := range a.freeHeap {
@@ -169,23 +170,12 @@ func (a *Allocator) Acquire(need uint64) uint32 {
 					}
 				}
 			}
-			if a.eligible(addr, need) {
-				for _, e := range skipped {
-					a.freeHeap.push(e)
-				}
-				a.skipHeap = skipped[:0]
-				a.inUse[addr] = true
-				if DebugAcquireHook != nil {
-					DebugAcquireHook(addr, a.writes[addr], a.freeHeap.Len())
-				}
-				return addr
+			a.inUse[addr] = true
+			if DebugAcquireHook != nil {
+				DebugAcquireHook(addr, a.writes[addr], a.freeHeap.Len())
 			}
-			skipped = append(skipped, heapEntry{addr: addr, writes: a.writes[addr]})
+			return addr
 		}
-		for _, e := range skipped {
-			a.freeHeap.push(e)
-		}
-		a.skipHeap = skipped[:0]
 	}
 	addr := uint32(len(a.writes))
 	a.writes = append(a.writes, 0)
@@ -271,14 +261,14 @@ func (a *Allocator) FreeCount() int {
 
 // writeHeap is a min-heap of free devices ordered by write count with the
 // address as a deterministic tie-break. Write counts of free devices never
-// change (only in-use devices are written), so stored keys stay valid.
+// change (only in-use devices are written), so stored keys stay valid. A
+// device is free at most once, so keys are unique and the pop order is fixed
+// by key order alone, whatever the sift operations do.
 //
-// The sift operations replicate container/heap's algorithm exactly over the
-// concretely-typed slice, so element movement (and thus pop order among
-// re-heapified entries) is bit-identical to the former container/heap
-// implementation while avoiding its per-Push interface boxing — one heap
-// allocation per device release, which dominated allocation counts under
-// the MinWrite policy.
+// The sift operations are written out over the concretely-typed slice to
+// avoid container/heap's per-Push interface boxing — one heap allocation
+// per device release, which dominated allocation counts under the MinWrite
+// policy.
 type heapEntry struct {
 	addr   uint32
 	writes uint64

@@ -115,6 +115,37 @@ func TestAcquireSkipsDevicesWithoutHeadroomForLargerNeed(t *testing.T) {
 	}
 }
 
+// TestMinWriteNoHeadroomKeepsFreeSet: when even the least-written free
+// device lacks headroom for a request, Acquire hands out a fresh device and
+// leaves the free set as it was — same size, same later pop order.
+func TestMinWriteNoHeadroomKeepsFreeSet(t *testing.T) {
+	build := func() *Allocator {
+		a := New(MinWrite, 10)
+		devs := make([]uint32, 6)
+		for i := range devs {
+			devs[i] = a.Acquire(2)
+			a.NoteWrite(devs[i], uint64(6+i%3))
+		}
+		for _, i := range []int{4, 0, 5, 2, 1, 3} {
+			a.Release(devs[i])
+		}
+		return a
+	}
+	a, ref := build(), build()
+	free := a.FreeCount()
+	if got := a.Acquire(5); got != 6 { // the coldest free device has 6 writes: 6+5 > 10
+		t.Fatalf("no-headroom Acquire returned %d, want fresh device 6", got)
+	}
+	if a.FreeCount() != free {
+		t.Fatalf("FreeCount %d after no-headroom Acquire, want %d", a.FreeCount(), free)
+	}
+	for i := 0; i < free; i++ {
+		if got, want := a.Acquire(2), ref.Acquire(2); got != want {
+			t.Fatalf("pop %d after no-headroom Acquire: got %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestCanWrite(t *testing.T) {
 	a := New(LIFO, 5)
 	d := a.Acquire(2)

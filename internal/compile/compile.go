@@ -20,12 +20,12 @@
 //
 // Node translation chooses how the three child values map onto the RM3
 // operand slots (A is read directly, B is read and inverted by the
-// operation, Z is the overwritten destination) by enumerating all six
-// assignments and picking the cheapest, reproducing the paper's cost model:
-// an ideal node — exactly one complemented fanin and a dying, cap-legal
-// uncomplemented fanin for the destination — costs a single instruction;
-// every violation costs two extra instructions and one extra device
-// (a preset plus an inverted or plain copy).
+// operation, Z is the overwritten destination) by costing each child once
+// per slot and picking the cheapest of the six assignments, reproducing the
+// paper's cost model: an ideal node — exactly one complemented fanin and a
+// dying, cap-legal uncomplemented fanin for the destination — costs a
+// single instruction; every violation costs two extra instructions and one
+// extra device (a preset plus an inverted or plain copy).
 package compile
 
 import (
@@ -130,7 +130,10 @@ func CompileWith(m *mig.MIG, opts Options, pool *ScratchPool) (*Result, error) {
 }
 
 func compileOn(m *mig.MIG, opts Options, sc *compileScratch) (*Result, error) {
-	c := newCompiler(m, opts, sc)
+	c, err := newCompiler(m, opts, sc)
+	if err != nil {
+		return nil, err
+	}
 	// Buffers that grow by append live on the compiler; hand their grown
 	// capacity back to the scratch whichever way compilation ends.
 	defer func() {
@@ -216,7 +219,7 @@ func (c *compiler) parentsOf(n mig.NodeID) []mig.NodeID {
 	return c.parentBuf[c.parentOff[n]:c.parentOff[n+1]]
 }
 
-func newCompiler(m *mig.MIG, opts Options, sc *compileScratch) *compiler {
+func newCompiler(m *mig.MIG, opts Options, sc *compileScratch) (*compiler, error) {
 	n := m.NumNodes()
 	sc.alloc.Reset(opts.Alloc, opts.MaxWrites)
 	sc.cell = growClear(sc.cell, n)
@@ -251,6 +254,9 @@ func newCompiler(m *mig.MIG, opts Options, sc *compileScratch) *compiler {
 	var depth int32
 	c.level, depth = m.LevelsInto(sc.level)
 	sc.level = c.level
+	if depth >= maxFoLevel { // fanout levels reach depth+1
+		return nil, fmt.Errorf("compile: graph depth %d exceeds the candidate key's limit of %d", depth, maxFoLevel-1)
+	}
 
 	// Uses, fanout levels, pending counts and parent-list sizes over the
 	// live subgraph, in one sweep: the duplicate-child scan both dedups the
@@ -338,7 +344,7 @@ func newCompiler(m *mig.MIG, opts Options, sc *compileScratch) *compiler {
 			c.foLevel[pn] = depth + 1
 		}
 	}
-	return c
+	return c, nil
 }
 
 func (c *compiler) run() error {

@@ -7,61 +7,62 @@ import (
 )
 
 // candidateHeap orders computable nodes by the configured selection policy.
+// Every entry is one packed key (see heapEntry), so comparing two candidates
+// is one integer comparison. The node id is part of every key and a node is
+// queued at most once at a time, so the keys in the heap are unique and the
+// pop order is fixed by key order alone, whatever the sift operations do
+// with ties. The backing slice comes from the compile scratch and is reused
+// across compilations.
+//
 // The "releasing" component of a key is dynamic — sibling computations can
 // turn a child into a dying child — so entries carry a snapshot and popBest
 // re-validates it lazily: a popped entry whose snapshot is stale is
 // re-pushed with its fresh key. Releasing counts only grow while a node
 // waits (uses of its children only decrease), so every node is popped a
 // bounded number of times.
-//
-// The sift operations replicate container/heap's algorithm exactly (append
-// + up on push; swap-root-to-end + down on pop) over a concretely-typed
-// backing slice, so entry movement — and therefore tie-breaking among
-// equal-priority candidates — is bit-identical to the former
-// container/heap implementation while avoiding its per-operation interface
-// boxing. The backing slice comes from the compile scratch and is reused
-// across compilations.
 type candidateHeap struct {
 	policy  Selection
 	entries []heapEntry
 }
 
-type heapEntry struct {
-	node      mig.NodeID
-	releasing int32
-	foLevel   int32
+// heapEntry is a candidate's packed key; the smallest key pops first. The
+// node id fills the low 32 bits as the final tie-break. Above it, Standard
+// keys hold 3 − releasing (2 bits) over the fanout level (30 bits): the most
+// releasing devices first, then the smallest fanout level. Endurance keys
+// hold the fanout level over 3 − releasing (paper Algorithm 3). NodeOrder
+// keys are the node id alone.
+type heapEntry uint64
+
+const (
+	// maxReleasing is the most devices one node can release: its three
+	// children.
+	maxReleasing = 3
+	// maxFoLevel is the largest fanout level a key can hold; newCompiler
+	// rejects graphs deep enough to exceed it.
+	maxFoLevel = 1<<30 - 1
+)
+
+// key packs a candidate under the heap's policy.
+func (h *candidateHeap) key(n mig.NodeID, releasing, foLevel int32) heapEntry {
+	id, rel, fo := heapEntry(n), heapEntry(maxReleasing-releasing), heapEntry(foLevel)
+	switch h.policy {
+	case Standard:
+		return rel<<62 | fo<<32 | id
+	case Endurance:
+		return fo<<34 | rel<<32 | id
+	}
+	return id
+}
+
+// decode unpacks a Standard or Endurance key.
+func (h *candidateHeap) decode(e heapEntry) (n mig.NodeID, releasing, foLevel int32) {
+	if h.policy == Standard {
+		return mig.NodeID(e), maxReleasing - int32(e>>62), int32(e >> 32 & maxFoLevel)
+	}
+	return mig.NodeID(e), maxReleasing - int32(e>>32&3), int32(e >> 34)
 }
 
 func (h *candidateHeap) Len() int { return len(h.entries) }
-
-func (h *candidateHeap) less(i, j int) bool {
-	a, b := h.entries[i], h.entries[j]
-	switch h.policy {
-	case Standard:
-		// Max releasing first, then min fanout level, then id.
-		if a.releasing != b.releasing {
-			return a.releasing > b.releasing
-		}
-		if a.foLevel != b.foLevel {
-			return a.foLevel < b.foLevel
-		}
-	case Endurance:
-		// Min fanout level first (shortest storage duration), then max
-		// releasing — paper Algorithm 3.
-		if a.foLevel != b.foLevel {
-			return a.foLevel < b.foLevel
-		}
-		if a.releasing != b.releasing {
-			return a.releasing > b.releasing
-		}
-	}
-	// NodeOrder and all ties: construction order.
-	return a.node < b.node
-}
-
-func (h *candidateHeap) swap(i, j int) {
-	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-}
 
 func (h *candidateHeap) pushEntry(e heapEntry) {
 	h.entries = append(h.entries, e)
@@ -70,7 +71,7 @@ func (h *candidateHeap) pushEntry(e heapEntry) {
 
 func (h *candidateHeap) popEntry() heapEntry {
 	n := len(h.entries) - 1
-	h.swap(0, n)
+	h.entries[0], h.entries[n] = h.entries[n], h.entries[0]
 	h.down(0, n)
 	e := h.entries[n]
 	h.entries = h.entries[:n]
@@ -78,17 +79,19 @@ func (h *candidateHeap) popEntry() heapEntry {
 }
 
 func (h *candidateHeap) up(j int) {
+	es := h.entries
 	for {
 		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
+		if i == j || es[j] >= es[i] {
 			break
 		}
-		h.swap(i, j)
+		es[i], es[j] = es[j], es[i]
 		j = i
 	}
 }
 
 func (h *candidateHeap) down(i0, n int) {
+	es := h.entries
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -96,13 +99,13 @@ func (h *candidateHeap) down(i0, n int) {
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+		if j2 := j1 + 1; j2 < n && es[j2] < es[j1] {
 			j = j2 // = 2*i + 2, right child
 		}
-		if !h.less(j, i) {
+		if es[j] >= es[i] {
 			break
 		}
-		h.swap(i, j)
+		es[i], es[j] = es[j], es[i]
 		i = j
 	}
 }
@@ -145,11 +148,7 @@ func (c *compiler) releasingCount(n mig.NodeID) int32 {
 
 // push inserts a candidate with a fresh key snapshot.
 func (c *compiler) push(n mig.NodeID) {
-	c.heap.pushEntry(heapEntry{
-		node:      n,
-		releasing: c.releasingCount(n),
-		foLevel:   c.foLevel[n],
-	})
+	c.heap.pushEntry(c.heap.key(n, c.releasingCount(n), c.foLevel[n]))
 }
 
 // popBest pops the top candidate, re-validating its dynamic key. It returns
@@ -162,18 +161,20 @@ func (c *compiler) push(n mig.NodeID) {
 // are trusted from the snapshot and only the releasing count is recomputed.
 // The invariant is asserted here — a drifting foLevel would mean the
 // priority order itself is stale, which lazy re-push cannot repair.
+// NodeOrder keys are the id alone, so there is nothing to re-validate.
 func (c *compiler) popBest() (mig.NodeID, bool) {
 	e := c.heap.popEntry()
-	if e.foLevel != c.foLevel[e.node] {
+	if c.heap.policy == NodeOrder {
+		return mig.NodeID(e), true
+	}
+	n, releasing, foLevel := c.heap.decode(e)
+	if foLevel != c.foLevel[n] {
 		panic(fmt.Sprintf("compile: fanout level of node %d changed while queued (%d -> %d); popBest assumes it is static",
-			e.node, e.foLevel, c.foLevel[e.node]))
+			n, foLevel, c.foLevel[n]))
 	}
-	if c.heap.policy != NodeOrder {
-		if rel := c.releasingCount(e.node); rel != e.releasing {
-			e.releasing = rel
-			c.heap.pushEntry(e)
-			return 0, false
-		}
+	if rel := c.releasingCount(n); rel != releasing {
+		c.heap.pushEntry(c.heap.key(n, rel, foLevel))
+		return 0, false
 	}
-	return e.node, true
+	return n, true
 }

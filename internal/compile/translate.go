@@ -15,34 +15,29 @@ type contribution struct {
 	comp     bool       // contribution is the complement of the child's value
 }
 
-// slot costs discovered during planning.
-type slotPlan struct {
-	// extraInsts is 0 (free), 1 (preset) or 2 (preset+copy / preset+invert).
-	extraInsts int
-	// freshCells is 1 when the slot needs a new device.
-	freshCells int
-	// inPlace marks a Z slot that overwrites the dying child's device.
-	inPlace bool
-}
-
-type plan struct {
-	perm  [3]int // contribution index for slots A, B, Z
-	insts int
-	fresh int
-	valid bool
-}
-
 const (
 	slotA = 0
 	slotB = 1
 	slotZ = 2
 )
 
+// Slot costs beyond the main RM3, packed as extraInsts<<2 | freshCells; an
+// operand read as is, or a Z overwritten in place, costs zero. A node needs
+// at most three fresh devices, so sums of packed costs order operand
+// assignments by extra instructions first and fresh devices second.
+const (
+	costPreset = 1<<2 | 1 // Z preset to a constant in a fresh device
+	costCopy   = 2<<2 | 1 // preset plus plain or inverted copy into a fresh device
+)
+
+// perms lists the operand assignments — the contribution index for slots A,
+// B and Z — in tie-break order.
+var perms = [6][3]uint8{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+
 // translate emits the RM3 sequence computing node n and updates liveness.
 func (c *compiler) translate(n mig.NodeID) error {
-	ch := c.m.Children(n)
 	var contribs [3]contribution
-	for i, s := range ch {
+	for i, s := range c.m.Children(n) {
 		if s.IsConst() {
 			contribs[i] = contribution{isConst: true, constVal: s == mig.Const1}
 			continue
@@ -52,119 +47,86 @@ func (c *compiler) translate(n mig.NodeID) error {
 		}
 		contribs[i] = contribution{node: s.Node(), comp: s.Complemented()}
 	}
-
-	best := plan{valid: false}
-	perms := [6][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	for _, perm := range perms {
-		p := c.evaluatePlan(n, contribs, perm)
-		if !p.valid {
-			continue
-		}
-		if !best.valid || c.planLess(p, best) {
-			best = p
-		}
-	}
-	if !best.valid {
-		return fmt.Errorf("compile: node %d has no feasible operand assignment", n)
-	}
-	return c.executePlan(n, contribs, best)
+	perm, inPlace := c.assign(&contribs)
+	return c.executePlan(n, &contribs, perm, inPlace)
 }
 
-// planLess orders plans: fewest instructions, fewest fresh devices, then
-// permutation order for determinism. Deliberately NOT a function of write
-// counts: the paper's minimum-write strategy lives entirely in the
-// allocator, which keeps translation identical across allocation policies
-// (the paper's observation that min-write changes neither #I nor #R falls
-// out structurally). An earlier revision broke ties toward the least-written
+// assign chooses the operand assignment of a node with the given
+// contributions. A reads its operand as is, so a complemented contribution
+// there costs an inverted copy; B reads its operand inverted, so an
+// uncomplemented one costs the copy instead; Z is overwritten, so it costs a
+// preset for a constant and a copy for anything else, unless it is an
+// uncomplemented child whose last consumer is this node and whose device may
+// take one more write under the cap — that device is overwritten in place
+// for free. Each contribution is costed once per slot, and the first
+// assignment in perms with the smallest sum wins: fewest instructions, then
+// fewest fresh devices. assign returns the contribution index for slots A, B
+// and Z, and whether Z is overwritten in place.
+//
+// The choice is deliberately NOT a function of write counts beyond the cap:
+// the paper's minimum-write strategy lives entirely in the allocator, which
+// keeps translation identical across allocation policies (the paper's
+// observation that min-write changes neither #I nor #R falls out
+// structurally). An earlier revision broke ties toward the least-written
 // in-place destination; on mux-heavy circuits that systematically released
-// the hottest device into a near-empty free pool, which then recycled it
-// for the next copy destination, concentrating writes instead of spreading
-// them.
-func (c *compiler) planLess(a, b plan) bool {
-	if a.insts != b.insts {
-		return a.insts < b.insts
+// the hottest device into a near-empty free pool, which then recycled it for
+// the next copy destination, concentrating writes instead of spreading them.
+func (c *compiler) assign(contribs *[3]contribution) (perm [3]uint8, inPlace bool) {
+	var cost [3][3]uint8 // cost[slot][contribution]
+	var canInPlace [3]bool
+	for i := range contribs {
+		ct := &contribs[i]
+		switch {
+		case ct.isConst:
+			cost[slotZ][i] = costPreset
+		case ct.comp:
+			cost[slotA][i] = costCopy
+			cost[slotZ][i] = costCopy
+		default:
+			cost[slotB][i] = costCopy
+			// The child dies here when all its remaining uses are this
+			// node's (constants carry node 0, which no child shares).
+			uses := int32(0)
+			for j := range contribs {
+				if contribs[j].node == ct.node {
+					uses++
+				}
+			}
+			if c.remaining[ct.node] == uses && c.alloc.CanWrite(c.cell[ct.node], 1) {
+				canInPlace[i] = true
+			} else {
+				cost[slotZ][i] = costCopy
+			}
+		}
 	}
-	if a.fresh != b.fresh {
-		return a.fresh < b.fresh
+	var best uint8
+	for i, p := range perms {
+		if s := cost[slotA][p[slotA]] + cost[slotB][p[slotB]] + cost[slotZ][p[slotZ]]; i == 0 || s < best {
+			best, perm = s, p
+		}
 	}
-	return false // earlier permutation wins (evaluation order)
+	return perm, canInPlace[perm[slotZ]]
 }
 
-// evaluatePlan costs one operand assignment without emitting anything.
-func (c *compiler) evaluatePlan(n mig.NodeID, contribs [3]contribution, perm [3]int) plan {
-	p := plan{perm: perm, valid: true}
-	for slot := slotA; slot <= slotZ; slot++ {
-		ct := contribs[perm[slot]]
-		sp, ok := c.evaluateSlot(n, ct, slot)
-		if !ok {
-			return plan{valid: false}
-		}
-		p.insts += sp.extraInsts
-		p.fresh += sp.freshCells
-	}
-	p.insts++ // the main RM3
-	return p
-}
-
-func (c *compiler) evaluateSlot(n mig.NodeID, ct contribution, slot int) (slotPlan, bool) {
-	switch slot {
-	case slotA:
-		if ct.isConst || !ct.comp {
-			return slotPlan{}, true
-		}
-		return slotPlan{extraInsts: 2, freshCells: 1}, true // inverted copy
-	case slotB:
-		if ct.isConst || ct.comp {
-			return slotPlan{}, true
-		}
-		return slotPlan{extraInsts: 2, freshCells: 1}, true // inverted copy
-	default: // slotZ
-		if ct.isConst {
-			return slotPlan{extraInsts: 1, freshCells: 1}, true // preset
-		}
-		if !ct.comp && c.isLastUse(n, ct.node) && c.alloc.CanWrite(c.cell[ct.node], 1) {
-			return slotPlan{inPlace: true}, true
-		}
-		// Plain or inverted copy into a fresh device.
-		return slotPlan{extraInsts: 2, freshCells: 1}, true
-	}
-}
-
-// isLastUse reports whether node n is the last consumer of child cn: the
-// child's remaining uses all come from n's own fanin edges.
-func (c *compiler) isLastUse(n mig.NodeID, cn mig.NodeID) bool {
-	uses := int32(0)
-	for _, s := range c.m.Children(n) {
-		if s.Node() == cn {
-			uses++
-		}
-	}
-	return c.remaining[cn] == uses
-}
-
-// executePlan emits the instructions for the chosen plan and updates
-// compiler state.
-func (c *compiler) executePlan(n mig.NodeID, contribs [3]contribution, p plan) error {
+// executePlan emits the instructions for the operand assignment chosen by
+// assign and updates compiler state.
+func (c *compiler) executePlan(n mig.NodeID, contribs *[3]contribution, perm [3]uint8, inPlace bool) error {
 	var ops [2]isa.Operand // A and B
 	// Inverted copies to release after the main RM3: at most one per
 	// A/B slot, so a fixed array avoids a per-node allocation.
 	var temps [2]uint32
 	nTemps := 0
 	var dest uint32
-	inPlaceChild := mig.NodeID(0)
-	hasInPlace := false
 
 	// Materialize the destination first (its copy reads child devices that
 	// nothing below destroys), then the temporaries.
-	ctZ := contribs[p.perm[slotZ]]
+	ctZ := contribs[perm[slotZ]]
 	switch {
 	case ctZ.isConst:
 		dest = c.alloc.Acquire(2)
 		c.emitPreset(dest, ctZ.constVal)
-	case !ctZ.comp && c.isLastUse(n, ctZ.node) && c.alloc.CanWrite(c.cell[ctZ.node], 1):
+	case inPlace:
 		dest = c.cell[ctZ.node]
-		inPlaceChild = ctZ.node
-		hasInPlace = true
 	case ctZ.comp:
 		// Fresh device preloaded with the complemented child value.
 		dest = c.alloc.Acquire(3)
@@ -178,7 +140,7 @@ func (c *compiler) executePlan(n mig.NodeID, contribs [3]contribution, p plan) e
 	}
 
 	for slot := slotA; slot <= slotB; slot++ {
-		ct := contribs[p.perm[slot]]
+		ct := contribs[perm[slot]]
 		switch {
 		case ct.isConst:
 			v := ct.constVal
@@ -231,7 +193,7 @@ func (c *compiler) executePlan(n mig.NodeID, contribs [3]contribution, p plan) e
 		if dup {
 			continue
 		}
-		if c.remaining[cn] == 0 && !(hasInPlace && cn == inPlaceChild) {
+		if c.remaining[cn] == 0 && !(inPlace && cn == ctZ.node) {
 			c.alloc.Release(c.cell[cn])
 		}
 	}
