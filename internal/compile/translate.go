@@ -51,17 +51,15 @@ func (c *compiler) translate(n mig.NodeID) error {
 	return c.executePlan(n, &contribs, perm, inPlace)
 }
 
-// assign chooses the operand assignment of a node with the given
-// contributions. A reads its operand as is, so a complemented contribution
-// there costs an inverted copy; B reads its operand inverted, so an
-// uncomplemented one costs the copy instead; Z is overwritten, so it costs a
-// preset for a constant and a copy for anything else, unless it is an
-// uncomplemented child whose last consumer is this node and whose device may
-// take one more write under the cap — that device is overwritten in place
-// for free. Each contribution is costed once per slot, and the first
-// assignment in perms with the smallest sum wins: fewest instructions, then
-// fewest fresh devices. assign returns the contribution index for slots A, B
-// and Z, and whether Z is overwritten in place.
+// assign picks the operand assignment for a node's contributions. A reads
+// its operand as is, so a complemented contribution there needs an inverted
+// copy; B reads it inverted, so an uncomplemented one does; Z is
+// overwritten, so it needs a preset or a copy, unless it is an
+// uncomplemented child this node consumes last whose device may take one
+// more write under the cap, which is then overwritten in place. The first
+// assignment in perms with the smallest cost sum wins. assign returns the
+// contribution index for slots A, B and Z, and whether Z is overwritten in
+// place.
 //
 // The choice is deliberately NOT a function of write counts beyond the cap:
 // the paper's minimum-write strategy lives entirely in the allocator, which
