@@ -10,6 +10,7 @@ import (
 	"plim/internal/imply"
 	"plim/internal/isa"
 	"plim/internal/rewrite"
+	"plim/internal/sched"
 	"plim/internal/suite"
 	"plim/internal/tables"
 )
@@ -24,13 +25,22 @@ const benchShrink = 2
 // (ctrl), covering the structural extremes of Table I.
 var benchSubset = []string{"div", "i2c", "bar", "ctrl"}
 
+// benchEnv runs the table benchmarks' suites on a GOMAXPROCS-sized pool,
+// without caches.
+func benchEnv(b *testing.B) core.Env {
+	pool := sched.New(runtime.GOMAXPROCS(0))
+	b.Cleanup(pool.Stop)
+	return core.Env{Sched: pool}
+}
+
 // BenchmarkTable1 regenerates the paper's Table I (write distribution under
 // the five incremental endurance configurations).
 func BenchmarkTable1(b *testing.B) {
+	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), core.TableIConfigs(), tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, core.TableIConfigs(), tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -49,10 +59,11 @@ func BenchmarkTable1(b *testing.B) {
 // endurance-aware rewriting, and rewriting+compilation).
 func BenchmarkTable2(b *testing.B) {
 	cfgs := []core.Config{core.Naive, core.Rewriting, core.Full}
+	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), cfgs, tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, cfgs, tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -67,10 +78,11 @@ func BenchmarkTable2(b *testing.B) {
 // trade-off at caps 10/20/50/100).
 func BenchmarkTable3(b *testing.B) {
 	cfgs := []core.Config{core.FullCap(10), core.FullCap(20), core.FullCap(50), core.FullCap(100)}
+	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), cfgs, tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, cfgs, tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -83,10 +95,11 @@ func BenchmarkTable3(b *testing.B) {
 
 // BenchmarkAblation runs the per-technique isolation table (extension).
 func BenchmarkAblation(b *testing.B) {
+	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), tables.AblationConfigs(), tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, tables.AblationConfigs(), tables.Options{
 			Benchmarks: []string{"ctrl", "i2c"}, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -111,7 +124,7 @@ func BenchmarkSuitePerConfig(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, cfg := range cfgs {
-				if _, err := core.Run(context.Background(), m, cfg, core.DefaultEffort, nil); err != nil {
+				if _, err := core.Run(context.Background(), m, cfg, core.DefaultEffort); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -208,7 +221,7 @@ func BenchmarkCompilePolicies(b *testing.B) {
 // BenchmarkInterpreter measures RM3 execution speed on the crossbar model.
 func BenchmarkInterpreter(b *testing.B) {
 	m := benchmarkMIG(b, "bar")
-	rep, err := Run(m, Full, core.DefaultEffort)
+	rep, err := core.Run(context.Background(), m, Full, core.DefaultEffort)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,11 +28,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 
 	"plim"
+	"plim/internal/cli"
 	"plim/internal/verify"
 )
 
@@ -84,7 +84,7 @@ func main() {
 		err = fmt.Errorf("migstat: need -bench or -in")
 	}
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	fmt.Printf("input       %s: %s\n", m.Name, m.Statistics())
@@ -99,13 +99,13 @@ func main() {
 	case "alg2":
 		kind = plim.RewriteAlgorithm2
 	default:
-		fatal(fmt.Errorf("migstat: unknown -rewrite %q", *rw))
+		cli.Fatal(fmt.Errorf("migstat: unknown -rewrite %q", *rw))
 	}
 	if kind != plim.RewriteNone {
 		var st plim.RewriteStats
 		out, st, err = eng.Rewrite(ctx, m, kind)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Printf("rewritten   %s: %s\n", *rw, out.Statistics())
 		fmt.Printf("            %d → %d nodes, depth %d → %d, %d cycles\n",
@@ -113,10 +113,10 @@ func main() {
 		if *checkEq {
 			res, err := plim.Equivalent(m, out, 16, 1)
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			if !res.Equivalent {
-				fatal(fmt.Errorf("migstat: rewriting changed the function at PO %d", res.PO))
+				cli.Fatal(fmt.Errorf("migstat: rewriting changed the function at PO %d", res.PO))
 			}
 			mode := "random simulation"
 			if res.Exhaustive {
@@ -129,7 +129,7 @@ func main() {
 	if *doVerify {
 		rep, err := eng.Run(ctx, out, plim.MinWrite)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		vr := rep.Verify
 		if vr == nil {
@@ -144,33 +144,16 @@ func main() {
 	}
 
 	if *outMig != "" {
-		if err := withFile(*outMig, out.Write); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*outMig, out.Write); err != nil {
+			cli.Fatal(err)
 		}
 	}
 	if *outDot != "" {
-		if err := withFile(*outDot, out.WriteDOT); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*outDot, out.WriteDOT); err != nil {
+			cli.Fatal(err)
 		}
 	}
 	if s, ok := eng.CacheSummary(); ok {
 		fmt.Fprintln(os.Stderr, s)
 	}
-}
-
-func withFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

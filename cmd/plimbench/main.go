@@ -36,11 +36,11 @@
 // dir), i.e. the plimtab-then-plimc cost after this repository's
 // persistent tier.
 //
-// The sched/ family pins the engine's work-stealing DAG scheduler against
-// a replica of the two-level scheme it replaced (benchmark fan-out plus
-// spare-slot compile goroutines), forced to GOMAXPROCS=4 so the numbers
-// are comparable across hosts; on a single-core runner both paths
-// time-slice on one CPU and the honest speedup is ~1x.
+// The sched/ family times the engine's work-stealing DAG scheduler on the
+// same cold suite at 1, 2 and 4 workers, forced to GOMAXPROCS=4 so the
+// numbers are comparable across hosts, and prints the resulting
+// worker-scaling curve; on a single-core runner every point time-slices on
+// one CPU and the honest curve is flat.
 //
 // The trace/ family pins the span recorder's contract: with tracing
 // disabled a Start/End pair is one context lookup and zero allocations
@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"plim"
+	"plim/internal/cli"
 	"plim/internal/core"
 	"plim/internal/rewrite"
 	"plim/internal/suite"
@@ -89,7 +90,6 @@ type Report struct {
 	Benchmarks   []Entry `json:"benchmarks"`
 	SuiteSpeedup float64 `json:"suite_speedup"`
 	ExecSpeedup  float64 `json:"exec_speedup"`
-	SchedSpeedup float64 `json:"sched_speedup"`
 	TableParity  bool    `json:"table_parity"`
 }
 
@@ -180,7 +180,7 @@ func main() {
 		Selection: plim.Full.Selection, Alloc: plim.Full.Alloc,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	execProg := compiled.Program
 	execBatch := plim.RandomBatch(len(execProg.PICells), execVectors, 1)
@@ -220,7 +220,7 @@ func main() {
 		}
 	})
 	if spanOff.AllocsPerOp() != 0 {
-		fatal(fmt.Errorf("plimbench: trace/span-off costs %d allocs/op — disabled tracing must be allocation-free", spanOff.AllocsPerOp()))
+		cli.Fatal(fmt.Errorf("plimbench: trace/span-off costs %d allocs/op — disabled tracing must be allocation-free", spanOff.AllocsPerOp()))
 	}
 	add("trace/span-on", func(b *testing.B) {
 		tr := trace.New()
@@ -241,7 +241,7 @@ func main() {
 	traceMIG := mustBuild("ctrl", *shrink)
 	traceEngOff := plim.NewEngine(plim.WithShrink(*shrink))
 	if _, err := traceEngOff.Run(context.Background(), traceMIG, plim.Full); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	add("trace/run-warm-off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -252,7 +252,7 @@ func main() {
 	})
 	traceEngOn := plim.NewEngine(plim.WithShrink(*shrink), plim.WithTrace(true))
 	if _, err := traceEngOn.Run(context.Background(), traceMIG, plim.Full); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	traceEngOn.TakeTrace()
 	add("trace/run-warm-on", func(b *testing.B) {
@@ -290,7 +290,7 @@ func main() {
 	rep.SuiteSpeedup = round2(float64(seq.NsPerOp()) / float64(staged.NsPerOp()))
 	eng := plim.NewEngine(plim.WithShrink(*shrink))
 	if _, err := eng.RunSuite(context.Background(), cfgs, names...); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	add("suite/tableI/staged-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -307,13 +307,13 @@ func main() {
 	if diskDir == "" {
 		tmp, err := os.MkdirTemp("", "plimbench-cache-*")
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		diskDir, diskTmp = tmp, true
 	}
 	primer := plim.NewEngine(plim.WithShrink(*shrink), plim.WithPersistentCache(diskDir))
 	if _, err := primer.RunSuite(context.Background(), cfgs, names...); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	add("suite/tableI/disk-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -352,7 +352,7 @@ func main() {
 	})
 	expEng := plim.NewEngine(plim.WithShrink(*shrink))
 	if _, err := expEng.Explore(context.Background(), exploreOpts()); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	add("explore/sweep-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -362,32 +362,38 @@ func main() {
 		}
 	})
 
-	// The scheduler family: the DAG scheduler against a replica of the old
-	// two-level scheme, at a forced GOMAXPROCS of 4 so the comparison means
-	// the same thing on every host. Both sides do identical work (one
-	// rewrite per stage, one compile per configuration, cold caches); only
-	// the scheduling differs, so the ratio is the scheduler's contribution.
+	// The scheduler family: the same cold suite DAG at 1, 2 and 4 workers,
+	// at a forced GOMAXPROCS of 4 so the curve means the same thing on
+	// every host. Every point does identical work (one rewrite per stage,
+	// one compile per configuration, cold caches); only the worker count
+	// differs, so the curve is the scheduler's scaling. The 4-worker point
+	// keeps the name the committed baseline gates.
 	const schedProcs = 4
 	prevProcs := runtime.GOMAXPROCS(schedProcs)
-	twolevel := add("sched/suite-twolevel-4p", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := runTwoLevel(names, cfgs, *shrink, schedProcs); err != nil {
-				b.Fatal(err)
-			}
+	var curve []string
+	var oneWorker int64
+	for _, workers := range []int{1, 2, schedProcs} {
+		name := fmt.Sprintf("sched/suite-cold-4p-%dw", workers)
+		if workers == schedProcs {
+			name = "sched/suite-cold-4p"
 		}
-	})
-	dag := add("sched/suite-cold-4p", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cold := plim.NewEngine(plim.WithShrink(*shrink), plim.WithWorkers(schedProcs))
-			if _, err := cold.RunSuite(context.Background(), cfgs, names...); err != nil {
-				b.Fatal(err)
+		r := add(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cold := plim.NewEngine(plim.WithShrink(*shrink), plim.WithWorkers(workers))
+				if _, err := cold.RunSuite(context.Background(), cfgs, names...); err != nil {
+					b.Fatal(err)
+				}
 			}
+		})
+		if workers == 1 {
+			oneWorker = r.NsPerOp()
 		}
-	})
-	rep.SchedSpeedup = round2(float64(twolevel.NsPerOp()) / float64(dag.NsPerOp()))
+		curve = append(curve, fmt.Sprintf("%dw %.1f ms (%.2fx)", workers,
+			float64(r.NsPerOp())/1e6, float64(oneWorker)/float64(r.NsPerOp())))
+	}
 	schedEng := plim.NewEngine(plim.WithShrink(*shrink), plim.WithWorkers(schedProcs))
 	if _, err := schedEng.RunSuite(context.Background(), cfgs, names...); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	add("sched/suite-warm-4p", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -420,25 +426,25 @@ func main() {
 		}
 	})
 	runtime.GOMAXPROCS(prevProcs)
-	fmt.Fprintf(os.Stderr, "sched speedup: %.2fx at GOMAXPROCS=%d (two-level %d ns/op, DAG %d ns/op; ~1x expected on a single-core host)\n",
-		rep.SchedSpeedup, schedProcs, twolevel.NsPerOp(), dag.NsPerOp())
+	fmt.Fprintf(os.Stderr, "sched scaling at GOMAXPROCS=%d: %s (flat on a single-core host)\n",
+		schedProcs, strings.Join(curve, ", "))
 
 	// Parity: both paths must render byte-identical Table I output.
 	srSeq, err := runPerConfig(names, cfgs, *shrink)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	srStaged, err := eng.RunSuite(context.Background(), cfgs, names...)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	csvSeq, err := tableCSV(srSeq)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	csvStaged, err := tableCSV(srStaged)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	rep.TableParity = csvSeq == csvStaged
 	if !rep.TableParity {
@@ -448,13 +454,13 @@ func main() {
 
 	out, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	out = append(out, '\n')
 	if *outFile == "-" {
 		os.Stdout.Write(out)
 	} else if err := os.WriteFile(*outFile, out, 0o644); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	// Trend gate: the new numbers are written out above regardless, so a
@@ -565,7 +571,7 @@ func runPerConfig(names []string, cfgs []core.Config, shrink int) (*tables.Suite
 				sr.Benchmarks[idx] = info
 				reps := make([]*core.Report, len(cfgs))
 				for c, cfg := range cfgs {
-					if reps[c], err = core.Run(context.Background(), m, cfg, core.DefaultEffort, nil); err != nil {
+					if reps[c], err = core.Run(context.Background(), m, cfg, core.DefaultEffort); err != nil {
 						return err
 					}
 				}
@@ -583,68 +589,6 @@ func runPerConfig(names []string, cfgs []core.Config, shrink int) (*tables.Suite
 	return sr, nil
 }
 
-// runTwoLevel replicates the two-level scheduler the engine used before
-// internal/sched: a fan-out of benchmark goroutines bounded by a worker
-// semaphore, each rewriting its stages sequentially and compiling stage
-// members on spare (non-blockingly acquired) slots, inline when none is
-// free. It is the "before" reference of the sched/ speedup — it performs
-// exactly the work of a cold staged suite run, scheduled the old way.
-func runTwoLevel(names []string, cfgs []core.Config, shrink, workers int) error {
-	sem := make(chan struct{}, workers)
-	errc := make(chan error, len(names))
-	for _, name := range names {
-		go func(name string) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errc <- twoLevelBenchmark(name, cfgs, shrink, sem)
-		}(name)
-	}
-	var errs []error
-	for range names {
-		if err := <-errc; err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// twoLevelBenchmark runs one benchmark's staged plan under the old scheme:
-// stages in order, one rewrite each, compiles stolen onto spare slots.
-func twoLevelBenchmark(name string, cfgs []core.Config, shrink int, sem chan struct{}) error {
-	ctx := context.Background()
-	m, err := suite.BuildScaled(name, shrink)
-	if err != nil {
-		return err
-	}
-	for _, st := range core.Plan(cfgs) {
-		rm, rst, err := core.Rewrite(ctx, m, st.Kind, core.DefaultEffort, nil, "")
-		if err != nil {
-			return err
-		}
-		cerrs := make([]error, len(st.Configs))
-		var wg sync.WaitGroup
-		for i, ci := range st.Configs {
-			cfg := cfgs[ci]
-			select {
-			case sem <- struct{}{}: // a spare worker slot: compile in parallel
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					_, cerrs[i] = core.CompileConfig(ctx, rm, cfg, rst, nil, nil, false, nil)
-				}(i)
-			default: // every worker busy: compile inline
-				_, cerrs[i] = core.CompileConfig(ctx, rm, cfg, rst, nil, nil, false, nil)
-			}
-		}
-		wg.Wait()
-		if err := errors.Join(cerrs...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func tableCSV(sr *tables.SuiteResult) (string, error) {
 	d, err := tables.TableI(sr)
 	if err != nil {
@@ -656,14 +600,9 @@ func tableCSV(sr *tables.SuiteResult) (string, error) {
 func mustBuild(name string, shrink int) *plim.MIG {
 	m, err := suite.BuildScaled(name, shrink)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	return m
 }
 
 func round2(x float64) float64 { return float64(int64(x*100+0.5)) / 100 }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}

@@ -22,18 +22,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 
 	"plim"
+	"plim/internal/cli"
+	"plim/internal/core"
 )
 
 func main() {
 	var (
 		benchName = flag.String("bench", "", "benchmark name (see -list)")
 		inFile    = flag.String("in", "", "input .mig netlist (alternative to -bench)")
-		cfgName   = flag.String("config", "full", "configuration: naive|compiler21|minwrite|rewriting|full")
+		cfgName   = flag.String("config", "full", "configuration: naive|compiler21|minwrite|rewriting|full, optionally +capN")
 		cap       = flag.Uint64("cap", 0, "maximum write count per device (0 = unlimited)")
 		effort    = flag.Int("effort", plim.DefaultEffort, "MIG rewriting cycles (0 = none)")
 		shrink    = flag.Int("shrink", 1, "divide benchmark datapath widths (quick runs)")
@@ -78,15 +79,15 @@ func main() {
 
 	m, err := loadMIG(eng, *benchName, *inFile)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	cfg, err := configByName(*cfgName, *cap)
+	cfg, err := core.ParseConfig(*cfgName, *cap)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(fmt.Errorf("plimc: %w", err))
 	}
 	rep, err := eng.Run(ctx, m, cfg)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *showStats {
 		fmt.Printf("function    %s (pi=%d po=%d maj=%d)\n", m.Name, m.NumPIs(), m.NumPOs(), m.Statistics().MajNodes)
@@ -101,18 +102,18 @@ func main() {
 		fmt.Printf("lifetime    %d executions at endurance 1e10\n", rep.Lifetime(1e10))
 	}
 	if *outBin != "" {
-		if err := writeFile(*outBin, rep.Result.Program.WriteBinary); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*outBin, rep.Result.Program.WriteBinary); err != nil {
+			cli.Fatal(err)
 		}
 	}
 	if *outAsm != "" {
-		if err := writeFile(*outAsm, rep.Result.Program.WriteAsm); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*outAsm, rep.Result.Program.WriteAsm); err != nil {
+			cli.Fatal(err)
 		}
 	}
 	if *tracePath != "" {
-		if err := writeTrace(eng, *tracePath, *verbose); err != nil {
-			fatal(err)
+		if err := cli.WriteTrace(eng, "plimc", *tracePath, *verbose); err != nil {
+			cli.Fatal(err)
 		}
 	}
 	printCacheSummary(eng)
@@ -124,24 +125,6 @@ func printCacheSummary(eng *plim.Engine) {
 	if s, ok := eng.CacheSummary(); ok {
 		fmt.Fprintln(os.Stderr, s)
 	}
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON (chrome://tracing, Perfetto); with verbose set it also renders the
-// span tree to stderr.
-func writeTrace(eng *plim.Engine, path string, verbose bool) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimc: -trace: no spans recorded")
-	}
-	if err := writeFile(path, tr.WriteChrome); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Fprintln(os.Stderr, "trace:")
-		tr.Render(os.Stderr)
-	}
-	return nil
 }
 
 func loadMIG(eng *plim.Engine, bench, file string) (*plim.MIG, error) {
@@ -159,44 +142,4 @@ func loadMIG(eng *plim.Engine, bench, file string) (*plim.MIG, error) {
 		return plim.ReadMIG(f)
 	}
 	return nil, fmt.Errorf("plimc: need -bench or -in (try -list)")
-}
-
-func configByName(name string, cap uint64) (plim.Config, error) {
-	var cfg plim.Config
-	switch name {
-	case "naive":
-		cfg = plim.Naive
-	case "compiler21":
-		cfg = plim.Compiler21
-	case "minwrite":
-		cfg = plim.MinWrite
-	case "rewriting":
-		cfg = plim.Rewriting
-	case "full":
-		cfg = plim.Full
-	default:
-		return cfg, fmt.Errorf("plimc: unknown config %q", name)
-	}
-	if cap > 0 {
-		cfg.MaxWrites = cap
-		cfg.Name += fmt.Sprintf("+cap%d", cap)
-	}
-	return cfg, nil
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -29,6 +29,8 @@ import (
 	"os/signal"
 
 	"plim"
+	"plim/internal/cli"
+	"plim/internal/core"
 	"plim/internal/verify"
 )
 
@@ -37,7 +39,7 @@ func main() {
 		inFile    = flag.String("in", "", "compiled program to verify (.bin binary or .plim/.asm assembly)")
 		format    = flag.String("format", "auto", "input format: auto|bin|asm")
 		benchName = flag.String("bench", "", "compile-and-verify a benchmark instead of reading a program")
-		cfgName   = flag.String("config", "full", "configuration for -bench: naive|compiler21|minwrite|rewriting|full")
+		cfgName   = flag.String("config", "full", "configuration for -bench: naive|compiler21|minwrite|rewriting|full, optionally +capN")
 		cap       = flag.Uint64("cap", 0, "per-cell write cap to check against (0 = the config's cap, if any)")
 		effort    = flag.Int("effort", plim.DefaultEffort, "MIG rewriting cycles for -bench")
 		shrink    = flag.Int("shrink", 1, "benchmark datapath shrink for -bench")
@@ -57,8 +59,7 @@ func main() {
 	if *costPath != "" {
 		var err error
 		if cm, err = plim.LoadCostModel(*costPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 	}
 
@@ -77,16 +78,14 @@ func main() {
 		err = fmt.Errorf("plimcheck: need -in or -bench")
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rpt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 	} else {
 		rpt.Render(os.Stdout, verify.RenderOptions{Endurance: *endurance, Verbose: *verbose})
@@ -134,9 +133,9 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	cfg, err := configByName(cfgName, cap)
+	cfg, err := core.ParseConfig(cfgName, cap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plimcheck: %w", err)
 	}
 	eng := plim.NewEngine(
 		plim.WithEffort(effort),
@@ -163,7 +162,7 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 		verify.CheckWriteParity(rpt, rep.Result.WriteCounts, "allocator")
 	}
 	if tracePath != "" {
-		if err := writeTrace(eng, tracePath, verbose); err != nil {
+		if err := cli.WriteTrace(eng, "plimcheck", tracePath, verbose); err != nil {
 			return nil, err
 		}
 	}
@@ -171,52 +170,4 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 		fmt.Fprintln(os.Stderr, s)
 	}
 	return rpt, nil
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON; with verbose set it also renders the span tree to stderr.
-func writeTrace(eng *plim.Engine, path string, verbose bool) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimcheck: -trace: no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Fprintln(os.Stderr, "trace:")
-		tr.Render(os.Stderr)
-	}
-	return nil
-}
-
-func configByName(name string, cap uint64) (plim.Config, error) {
-	var cfg plim.Config
-	switch name {
-	case "naive":
-		cfg = plim.Naive
-	case "compiler21":
-		cfg = plim.Compiler21
-	case "minwrite":
-		cfg = plim.MinWrite
-	case "rewriting":
-		cfg = plim.Rewriting
-	case "full":
-		cfg = plim.Full
-	default:
-		return cfg, fmt.Errorf("plimcheck: unknown config %q", name)
-	}
-	if cap > 0 {
-		cfg.MaxWrites = cap
-		cfg.Name += fmt.Sprintf("+cap%d", cap)
-	}
-	return cfg, nil
 }

@@ -34,12 +34,14 @@ import (
 	"time"
 
 	"plim"
+	"plim/internal/cli"
+	"plim/internal/core"
 )
 
 func main() {
 	var (
 		benches   = flag.String("benchmarks", "", "comma-separated subset (default: all 18)")
-		configs   = flag.String("configs", "table1", "table1 or a comma-separated list of naive|compiler21|minwrite|rewriting|full|capN")
+		configs   = flag.String("configs", "table1", "table1 or a comma-separated list of naive|compiler21|minwrite|rewriting|full, optionally +capN, or capN for full+capN")
 		efforts   = flag.String("efforts", "", "comma-separated rewriting cycle budgets (default: 5)")
 		shrinks   = flag.String("shrinks", "", "comma-separated datapath divisors (default: 1)")
 		models    = flag.String("cost-models", "", "comma-separated JSON cost model files (default: built-in)")
@@ -65,18 +67,18 @@ func main() {
 		opts.Benchmarks = splitList(*benches)
 	}
 	if opts.Configs, err = parseConfigs(*configs); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if opts.Efforts, err = parseInts(*efforts, "effort"); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if opts.Shrinks, err = parseInts(*shrinks, "shrink"); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	for _, path := range splitList(*models) {
 		m, err := plim.LoadCostModel(path)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		opts.Models = append(opts.Models, m)
 	}
@@ -100,14 +102,14 @@ func main() {
 	start := time.Now()
 	res, err := eng.Explore(ctx, opts)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	out := io.Writer(os.Stdout)
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer f.Close()
 		out = f
@@ -121,12 +123,12 @@ func main() {
 		err = fmt.Errorf("plimexplore: unknown format %q (want csv or json)", *format)
 	}
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	if *tracePath != "" {
-		if err := writeTrace(eng, *tracePath, *verbose && !*quiet); err != nil {
-			fatal(err)
+		if err := cli.WriteTrace(eng, "plimexplore", *tracePath, *verbose && !*quiet); err != nil {
+			cli.Fatal(err)
 		}
 	}
 	if !*quiet {
@@ -136,31 +138,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "explored %d points (%d on front) in %v\n",
 			len(res.Points), len(res.Front()), time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON; with verbose set it also renders the span tree to stderr.
-func writeTrace(eng *plim.Engine, path string, verbose bool) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimexplore: -trace: no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Fprintln(os.Stderr, "trace:")
-		tr.Render(os.Stderr)
-	}
-	return nil
 }
 
 // splitList splits a comma-separated flag, trimming blanks.
@@ -187,40 +164,22 @@ func parseInts(s, what string) ([]int, error) {
 }
 
 // parseConfigs resolves -configs: "table1" expands to the paper's five
-// incremental configurations; otherwise each name is a Table I
-// configuration or capN for the full policy under a maximum write count.
+// incremental configurations; otherwise each name is a configuration name
+// as core.ParseConfig reads it, or the shorthand capN for full+capN.
 func parseConfigs(s string) ([]plim.Config, error) {
 	if s == "" || s == "table1" {
 		return plim.TableIConfigs(), nil
 	}
 	var cfgs []plim.Config
 	for _, name := range splitList(s) {
-		switch name {
-		case "naive":
-			cfgs = append(cfgs, plim.Naive)
-		case "compiler21":
-			cfgs = append(cfgs, plim.Compiler21)
-		case "minwrite":
-			cfgs = append(cfgs, plim.MinWrite)
-		case "rewriting":
-			cfgs = append(cfgs, plim.Rewriting)
-		case "full":
-			cfgs = append(cfgs, plim.Full)
-		default:
-			if w, ok := strings.CutPrefix(name, "cap"); ok {
-				n, err := strconv.ParseUint(w, 10, 64)
-				if err == nil && n > 0 {
-					cfgs = append(cfgs, plim.FullCap(n))
-					continue
-				}
-			}
-			return nil, fmt.Errorf("plimexplore: unknown config %q", name)
+		if strings.HasPrefix(name, "cap") {
+			name = "full+" + name
 		}
+		cfg, err := core.ParseConfig(name, 0)
+		if err != nil {
+			return nil, fmt.Errorf("plimexplore: %w", err)
+		}
+		cfgs = append(cfgs, cfg)
 	}
 	return cfgs, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"plim"
+	"plim/internal/cli"
 )
 
 func main() {
@@ -54,11 +55,11 @@ func main() {
 	flag.Parse()
 
 	if *inFile == "" {
-		fatal(fmt.Errorf("plimrun: need -in"))
+		cli.Fatal(fmt.Errorf("plimrun: need -in"))
 	}
 	prog, err := loadProgram(*inFile)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	npi := len(prog.PICells)
 	fmt.Printf("program     %s: %d instructions, %d devices, %d inputs, %d outputs\n",
@@ -68,23 +69,23 @@ func main() {
 	if *verify != "" {
 		ref, err = loadReference(*verify, *shrink, *cacheDir)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if ref.NumPIs() != npi || ref.NumPOs() != len(prog.POs) {
-			fatal(fmt.Errorf("plimrun: reference shape %d/%d does not match program %d/%d",
+			cli.Fatal(fmt.Errorf("plimrun: reference shape %d/%d does not match program %d/%d",
 				ref.NumPIs(), ref.NumPOs(), npi, len(prog.POs)))
 		}
 	}
 
 	batch, exhaustive, err := buildBatch(*inputsHex, *batchFile, *random, *patterns, *seed, ref != nil, npi)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if batch == nil || batch.Len() == 0 {
-		fatal(fmt.Errorf("plimrun: provide -inputs, -batch, -random or -verify"))
+		cli.Fatal(fmt.Errorf("plimrun: provide -inputs, -batch, -random or -verify"))
 	}
 	if batch.Lines() != npi {
-		fatal(fmt.Errorf("plimrun: input vectors have %d bits, program needs %d", batch.Lines(), npi))
+		cli.Fatal(fmt.Errorf("plimrun: input vectors have %d bits, program needs %d", batch.Lines(), npi))
 	}
 
 	// Execution goes through an engine so -trace can record per-chunk
@@ -93,17 +94,17 @@ func main() {
 	eng := plim.NewEngine(plim.WithTrace(*tracePath != ""))
 	res, err := eng.ExecuteBatch(context.Background(), prog, batch, plim.ExecOptions{Endurance: *endurance})
 	if err != nil {
-		fatal(fmt.Errorf("plimrun: %w", err))
+		cli.Fatal(fmt.Errorf("plimrun: %w", err))
 	}
 	if *tracePath != "" {
-		if err := writeTrace(eng, *tracePath); err != nil {
-			fatal(err)
+		if err := cli.WriteTrace(eng, "plimrun", *tracePath, false); err != nil {
+			cli.Fatal(err)
 		}
 	}
 
 	if ref != nil {
 		if err := checkBatch(ref, batch, res.Outputs); err != nil {
-			fatal(fmt.Errorf("plimrun: %w", err))
+			cli.Fatal(fmt.Errorf("plimrun: %w", err))
 		}
 		if exhaustive {
 			fmt.Printf("verify      OK (exhaustive: all %d input patterns match the reference netlist)\n", batch.Len())
@@ -244,27 +245,4 @@ func firstDiff(a, b uint64, chunk int) int {
 		i++
 	}
 	return chunk*64 + i
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON (chrome://tracing, Perfetto).
-func writeTrace(eng *plim.Engine, path string) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimrun: -trace: no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"plim"
+	"plim/internal/cli"
 	"plim/internal/diskcache"
 	"plim/internal/server"
 )
@@ -79,7 +80,7 @@ func main() {
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fatal(fmt.Errorf("plimserve: bad -log-level %q (want debug, info, warn or error)", *logLevel))
+		cli.Fatal(fmt.Errorf("plimserve: bad -log-level %q (want debug, info, warn or error)", *logLevel))
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
@@ -93,7 +94,7 @@ func main() {
 	if *costPath != "" {
 		cm, err := plim.LoadCostModel(*costPath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		engOpts = append(engOpts, plim.WithCostModel(cm))
 	}
@@ -118,7 +119,7 @@ func main() {
 
 	if *gcInterval > 0 || *gcMaxAge > 0 || *gcMaxBytes > 0 {
 		if *cacheDir == "" {
-			fatal(errors.New("plimserve: the cache janitor flags need -cache-dir"))
+			cli.Fatal(errors.New("plimserve: the cache janitor flags need -cache-dir"))
 		}
 		if *gcInterval <= 0 {
 			// A budget without a period would be a silently-unenforced
@@ -161,7 +162,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		fatal(err)
+		cli.Fatal(err)
 	case <-ctx.Done():
 	}
 
@@ -220,9 +221,4 @@ func janitor(ctx context.Context, logger *slog.Logger, dir string, interval, max
 		}
 		sweep()
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"plim"
+	"plim/internal/cli"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 	if *costPath != "" {
 		cm, err := plim.LoadCostModel(*costPath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		engOpts = append(engOpts, plim.WithCostModel(cm))
 	}
@@ -98,7 +99,7 @@ func main() {
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer f.Close()
 		out = f
@@ -113,7 +114,7 @@ func main() {
 		case "csv":
 			fmt.Fprintln(out, g.CSV())
 		default:
-			fatal(fmt.Errorf("plimtab: unknown format %q", *format))
+			cli.Fatal(fmt.Errorf("plimtab: unknown format %q", *format))
 		}
 	}
 	progress := func(msg string) {
@@ -129,26 +130,26 @@ func main() {
 		progress("running Table I/II configurations...")
 		sr, err := eng.RunSuite(ctx, plim.TableIConfigs(), names...)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if want("1") {
 			d, err := plim.TableI(sr)
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			render(d.Grid())
 		}
 		if want("2") {
 			d, err := plim.TableII(sr)
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			render(d.Grid())
 		}
 		if want("cost") {
 			d, err := plim.TableCost(sr)
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			render(d.Grid())
 		}
@@ -160,17 +161,17 @@ func main() {
 		for _, c := range strings.Split(*caps, ",") {
 			var w uint64
 			if _, err := fmt.Sscanf(strings.TrimSpace(c), "%d", &w); err != nil {
-				fatal(fmt.Errorf("plimtab: bad cap %q", c))
+				cli.Fatal(fmt.Errorf("plimtab: bad cap %q", c))
 			}
 			cfgs = append(cfgs, plim.FullCap(w))
 		}
 		sr, err := eng.RunSuite(ctx, cfgs, names...)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		d, err := plim.TableIII(sr)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		render(d.Grid())
 	}
@@ -179,11 +180,11 @@ func main() {
 		progress("running ablation configurations...")
 		sr, err := eng.RunSuite(ctx, plim.AblationConfigs(), names...)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		d, err := plim.TableI(sr)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		g := d.Grid()
 		g.Title = "Ablation: each endurance technique in isolation (STDEV improvement vs naive)"
@@ -191,42 +192,12 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		if err := writeTrace(eng, *tracePath, *verbose && !*quiet); err != nil {
-			fatal(err)
+		if err := cli.WriteTrace(eng, "plimtab", *tracePath, *verbose && !*quiet); err != nil {
+			cli.Fatal(err)
 		}
 	}
 	if s, ok := eng.CacheSummary(); ok {
 		progress(s)
 	}
 	progress(fmt.Sprintf("done in %v", time.Since(start).Round(time.Millisecond)))
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON; with verbose set it also renders the span tree to stderr.
-func writeTrace(eng *plim.Engine, path string, verbose bool) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimtab: -trace: no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Fprintln(os.Stderr, "trace:")
-		tr.Render(os.Stderr)
-	}
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

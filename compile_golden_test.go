@@ -93,7 +93,7 @@ func TestCompileGoldenOutputs(t *testing.T) {
 		for j, cfg := range cfgs {
 			g, ok := graphs[cfg.Rewrite]
 			if !ok {
-				if g, _, err = core.Rewrite(context.Background(), m, cfg.Rewrite, core.DefaultEffort, nil, cfg.Name); err != nil {
+				if g, _, err = core.Rewrite(context.Background(), m, cfg.Rewrite, core.DefaultEffort, cfg.Name); err != nil {
 					t.Fatal(err)
 				}
 				graphs[cfg.Rewrite] = g

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"plim/internal/compile"
 	"plim/internal/core"
@@ -33,10 +32,10 @@ import (
 //	rep, err := eng.Run(ctx, m, plim.Full)
 //
 // Every method takes a context.Context; cancellation is honoured between
-// rewrite cycles, between configurations and between suite jobs. Unlike the
-// deprecated free functions, option values are explicit: WithEffort(0)
-// really runs zero rewriting cycles, and WithWorkers(1) really serializes a
-// suite (which also makes progress-event order deterministic).
+// rewrite cycles, between configurations and between suite jobs. Option
+// values are explicit: WithEffort(0) really runs zero rewriting cycles, and
+// WithWorkers(1) really serializes a suite (which also makes progress-event
+// order deterministic).
 type Engine struct {
 	effort      int
 	workers     int
@@ -356,9 +355,11 @@ func (e *Engine) TakeTrace() *Trace {
 	return t
 }
 
-// traceCtx opens a "call" span for one engine call — see traceSpan.
-func (e *Engine) traceCtx(ctx context.Context, call string) (context.Context, trace.Handle) {
-	return e.traceSpan(ctx, "call", call)
+// begin opens one engine call: it installs the engine's merged progress
+// observer (see observer) on the context, where every emitter below the
+// call finds it, and opens a "call" span — see traceSpan.
+func (e *Engine) begin(ctx context.Context, call string) (context.Context, trace.Handle) {
+	return e.traceSpan(progress.NewContext(ctx, e.observer(ctx)), "call", call)
 }
 
 // traceSpan opens a span on whichever trace applies: a trace already
@@ -408,6 +409,19 @@ func (e *Engine) observer(ctx context.Context) progress.Func {
 		if perCall != nil {
 			perCall(ev)
 		}
+	}
+}
+
+// env is the plumbing every graph an engine call builds runs against: the
+// engine's scheduler, caches, scratch pool, verification and cost model.
+func (e *Engine) env() core.Env {
+	return core.Env{
+		Sched:        e.scheduler(),
+		BenchCache:   e.benchCache,
+		RewriteCache: e.rwCache,
+		Scratch:      e.scratch,
+		Verify:       e.verify,
+		CostModel:    e.costModel,
 	}
 }
 
@@ -462,18 +476,10 @@ func (e *Engine) Run(ctx context.Context, m *MIG, cfg Config) (*Report, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	ctx, csp := e.traceCtx(ctx, "run")
+	ctx, csp := e.begin(ctx, "run")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	reps, err := core.RunStaged(ctx, m, []Config{cfg}, core.StagedOptions{
-		Effort:    e.effort,
-		Sched:     e.scheduler(),
-		Cache:     e.rwCache,
-		Scratch:   e.scratch,
-		Progress:  e.observer(ctx),
-		Verify:    e.verify,
-		CostModel: e.costModel,
-	})
+	reps, err := core.RunStaged(ctx, e.env(), m, []Config{cfg}, e.effort)
 	if err != nil {
 		return nil, err
 	}
@@ -488,18 +494,10 @@ func (e *Engine) RunAll(ctx context.Context, m *MIG, cfgs []Config) ([]*Report, 
 	if e.err != nil {
 		return nil, e.err
 	}
-	ctx, csp := e.traceCtx(ctx, "run-all")
+	ctx, csp := e.begin(ctx, "run-all")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	return core.RunStaged(ctx, m, cfgs, core.StagedOptions{
-		Effort:    e.effort,
-		Sched:     e.scheduler(),
-		Cache:     e.rwCache,
-		Scratch:   e.scratch,
-		Progress:  e.observer(ctx),
-		Verify:    e.verify,
-		CostModel: e.costModel,
-	})
+	return core.RunStaged(ctx, e.env(), m, cfgs, e.effort)
 }
 
 // RunSuite evaluates every configuration on every named benchmark (all 18
@@ -515,30 +513,20 @@ func (e *Engine) RunSuite(ctx context.Context, cfgs []Config, benchmarks ...stri
 	if e.err != nil {
 		return nil, e.err
 	}
-	ctx, csp := e.traceCtx(ctx, "suite")
+	ctx, csp := e.begin(ctx, "suite")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	return tables.RunSuite(ctx, cfgs, tables.Options{
-		Benchmarks:   benchmarks,
-		Effort:       e.effort,
-		Shrink:       e.shrink,
-		Workers:      e.workers,
-		Sched:        e.scheduler(),
-		Progress:     e.observer(ctx),
-		BenchCache:   e.benchCache,
-		RewriteCache: e.rwCache,
-		Scratch:      e.scratch,
-		Verify:       e.verify,
-		CostModel:    e.costModel,
+	return tables.RunSuite(ctx, e.env(), cfgs, tables.Options{
+		Benchmarks: benchmarks,
+		Effort:     e.effort,
+		Shrink:     e.shrink,
 	})
 }
 
 // Explore sweeps the design space (benchmark × shrink × effort × config ×
 // cost model) as one task graph on the engine's scheduler and caches, and
 // returns every point with its (benchmark, shrink, model)-local Pareto
-// front marked — see core.Explore. Only the sweep axes and Verify are
-// taken from opts: the plumbing fields (Workers, Sched, Progress, caches,
-// Scratch) are the engine's own. Empty axes default to the engine's
+// front marked — see core.Explore. Empty axes default to the engine's
 // configuration — its effort, its shrink, its cost model — rather than the
 // package-level defaults, so a bare ExploreOptions{} sweeps exactly what
 // Run would compile. Verification is on when either opts.Verify or the
@@ -547,7 +535,7 @@ func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResu
 	if e.err != nil {
 		return nil, e.err
 	}
-	ctx, csp := e.traceCtx(ctx, "explore")
+	ctx, csp := e.begin(ctx, "explore")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
 	if len(opts.Efforts) == 0 {
@@ -559,14 +547,7 @@ func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResu
 	if len(opts.Models) == 0 {
 		opts.Models = []*CostModel{e.costModel}
 	}
-	opts.Workers = e.workers
-	opts.Sched = e.scheduler()
-	opts.Progress = e.observer(ctx)
-	opts.BenchCache = e.benchCache
-	opts.RewriteCache = e.rwCache
-	opts.Scratch = e.scratch
-	opts.Verify = opts.Verify || e.verify
-	return core.Explore(ctx, opts)
+	return core.Explore(ctx, e.env(), opts)
 }
 
 // Rewrite applies one of the MIG rewriting algorithms with the engine's
@@ -578,9 +559,9 @@ func (e *Engine) Rewrite(ctx context.Context, m *MIG, kind RewriteKind) (*MIG, R
 	if e.err != nil {
 		return nil, RewriteStats{}, e.err
 	}
-	ctx, csp := e.traceCtx(ctx, "rewrite")
+	ctx, csp := e.begin(ctx, "rewrite")
 	defer csp.End()
-	out, st, err := e.rwCache.Rewrite(ctx, m, kind, e.effort, e.observer(ctx), "")
+	out, st, err := e.rwCache.Rewrite(ctx, m, kind, e.effort, "")
 	if err != nil {
 		return nil, st, err
 	}
@@ -697,7 +678,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 	if e.err != nil {
 		return nil, e.err
 	}
-	ctx, csp := e.traceCtx(ctx, "execute-batch")
+	ctx, csp := e.begin(ctx, "execute-batch")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
 	pl, err := e.plan(ctx, p)
@@ -709,8 +690,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 		// design-space sweep re-pricing one program) overrides the engine's.
 		opts.CostModel = e.costModel
 	}
-	obs := e.observer(ctx)
-	if obs != nil {
+	if obs := progress.FromContext(ctx); obs != nil {
 		name, vectors := p.Name, b.Len()
 		prev := opts.OnChunk
 		opts.OnChunk = func(done, total int) {
@@ -721,11 +701,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 		}
 	}
 	if e.workers > 1 && b.Chunks() > 1 {
-		var deadline time.Time
-		if d, ok := ctx.Deadline(); ok {
-			deadline = d
-		}
-		return pl.RunSharded(ctx, b, opts, e.scheduler(), deadline, obs)
+		return pl.RunSharded(ctx, b, opts, e.scheduler())
 	}
 	return pl.RunContext(ctx, b, opts)
 }

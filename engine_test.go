@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"plim/internal/core"
 )
 
 // engineTestMIG builds a small function with enough structure for every
@@ -257,13 +259,14 @@ func TestEngineProgressOrderSingleWorker(t *testing.T) {
 	}
 }
 
-// TestDeprecatedRunMatchesEngine requires the deprecated free function to
-// produce byte-identical programs and identical statistics to Engine.Run.
-func TestDeprecatedRunMatchesEngine(t *testing.T) {
+// TestEngineRunMatchesSequential requires Engine.Run to produce
+// byte-identical programs and identical statistics to core.Run, the
+// sequential uncached reference.
+func TestEngineRunMatchesSequential(t *testing.T) {
 	for _, effort := range []int{0, 2, DefaultEffort} {
 		mOld := engineTestMIG(t)
 		mNew := engineTestMIG(t)
-		old, err := Run(mOld, Full, effort)
+		old, err := core.Run(context.Background(), mOld, Full, effort)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,55 +285,7 @@ func TestDeprecatedRunMatchesEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("effort %d: deprecated Run and Engine.Run compiled different programs", effort)
-		}
-	}
-}
-
-// TestDeprecatedRunSuiteMatchesEngine requires the deprecated RunSuite to
-// render byte-identical tables to Engine.RunSuite under equivalent options
-// (the legacy zero values mean Effort 5 / Shrink 1 / Workers GOMAXPROCS —
-// here made explicit on both sides).
-func TestDeprecatedRunSuiteMatchesEngine(t *testing.T) {
-	benches := []string{"ctrl", "int2float"}
-	old, err := RunSuite(TableIConfigs(), SuiteOptions{
-		Benchmarks: benches, Effort: 1, Shrink: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(WithEffort(1), WithShrink(4))
-	now, err := eng.RunSuite(context.Background(), TableIConfigs(), benches...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, proj := range []func(*SuiteResult) (*Grid, error){
-		func(sr *SuiteResult) (*Grid, error) {
-			d, err := TableI(sr)
-			if err != nil {
-				return nil, err
-			}
-			return d.Grid(), nil
-		},
-		func(sr *SuiteResult) (*Grid, error) {
-			d, err := TableII(sr)
-			if err != nil {
-				return nil, err
-			}
-			return d.Grid(), nil
-		},
-	} {
-		ga, err := proj(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := proj(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal([]byte(ga.CSV()), []byte(gb.CSV())) {
-			t.Fatalf("deprecated RunSuite and Engine.RunSuite rendered different tables:\n%s\nvs\n%s",
-				ga.CSV(), gb.CSV())
+			t.Fatalf("effort %d: core.Run and Engine.Run compiled different programs", effort)
 		}
 	}
 }

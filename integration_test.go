@@ -34,7 +34,7 @@ func TestIntegrationSuiteAllConfigs(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cfg := range cfgs {
-				rep, err := core.Run(context.Background(), m, cfg, 2, nil)
+				rep, err := core.Run(context.Background(), m, cfg, 2)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.Name, err)
 				}
@@ -166,11 +166,11 @@ func TestIntegrationSerializationPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Run(context.Background(), m, core.Full, 2, nil)
+	a, err := core.Run(context.Background(), m, core.Full, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Run(context.Background(), m2, core.Full, 2, nil)
+	b, err := core.Run(context.Background(), m2, core.Full, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"plim/internal/diskcache"
 	"plim/internal/memo"
 	"plim/internal/mig"
-	"plim/internal/progress"
 	"plim/internal/rewrite"
 )
 
@@ -99,15 +98,15 @@ func (c *RewriteCache) Probes() (hits, misses uint64) {
 // Rewrite is core.Rewrite memoized through the cache. A nil *RewriteCache
 // computes directly (the uncached path). On a hit no progress events are
 // emitted — the rewrite simply did not run again.
-func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, obs progress.Func, label string) (*mig.MIG, rewrite.Stats, error) {
+func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
 	if c == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, rewrite.Stats{}, err
 		}
-		return Rewrite(ctx, m, kind, effort, obs, label)
+		return Rewrite(ctx, m, kind, effort, label)
 	}
 	r, err := c.m.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
-		out, st, err := Rewrite(ctx, m, kind, effort, obs, label)
+		out, st, err := Rewrite(ctx, m, kind, effort, label)
 		if err == nil && out == m {
 			// Effort 0 (or RewriteNone on an already-clean graph) can hand
 			// the caller's own MIG back; the cache must never retain a

@@ -19,6 +19,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"plim/internal/alloc"
@@ -29,6 +31,7 @@ import (
 	"plim/internal/rewrite"
 	"plim/internal/sched"
 	"plim/internal/stats"
+	"plim/internal/suite"
 	"plim/internal/verify"
 )
 
@@ -94,6 +97,39 @@ func TableIConfigs() []Config {
 	return []Config{Naive, Compiler21, MinWrite, Rewriting, Full}
 }
 
+// ParseConfig resolves a configuration by name: one of the five Table I
+// names ("" means full), optionally suffixed "+capN" for the maximum write
+// count strategy at cap N ≥ 1. A non-zero cap applies the same strategy
+// and, when the name carries a suffix too, must agree with it. The error
+// texts are user-facing and carry no package prefix.
+func ParseConfig(name string, cap uint64) (Config, error) {
+	if name == "" {
+		name = "full"
+	}
+	base, capSuffix, hasSuffix := strings.Cut(name, "+cap")
+	if hasSuffix {
+		w, err := strconv.ParseUint(capSuffix, 10, 64)
+		if err != nil || w == 0 {
+			return Config{}, fmt.Errorf("bad cap suffix in config %q", name)
+		}
+		if cap != 0 && cap != w {
+			return Config{}, fmt.Errorf("config %q and cap %d disagree", name, cap)
+		}
+		cap = w
+	}
+	for _, cfg := range TableIConfigs() {
+		if cfg.Name != base {
+			continue
+		}
+		if cap > 0 {
+			cfg.MaxWrites = cap
+			cfg.Name += fmt.Sprintf("+cap%d", cap)
+		}
+		return cfg, nil
+	}
+	return Config{}, fmt.Errorf("unknown config %q", name)
+}
+
 // Report is the outcome of running one configuration on one function.
 type Report struct {
 	Config  Config
@@ -102,13 +138,13 @@ type Report struct {
 	// Writes summarizes the per-device write counts (paper's min/max/STDEV).
 	Writes stats.Summary
 	// Verify is the static verification report for the compiled program;
-	// nil unless the run was verified (StagedOptions.Verify /
-	// plim.WithVerify). A non-nil report has no hard violations — those
-	// fail the compile — but may list dead-write warnings.
+	// nil unless the run was verified (Env.Verify / plim.WithVerify). A
+	// non-nil report has no hard violations — those fail the compile — but
+	// may list dead-write warnings.
 	Verify *verify.Report
 	// Cost is the per-run price of the compiled program under the
-	// configured cost model (StagedOptions.CostModel / plim.WithCostModel);
-	// nil without one. When the run is verified, static and allocator cost
+	// configured cost model (Env.CostModel / plim.WithCostModel); nil
+	// without one. When the run is verified, static and allocator cost
 	// parity has been proven before this report exists.
 	Cost *cost.Cost
 }
@@ -142,11 +178,11 @@ func PipelineFor(kind RewriteKind) ([]rewrite.Pass, error) {
 // Rewrite applies kind's pass schedule to m for up to effort cycles. The
 // input MIG is not modified. RewriteNone only drops dangling nodes (every
 // configuration compiles live nodes only); its stats report the node
-// counts with zero cycles. obs (which may be nil) receives a
-// progress.RewriteCycle event — tagged with cfgName, which may be empty —
-// after every completed cycle. On cancellation the MIG is nil and the
-// error is ctx.Err().
-func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, obs progress.Func, cfgName string) (*mig.MIG, rewrite.Stats, error) {
+// counts with zero cycles. The progress observer carried by ctx, if any,
+// receives a progress.RewriteCycle event — tagged with cfgName, which may
+// be empty — after every completed cycle. On cancellation the MIG is nil
+// and the error is ctx.Err().
+func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, cfgName string) (*mig.MIG, rewrite.Stats, error) {
 	pipeline, err := PipelineFor(kind)
 	if err != nil {
 		return nil, rewrite.Stats{}, err
@@ -166,6 +202,7 @@ func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, obs 
 		_, st.DepthAfter = out.Levels()
 		return out, st, nil
 	}
+	obs := progress.FromContext(ctx)
 	return rewrite.RunContext(ctx, m, pipeline, effort, func(cycle, nodes int) {
 		obs.Emit(progress.RewriteCycle{
 			Function: m.Name, Config: cfgName,
@@ -174,55 +211,83 @@ func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, obs 
 	})
 }
 
-// Run rewrites m according to cfg (with the given effort) and compiles it.
-// The input MIG is not modified. Cancellation is checked on entry, between
-// rewrite cycles and before compilation; on cancellation the error is
-// ctx.Err(). obs (which may be nil) receives a progress.RewriteCycle event
-// after every completed rewrite cycle and a CompileStart/CompileDone pair
-// around the compile/alloc stage.
-func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int, obs progress.Func) (*Report, error) {
+// Run rewrites m according to cfg (with the given effort) and compiles it
+// on the calling goroutine, without caches, verification or pricing: the
+// sequential reference the staged runners are pinned against. The input
+// MIG is not modified. Cancellation is checked on entry, between rewrite
+// cycles and before compilation; on cancellation the error is ctx.Err().
+// The progress observer carried by ctx, if any, receives a
+// progress.RewriteCycle event after every completed rewrite cycle and a
+// CompileStart/CompileDone pair around the compile/alloc stage.
+func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cur, st, err := Rewrite(ctx, m, cfg.Rewrite, effort, obs, cfg.Name)
+	cur, st, err := Rewrite(ctx, m, cfg.Rewrite, effort, cfg.Name)
 	if err != nil {
 		return nil, err
 	}
-	return CompileConfig(ctx, cur, cfg, st, obs, nil, false, nil)
+	return CompileConfig(ctx, Env{}, cur, cfg, st)
+}
+
+// Env is the plumbing a staged run, a suite or a sweep executes against:
+// the scheduler that runs its tasks, the caches and scratch pool it draws
+// from, and the verification and pricing applied to every compile.
+// plim.Engine builds one per call.
+type Env struct {
+	// Sched executes the task graph; it is required by every graph runner.
+	Sched *sched.Pool
+	// BenchCache, when non-nil, memoizes benchmark builds per (name, shrink).
+	BenchCache *suite.Cache
+	// RewriteCache, when non-nil, memoizes rewrite stages across
+	// configurations, benchmarks and calls.
+	RewriteCache *RewriteCache
+	// Scratch, when non-nil, supplies reusable compile scratch state; nil
+	// uses the compile package's shared default pool.
+	Scratch *compile.ScratchPool
+	// Verify statically verifies every compiled program (see
+	// CompileConfig); a hard violation fails that configuration's compile.
+	Verify bool
+	// CostModel, when non-nil, prices every compilation (Report.Cost) and
+	// — with Verify set — proves static-vs-allocator cost parity.
+	CostModel *cost.Model
 }
 
 // CompileConfig runs the compile/alloc stage of one configuration on an
-// already-rewritten MIG, emitting CompileStart/CompileDone progress events.
-// rst is the rewriting statistics to attach to the report (the staged
-// runner shares one rewrite across several configurations). Scratch state
-// is drawn from pool; a nil pool falls back to the compile package's shared
-// default pool, so the fast path is always allocation-lean.
+// already-rewritten MIG, emitting CompileStart/CompileDone events to the
+// progress observer carried by ctx, if any. rst is the rewriting
+// statistics to attach to the report (the staged runner shares one
+// rewrite across several configurations). Scratch state is drawn from
+// env.Scratch, or from the compile package's shared default pool when it
+// is nil, so the fast path is always allocation-lean.
 //
-// When doVerify is set, the compiled program is statically verified
+// When env.Verify is set, the compiled program is statically verified
 // (internal/verify) before the report is returned: def-before-use, range,
 // output liveness, the policy's wear cap and static-vs-allocator write
 // parity. A hard violation fails the compile; dead-write warnings land in
 // Report.Verify.
 //
-// cm, when non-nil, prices the compilation (compile.Options.CostModel);
-// with doVerify additionally set, static-vs-allocator cost parity is
-// checked and a divergence fails the compile like any other violation.
-func CompileConfig(ctx context.Context, rewritten *mig.MIG, cfg Config, rst rewrite.Stats, obs progress.Func, pool *compile.ScratchPool, doVerify bool, cm *cost.Model) (*Report, error) {
+// env.CostModel, when non-nil, prices the compilation
+// (compile.Options.CostModel); with env.Verify additionally set,
+// static-vs-allocator cost parity is checked and a divergence fails the
+// compile like any other violation.
+func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, cfg Config, rst rewrite.Stats) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	obs := progress.FromContext(ctx)
 	obs.Emit(progress.CompileStart{Function: rewritten.Name, Config: cfg.Name})
 	start := time.Now()
 	copts := compile.Options{
 		Selection: cfg.Selection,
 		Alloc:     cfg.Alloc,
 		MaxWrites: cfg.MaxWrites,
-		CostModel: cm,
+		CostModel: env.CostModel,
 	}
 	var res *compile.Result
 	var err error
-	if pool != nil {
-		res, err = compile.CompileWith(rewritten, copts, pool)
+	if env.Scratch != nil {
+		res, err = compile.CompileWith(rewritten, copts, env.Scratch)
 	} else {
 		res, err = compile.Compile(rewritten, copts)
 	}
@@ -245,8 +310,8 @@ func CompileConfig(ctx context.Context, rewritten *mig.MIG, cfg Config, rst rewr
 		Writes:  stats.Summarize(res.WriteCounts),
 		Cost:    res.Cost,
 	}
-	if doVerify {
-		vr := verify.Program(res.Program, verify.Options{MaxWrites: cfg.MaxWrites, CostModel: cm})
+	if env.Verify {
+		vr := verify.Program(res.Program, verify.Options{MaxWrites: cfg.MaxWrites, CostModel: env.CostModel})
 		verify.CheckWriteParity(vr, res.WriteCounts, "allocator")
 		if res.Cost != nil {
 			verify.CheckCostParity(vr, *res.Cost, "allocator")
@@ -297,49 +362,22 @@ func stageLabel(st Stage, cfgs []Config) string {
 	return st.Kind.String()
 }
 
-// StagedOptions configures RunStaged.
-type StagedOptions struct {
-	// Effort is the rewriting cycle budget (0 = no cycles).
-	Effort int
-	// Workers sizes a transient scheduler when Sched is nil: values ≤ 1
-	// run the plan on one worker, in deterministic depth-first order.
-	Workers int
-	// Sched, when non-nil, executes the plan's tasks on a shared
-	// process-wide scheduler instead of a transient one (plim.Engine
-	// threads its pool through here, so every call of one engine — and
-	// every server request — interleaves at task granularity).
-	Sched *sched.Pool
-	// Cache memoizes rewrite stages across calls; nil rewrites afresh.
-	Cache *RewriteCache
-	// Scratch, when non-nil, supplies reusable compile scratch state to the
-	// per-configuration compile jobs (plim.Engine threads its pool through
-	// here); nil uses the compile package's shared default pool.
-	Scratch *compile.ScratchPool
-	// Progress receives rewrite-cycle, compile start/done and scheduler
-	// task start/done events. It may be invoked concurrently when the
-	// schedule runs on several workers.
-	Progress progress.Func
-	// Verify statically verifies every compiled program (see
-	// CompileConfig); a hard violation fails that configuration's compile.
-	Verify bool
-	// CostModel, when non-nil, prices every compilation (Report.Cost) and
-	// — with Verify set — proves static-vs-allocator cost parity.
-	CostModel *cost.Model
-}
-
-// StagedGraph adds the staged plan of cfgs to graph g: one rewrite task
-// per distinct rewriting pipeline, one compile task per configuration
-// (depending on its stage's rewrite), all depending on dep when non-nil.
-// mFn supplies the input MIG; it is called from task bodies after dep has
-// completed and may return nil to signal that upstream work failed, in
-// which case no stage runs and no events are emitted. Successful compiles
-// write their reports into out (indexed like cfgs).
+// StagedGraph adds the staged plan of cfgs at the given rewriting effort
+// to graph g: one rewrite task per distinct rewriting pipeline, one
+// compile task per configuration (depending on its stage's rewrite), all
+// depending on dep when non-nil. mFn supplies the input MIG; it is called
+// from task bodies after dep has completed and may return nil to signal
+// that upstream work failed, in which case no stage runs and no events are
+// emitted. Successful compiles write their reports into out (indexed like
+// cfgs). Rewrites go through env.RewriteCache and compiles draw on env's
+// scratch pool, verification and cost model; env.Sched is not consulted,
+// the graph already belongs to a pool.
 //
 // The returned leaves are the plan's compile tasks (join/aggregation tasks
 // should depend on them) and finish composes the plan's error in stage
 // order; it must only be called after every leaf completed (e.g. from a
 // task depending on all of them, or after Graph.Wait).
-func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Config, opts StagedOptions, out []*Report) (leaves []*sched.Task, finish func() error) {
+func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.MIG, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
 	rms := make([]*mig.MIG, len(stages))
 	rsts := make([]rewrite.Stats, len(stages))
@@ -353,14 +391,14 @@ func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Co
 			if m == nil {
 				return // upstream failure; its error is reported there
 			}
-			rms[si], rsts[si], rwErrs[si] = opts.Cache.Rewrite(ctx, m, st.Kind, opts.Effort, opts.Progress, label)
+			rms[si], rsts[si], rwErrs[si] = env.RewriteCache.Rewrite(ctx, m, st.Kind, effort, label)
 		}, dep)
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {
 				if rms[si] == nil {
 					return // stage rewrite failed or was skipped
 				}
-				out[ci], cmpErrs[ci] = CompileConfig(ctx, rms[si], cfgs[ci], rsts[si], opts.Progress, opts.Scratch, opts.Verify, opts.CostModel)
+				out[ci], cmpErrs[ci] = CompileConfig(ctx, env, rms[si], cfgs[ci], rsts[si])
 			}, rw)
 			leaves = append(leaves, ct)
 		}
@@ -384,29 +422,19 @@ func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Co
 }
 
 // RunStaged runs several configurations on the same function as a staged
-// plan: each distinct rewriting pipeline runs once (memoized through
-// opts.Cache when set) and the compile/alloc stages fan out over the
-// shared rewritten MIG as independent scheduler tasks — on opts.Sched when
-// set, otherwise on a transient opts.Workers-sized pool. Reports are
-// returned in configuration order and are identical to those of sequential
-// per-configuration Run calls. On cancellation the error is ctx.Err()
-// itself; unstarted tasks of the plan never run.
-func RunStaged(ctx context.Context, m *mig.MIG, cfgs []Config, opts StagedOptions) ([]*Report, error) {
+// plan on env.Sched: each distinct rewriting pipeline runs once (memoized
+// through env.RewriteCache when set) and the compile/alloc stages fan out
+// over the shared rewritten MIG as independent scheduler tasks. Reports
+// are returned in configuration order and are identical to those of
+// sequential per-configuration Run calls. On cancellation the error is
+// ctx.Err() itself; unstarted tasks of the plan never run.
+func RunStaged(ctx context.Context, env Env, m *mig.MIG, cfgs []Config, effort int) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pool := opts.Sched
-	if pool == nil {
-		pool = sched.New(opts.Workers)
-		defer pool.Stop()
-	}
-	var deadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	g := pool.NewGraph(ctx, sched.GraphOptions{Deadline: deadline, Progress: opts.Progress})
+	g := env.Sched.NewGraph(ctx, sched.GraphOptions{})
 	out := make([]*Report, len(cfgs))
-	_, finish := StagedGraph(g, nil, func() *mig.MIG { return m }, cfgs, opts, out)
+	_, finish := StagedGraph(g, env, effort, nil, func() *mig.MIG { return m }, cfgs, out)
 	if err := g.Wait(); err != nil {
 		// Cancellation surfaces as ctx.Err() itself (the documented
 		// contract), not wrapped inside errors.Join.
@@ -416,11 +444,4 @@ func RunStaged(ctx context.Context, m *mig.MIG, cfgs []Config, opts StagedOption
 		return nil, err
 	}
 	return out, nil
-}
-
-// RunAll runs several configurations on the same function as a staged plan
-// on a single transient worker, checking cancellation between stages and
-// configurations. Reports match sequential Run calls exactly.
-func RunAll(ctx context.Context, m *mig.MIG, cfgs []Config, effort int, obs progress.Func) ([]*Report, error) {
-	return RunStaged(ctx, m, cfgs, StagedOptions{Effort: effort, Progress: obs})
 }

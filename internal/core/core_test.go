@@ -15,7 +15,16 @@ import (
 	"plim/internal/diskcache"
 	"plim/internal/mig"
 	"plim/internal/progress"
+	"plim/internal/sched"
 )
+
+// testEnv returns an environment on a scheduler of the given number of
+// workers, stopped when the test ends.
+func testEnv(t *testing.T, workers int) Env {
+	pool := sched.New(workers)
+	t.Cleanup(pool.Stop)
+	return Env{Sched: pool}
+}
 
 func randomMIG(name string, pis, nodes, pos int, seed int64) *mig.MIG {
 	m := mig.New(name)
@@ -75,7 +84,7 @@ func TestRunPreservesFunctionAcrossConfigs(t *testing.T) {
 	m := randomMIG("f", 8, 120, 8, 11)
 	cfgs := append(TableIConfigs(), FullCap(10), FullCap(50))
 	for _, cfg := range cfgs {
-		rep, err := Run(context.Background(), m, cfg, DefaultEffort, nil)
+		rep, err := Run(context.Background(), m, cfg, DefaultEffort)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -93,7 +102,7 @@ func TestRunPreservesFunctionAcrossConfigs(t *testing.T) {
 
 func TestRunAllOrdersReports(t *testing.T) {
 	m := randomMIG("f", 6, 60, 4, 5)
-	reps, err := RunAll(context.Background(), m, TableIConfigs(), 2, nil)
+	reps, err := RunStaged(context.Background(), testEnv(t, 1), m, TableIConfigs(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +123,11 @@ func TestPaperTrendOnRandomControl(t *testing.T) {
 	var naiveSD, fullSD, naiveI, fullI float64
 	for seed := int64(1); seed <= 5; seed++ {
 		m := randomMIG("ctrl-like", 10, 300, 12, seed)
-		naive, err := Run(context.Background(), m, Naive, DefaultEffort, nil)
+		naive, err := Run(context.Background(), m, Naive, DefaultEffort)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Run(context.Background(), m, Full, DefaultEffort, nil)
+		full, err := Run(context.Background(), m, Full, DefaultEffort)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +146,11 @@ func TestPaperTrendOnRandomControl(t *testing.T) {
 
 func TestCapImprovesBalanceAtCost(t *testing.T) {
 	m := randomMIG("f", 10, 300, 10, 9)
-	uncapped, err := Run(context.Background(), m, Full, DefaultEffort, nil)
+	uncapped, err := Run(context.Background(), m, Full, DefaultEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Run(context.Background(), m, FullCap(10), DefaultEffort, nil)
+	capped, err := Run(context.Background(), m, FullCap(10), DefaultEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +168,7 @@ func TestCapImprovesBalanceAtCost(t *testing.T) {
 
 func TestLifetimeAccessor(t *testing.T) {
 	m := randomMIG("f", 6, 40, 4, 2)
-	rep, err := Run(context.Background(), m, Full, 2, nil)
+	rep, err := Run(context.Background(), m, Full, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,22 +217,23 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 	cfgs := append(TableIConfigs(), FullCap(10), FullCap(50))
 	want := make([]*Report, len(cfgs))
 	for i, cfg := range cfgs {
-		rep, err := Run(context.Background(), m, cfg, 2, nil)
+		rep, err := Run(context.Background(), m, cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = rep
 	}
-	for name, opts := range map[string]StagedOptions{
-		"inline":          {Effort: 2},
-		"workers":         {Effort: 2, Workers: 4},
-		"cached":          {Effort: 2, Cache: NewRewriteCache()},
-		"cached+worker":   {Effort: 2, Workers: 4, Cache: NewRewriteCache()},
-		"scratch":         {Effort: 2, Scratch: compile.NewScratchPool()},
-		"scratch+staged":  {Effort: 2, Workers: 4, Cache: NewRewriteCacheWithBudget(2), Scratch: compile.NewScratchPool()},
-		"scratch+bounded": {Effort: 2, Cache: NewRewriteCacheWithBudget(1), Scratch: compile.NewScratchPool()},
+	one, four := testEnv(t, 1).Sched, testEnv(t, 4).Sched
+	for name, env := range map[string]Env{
+		"inline":          {Sched: one},
+		"workers":         {Sched: four},
+		"cached":          {Sched: one, RewriteCache: NewRewriteCache()},
+		"cached+worker":   {Sched: four, RewriteCache: NewRewriteCache()},
+		"scratch":         {Sched: one, Scratch: compile.NewScratchPool()},
+		"scratch+staged":  {Sched: four, RewriteCache: NewRewriteCacheWithBudget(2), Scratch: compile.NewScratchPool()},
+		"scratch+bounded": {Sched: one, RewriteCache: NewRewriteCacheWithBudget(1), Scratch: compile.NewScratchPool()},
 	} {
-		got, err := RunStaged(context.Background(), m, cfgs, opts)
+		got, err := RunStaged(context.Background(), env, m, cfgs, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -257,14 +267,12 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 func TestRunStagedRewritesOncePerStage(t *testing.T) {
 	m := randomMIG("f", 8, 150, 8, 3)
 	starts := map[string]int{}
-	_, err := RunStaged(context.Background(), m, TableIConfigs(), StagedOptions{
-		Effort: 2,
-		Progress: func(ev progress.Event) {
-			if c, ok := ev.(progress.RewriteCycle); ok && c.Cycle == 1 {
-				starts[c.Config]++
-			}
-		},
+	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
+		if c, ok := ev.(progress.RewriteCycle); ok && c.Cycle == 1 {
+			starts[c.Config]++
+		}
 	})
+	_, err := RunStaged(ctx, testEnv(t, 1), m, TableIConfigs(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +289,8 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 	m := randomMIG("f", 8, 120, 8, 21)
 	events := 0
 	obs := progress.Func(func(progress.Event) { events++ })
-	first, st1, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 2, obs, "x")
+	ctx := progress.NewContext(context.Background(), obs)
+	first, st1, err := cache.Rewrite(ctx, m, RewriteAlgorithm2, 2, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +299,7 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 		t.Fatal("computing call emitted no rewrite events")
 	}
 	// A structurally identical rebuild must hit.
-	second, st2, err := cache.Rewrite(context.Background(), randomMIG("f", 8, 120, 8, 21), RewriteAlgorithm2, 2, obs, "x")
+	second, st2, err := cache.Rewrite(ctx, randomMIG("f", 8, 120, 8, 21), RewriteAlgorithm2, 2, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +316,7 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 1", cache.Len())
 	}
 	// Different effort is a different key.
-	if _, _, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 3, nil, "x"); err != nil {
+	if _, _, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 3, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 2 {
@@ -322,13 +331,13 @@ func TestRewriteCacheDoesNotCacheCancellation(t *testing.T) {
 	m := randomMIG("f", 8, 120, 8, 4)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := cache.Rewrite(cancelled, m, RewriteAlgorithm1, 2, nil, "x"); !errors.Is(err, context.Canceled) {
+	if _, _, err := cache.Rewrite(cancelled, m, RewriteAlgorithm1, 2, "x"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if cache.Len() != 0 {
 		t.Fatalf("cancelled computation cached (%d entries)", cache.Len())
 	}
-	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm1, 2, nil, "x")
+	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm1, 2, "x")
 	if err != nil || out == nil || st.Cycles == 0 {
 		t.Fatalf("retry after cancellation failed: %v %+v", err, st)
 	}
@@ -351,7 +360,7 @@ func TestRewriteCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, _, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 3, obs, "x")
+			out, _, err := cache.Rewrite(progress.NewContext(context.Background(), obs), m, RewriteAlgorithm2, 3, "x")
 			if err != nil {
 				t.Error(err)
 			}
@@ -376,7 +385,7 @@ func TestRewriteCacheNeverRetainsCallerMIG(t *testing.T) {
 	cache := NewRewriteCache()
 	m := randomMIG("f", 6, 50, 4, 8)
 	nodesBefore := m.NumMaj()
-	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 0, nil, "x")
+	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 0, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +397,7 @@ func TestRewriteCacheNeverRetainsCallerMIG(t *testing.T) {
 	}
 	// The caller keeps building on its graph; the cached entry must not see it.
 	m.AddPO(m.Maj(m.PO(0), m.PO(1), mig.Const1), "junk")
-	hit, _, err := cache.Rewrite(context.Background(), randomMIG("f", 6, 50, 4, 8), RewriteAlgorithm2, 0, nil, "x")
+	hit, _, err := cache.Rewrite(context.Background(), randomMIG("f", 6, 50, 4, 8), RewriteAlgorithm2, 0, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +416,7 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	m2 := randomMIG("f2", 6, 60, 4, 2)
 	m3 := randomMIG("f3", 6, 60, 4, 3)
 	resultSize := func(m *mig.MIG) int {
-		out, _, err := Rewrite(context.Background(), m, RewriteAlgorithm2, 2, nil, "x")
+		out, _, err := Rewrite(context.Background(), m, RewriteAlgorithm2, 2, "x")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,19 +428,19 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	if cache.Budget() != budget {
 		t.Fatalf("Budget = %d, want %d", cache.Budget(), budget)
 	}
-	r1, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, nil, "x")
+	r1, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := cache.Rewrite(context.Background(), m2, RewriteAlgorithm2, 2, nil, "x")
+	r2, _, err := cache.Rewrite(context.Background(), m2, RewriteAlgorithm2, 2, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Touch m1 so m2 is the LRU entry, then overflow with m3.
-	if hit, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, nil, "x"); err != nil || hit != r1 {
+	if hit, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, "x"); err != nil || hit != r1 {
 		t.Fatalf("expected m1 hit before overflow (err %v)", err)
 	}
-	if _, _, err := cache.Rewrite(context.Background(), m3, RewriteAlgorithm2, 2, nil, "x"); err != nil {
+	if _, _, err := cache.Rewrite(context.Background(), m3, RewriteAlgorithm2, 2, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 2 {
@@ -439,10 +448,10 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	}
 	// m1 was refreshed after m2, so m2 is the victim: recompute (fresh
 	// instance) while m1 still hits.
-	if hit, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, nil, "x"); err != nil || hit != r1 {
+	if hit, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, "x"); err != nil || hit != r1 {
 		t.Fatalf("recently-used entry was evicted (err %v)", err)
 	}
-	again, _, err := cache.Rewrite(context.Background(), m2, RewriteAlgorithm2, 2, nil, "x")
+	again, _, err := cache.Rewrite(context.Background(), m2, RewriteAlgorithm2, 2, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +476,7 @@ func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
 				panicked = true
 			}
 		}()
-		cache.Rewrite(context.Background(), bad, RewriteAlgorithm2, 1, nil, "x")
+		cache.Rewrite(context.Background(), bad, RewriteAlgorithm2, 1, "x")
 	}()
 	if !panicked {
 		t.Fatal("malformed MIG did not panic; test premise broken")
@@ -477,7 +486,7 @@ func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
 	}
 	// The cache still works for sane keys afterwards.
 	good := randomMIG("f", 6, 50, 4, 1)
-	if _, _, err := cache.Rewrite(context.Background(), good, RewriteAlgorithm2, 1, nil, "x"); err != nil {
+	if _, _, err := cache.Rewrite(context.Background(), good, RewriteAlgorithm2, 1, "x"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -488,16 +497,14 @@ func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
 func TestRunStagedCancellationIsCtxErr(t *testing.T) {
 	m := randomMIG("f", 8, 150, 8, 7)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunStaged(ctx, m, TableIConfigs(), StagedOptions{
-		Effort: 1,
-		Progress: func(ev progress.Event) {
-			// Cancel once the first rewrite completes, so the compile
-			// fan-out observes a cancelled context.
-			if _, ok := ev.(progress.CompileStart); ok {
-				cancel()
-			}
-		},
+	ctx = progress.NewContext(ctx, func(ev progress.Event) {
+		// Cancel once the first rewrite completes, so the compile
+		// fan-out observes a cancelled context.
+		if _, ok := ev.(progress.CompileStart); ok {
+			cancel()
+		}
 	})
+	_, err := RunStaged(ctx, testEnv(t, 1), m, TableIConfigs(), 1)
 	cancel()
 	if err == nil {
 		t.Fatal("cancelled staged run returned nil error")
@@ -520,7 +527,7 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 	ctx := context.Background()
 
 	cycles := 0
-	obs := progress.Func(func(ev progress.Event) {
+	ctx = progress.NewContext(ctx, func(ev progress.Event) {
 		if _, ok := ev.(progress.RewriteCycle); ok {
 			cycles++
 		}
@@ -528,7 +535,7 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	warmC := NewRewriteCache()
 	warmC.SetDisk(disk)
-	want, wantSt, err := warmC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, obs, "")
+	want, wantSt, err := warmC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +550,7 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 	cycles = 0
 	coldC := NewRewriteCache()
 	coldC.SetDisk(disk)
-	got, gotSt, err := coldC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, obs, "")
+	got, gotSt, err := coldC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,11 +579,11 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	// And the compiled programs must match exactly.
 	for _, cfg := range TableIConfigs() {
-		r1, err := CompileConfig(ctx, want, cfg, wantSt, nil, nil, true, nil)
+		r1, err := CompileConfig(ctx, Env{Verify: true}, want, cfg, wantSt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := CompileConfig(ctx, got, cfg, gotSt, nil, nil, true, nil)
+		r2, err := CompileConfig(ctx, Env{Verify: true}, got, cfg, gotSt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -604,15 +611,61 @@ func TestRewriteCacheDiskTierFailedComputeNotStored(t *testing.T) {
 	c.SetDisk(disk)
 	m := randomMIG("cancel", 8, 160, 6, 32)
 	ctx, cancel := context.WithCancel(context.Background())
-	obs := progress.Func(func(ev progress.Event) {
+	ctx = progress.NewContext(ctx, func(ev progress.Event) {
 		if _, ok := ev.(progress.RewriteCycle); ok {
 			cancel() // cancel mid-run, after the first cycle
 		}
 	})
-	if _, _, err := c.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, obs, ""); err == nil {
+	if _, _, err := c.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, ""); err == nil {
 		t.Fatal("cancelled rewrite succeeded")
 	}
 	if cnt := disk.Counters(); cnt.Stores != 0 {
 		t.Fatalf("cancelled computation was persisted: %+v", cnt)
+	}
+}
+
+// TestParseConfig pins the configuration-name grammar shared by plimserve
+// and the CLIs: the five Table I names ("" meaning full), a "+capN"
+// suffix, a cap override that must agree with the suffix, and errors (not
+// panics or silent defaults) for every malformed name.
+func TestParseConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cap  uint64
+		want Config
+	}{
+		{"naive", 0, Naive},
+		{"compiler21", 0, Compiler21},
+		{"minwrite", 0, MinWrite},
+		{"rewriting", 0, Rewriting},
+		{"full", 0, Full},
+		{"", 0, Full},
+		{"full+cap20", 0, FullCap(20)},
+		{"full+cap20", 20, FullCap(20)},
+		{"full", 20, FullCap(20)},
+		{"", 50, FullCap(50)},
+		{"minwrite+cap10", 0, Config{Name: "minwrite+cap10", Rewrite: MinWrite.Rewrite, Selection: MinWrite.Selection, Alloc: MinWrite.Alloc, MaxWrites: 10}},
+	} {
+		got, err := ParseConfig(tc.name, tc.cap)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseConfig(%q, %d) = %+v, %v; want %+v", tc.name, tc.cap, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cap  uint64
+	}{
+		{"full+cap20", 10},
+		{"full+cap", 0},
+		{"full+cap0", 0},
+		{"full+cap-1", 0},
+		{"full+cap18446744073709551616", 0},
+		{"+cap5", 0},
+		{"FULL", 0},
+		{"turbo", 0},
+	} {
+		if got, err := ParseConfig(tc.name, tc.cap); err == nil {
+			t.Errorf("ParseConfig(%q, %d) = %+v, want an error", tc.name, tc.cap, got)
+		}
 	}
 }

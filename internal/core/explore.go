@@ -8,12 +8,9 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
-	"plim/internal/compile"
 	"plim/internal/cost"
 	"plim/internal/mig"
-	"plim/internal/progress"
 	"plim/internal/sched"
 	"plim/internal/stats"
 	"plim/internal/suite"
@@ -41,24 +38,9 @@ type ExploreOptions struct {
 	// {cost.Default()}. Model names must be distinct: they key the output
 	// rows and the Pareto grouping.
 	Models []*cost.Model
-	// Workers bounds parallelism when Sched is nil; must be ≥ 1.
-	Workers int
-	// Sched, when non-nil, runs the sweep's task graph on a shared
-	// process-wide scheduler instead of a transient Workers-sized pool.
-	Sched *sched.Pool
-	// Progress receives generate/rewrite/compile/task events; it may be
-	// invoked concurrently from worker goroutines.
-	Progress progress.Func
-	// BenchCache, when non-nil, memoizes benchmark builds per (name, shrink).
-	BenchCache *suite.Cache
-	// RewriteCache, when non-nil, memoizes rewrite stages across the sweep —
-	// the axis product makes this the difference between O(points) and
-	// O(distinct rewrites) graph work.
-	RewriteCache *RewriteCache
-	// Scratch, when non-nil, supplies reusable compile scratch state.
-	Scratch *compile.ScratchPool
 	// Verify statically verifies every compiled program, including
-	// static-vs-allocator write and cost parity under Models[0].
+	// static-vs-allocator write and cost parity under Models[0]; so does
+	// Env.Verify.
 	Verify bool
 }
 
@@ -125,42 +107,35 @@ func (o *ExploreOptions) normalize() error {
 		}
 		names[m.Name] = true
 	}
-	if o.Sched == nil && o.Workers < 1 {
-		return fmt.Errorf("core: explore Workers must be ≥ 1, got %d", o.Workers)
-	}
 	return nil
 }
 
 // Explore sweeps the design space (benchmark × shrink × effort × config ×
-// cost model) as one task graph on the work-stealing scheduler: one
-// generate task per (benchmark, shrink), one rewrite task per distinct
-// (benchmark, shrink, effort, pipeline) — memoized through the rewrite
-// cache when set — and one compile task per (benchmark, shrink, effort,
-// config). Pricing under each model is pure arithmetic on the compiled
-// program, so the model axis multiplies output rows, not graph work.
+// cost model) as one task graph on env.Sched: one generate task per
+// (benchmark, shrink) through env.BenchCache, one rewrite task per
+// distinct (benchmark, shrink, effort, pipeline) — memoized through
+// env.RewriteCache when set, which the axis product makes the difference
+// between O(points) and O(distinct rewrites) graph work — and one compile
+// task per (benchmark, shrink, effort, config), compiled under Models[0]
+// in place of env.CostModel. Pricing under each model is pure arithmetic
+// on the compiled program, so the model axis multiplies output rows, not
+// graph work.
 //
 // The result is deterministic: points appear in input axis order and every
 // priced quantity derives from exact integer operation counts, so repeated
 // sweeps — cold or through either cache tier — are byte-identical when
 // rendered. On cancellation the error is ctx.Err() and unstarted tasks
 // never run.
-func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
+func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pool := opts.Sched
-	if pool == nil {
-		pool = sched.New(opts.Workers)
-		defer pool.Stop()
-	}
-	var deadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	g := pool.NewGraph(ctx, sched.GraphOptions{Deadline: deadline, Progress: opts.Progress})
+	env.CostModel = opts.Models[0]
+	env.Verify = env.Verify || opts.Verify
+	g := env.Sched.NewGraph(ctx, sched.GraphOptions{})
 
 	nb, ns, ne := len(opts.Benchmarks), len(opts.Shrinks), len(opts.Efforts)
 	type cell struct {
@@ -179,7 +154,7 @@ func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 				label = fmt.Sprintf("%s/s%d", name, shrink)
 			}
 			gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
-				m, err := opts.BenchCache.BuildScaledContext(ctx, name, shrink)
+				m, err := env.BenchCache.BuildScaledContext(ctx, name, shrink)
 				if err != nil {
 					genErrs[gi] = fmt.Errorf("core: explore %s (shrink %d): %w", name, shrink, err)
 					return
@@ -188,14 +163,7 @@ func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 			}, nil)
 			for ei, effort := range opts.Efforts {
 				reports := make([]*Report, len(opts.Configs))
-				_, finish := StagedGraph(g, gen, func() *mig.MIG { return migs[gi] }, opts.Configs, StagedOptions{
-					Effort:    effort,
-					Cache:     opts.RewriteCache,
-					Scratch:   opts.Scratch,
-					Progress:  opts.Progress,
-					Verify:    opts.Verify,
-					CostModel: opts.Models[0],
-				}, reports)
+				_, finish := StagedGraph(g, env, effort, gen, func() *mig.MIG { return migs[gi] }, opts.Configs, reports)
 				cells[gi*ne+ei] = cell{reports: reports, finish: finish}
 			}
 		}

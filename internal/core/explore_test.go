@@ -19,7 +19,6 @@ func quickExplore() ExploreOptions {
 		Efforts:    []int{0, 2},
 		Shrinks:    []int{4},
 		Models:     []*cost.Model{cost.Default(), fast},
-		Workers:    2,
 		Verify:     true,
 	}
 }
@@ -40,18 +39,17 @@ func TestExploreDeterministic(t *testing.T) {
 		return csv.String(), js.String()
 	}
 
-	cold, err := Explore(ctx, quickExplore())
+	cold, err := Explore(ctx, testEnv(t, 2), quickExplore())
 	if err != nil {
 		t.Fatal(err)
 	}
 	csvCold, jsonCold := render(cold)
 
-	warm := quickExplore()
-	warm.Workers = 4
+	warm := testEnv(t, 4)
 	warm.BenchCache = suite.NewCache()
 	warm.RewriteCache = NewRewriteCache()
 	for i := 0; i < 2; i++ {
-		r, err := Explore(ctx, warm)
+		r, err := Explore(ctx, warm, quickExplore())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +71,7 @@ func TestExploreDeterministic(t *testing.T) {
 // is excluded from the front, and WriteCSV(frontOnly) emits exactly the
 // front rows.
 func TestExplorePareto(t *testing.T) {
-	res, err := Explore(context.Background(), quickExplore())
+	res, err := Explore(context.Background(), testEnv(t, 2), quickExplore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,31 +132,27 @@ func TestExplorePareto(t *testing.T) {
 // TestExploreValidation rejects malformed sweeps up front.
 func TestExploreValidation(t *testing.T) {
 	ctx := context.Background()
+	env := testEnv(t, 2)
 	base := func() ExploreOptions { return quickExplore() }
 
 	bad := base()
 	bad.Shrinks = []int{0}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, env, bad); err == nil {
 		t.Fatal("shrink 0 accepted")
 	}
 	bad = base()
 	bad.Efforts = []int{-1}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, env, bad); err == nil {
 		t.Fatal("negative effort accepted")
 	}
 	bad = base()
 	bad.Models = []*cost.Model{cost.Default(), cost.Default()}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, env, bad); err == nil {
 		t.Fatal("duplicate model names accepted")
 	}
 	bad = base()
-	bad.Workers = 0
-	if _, err := Explore(ctx, bad); err == nil {
-		t.Fatal("zero workers without a scheduler accepted")
-	}
-	bad = base()
 	bad.Benchmarks = []string{"nope"}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, env, bad); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

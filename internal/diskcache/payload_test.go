@@ -52,7 +52,7 @@ func TestSuitePayloadsRoundTrip(t *testing.T) {
 			}
 			same(name, m, got)
 			for _, kind := range []core.RewriteKind{core.RewriteAlgorithm1, core.RewriteAlgorithm2} {
-				rw, st, err := core.Rewrite(context.Background(), m, kind, core.DefaultEffort, nil, "")
+				rw, st, err := core.Rewrite(context.Background(), m, kind, core.DefaultEffort, "")
 				if err != nil {
 					t.Fatal(err)
 				}

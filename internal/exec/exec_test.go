@@ -22,7 +22,7 @@ func compileAll(t *testing.T, name string, shrink int) (*mig.MIG, map[string]*is
 	}
 	progs := make(map[string]*isa.Program)
 	for _, cfg := range core.TableIConfigs() {
-		rep, err := core.Run(context.Background(), m, cfg, 2, nil)
+		rep, err := core.Run(context.Background(), m, cfg, 2)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, cfg.Name, err)
 		}
@@ -317,7 +317,7 @@ func BenchmarkExec64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := core.Run(context.Background(), m, core.Naive, 0, nil)
+	rep, err := core.Run(context.Background(), m, core.Naive, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

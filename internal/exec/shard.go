@@ -3,9 +3,7 @@ package exec
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
-	"plim/internal/progress"
 	"plim/internal/sched"
 )
 
@@ -16,14 +14,14 @@ import (
 // output words, per-range switch partials are summed at the join in range
 // order (integer sums are associative, so the total equals one sequential
 // pass), write counts are data-independent, and an endurance fault is
-// detected identically by every range. Deadline orders the graph's tasks
-// in the scheduler's injector; obs, when non-nil, receives the graph's
-// task start/done events.
+// detected identically by every range. ctx's deadline orders the graph's
+// tasks in the scheduler's injector, and its progress observer, if any,
+// receives the graph's task start/done events.
 //
 // Small batches (or single-worker pools) fall back to RunContext.
 // opts.OnChunk runs on worker goroutines — concurrently, with monotone
 // done counts delivered exactly once each, but in no particular order.
-func (pl *Plan) RunSharded(ctx context.Context, b *Batch, opts Options, pool *sched.Pool, deadline time.Time, obs progress.Func) (*Result, error) {
+func (pl *Plan) RunSharded(ctx context.Context, b *Batch, opts Options, pool *sched.Pool) (*Result, error) {
 	chunks := b.Chunks()
 	shards := pool.Workers()
 	if shards > chunks {
@@ -43,7 +41,7 @@ func (pl *Plan) RunSharded(ctx context.Context, b *Batch, opts Options, pool *sc
 	if opts.OnChunk != nil {
 		onChunk = func(int) { opts.OnChunk(int(done.Add(1)), chunks) }
 	}
-	g := pool.NewGraph(ctx, sched.GraphOptions{Deadline: deadline, Progress: obs})
+	g := pool.NewGraph(ctx, sched.GraphOptions{})
 	per := (chunks + shards - 1) / shards
 	for s := 0; s < shards; s++ {
 		lo, hi := s*per, min((s+1)*per, chunks)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"plim/internal/rram"
 	"plim/internal/sched"
@@ -31,7 +30,7 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 			}
 			for _, workers := range []int{2, 3, 8} {
 				pool := sched.New(workers)
-				got, err := pl.RunSharded(context.Background(), b, Options{}, pool, time.Time{}, nil)
+				got, err := pl.RunSharded(context.Background(), b, Options{}, pool)
 				pool.Stop()
 				if err != nil {
 					t.Fatalf("%s/%d/w%d: %v", name, vectors, workers, err)
@@ -70,7 +69,7 @@ func TestRunShardedFaultMatchesSequential(t *testing.T) {
 	}
 	pool := sched.New(4)
 	defer pool.Stop()
-	got, gerr := pl.RunSharded(context.Background(), b, opts, pool, time.Time{}, nil)
+	got, gerr := pl.RunSharded(context.Background(), b, opts, pool)
 	if gerr == nil {
 		t.Fatal("sharded run did not fault")
 	}
@@ -111,7 +110,7 @@ func TestRunShardedOnChunk(t *testing.T) {
 			}
 			seen[done]++
 		},
-	}, pool, time.Time{}, nil)
+	}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestRunShardedCancellation(t *testing.T) {
 	defer pool.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pl.RunSharded(ctx, b, Options{}, pool, time.Time{}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := pl.RunSharded(ctx, b, Options{}, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -1,8 +1,10 @@
 // Package progress defines the typed progress events emitted by the
-// long-running parts of the flow — MIG rewriting and benchmark-suite runs —
-// and the callback type that receives them. The public facade re-exports
-// the event types (plim.Event*, plim.WithProgress); internal packages emit
-// them through a Func threaded down from the caller.
+// long-running parts of the flow — scheduler tasks, MIG rewriting,
+// compilation, benchmark-suite runs and batched execution — and the
+// callback type that receives them. The public facade re-exports the event
+// types (plim.Event*, plim.WithProgress). The observer rides the context:
+// the caller installs it with NewContext, and every emitter below reads it
+// with FromContext where it emits.
 package progress
 
 import (

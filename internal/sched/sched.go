@@ -137,14 +137,11 @@ type Graph struct {
 // GraphOptions configures a graph.
 type GraphOptions struct {
 	// Deadline orders this graph's tasks in the injector: earlier deadlines
-	// are picked up first. The zero time means "no deadline" (lowest
+	// are picked up first. The zero time falls back to the graph context's
+	// deadline; without either the graph has "no deadline" (lowest
 	// priority, FIFO among themselves). The deadline does NOT cancel the
 	// graph — pass a deadline context for that.
 	Deadline time.Time
-	// Progress, when non-nil, receives a TaskStart/TaskDone event pair
-	// around every executed task (skipped tasks emit nothing). It may be
-	// invoked concurrently from workers.
-	Progress progress.Func
 }
 
 // worker is one scheduler worker's state.
@@ -219,16 +216,22 @@ func (p *Pool) Stop() {
 
 // NewGraph starts an empty task graph on the pool. The context governs
 // cancellation of every task in the graph; Wait returns its error once the
-// graph has drained.
+// graph has drained. The progress observer carried by the context, if
+// any, receives a TaskStart/TaskDone event pair around every executed task
+// (skipped tasks emit nothing); it may be invoked concurrently from
+// workers.
 func (p *Pool) NewGraph(ctx context.Context, opts GraphOptions) *Graph {
 	p.start()
 	g := &Graph{
 		p:        p,
 		ctx:      ctx,
 		deadline: noDeadline,
-		obs:      opts.Progress,
+		obs:      progress.FromContext(ctx),
 		pending:  1, // builder hold, released by Wait
 		doneCh:   make(chan struct{}),
+	}
+	if opts.Deadline.IsZero() {
+		opts.Deadline, _ = ctx.Deadline()
 	}
 	if !opts.Deadline.IsZero() {
 		g.deadline = opts.Deadline.UnixNano()

@@ -154,7 +154,11 @@ func TestStealsOccur(t *testing.T) {
 	p := New(4)
 	defer p.Stop()
 	g := p.NewGraph(context.Background(), GraphOptions{})
-	root := g.Task(KindGenerate, "root", func(context.Context) {})
+	// The root waits until the whole fan-out hangs off it: a root that
+	// finished earlier would send the remaining tasks through the injector,
+	// where idle workers take them without stealing.
+	attached := make(chan struct{})
+	root := g.Task(KindGenerate, "root", func(context.Context) { <-attached })
 	var n atomic.Int64
 	for i := 0; i < 64; i++ {
 		g.Task(KindCompile, "fan", func(context.Context) {
@@ -162,6 +166,7 @@ func TestStealsOccur(t *testing.T) {
 			n.Add(1)
 		}, root)
 	}
+	close(attached)
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestTaskEvents(t *testing.T) {
 			evs = append(evs, "done:"+e.Kind+":"+e.Label)
 		}
 	}
-	g := p.NewGraph(context.Background(), GraphOptions{Progress: obs})
+	g := p.NewGraph(progress.NewContext(context.Background(), obs), GraphOptions{})
 	r := g.Task(KindRewrite, "alg1", func(context.Context) {})
 	g.Task(KindCompile, "full", func(context.Context) {}, r)
 	if err := g.Wait(); err != nil {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"plim"
+	"plim/internal/core"
 	"plim/internal/trace"
 	"plim/internal/verify"
 )
@@ -270,41 +271,11 @@ func (s *Server) sourceMIG(req computeRequest) (key string, shrink int, load fun
 	return "", 0, nil, badRequest{"need benchmark or netlist"}
 }
 
-// parseConfig resolves a configuration name with optional "+capN" suffix
-// plus an explicit cap override.
+// parseConfig is core.ParseConfig with its error as a bad request.
 func parseConfig(name string, cap uint64) (plim.Config, error) {
-	if name == "" {
-		name = "full"
-	}
-	base, capSuffix, hasSuffix := strings.Cut(name, "+cap")
-	if hasSuffix {
-		w, err := strconv.ParseUint(capSuffix, 10, 64)
-		if err != nil || w == 0 {
-			return plim.Config{}, badRequest{fmt.Sprintf("bad cap suffix in config %q", name)}
-		}
-		if cap != 0 && cap != w {
-			return plim.Config{}, badRequest{fmt.Sprintf("config %q and cap %d disagree", name, cap)}
-		}
-		cap = w
-	}
-	var cfg plim.Config
-	switch base {
-	case "naive":
-		cfg = plim.Naive
-	case "compiler21":
-		cfg = plim.Compiler21
-	case "minwrite":
-		cfg = plim.MinWrite
-	case "rewriting":
-		cfg = plim.Rewriting
-	case "full":
-		cfg = plim.Full
-	default:
-		return plim.Config{}, badRequest{fmt.Sprintf("unknown config %q", name)}
-	}
-	if cap > 0 {
-		cfg.MaxWrites = cap
-		cfg.Name += fmt.Sprintf("+cap%d", cap)
+	cfg, err := core.ParseConfig(name, cap)
+	if err != nil {
+		return cfg, badRequest{err.Error()}
 	}
 	return cfg, nil
 }

@@ -12,6 +12,7 @@ import (
 	"plim/internal/core"
 	"plim/internal/cost"
 	"plim/internal/progress"
+	"plim/internal/sched"
 	"plim/internal/suite"
 )
 
@@ -22,12 +23,19 @@ func quickOpts() Options {
 		Benchmarks: []string{"ctrl", "int2float", "dec", "router"},
 		Effort:     2,
 		Shrink:     4,
-		Workers:    2,
 	}
 }
 
+// testEnv returns an environment on a scheduler of the given number of
+// workers, stopped when the test ends.
+func testEnv(t *testing.T, workers int) core.Env {
+	pool := sched.New(workers)
+	t.Cleanup(pool.Stop)
+	return core.Env{Sched: pool}
+}
+
 func TestRunSuiteShape(t *testing.T) {
-	sr, err := RunSuite(context.Background(), core.TableIConfigs(), quickOpts())
+	sr, err := RunSuite(context.Background(), testEnv(t, 2), core.TableIConfigs(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +60,17 @@ func TestRunSuiteShape(t *testing.T) {
 func TestRunSuiteRejectsUnknownBenchmark(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"nope"}
-	if _, err := RunSuite(context.Background(), core.TableIConfigs(), opts); err == nil {
+	if _, err := RunSuite(context.Background(), testEnv(t, 2), core.TableIConfigs(), opts); err == nil {
 		t.Fatal("want error for unknown benchmark")
 	}
 }
 
 func TestRunSuiteIsDeterministicAcrossWorkers(t *testing.T) {
-	optsA := quickOpts()
-	optsA.Workers = 1
-	a, err := RunSuite(context.Background(), core.TableIConfigs(), optsA)
+	a, err := RunSuite(context.Background(), testEnv(t, 1), core.TableIConfigs(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsB := quickOpts()
-	optsB.Workers = 4
-	b, err := RunSuite(context.Background(), core.TableIConfigs(), optsB)
+	b, err := RunSuite(context.Background(), testEnv(t, 4), core.TableIConfigs(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,7 @@ func TestRunSuiteIsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestTableI(t *testing.T) {
-	sr, err := RunSuite(context.Background(), core.TableIConfigs(), quickOpts())
+	sr, err := RunSuite(context.Background(), testEnv(t, 2), core.TableIConfigs(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestTableI(t *testing.T) {
 }
 
 func TestTableIRequiresNaive(t *testing.T) {
-	sr, err := RunSuite(context.Background(), []core.Config{core.Full}, quickOpts())
+	sr, err := RunSuite(context.Background(), testEnv(t, 2), []core.Config{core.Full}, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestTableIRequiresNaive(t *testing.T) {
 }
 
 func TestTableII(t *testing.T) {
-	sr, err := RunSuite(context.Background(), core.TableIConfigs(), quickOpts())
+	sr, err := RunSuite(context.Background(), testEnv(t, 2), core.TableIConfigs(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestTableII(t *testing.T) {
 
 func TestTableIII(t *testing.T) {
 	cfgs := []core.Config{core.FullCap(10), core.FullCap(20), core.FullCap(50), core.FullCap(100)}
-	sr, err := RunSuite(context.Background(), cfgs, quickOpts())
+	sr, err := RunSuite(context.Background(), testEnv(t, 2), cfgs, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +205,7 @@ func TestTableIII(t *testing.T) {
 	}
 
 	// Uncapped configurations are rejected.
-	srBad, err := RunSuite(context.Background(), []core.Config{core.Full}, quickOpts())
+	srBad, err := RunSuite(context.Background(), testEnv(t, 2), []core.Config{core.Full}, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +226,7 @@ func TestAblationConfigs(t *testing.T) {
 		}
 		names[c.Name] = true
 	}
-	sr, err := RunSuite(context.Background(), cfgs, Options{Benchmarks: []string{"ctrl"}, Effort: 1, Shrink: 4, Workers: 2})
+	sr, err := RunSuite(context.Background(), testEnv(t, 2), cfgs, Options{Benchmarks: []string{"ctrl"}, Effort: 1, Shrink: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +247,11 @@ func TestGridRendersEmptyTitle(t *testing.T) {
 
 func TestRunSuiteValidatesOptions(t *testing.T) {
 	cases := map[string]Options{
-		"zero workers":    {Benchmarks: []string{"ctrl"}, Effort: 1, Shrink: 4},
-		"zero shrink":     {Benchmarks: []string{"ctrl"}, Effort: 1, Workers: 1},
-		"negative effort": {Benchmarks: []string{"ctrl"}, Effort: -1, Shrink: 4, Workers: 1},
+		"zero shrink":     {Benchmarks: []string{"ctrl"}, Effort: 1},
+		"negative effort": {Benchmarks: []string{"ctrl"}, Effort: -1, Shrink: 4},
 	}
 	for name, opts := range cases {
-		if _, err := RunSuite(context.Background(), core.TableIConfigs(), opts); err == nil {
+		if _, err := RunSuite(context.Background(), testEnv(t, 2), core.TableIConfigs(), opts); err == nil {
 			t.Errorf("%s: options accepted", name)
 		}
 	}
@@ -260,7 +263,7 @@ func TestRunSuiteValidatesOptions(t *testing.T) {
 func TestRunSuiteJoinsAllErrors(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"bogus1", "ctrl", "bogus2"}
-	_, err := RunSuite(context.Background(), core.TableIConfigs(), opts)
+	_, err := RunSuite(context.Background(), testEnv(t, 2), core.TableIConfigs(), opts)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -276,7 +279,7 @@ func TestRunSuiteJoinsAllErrors(t *testing.T) {
 func TestRunSuiteCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSuite(ctx, core.TableIConfigs(), quickOpts())
+	_, err := RunSuite(ctx, testEnv(t, 2), core.TableIConfigs(), quickOpts())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -308,7 +311,7 @@ func referenceSuite(t *testing.T, cfgs []core.Config, opts Options) *SuiteResult
 		sr.Benchmarks[i] = info
 		reps := make([]*core.Report, len(cfgs))
 		for c, cfg := range cfgs {
-			if reps[c], err = core.Run(context.Background(), m, cfg, opts.Effort, nil); err != nil {
+			if reps[c], err = core.Run(context.Background(), m, cfg, opts.Effort); err != nil {
 				t.Fatalf("%s/%s: %v", name, cfg.Name, err)
 			}
 		}
@@ -328,16 +331,16 @@ func TestStagedSuiteParity(t *testing.T) {
 	for name, cfgs := range cases {
 		opts := quickOpts()
 		want := referenceSuite(t, cfgs, opts)
-		opts.Workers = 4
-		opts.BenchCache = suite.NewCache()
-		opts.RewriteCache = core.NewRewriteCache()
-		got, err := RunSuite(context.Background(), cfgs, opts)
+		env := testEnv(t, 4)
+		env.BenchCache = suite.NewCache()
+		env.RewriteCache = core.NewRewriteCache()
+		got, err := RunSuite(context.Background(), env, cfgs, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		// Run the staged path twice: the second pass is served from warm
 		// caches and must still match.
-		again, err := RunSuite(context.Background(), cfgs, opts)
+		again, err := RunSuite(context.Background(), env, cfgs, opts)
 		if err != nil {
 			t.Fatalf("%s (warm): %v", name, err)
 		}
@@ -390,10 +393,9 @@ func TestStagedSuiteParity(t *testing.T) {
 // pipeline exactly once per benchmark — two rewrites, not four.
 func TestRunSuitePipelineOncePerBenchmark(t *testing.T) {
 	opts := quickOpts()
-	opts.Workers = 1
 	var mu sync.Mutex
 	starts := map[string]map[string]int{} // function -> pipeline -> count
-	opts.Progress = func(ev progress.Event) {
+	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
 		c, ok := ev.(progress.RewriteCycle)
 		if !ok || c.Cycle != 1 {
 			return
@@ -404,8 +406,8 @@ func TestRunSuitePipelineOncePerBenchmark(t *testing.T) {
 			starts[c.Function] = map[string]int{}
 		}
 		starts[c.Function][c.Config]++
-	}
-	if _, err := RunSuite(context.Background(), core.TableIConfigs(), opts); err != nil {
+	})
+	if _, err := RunSuite(ctx, testEnv(t, 1), core.TableIConfigs(), opts); err != nil {
 		t.Fatal(err)
 	}
 	for _, bench := range opts.Benchmarks {
@@ -421,10 +423,9 @@ func TestRunSuitePipelineOncePerBenchmark(t *testing.T) {
 // populated on success.
 func TestRunSuiteEmitsCompileEvents(t *testing.T) {
 	opts := quickOpts()
-	opts.Workers = 1
 	var mu sync.Mutex
 	startN, doneN := 0, 0
-	opts.Progress = func(ev progress.Event) {
+	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch ev := ev.(type) {
@@ -436,8 +437,8 @@ func TestRunSuiteEmitsCompileEvents(t *testing.T) {
 				t.Errorf("compile done for %s/%s incomplete: %+v", ev.Function, ev.Config, ev)
 			}
 		}
-	}
-	if _, err := RunSuite(context.Background(), core.TableIConfigs(), opts); err != nil {
+	})
+	if _, err := RunSuite(ctx, testEnv(t, 1), core.TableIConfigs(), opts); err != nil {
 		t.Fatal(err)
 	}
 	want := len(opts.Benchmarks) * 5
@@ -449,13 +450,14 @@ func TestRunSuiteEmitsCompileEvents(t *testing.T) {
 // TestTableCost pins the suite's cost columns: a priced run renders
 // energy/latency/lifetime per configuration, the CSV is byte-identical
 // across a cold and a cache-warm repeat, and an unpriced run is rejected
-// with a pointer at Options.CostModel.
+// with a pointer at Env.CostModel.
 func TestTableCost(t *testing.T) {
 	opts := quickOpts()
-	opts.BenchCache = suite.NewCache()
-	opts.RewriteCache = core.NewRewriteCache()
-	opts.CostModel = cost.Default()
-	sr, err := RunSuite(context.Background(), core.TableIConfigs(), opts)
+	env := testEnv(t, 2)
+	env.BenchCache = suite.NewCache()
+	env.RewriteCache = core.NewRewriteCache()
+	env.CostModel = cost.Default()
+	sr, err := RunSuite(context.Background(), env, core.TableIConfigs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +488,7 @@ func TestTableCost(t *testing.T) {
 	}
 
 	// Warm repeat through both in-memory caches: byte-identical CSV.
-	again, err := RunSuite(context.Background(), core.TableIConfigs(), opts)
+	again, err := RunSuite(context.Background(), env, core.TableIConfigs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,8 +501,7 @@ func TestTableCost(t *testing.T) {
 	}
 
 	// Unpriced runs cannot render a cost table.
-	unpriced := quickOpts()
-	srBad, err := RunSuite(context.Background(), core.TableIConfigs(), unpriced)
+	srBad, err := RunSuite(context.Background(), testEnv(t, 2), core.TableIConfigs(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

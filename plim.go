@@ -16,8 +16,8 @@
 //	out, xbar, _ := plim.Execute(rep.Result.Program, inputs)  // run on the crossbar
 //
 // Engine methods accept a context.Context for cancellation and report
-// progress through typed events (WithProgress). The legacy free functions
-// Run and RunSuite remain as deprecated wrappers over a default engine.
+// progress through typed events, to an engine-wide callback
+// (WithProgress) and to per-call observers (ContextWithProgress).
 //
 // The paper's tables are regenerated by plim.TableI/TableII/TableIII (see
 // also cmd/plimtab), and the underlying subsystems — MIG construction and
@@ -89,9 +89,6 @@ type (
 	BenchmarkInfo = suite.Info
 	// SuiteResult is a benchmark × configuration report matrix.
 	SuiteResult = tables.SuiteResult
-	// SuiteOptions configures a suite run (used by the deprecated RunSuite;
-	// Engine.RunSuite derives it from the engine options).
-	SuiteOptions = tables.Options
 	// EquivalenceResult reports a simulation-based equivalence check.
 	EquivalenceResult = mig.EquivalenceResult
 	// Grid is a rendered table (text, Markdown, CSV).
@@ -105,9 +102,8 @@ type (
 	// TableCostData is the cost-model projection of a priced suite run
 	// (energy/latency/lifetime per configuration; not in the paper).
 	TableCostData = tables.TableCostData
-	// ExploreOptions configures a design-space sweep (Engine.Explore).
-	// The engine fills the plumbing fields (workers, scheduler, caches,
-	// progress); callers set the sweep axes and Verify.
+	// ExploreOptions configures a design-space sweep (Engine.Explore): its
+	// axes and Verify. The sweep runs on the engine's scheduler and caches.
 	ExploreOptions = core.ExploreOptions
 	// ExploreResult is a completed sweep with its Pareto fronts marked.
 	ExploreResult = core.ExploreResult

@@ -1,6 +1,7 @@
 package plim
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestQuickstartFlow(t *testing.T) {
 	m.AddPO(m.Maj(a, b.Not(), c), "f")
 	m.AddPO(m.And(a, b), "g")
 
-	rep, err := Run(m, Full, DefaultEffort)
+	rep, err := NewEngine().Run(context.Background(), m, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestBuilderFacade(t *testing.T) {
 	sum, _ := b.Add(x, one, Const0)
 	b.Output("y", sum)
 
-	rep, err := Run(b.M, MinWrite, 2)
+	rep, err := NewEngine(WithEffort(2)).Run(context.Background(), b.M, MinWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestEnduranceFailureFacade(t *testing.T) {
 		x = m.And(x, a.NotIf(i%2 == 0))
 	}
 	m.AddPO(x, "f")
-	rep, err := Run(m, Naive, 0)
+	rep, err := NewEngine(WithEffort(0)).Run(context.Background(), m, Naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,8 @@ func TestEnduranceFailureFacade(t *testing.T) {
 }
 
 func TestSuiteFacade(t *testing.T) {
-	sr, err := RunSuite(TableIConfigs(), SuiteOptions{
-		Benchmarks: []string{"ctrl", "int2float"},
-		Effort:     1,
-		Shrink:     4,
-	})
+	eng := NewEngine(WithEffort(1), WithShrink(4))
+	sr, err := eng.RunSuite(context.Background(), TableIConfigs(), "ctrl", "int2float")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +158,7 @@ func TestSuiteFacade(t *testing.T) {
 	if _, err := TableII(sr); err != nil {
 		t.Fatal(err)
 	}
-	capped, err := RunSuite([]Config{FullCap(10), FullCap(20)}, SuiteOptions{
-		Benchmarks: []string{"ctrl"}, Effort: 1, Shrink: 4,
-	})
+	capped, err := eng.RunSuite(context.Background(), []Config{FullCap(10), FullCap(20)}, "ctrl")
 	if err != nil {
 		t.Fatal(err)
 	}
