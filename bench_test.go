@@ -25,12 +25,15 @@ const benchShrink = 2
 // (ctrl), covering the structural extremes of Table I.
 var benchSubset = []string{"div", "i2c", "bar", "ctrl"}
 
-// benchEnv runs the table benchmarks' suites on a GOMAXPROCS-sized pool,
-// without caches.
-func benchEnv(b *testing.B) core.Env {
+// benchEnv returns the environments of the table benchmarks' iterations:
+// one GOMAXPROCS-sized pool for all of them and fresh caches for each, so
+// every iteration runs cold.
+func benchEnv(b *testing.B) func() core.Env {
 	pool := sched.New(runtime.GOMAXPROCS(0))
 	b.Cleanup(pool.Stop)
-	return core.Env{Sched: pool}
+	return func() core.Env {
+		return core.Env{Sched: pool, BenchCache: suite.NewCache(0), RewriteCache: core.NewRewriteCache(0)}
+	}
 }
 
 // BenchmarkTable1 regenerates the paper's Table I (write distribution under
@@ -38,7 +41,7 @@ func benchEnv(b *testing.B) core.Env {
 func BenchmarkTable1(b *testing.B) {
 	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), env, core.TableIConfigs(), tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env(), core.TableIConfigs(), tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
 			Effort: core.DefaultEffort,
 		})
@@ -61,7 +64,7 @@ func BenchmarkTable2(b *testing.B) {
 	cfgs := []core.Config{core.Naive, core.Rewriting, core.Full}
 	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), env, cfgs, tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env(), cfgs, tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
 			Effort: core.DefaultEffort,
 		})
@@ -80,7 +83,7 @@ func BenchmarkTable3(b *testing.B) {
 	cfgs := []core.Config{core.FullCap(10), core.FullCap(20), core.FullCap(50), core.FullCap(100)}
 	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), env, cfgs, tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env(), cfgs, tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
 			Effort: core.DefaultEffort,
 		})
@@ -97,7 +100,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), env, tables.AblationConfigs(), tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env(), tables.AblationConfigs(), tables.Options{
 			Benchmarks: []string{"ctrl", "i2c"}, Shrink: benchShrink,
 			Effort: core.DefaultEffort,
 		})

@@ -58,7 +58,6 @@ func main() {
 
 	engOpts := []plim.Option{
 		plim.WithEffort(*effort),
-		plim.WithShrink(*shrink),
 		plim.WithPersistentCache(*cacheDir),
 		plim.WithVerify(*doVerify),
 	}
@@ -73,7 +72,7 @@ func main() {
 	var err error
 	switch {
 	case *benchName != "":
-		m, err = eng.Benchmark(*benchName)
+		m, err = eng.Benchmark(ctx, *benchName, *shrink)
 	case *inFile != "":
 		var f *os.File
 		if f, err = os.Open(*inFile); err == nil {

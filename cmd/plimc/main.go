@@ -66,7 +66,6 @@ func main() {
 
 	engOpts := []plim.Option{
 		plim.WithEffort(*effort),
-		plim.WithShrink(*shrink),
 		plim.WithPersistentCache(*cacheDir),
 		plim.WithTrace(*tracePath != ""),
 	}
@@ -77,7 +76,7 @@ func main() {
 	}
 	eng := plim.NewEngine(engOpts...)
 
-	m, err := loadMIG(eng, *benchName, *inFile)
+	m, err := loadMIG(ctx, eng, *benchName, *shrink, *inFile)
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -127,12 +126,12 @@ func printCacheSummary(eng *plim.Engine) {
 	}
 }
 
-func loadMIG(eng *plim.Engine, bench, file string) (*plim.MIG, error) {
+func loadMIG(ctx context.Context, eng *plim.Engine, bench string, shrink int, file string) (*plim.MIG, error) {
 	switch {
 	case bench != "" && file != "":
 		return nil, fmt.Errorf("plimc: use either -bench or -in, not both")
 	case bench != "":
-		return eng.Benchmark(bench)
+		return eng.Benchmark(ctx, bench, shrink)
 	case file != "":
 		f, err := os.Open(file)
 		if err != nil {

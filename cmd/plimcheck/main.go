@@ -139,13 +139,12 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 	}
 	eng := plim.NewEngine(
 		plim.WithEffort(effort),
-		plim.WithShrink(shrink),
 		plim.WithPersistentCache(cacheDir),
 		plim.WithVerify(true),
 		plim.WithCostModel(cm),
 		plim.WithTrace(tracePath != ""),
 	)
-	m, err := eng.Benchmark(bench)
+	m, err := eng.Benchmark(ctx, bench, shrink)
 	if err != nil {
 		return nil, err
 	}

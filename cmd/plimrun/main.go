@@ -199,8 +199,8 @@ func loadReference(ref string, shrink int, cacheDir string) (*plim.MIG, error) {
 	if _, ok := plim.LookupBenchmark(ref); !ok {
 		return nil, fmt.Errorf("plimrun: -verify %q is neither a readable file nor a benchmark name", ref)
 	}
-	eng := plim.NewEngine(plim.WithShrink(shrink), plim.WithPersistentCache(cacheDir))
-	return eng.Benchmark(ref)
+	eng := plim.NewEngine(plim.WithPersistentCache(cacheDir))
+	return eng.Benchmark(context.Background(), ref, shrink)
 }
 
 func loadProgram(path string) (*plim.Program, error) {

@@ -32,7 +32,7 @@ func TestCostParity(t *testing.T) {
 	if eng.CostModelName() != cm.Name {
 		t.Fatalf("engine cost model %q, want the default %q", eng.CostModelName(), cm.Name)
 	}
-	m, err := eng.Benchmark("ctrl")
+	m, err := eng.Benchmark(ctx, "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestCostParityAcrossModels(t *testing.T) {
 
 	def := NewEngine(WithShrink(4), WithVerify(true))
 	hot := NewEngine(WithShrink(4), WithVerify(true), WithCostModel(custom))
-	mDef, err := def.Benchmark("ctrl")
+	mDef, err := def.Benchmark(ctx, "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mHot, err := hot.Benchmark("ctrl")
+	mHot, err := hot.Benchmark(ctx, "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"plim/internal/compile"
 	"plim/internal/core"
 	"plim/internal/cost"
 	"plim/internal/diskcache"
@@ -40,7 +39,6 @@ type Engine struct {
 	effort      int
 	workers     int
 	shrink      int
-	cache       bool
 	cacheBudget int
 	verify      bool
 	persistDir  string
@@ -49,12 +47,11 @@ type Engine struct {
 	mu          sync.Mutex // serializes progress delivery
 	err         error      // first invalid option; surfaced by every method
 
-	// Populated at construction when cache is true: benchCache memoizes
-	// benchmark generator output, rwCache memoizes rewrite stages by
-	// (function fingerprint, pipeline, effort). Both are byte-budgeted at
-	// cacheBudget estimated bytes each (least-recently-used entries are
-	// evicted), so a long-lived engine fed a stream of distinct functions
-	// stays bounded.
+	// benchCache memoizes benchmark generator output, rwCache memoizes
+	// rewrite stages by (function fingerprint, pipeline, effort). Both are
+	// byte-budgeted at cacheBudget estimated bytes each (least-recently-used
+	// entries are evicted), so a long-lived engine fed a stream of distinct
+	// functions stays bounded.
 	benchCache *suite.Cache
 	rwCache    *core.RewriteCache
 
@@ -65,10 +62,6 @@ type Engine struct {
 	// disk is the persistent second tier below both caches, opened at
 	// construction when WithPersistentCache names a directory.
 	disk *diskcache.Cache
-
-	// scratch recycles compile-stage state (per-node tables, candidate
-	// heap, device allocator) across every compilation the engine runs.
-	scratch *compile.ScratchPool
 
 	// traceOn arms span recording (WithTrace): every engine call then
 	// records scheduler-task, cache-probe and exec-chunk spans into the
@@ -99,33 +92,25 @@ const DefaultCacheBudget = 256 << 20
 type Option func(*Engine)
 
 // NewEngine returns an Engine with the paper's defaults — effort
-// DefaultEffort (5), workers GOMAXPROCS, shrink 1 (paper scale), caching
-// on, no progress reporting — overridden by the given options. An invalid
-// option does not panic; it is reported by the first Engine method call.
+// DefaultEffort (5), workers GOMAXPROCS, shrink 1 (paper scale), cache
+// budget DefaultCacheBudget, no progress reporting — overridden by the
+// given options. An invalid option does not panic; it is reported by the
+// first Engine method call.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		effort:      DefaultEffort,
 		workers:     runtime.GOMAXPROCS(0),
 		shrink:      1,
-		cache:       true,
 		cacheBudget: DefaultCacheBudget,
 		costModel:   cost.Default(),
-		scratch:     compile.NewScratchPool(),
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.persistDir != "" {
-		// The disk tier sits below the in-memory caches, so persistence
-		// implies caching even under WithCache(false).
-		e.cache = true
-	}
-	if e.cache {
-		e.benchCache = suite.NewCacheWithBudget(e.cacheBudget)
-		e.rwCache = core.NewRewriteCacheWithBudget(e.cacheBudget)
-		e.execPlans = memo.New(e.cacheBudget, (*exec.Plan).MemSize, "plan-probe",
-			func(fp uint64) (string, string) { return "fp", fmt.Sprintf("%016x", fp) })
-	}
+	e.benchCache = suite.NewCache(e.cacheBudget)
+	e.rwCache = core.NewRewriteCache(e.cacheBudget)
+	e.execPlans = memo.New(e.cacheBudget, (*exec.Plan).MemSize, "plan-probe",
+		func(fp uint64) (string, string) { return "fp", fmt.Sprintf("%016x", fp) })
 	if e.persistDir != "" && e.err == nil {
 		d, err := diskcache.Open(e.persistDir)
 		if err != nil {
@@ -171,7 +156,8 @@ func WithWorkers(n int) Option {
 }
 
 // WithShrink divides benchmark datapath widths for quick runs; it must be
-// ≥ 1 (1 = paper scale). It affects Engine.Benchmark and Engine.RunSuite.
+// ≥ 1 (1 = paper scale). It affects Engine.RunSuite and the default shrink
+// axis of Engine.Explore.
 func WithShrink(s int) Option {
 	return func(e *Engine) {
 		if s < 1 {
@@ -182,26 +168,19 @@ func WithShrink(s int) Option {
 	}
 }
 
-// WithCache toggles the engine's memoization (default on): a benchmark
-// cache that reuses generator output across runs and a rewrite cache that
-// runs each distinct (function, pipeline, effort) rewrite once — so
-// regenerating Table III after Table I skips every algorithm-2 rewrite.
-// Results are bit-identical either way. Both caches are LRU-bounded (see
-// WithCacheBudget), so even engines fed an unbounded stream of distinct
-// functions stay within budget; WithCache(false) turns memoization off
-// entirely.
-func WithCache(enabled bool) Option {
-	return func(e *Engine) { e.cache = enabled }
-}
-
 // WithCacheBudget bounds each of the engine's in-memory caches (benchmark
 // builds, rewrite results, execution plans) to n estimated bytes; beyond
-// the budget least-recently-used entries are evicted. Cached entries hold
-// whole MIGs of wildly varying size, so the budget is accounted in bytes
-// (mig.MemSize), making it the engine's memory knob for server-style
-// workloads over unbounded streams of distinct functions. n must be ≥ 1;
-// the default is DefaultCacheBudget (256 MiB). To disable memoization
-// entirely use WithCache(false).
+// the budget least-recently-used entries are evicted. The caches reuse
+// generator output across runs and run each distinct (function, pipeline,
+// effort) rewrite once — so regenerating Table III after Table I skips
+// every algorithm-2 rewrite — with results bit-identical to a fresh
+// computation. Cached entries hold whole MIGs of wildly varying size, so
+// the budget is accounted in bytes (mig.MemSize), making it the engine's
+// memory knob for server-style workloads over unbounded streams of
+// distinct functions. n must be ≥ 1; the default is DefaultCacheBudget
+// (256 MiB). A budget smaller than any entry keeps nothing once its
+// computation completes: memoization is then off, except that concurrent
+// callers of one key share its computation.
 func WithCacheBudget(n int) Option {
 	return func(e *Engine) {
 		if n < 1 {
@@ -221,9 +200,9 @@ func WithCacheBudget(n int) Option {
 // truncated or version-mismatched files read as misses), the directory may
 // be shared by concurrent processes, and disk-served results are
 // byte-identical to freshly computed ones. The empty string disables
-// persistence (the default); a non-empty dir implies WithCache(true). The
-// directory is created if needed; a directory that cannot be created is
-// reported by the first Engine method call.
+// persistence (the default). The directory is created if needed; a
+// directory that cannot be created is reported by the first Engine method
+// call.
 func WithPersistentCache(dir string) Option {
 	return func(e *Engine) { e.persistDir = dir }
 }
@@ -289,10 +268,6 @@ func WithVerify(enabled bool) Option {
 	return func(e *Engine) { e.verify = enabled }
 }
 
-// Verified reports whether the engine statically verifies every compiled
-// program.
-func (e *Engine) Verified() bool { return e.verify }
-
 // WithCostModel sets the instruction cost model that prices everything the
 // engine compiles and executes (default DefaultCostModel). The model is
 // pure accounting: it never influences rewriting, node selection or device
@@ -340,9 +315,6 @@ func WithTrace(enabled bool) Option {
 // trace-event JSON (WriteChrome, loadable in Perfetto or chrome://tracing),
 // a human-readable tree (Render/RenderString) and per-stage totals (Totals).
 type Trace = trace.Trace
-
-// TraceSpan is one span of a Trace.
-type TraceSpan = trace.Span
 
 // TakeTrace returns the spans recorded since the engine was built (or since
 // the previous TakeTrace) and resets the accumulator. It returns nil when
@@ -413,13 +385,12 @@ func (e *Engine) observer(ctx context.Context) progress.Func {
 }
 
 // env is the plumbing every graph an engine call builds runs against: the
-// engine's scheduler, caches, scratch pool, verification and cost model.
+// engine's scheduler, caches, verification and cost model.
 func (e *Engine) env() core.Env {
 	return core.Env{
 		Sched:        e.scheduler(),
 		BenchCache:   e.benchCache,
 		RewriteCache: e.rwCache,
-		Scratch:      e.scratch,
 		Verify:       e.verify,
 		CostModel:    e.costModel,
 	}
@@ -458,14 +429,6 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Shrink reports the engine's benchmark datapath divisor.
 func (e *Engine) Shrink() int { return e.shrink }
-
-// Cached reports whether the engine memoizes benchmark builds and rewrite
-// stages.
-func (e *Engine) Cached() bool { return e.cache }
-
-// CacheBudget reports the byte budget of each of the engine's in-memory
-// caches.
-func (e *Engine) CacheBudget() int { return e.cacheBudget }
 
 // Run rewrites and compiles m under the given configuration. The input MIG
 // is not modified; the rewrite stage is served from the engine's cache
@@ -565,50 +528,27 @@ func (e *Engine) Rewrite(ctx context.Context, m *MIG, kind RewriteKind) (*MIG, R
 	if err != nil {
 		return nil, st, err
 	}
-	if e.rwCache != nil {
-		out = out.Clone() // cache entries are shared; hand out a private copy
-	} else if out == m {
-		// Uncached effort-0 (or RewriteNone on a clean graph) hands the
-		// input straight back; the privacy guarantee still holds.
-		out = out.Clone()
-	}
-	return out, st, nil
+	return out.Clone(), st, nil // cache entries are shared; hand out a private copy
 }
 
-// Benchmark builds one of the paper's benchmarks at the engine's shrink.
-// With caching on, repeated builds of the same benchmark clone one cached
-// graph instead of regenerating it; the result is always private to the
-// caller.
-func (e *Engine) Benchmark(name string) (*MIG, error) {
-	return e.BenchmarkScaled(name, e.shrink)
-}
-
-// BenchmarkScaled builds a benchmark at an explicit shrink, overriding the
-// engine's WithShrink setting for this one build. It shares the engine's
-// benchmark caches (memory and disk), so servers answering requests at
-// mixed shrinks still build each (benchmark, shrink) once. The result is
-// always private to the caller.
-func (e *Engine) BenchmarkScaled(name string, shrink int) (*MIG, error) {
-	return e.BenchmarkScaledContext(context.Background(), name, shrink)
-}
-
-// BenchmarkScaledContext is BenchmarkScaled with a context: when ctx
-// carries a trace (a server flight) or the engine traces (WithTrace), the
-// build records a generate span with the cache probe nested inside, so
-// traced requests account for benchmark generation, not just the compile.
-func (e *Engine) BenchmarkScaledContext(ctx context.Context, name string, shrink int) (*MIG, error) {
+// Benchmark builds one of the paper's benchmarks with datapaths divided by
+// shrink (1 = paper scale). Builds share the engine's benchmark caches
+// (memory and disk), so repeated builds — servers answering requests at
+// mixed shrinks included — generate each (benchmark, shrink) once; the
+// result is always a private clone. When ctx carries a trace (a server
+// flight) or the engine traces (WithTrace), the build records a generate
+// span with the cache probe nested inside, so traced requests account for
+// benchmark generation, not just the compile.
+func (e *Engine) Benchmark(ctx context.Context, name string, shrink int) (*MIG, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
 	if shrink < 1 {
-		return nil, fmt.Errorf("plim: BenchmarkScaled(%q, %d): shrink must be ≥ 1", name, shrink)
+		return nil, fmt.Errorf("plim: Benchmark(%q, %d): shrink must be ≥ 1", name, shrink)
 	}
 	ctx, sp := e.traceSpan(ctx, "generate", name)
 	defer sp.End()
-	if e.benchCache == nil {
-		return suite.BuildScaled(name, shrink)
-	}
-	m, err := e.benchCache.BuildScaledContext(ctx, name, shrink)
+	m, err := e.benchCache.BuildScaled(ctx, name, shrink)
 	if err != nil {
 		return nil, err
 	}
@@ -617,16 +557,10 @@ func (e *Engine) BenchmarkScaledContext(ctx context.Context, name string, shrink
 
 // MemoryCacheLens reports how many entries the engine's in-memory caches
 // currently hold (rewrite results and benchmark builds, including in-flight
-// singleflight computations). Both are 0 with WithCache(false). Servers
-// export these alongside the persistent tier's CacheCounters.
+// singleflight computations). Servers export these alongside the
+// persistent tier's CacheCounters.
 func (e *Engine) MemoryCacheLens() (rewrites, benchmarks int) {
-	if e.rwCache != nil {
-		rewrites = e.rwCache.Len()
-	}
-	if e.benchCache != nil {
-		benchmarks = e.benchCache.Len()
-	}
-	return rewrites, benchmarks
+	return e.rwCache.Len(), e.benchCache.Len()
 }
 
 // MemoryCacheProbes reports the in-memory tiers' probe counters summed over
@@ -640,14 +574,11 @@ func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
 }
 
 // plan returns the bit-sliced execution plan for p, memoized by program
-// fingerprint when caching is on (concurrent calls share one lowering).
-// Plans are immutable and shared; callers must not mutate a Program after
-// executing it through the engine, or a later fingerprint-identical call
-// may be served the stale plan.
+// fingerprint (concurrent calls share one lowering). Plans are immutable
+// and shared; callers must not mutate a Program after executing it through
+// the engine, or a later fingerprint-identical call may be served the
+// stale plan.
 func (e *Engine) plan(ctx context.Context, p *Program) (*exec.Plan, error) {
-	if e.execPlans == nil {
-		return exec.Compile(p)
-	}
 	return e.execPlans.Do(ctx, p.Fingerprint(), func() (*exec.Plan, error) { return exec.Compile(p) })
 }
 

@@ -84,7 +84,7 @@ func TestEngineExecuteBatchCompilesOnePlan(t *testing.T) {
 	// sin's program is large enough that its lowering overlaps all the
 	// callers; a tiny program can finish before the others probe.
 	eng := NewEngine(WithShrink(2), WithEffort(0), WithWorkers(2))
-	m, err := eng.Benchmark("sin")
+	m, err := eng.Benchmark(context.Background(), "sin", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 
 	// Sequential reference results, computed on a private engine.
 	ref := NewEngine(WithEffort(2), WithShrink(8), WithWorkers(1))
-	refMIG, err := ref.Benchmark("ctrl")
+	refMIG, err := ref.Benchmark(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 						defer inFlight.Add(-1)
 						myEvents.Add(1)
 					})
-					m, err := eng.Benchmark("ctrl")
+					m, err := eng.Benchmark(ctx, "ctrl", 8)
 					if err != nil {
 						return err
 					}
@@ -125,7 +125,7 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 // only ever sees its own function's events — the fan-out contract the
 // server's per-request SSE streams rely on.
 func TestContextObserverIsolation(t *testing.T) {
-	eng := NewEngine(WithEffort(2), WithShrink(8), WithWorkers(2), WithCache(false))
+	eng := NewEngine(WithEffort(2), WithShrink(8), WithWorkers(2))
 	names := []string{"ctrl", "router"}
 	var wg sync.WaitGroup
 	errs := make([]error, len(names))
@@ -134,7 +134,7 @@ func TestContextObserverIsolation(t *testing.T) {
 		go func(i int, name string) {
 			defer wg.Done()
 			errs[i] = func() error {
-				m, err := eng.Benchmark(name)
+				m, err := eng.Benchmark(context.Background(), name, 8)
 				if err != nil {
 					return err
 				}
@@ -179,7 +179,7 @@ func TestContextObserverAndEngineObserverBothFire(t *testing.T) {
 	var engineSaw, callSaw []Event
 	eng := NewEngine(WithEffort(1), WithShrink(8), WithWorkers(1),
 		WithProgress(func(ev Event) { engineSaw = append(engineSaw, ev) }))
-	m, err := eng.Benchmark("ctrl")
+	m, err := eng.Benchmark(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

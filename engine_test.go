@@ -9,13 +9,15 @@ import (
 	"time"
 
 	"plim/internal/core"
+	"plim/internal/hdl"
+	"plim/internal/suite"
 )
 
 // engineTestMIG builds a small function with enough structure for every
 // rewriting pass to have something to do.
 func engineTestMIG(t *testing.T) *MIG {
 	t.Helper()
-	b := NewNetlistBuilder("etest")
+	b := hdl.NewNetlist("etest")
 	x := b.Input("x", 6)
 	y := b.Input("y", 6)
 	sum, carry := b.Add(x, y, Const0)
@@ -27,7 +29,7 @@ func engineTestMIG(t *testing.T) *MIG {
 // engineRandomMIG builds structurally distinct small functions (the width
 // varies with the seed, so fingerprints differ).
 func engineRandomMIG(seed int64) *MIG {
-	b := NewNetlistBuilder("etest-rnd")
+	b := hdl.NewNetlist("etest-rnd")
 	w := 3 + int(seed)
 	x := b.Input("x", w)
 	y := b.Input("y", w)
@@ -48,10 +50,10 @@ func TestEngineOptionAccessors(t *testing.T) {
 		t.Fatalf("defaults wrong: effort=%d workers=%d shrink=%d",
 			def.Effort(), def.Workers(), def.Shrink())
 	}
-	if def.CacheBudget() != DefaultCacheBudget {
-		t.Fatalf("default cache budget = %d, want %d", def.CacheBudget(), DefaultCacheBudget)
+	if def.cacheBudget != DefaultCacheBudget {
+		t.Fatalf("default cache budget = %d, want %d", def.cacheBudget, DefaultCacheBudget)
 	}
-	if b := NewEngine(WithCacheBudget(7)).CacheBudget(); b != 7 {
+	if b := NewEngine(WithCacheBudget(7)).cacheBudget; b != 7 {
 		t.Fatalf("WithCacheBudget not applied: %d", b)
 	}
 }
@@ -92,7 +94,7 @@ func TestEngineInvalidOptionsSurface(t *testing.T) {
 		if _, err := eng.RunSuite(ctx, TableIConfigs(), "ctrl"); err == nil {
 			t.Errorf("%s: invalid option not surfaced by RunSuite", name)
 		}
-		if _, err := eng.Benchmark("ctrl"); err == nil {
+		if _, err := eng.Benchmark(ctx, "ctrl", 1); err == nil {
 			t.Errorf("%s: invalid option not surfaced by Benchmark", name)
 		}
 	}
@@ -370,16 +372,14 @@ func TestEngineBenchmarkDoneCarriesElapsed(t *testing.T) {
 // TestWithCacheBenchmarkIsPrivate checks that cached benchmark builds hand
 // out independent clones: mutating one must not leak into the next.
 func TestWithCacheBenchmarkIsPrivate(t *testing.T) {
-	eng := NewEngine(WithShrink(8))
-	if !eng.Cached() {
-		t.Fatal("caching must default to on")
-	}
-	a, err := eng.Benchmark("ctrl")
+	ctx := context.Background()
+	eng := NewEngine()
+	a, err := eng.Benchmark(ctx, "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := a.Fingerprint()
-	b, err := eng.Benchmark("ctrl")
+	b, err := eng.Benchmark(ctx, "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,31 +390,27 @@ func TestWithCacheBenchmarkIsPrivate(t *testing.T) {
 		t.Fatal("cached Benchmark differs from the first build")
 	}
 	a.AddPO(Const1, "junk") // mutate the first copy
-	c, err := eng.Benchmark("ctrl")
+	c, err := eng.Benchmark(ctx, "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Fingerprint() != fp {
 		t.Fatal("mutation of a returned benchmark leaked into the cache")
 	}
-	// The uncached engine still builds identical graphs.
-	off := NewEngine(WithShrink(8), WithCache(false))
-	if off.Cached() {
-		t.Fatal("WithCache(false) ignored")
-	}
-	d, err := off.Benchmark("ctrl")
+	// A fresh uncached build is identical.
+	d, err := suite.BuildScaled("ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Fingerprint() != fp {
-		t.Fatal("uncached Benchmark differs from cached build")
+		t.Fatal("uncached build differs from cached build")
 	}
 }
 
-// TestEngineCachedRunMatchesUncached runs the same function through a
-// cached and an uncached engine; reports must be byte-identical, and the
-// cached engine's second run must skip the rewrite (no cycle events) while
-// still producing the same program.
+// TestEngineCachedRunMatchesUncached runs the same function through an
+// engine and the uncached sequential reference core.Run; reports must be
+// byte-identical, and the engine's second run must skip the rewrite (no
+// cycle events) while still producing the same program.
 func TestEngineCachedRunMatchesUncached(t *testing.T) {
 	ctx := context.Background()
 	cycleEvents := 0
@@ -423,7 +419,6 @@ func TestEngineCachedRunMatchesUncached(t *testing.T) {
 			cycleEvents++
 		}
 	}))
-	uncached := NewEngine(WithEffort(2), WithCache(false))
 
 	first, err := cached.Run(ctx, engineTestMIG(t), Full)
 	if err != nil {
@@ -440,7 +435,7 @@ func TestEngineCachedRunMatchesUncached(t *testing.T) {
 	if cycleEvents != firstCycles {
 		t.Fatal("second cached run re-ran the rewrite")
 	}
-	plain, err := uncached.Run(ctx, engineTestMIG(t), Full)
+	plain, err := core.Run(ctx, engineTestMIG(t), Full, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,11 +525,11 @@ func TestEngineRewriteCacheHitIsPrivate(t *testing.T) {
 	}
 }
 
-// TestEngineRewriteUncachedEffortZeroIsPrivate: even with caching off and
-// effort 0 (where the rewriter hands the input back), Engine.Rewrite must
-// honour its "returned MIG is always private" guarantee.
-func TestEngineRewriteUncachedEffortZeroIsPrivate(t *testing.T) {
-	eng := NewEngine(WithCache(false), WithEffort(0))
+// TestEngineRewriteEffortZeroIsPrivate: even at effort 0 (where the
+// rewriter hands the input back), Engine.Rewrite must honour its "returned
+// MIG is always private" guarantee.
+func TestEngineRewriteEffortZeroIsPrivate(t *testing.T) {
+	eng := NewEngine(WithEffort(0))
 	m := engineTestMIG(t)
 	out, st, err := eng.Rewrite(context.Background(), m, RewriteAlgorithm1)
 	if err != nil {

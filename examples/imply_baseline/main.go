@@ -23,7 +23,7 @@ func main() {
 
 	eng := plim.NewEngine()
 	for _, name := range []string{"ctrl", "cavlc", "int2float", "dec", "router"} {
-		m, err := eng.Benchmark(name)
+		m, err := eng.Benchmark(context.Background(), name, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

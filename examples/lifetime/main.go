@@ -18,7 +18,7 @@ func main() {
 	const endurance = 2000
 
 	eng := plim.NewEngine()
-	m, err := eng.Benchmark("cavlc")
+	m, err := eng.Benchmark(context.Background(), "cavlc", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

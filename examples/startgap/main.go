@@ -21,7 +21,7 @@ func main() {
 	)
 
 	eng := plim.NewEngine()
-	m, err := eng.Benchmark("cavlc")
+	m, err := eng.Benchmark(context.Background(), "cavlc", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

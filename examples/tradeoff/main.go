@@ -19,8 +19,8 @@ func main() {
 	flag.Parse()
 
 	ctx := context.Background()
-	eng := plim.NewEngine(plim.WithShrink(*shrink))
-	m, err := eng.Benchmark(*bench)
+	eng := plim.NewEngine()
+	m, err := eng.Benchmark(ctx, *bench, *shrink)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,8 +18,8 @@ func main() {
 	shrink := flag.Int("shrink", 2, "datapath shrink (1 = paper scale)")
 	flag.Parse()
 
-	eng := plim.NewEngine(plim.WithShrink(*shrink))
-	m, err := eng.Benchmark(*bench)
+	eng := plim.NewEngine()
+	m, err := eng.Benchmark(context.Background(), *bench, *shrink)
 	if err != nil {
 		log.Fatal(err)
 	}

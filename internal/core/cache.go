@@ -38,17 +38,10 @@ type rewriteResult struct {
 	st rewrite.Stats
 }
 
-// NewRewriteCache returns an unbounded cache (every distinct key is kept
-// until the cache is dropped). Long-lived callers should prefer
-// NewRewriteCacheWithBudget.
-func NewRewriteCache() *RewriteCache {
-	return NewRewriteCacheWithBudget(0)
-}
-
-// NewRewriteCacheWithBudget returns a cache evicting least-recently-used
-// entries once their summed estimated bytes exceed budget; budget ≤ 0
-// means unbounded.
-func NewRewriteCacheWithBudget(budget int) *RewriteCache {
+// NewRewriteCache returns a cache evicting least-recently-used entries
+// once their summed estimated bytes exceed budget; budget ≤ 0 means
+// unbounded.
+func NewRewriteCache(budget int) *RewriteCache {
 	return &RewriteCache{memo.New(budget,
 		func(r rewriteResult) int { return r.m.MemSize() },
 		"rewrite-probe",
@@ -82,29 +75,14 @@ func (c *RewriteCache) SetDisk(d *diskcache.Cache) {
 // Len reports the number of cached rewrites (including in-flight ones).
 func (c *RewriteCache) Len() int { return c.m.Len() }
 
-// Budget reports the cache's byte budget (≤ 0 = unbounded).
-func (c *RewriteCache) Budget() int { return c.m.Budget() }
-
 // Probes reports the memory-tier probe counters: hits (including probes
 // that attached to an in-flight computation) and misses (probes that had
-// to compute or go to disk). Nil-safe.
-func (c *RewriteCache) Probes() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.m.Probes()
-}
+// to compute or go to disk).
+func (c *RewriteCache) Probes() (hits, misses uint64) { return c.m.Probes() }
 
-// Rewrite is core.Rewrite memoized through the cache. A nil *RewriteCache
-// computes directly (the uncached path). On a hit no progress events are
-// emitted — the rewrite simply did not run again.
+// Rewrite is core.Rewrite memoized through the cache. On a hit no progress
+// events are emitted — the rewrite simply did not run again.
 func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
-	if c == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, rewrite.Stats{}, err
-		}
-		return Rewrite(ctx, m, kind, effort, label)
-	}
 	r, err := c.m.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
 		out, st, err := Rewrite(ctx, m, kind, effort, label)
 		if err == nil && out == m {

@@ -231,20 +231,18 @@ func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int) (*Report, erro
 }
 
 // Env is the plumbing a staged run, a suite or a sweep executes against:
-// the scheduler that runs its tasks, the caches and scratch pool it draws
-// from, and the verification and pricing applied to every compile.
-// plim.Engine builds one per call.
+// the scheduler that runs its tasks, the caches it draws from, and the
+// verification and pricing applied to every compile. plim.Engine builds
+// one per call.
 type Env struct {
 	// Sched executes the task graph; it is required by every graph runner.
 	Sched *sched.Pool
-	// BenchCache, when non-nil, memoizes benchmark builds per (name, shrink).
+	// BenchCache memoizes benchmark builds per (name, shrink); required by
+	// the suite and the sweep.
 	BenchCache *suite.Cache
-	// RewriteCache, when non-nil, memoizes rewrite stages across
-	// configurations, benchmarks and calls.
+	// RewriteCache memoizes rewrite stages across configurations,
+	// benchmarks and calls; required by every graph runner.
 	RewriteCache *RewriteCache
-	// Scratch, when non-nil, supplies reusable compile scratch state; nil
-	// uses the compile package's shared default pool.
-	Scratch *compile.ScratchPool
 	// Verify statically verifies every compiled program (see
 	// CompileConfig); a hard violation fails that configuration's compile.
 	Verify bool
@@ -258,8 +256,7 @@ type Env struct {
 // progress observer carried by ctx, if any. rst is the rewriting
 // statistics to attach to the report (the staged runner shares one
 // rewrite across several configurations). Scratch state is drawn from
-// env.Scratch, or from the compile package's shared default pool when it
-// is nil, so the fast path is always allocation-lean.
+// the compile package's pool, so the fast path is always allocation-lean.
 //
 // When env.Verify is set, the compiled program is statically verified
 // (internal/verify) before the report is returned: def-before-use, range,
@@ -284,13 +281,7 @@ func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, cfg Config,
 		MaxWrites: cfg.MaxWrites,
 		CostModel: env.CostModel,
 	}
-	var res *compile.Result
-	var err error
-	if env.Scratch != nil {
-		res, err = compile.CompileWith(rewritten, copts, env.Scratch)
-	} else {
-		res, err = compile.Compile(rewritten, copts)
-	}
+	res, err := compile.Compile(rewritten, copts)
 	done := progress.CompileDone{
 		Function: rewritten.Name, Config: cfg.Name,
 		Elapsed: time.Since(start), Err: err,
@@ -369,9 +360,9 @@ func stageLabel(st Stage, cfgs []Config) string {
 // from task bodies after dep has completed and may return nil to signal
 // that upstream work failed, in which case no stage runs and no events are
 // emitted. Successful compiles write their reports into out (indexed like
-// cfgs). Rewrites go through env.RewriteCache and compiles draw on env's
-// scratch pool, verification and cost model; env.Sched is not consulted,
-// the graph already belongs to a pool.
+// cfgs). Rewrites go through env.RewriteCache and compiles apply env's
+// verification and cost model; env.Sched is not consulted, the graph
+// already belongs to a pool.
 //
 // The returned leaves are the plan's compile tasks (join/aggregation tasks
 // should depend on them) and finish composes the plan's error in stage
@@ -423,7 +414,7 @@ func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func(
 
 // RunStaged runs several configurations on the same function as a staged
 // plan on env.Sched: each distinct rewriting pipeline runs once (memoized
-// through env.RewriteCache when set) and the compile/alloc stages fan out
+// through env.RewriteCache) and the compile/alloc stages fan out
 // over the shared rewritten MIG as independent scheduler tasks. Reports
 // are returned in configuration order and are identical to those of
 // sequential per-configuration Run calls. On cancellation the error is

@@ -11,19 +11,19 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"plim/internal/compile"
 	"plim/internal/diskcache"
 	"plim/internal/mig"
 	"plim/internal/progress"
 	"plim/internal/sched"
+	"plim/internal/suite"
 )
 
-// testEnv returns an environment on a scheduler of the given number of
-// workers, stopped when the test ends.
+// testEnv returns an environment with unbounded caches on a scheduler of
+// the given number of workers, stopped when the test ends.
 func testEnv(t *testing.T, workers int) Env {
 	pool := sched.New(workers)
 	t.Cleanup(pool.Stop)
-	return Env{Sched: pool}
+	return Env{Sched: pool, BenchCache: suite.NewCache(0), RewriteCache: NewRewriteCache(0)}
 }
 
 func randomMIG(name string, pis, nodes, pos int, seed int64) *mig.MIG {
@@ -209,9 +209,10 @@ func TestPlanGroupsByKind(t *testing.T) {
 	}
 }
 
-// TestRunStagedMatchesSequential requires the staged runner — with and
-// without a cache, inline and fanned out — to produce byte-identical
-// programs and identical per-device write counts to sequential Run calls.
+// TestRunStagedMatchesSequential requires the staged runner — inline and
+// fanned out, over an unbounded and a bounded cache — to produce
+// byte-identical programs and identical per-device write counts to
+// sequential Run calls.
 func TestRunStagedMatchesSequential(t *testing.T) {
 	m := randomMIG("f", 8, 150, 8, 7)
 	cfgs := append(TableIConfigs(), FullCap(10), FullCap(50))
@@ -225,13 +226,10 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 	}
 	one, four := testEnv(t, 1).Sched, testEnv(t, 4).Sched
 	for name, env := range map[string]Env{
-		"inline":          {Sched: one},
-		"workers":         {Sched: four},
-		"cached":          {Sched: one, RewriteCache: NewRewriteCache()},
-		"cached+worker":   {Sched: four, RewriteCache: NewRewriteCache()},
-		"scratch":         {Sched: one, Scratch: compile.NewScratchPool()},
-		"scratch+staged":  {Sched: four, RewriteCache: NewRewriteCacheWithBudget(2), Scratch: compile.NewScratchPool()},
-		"scratch+bounded": {Sched: one, RewriteCache: NewRewriteCacheWithBudget(1), Scratch: compile.NewScratchPool()},
+		"inline":          {Sched: one, RewriteCache: NewRewriteCache(0)},
+		"workers":         {Sched: four, RewriteCache: NewRewriteCache(0)},
+		"inline+bounded":  {Sched: one, RewriteCache: NewRewriteCache(1)},
+		"workers+bounded": {Sched: four, RewriteCache: NewRewriteCache(2)},
 	} {
 		got, err := RunStaged(context.Background(), env, m, cfgs, 2)
 		if err != nil {
@@ -285,7 +283,7 @@ func TestRunStagedRewritesOncePerStage(t *testing.T) {
 // an equal-fingerprint function returns the same MIG instance without
 // emitting rewrite events, and Len reports the entry.
 func TestRewriteCacheHitSharesResult(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteCache(0)
 	m := randomMIG("f", 8, 120, 8, 21)
 	events := 0
 	obs := progress.Func(func(progress.Event) { events++ })
@@ -327,7 +325,7 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 // TestRewriteCacheDoesNotCacheCancellation: a cancelled computation must
 // not poison the cache; the next caller recomputes successfully.
 func TestRewriteCacheDoesNotCacheCancellation(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteCache(0)
 	m := randomMIG("f", 8, 120, 8, 4)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -346,7 +344,7 @@ func TestRewriteCacheDoesNotCacheCancellation(t *testing.T) {
 // TestRewriteCacheSingleflight hammers one key from many goroutines; the
 // underlying rewrite must run exactly once.
 func TestRewriteCacheSingleflight(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteCache(0)
 	m := randomMIG("f", 8, 200, 8, 17)
 	var computes atomic.Int32
 	obs := progress.Func(func(ev progress.Event) {
@@ -382,7 +380,7 @@ func TestRewriteCacheSingleflight(t *testing.T) {
 // return the caller's own graph; the cache must store a private copy so
 // later caller mutations cannot corrupt hits.
 func TestRewriteCacheNeverRetainsCallerMIG(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteCache(0)
 	m := randomMIG("f", 6, 50, 4, 8)
 	nodesBefore := m.NumMaj()
 	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 0, "x")
@@ -424,10 +422,7 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	}
 	s1, s2, s3 := resultSize(m1), resultSize(m2), resultSize(m3)
 	budget := s1 + max(s2, s3)
-	cache := NewRewriteCacheWithBudget(budget)
-	if cache.Budget() != budget {
-		t.Fatalf("Budget = %d, want %d", cache.Budget(), budget)
-	}
+	cache := NewRewriteCache(budget)
 	r1, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, "x")
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +460,7 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 // the computing caller but still unindex the entry and close its done
 // channel — otherwise every future caller of the key would block forever.
 func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
-	cache := NewRewriteCacheWithBudget(4)
+	cache := NewRewriteCache(4)
 	bad := mig.New("bad")
 	bad.AddPI("x")
 	bad.AddPO(mig.MakeSignal(mig.NodeID(99), false), "f") // dangling reference
@@ -533,7 +528,7 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 		}
 	})
 
-	warmC := NewRewriteCache()
+	warmC := NewRewriteCache(0)
 	warmC.SetDisk(disk)
 	want, wantSt, err := warmC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, "")
 	if err != nil {
@@ -548,7 +543,7 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	// A brand-new in-memory cache (a new process) over the same directory.
 	cycles = 0
-	coldC := NewRewriteCache()
+	coldC := NewRewriteCache(0)
 	coldC.SetDisk(disk)
 	got, gotSt, err := coldC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, "")
 	if err != nil {
@@ -607,7 +602,7 @@ func TestRewriteCacheDiskTierFailedComputeNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewRewriteCache()
+	c := NewRewriteCache(0)
 	c.SetDisk(disk)
 	m := randomMIG("cancel", 8, 160, 6, 32)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -114,7 +114,7 @@ func (o *ExploreOptions) normalize() error {
 // cost model) as one task graph on env.Sched: one generate task per
 // (benchmark, shrink) through env.BenchCache, one rewrite task per
 // distinct (benchmark, shrink, effort, pipeline) — memoized through
-// env.RewriteCache when set, which the axis product makes the difference
+// env.RewriteCache, which the axis product makes the difference
 // between O(points) and O(distinct rewrites) graph work — and one compile
 // task per (benchmark, shrink, effort, config), compiled under Models[0]
 // in place of env.CostModel. Pricing under each model is pure arithmetic
@@ -154,7 +154,7 @@ func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult,
 				label = fmt.Sprintf("%s/s%d", name, shrink)
 			}
 			gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
-				m, err := env.BenchCache.BuildScaledContext(ctx, name, shrink)
+				m, err := env.BenchCache.BuildScaled(ctx, name, shrink)
 				if err != nil {
 					genErrs[gi] = fmt.Errorf("core: explore %s (shrink %d): %w", name, shrink, err)
 					return

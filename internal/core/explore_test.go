@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"plim/internal/cost"
-	"plim/internal/suite"
 )
 
 func quickExplore() ExploreOptions {
@@ -46,8 +45,6 @@ func TestExploreDeterministic(t *testing.T) {
 	csvCold, jsonCold := render(cold)
 
 	warm := testEnv(t, 4)
-	warm.BenchCache = suite.NewCache()
-	warm.RewriteCache = NewRewriteCache()
 	for i := 0; i < 2; i++ {
 		r, err := Explore(ctx, warm, quickExplore())
 		if err != nil {

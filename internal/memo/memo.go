@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"plim/internal/diskcache"
-	"plim/internal/lru"
 	"plim/internal/trace"
 )
 
@@ -40,7 +39,12 @@ type Tier[K comparable, V any] interface {
 // call New.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries *lru.Map[K, *entry[V]] // waiters hold the entry, so eviction only unindexes
+	entries map[K]*entry[K, V] // waiters hold the entry, so eviction only unindexes
+	// head is the most recently used entry, tail the least. total sums the
+	// costs of completed entries against budget (≤ 0 = unbounded); the
+	// budget is in the unit of size, estimated bytes for every caller.
+	head, tail    *entry[K, V]
+	budget, total int
 
 	// hits/misses count first-probe outcomes of the memory tier; a probe
 	// that attaches to an in-flight computation counts as a hit.
@@ -52,10 +56,16 @@ type Cache[K comparable, V any] struct {
 	attr  func(K) (string, string)
 }
 
-type entry[V any] struct {
+type entry[K comparable, V any] struct {
+	key  K
 	done chan struct{} // closed when the computation finishes
 	v    V
 	err  error
+	// cost is size(v), charged once the computation succeeds; only then is
+	// the entry evictable, so an in-flight computation is never evicted.
+	cost       int
+	ready      bool
+	prev, next *entry[K, V]
 }
 
 // New returns a cache evicting least-recently-used completed entries once
@@ -63,7 +73,7 @@ type entry[V any] struct {
 // cache's trace span; attr, when non-nil, labels a traced span with one
 // key attribute and is only called when the span is recorded.
 func New[K comparable, V any](budget int, size func(V) int, probe string, attr func(K) (string, string)) *Cache[K, V] {
-	return &Cache[K, V]{entries: lru.New[K, *entry[V]](budget), size: size, probe: probe, attr: attr}
+	return &Cache[K, V]{entries: make(map[K]*entry[K, V]), budget: budget, size: size, probe: probe, attr: attr}
 }
 
 // SetTier installs (or, with nil, removes) the persistent second tier. It
@@ -74,11 +84,8 @@ func (c *Cache[K, V]) SetTier(t Tier[K, V]) { c.tier = t }
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.entries.Len()
+	return len(c.entries)
 }
-
-// Budget reports the byte budget (≤ 0 = unbounded).
-func (c *Cache[K, V]) Budget() int { return c.entries.Budget() }
 
 // Probes reports the memory tier's hit and miss counters.
 func (c *Cache[K, V]) Probes() (hits, misses uint64) {
@@ -102,24 +109,24 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 		sp.Attr(c.attr(key))
 	}
 	c.mu.Lock()
-	ent, ok := c.entries.Get(key)
-	if ok {
+	e := c.get(key)
+	if e != nil {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
 	for {
-		if !ok {
-			e := &entry[V]{done: make(chan struct{})}
-			handle := c.entries.Add(key, e)
+		if e == nil {
+			e = &entry[K, V]{key: key, done: make(chan struct{})}
+			c.entries[key] = e
+			c.pushFront(e)
 			c.mu.Unlock()
-			c.fill(key, e, handle, sp, compute)
+			c.fill(e, sp, compute)
 			if e.err != nil {
 				return zero, e.err
 			}
 			return e.v, nil
 		}
-		e := ent.Value
 		c.mu.Unlock()
 		select {
 		case <-e.done:
@@ -136,12 +143,12 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 			return zero, ctx.Err()
 		}
 		c.mu.Lock()
-		ent, ok = c.entries.Get(key)
+		e = c.get(key)
 	}
 }
 
 // fill resolves a fresh entry from the tier or compute and publishes it.
-func (c *Cache[K, V]) fill(key K, e *entry[V], handle *lru.Entry[K, *entry[V]], sp trace.Handle, compute func() (V, error)) {
+func (c *Cache[K, V]) fill(e *entry[K, V], sp trace.Handle, compute func() (V, error)) {
 	// Publish via defer so a panicking computation still unindexes the
 	// entry and closes done; otherwise every later caller of the key would
 	// block on an entry nobody is computing. ErrPanicked stands until the
@@ -150,18 +157,18 @@ func (c *Cache[K, V]) fill(key K, e *entry[V], handle *lru.Entry[K, *entry[V]], 
 	defer func() {
 		c.mu.Lock()
 		if e.err != nil {
-			c.entries.Delete(key)
+			c.unindex(e)
 		} else {
-			handle.Evictable = true
-			c.entries.SetCost(handle, c.size(e.v))
-			c.entries.EvictExcess(nil)
+			e.ready, e.cost = true, c.size(e.v)
+			c.total += e.cost
+			c.evictExcess()
 		}
 		c.mu.Unlock()
 		close(e.done)
 	}()
 	outcome := "compute"
 	if c.tier != nil {
-		v, out := c.tier.Load(key)
+		v, out := c.tier.Load(e.key)
 		if out == diskcache.ProbeHit {
 			e.v, e.err = v, nil
 			sp.Attr("outcome", "disk-hit")
@@ -176,6 +183,65 @@ func (c *Cache[K, V]) fill(key K, e *entry[V], handle *lru.Entry[K, *entry[V]], 
 	sp.End()
 	e.v, e.err = compute()
 	if e.err == nil && c.tier != nil {
-		_ = c.tier.Store(key, e.v)
+		_ = c.tier.Store(e.key, e.v)
 	}
+}
+
+// get returns the entry indexed for key, marking it most recently used,
+// or nil.
+func (c *Cache[K, V]) get(key K) *entry[K, V] {
+	e := c.entries[key]
+	if e != nil {
+		c.unlink(e)
+		c.pushFront(e)
+	}
+	return e
+}
+
+// evictExcess unindexes completed entries, least recently used first,
+// until the charged total fits the budget or only in-flight entries
+// remain. An entry costlier than the whole budget evicts itself as soon
+// as it completes: the budget is a bound, not a promise of residency.
+func (c *Cache[K, V]) evictExcess() {
+	if c.budget <= 0 {
+		return
+	}
+	for e := c.tail; e != nil && c.total > c.budget; {
+		victim := e
+		e = e.prev
+		if victim.ready {
+			c.unindex(victim)
+		}
+	}
+}
+
+func (c *Cache[K, V]) unindex(e *entry[K, V]) {
+	c.unlink(e)
+	c.total -= e.cost
+	delete(c.entries, e.key)
+}
+
+func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
+	e.prev, e.next = nil, c.head
+	if c.head != nil {
+		c.head.prev = e
+	}
+	c.head = e
+	if c.tail == nil {
+		c.tail = e
+	}
+}
+
+func (c *Cache[K, V]) unlink(e *entry[K, V]) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
 }

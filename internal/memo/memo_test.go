@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,6 +240,98 @@ func TestDoCancelledUpFront(t *testing.T) {
 	if hits, misses := c.Probes(); hits != 0 || misses != 1 {
 		t.Fatalf("cancelled probe was counted: %d hits / %d misses", hits, misses)
 	}
+}
+
+// TestEviction drives the byte-budgeted LRU through Do. Each step is one
+// probe: "k:n" computes n (charged n) on a miss, "k!n" fails after
+// computing n; the keys left indexed are listed most recently used first.
+func TestEviction(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int
+		steps  []string
+		want   []string
+	}{
+		{"lru order", 20, []string{"a:10", "b:10", "c:10"}, []string{"c", "b"}},
+		{"hit refreshes", 20, []string{"a:10", "b:10", "a:10", "c:10"}, []string{"c", "a"}},
+		{"uneven costs", 100, []string{"a:30", "b:30", "c:90"}, []string{"c"}},
+		{"over budget evicts itself", 10, []string{"a:50"}, nil},
+		{"failures never charged", 10, []string{"a!50", "b:10", "c!50"}, []string{"b"}},
+		{"zero budget unbounded", 0, []string{"a:1000", "b:1000", "c:1000"}, []string{"c", "b", "a"}},
+		{"negative budget unbounded", -1, []string{"a:1000", "b:1000"}, []string{"b", "a"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New[string](tc.budget, func(v int) int { return v }, "test-probe", nil)
+			for _, step := range tc.steps {
+				key, cost, ok := strings.Cut(step, ":")
+				if !ok {
+					key, cost, _ = strings.Cut(step, "!")
+				}
+				n, _ := strconv.Atoi(cost)
+				v, err := c.Do(context.Background(), key, func() (int, error) {
+					if !ok {
+						return n, errBoom
+					}
+					return n, nil
+				})
+				if ok && (err != nil || v != n) {
+					t.Fatalf("%s: Do = (%d, %v), want (%d, nil)", step, v, err, n)
+				}
+			}
+			if got := lruKeys(t, c); !slices.Equal(got, tc.want) {
+				t.Fatalf("indexed keys %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	// In-flight entries are pinned: a budget overrun skips them and evicts
+	// completed entries around them until they complete.
+	t.Run("in flight pinned", func(t *testing.T) {
+		c := New[string](15, func(v int) int { return v }, "test-probe", nil)
+		release := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Do(context.Background(), "p", func() (int, error) { <-release; return 5, nil })
+			done <- err
+		}()
+		waitFor(t, func() bool { return c.Len() == 1 })
+		for _, k := range []string{"a", "b"} {
+			if _, err := c.Do(context.Background(), k, func() (int, error) { return 10, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := lruKeys(t, c); !slices.Equal(got, []string{"b", "p"}) {
+			t.Fatalf("indexed keys %v with p in flight, want [b p]", got)
+		}
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if got := lruKeys(t, c); !slices.Equal(got, []string{"b", "p"}) {
+			t.Fatalf("indexed keys %v after p completed, want [b p]", got)
+		}
+	})
+}
+
+// lruKeys lists the indexed keys most recently used first, checking that
+// the recency list, the index and the charged total agree.
+func lruKeys(t *testing.T, c *Cache[string, int]) []string {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []string
+	total := 0
+	for e := c.head; e != nil; e = e.next {
+		if c.entries[e.key] != e {
+			t.Fatalf("recency list holds unindexed key %q", e.key)
+		}
+		keys = append(keys, e.key)
+		total += e.cost
+	}
+	if len(keys) != len(c.entries) || total != c.total {
+		t.Fatalf("list %v (cost %d) disagrees with %d indexed entries charged %d", keys, total, len(c.entries), c.total)
+	}
+	return keys
 }
 
 func waitFor(t *testing.T, cond func() bool) {

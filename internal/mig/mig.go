@@ -719,7 +719,7 @@ func OnesCount64(x uint64) int { return bits.OnesCount64(x) }
 // MemSize estimates the graph's resident size in bytes: node storage, the
 // PI/PO tables with their name strings, and the structural-hash index when
 // present. It is an estimate (Go's allocator rounds size classes up), meant
-// for byte-budgeted caches — see internal/lru and plim.WithCacheBudget —
+// for byte-budgeted caches — see internal/memo and plim.WithCacheBudget —
 // the way diskcache.GC budgets the disk tier.
 func (m *MIG) MemSize() int {
 	const (

@@ -20,7 +20,7 @@ import (
 func referenceProgram(t *testing.T, name, config string) (*plim.MIG, *plim.Program) {
 	t.Helper()
 	eng := plim.NewEngine(plim.WithShrink(8), plim.WithEffort(2))
-	m, err := eng.Benchmark(name)
+	m, err := eng.Benchmark(context.Background(), name, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,7 @@ func (s *Server) sourceMIG(req computeRequest) (key string, shrink int, load fun
 		}
 		name := req.Benchmark
 		return fmt.Sprintf("bench:%s@%d", name, shrink), shrink,
-			func(ctx context.Context) (*plim.MIG, error) { return s.eng.BenchmarkScaledContext(ctx, name, shrink) }, nil
+			func(ctx context.Context) (*plim.MIG, error) { return s.eng.Benchmark(ctx, name, shrink) }, nil
 	case req.Netlist != "":
 		if req.Shrink != 0 {
 			return "", 0, nil, badRequest{"shrink applies to benchmark sources only"}
@@ -773,9 +773,10 @@ func (s *Server) effectiveTimeout(ms int64) time.Duration {
 // apply the request deadline, coalesce onto (or start) the flight for key,
 // then either stream progress (SSE) or wait for the shared response. With
 // traced set, the leader opens a per-flight trace whose root "request" span
-// carries the flight key and the leader role; coalesced followers receive
-// the shared trace (their coalescing is visible as the X-Plim-Coalesced
-// header plus the follower's own access-log line).
+// carries the flight key and the leader role, and an "admit" child span
+// covering the flight goroutine's start and admission; coalesced followers
+// receive the shared trace (their coalescing is visible as the
+// X-Plim-Coalesced header plus the follower's own access-log line).
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, timeoutMS int64, key string, traced bool, fn func(context.Context, func(plim.Event)) response) {
 	reqCtx := r.Context()
 	if d := s.effectiveTimeout(timeoutMS); d > 0 {
@@ -799,18 +800,19 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, timeoutMS int6
 			cctx, cancel = context.WithCancel(cctx)
 		}
 		var tr *trace.Trace
-		var root trace.Handle
+		var root, admit trace.Handle
 		if traced {
 			tr = trace.New()
 			endpoint, _, _ := strings.Cut(key, "|")
 			cctx, root = trace.Start(trace.NewContext(cctx, tr), "request", endpoint)
+			admit = trace.StartNoCtx(cctx, "admit", endpoint)
 			root.Attr("flight", key)
 			root.Attr("role", "leader")
 		}
 		s.flights.setCancel(f, cancel)
 		s.log.LogAttrs(reqCtx, slog.LevelInfo, "flight start",
 			slog.String("flight", key), slog.Bool("trace", traced))
-		go s.runFlight(cctx, cancel, f, tr, root, fn)
+		go s.runFlight(cctx, cancel, f, tr, root, admit, fn)
 	} else {
 		s.met.requestCoalesced()
 		w.Header().Set("X-Plim-Coalesced", "1")
@@ -836,13 +838,15 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, timeoutMS int6
 
 // runFlight executes one coalesced computation: admission first (the whole
 // flight holds exactly one in-flight seat no matter how many requests share
-// it), then the engine call, whose work the engine's scheduler multiplexes
-// with every other flight's by request deadline.
-func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *flight, tr *trace.Trace, root trace.Handle, fn func(context.Context, func(plim.Event)) response) {
+// it), which closes the admit span dispatch opened, then the engine call,
+// whose work the engine's scheduler multiplexes with every other flight's
+// by request deadline.
+func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *flight, tr *trace.Trace, root, admit trace.Handle, fn func(context.Context, func(plim.Event)) response) {
 	defer cancel()
 	start := time.Now()
 	var resp response
 	release, err := s.adm.admit()
+	admit.End()
 	if err != nil {
 		s.met.admissionRejected()
 		resp = response{

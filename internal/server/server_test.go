@@ -408,7 +408,7 @@ func TestComputationPanicFailsOneFlightNotTheServer(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.flights.setCancel(f, cancel)
-	go s.runFlight(ctx, cancel, f, nil, trace.Handle{}, func(context.Context, func(plim.Event)) response {
+	go s.runFlight(ctx, cancel, f, nil, trace.Handle{}, trace.Handle{}, func(context.Context, func(plim.Event)) response {
 		panic("compiler invariant violated")
 	})
 	resp, err := f.wait(context.Background())
@@ -491,7 +491,7 @@ func TestSSEStreamsProgressAndResult(t *testing.T) {
 func TestRewriteEndpointRoundTrips(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{})
 	eng := plim.NewEngine(plim.WithShrink(8))
-	m, err := eng.Benchmark("ctrl")
+	m, err := eng.Benchmark(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

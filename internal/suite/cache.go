@@ -29,16 +29,9 @@ type buildKey struct {
 	shrink int
 }
 
-// NewCache returns an unbounded benchmark cache; long-lived callers should
-// prefer NewCacheWithBudget.
-func NewCache() *Cache {
-	return NewCacheWithBudget(0)
-}
-
-// NewCacheWithBudget returns a cache evicting least-recently-used builds
-// once their summed estimated bytes exceed budget; budget ≤ 0 means
-// unbounded.
-func NewCacheWithBudget(budget int) *Cache {
+// NewCache returns a cache evicting least-recently-used builds once their
+// summed estimated bytes exceed budget; budget ≤ 0 means unbounded.
+func NewCache(budget int) *Cache {
 	return &Cache{memo.New(budget, (*mig.MIG).MemSize, "benchmark-probe",
 		func(k buildKey) (string, string) { return "benchmark", k.name })}
 }
@@ -71,34 +64,17 @@ func (c *Cache) SetDisk(d *diskcache.Cache) {
 // ones).
 func (c *Cache) Len() int { return c.m.Len() }
 
-// Budget reports the cache's byte budget (≤ 0 = unbounded).
-func (c *Cache) Budget() int { return c.m.Budget() }
-
-// Probes reports the memory-tier probe counters. Nil-safe.
-func (c *Cache) Probes() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.m.Probes()
-}
+// Probes reports the memory-tier probe counters.
+func (c *Cache) Probes() (hits, misses uint64) { return c.m.Probes() }
 
 // BuildScaled is suite.BuildScaled memoized through the cache. The
-// returned MIG is shared: callers must not mutate it. A nil *Cache builds
-// afresh.
-func (c *Cache) BuildScaled(name string, shrink int) (*mig.MIG, error) {
-	return c.BuildScaledContext(context.Background(), name, shrink)
-}
-
-// BuildScaledContext is BuildScaled with a context whose trace (if any)
+// returned MIG is shared: callers must not mutate it. ctx's trace (if any)
 // receives a cache-probe span annotated with the outcome — memory-hit /
 // disk-hit / verify-miss / compute — as a child of the enclosing generate
 // task span. A cancelled ctx fails with ctx.Err() and releases a caller
 // waiting on another caller's build; a build itself always runs to
 // completion once started (generators are fast and take no context).
-func (c *Cache) BuildScaledContext(ctx context.Context, name string, shrink int) (*mig.MIG, error) {
-	if c == nil {
-		return BuildScaled(name, shrink)
-	}
+func (c *Cache) BuildScaled(ctx context.Context, name string, shrink int) (*mig.MIG, error) {
 	return c.m.Do(ctx, buildKey{name: name, shrink: shrink}, func() (*mig.MIG, error) {
 		return BuildScaled(name, shrink)
 	})

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -410,12 +411,12 @@ func TestSyntheticBenchmarksUseEveryInput(t *testing.T) {
 // builds return one shared instance, structurally identical to a fresh
 // build, and distinct (name, shrink) keys get distinct entries.
 func TestCacheSharesDeterministicBuilds(t *testing.T) {
-	c := NewCache()
-	a, err := c.BuildScaled("ctrl", 4)
+	c := NewCache(0)
+	a, err := c.BuildScaled(context.Background(), "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.BuildScaled("ctrl", 4)
+	b, err := c.BuildScaled(context.Background(), "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,36 +430,31 @@ func TestCacheSharesDeterministicBuilds(t *testing.T) {
 	if a.Fingerprint() != fresh.Fingerprint() {
 		t.Fatal("cached build differs from a fresh build")
 	}
-	if _, err := c.BuildScaled("ctrl", 2); err != nil {
+	if _, err := c.BuildScaled(context.Background(), "ctrl", 2); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	if _, err := c.BuildScaled("no-such-benchmark", 1); err == nil {
+	if _, err := c.BuildScaled(context.Background(), "no-such-benchmark", 1); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
 	if c.Len() != 2 {
 		t.Fatal("errors must not be cached")
-	}
-	// A nil cache is the uncached path.
-	var nc *Cache
-	if _, err := nc.BuildScaled("ctrl", 4); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestCacheConcurrentSingleflight hammers one key concurrently; all
 // callers must see the same instance.
 func TestCacheConcurrentSingleflight(t *testing.T) {
-	c := NewCache()
+	c := NewCache(0)
 	var wg sync.WaitGroup
 	outs := make([]*mig.MIG, 8)
 	for i := range outs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := c.BuildScaled("router", 2)
+			m, err := c.BuildScaled(context.Background(), "router", 2)
 			if err != nil {
 				t.Error(err)
 			}
@@ -497,15 +493,12 @@ func buildSize(t *testing.T, name string, shrink int) int {
 func TestCacheBudgetEvictsLRU(t *testing.T) {
 	sA, sB := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8)
 	budget := max(sA, sB)
-	c := NewCacheWithBudget(budget)
-	if c.Budget() != budget {
-		t.Fatalf("Budget = %d, want %d", c.Budget(), budget)
-	}
-	a1, err := c.BuildScaled("ctrl", 8)
+	c := NewCache(budget)
+	a1, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := c.BuildScaled("i2c", 8)
+	b1, err := c.BuildScaled(context.Background(), "i2c", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +506,7 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 1 (budget %d bytes)", c.Len(), budget)
 	}
 	// "i2c" is the survivor: it must still hit...
-	b2, err := c.BuildScaled("i2c", 8)
+	b2, err := c.BuildScaled(context.Background(), "i2c", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +514,7 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 		t.Fatal("survivor was evicted")
 	}
 	// ...and "ctrl" was evicted: it rebuilds into a fresh instance.
-	a2, err := c.BuildScaled("ctrl", 8)
+	a2, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,25 +531,25 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 // builds, but not all three.
 func TestCacheBudgetRespectsRecency(t *testing.T) {
 	sCtrl, sI2c, sRouter := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8), buildSize(t, "router", 8)
-	c := NewCacheWithBudget(sCtrl + max(sI2c, sRouter))
-	a1, err := c.BuildScaled("ctrl", 8)
+	c := NewCache(sCtrl + max(sI2c, sRouter))
+	a1, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.BuildScaled("i2c", 8); err != nil {
+	if _, err := c.BuildScaled(context.Background(), "i2c", 8); err != nil {
 		t.Fatal(err)
 	}
 	// Refresh "ctrl", then insert a third key: "i2c" must be the victim.
-	if _, err := c.BuildScaled("ctrl", 8); err != nil {
+	if _, err := c.BuildScaled(context.Background(), "ctrl", 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.BuildScaled("router", 8); err != nil {
+	if _, err := c.BuildScaled(context.Background(), "router", 8); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	a2, err := c.BuildScaled("ctrl", 8)
+	a2, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,18 +571,18 @@ func TestCacheDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := NewCache()
+	warm := NewCache(0)
 	warm.SetDisk(disk)
-	if _, err := warm.BuildScaled("router", 2); err != nil {
+	if _, err := warm.BuildScaled(context.Background(), "router", 2); err != nil {
 		t.Fatal(err)
 	}
 	if c := disk.Counters(); c.Stores != 1 || c.BenchmarkMisses != 1 {
 		t.Fatalf("cold build counters: %+v", c)
 	}
 
-	cold := NewCache()
+	cold := NewCache(0)
 	cold.SetDisk(disk)
-	got, err := cold.BuildScaled("router", 2)
+	got, err := cold.BuildScaled(context.Background(), "router", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

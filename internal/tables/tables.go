@@ -55,9 +55,9 @@ func (o *Options) validate() error {
 
 // RunSuite evaluates every configuration on every requested benchmark as
 // one task graph on env.Sched. Each benchmark contributes a generate task
-// (build the MIG through env.BenchCache, when set), one rewrite task per
-// distinct pipeline of the configuration plan (memoized through
-// env.RewriteCache, when set), one compile task per configuration
+// (build the MIG through env.BenchCache), one rewrite task per distinct
+// pipeline of the configuration plan (memoized through env.RewriteCache),
+// one compile task per configuration
 // depending on its stage's rewrite, and a join task depending on all of
 // them that aggregates errors and emits the benchmark-done event. Nothing
 // serializes distinct benchmarks against each other, so one benchmark's
@@ -121,7 +121,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, env core.Env, idx int, name 
 			genErr = fmt.Errorf("tables: unknown benchmark %q", name)
 			return
 		}
-		built, err := env.BenchCache.BuildScaledContext(ctx, name, opts.Shrink)
+		built, err := env.BenchCache.BuildScaled(ctx, name, opts.Shrink)
 		if err != nil {
 			genErr = err
 			return

@@ -26,12 +26,12 @@ func quickOpts() Options {
 	}
 }
 
-// testEnv returns an environment on a scheduler of the given number of
-// workers, stopped when the test ends.
+// testEnv returns an environment with unbounded caches on a scheduler of
+// the given number of workers, stopped when the test ends.
 func testEnv(t *testing.T, workers int) core.Env {
 	pool := sched.New(workers)
 	t.Cleanup(pool.Stop)
-	return core.Env{Sched: pool}
+	return core.Env{Sched: pool, BenchCache: suite.NewCache(0), RewriteCache: core.NewRewriteCache(0)}
 }
 
 func TestRunSuiteShape(t *testing.T) {
@@ -332,8 +332,6 @@ func TestStagedSuiteParity(t *testing.T) {
 		opts := quickOpts()
 		want := referenceSuite(t, cfgs, opts)
 		env := testEnv(t, 4)
-		env.BenchCache = suite.NewCache()
-		env.RewriteCache = core.NewRewriteCache()
 		got, err := RunSuite(context.Background(), env, cfgs, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -454,8 +452,6 @@ func TestRunSuiteEmitsCompileEvents(t *testing.T) {
 func TestTableCost(t *testing.T) {
 	opts := quickOpts()
 	env := testEnv(t, 2)
-	env.BenchCache = suite.NewCache()
-	env.RewriteCache = core.NewRewriteCache()
 	env.CostModel = cost.Default()
 	sr, err := RunSuite(context.Background(), env, core.TableIConfigs(), opts)
 	if err != nil {

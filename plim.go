@@ -10,7 +10,7 @@
 // and driven with a context:
 //
 //	eng := plim.NewEngine(plim.WithEffort(5), plim.WithWorkers(4))
-//	m, _ := eng.Benchmark("adder")                            // or build your own MIG
+//	m, _ := eng.Benchmark(ctx, "adder", 1)                    // or build your own MIG
 //	rep, _ := eng.Run(ctx, m, plim.Full)                      // rewrite + compile
 //	fmt.Println(rep.Writes)                                   // min/max/STDEV of device writes
 //	out, xbar, _ := plim.Execute(rep.Result.Program, inputs)  // run on the crossbar
@@ -181,17 +181,11 @@ func Equivalent(a, b *MIG, rounds int, seed int64) (EquivalenceResult, error) {
 }
 
 // NewBuilder returns a word-level circuit builder over a fresh MIG using
-// compact native majority forms; NewNetlistBuilder mimics RTL netlists.
+// compact native majority forms.
 func NewBuilder(name string) *Builder { return hdl.New(name) }
 
-// NewNetlistBuilder returns a builder that mimics unoptimized netlists.
-func NewNetlistBuilder(name string) *Builder { return hdl.NewNetlist(name) }
-
-// Benchmark builds one of the paper's 18 benchmarks at paper scale.
-// Engine.Benchmark honours the engine's WithShrink option instead.
-func Benchmark(name string) (*MIG, error) { return suite.Build(name) }
-
-// BenchmarkScaled builds a benchmark with datapaths divided by shrink.
+// BenchmarkScaled builds a benchmark with datapaths divided by shrink,
+// without caching; Engine.Benchmark memoizes builds.
 func BenchmarkScaled(name string, shrink int) (*MIG, error) {
 	return suite.BuildScaled(name, shrink)
 }
@@ -223,12 +217,6 @@ func Execute(p *Program, inputs []bool) ([]bool, *Crossbar, error) {
 	return isa.Execute(p, inputs)
 }
 
-// ExecuteWithEndurance runs a program on a crossbar whose devices fail hard
-// after the given number of writes.
-func ExecuteWithEndurance(p *Program, inputs []bool, endurance uint64) ([]bool, *Crossbar, error) {
-	return isa.Execute(p, inputs, rram.WithEndurance(endurance))
-}
-
 // ExecuteBatch evaluates a program over a whole batch of input vectors with
 // the bit-sliced executor (64 vectors per machine word) — semantically
 // identical to one scalar Execute per vector, including aggregate wear and
@@ -240,9 +228,6 @@ func ExecuteBatch(p *Program, b *Batch, opts ExecOptions) (*ExecResult, error) {
 
 // NewBatch returns an all-zero batch of n vectors of the given width.
 func NewBatch(lines, n int) *Batch { return exec.NewBatch(lines, n) }
-
-// PackBatch packs one []bool per vector into a bit-sliced batch.
-func PackBatch(vectors [][]bool) (*Batch, error) { return exec.Pack(vectors) }
 
 // PackBatchStrings packs "0101"-style vector strings (character i is
 // primary input i) into a bit-sliced batch.
@@ -294,12 +279,6 @@ func DefaultCostModel() *CostModel { return cost.Default() }
 // LoadCostModel reads a cost model from a JSON file (strict field checking,
 // validated before use) — the loader behind every CLI's -cost-model flag.
 func LoadCostModel(path string) (*CostModel, error) { return cost.LoadFile(path) }
-
-// PriceProgram prices a compiled program under a cost model without
-// executing it: one linear walk over the instructions. The result equals
-// Report.Cost of the compile that produced p under the same model — the
-// cost parity contract proven by the verify layer.
-func PriceProgram(m *CostModel, p *Program) Cost { return m.Program(p) }
 
 // TableI projects a suite result onto the paper's Table I.
 func TableI(sr *SuiteResult) (*TableIData, error) { return tables.TableI(sr) }

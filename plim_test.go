@@ -100,7 +100,7 @@ func TestBenchmarkFacade(t *testing.T) {
 	if m.NumPIs() == 0 {
 		t.Fatal("empty benchmark")
 	}
-	if _, err := Benchmark("nonesuch"); err == nil {
+	if _, err := BenchmarkScaled("nonesuch", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -127,13 +127,17 @@ func TestEnduranceFailureFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch, err := PackBatchStrings([]string{"11"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// With endurance 1 the program must hit a worn-out device.
-	if _, _, err := ExecuteWithEndurance(rep.Result.Program, []bool{true, true}, 1); err == nil {
+	if _, err := ExecuteBatch(rep.Result.Program, batch, ExecOptions{Endurance: 1}); err == nil {
 		t.Fatal("expected a wear-out failure at endurance 1")
 	}
 	// With generous endurance it runs fine and the lifetime accessor
 	// agrees with the write counts.
-	if _, _, err := ExecuteWithEndurance(rep.Result.Program, []bool{true, true}, 1000); err != nil {
+	if _, err := ExecuteBatch(rep.Result.Program, batch, ExecOptions{Endurance: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	sum := SummarizeWrites(rep.Result.WriteCounts)

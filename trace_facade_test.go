@@ -14,7 +14,7 @@ import (
 // a non-empty text tree and resets the accumulator.
 func TestEngineTraceRecordsPipeline(t *testing.T) {
 	eng := NewEngine(WithShrink(8), WithEffort(2), WithTrace(true))
-	m, err := eng.Benchmark("ctrl")
+	m, err := eng.Benchmark(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEngineTraceRecordsPipeline(t *testing.T) {
 // accumulated, and TakeTrace stays nil however much work runs.
 func TestEngineUntracedStaysInert(t *testing.T) {
 	eng := NewEngine(WithShrink(8), WithEffort(2))
-	m, err := eng.Benchmark("ctrl")
+	m, err := eng.Benchmark(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

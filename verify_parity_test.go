@@ -20,10 +20,7 @@ func TestStaticDynamicWriteParity(t *testing.T) {
 	const lanes = 64
 
 	eng := NewEngine(WithShrink(4), WithVerify(true))
-	if !eng.Verified() {
-		t.Fatal("WithVerify(true) not reflected by Verified()")
-	}
-	m, err := eng.Benchmark("ctrl")
+	m, err := eng.Benchmark(ctx, "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
