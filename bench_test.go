@@ -32,7 +32,7 @@ func benchEnv(b *testing.B) func() core.Env {
 	pool := sched.New(runtime.GOMAXPROCS(0))
 	b.Cleanup(pool.Stop)
 	return func() core.Env {
-		return core.Env{Sched: pool, BenchCache: suite.NewCache(0), RewriteCache: core.NewRewriteCache(0)}
+		return core.Env{Sched: pool, BenchCache: suite.NewCache(0, nil), RewriteCache: core.NewRewriteCache(0, nil)}
 	}
 }
 
@@ -109,28 +109,6 @@ func BenchmarkAblation(b *testing.B) {
 		}
 		if _, err := tables.TableI(sr); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSuitePerConfig measures the legacy execution shape — every
-// configuration rewrites from scratch, nothing cached or staged — as the
-// "before" reference for BenchmarkTable1 (staged, cold) and
-// BenchmarkSuiteStagedWarm (staged, warm engine caches). cmd/plimbench
-// records the same comparison to BENCH_plim.json.
-func BenchmarkSuitePerConfig(b *testing.B) {
-	cfgs := core.TableIConfigs()
-	for i := 0; i < b.N; i++ {
-		for _, name := range benchSubset {
-			m, err := suite.BuildScaled(name, benchShrink)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, cfg := range cfgs {
-				if _, err := core.Run(context.Background(), m, cfg, core.DefaultEffort); err != nil {
-					b.Fatal(err)
-				}
-			}
 		}
 	}
 }

@@ -24,17 +24,15 @@
 // allow-bench-regression pull-request label.
 //
 // Alongside the micro-benchmarks (rewriting pipelines, compilation, the
-// scalar-vs-64-wide execution engines) it
-// times the Table I benchmark × configuration sweep three ways: the
-// legacy per-configuration path (every configuration rewrites from
-// scratch, no caches), the staged engine (shared rewrite stages,
-// benchmark + rewrite caches, compile fan-out) — reporting the speedup
-// and verifying the rendered tables are byte-identical — and the
-// disk-warm path: a fresh engine per iteration (cold in-memory caches,
-// like a new CLI process) served from a primed persistent cache
-// directory (-cache-dir, default $PLIM_CACHE_DIR, else a throwaway temp
-// dir), i.e. the plimtab-then-plimc cost after this repository's
-// persistent tier.
+// scalar-vs-64-wide execution engines) it times the Table I benchmark ×
+// configuration sweep three ways: the staged engine cold (shared rewrite
+// stages, benchmark + rewrite caches, compile fan-out), the same engine
+// warm, and the disk-warm path: a fresh engine per iteration (cold
+// in-memory caches, like a new CLI process) served from a primed
+// persistent cache directory (-cache-dir, default $PLIM_CACHE_DIR, else a
+// throwaway temp dir), i.e. the plimtab-then-plimc cost after this
+// repository's persistent tier. Staged tables are pinned against the
+// sequential core.Run reference by the tables package's parity test.
 //
 // The sched/ family times the engine's work-stealing DAG scheduler on the
 // same cold suite at 1, 2 and 4 workers, forced to GOMAXPROCS=4 so the
@@ -67,7 +65,6 @@ import (
 	"plim/internal/core"
 	"plim/internal/rewrite"
 	"plim/internal/suite"
-	"plim/internal/tables"
 	"plim/internal/trace"
 )
 
@@ -83,14 +80,12 @@ type Entry struct {
 
 // Report is the emitted JSON document.
 type Report struct {
-	Go           string  `json:"go"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Date         string  `json:"date"`
-	Shrink       int     `json:"shrink"`
-	Benchmarks   []Entry `json:"benchmarks"`
-	SuiteSpeedup float64 `json:"suite_speedup"`
-	ExecSpeedup  float64 `json:"exec_speedup"`
-	TableParity  bool    `json:"table_parity"`
+	Go          string  `json:"go"`
+	GOMAXPROCS  int     `json:"gomaxprocs"`
+	Date        string  `json:"date"`
+	Shrink      int     `json:"shrink"`
+	Benchmarks  []Entry `json:"benchmarks"`
+	ExecSpeedup float64 `json:"exec_speedup"`
 }
 
 func main() {
@@ -266,28 +261,18 @@ func main() {
 		}
 	})
 
-	// The suite sweep, before and after. The per-configuration reference
-	// reproduces the pre-staged RunSuite: benchmarks in parallel, but every
-	// configuration rewriting from scratch and every MIG rebuilt per run.
+	// The suite sweep, cold and warm.
 	cfgs := core.TableIConfigs()
-	seq := add("suite/tableI/per-config", func(b *testing.B) {
+	add("suite/tableI/staged", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := runPerConfig(names, cfgs, *shrink); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	staged := add("suite/tableI/staged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// A fresh engine per iteration: cold caches, so the measured
-			// speedup comes from staging alone, not cross-run memoization.
+			// A fresh engine per iteration: cold caches, so the time is
+			// staging alone, not cross-run memoization.
 			cold := plim.NewEngine(plim.WithShrink(*shrink))
 			if _, err := cold.RunSuite(context.Background(), cfgs, names...); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	rep.SuiteSpeedup = round2(float64(seq.NsPerOp()) / float64(staged.NsPerOp()))
 	eng := plim.NewEngine(plim.WithShrink(*shrink))
 	if _, err := eng.RunSuite(context.Background(), cfgs, names...); err != nil {
 		cli.Fatal(err)
@@ -324,7 +309,7 @@ func main() {
 		}
 	})
 	if diskTmp {
-		os.RemoveAll(diskDir) // throwaway dir: not needed by the parity runs below
+		os.RemoveAll(diskDir)
 	}
 
 	// The explore family: the design-space sweep behind plimexplore — two
@@ -429,29 +414,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sched scaling at GOMAXPROCS=%d: %s (flat on a single-core host)\n",
 		schedProcs, strings.Join(curve, ", "))
 
-	// Parity: both paths must render byte-identical Table I output.
-	srSeq, err := runPerConfig(names, cfgs, *shrink)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	srStaged, err := eng.RunSuite(context.Background(), cfgs, names...)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	csvSeq, err := tableCSV(srSeq)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	csvStaged, err := tableCSV(srStaged)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	rep.TableParity = csvSeq == csvStaged
-	if !rep.TableParity {
-		fmt.Fprintln(os.Stderr, "plimbench: WARNING: staged and per-config tables differ")
-	}
-	fmt.Fprintf(os.Stderr, "suite speedup: %.2fx (parity %v)\n", rep.SuiteSpeedup, rep.TableParity)
-
 	out, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		cli.Fatal(err)
@@ -535,66 +497,6 @@ func checkRegressions(path string, rep *Report, maxTime, maxAllocs float64) erro
 		return fmt.Errorf("regressed beyond baseline %s:\n  %s", path, strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-// runPerConfig is the legacy uncached sequential-per-configuration suite
-// path, kept here as the "before" reference for the speedup measurement.
-func runPerConfig(names []string, cfgs []core.Config, shrink int) (*tables.SuiteResult, error) {
-	sr := &tables.SuiteResult{
-		Benchmarks: make([]suite.Info, len(names)),
-		Configs:    cfgs,
-		Reports:    make([][]*core.Report, len(names)),
-	}
-	type job struct {
-		idx int
-		err error
-	}
-	jobs := make(chan job, len(names))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range names {
-		go func(idx int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			err := func() error {
-				info, ok := suite.Get(names[idx])
-				if !ok {
-					return fmt.Errorf("plimbench: unknown benchmark %q", names[idx])
-				}
-				m, err := suite.BuildScaled(names[idx], shrink)
-				if err != nil {
-					return err
-				}
-				if shrink != 1 {
-					info.PI = m.NumPIs()
-					info.PO = m.NumPOs()
-				}
-				sr.Benchmarks[idx] = info
-				reps := make([]*core.Report, len(cfgs))
-				for c, cfg := range cfgs {
-					if reps[c], err = core.Run(context.Background(), m, cfg, core.DefaultEffort); err != nil {
-						return err
-					}
-				}
-				sr.Reports[idx] = reps
-				return nil
-			}()
-			jobs <- job{idx, err}
-		}(i)
-	}
-	for range names {
-		if j := <-jobs; j.err != nil {
-			return nil, j.err
-		}
-	}
-	return sr, nil
-}
-
-func tableCSV(sr *tables.SuiteResult) (string, error) {
-	d, err := tables.TableI(sr)
-	if err != nil {
-		return "", err
-	}
-	return d.Grid().CSV(), nil
 }
 
 func mustBuild(name string, shrink int) *plim.MIG {

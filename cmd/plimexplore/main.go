@@ -48,7 +48,7 @@ func main() {
 		format    = flag.String("format", "csv", "csv|json")
 		outFile   = flag.String("o", "", "write to file instead of stdout")
 		all       = flag.Bool("all", false, "emit every swept point, not only the Pareto front")
-		doVerify  = flag.Bool("verify", false, "statically verify every compile (incl. write and cost parity)")
+		doVerify  = flag.Bool("verify", false, "statically verify every compile (incl. write and cost parity) and re-verify disk-cache hits")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
 		quiet     = flag.Bool("q", false, "suppress the cache/timing summary on stderr")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON trace of the sweep (with -v: also a span tree on stderr)")
@@ -61,7 +61,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := plim.ExploreOptions{Verify: *doVerify}
+	var opts plim.ExploreOptions
 	var err error
 	if *benches != "" {
 		opts.Benchmarks = splitList(*benches)
@@ -87,6 +87,7 @@ func main() {
 		plim.WithWorkers(*workers),
 		plim.WithPersistentCache(*cacheDir),
 		plim.WithTrace(*tracePath != ""),
+		plim.WithVerify(*doVerify),
 	}
 	if *verbose && !*quiet {
 		engOpts = append(engOpts, plim.WithProgress(func(ev plim.Event) {

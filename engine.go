@@ -107,21 +107,19 @@ func NewEngine(opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.benchCache = suite.NewCache(e.cacheBudget)
-	e.rwCache = core.NewRewriteCache(e.cacheBudget)
-	e.execPlans = memo.New(e.cacheBudget, (*exec.Plan).MemSize, "plan-probe",
-		func(fp uint64) (string, string) { return "fp", fmt.Sprintf("%016x", fp) })
 	if e.persistDir != "" && e.err == nil {
 		d, err := diskcache.Open(e.persistDir)
 		if err != nil {
 			e.fail(fmt.Errorf("plim: WithPersistentCache(%q): %w", e.persistDir, err))
 		} else {
-			e.disk = d
 			d.SetVerify(e.verify)
-			e.benchCache.SetDisk(d)
-			e.rwCache.SetDisk(d)
+			e.disk = d
 		}
 	}
+	e.benchCache = suite.NewCache(e.cacheBudget, e.disk)
+	e.rwCache = core.NewRewriteCache(e.cacheBudget, e.disk)
+	e.execPlans = memo.New(e.cacheBudget, (*exec.Plan).MemSize, "plan-probe",
+		func(fp uint64) (string, string) { return "fp", fmt.Sprintf("%016x", fp) }, nil)
 	return e
 }
 
@@ -219,19 +217,19 @@ type CacheCounters struct {
 }
 
 // PersistentCacheStats reports the persistent tier's hit/miss/store
-// counters since the engine was built. ok is false when the engine has no
-// persistent cache.
+// counters since the engine was built, as the rewrite and benchmark caches
+// counted their tier probes. ok is false when the engine has no persistent
+// cache.
 func (e *Engine) PersistentCacheStats() (c CacheCounters, ok bool) {
 	if e.disk == nil {
 		return CacheCounters{}, false
 	}
-	d := e.disk.Counters()
+	rw, b := e.rwCache.Counters(), e.benchCache.Counters()
 	return CacheCounters{
-		RewriteHits:   d.RewriteHits,
-		RewriteMisses: d.RewriteMisses,
-		BenchmarkHits: d.BenchmarkHits, BenchmarkMisses: d.BenchmarkMisses,
-		Stores: d.Stores, StoreErrors: d.StoreErrors,
-		VerifyMisses: e.disk.VerifyMisses(),
+		RewriteHits: rw.TierHits, RewriteMisses: rw.TierMisses,
+		BenchmarkHits: b.TierHits, BenchmarkMisses: b.TierMisses,
+		Stores: rw.Stores + b.Stores, StoreErrors: rw.StoreErrors + b.StoreErrors,
+		VerifyMisses: rw.TierVerifyMisses + b.TierVerifyMisses,
 	}, true
 }
 
@@ -492,8 +490,8 @@ func (e *Engine) RunSuite(ctx context.Context, cfgs []Config, benchmarks ...stri
 // front marked — see core.Explore. Empty axes default to the engine's
 // configuration — its effort, its shrink, its cost model — rather than the
 // package-level defaults, so a bare ExploreOptions{} sweeps exactly what
-// Run would compile. Verification is on when either opts.Verify or the
-// engine's WithVerify is set.
+// Run would compile. Every compile is verified when the engine was built
+// WithVerify.
 func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -568,9 +566,8 @@ func (e *Engine) MemoryCacheLens() (rewrites, benchmarks int) {
 // in-flight singleflight computation. Servers export these as
 // plimserve_cache_probe_total{tier="memory"}.
 func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
-	rh, rm := e.rwCache.Probes()
-	bh, bm := e.benchCache.Probes()
-	return rh + bh, rm + bm
+	rw, b := e.rwCache.Counters(), e.benchCache.Counters()
+	return rw.Hits + b.Hits, rw.Misses + b.Misses
 }
 
 // plan returns the bit-sliced execution plan for p, memoized by program
@@ -621,20 +618,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 		// design-space sweep re-pricing one program) overrides the engine's.
 		opts.CostModel = e.costModel
 	}
-	if obs := progress.FromContext(ctx); obs != nil {
-		name, vectors := p.Name, b.Len()
-		prev := opts.OnChunk
-		opts.OnChunk = func(done, total int) {
-			obs.Emit(progress.ExecuteChunk{Program: name, Done: done, Total: total, Vectors: vectors})
-			if prev != nil {
-				prev(done, total)
-			}
-		}
-	}
-	if e.workers > 1 && b.Chunks() > 1 {
-		return pl.RunSharded(ctx, b, opts, e.scheduler())
-	}
-	return pl.RunContext(ctx, b, opts)
+	return pl.RunSharded(ctx, b, opts, e.scheduler())
 }
 
 // Execute runs one input vector through the batched execution engine and

@@ -119,9 +119,9 @@ func TestEngineExecuteBatchCompilesOnePlan(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	hits, misses := eng.execPlans.Probes()
-	if misses != 1 || hits != callers-1 {
-		t.Fatalf("plan cache probes: %d hits / %d misses, want %d / 1", hits, misses, callers-1)
+	n := eng.execPlans.Counters()
+	if n.Misses != 1 || n.Hits != callers-1 {
+		t.Fatalf("plan cache probes: %d hits / %d misses, want %d / 1", n.Hits, n.Misses, callers-1)
 	}
 	if eng.execPlans.Len() != 1 {
 		t.Fatalf("plan cache holds %d plans, want 1", eng.execPlans.Len())

@@ -17,14 +17,14 @@ import (
 // rewriting again. Entries are charged their graph's estimated size
 // (mig.MemSize) against the byte budget, and each probe records a "cache
 // rewrite-probe" span. Only the caller that computes emits progress
-// events.
+// events. Embedding promotes Len and Counters.
 //
 // Cached MIGs are shared across callers and must be treated as read-only.
 // The compilation stages only read their input, so the staged runners can
 // share entries freely; the public facade clones before handing a cached
 // graph to user code.
 type RewriteCache struct {
-	m *memo.Cache[rewriteKey, rewriteResult]
+	*memo.Cache[rewriteKey, rewriteResult]
 }
 
 type rewriteKey struct {
@@ -40,12 +40,19 @@ type rewriteResult struct {
 
 // NewRewriteCache returns a cache evicting least-recently-used entries
 // once their summed estimated bytes exceed budget; budget ≤ 0 means
-// unbounded.
-func NewRewriteCache(budget int) *RewriteCache {
+// unbounded. A non-nil disk is the persistent second tier: disk-served
+// results are byte-identical to computed ones and, like memory hits, emit
+// no progress events.
+func NewRewriteCache(budget int, disk *diskcache.Cache) *RewriteCache {
+	var tier memo.Tier[rewriteKey, rewriteResult]
+	if disk != nil {
+		tier = rewriteTier{disk}
+	}
 	return &RewriteCache{memo.New(budget,
 		func(r rewriteResult) int { return r.m.MemSize() },
 		"rewrite-probe",
-		func(k rewriteKey) (string, string) { return "fp", fmt.Sprintf("%016x", k.fp) })}
+		func(k rewriteKey) (string, string) { return "fp", fmt.Sprintf("%016x", k.fp) },
+		tier)}
 }
 
 // rewriteTier adapts the disk cache's rewrite entries to memo.Tier.
@@ -60,30 +67,10 @@ func (t rewriteTier) Store(k rewriteKey, r rewriteResult) error {
 	return t.d.StoreRewrite(k.fp, uint8(k.kind), k.effort, r.m, r.st)
 }
 
-// SetDisk installs (or, with nil, removes) the persistent second tier.
-// It must be called before the cache is shared across goroutines.
-// Disk-served results are byte-identical to computed ones and, like
-// memory hits, emit no progress events.
-func (c *RewriteCache) SetDisk(d *diskcache.Cache) {
-	if d == nil {
-		c.m.SetTier(nil)
-		return
-	}
-	c.m.SetTier(rewriteTier{d})
-}
-
-// Len reports the number of cached rewrites (including in-flight ones).
-func (c *RewriteCache) Len() int { return c.m.Len() }
-
-// Probes reports the memory-tier probe counters: hits (including probes
-// that attached to an in-flight computation) and misses (probes that had
-// to compute or go to disk).
-func (c *RewriteCache) Probes() (hits, misses uint64) { return c.m.Probes() }
-
 // Rewrite is core.Rewrite memoized through the cache. On a hit no progress
 // events are emitted — the rewrite simply did not run again.
 func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
-	r, err := c.m.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
+	r, err := c.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
 		out, st, err := Rewrite(ctx, m, kind, effort, label)
 		if err == nil && out == m {
 			// Effort 0 (or RewriteNone on an already-clean graph) can hand

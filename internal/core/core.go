@@ -423,7 +423,7 @@ func RunStaged(ctx context.Context, env Env, m *mig.MIG, cfgs []Config, effort i
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g := env.Sched.NewGraph(ctx, sched.GraphOptions{})
+	g := env.Sched.NewGraph(ctx)
 	out := make([]*Report, len(cfgs))
 	_, finish := StagedGraph(g, env, effort, nil, func() *mig.MIG { return m }, cfgs, out)
 	if err := g.Wait(); err != nil {

@@ -31,17 +31,13 @@ type ExploreOptions struct {
 	// Shrinks are the datapath divisors; nil means {1} (paper scale).
 	Shrinks []int
 	// Models price every compiled program. The first model is also threaded
-	// through compilation (Report.Cost and, with Verify, the parity check);
-	// the rest price the identical programs after the fact — the model is
-	// pure accounting and never influences compilation, so one compile per
-	// (benchmark, shrink, effort, config) covers every model. Nil means
-	// {cost.Default()}. Model names must be distinct: they key the output
-	// rows and the Pareto grouping.
+	// through compilation (Report.Cost and, with Env.Verify, the parity
+	// check); the rest price the identical programs after the fact — the
+	// model is pure accounting and never influences compilation, so one
+	// compile per (benchmark, shrink, effort, config) covers every model.
+	// Nil means {cost.Default()}. Model names must be distinct: they key the
+	// output rows and the Pareto grouping.
 	Models []*cost.Model
-	// Verify statically verifies every compiled program, including
-	// static-vs-allocator write and cost parity under Models[0]; so does
-	// Env.Verify.
-	Verify bool
 }
 
 // ExplorePoint is one swept design point: a (benchmark, shrink, effort,
@@ -134,8 +130,7 @@ func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult,
 		return nil, err
 	}
 	env.CostModel = opts.Models[0]
-	env.Verify = env.Verify || opts.Verify
-	g := env.Sched.NewGraph(ctx, sched.GraphOptions{})
+	g := env.Sched.NewGraph(ctx)
 
 	nb, ns, ne := len(opts.Benchmarks), len(opts.Shrinks), len(opts.Efforts)
 	type cell struct {

@@ -18,8 +18,15 @@ func quickExplore() ExploreOptions {
 		Efforts:    []int{0, 2},
 		Shrinks:    []int{4},
 		Models:     []*cost.Model{cost.Default(), fast},
-		Verify:     true,
 	}
+}
+
+// verifyEnv is testEnv with static verification on, so every swept
+// compile also checks write and cost parity.
+func verifyEnv(t *testing.T, workers int) Env {
+	env := testEnv(t, workers)
+	env.Verify = true
+	return env
 }
 
 // TestExploreDeterministic pins the sweep's reproducibility contract: the
@@ -38,13 +45,13 @@ func TestExploreDeterministic(t *testing.T) {
 		return csv.String(), js.String()
 	}
 
-	cold, err := Explore(ctx, testEnv(t, 2), quickExplore())
+	cold, err := Explore(ctx, verifyEnv(t, 2), quickExplore())
 	if err != nil {
 		t.Fatal(err)
 	}
 	csvCold, jsonCold := render(cold)
 
-	warm := testEnv(t, 4)
+	warm := verifyEnv(t, 4)
 	for i := 0; i < 2; i++ {
 		r, err := Explore(ctx, warm, quickExplore())
 		if err != nil {
@@ -68,7 +75,7 @@ func TestExploreDeterministic(t *testing.T) {
 // is excluded from the front, and WriteCSV(frontOnly) emits exactly the
 // front rows.
 func TestExplorePareto(t *testing.T) {
-	res, err := Explore(context.Background(), testEnv(t, 2), quickExplore())
+	res, err := Explore(context.Background(), verifyEnv(t, 2), quickExplore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestExplorePareto(t *testing.T) {
 // TestExploreValidation rejects malformed sweeps up front.
 func TestExploreValidation(t *testing.T) {
 	ctx := context.Background()
-	env := testEnv(t, 2)
+	env := verifyEnv(t, 2)
 	base := func() ExploreOptions { return quickExplore() }
 
 	bad := base()

@@ -33,6 +33,7 @@ package diskcache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -68,6 +69,8 @@ const (
 // ProbeOutcome classifies one disk probe for trace spans and metrics:
 // ProbeVerifyMiss is the subset of misses where a structurally readable
 // entry was rejected solely by SetVerify fingerprint re-verification.
+// The cache keeps no counters of its own; memo.Cache counts each outcome
+// where it labels the probe's span.
 type ProbeOutcome uint8
 
 // Probe outcomes.
@@ -77,25 +80,10 @@ const (
 	ProbeVerifyMiss
 )
 
-// String names the outcome the way trace spans and metrics label it.
-func (o ProbeOutcome) String() string {
-	switch o {
-	case ProbeHit:
-		return "hit"
-	case ProbeVerifyMiss:
-		return "verify_miss"
-	}
-	return "miss"
-}
-
-// Counters is a snapshot of a cache's hit/miss/store accounting. Loads
-// that fail verification (corrupt, truncated, version-mismatched entries)
-// count as misses.
-type Counters struct {
-	RewriteHits, RewriteMisses     uint64
-	BenchmarkHits, BenchmarkMisses uint64
-	Stores, StoreErrors            uint64
-}
+// ErrNotStorable is returned by a store skipped because its graph cannot
+// round-trip faithfully (see Storable). Nothing was written, and nothing
+// failed: callers do not count it as a store error.
+var ErrNotStorable = errors.New("diskcache: graph not storable")
 
 // Cache is an open persistent cache directory. It is safe for concurrent
 // use by multiple goroutines and by multiple processes sharing the same
@@ -106,11 +94,6 @@ type Cache struct {
 	// verify arms load-time re-verification: a hit must also reproduce the
 	// fingerprint recorded at store time (see SetVerify).
 	verify atomic.Bool
-
-	rewriteHits, rewriteMisses atomic.Uint64
-	benchHits, benchMisses     atomic.Uint64
-	stores, storeErrors        atomic.Uint64
-	verifyMisses               atomic.Uint64
 }
 
 // Open creates (if needed) and opens a cache directory. Stale temp files
@@ -159,21 +142,6 @@ func (c *Cache) Dir() string { return c.dir }
 // FormatVersion bump — so a verifying engine can never be served a graph
 // that is not byte-for-byte the one that was stored.
 func (c *Cache) SetVerify(enabled bool) { c.verify.Store(enabled) }
-
-// VerifyMisses counts loads rejected by SetVerify re-verification alone.
-func (c *Cache) VerifyMisses() uint64 { return c.verifyMisses.Load() }
-
-// Counters returns a snapshot of the cache's accounting.
-func (c *Cache) Counters() Counters {
-	return Counters{
-		RewriteHits:     c.rewriteHits.Load(),
-		RewriteMisses:   c.rewriteMisses.Load(),
-		BenchmarkHits:   c.benchHits.Load(),
-		BenchmarkMisses: c.benchMisses.Load(),
-		Stores:          c.stores.Load(),
-		StoreErrors:     c.storeErrors.Load(),
-	}
-}
 
 func rewritePath(dir string, fp uint64, kind uint8, effort int) string {
 	return filepath.Join(dir, fmt.Sprintf("rw-%016x-k%d-e%d.plimcache", fp, kind, effort))
@@ -248,160 +216,72 @@ func tokenSafe(name string) bool {
 }
 
 // StoreRewrite persists a rewrite result under (fp, kind, effort). Graphs
-// that cannot round-trip faithfully (see Storable) are skipped without
-// error. Store failures are counted but otherwise best-effort: the caller
-// already holds the computed result.
+// that cannot round-trip faithfully (see Storable) are skipped with
+// ErrNotStorable. Stores are best-effort: the caller already holds the
+// computed result.
 func (c *Cache) StoreRewrite(fp uint64, kind uint8, effort int, m *mig.MIG, st rewrite.Stats) error {
-	if !Storable(m) {
-		return nil
-	}
-	var head bytes.Buffer
-	fmt.Fprintf(&head, "key %016x %d %d\n", fp, kind, effort)
-	fmt.Fprintf(&head, "out %016x\n", m.Fingerprint())
-	fmt.Fprintf(&head, "stats %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
-		st.Cycles, st.NodesBefore, st.NodesAfter, st.DepthBefore, st.DepthAfter,
-		st.CompHistBefore[0], st.CompHistBefore[1], st.CompHistBefore[2], st.CompHistBefore[3],
-		st.CompHistAfter[0], st.CompHistAfter[1], st.CompHistAfter[2], st.CompHistAfter[3])
-	return c.store(rewritePath(c.dir, fp, kind, effort), kindRewrite, head.Bytes(), m)
+	return c.store(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(fp, kind, effort), m,
+		fmt.Sprintf(statsFormat, st.Cycles, st.NodesBefore, st.NodesAfter, st.DepthBefore, st.DepthAfter,
+			st.CompHistBefore[0], st.CompHistBefore[1], st.CompHistBefore[2], st.CompHistBefore[3],
+			st.CompHistAfter[0], st.CompHistAfter[1], st.CompHistAfter[2], st.CompHistAfter[3]))
 }
 
-// LoadRewrite probes the cache for a rewrite result. ok is false on any
-// miss, including unreadable, corrupt or version-mismatched entries.
-func (c *Cache) LoadRewrite(fp uint64, kind uint8, effort int) (m *mig.MIG, st rewrite.Stats, ok bool) {
-	m, st, out := c.ProbeRewrite(fp, kind, effort)
-	return m, st, out == ProbeHit
-}
-
-// ProbeRewrite is LoadRewrite reporting how the probe resolved, so callers
-// can annotate trace spans with hit / miss / verify_miss.
-func (c *Cache) ProbeRewrite(fp uint64, kind uint8, effort int) (m *mig.MIG, st rewrite.Stats, out ProbeOutcome) {
-	payload, header, ok := c.load(rewritePath(c.dir, fp, kind, effort), kindRewrite)
-	if ok {
-		m, st, out = c.parseRewrite(payload, header, fp, kind, effort)
+// ProbeRewrite loads the rewrite result stored under (fp, kind, effort)
+// and reports how the probe resolved; the graph is nil unless it hit. An
+// entry whose stats line does not parse is a plain miss.
+func (c *Cache) ProbeRewrite(fp uint64, kind uint8, effort int) (*mig.MIG, rewrite.Stats, ProbeOutcome) {
+	var st rewrite.Stats
+	m, extra, out := c.probe(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(fp, kind, effort), 1)
+	if out == ProbeMiss {
+		return nil, st, out
 	}
-	if out == ProbeHit {
-		c.rewriteHits.Add(1)
-	} else {
-		c.rewriteMisses.Add(1)
+	if _, err := fmt.Sscanf(extra[0], statsFormat,
+		&st.Cycles, &st.NodesBefore, &st.NodesAfter, &st.DepthBefore, &st.DepthAfter,
+		&st.CompHistBefore[0], &st.CompHistBefore[1], &st.CompHistBefore[2], &st.CompHistBefore[3],
+		&st.CompHistAfter[0], &st.CompHistAfter[1], &st.CompHistAfter[2], &st.CompHistAfter[3]); err != nil {
+		return nil, rewrite.Stats{}, ProbeMiss
 	}
 	return m, st, out
 }
 
-func (c *Cache) parseRewrite(payload []byte, header []string, fp uint64, kind uint8, effort int) (*mig.MIG, rewrite.Stats, ProbeOutcome) {
-	var st rewrite.Stats
-	if len(header) != 3 {
-		return nil, st, ProbeMiss
-	}
-	var gotFP uint64
-	var gotKind, gotEffort int
-	if _, err := fmt.Sscanf(header[0], "key %x %d %d", &gotFP, &gotKind, &gotEffort); err != nil ||
-		gotFP != fp || gotKind != int(kind) || gotEffort != effort {
-		return nil, st, ProbeMiss
-	}
-	if _, err := fmt.Sscanf(header[2], "stats %d %d %d %d %d %d %d %d %d %d %d %d %d",
-		&st.Cycles, &st.NodesBefore, &st.NodesAfter, &st.DepthBefore, &st.DepthAfter,
-		&st.CompHistBefore[0], &st.CompHistBefore[1], &st.CompHistBefore[2], &st.CompHistBefore[3],
-		&st.CompHistAfter[0], &st.CompHistAfter[1], &st.CompHistAfter[2], &st.CompHistAfter[3]); err != nil {
-		return nil, st, ProbeMiss
-	}
-	m, err := mig.ReadBinary(payload)
-	if err != nil || m.Validate() != nil {
-		return nil, st, ProbeMiss
-	}
-	if out := c.checkOut(header[1], m); out != ProbeHit {
-		return nil, st, out
-	}
-	return m, st, ProbeHit
-}
+const statsFormat = "stats %d %d %d %d %d %d %d %d %d %d %d %d %d"
 
-// checkOut re-verifies a parsed graph against the "out <fingerprint>"
-// header line recorded at store time. The line must parse regardless of
-// the verify switch (it is part of the layout since v2); the fingerprint
-// itself is only recomputed and compared when SetVerify armed the cache.
-func (c *Cache) checkOut(line string, m *mig.MIG) ProbeOutcome {
-	var want uint64
-	if _, err := fmt.Sscanf(line, "out %x", &want); err != nil {
-		return ProbeMiss
-	}
-	if !c.verify.Load() {
-		return ProbeHit
-	}
-	if m.Fingerprint() != want {
-		c.verifyMisses.Add(1)
-		return ProbeVerifyMiss
-	}
-	return ProbeHit
+func rewriteKey(fp uint64, kind uint8, effort int) string {
+	return fmt.Sprintf("key %016x %d %d", fp, kind, effort)
 }
 
 // StoreBenchmark persists a benchmark build under (name, shrink).
 func (c *Cache) StoreBenchmark(name string, shrink int, m *mig.MIG) error {
-	if !Storable(m) {
-		return nil
-	}
-	head := fmt.Appendf(nil, "key %q %d\nout %016x\n", name, shrink, m.Fingerprint())
-	return c.store(benchPath(c.dir, name, shrink), kindBenchmark, head, m)
+	return c.store(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(name, shrink), m)
 }
 
-// LoadBenchmark probes the cache for a benchmark build.
-func (c *Cache) LoadBenchmark(name string, shrink int) (*mig.MIG, bool) {
-	m, out := c.ProbeBenchmark(name, shrink)
-	return m, out == ProbeHit
-}
-
-// ProbeBenchmark is LoadBenchmark reporting how the probe resolved.
-func (c *Cache) ProbeBenchmark(name string, shrink int) (m *mig.MIG, out ProbeOutcome) {
-	payload, header, ok := c.load(benchPath(c.dir, name, shrink), kindBenchmark)
-	if ok {
-		m, out = c.parseBenchmark(payload, header, name, shrink)
-	}
-	if out == ProbeHit {
-		c.benchHits.Add(1)
-	} else {
-		c.benchMisses.Add(1)
-	}
+// ProbeBenchmark loads the benchmark build stored under (name, shrink) and
+// reports how the probe resolved.
+func (c *Cache) ProbeBenchmark(name string, shrink int) (*mig.MIG, ProbeOutcome) {
+	m, _, out := c.probe(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(name, shrink), 0)
 	return m, out
 }
 
-func (c *Cache) parseBenchmark(payload []byte, header []string, name string, shrink int) (*mig.MIG, ProbeOutcome) {
-	if len(header) != 2 {
-		return nil, ProbeMiss
-	}
-	var gotName string
-	var gotShrink int
-	if _, err := fmt.Sscanf(header[0], "key %q %d", &gotName, &gotShrink); err != nil ||
-		gotName != name || gotShrink != shrink {
-		return nil, ProbeMiss
-	}
-	m, err := mig.ReadBinary(payload)
-	if err != nil || m.Validate() != nil {
-		return nil, ProbeMiss
-	}
-	if out := c.checkOut(header[1], m); out != ProbeHit {
-		return nil, out
-	}
-	return m, ProbeHit
-}
+func benchKey(name string, shrink int) string { return fmt.Sprintf("key %q %d", name, shrink) }
 
 // store writes one entry atomically: serialize into memory, write a temp
 // file in the cache directory, rename over the final path. Concurrent
 // writers race benignly (both write complete files; the last rename wins)
 // and a crash mid-write leaves only a temp file or a truncated temp file,
-// never a truncated entry under the final name.
-func (c *Cache) store(path, entryKind string, header []byte, m *mig.MIG) error {
-	err := c.storeFile(path, entryKind, header, m)
-	if err != nil {
-		c.storeErrors.Add(1)
-	} else {
-		c.stores.Add(1)
+// never a truncated entry under the final name. The header is the magic
+// line, the key line, the stored graph's fingerprint ("out") and the
+// kind's extra lines, then the payload's length and CRC-32.
+func (c *Cache) store(path, entryKind, key string, m *mig.MIG, extra ...string) error {
+	if !Storable(m) {
+		return ErrNotStorable
 	}
-	return err
-}
-
-func (c *Cache) storeFile(path, entryKind string, header []byte, m *mig.MIG) error {
 	payload := m.AppendBinary(nil)
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %s\n", magic, FormatVersion, entryKind)
-	buf.Write(header)
+	fmt.Fprintf(&buf, "%s %d %s\n%s\nout %016x\n", magic, FormatVersion, entryKind, key, m.Fingerprint())
+	for _, line := range extra {
+		buf.WriteString(line)
+		buf.WriteByte('\n')
+	}
 	fmt.Fprintf(&buf, "payload %d %08x\n", len(payload), crc32.ChecksumIEEE(payload))
 	buf.Write(payload)
 
@@ -423,50 +303,67 @@ func (c *Cache) storeFile(path, entryKind string, header []byte, m *mig.MIG) err
 	return nil
 }
 
-// load reads one entry file and verifies everything below the key: magic,
-// version, entry kind, payload length and checksum. It returns the payload
-// and the header lines between the magic line and the payload line; any
-// problem is a miss (nil, nil, false).
-func (c *Cache) load(path, entryKind string) (payload []byte, header []string, ok bool) {
+// probe reads the entry at path and classifies it. A hit needs the magic
+// line with this FormatVersion and entry kind, exactly the key line a
+// store writes, an "out" line, exactly extra more header lines (returned
+// for the caller to parse), a payload of the recorded length and checksum
+// that decodes to a valid graph and — under SetVerify — reproduces the
+// recorded fingerprint; a failed fingerprint alone is ProbeVerifyMiss, any
+// other problem ProbeMiss. An intact file refreshes its modification time.
+func (c *Cache) probe(path, entryKind, key string, extra int) (*mig.MIG, []string, ProbeOutcome) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, false
+		return nil, nil, ProbeMiss
 	}
 	line, rest, found := bytes.Cut(data, []byte{'\n'})
 	if !found {
-		return nil, nil, false
+		return nil, nil, ProbeMiss
 	}
 	var ver int
 	var gotMagic, gotKind string
 	if _, err := fmt.Sscanf(string(line), "%s %d %s", &gotMagic, &ver, &gotKind); err != nil ||
 		gotMagic != magic || ver != FormatVersion || gotKind != entryKind {
-		return nil, nil, false
+		return nil, nil, ProbeMiss
 	}
+	var header []string
 	for {
 		line, rest, found = bytes.Cut(rest, []byte{'\n'})
 		if !found {
-			return nil, nil, false
+			return nil, nil, ProbeMiss
 		}
 		if bytes.HasPrefix(line, []byte("payload ")) {
-			var n int
-			var sum uint32
-			if _, err := fmt.Sscanf(string(line), "payload %d %x", &n, &sum); err != nil {
-				return nil, nil, false
-			}
-			if len(rest) != n || crc32.ChecksumIEEE(rest) != sum {
-				return nil, nil, false
-			}
-			// Mark the entry recently used so GC's oldest-first eviction
-			// approximates LRU rather than FIFO. Best-effort: a concurrent
-			// writer may just have renamed a fresh file over path, which only
-			// makes the entry look even younger.
-			now := time.Now()
-			_ = os.Chtimes(path, now, now)
-			return rest, header, true
+			break
 		}
 		header = append(header, string(line))
 		if len(header) > 8 {
-			return nil, nil, false // runaway header: not one of ours
+			return nil, nil, ProbeMiss // runaway header: not one of ours
 		}
 	}
+	var n int
+	var sum uint32
+	if _, err := fmt.Sscanf(string(line), "payload %d %x", &n, &sum); err != nil ||
+		len(rest) != n || crc32.ChecksumIEEE(rest) != sum {
+		return nil, nil, ProbeMiss
+	}
+	// Mark the entry recently used so GC's oldest-first eviction
+	// approximates LRU rather than FIFO. Best-effort: a concurrent writer
+	// may just have renamed a fresh file over path, which only makes the
+	// entry look even younger.
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
+	if len(header) != 2+extra || header[0] != key {
+		return nil, nil, ProbeMiss
+	}
+	var fp uint64
+	if _, err := fmt.Sscanf(header[1], "out %x", &fp); err != nil {
+		return nil, nil, ProbeMiss
+	}
+	m, err := mig.ReadBinary(rest)
+	if err != nil || m.Validate() != nil {
+		return nil, nil, ProbeMiss
+	}
+	if c.verify.Load() && m.Fingerprint() != fp {
+		return nil, header[2:], ProbeVerifyMiss
+	}
+	return m, header[2:], ProbeHit
 }

@@ -2,6 +2,7 @@ package diskcache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -65,14 +66,14 @@ func TestRewriteRoundTrip(t *testing.T) {
 	st := testStats()
 	fp := m.Fingerprint()
 
-	if _, _, ok := c.LoadRewrite(fp, 2, 5); ok {
+	if _, _, out := c.ProbeRewrite(fp, 2, 5); out == ProbeHit {
 		t.Fatal("hit on empty cache")
 	}
 	if err := c.StoreRewrite(fp, 2, 5, m, st); err != nil {
 		t.Fatal(err)
 	}
-	got, gotSt, ok := c.LoadRewrite(fp, 2, 5)
-	if !ok {
+	got, gotSt, out := c.ProbeRewrite(fp, 2, 5)
+	if out != ProbeHit {
 		t.Fatal("stored entry missed")
 	}
 	if gotSt != st {
@@ -93,42 +94,37 @@ func TestRewriteRoundTrip(t *testing.T) {
 	}
 
 	// Different key components are different entries.
-	if _, _, ok := c.LoadRewrite(fp, 1, 5); ok {
+	if _, _, out := c.ProbeRewrite(fp, 1, 5); out == ProbeHit {
 		t.Fatal("kind is not part of the key")
 	}
-	if _, _, ok := c.LoadRewrite(fp, 2, 4); ok {
+	if _, _, out := c.ProbeRewrite(fp, 2, 4); out == ProbeHit {
 		t.Fatal("effort is not part of the key")
 	}
-	if _, _, ok := c.LoadRewrite(fp+1, 2, 5); ok {
+	if _, _, out := c.ProbeRewrite(fp+1, 2, 5); out == ProbeHit {
 		t.Fatal("fingerprint is not part of the key")
-	}
-
-	cnt := c.Counters()
-	if cnt.RewriteHits != 1 || cnt.RewriteMisses != 4 || cnt.Stores != 1 {
-		t.Fatalf("counters = %+v", cnt)
 	}
 }
 
 func TestBenchmarkRoundTrip(t *testing.T) {
 	c := open(t)
 	m := testMIG("ctrl", 2)
-	if _, ok := c.LoadBenchmark("ctrl", 2); ok {
+	if _, out := c.ProbeBenchmark("ctrl", 2); out == ProbeHit {
 		t.Fatal("hit on empty cache")
 	}
 	if err := c.StoreBenchmark("ctrl", 2, m); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.LoadBenchmark("ctrl", 2)
-	if !ok {
+	got, out := c.ProbeBenchmark("ctrl", 2)
+	if out != ProbeHit {
 		t.Fatal("stored benchmark missed")
 	}
 	if got.Fingerprint() != m.Fingerprint() {
 		t.Fatal("loaded benchmark fingerprint differs")
 	}
-	if _, ok := c.LoadBenchmark("ctrl", 3); ok {
+	if _, out := c.ProbeBenchmark("ctrl", 3); out == ProbeHit {
 		t.Fatal("shrink is not part of the key")
 	}
-	if _, ok := c.LoadBenchmark("ctrl2", 2); ok {
+	if _, out := c.ProbeBenchmark("ctrl2", 2); out == ProbeHit {
 		t.Fatal("name is not part of the key")
 	}
 }
@@ -152,14 +148,14 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.LoadRewrite(fp, 2, 5); ok {
+	if _, _, out := c.ProbeRewrite(fp, 2, 5); out == ProbeHit {
 		t.Fatal("corrupt entry served as a hit")
 	}
 	// A fresh store heals the entry.
 	if err := c.StoreRewrite(fp, 2, 5, m, testStats()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.LoadRewrite(fp, 2, 5); !ok {
+	if _, _, out := c.ProbeRewrite(fp, 2, 5); out != ProbeHit {
 		t.Fatal("re-stored entry missed")
 	}
 }
@@ -183,7 +179,7 @@ func TestTruncatedEntryIsAMiss(t *testing.T) {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := c.LoadRewrite(fp, 2, 5); ok {
+		if _, _, out := c.ProbeRewrite(fp, 2, 5); out == ProbeHit {
 			t.Fatalf("entry truncated to %d/%d bytes served as a hit", n, len(data))
 		}
 	}
@@ -212,7 +208,7 @@ func TestVersionBumpInvalidates(t *testing.T) {
 	if err := os.WriteFile(path, []byte(mut), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.LoadRewrite(fp, 2, 5); ok {
+	if _, _, out := c.ProbeRewrite(fp, 2, 5); out == ProbeHit {
 		t.Fatal("entry from a different format version served as a hit")
 	}
 }
@@ -234,11 +230,8 @@ func TestV2TextEntryMigrates(t *testing.T) {
 	if err := os.WriteFile(path, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.LoadRewrite(fp, 2, 5); ok {
-		t.Fatal("v2 text entry served as a hit")
-	}
-	if n := c.Counters(); n.RewriteHits != 0 || n.RewriteMisses != 1 {
-		t.Fatalf("v2 entry counted as %+v, want one miss", n)
+	if _, _, out := c.ProbeRewrite(fp, 2, 5); out != ProbeMiss {
+		t.Fatalf("v2 text entry probed as %d, want a miss", out)
 	}
 
 	if err := c.StoreRewrite(fp, 2, 5, m, testStats()); err != nil {
@@ -251,12 +244,9 @@ func TestV2TextEntryMigrates(t *testing.T) {
 	if want := fmt.Sprintf("%s %d rewrite\n", magic, FormatVersion); !strings.HasPrefix(string(data), want) {
 		t.Fatalf("store left %q, want a %q entry", data[:min(len(data), 32)], want)
 	}
-	got, st, ok := c.LoadRewrite(fp, 2, 5)
-	if !ok || st != testStats() || got.Fingerprint() != fp {
+	got, st, out := c.ProbeRewrite(fp, 2, 5)
+	if out != ProbeHit || st != testStats() || got.Fingerprint() != fp {
 		t.Fatal("the replacing entry did not hit with the stored graph")
-	}
-	if n := c.Counters(); n.RewriteHits != 1 || n.RewriteMisses != 1 {
-		t.Fatalf("after the store: %+v, want one hit and one miss", n)
 	}
 }
 
@@ -278,7 +268,7 @@ func TestMismatchedKeyInsideEntry(t *testing.T) {
 	if err := os.WriteFile(other, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.LoadRewrite(fp+1, 2, 5); ok {
+	if _, _, out := c.ProbeRewrite(fp+1, 2, 5); out == ProbeHit {
 		t.Fatal("entry with mismatched embedded key served as a hit")
 	}
 }
@@ -296,10 +286,10 @@ func TestInterleavedGraphNotStored(t *testing.T) {
 		t.Fatal("interleaved graph reported storable")
 	}
 	c := open(t)
-	if err := c.StoreRewrite(m.Fingerprint(), 0, 0, m, rewrite.Stats{}); err != nil {
-		t.Fatal(err)
+	if err := c.StoreRewrite(m.Fingerprint(), 0, 0, m, rewrite.Stats{}); !errors.Is(err, ErrNotStorable) {
+		t.Fatalf("store returned %v, want ErrNotStorable", err)
 	}
-	if _, _, ok := c.LoadRewrite(m.Fingerprint(), 0, 0); ok {
+	if _, _, out := c.ProbeRewrite(m.Fingerprint(), 0, 0); out == ProbeHit {
 		t.Fatal("unstorable graph was stored anyway")
 	}
 }
@@ -341,7 +331,7 @@ func TestConcurrentStoreLoad(t *testing.T) {
 						return
 					}
 				}
-				if m, _, ok := c.LoadRewrite(fps[k], 2, 5); ok {
+				if m, _, out := c.ProbeRewrite(fps[k], 2, 5); out == ProbeHit {
 					if m.Fingerprint() != fps[k] {
 						t.Errorf("load returned wrong graph for key %d", k)
 						return
@@ -381,10 +371,10 @@ func TestWhitespaceNamesNotStored(t *testing.T) {
 		if Storable(m) {
 			t.Errorf("case %d: whitespace name reported storable", i)
 		}
-		if err := c.StoreRewrite(m.Fingerprint(), 0, 0, m, rewrite.Stats{}); err != nil {
-			t.Fatal(err)
+		if err := c.StoreRewrite(m.Fingerprint(), 0, 0, m, rewrite.Stats{}); !errors.Is(err, ErrNotStorable) {
+			t.Fatalf("case %d: store returned %v, want ErrNotStorable", i, err)
 		}
-		if _, _, ok := c.LoadRewrite(m.Fingerprint(), 0, 0); ok {
+		if _, _, out := c.ProbeRewrite(m.Fingerprint(), 0, 0); out == ProbeHit {
 			t.Errorf("case %d: whitespace-named graph was persisted", i)
 		}
 	}
@@ -423,7 +413,7 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 	if _, err := os.Stat(fresh); err != nil {
 		t.Error("fresh temp file was reaped")
 	}
-	if _, _, ok := c.LoadRewrite(m.Fingerprint(), 2, 5); !ok {
+	if _, _, out := c.ProbeRewrite(m.Fingerprint(), 2, 5); out != ProbeHit {
 		t.Error("real entry lost during sweep")
 	}
 }
@@ -466,8 +456,8 @@ func TestVerifyOnLoadRejectsCRCCollision(t *testing.T) {
 	t.Run("unverified-load-accepts", func(t *testing.T) {
 		c := open(t)
 		forge(t, c)
-		got, _, ok := c.LoadRewrite(m.Fingerprint(), 2, 5)
-		if !ok {
+		got, _, out := c.ProbeRewrite(m.Fingerprint(), 2, 5)
+		if out != ProbeHit {
 			t.Fatal("unverified cache should accept the CRC-consistent forgery")
 		}
 		if got.Fingerprint() != imposter.Fingerprint() {
@@ -479,14 +469,24 @@ func TestVerifyOnLoadRejectsCRCCollision(t *testing.T) {
 		c := open(t)
 		c.SetVerify(true)
 		forge(t, c)
-		if _, _, ok := c.LoadRewrite(m.Fingerprint(), 2, 5); ok {
-			t.Fatal("verified cache served a forged entry")
+		if _, _, out := c.ProbeRewrite(m.Fingerprint(), 2, 5); out != ProbeVerifyMiss {
+			t.Fatalf("verified cache probed a forged entry as %d, want a verify miss", out)
 		}
-		if c.VerifyMisses() != 1 {
-			t.Fatalf("verify miss not counted: %d", c.VerifyMisses())
+	})
+
+	// A forged entry whose stats line is also garbled is a plain miss: the
+	// layout check comes before re-verification.
+	t.Run("verified-load-bad-stats-is-a-plain-miss", func(t *testing.T) {
+		c := open(t)
+		c.SetVerify(true)
+		forge(t, c)
+		path := entryFile(t, c)
+		data, _ := os.ReadFile(path)
+		if err := os.WriteFile(path, []byte(strings.Replace(string(data), "stats ", "stats x", 1)), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if c.Counters().RewriteMisses != 1 {
-			t.Fatal("verify rejection must account as a miss")
+		if _, _, out := c.ProbeRewrite(m.Fingerprint(), 2, 5); out != ProbeMiss {
+			t.Fatalf("probed as %d, want a plain miss", out)
 		}
 	})
 
@@ -496,7 +496,7 @@ func TestVerifyOnLoadRejectsCRCCollision(t *testing.T) {
 		if err := c.StoreRewrite(m.Fingerprint(), 2, 5, m, testStats()); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := c.LoadRewrite(m.Fingerprint(), 2, 5); !ok {
+		if _, _, out := c.ProbeRewrite(m.Fingerprint(), 2, 5); out != ProbeHit {
 			t.Fatal("verified cache rejected an honest entry")
 		}
 	})
@@ -511,8 +511,8 @@ func TestVerifyOnLoadBenchmark(t *testing.T) {
 	if err := c.StoreBenchmark("adder", 2, m); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.LoadBenchmark("adder", 2)
-	if !ok || got.Fingerprint() != m.Fingerprint() {
+	got, out := c.ProbeBenchmark("adder", 2)
+	if out != ProbeHit || got.Fingerprint() != m.Fingerprint() {
 		t.Fatal("verified benchmark load failed on an honest entry")
 	}
 
@@ -525,7 +525,7 @@ func TestVerifyOnLoadBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetVerify(false)
-	if _, ok := c.LoadBenchmark("adder", 2); ok {
+	if _, out := c.ProbeBenchmark("adder", 2); out == ProbeHit {
 		t.Fatal("mangled out line must be a miss")
 	}
 }

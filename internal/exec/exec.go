@@ -8,6 +8,7 @@ import (
 
 	"plim/internal/cost"
 	"plim/internal/isa"
+	"plim/internal/progress"
 	"plim/internal/rram"
 	"plim/internal/trace"
 )
@@ -103,9 +104,6 @@ type Options struct {
 	// faults at exactly the instruction where the scalar interpreter's
 	// crossbar would return rram.ErrWornOut.
 	Endurance uint64
-	// OnChunk, when non-nil, is invoked after each 64-lane chunk completes
-	// (done in 1..total). It runs on the calling goroutine.
-	OnChunk func(done, total int)
 	// CostModel, when non-nil, prices the batch: Result.Cost aggregates the
 	// executed instructions (the full program, or the prefix before an
 	// endurance fault) over every lane.
@@ -258,9 +256,11 @@ func (pl *Plan) finalize(b *Batch, run []op, faultAt int, switches []uint64, out
 
 // RunContext executes every vector of b through the program, 64 lanes per
 // word column, and returns outputs plus aggregate wear. Cancellation is
-// honoured between chunks. On an endurance fault the prefix before the
-// failing instruction still ages every device (Result carries the partial
-// wear) and the error is a *FaultError wrapping rram.ErrWornOut.
+// honoured between chunks, and each completed chunk emits a
+// progress.ExecuteChunk to ctx's progress observer, if any, on the calling
+// goroutine. On an endurance fault the prefix before the failing
+// instruction still ages every device (Result carries the partial wear)
+// and the error is a *FaultError wrapping rram.ErrWornOut.
 func (pl *Plan) RunContext(ctx context.Context, b *Batch, opts Options) (*Result, error) {
 	run, faultAt, err := pl.prepare(b, opts.Endurance)
 	if err != nil {
@@ -270,8 +270,10 @@ func (pl *Plan) RunContext(ctx context.Context, b *Batch, opts Options) (*Result
 	outputs := NewBatch(pl.NumOutputs(), b.Len())
 	chunks := b.Chunks()
 	var onChunk func(int)
-	if opts.OnChunk != nil {
-		onChunk = func(c int) { opts.OnChunk(c+1, chunks) }
+	if obs := progress.FromContext(ctx); obs != nil {
+		onChunk = func(c int) {
+			obs(progress.ExecuteChunk{Program: pl.src.Name, Done: c + 1, Total: chunks, Vectors: b.Len()})
+		}
 	}
 	if err := pl.runRange(ctx, b, run, faultAt < 0, switches, outputs, 0, chunks, onChunk); err != nil {
 		return nil, err

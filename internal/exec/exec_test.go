@@ -8,6 +8,7 @@ import (
 	"plim/internal/core"
 	"plim/internal/isa"
 	"plim/internal/mig"
+	"plim/internal/progress"
 	"plim/internal/rram"
 	"plim/internal/suite"
 )
@@ -230,14 +231,14 @@ func TestOnChunkProgress(t *testing.T) {
 	}
 	b, _ := Exhaustive(pl.NumInputs()) // 128 vectors = 2 chunks
 	var calls []int
-	_, err = pl.RunContext(context.Background(), b, Options{
-		OnChunk: func(done, total int) {
-			if total != b.Chunks() {
-				t.Fatalf("total = %d, want %d", total, b.Chunks())
-			}
-			calls = append(calls, done)
-		},
+	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
+		c := ev.(progress.ExecuteChunk)
+		if c.Total != b.Chunks() || c.Program != pl.src.Name || c.Vectors != b.Len() {
+			t.Fatalf("event %+v, want %d chunks of %d vectors of %s", c, b.Chunks(), b.Len(), pl.src.Name)
+		}
+		calls = append(calls, c.Done)
 	})
+	_, err = pl.RunContext(ctx, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"plim/internal/progress"
 	"plim/internal/sched"
 )
 
@@ -16,11 +17,12 @@ import (
 // pass), write counts are data-independent, and an endurance fault is
 // detected identically by every range. ctx's deadline orders the graph's
 // tasks in the scheduler's injector, and its progress observer, if any,
-// receives the graph's task start/done events.
+// receives the graph's task start/done events and one
+// progress.ExecuteChunk per chunk. Chunk events come from worker
+// goroutines — concurrently, with monotone done counts delivered exactly
+// once each, but in no particular order.
 //
 // Small batches (or single-worker pools) fall back to RunContext.
-// opts.OnChunk runs on worker goroutines — concurrently, with monotone
-// done counts delivered exactly once each, but in no particular order.
 func (pl *Plan) RunSharded(ctx context.Context, b *Batch, opts Options, pool *sched.Pool) (*Result, error) {
 	chunks := b.Chunks()
 	shards := pool.Workers()
@@ -38,10 +40,12 @@ func (pl *Plan) RunSharded(ctx context.Context, b *Batch, opts Options, pool *sc
 	partials := make([][]uint64, shards)
 	var done atomic.Int64
 	var onChunk func(int)
-	if opts.OnChunk != nil {
-		onChunk = func(int) { opts.OnChunk(int(done.Add(1)), chunks) }
+	if obs := progress.FromContext(ctx); obs != nil {
+		onChunk = func(int) {
+			obs(progress.ExecuteChunk{Program: pl.src.Name, Done: int(done.Add(1)), Total: chunks, Vectors: b.Len()})
+		}
 	}
-	g := pool.NewGraph(ctx, sched.GraphOptions{})
+	g := pool.NewGraph(ctx)
 	per := (chunks + shards - 1) / shards
 	for s := 0; s < shards; s++ {
 		lo, hi := s*per, min((s+1)*per, chunks)

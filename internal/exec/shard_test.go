@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"plim/internal/progress"
 	"plim/internal/rram"
 	"plim/internal/sched"
 )
@@ -101,16 +102,19 @@ func TestRunShardedOnChunk(t *testing.T) {
 	defer pool.Stop()
 	var mu sync.Mutex
 	seen := map[int]int{}
-	_, err = pl.RunSharded(context.Background(), b, Options{
-		OnChunk: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != 9 {
-				t.Errorf("total = %d, want 9", total)
-			}
-			seen[done]++
-		},
-	}, pool)
+	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
+		c, ok := ev.(progress.ExecuteChunk)
+		if !ok {
+			return // the graph's task events
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if c.Total != 9 {
+			t.Errorf("total = %d, want 9", c.Total)
+		}
+		seen[c.Done]++
+	})
+	_, err = pl.RunSharded(ctx, b, Options{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,8 @@
 // singleflight with cancellable waiters, never caching a failed or
 // panicked computation, the tier probe and write-back, byte-budgeted LRU
 // eviction of completed entries, and one outcome-annotated trace span plus
-// hit/miss counters per probe. Cached values are shared and read-only.
+// one count per probe, taken where the probe is classified. Cached values
+// are shared and read-only.
 package memo
 
 import (
@@ -28,8 +29,9 @@ var ErrPanicked = errors.New("memo: computation panicked")
 // Tier is a persistent second level below the in-memory cache. Load
 // reports diskcache.ProbeHit with a value byte-identical to what the
 // compute function would produce; any other outcome is a miss. Store
-// errors are ignored: a failed store only costs a later process a
-// recomputation.
+// errors are counted, not returned: a failed store only costs a later
+// process a recomputation. A store the tier skips returns
+// diskcache.ErrNotStorable and is not counted at all.
 type Tier[K comparable, V any] interface {
 	Load(K) (V, diskcache.ProbeOutcome)
 	Store(K, V) error
@@ -46,11 +48,9 @@ type Cache[K comparable, V any] struct {
 	head, tail    *entry[K, V]
 	budget, total int
 
-	// hits/misses count first-probe outcomes of the memory tier; a probe
-	// that attaches to an in-flight computation counts as a hit.
-	hits, misses atomic.Uint64
+	n counters
 
-	tier  Tier[K, V]
+	tier  Tier[K, V] // nil: memory only
 	size  func(V) int
 	probe string
 	attr  func(K) (string, string)
@@ -68,17 +68,31 @@ type entry[K comparable, V any] struct {
 	prev, next *entry[K, V]
 }
 
+// Counters is a snapshot of a cache's probe accounting. Hits and Misses
+// classify every probe against the memory tier; a probe that attaches to
+// an in-flight computation is a hit. Each miss then probes the Tier, if
+// any: TierHits and TierMisses classify those probes, and TierVerifyMisses
+// is the subset of TierMisses rejected by re-verification alone. Stores
+// and StoreErrors count the write-backs of computed values.
+type Counters struct {
+	Hits, Misses                           uint64
+	TierHits, TierMisses, TierVerifyMisses uint64
+	Stores, StoreErrors                    uint64
+}
+
+// counters is the live form of Counters.
+type counters struct {
+	hits, misses, tierHits, tierMisses, tierVerifyMisses, stores, storeErrors atomic.Uint64
+}
+
 // New returns a cache evicting least-recently-used completed entries once
 // their summed size(v) exceeds budget (≤ 0 = unbounded). probe names the
 // cache's trace span; attr, when non-nil, labels a traced span with one
-// key attribute and is only called when the span is recorded.
-func New[K comparable, V any](budget int, size func(V) int, probe string, attr func(K) (string, string)) *Cache[K, V] {
-	return &Cache[K, V]{entries: make(map[K]*entry[K, V]), budget: budget, size: size, probe: probe, attr: attr}
+// key attribute and is only called when the span is recorded. tier, when
+// non-nil, is the persistent second level every memory miss probes.
+func New[K comparable, V any](budget int, size func(V) int, probe string, attr func(K) (string, string), tier Tier[K, V]) *Cache[K, V] {
+	return &Cache[K, V]{entries: make(map[K]*entry[K, V]), budget: budget, size: size, probe: probe, attr: attr, tier: tier}
 }
-
-// SetTier installs (or, with nil, removes) the persistent second tier. It
-// must be called before the cache is shared across goroutines.
-func (c *Cache[K, V]) SetTier(t Tier[K, V]) { c.tier = t }
 
 // Len reports the number of indexed entries, in-flight ones included.
 func (c *Cache[K, V]) Len() int {
@@ -87,9 +101,13 @@ func (c *Cache[K, V]) Len() int {
 	return len(c.entries)
 }
 
-// Probes reports the memory tier's hit and miss counters.
-func (c *Cache[K, V]) Probes() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+// Counters returns a snapshot of the cache's probe accounting.
+func (c *Cache[K, V]) Counters() Counters {
+	return Counters{
+		Hits: c.n.hits.Load(), Misses: c.n.misses.Load(),
+		TierHits: c.n.tierHits.Load(), TierMisses: c.n.tierMisses.Load(), TierVerifyMisses: c.n.tierVerifyMisses.Load(),
+		Stores: c.n.stores.Load(), StoreErrors: c.n.storeErrors.Load(),
+	}
 }
 
 // Do returns the value cached for key, computing it with compute on a
@@ -111,9 +129,9 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 	c.mu.Lock()
 	e := c.get(key)
 	if e != nil {
-		c.hits.Add(1)
+		c.n.hits.Add(1)
 	} else {
-		c.misses.Add(1)
+		c.n.misses.Add(1)
 	}
 	for {
 		if e == nil {
@@ -169,21 +187,29 @@ func (c *Cache[K, V]) fill(e *entry[K, V], sp trace.Handle, compute func() (V, e
 	outcome := "compute"
 	if c.tier != nil {
 		v, out := c.tier.Load(e.key)
-		if out == diskcache.ProbeHit {
+		switch out {
+		case diskcache.ProbeHit:
+			c.n.tierHits.Add(1)
 			e.v, e.err = v, nil
 			sp.Attr("outcome", "disk-hit")
 			sp.End()
 			return
-		}
-		if out == diskcache.ProbeVerifyMiss {
+		case diskcache.ProbeVerifyMiss:
+			c.n.tierVerifyMisses.Add(1)
 			outcome = "verify-miss"
 		}
+		c.n.tierMisses.Add(1)
 	}
 	sp.Attr("outcome", outcome)
 	sp.End()
 	e.v, e.err = compute()
 	if e.err == nil && c.tier != nil {
-		_ = c.tier.Store(e.key, e.v)
+		switch err := c.tier.Store(e.key, e.v); {
+		case err == nil:
+			c.n.stores.Add(1)
+		case !errors.Is(err, diskcache.ErrNotStorable):
+			c.n.storeErrors.Add(1)
+		}
 	}
 }
 

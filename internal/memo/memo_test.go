@@ -13,11 +13,13 @@ import (
 	"plim/internal/trace"
 )
 
-// fakeTier is an in-memory Tier reporting a fixed outcome for every key.
+// fakeTier is an in-memory Tier reporting a fixed outcome for every key
+// and failing every store with storeErr.
 type fakeTier struct {
-	out    diskcache.ProbeOutcome
-	val    int
-	stored []int
+	out      diskcache.ProbeOutcome
+	val      int
+	storeErr error
+	stored   []int
 }
 
 func (f *fakeTier) Load(string) (int, diskcache.ProbeOutcome) {
@@ -29,12 +31,12 @@ func (f *fakeTier) Load(string) (int, diskcache.ProbeOutcome) {
 
 func (f *fakeTier) Store(_ string, v int) error {
 	f.stored = append(f.stored, v)
-	return nil
+	return f.storeErr
 }
 
-func newIntCache() *Cache[string, int] {
+func newIntCache(tier Tier[string, int]) *Cache[string, int] {
 	return New(0, func(int) int { return 8 }, "test-probe",
-		func(k string) (string, string) { return "key", k })
+		func(k string) (string, string) { return "key", k }, tier)
 }
 
 // probeSpan returns the single cache span recorded in tr and its outcome.
@@ -67,45 +69,57 @@ func probeSpan(t *testing.T, tr *trace.Trace) (key, outcome string) {
 var errBoom = errors.New("boom")
 
 // TestDoTierOutcomes drives one probe per case through a fake tier and
-// checks the span outcome, the value served, when the tier is written and
-// what the next probe of the key sees: a memory hit after a success, a
-// fresh computation after a failure.
+// checks the span outcome, the counters, the value served, when the tier
+// is written and what the next probe of the key sees: a memory hit after
+// a success, a fresh computation after a failure.
 func TestDoTierOutcomes(t *testing.T) {
 	cases := []struct {
-		name        string
-		tier        *fakeTier // nil = no tier installed
-		compute     func() (int, error)
-		wantOutcome string
-		wantVal     int
-		wantErr     error
-		wantPanic   bool
-		wantStored  []int
-		wantCached  bool
+		name         string
+		tier         *fakeTier // nil = no tier installed
+		compute      func() (int, error)
+		wantOutcome  string
+		wantCounters Counters
+		wantVal      int
+		wantErr      error
+		wantPanic    bool
+		wantStored   []int
+		wantCached   bool
 	}{
 		{name: "no tier", compute: func() (int, error) { return 42, nil },
-			wantOutcome: "compute", wantVal: 42, wantCached: true},
+			wantOutcome: "compute", wantCounters: Counters{Misses: 1}, wantVal: 42, wantCached: true},
 		{name: "disk hit", tier: &fakeTier{out: diskcache.ProbeHit, val: 7},
 			compute:     func() (int, error) { panic("disk hit must not compute") },
-			wantOutcome: "disk-hit", wantVal: 7, wantCached: true},
+			wantOutcome: "disk-hit", wantCounters: Counters{Misses: 1, TierHits: 1}, wantVal: 7, wantCached: true},
 		{name: "disk miss", tier: &fakeTier{out: diskcache.ProbeMiss},
 			compute:     func() (int, error) { return 42, nil },
-			wantOutcome: "compute", wantVal: 42, wantStored: []int{42}, wantCached: true},
+			wantOutcome: "compute", wantCounters: Counters{Misses: 1, TierMisses: 1, Stores: 1},
+			wantVal: 42, wantStored: []int{42}, wantCached: true},
 		{name: "verify miss", tier: &fakeTier{out: diskcache.ProbeVerifyMiss},
 			compute:     func() (int, error) { return 42, nil },
-			wantOutcome: "verify-miss", wantVal: 42, wantStored: []int{42}, wantCached: true},
+			wantOutcome: "verify-miss", wantCounters: Counters{Misses: 1, TierMisses: 1, TierVerifyMisses: 1, Stores: 1},
+			wantVal: 42, wantStored: []int{42}, wantCached: true},
+		{name: "store error", tier: &fakeTier{out: diskcache.ProbeMiss, storeErr: errBoom},
+			compute:     func() (int, error) { return 42, nil },
+			wantOutcome: "compute", wantCounters: Counters{Misses: 1, TierMisses: 1, StoreErrors: 1},
+			wantVal: 42, wantStored: []int{42}, wantCached: true},
+		{name: "not storable", tier: &fakeTier{out: diskcache.ProbeMiss, storeErr: diskcache.ErrNotStorable},
+			compute:     func() (int, error) { return 42, nil },
+			wantOutcome: "compute", wantCounters: Counters{Misses: 1, TierMisses: 1},
+			wantVal: 42, wantStored: []int{42}, wantCached: true},
 		{name: "compute error", tier: &fakeTier{out: diskcache.ProbeMiss},
 			compute:     func() (int, error) { return 42, errBoom },
-			wantOutcome: "compute", wantErr: errBoom},
+			wantOutcome: "compute", wantCounters: Counters{Misses: 1, TierMisses: 1}, wantErr: errBoom},
 		{name: "compute panic", tier: &fakeTier{out: diskcache.ProbeMiss},
 			compute:     func() (int, error) { panic("compute failed") },
-			wantOutcome: "compute", wantPanic: true},
+			wantOutcome: "compute", wantCounters: Counters{Misses: 1, TierMisses: 1}, wantPanic: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newIntCache()
+			var tier Tier[string, int]
 			if tc.tier != nil {
-				c.SetTier(tc.tier)
+				tier = tc.tier
 			}
+			c := newIntCache(tier)
 			tr := trace.New()
 			ctx := trace.NewContext(context.Background(), tr)
 			var (
@@ -129,8 +143,8 @@ func TestDoTierOutcomes(t *testing.T) {
 			if tc.tier != nil && !slices.Equal(tc.tier.stored, tc.wantStored) {
 				t.Fatalf("tier stores %v, want %v", tc.tier.stored, tc.wantStored)
 			}
-			if hits, misses := c.Probes(); hits != 0 || misses != 1 {
-				t.Fatalf("probes %d hits / %d misses, want 0 / 1", hits, misses)
+			if got := c.Counters(); got != tc.wantCounters {
+				t.Fatalf("counters %+v, want %+v", got, tc.wantCounters)
 			}
 
 			wantLen := 0
@@ -163,7 +177,7 @@ func TestDoTierOutcomes(t *testing.T) {
 // cancelled, while the computation itself runs on and is cached for the
 // next caller.
 func TestCancelledWaiterLeavesComputationCached(t *testing.T) {
-	c := newIntCache()
+	c := newIntCache(nil)
 	release := make(chan struct{})
 	leader := make(chan error, 1)
 	go func() {
@@ -178,7 +192,7 @@ func TestCancelledWaiterLeavesComputationCached(t *testing.T) {
 		_, err := c.Do(ctx, "k", func() (int, error) { return 0, errors.New("waiter computed") })
 		waiter <- err
 	}()
-	waitFor(t, func() bool { hits, _ := c.Probes(); return hits == 1 })
+	waitFor(t, func() bool { return c.Counters().Hits == 1 })
 	cancel()
 	if err := <-waiter; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
@@ -198,7 +212,7 @@ func TestCancelledWaiterLeavesComputationCached(t *testing.T) {
 // whose caller panics does not inherit the panic or wedge; it computes the
 // value itself.
 func TestWaiterRetriesAfterLeaderPanic(t *testing.T) {
-	c := newIntCache()
+	c := newIntCache(nil)
 	release := make(chan struct{})
 	leader := make(chan any, 1)
 	go func() {
@@ -215,7 +229,7 @@ func TestWaiterRetriesAfterLeaderPanic(t *testing.T) {
 		}
 		waiter <- v
 	}()
-	waitFor(t, func() bool { hits, _ := c.Probes(); return hits == 1 })
+	waitFor(t, func() bool { return c.Counters().Hits == 1 })
 	close(release)
 	if r := <-leader; r == nil {
 		t.Fatal("leader's panic was swallowed")
@@ -228,7 +242,7 @@ func TestWaiterRetriesAfterLeaderPanic(t *testing.T) {
 // TestDoCancelledUpFront: a cancelled context fails before a ready hit is
 // served.
 func TestDoCancelledUpFront(t *testing.T) {
-	c := newIntCache()
+	c := newIntCache(nil)
 	if _, err := c.Do(context.Background(), "k", func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +251,8 @@ func TestDoCancelledUpFront(t *testing.T) {
 	if _, err := c.Do(ctx, "k", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
 	}
-	if hits, misses := c.Probes(); hits != 0 || misses != 1 {
-		t.Fatalf("cancelled probe was counted: %d hits / %d misses", hits, misses)
+	if n := c.Counters(); n.Hits != 0 || n.Misses != 1 {
+		t.Fatalf("cancelled probe was counted: %d hits / %d misses", n.Hits, n.Misses)
 	}
 }
 
@@ -261,7 +275,7 @@ func TestEviction(t *testing.T) {
 		{"negative budget unbounded", -1, []string{"a:1000", "b:1000"}, []string{"b", "a"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[string](tc.budget, func(v int) int { return v }, "test-probe", nil)
+			c := New[string](tc.budget, func(v int) int { return v }, "test-probe", nil, nil)
 			for _, step := range tc.steps {
 				key, cost, ok := strings.Cut(step, ":")
 				if !ok {
@@ -287,7 +301,7 @@ func TestEviction(t *testing.T) {
 	// In-flight entries are pinned: a budget overrun skips them and evicts
 	// completed entries around them until they complete.
 	t.Run("in flight pinned", func(t *testing.T) {
-		c := New[string](15, func(v int) int { return v }, "test-probe", nil)
+		c := New[string](15, func(v int) int { return v }, "test-probe", nil, nil)
 		release := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {

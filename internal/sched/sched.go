@@ -134,16 +134,6 @@ type Graph struct {
 	doneCh  chan struct{}
 }
 
-// GraphOptions configures a graph.
-type GraphOptions struct {
-	// Deadline orders this graph's tasks in the injector: earlier deadlines
-	// are picked up first. The zero time falls back to the graph context's
-	// deadline; without either the graph has "no deadline" (lowest
-	// priority, FIFO among themselves). The deadline does NOT cancel the
-	// graph — pass a deadline context for that.
-	Deadline time.Time
-}
-
 // worker is one scheduler worker's state.
 type worker struct {
 	id     int     // index into Pool.workers, recorded on task trace spans
@@ -216,11 +206,14 @@ func (p *Pool) Stop() {
 
 // NewGraph starts an empty task graph on the pool. The context governs
 // cancellation of every task in the graph; Wait returns its error once the
-// graph has drained. The progress observer carried by the context, if
-// any, receives a TaskStart/TaskDone event pair around every executed task
+// graph has drained. The context's deadline, if any, also orders the
+// graph's tasks in the injector: earlier deadlines are picked up first,
+// and graphs without one have the lowest priority (FIFO among
+// themselves). The progress observer carried by the context, if any,
+// receives a TaskStart/TaskDone event pair around every executed task
 // (skipped tasks emit nothing); it may be invoked concurrently from
 // workers.
-func (p *Pool) NewGraph(ctx context.Context, opts GraphOptions) *Graph {
+func (p *Pool) NewGraph(ctx context.Context) *Graph {
 	p.start()
 	g := &Graph{
 		p:        p,
@@ -230,11 +223,8 @@ func (p *Pool) NewGraph(ctx context.Context, opts GraphOptions) *Graph {
 		pending:  1, // builder hold, released by Wait
 		doneCh:   make(chan struct{}),
 	}
-	if opts.Deadline.IsZero() {
-		opts.Deadline, _ = ctx.Deadline()
-	}
-	if !opts.Deadline.IsZero() {
-		g.deadline = opts.Deadline.UnixNano()
+	if d, ok := ctx.Deadline(); ok {
+		g.deadline = d.UnixNano()
 	}
 	return g
 }

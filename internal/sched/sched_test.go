@@ -17,7 +17,7 @@ import (
 func TestSingleWorkerDepthFirstOrder(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background())
 	var order []string
 	rec := func(name string) func(context.Context) {
 		return func(context.Context) { order = append(order, name) }
@@ -45,7 +45,7 @@ func TestSingleWorkerGraphFIFO(t *testing.T) {
 	var order []string
 	graphs := make([]*Graph, 3)
 	for i := range graphs {
-		g := p.NewGraph(context.Background(), GraphOptions{})
+		g := p.NewGraph(context.Background())
 		name := fmt.Sprintf("g%d", i)
 		root := g.Task(KindGenerate, name, func(context.Context) {
 			mu.Lock()
@@ -77,7 +77,7 @@ func TestSingleWorkerGraphFIFO(t *testing.T) {
 func TestDeadlinePriority(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
-	long := p.NewGraph(context.Background(), GraphOptions{})
+	long := p.NewGraph(context.Background())
 	var longDone atomic.Int64
 	for i := 0; i < 40; i++ {
 		long.Task(KindCompile, "slow", func(context.Context) {
@@ -87,7 +87,10 @@ func TestDeadlinePriority(t *testing.T) {
 	}
 	// Give the flood a head start so workers are mid-flight.
 	time.Sleep(5 * time.Millisecond)
-	urgent := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(50 * time.Millisecond)})
+	// A deadline long enough never to fire: it only ranks the graph.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	urgent := p.NewGraph(ctx)
 	var doneAfter int64
 	urgent.Task(KindCompile, "urgent", func(context.Context) {
 		doneAfter = longDone.Load()
@@ -110,7 +113,7 @@ func TestCancellationSkipsUnstartedDependents(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
-	g := p.NewGraph(ctx, GraphOptions{})
+	g := p.NewGraph(ctx)
 	started := make(chan struct{})
 	var ran atomic.Bool
 	root := g.Task(KindRewrite, "root", func(c context.Context) {
@@ -136,7 +139,7 @@ func TestPreCancelledGraphDrains(t *testing.T) {
 	defer p.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := p.NewGraph(ctx, GraphOptions{})
+	g := p.NewGraph(ctx)
 	var ran atomic.Bool
 	r := g.Task(KindGenerate, "r", func(context.Context) { ran.Store(true) })
 	g.Task(KindJoin, "j", func(context.Context) { ran.Store(true) }, r)
@@ -153,7 +156,7 @@ func TestPreCancelledGraphDrains(t *testing.T) {
 func TestStealsOccur(t *testing.T) {
 	p := New(4)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background())
 	// The root waits until the whole fan-out hangs off it: a root that
 	// finished earlier would send the remaining tasks through the injector,
 	// where idle workers take them without stealing.
@@ -188,7 +191,7 @@ func TestStealsOccur(t *testing.T) {
 func TestStats(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background())
 	root := g.Task(KindGenerate, "g", func(context.Context) {})
 	for i := 0; i < 5; i++ {
 		g.Task(KindCompile, "c", func(context.Context) {}, root)
@@ -238,7 +241,7 @@ func TestTaskEvents(t *testing.T) {
 			evs = append(evs, "done:"+e.Kind+":"+e.Label)
 		}
 	}
-	g := p.NewGraph(progress.NewContext(context.Background(), obs), GraphOptions{})
+	g := p.NewGraph(progress.NewContext(context.Background(), obs))
 	r := g.Task(KindRewrite, "alg1", func(context.Context) {})
 	g.Task(KindCompile, "full", func(context.Context) {}, r)
 	if err := g.Wait(); err != nil {
@@ -255,7 +258,7 @@ func TestTaskEvents(t *testing.T) {
 func TestDependencyOnCompletedTask(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background())
 	done := make(chan struct{})
 	root := g.Task(KindGenerate, "root", func(context.Context) { close(done) })
 	<-done
@@ -284,12 +287,14 @@ func TestStealStorm(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			ctx := context.Background()
+			if id%3 == 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Minute+time.Duration(id)*time.Millisecond)
+				defer cancel()
+			}
 			for r := 0; r < rounds; r++ {
-				var opts GraphOptions
-				if id%3 == 0 {
-					opts.Deadline = time.Now().Add(time.Duration(50+id) * time.Millisecond)
-				}
-				g := p.NewGraph(context.Background(), opts)
+				g := p.NewGraph(ctx)
 				count := func(context.Context) { total.Add(1) }
 				root := g.Task(KindGenerate, "root", count)
 				width := 1 + (id+r)%5
@@ -328,9 +333,12 @@ func TestInjectorAging(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
 	now := time.Now().UnixNano()
-	free := p.NewGraph(context.Background(), GraphOptions{})
-	far := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(AgingHorizon + time.Hour)})
-	near := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(time.Millisecond)})
+	free := p.NewGraph(context.Background())
+	farCtx, cancelFar := context.WithTimeout(context.Background(), AgingHorizon+time.Hour)
+	defer cancelFar()
+	nearCtx, cancelNear := context.WithTimeout(context.Background(), time.Minute)
+	defer cancelNear()
+	far, near := p.NewGraph(farCtx), p.NewGraph(nearCtx)
 
 	// One deadline-free task enqueued AgingHorizon+1min ago, then a
 	// far-deadline and a near-deadline task enqueued now — submission order
@@ -367,8 +375,10 @@ func TestInjectorAging(t *testing.T) {
 func TestInjectLockedSetsAgedKey(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
-	free := p.NewGraph(context.Background(), GraphOptions{})
-	near := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(time.Second)})
+	free := p.NewGraph(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	near := p.NewGraph(ctx)
 
 	freeTask := &Task{g: free, kind: KindJoin}
 	nearTask := &Task{g: near, kind: KindJoin}
@@ -394,7 +404,7 @@ func TestInjectLockedSetsAgedKey(t *testing.T) {
 func TestStatsMaxInjectorWait(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background())
 	block := make(chan struct{})
 	g.Task(KindGenerate, "blocker", func(context.Context) { <-block })
 	// While the worker is blocked, queued tasks accumulate injector wait

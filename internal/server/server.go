@@ -25,7 +25,8 @@ import (
 
 // Options configures a Server. The zero value derives everything from the
 // engine: concurrency from WithWorkers, a 4× wait queue, a 60 s default
-// request deadline capped at 10 min, 8 MiB request bodies.
+// request deadline capped at 10 min. Request bodies are capped at
+// maxBodyBytes.
 type Options struct {
 	// Concurrency is the number of in-flight computations regarded as
 	// running (default: the engine's worker count). Flights submit task
@@ -42,9 +43,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested deadlines (default 10 min).
 	MaxTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 8 MiB). Netlists beyond
-	// it are rejected with 400.
-	MaxBodyBytes int64
 	// Logger receives structured access and flight logs (default: discard).
 	// Access lines log every request with route/status/duration; flight
 	// lines are keyed by the flight's coalescing key, so the lifecycle of a
@@ -65,9 +63,6 @@ func (o Options) withDefaults(eng *plim.Engine) Options {
 	if o.MaxTimeout == 0 {
 		o.MaxTimeout = 10 * time.Minute
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
-	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -77,6 +72,10 @@ func (o Options) withDefaults(eng *plim.Engine) Options {
 // statusClientClosed is the non-standard code (nginx convention) recorded
 // when a client disconnects before its response exists.
 const statusClientClosed = 499
+
+// maxBodyBytes bounds buffered request bodies; netlists beyond it are
+// rejected with 400.
+const maxBodyBytes = 8 << 20
 
 // Server serves one shared plim.Engine over HTTP. It implements
 // http.Handler; see the package comment for the endpoint list and the
@@ -222,7 +221,7 @@ func (e badRequest) Error() string { return e.msg }
 
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (computeRequest, error) {
 	var req computeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -493,7 +492,7 @@ func validateExecute(req computeRequest) error {
 // (Content-Type: application/x-ndjson): the first line is the JSON request
 // — without a vector source, and with vectors following as one raw "0101"
 // line each. Vectors are packed into 64-lane chunks as they arrive, so the
-// body is never buffered whole; it bypasses the MaxBodyBytes cap and is
+// body is never buffered whole; it bypasses the maxBodyBytes cap and is
 // bounded by the vector cap times the width fixed by the first vector.
 // The packed batch content-hashes into the same coalescing key as the
 // buffered forms, so a streamed request coalesces with (and answers

@@ -13,8 +13,8 @@
 //     MIGs with the paper's PI/PO counts and EPFL-comparable sizes.
 //
 // DESIGN.md discusses why this substitution preserves the paper's
-// experimental trends. Every generator is deterministic: Build(name) always
-// returns a structurally identical graph.
+// experimental trends. Every generator is deterministic: BuildScaled(name,
+// shrink) always returns a structurally identical graph.
 package suite
 
 import (
@@ -81,9 +81,6 @@ func Get(name string) (Info, bool) {
 	}
 	return Info{}, false
 }
-
-// Build constructs a benchmark at paper scale.
-func Build(name string) (*mig.MIG, error) { return BuildScaled(name, 1) }
 
 // BuildScaled constructs a benchmark with datapath widths divided by shrink
 // (minimum widths apply), for fast tests and benchmarks. shrink = 1 is

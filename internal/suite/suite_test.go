@@ -38,8 +38,8 @@ func TestRegistryShapesMatchPaper(t *testing.T) {
 	if _, ok := Get("nonesuch"); ok {
 		t.Fatal("Get must reject unknown names")
 	}
-	if _, err := Build("nonesuch"); err == nil {
-		t.Fatal("Build must reject unknown names")
+	if _, err := BuildScaled("nonesuch", 1); err == nil {
+		t.Fatal("BuildScaled must reject unknown names")
 	}
 	if _, err := BuildScaled("adder", 0); err == nil {
 		t.Fatal("BuildScaled must reject shrink < 1")
@@ -56,7 +56,7 @@ func TestAllBenchmarksBuildAtPaperScale(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			info, _ := Get(name)
-			m, err := Build(name)
+			m, err := BuildScaled(name, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,11 +82,11 @@ func TestAllBenchmarksBuildAtPaperScale(t *testing.T) {
 
 func TestBuildIsDeterministic(t *testing.T) {
 	for _, name := range []string{"ctrl", "router", "cavlc", "dec", "int2float"} {
-		a, err := Build(name)
+		a, err := BuildScaled(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Build(name)
+		b, err := BuildScaled(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func toBig(bits []bool) *big.Int {
 }
 
 func TestAdderFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("adder")
+	m, err := BuildScaled("adder", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestAdderFunctionalAtPaperScale(t *testing.T) {
 }
 
 func TestMultiplierFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("multiplier")
+	m, err := BuildScaled("multiplier", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDivFunctionalAtPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large divider in short mode")
 	}
-	m, err := Build("div")
+	m, err := BuildScaled("div", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSqrtFunctionalAtPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large square root in short mode")
 	}
-	m, err := Build("sqrt")
+	m, err := BuildScaled("sqrt", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSqrtFunctionalAtPaperScale(t *testing.T) {
 }
 
 func TestSquareFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("square")
+	m, err := BuildScaled("square", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSquareFunctionalAtPaperScale(t *testing.T) {
 }
 
 func TestBarFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("bar")
+	m, err := BuildScaled("bar", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestBarFunctionalAtPaperScale(t *testing.T) {
 }
 
 func TestMaxFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("max")
+	m, err := BuildScaled("max", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestMaxFunctionalAtPaperScale(t *testing.T) {
 }
 
 func TestDecFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("dec")
+	m, err := BuildScaled("dec", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestDecFunctionalAtPaperScale(t *testing.T) {
 }
 
 func TestPriorityFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("priority")
+	m, err := BuildScaled("priority", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestPriorityFunctionalAtPaperScale(t *testing.T) {
 }
 
 func TestVoterFunctionalAtPaperScale(t *testing.T) {
-	m, err := Build("voter")
+	m, err := BuildScaled("voter", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestScaledBuildsAreSmaller(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paper, err := Build(name)
+		paper, err := BuildScaled(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +394,7 @@ func TestScaledBuildsAreSmaller(t *testing.T) {
 
 func TestSyntheticBenchmarksUseEveryInput(t *testing.T) {
 	for _, name := range []string{"cavlc", "ctrl", "i2c", "router"} {
-		m, err := Build(name)
+		m, err := BuildScaled(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestSyntheticBenchmarksUseEveryInput(t *testing.T) {
 // builds return one shared instance, structurally identical to a fresh
 // build, and distinct (name, shrink) keys get distinct entries.
 func TestCacheSharesDeterministicBuilds(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache(0, nil)
 	a, err := c.BuildScaled(context.Background(), "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +447,7 @@ func TestCacheSharesDeterministicBuilds(t *testing.T) {
 // TestCacheConcurrentSingleflight hammers one key concurrently; all
 // callers must see the same instance.
 func TestCacheConcurrentSingleflight(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache(0, nil)
 	var wg sync.WaitGroup
 	outs := make([]*mig.MIG, 8)
 	for i := range outs {
@@ -493,7 +493,7 @@ func buildSize(t *testing.T, name string, shrink int) int {
 func TestCacheBudgetEvictsLRU(t *testing.T) {
 	sA, sB := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8)
 	budget := max(sA, sB)
-	c := NewCache(budget)
+	c := NewCache(budget, nil)
 	a1, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +531,7 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 // builds, but not all three.
 func TestCacheBudgetRespectsRecency(t *testing.T) {
 	sCtrl, sI2c, sRouter := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8), buildSize(t, "router", 8)
-	c := NewCache(sCtrl + max(sI2c, sRouter))
+	c := NewCache(sCtrl+max(sI2c, sRouter), nil)
 	a1, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -571,22 +571,20 @@ func TestCacheDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := NewCache(0)
-	warm.SetDisk(disk)
+	warm := NewCache(0, disk)
 	if _, err := warm.BuildScaled(context.Background(), "router", 2); err != nil {
 		t.Fatal(err)
 	}
-	if c := disk.Counters(); c.Stores != 1 || c.BenchmarkMisses != 1 {
+	if c := warm.Counters(); c.Stores != 1 || c.TierMisses != 1 {
 		t.Fatalf("cold build counters: %+v", c)
 	}
 
-	cold := NewCache(0)
-	cold.SetDisk(disk)
+	cold := NewCache(0, disk)
 	got, err := cold.BuildScaled(context.Background(), "router", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := disk.Counters(); c.BenchmarkHits != 1 {
+	if c := cold.Counters(); c.TierHits != 1 {
 		t.Fatalf("warm build counters: %+v", c)
 	}
 	if got.Fingerprint() != fresh.Fingerprint() {

@@ -86,7 +86,7 @@ func RunSuite(ctx context.Context, env core.Env, cfgs []core.Config, opts Option
 		Configs:    cfgs,
 		Reports:    make([][]*core.Report, len(opts.Benchmarks)),
 	}
-	g := env.Sched.NewGraph(ctx, sched.GraphOptions{})
+	g := env.Sched.NewGraph(ctx)
 	errs := make([]error, len(opts.Benchmarks))
 	for idx, name := range opts.Benchmarks {
 		sr.addBenchmark(g, env, idx, name, cfgs, opts, errs)

@@ -60,8 +60,8 @@ type (
 	// Batch is a bit-sliced block of boolean vectors: 64 vectors per machine
 	// word, the input/output unit of the batched execution engine.
 	Batch = exec.Batch
-	// ExecOptions configures a batched execution (endurance budget,
-	// per-chunk callback).
+	// ExecOptions configures a batched execution (endurance budget, cost
+	// model). Engine.ExecuteBatch reports chunk progress as events.
 	ExecOptions = exec.Options
 	// ExecResult is the outcome of a batched execution: packed outputs plus
 	// per-cell wear aggregated over all lanes.
