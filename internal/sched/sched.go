@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"plim/internal/progress"
+	"plim/internal/stats"
 	"plim/internal/trace"
 )
 
@@ -155,10 +156,10 @@ type Pool struct {
 	seq     uint64 // task submission counter
 
 	startOnce sync.Once
-	runnable  atomic.Int64 // queued tasks across injector + deques
 
-	// runnableByKind splits the runnable gauge per task kind — the input of
-	// scheduler-aware Retry-After estimates (queued work × mean latency).
+	// runnableByKind counts the tasks queued across injector and deques,
+	// per task kind — the input of scheduler-aware Retry-After estimates
+	// (queued work × mean latency).
 	runnableByKind [numKinds]atomic.Int64
 
 	// maxWaitNs is the worst observed injector wait (enqueue → pop), the
@@ -166,7 +167,7 @@ type Pool struct {
 	maxWaitNs atomic.Int64
 
 	// lat[kind] accumulates task-latency histograms.
-	lat [numKinds]latHist
+	lat [numKinds]*stats.Latency
 }
 
 // New returns a pool of n workers (n < 1 is treated as 1). Worker
@@ -179,6 +180,9 @@ func New(n int) *Pool {
 	p.cond = sync.NewCond(&p.mu)
 	for i := range p.workers {
 		p.workers[i] = &worker{id: i, rng: uint64(i)*0x9e3779b97f4a7c15 + 1}
+	}
+	for k := range p.lat {
+		p.lat[k] = stats.NewLatency(latBuckets)
 	}
 	return p
 }
@@ -284,7 +288,6 @@ func (p *Pool) injectLocked(t *Task) {
 		t.effDeadline = aged
 	}
 	p.inj.push(t)
-	p.runnable.Add(1)
 	p.runnableByKind[t.kind].Add(1)
 	if p.idle > 0 {
 		p.cond.Signal()
@@ -305,7 +308,6 @@ func (p *Pool) popInjectorLocked() *Task {
 // noteDequeuedLocked maintains the runnable gauges for one dequeued task.
 // Pool mutex held.
 func (p *Pool) noteDequeuedLocked(t *Task) {
-	p.runnable.Add(-1)
 	p.runnableByKind[t.kind].Add(-1)
 }
 
@@ -321,7 +323,6 @@ func (p *Pool) pushLocalLocked(w *worker, ts []*Task) {
 		}
 	}
 	w.deque = append(w.deque, ts...)
-	p.runnable.Add(int64(len(ts)))
 	for _, t := range ts {
 		p.runnableByKind[t.kind].Add(1)
 	}
@@ -442,7 +443,7 @@ func (p *Pool) exec(w *worker, t *Task) {
 		t.fn(tctx)
 		elapsed := time.Since(start)
 		sp.End()
-		p.lat[t.kind].observe(elapsed)
+		p.lat[t.kind].Observe(elapsed)
 		g.obs.Emit(progress.TaskDone{Kind: t.kind.String(), Label: t.label, Elapsed: elapsed})
 	}
 	p.mu.Lock()
@@ -527,44 +528,14 @@ func (q *injector) pop() *Task {
 }
 
 // latBuckets are the task-latency histogram upper bounds, in seconds.
-var latBuckets = [...]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}
-
-// latHist is a lock-free latency histogram.
-type latHist struct {
-	buckets [len(latBuckets) + 1]atomic.Uint64 // +Inf overflow bucket
-	count   atomic.Uint64
-	sumNs   atomic.Uint64
-}
-
-func (h *latHist) observe(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for i < len(latBuckets) && s > latBuckets[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(uint64(d.Nanoseconds()))
-}
-
-// Histogram is a snapshot of one kind's task-latency distribution.
-// Buckets[i] counts tasks with latency ≤ LatencyBuckets()[i]
-// (non-cumulative); the final extra bucket is the overflow.
-type Histogram struct {
-	Buckets    []uint64
-	Count      uint64
-	SumSeconds float64
-}
-
-// LatencyBuckets returns the histogram bucket upper bounds in seconds.
-func LatencyBuckets() []float64 { return append([]float64(nil), latBuckets[:]...) }
+var latBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}
 
 // Stats is a point-in-time snapshot of scheduler state.
 type Stats struct {
 	Workers  int
 	Runnable int      // tasks queued (injector + all deques), excluding running
 	Steals   []uint64 // per-worker successful steal counts
-	Latency  map[Kind]Histogram
+	Latency  map[Kind]stats.LatencySnapshot
 	// RunnableByKind splits Runnable per task kind. Combined with each
 	// kind's mean latency it estimates the backlog drain time — the
 	// scheduler-aware Retry-After input (kinds with zero queued tasks are
@@ -580,33 +551,22 @@ type Stats struct {
 func (p *Pool) Stats() Stats {
 	st := Stats{
 		Workers:                len(p.workers),
-		Runnable:               int(max(0, p.runnable.Load())),
 		Steals:                 make([]uint64, len(p.workers)),
-		Latency:                make(map[Kind]Histogram, int(numKinds)),
+		Latency:                make(map[Kind]stats.LatencySnapshot, int(numKinds)),
 		RunnableByKind:         make(map[Kind]int, int(numKinds)),
 		MaxInjectorWaitSeconds: float64(p.maxWaitNs.Load()) / 1e9,
 	}
 	for k := Kind(0); k < numKinds; k++ {
 		if n := p.runnableByKind[k].Load(); n > 0 {
 			st.RunnableByKind[k] = int(n)
+			st.Runnable += int(n)
+		}
+		if h := p.lat[k].Snapshot(); h.Count > 0 {
+			st.Latency[k] = h
 		}
 	}
 	for i, w := range p.workers {
 		st.Steals[i] = w.steals.Load()
-	}
-	for k := Kind(0); k < numKinds; k++ {
-		h := &p.lat[k]
-		if c := h.count.Load(); c > 0 {
-			snap := Histogram{
-				Buckets:    make([]uint64, len(h.buckets)),
-				Count:      c,
-				SumSeconds: float64(h.sumNs.Load()) / 1e9,
-			}
-			for i := range h.buckets {
-				snap.Buckets[i] = h.buckets[i].Load()
-			}
-			st.Latency[k] = snap
-		}
 	}
 	return st
 }

@@ -2,9 +2,7 @@ package server
 
 import (
 	"errors"
-	"math"
 	"sync"
-	"time"
 )
 
 // errQueueFull is returned by admit when the server already carries its
@@ -26,7 +24,6 @@ type admission struct {
 
 	mu       sync.Mutex
 	inflight int
-	ewma     float64 // exponentially-weighted average service seconds
 }
 
 func newAdmission(concurrency, queueDepth int) *admission {
@@ -44,28 +41,14 @@ func (a *admission) admit() (release func(), err error) {
 	}
 	a.inflight++
 	a.mu.Unlock()
-	start := time.Now()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			d := time.Since(start)
 			a.mu.Lock()
 			a.inflight--
-			a.observeLocked(d)
 			a.mu.Unlock()
 		})
 	}, nil
-}
-
-// observeLocked folds one flight's service time into the EWMA that
-// retryAfter scales. Callers hold mu.
-func (a *admission) observeLocked(d time.Duration) {
-	const alpha = 0.3
-	if a.ewma == 0 {
-		a.ewma = d.Seconds()
-	} else {
-		a.ewma = alpha*d.Seconds() + (1-alpha)*a.ewma
-	}
 }
 
 // running reports how many in-flight computations count against the
@@ -82,25 +65,4 @@ func (a *admission) queuedWaiting() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return max(0, a.inflight-a.concurrency)
-}
-
-// retryAfter estimates when a rejected client should try again: the current
-// in-flight backlog divided by the service rate, using the observed average
-// flight time (1s before any observation), clamped to [1s, 60s].
-func (a *admission) retryAfter() time.Duration {
-	a.mu.Lock()
-	ewma, inflight := a.ewma, a.inflight
-	a.mu.Unlock()
-	if ewma <= 0 {
-		ewma = 1
-	}
-	backlog := float64(inflight) / float64(a.concurrency)
-	secs := math.Ceil(ewma * backlog)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return time.Duration(secs) * time.Second
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"plim"
 )
 
 func TestAdmissionCapsInflight(t *testing.T) {
@@ -23,9 +25,6 @@ func TestAdmissionCapsInflight(t *testing.T) {
 	// immediately, never block.
 	if _, err := a.admit(); !errors.Is(err, errQueueFull) {
 		t.Fatalf("want errQueueFull, got %v", err)
-	}
-	if ra := a.retryAfter(); ra < time.Second || ra > 60*time.Second {
-		t.Fatalf("retryAfter out of range: %v", ra)
 	}
 	rel1()
 	if a.running() != 1 || a.queuedWaiting() != 0 {
@@ -53,5 +52,31 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 	rel() // second call must be a no-op, not a seat underflow
 	if a.running() != 0 {
 		t.Fatal("double release corrupted seat accounting")
+	}
+}
+
+// TestRetryAfterColdStart: with no task-latency history the one
+// Retry-After estimator answers ⌈in-flight ÷ concurrency⌉ seconds,
+// clamped to [1 s, 60 s].
+func TestRetryAfterColdStart(t *testing.T) {
+	s := New(plim.NewEngine(plim.WithWorkers(1)), Options{Concurrency: 2, QueueDepth: 198})
+	for _, tc := range []struct {
+		inflight int
+		want     time.Duration
+	}{{0, time.Second}, {5, 3 * time.Second}, {200, 60 * time.Second}} {
+		var releases []func()
+		for i := 0; i < tc.inflight; i++ {
+			rel, err := s.adm.admit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			releases = append(releases, rel)
+		}
+		if got := s.retryAfter(); got != tc.want {
+			t.Errorf("%d in flight over concurrency 2: Retry-After %v, want %v", tc.inflight, got, tc.want)
+		}
+		for _, rel := range releases {
+			rel()
+		}
 	}
 }

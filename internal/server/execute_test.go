@@ -210,6 +210,42 @@ func TestExecuteBadRequests(t *testing.T) {
 	}
 }
 
+// TestExecuteOversizedBatchRejected: a batch sized from request data
+// beyond maxBatchWords is answered 400 before it is allocated, and the
+// server stays up. Unchecked, a zero-vector packed batch claiming 2^40
+// lines allocates one slice header per line, 2^20 random vectors over a
+// 20,000-input netlist need 327M words, and exhaustive execution of 20
+// inputs into 5,000 outputs 82M.
+func TestExecuteOversizedBatchRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t, Options{})
+	resp, body := postJSON(t, ts.URL+"/v1/execute", `{"benchmark":"ctrl","vectors_packed":{"n":0,"lines":1099511627776,"words":""}}`, nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("zero-n packed batch: want 400, got %d: %s", resp.StatusCode, body)
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after rejection: %d", health.StatusCode)
+	}
+
+	netlist := func(pis, pos int) string {
+		return ".model wide\n" + strings.Repeat(".pi\n", pis) + strings.Repeat(".po 1\n", pos) + ".end\n"
+	}
+	for _, req := range []computeRequest{
+		{Netlist: netlist(20000, 1), Random: maxExecuteVectors},
+		{Netlist: netlist(20, 5000), Exhaustive: true},
+	} {
+		b, _ := json.Marshal(req)
+		resp, body := postJSON(t, ts.URL+"/v1/execute", string(b), nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "batch too large") {
+			t.Fatalf("oversized batch: want 400 batch too large, got %d: %s", resp.StatusCode, body)
+		}
+	}
+}
+
 func TestExecuteSSEStreamsChunkProgress(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{})
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/execute",

@@ -12,57 +12,38 @@ import (
 
 	"plim"
 	"plim/internal/sched"
+	"plim/internal/stats"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the request-latency
 // histogram, spanning sub-millisecond cache hits to multi-minute paper-scale
 // rewrites.
-var latencyBuckets = [...]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
-
-// histogram is a fixed-bucket latency histogram (Prometheus semantics:
-// cumulative buckets plus sum and count). The last slot is the +Inf bucket.
-type histogram struct {
-	buckets [len(latencyBuckets) + 1]uint64
-	sum     float64
-	count   uint64
-}
-
-func (h *histogram) observe(seconds float64) {
-	h.sum += seconds
-	h.count++
-	for i, ub := range latencyBuckets {
-		if seconds <= ub {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[len(latencyBuckets)]++ // +Inf
-}
+var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
 
 // metrics aggregates the server's operational counters. All mutation goes
 // through the mutex; gauges (queue depth, cache sizes) are read live at
 // render time.
 type metrics struct {
 	mu        sync.Mutex
-	requests  map[string]uint64     // "route|code" → count
-	latency   map[string]*histogram // route → latency histogram
-	events    map[string]uint64     // progress event type → count
-	flights   uint64                // computations started (coalescing leaders)
-	coalesced uint64                // requests attached to an in-flight computation
-	rejected  uint64                // admission rejections (429)
+	requests  map[string]uint64         // "route|code" → count
+	latency   map[string]*stats.Latency // route → latency histogram
+	events    map[string]uint64         // progress event type → count
+	flights   uint64                    // computations started (coalescing leaders)
+	coalesced uint64                    // requests attached to an in-flight computation
+	rejected  uint64                    // admission rejections (429)
 
-	// Batched-execution throughput: vectors evaluated, 64-lane chunks
-	// processed and lane slots offered (chunks × 64). vectors/lane_slots is
-	// the batch occupancy; rate(vectors) is the serving vectors/sec.
-	execVectors   uint64
-	execChunks    uint64
-	execLaneSlots uint64
+	// Batched-execution throughput, counted from each batch's last chunk
+	// event: vectors evaluated and 64-lane chunks processed (lane slots
+	// offered are chunks × 64). vectors/lane slots is the batch occupancy;
+	// rate(vectors) is the serving vectors/sec.
+	execVectors uint64
+	execChunks  uint64
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		requests: make(map[string]uint64),
-		latency:  make(map[string]*histogram),
+		latency:  make(map[string]*stats.Latency),
 		events:   make(map[string]uint64),
 	}
 }
@@ -73,16 +54,23 @@ func (m *metrics) observeRequest(route string, code int, elapsed time.Duration) 
 	m.requests[fmt.Sprintf("%s|%d", route, code)]++
 	h := m.latency[route]
 	if h == nil {
-		h = &histogram{}
+		h = stats.NewLatency(latencyBuckets)
 		m.latency[route] = h
 	}
-	h.observe(elapsed.Seconds())
+	h.Observe(elapsed)
 }
 
+// countEvent counts one flight progress event by type. A batch's last
+// chunk event (Done == Total) also adds the batch to the execute counters,
+// so they come from the same stream as the execute_chunk count.
 func (m *metrics) countEvent(ev plim.Event) {
 	name, _ := eventPayload(ev)
 	m.mu.Lock()
 	m.events[name]++
+	if c, ok := ev.(plim.EventExecuteChunk); ok && c.Done == c.Total {
+		m.execVectors += uint64(c.Vectors)
+		m.execChunks += uint64(c.Total)
+	}
 	m.mu.Unlock()
 }
 
@@ -101,14 +89,6 @@ func (m *metrics) requestCoalesced() {
 func (m *metrics) admissionRejected() {
 	m.mu.Lock()
 	m.rejected++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeExecute(vectors, chunks int) {
-	m.mu.Lock()
-	m.execVectors += uint64(vectors)
-	m.execChunks += uint64(chunks)
-	m.execLaneSlots += 64 * uint64(chunks)
 	m.mu.Unlock()
 }
 
@@ -164,16 +144,7 @@ func (m *metrics) render(s *Server) string {
 	}
 	sort.Strings(routes)
 	for _, route := range routes {
-		h := m.latency[route]
-		var cum uint64
-		for i, ub := range latencyBuckets {
-			cum += h.buckets[i]
-			fmt.Fprintf(&b, "plimserve_request_seconds_bucket{route=%q,le=%q} %d\n", route, trimFloat(ub), cum)
-		}
-		cum += h.buckets[len(latencyBuckets)]
-		fmt.Fprintf(&b, "plimserve_request_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, cum)
-		fmt.Fprintf(&b, "plimserve_request_seconds_sum{route=%q} %g\n", route, h.sum)
-		fmt.Fprintf(&b, "plimserve_request_seconds_count{route=%q} %d\n", route, h.count)
+		writeHistogram(&b, "plimserve_request_seconds", "route", route, m.latency[route].Snapshot())
 	}
 
 	evRows := make(map[string]string, len(m.events))
@@ -194,7 +165,7 @@ func (m *metrics) render(s *Server) string {
 	header(&b, "plimserve_execute_chunks_total", "counter", "64-lane execution chunks processed by /v1/execute.")
 	fmt.Fprintf(&b, "plimserve_execute_chunks_total %d\n", m.execChunks)
 	header(&b, "plimserve_execute_lane_slots_total", "counter", "Lane slots offered by processed chunks (chunks times 64).")
-	fmt.Fprintf(&b, "plimserve_execute_lane_slots_total %d\n", m.execLaneSlots)
+	fmt.Fprintf(&b, "plimserve_execute_lane_slots_total %d\n", 64*m.execChunks)
 	m.mu.Unlock()
 
 	// Live gauges: admission occupancy, the engine's task scheduler and the
@@ -219,21 +190,10 @@ func (m *metrics) render(s *Server) string {
 		fmt.Fprintf(&b, "plimserve_sched_worker_steals_total{worker=\"%d\"} %d\n", i, n)
 	}
 	header(&b, "plimserve_sched_task_seconds", "histogram", "Scheduler task run time, by task kind.")
-	bounds := sched.LatencyBuckets()
 	for _, k := range sched.Kinds() {
-		h, ok := st.Latency[k]
-		if !ok {
-			continue // a kind never executed renders no empty series
+		if h, ok := st.Latency[k]; ok { // a kind never executed renders no empty series
+			writeHistogram(&b, "plimserve_sched_task_seconds", "kind", k.String(), h)
 		}
-		var cum uint64
-		for i, ub := range bounds {
-			cum += h.Buckets[i]
-			fmt.Fprintf(&b, "plimserve_sched_task_seconds_bucket{kind=%q,le=%q} %d\n", k.String(), trimFloat(ub), cum)
-		}
-		cum += h.Buckets[len(bounds)]
-		fmt.Fprintf(&b, "plimserve_sched_task_seconds_bucket{kind=%q,le=\"+Inf\"} %d\n", k.String(), cum)
-		fmt.Fprintf(&b, "plimserve_sched_task_seconds_sum{kind=%q} %g\n", k.String(), h.SumSeconds)
-		fmt.Fprintf(&b, "plimserve_sched_task_seconds_count{kind=%q} %d\n", k.String(), h.Count)
 	}
 	rw, bench := s.eng.MemoryCacheLens()
 	header(&b, "plimserve_cache_memory_entries", "gauge", "Entries held by the in-memory cache tier, by kind.")
@@ -274,6 +234,23 @@ func (m *metrics) render(s *Server) string {
 		fmt.Fprintf(&b, "plimserve_cache_disk_store_errors_total %d\n", st.StoreErrors)
 	}
 	return b.String()
+}
+
+// writeHistogram renders the series of histogram family name whose one
+// label is label=value: cumulative buckets ending in +Inf, then sum and
+// count.
+func writeHistogram(b *strings.Builder, name, label, value string, h stats.LatencySnapshot) {
+	var cum uint64
+	for i, n := range h.Buckets {
+		le := "+Inf"
+		if i < len(h.Bounds) {
+			le = trimFloat(h.Bounds[i])
+		}
+		cum += n
+		fmt.Fprintf(b, "%s_bucket{%s=%q,le=%q} %d\n", name, label, value, le, cum)
+	}
+	fmt.Fprintf(b, "%s_sum{%s=%q} %g\n", name, label, value, h.SumSeconds)
+	fmt.Fprintf(b, "%s_count{%s=%q} %d\n", name, label, value, h.Count)
 }
 
 // trimFloat renders a bucket bound the way Prometheus clients expect

@@ -229,13 +229,19 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (computeR
 		}
 		return req, badRequest{fmt.Sprintf("invalid request body: %s", err)}
 	}
-	if req.TimeoutMS < 0 {
-		return req, badRequest{"timeout_ms must be ≥ 0"}
+	return req, req.validate()
+}
+
+// validate checks the fields every compute request shares, whether it
+// arrives as a JSON body or as the first line of an NDJSON execute stream.
+func (req computeRequest) validate() error {
+	switch {
+	case req.TimeoutMS < 0:
+		return badRequest{"timeout_ms must be ≥ 0"}
+	case req.Shrink < 0:
+		return badRequest{"shrink must be ≥ 1 (or 0 for the server default)"}
 	}
-	if req.Shrink < 0 {
-		return req, badRequest{"shrink must be ≥ 1 (or 0 for the server default)"}
-	}
-	return req, nil
+	return nil
 }
 
 // sourceMIG resolves the request's function source. Benchmark sources
@@ -369,12 +375,30 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // the tens of megabytes.
 const maxExecuteVectors = 1 << 20
 
+// maxBatchWords bounds the packed words one execution sizes from request
+// data: (input lines + output lines) × max(1, ⌈n/64⌉). The widest built-in
+// benchmark, mem_ctrl (1204 PIs + 1231 POs), needs 39,895,040 words for
+// maxExecuteVectors vectors.
+const maxBatchWords = 1 << 26
+
+// checkBatchWords rejects a batch of n vectors over lines lines whose
+// packed words would exceed maxBatchWords.
+func checkBatchWords(lines, n int) error {
+	if lines > maxBatchWords/max(1, (n+63)/64) {
+		return badRequest{fmt.Sprintf("batch too large: %d lines × %d vectors exceed %d packed words", lines, n, maxBatchWords)}
+	}
+	return nil
+}
+
 // unpackVectors decodes the bit-sliced wire form into a batch. Inactive
 // lanes are masked off (SetWord), so equal vector sets coalesce regardless
 // of junk beyond N.
 func unpackVectors(pv *packedVectors) (*plim.Batch, error) {
 	if pv.Lines <= 0 || pv.N < 0 || pv.N > maxExecuteVectors {
 		return nil, badRequest{fmt.Sprintf("vectors_packed: need 1 ≤ lines and 0 ≤ n ≤ %d", maxExecuteVectors)}
+	}
+	if err := checkBatchWords(pv.Lines, pv.N); err != nil {
+		return nil, err
 	}
 	chunks := (pv.N + 63) / 64
 	if want := pv.Lines * chunks * 8; len(pv.Words) != want {
@@ -404,11 +428,24 @@ func packVectors(b *plim.Batch) *packedVectors {
 	return &packedVectors{N: b.Len(), Lines: b.Lines(), Words: words}
 }
 
+// decoded is the batch constructor of vectors the request carried: the
+// input batch exists already; the program's widths bound the output batch.
+func decoded(b *plim.Batch) func(pis, pos int) (*plim.Batch, error) {
+	return func(pis, pos int) (*plim.Batch, error) {
+		if err := checkBatchWords(pis+pos, b.Len()); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+}
+
 // vectorSource resolves the request's input vectors into a coalescing key
 // component and a constructor. Explicit vectors pack (and content-hash)
 // immediately; random and exhaustive batches are generated inside the
-// flight, once the program's input count is known.
-func vectorSource(req computeRequest) (key string, mk func(pis int) (*plim.Batch, error), err error) {
+// flight, once the program's input count is known. The constructor takes
+// the program's input and output counts and refuses a batch beyond
+// maxBatchWords.
+func vectorSource(req computeRequest) (key string, mk func(pis, pos int) (*plim.Batch, error), err error) {
 	sources := 0
 	for _, set := range []bool{len(req.Vectors) > 0, req.VectorsPacked != nil, req.Random != 0, req.Exhaustive} {
 		if set {
@@ -430,24 +467,31 @@ func vectorSource(req computeRequest) (key string, mk func(pis int) (*plim.Batch
 		if err != nil {
 			return "", nil, badRequest{fmt.Sprintf("invalid vectors: %s", err)}
 		}
-		return fmt.Sprintf("v:%016x", b.Hash()), func(int) (*plim.Batch, error) { return b, nil }, nil
+		return fmt.Sprintf("v:%016x", b.Hash()), decoded(b), nil
 	case req.VectorsPacked != nil:
 		b, err := unpackVectors(req.VectorsPacked)
 		if err != nil {
 			return "", nil, err
 		}
-		return fmt.Sprintf("v:%016x", b.Hash()), func(int) (*plim.Batch, error) { return b, nil }, nil
+		return fmt.Sprintf("v:%016x", b.Hash()), decoded(b), nil
 	case req.Random != 0:
 		if req.Random < 0 || req.Random > maxExecuteVectors {
 			return "", nil, badRequest{fmt.Sprintf("random must be between 1 and %d", maxExecuteVectors)}
 		}
 		n, seed := req.Random, req.Seed
-		return fmt.Sprintf("rand:%d:%d", n, seed),
-			func(pis int) (*plim.Batch, error) { return plim.RandomBatch(pis, n, seed), nil }, nil
+		return fmt.Sprintf("rand:%d:%d", n, seed), func(pis, pos int) (*plim.Batch, error) {
+			if err := checkBatchWords(pis+pos, n); err != nil {
+				return nil, err
+			}
+			return plim.RandomBatch(pis, n, seed), nil
+		}, nil
 	default: // exhaustive
-		return "exh", func(pis int) (*plim.Batch, error) {
+		return "exh", func(pis, pos int) (*plim.Batch, error) {
 			if pis > 20 { // 2^20 = maxExecuteVectors
 				return nil, badRequest{fmt.Sprintf("exhaustive execution needs ≤ 20 inputs, program has %d", pis)}
+			}
+			if err := checkBatchWords(pis+pos, 1<<pis); err != nil {
+				return nil, err
 			}
 			return plim.ExhaustiveBatch(pis)
 		}, nil
@@ -468,7 +512,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		cfg, err = parseConfig(req.Config, req.Cap)
 	}
 	var vecKey string
-	var mkBatch func(pis int) (*plim.Batch, error)
+	var mkBatch func(pis, pos int) (*plim.Batch, error)
 	if err == nil {
 		vecKey, mkBatch, err = vectorSource(req)
 	}
@@ -516,22 +560,17 @@ func (s *Server) handleExecuteStream(w http.ResponseWriter, r *http.Request) {
 		fail(fmt.Sprintf("invalid request line: %s", err))
 		return
 	}
-	switch {
-	case req.TimeoutMS < 0:
-		fail("timeout_ms must be ≥ 0")
-		return
-	case req.Shrink < 0:
-		fail("shrink must be ≥ 1 (or 0 for the server default)")
-		return
-	case len(req.Vectors) > 0 || req.VectorsPacked != nil || req.Random != 0 || req.Seed != 0 || req.Exhaustive:
-		fail("ndjson execute: vectors are the body lines; remove the vector-source fields")
-		return
+	err := req.validate()
+	if err == nil && (len(req.Vectors) > 0 || req.VectorsPacked != nil || req.Random != 0 || req.Seed != 0 || req.Exhaustive) {
+		err = badRequest{"ndjson execute: vectors are the body lines; remove the vector-source fields"}
 	}
-	if err := validateExecute(req); err != nil {
-		fail(err.Error())
-		return
+	if err == nil {
+		err = validateExecute(req)
 	}
-	cfg, err := parseConfig(req.Config, req.Cap)
+	var cfg plim.Config
+	if err == nil {
+		cfg, err = parseConfig(req.Config, req.Cap)
+	}
 	if err != nil {
 		fail(err.Error())
 		return
@@ -561,12 +600,12 @@ func (s *Server) handleExecuteStream(w http.ResponseWriter, r *http.Request) {
 	}
 	b := bu.Batch()
 	vecKey := fmt.Sprintf("v:%016x", b.Hash())
-	s.dispatchExecute(w, r, req, cfg, vecKey, func(int) (*plim.Batch, error) { return b, nil })
+	s.dispatchExecute(w, r, req, cfg, vecKey, decoded(b))
 }
 
 // dispatchExecute is the request path shared by the JSON and NDJSON input
 // forms of /v1/execute, from function-source resolution onward.
-func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req computeRequest, cfg plim.Config, vecKey string, mkBatch func(pis int) (*plim.Batch, error)) {
+func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req computeRequest, cfg plim.Config, vecKey string, mkBatch func(pis, pos int) (*plim.Batch, error)) {
 	srcKey, shrink, load, err := s.sourceMIG(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -585,7 +624,7 @@ func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req com
 			return errorResult(err)
 		}
 		p := rep.Result.Program
-		b, err := mkBatch(len(p.PICells))
+		b, err := mkBatch(len(p.PICells), len(p.POs))
 		if err != nil {
 			var br badRequest
 			if errors.As(err, &br) {
@@ -598,7 +637,6 @@ func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req com
 		if err != nil && !errors.As(err, &fault) {
 			return errorResult(err)
 		}
-		s.met.observeExecute(b.Len(), b.Chunks())
 		esp := trace.StartNoCtx(ctx, "encode", "response")
 		defer esp.End()
 		out := executeResponse{
@@ -875,14 +913,14 @@ func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *fl
 }
 
 // retryAfter estimates when a rejected client should try again. The
-// primary estimate is scheduler-aware: the tasks queued in the engine's
-// scheduler, per kind, times that kind's observed mean task latency,
-// divided across the workers draining them — how long the current backlog
-// actually needs, rather than a guess from whole-flight wall-clocks. Kinds
-// without latency history yet contribute nothing; when no queued kind has
-// history (cold server, or a backlog of flights admission counts but the
-// scheduler has not seen), it falls back to the admission EWMA estimate.
-// Clamped to [1s, 60s] like the fallback.
+// estimate is scheduler-aware: the tasks queued in the engine's scheduler,
+// per kind, times that kind's observed mean task latency, divided across
+// the workers draining them — how long the current backlog actually needs,
+// rather than a guess from whole-flight wall-clocks. Kinds without latency
+// history yet contribute nothing; when no queued kind has history (cold
+// server, or a backlog of flights admission counts but the scheduler has
+// not seen), it answers ⌈in-flight flights ÷ concurrency⌉ seconds.
+// Clamped to [1s, 60s].
 func (s *Server) retryAfter() time.Duration {
 	st := s.eng.SchedulerStats()
 	var secs float64
@@ -896,9 +934,8 @@ func (s *Server) retryAfter() time.Duration {
 		known = true
 	}
 	if !known {
-		return s.adm.retryAfter()
-	}
-	if st.Workers > 0 {
+		secs = float64(s.adm.running()+s.adm.queuedWaiting()) / float64(s.adm.concurrency)
+	} else if st.Workers > 0 {
 		secs /= float64(st.Workers)
 	}
 	secs = math.Ceil(secs)

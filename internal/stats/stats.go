@@ -1,7 +1,8 @@
 // Package stats computes the write-distribution statistics the paper
 // reports: population standard deviation, minimum and maximum per-device
 // write counts, plus auxiliary uniformity and lifetime metrics used by the
-// examples and ablation studies.
+// examples and ablation studies, and the latency histogram behind the
+// scheduler's and server's timing series.
 package stats
 
 import (

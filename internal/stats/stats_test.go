@@ -2,9 +2,12 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSummarizeKnownValues(t *testing.T) {
@@ -138,5 +141,52 @@ func TestSummaryBoundsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestLatencyBuckets(t *testing.T) {
+	h := NewLatency([]float64{0.001, 0.01})
+	for _, d := range []time.Duration{0, time.Millisecond, 2 * time.Millisecond, 10 * time.Millisecond, time.Second} {
+		h.Observe(d)
+	}
+	s := h.Snapshot()
+	// A bound is inclusive: 1 ms lands in le=0.001 and 10 ms in le=0.01.
+	if want := []uint64{2, 2, 1}; !reflect.DeepEqual(s.Buckets, want) {
+		t.Fatalf("buckets = %v, want %v", s.Buckets, want)
+	}
+	if s.Count != 5 || math.Abs(s.SumSeconds-1.013) > 1e-12 {
+		t.Fatalf("count = %d, sum = %v; want 5, 1.013", s.Count, s.SumSeconds)
+	}
+	if !reflect.DeepEqual(s.Bounds, []float64{0.001, 0.01}) {
+		t.Fatalf("bounds = %v", s.Bounds)
+	}
+}
+
+// TestLatencyConcurrent observes from several goroutines while another
+// snapshots; run under -race it checks the histogram needs no lock.
+func TestLatencyConcurrent(t *testing.T) {
+	h := NewLatency([]float64{0.0005})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Observe(time.Duration(i) * time.Microsecond)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			h.Snapshot()
+		}
+	}()
+	wg.Wait()
+	<-done
+	// 0…500 µs land in le=0.0005: 501 of each goroutine's 1000.
+	if s := h.Snapshot(); s.Count != 4000 || s.Buckets[0] != 4*501 {
+		t.Fatalf("snapshot = %+v", s)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"plim/internal/stats"
 )
 
 // Grid is a rendered table: a title, one header row and string cells. It
@@ -121,7 +123,7 @@ func TableI(sr *SuiteResult) (*TableIData, error) {
 				Min:    float64(rep.Writes.Min),
 				Max:    float64(rep.Writes.Max),
 				StdDev: rep.Writes.StdDev,
-				Impr:   improvement(baseSD, rep.Writes.StdDev),
+				Impr:   stats.Improvement(baseSD, rep.Writes.StdDev),
 			}
 			if c == base {
 				cell.Impr = math.NaN()
@@ -148,16 +150,6 @@ func TableI(sr *SuiteResult) (*TableIData, error) {
 		}
 	}
 	return d, nil
-}
-
-func improvement(base, cand float64) float64 {
-	if base == 0 {
-		if cand == 0 {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	return (base - cand) / base * 100
 }
 
 // Grid renders Table I in the paper's column layout.
