@@ -66,3 +66,11 @@ func (a *admission) queuedWaiting() int {
 	defer a.mu.Unlock()
 	return max(0, a.inflight-a.concurrency)
 }
+
+// backlog reports the in-flight computations per unit of concurrency, read
+// once under the lock.
+func (a *admission) backlog() float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return float64(a.inflight) / float64(a.concurrency)
+}

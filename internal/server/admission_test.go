@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -55,28 +56,52 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 	}
 }
 
-// TestRetryAfterColdStart: with no task-latency history the one
-// Retry-After estimator answers ⌈in-flight ÷ concurrency⌉ seconds,
-// clamped to [1 s, 60 s].
+// TestRetryAfterColdStart: before the scheduler has timed any task the
+// one Retry-After estimator answers ⌈in-flight ÷ concurrency⌉ seconds,
+// clamped to [1 s, 60 s]. Once it has latency history the scheduler's
+// backlog decides alone: with nothing queued that is the 1 s floor,
+// however many flights admission holds.
 func TestRetryAfterColdStart(t *testing.T) {
-	s := New(plim.NewEngine(plim.WithWorkers(1)), Options{Concurrency: 2, QueueDepth: 198})
-	for _, tc := range []struct {
-		inflight int
-		want     time.Duration
-	}{{0, time.Second}, {5, 3 * time.Second}, {200, 60 * time.Second}} {
-		var releases []func()
-		for i := 0; i < tc.inflight; i++ {
-			rel, err := s.adm.admit()
-			if err != nil {
-				t.Fatal(err)
+	eng := plim.NewEngine(plim.WithWorkers(1), plim.WithEffort(1))
+	s := New(eng, Options{Concurrency: 2, QueueDepth: 198})
+	rows := []struct {
+		inflight   int
+		cold, warm time.Duration
+	}{{0, time.Second, time.Second}, {5, 3 * time.Second, time.Second}, {200, 60 * time.Second, time.Second}}
+	check := func(warm bool) {
+		for _, tc := range rows {
+			var releases []func()
+			for i := 0; i < tc.inflight; i++ {
+				rel, err := s.adm.admit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				releases = append(releases, rel)
 			}
-			releases = append(releases, rel)
-		}
-		if got := s.retryAfter(); got != tc.want {
-			t.Errorf("%d in flight over concurrency 2: Retry-After %v, want %v", tc.inflight, got, tc.want)
-		}
-		for _, rel := range releases {
-			rel()
+			want := tc.cold
+			if warm {
+				want = tc.warm
+			}
+			if got := s.retryAfter(); got != want {
+				t.Errorf("warm=%v, %d in flight over concurrency 2: Retry-After %v, want %v", warm, tc.inflight, got, want)
+			}
+			for _, rel := range releases {
+				rel()
+			}
 		}
 	}
+	check(false)
+
+	ctx := context.Background()
+	m, err := eng.Benchmark(ctx, "ctrl", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(ctx, m, plim.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.SchedulerStats(); len(st.Latency) == 0 || st.Runnable != 0 {
+		t.Fatalf("after a compile: latency history for %d kinds, %d runnable; want history and an empty queue", len(st.Latency), st.Runnable)
+	}
+	check(true)
 }

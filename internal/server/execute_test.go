@@ -211,16 +211,19 @@ func TestExecuteBadRequests(t *testing.T) {
 }
 
 // TestExecuteOversizedBatchRejected: a batch sized from request data
-// beyond maxBatchWords is answered 400 before it is allocated, and the
-// server stays up. Unchecked, a zero-vector packed batch claiming 2^40
-// lines allocates one slice header per line, 2^20 random vectors over a
-// 20,000-input netlist need 327M words, and exhaustive execution of 20
-// inputs into 5,000 outputs 82M.
+// beyond maxBatchWords, or an empty packed batch, is answered 400 before
+// it is allocated, and the server stays up. Unchecked, a zero-vector
+// packed batch allocates one slice header per claimed line (1.5 GiB for
+// 2^26 lines, which a words bound alone lets through), 2^20 random vectors
+// over a 20,000-input netlist need 327M words, and exhaustive execution of
+// 20 inputs into 5,000 outputs 82M.
 func TestExecuteOversizedBatchRejected(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{})
-	resp, body := postJSON(t, ts.URL+"/v1/execute", `{"benchmark":"ctrl","vectors_packed":{"n":0,"lines":1099511627776,"words":""}}`, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("zero-n packed batch: want 400, got %d: %s", resp.StatusCode, body)
+	for _, lines := range []int{1, 1 << 26, 1 << 40} {
+		resp, body := postJSON(t, ts.URL+"/v1/execute", fmt.Sprintf(`{"benchmark":"ctrl","vectors_packed":{"n":0,"lines":%d,"words":""}}`, lines), nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("zero-n packed batch over %d lines: want 400, got %d: %s", lines, resp.StatusCode, body)
+		}
 	}
 	health, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -392,10 +392,12 @@ func checkBatchWords(lines, n int) error {
 
 // unpackVectors decodes the bit-sliced wire form into a batch. Inactive
 // lanes are masked off (SetWord), so equal vector sets coalesce regardless
-// of junk beyond N.
+// of junk beyond N. An empty batch executes nothing and is refused: with
+// n ≥ 1 the words-length check ties lines to the body size, with n = 0 it
+// would not, and the batch still holds a slice header per line.
 func unpackVectors(pv *packedVectors) (*plim.Batch, error) {
-	if pv.Lines <= 0 || pv.N < 0 || pv.N > maxExecuteVectors {
-		return nil, badRequest{fmt.Sprintf("vectors_packed: need 1 ≤ lines and 0 ≤ n ≤ %d", maxExecuteVectors)}
+	if pv.Lines <= 0 || pv.N < 1 || pv.N > maxExecuteVectors {
+		return nil, badRequest{fmt.Sprintf("vectors_packed: need 1 ≤ lines and 1 ≤ n ≤ %d", maxExecuteVectors)}
 	}
 	if err := checkBatchWords(pv.Lines, pv.N); err != nil {
 		return nil, err
@@ -917,24 +919,18 @@ func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *fl
 // per kind, times that kind's observed mean task latency, divided across
 // the workers draining them — how long the current backlog actually needs,
 // rather than a guess from whole-flight wall-clocks. Kinds without latency
-// history yet contribute nothing; when no queued kind has history (cold
-// server, or a backlog of flights admission counts but the scheduler has
-// not seen), it answers ⌈in-flight flights ÷ concurrency⌉ seconds.
-// Clamped to [1s, 60s].
+// history contribute nothing, so a warm scheduler with nothing of known
+// cost queued answers the 1s floor. Before the scheduler has timed any
+// task it answers ⌈in-flight flights ÷ concurrency⌉ seconds. Clamped to
+// [1s, 60s].
 func (s *Server) retryAfter() time.Duration {
 	st := s.eng.SchedulerStats()
 	var secs float64
-	known := false
-	for k, n := range st.RunnableByKind {
-		h, ok := st.Latency[k]
-		if !ok || h.Count == 0 {
-			continue
-		}
-		secs += float64(n) * (h.SumSeconds / float64(h.Count))
-		known = true
+	for k, h := range st.Latency {
+		secs += float64(st.RunnableByKind[k]) * (h.SumSeconds / float64(h.Count))
 	}
-	if !known {
-		secs = float64(s.adm.running()+s.adm.queuedWaiting()) / float64(s.adm.concurrency)
+	if len(st.Latency) == 0 {
+		secs = s.adm.backlog()
 	} else if st.Workers > 0 {
 		secs /= float64(st.Workers)
 	}
