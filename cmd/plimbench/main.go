@@ -25,12 +25,14 @@
 //
 // Alongside the micro-benchmarks (rewriting pipelines, compilation, the
 // scalar-vs-64-wide execution engines) it times the Table I benchmark ×
-// configuration sweep three ways: the staged engine cold (shared rewrite
-// stages, benchmark + rewrite caches, compile fan-out), the same engine
-// warm, and the disk-warm path: a fresh engine per iteration (cold
-// in-memory caches, like a new CLI process) served from a primed
-// persistent cache directory (-cache-dir, default $PLIM_CACHE_DIR, else a
-// throwaway temp dir), i.e. the plimtab-then-plimc cost after this
+// configuration sweep four ways: the staged engine cold (shared rewrite
+// stages, benchmark, rewrite and compile caches, compile fan-out), the
+// same engine warm, the same sweep with warm benchmark and rewrite caches
+// but a fresh compile cache per iteration (so the compile kernel stays
+// visible end to end), and the disk-warm path: a fresh engine per
+// iteration (cold in-memory caches, like a new CLI process) served from a
+// primed persistent cache directory (-cache-dir, default $PLIM_CACHE_DIR,
+// else a throwaway temp dir), i.e. the plimtab-then-plimc cost after this
 // repository's persistent tier. Staged tables are pinned against the
 // sequential core.Run reference by the tables package's parity test.
 //
@@ -64,7 +66,9 @@ import (
 	"plim/internal/cli"
 	"plim/internal/core"
 	"plim/internal/rewrite"
+	"plim/internal/sched"
 	"plim/internal/suite"
+	"plim/internal/tables"
 	"plim/internal/trace"
 )
 
@@ -284,6 +288,33 @@ func main() {
 			}
 		}
 	})
+	// Compile-cold: staged-warm's benchmark and rewrite caches stay warm,
+	// and every iteration gets a fresh compile cache, so each compile runs
+	// the kernel and the compile cache's miss path. It is the engine's
+	// plumbing (the default cost model, no verification) assembled by
+	// hand, since no engine option empties one cache alone. It runs on one
+	// worker at GOMAXPROCS=1 whatever the process setting: with more Ps,
+	// compile tasks that move between them miss the compile package's
+	// per-P scratch pool, and the entry's allocation count would depend on
+	// the host's scheduling rather than on the code.
+	procs := runtime.GOMAXPROCS(1)
+	pool := sched.New(1)
+	warmEnv := core.Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: core.NewRewriteCache(nil, nil), CostModel: plim.DefaultCostModel()}
+	suiteOpts := tables.Options{Benchmarks: names, Effort: core.DefaultEffort, Shrink: *shrink}
+	if _, err := tables.RunSuite(context.Background(), warmEnv, cfgs, suiteOpts); err != nil {
+		cli.Fatal(err)
+	}
+	add("suite/tableI/compile-cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			env := warmEnv
+			env.CompileCache = core.NewCompileCache(nil, nil)
+			if _, err := tables.RunSuite(context.Background(), env, cfgs, suiteOpts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	pool.Stop()
+	runtime.GOMAXPROCS(procs)
 
 	// Disk-warm: a fresh engine per iteration (cold in-memory caches, like
 	// a new CLI process) over a primed persistent cache directory — the

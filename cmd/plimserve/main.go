@@ -56,7 +56,7 @@ func main() {
 		effort      = flag.Int("effort", plim.DefaultEffort, "MIG rewriting cycles (0 = none)")
 		shrink      = flag.Int("shrink", 1, "default benchmark datapath shrink")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker pool (also the default -concurrency)")
-		cacheBudget = flag.Int("cache-budget", plim.DefaultCacheBudget, "in-memory cache byte budget per tier")
+		cacheBudget = flag.Int("cache-budget", plim.DefaultCacheBudget, "byte budget of all in-memory caches together")
 		cacheDir    = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
 			"persistent cache directory shared with plimc/plimtab/... (default $PLIM_CACHE_DIR; empty = off)")
 		costPath = flag.String("cost-model", "",

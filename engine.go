@@ -48,19 +48,23 @@ type Engine struct {
 	err         error      // first invalid option; surfaced by every method
 
 	// benchCache memoizes benchmark generator output, rwCache memoizes
-	// rewrite stages by (function fingerprint, pipeline, effort). Both are
-	// byte-budgeted at cacheBudget estimated bytes each (least-recently-used
-	// entries are evicted), so a long-lived engine fed a stream of distinct
-	// functions stays bounded.
-	benchCache *suite.Cache
-	rwCache    *core.RewriteCache
+	// rewrite stages by (function fingerprint, pipeline, effort) and
+	// compileCache compiles by (rewritten-graph fingerprint, selection,
+	// allocator, write cap). All four caches, execPlans included, charge
+	// one budget of cacheBudget estimated bytes, which evicts the least
+	// recently used entry of any of them, so a long-lived engine fed a
+	// stream of distinct functions stays bounded.
+	benchCache   *suite.Cache
+	rwCache      *core.RewriteCache
+	compileCache *core.CompileCache
 
 	// execPlans memoizes bit-sliced execution plans by program fingerprint
 	// (see Engine.ExecuteBatch).
 	execPlans *memo.Cache[uint64, *exec.Plan]
 
-	// disk is the persistent second tier below both caches, opened at
-	// construction when WithPersistentCache names a directory.
+	// disk is the persistent second tier below the benchmark, rewrite and
+	// compile caches, opened at construction when WithPersistentCache
+	// names a directory.
 	disk *diskcache.Cache
 
 	// traceOn arms span recording (WithTrace): every engine call then
@@ -80,12 +84,14 @@ type Engine struct {
 	schedOnce sync.Once
 }
 
-// DefaultCacheBudget is the default byte budget of each of the engine's
-// in-memory caches (benchmark builds, rewrite results, execution plans):
-// 256 MiB of estimated resident size per tier. Entries hold whole MIGs
-// whose sizes vary by orders of magnitude, so the budget is accounted in
-// bytes (mig.MemSize estimates) rather than entry counts; a full paper
-// sweep (18 benchmarks × 3 distinct pipelines) fits with ample headroom.
+// DefaultCacheBudget is the default byte budget of the engine's in-memory
+// caches together (benchmark builds, rewrite results, compiled programs,
+// execution plans): 256 MiB of estimated resident size. Entries hold whole
+// MIGs and programs whose sizes vary by orders of magnitude, so the budget
+// is accounted in bytes (mig.MemSize estimates, encoded program sizes)
+// rather than entry counts; a paper-scale Table I (18 builds, 54
+// rewrites, 89 distinct programs) charges about 86 MB and fits with ample
+// headroom.
 const DefaultCacheBudget = 256 << 20
 
 // Option configures an Engine at construction time.
@@ -116,9 +122,11 @@ func NewEngine(opts ...Option) *Engine {
 			e.disk = d
 		}
 	}
-	e.benchCache = suite.NewCache(e.cacheBudget, e.disk)
-	e.rwCache = core.NewRewriteCache(e.cacheBudget, e.disk)
-	e.execPlans = memo.New(e.cacheBudget, (*exec.Plan).MemSize, "plan-probe",
+	budget := memo.NewBudget(e.cacheBudget)
+	e.benchCache = suite.NewCache(budget, e.disk)
+	e.rwCache = core.NewRewriteCache(budget, e.disk)
+	e.compileCache = core.NewCompileCache(budget, e.disk)
+	e.execPlans = memo.New(budget, (*exec.Plan).MemSize, "plan-probe",
 		func(fp uint64) (string, string) { return "fp", fmt.Sprintf("%016x", fp) }, nil)
 	return e
 }
@@ -166,19 +174,20 @@ func WithShrink(s int) Option {
 	}
 }
 
-// WithCacheBudget bounds each of the engine's in-memory caches (benchmark
-// builds, rewrite results, execution plans) to n estimated bytes; beyond
-// the budget least-recently-used entries are evicted. The caches reuse
-// generator output across runs and run each distinct (function, pipeline,
-// effort) rewrite once — so regenerating Table III after Table I skips
-// every algorithm-2 rewrite — with results bit-identical to a fresh
-// computation. Cached entries hold whole MIGs of wildly varying size, so
-// the budget is accounted in bytes (mig.MemSize), making it the engine's
-// memory knob for server-style workloads over unbounded streams of
-// distinct functions. n must be ≥ 1; the default is DefaultCacheBudget
-// (256 MiB). A budget smaller than any entry keeps nothing once its
-// computation completes: memoization is then off, except that concurrent
-// callers of one key share its computation.
+// WithCacheBudget bounds all of the engine's in-memory caches together
+// (benchmark builds, rewrite results, compiled programs, execution plans)
+// to n estimated bytes; beyond the budget the least recently used entry of
+// any cache is evicted. The caches reuse generator output across runs and
+// run each distinct (function, pipeline, effort) rewrite and each
+// distinct compilation once — so regenerating Table III after Table I
+// skips every algorithm-2 rewrite — with results bit-identical to a fresh
+// computation. Cached entries hold whole MIGs and programs of wildly
+// varying size, so the budget is accounted in bytes (mig.MemSize, encoded
+// program sizes), making it the engine's memory knob for server-style
+// workloads over unbounded streams of distinct functions. n must be ≥ 1;
+// the default is DefaultCacheBudget (256 MiB). A budget smaller than any
+// entry keeps nothing once its computation completes: memoization is then
+// off, except that concurrent callers of one key share its computation.
 func WithCacheBudget(n int) Option {
 	return func(e *Engine) {
 		if n < 1 {
@@ -191,10 +200,12 @@ func WithCacheBudget(n int) Option {
 
 // WithPersistentCache adds a persistent on-disk tier below the engine's
 // in-memory caches: rewrite results (keyed by function fingerprint,
-// pipeline and effort) and benchmark builds (keyed by name and shrink) are
-// spilled to dir and reloaded by later engines — including engines in
-// other processes, so a plimtab run warms the cache for a following plimc
-// run. Entries are written atomically and verified on load (corrupt,
+// pipeline and effort), benchmark builds (keyed by name and shrink) and
+// compiled programs (keyed by rewritten-function fingerprint, selection,
+// allocator and write cap) are spilled to dir and reloaded by later
+// engines — including engines in other processes, so a plimtab run warms
+// the cache for a following plimc run, which then neither rewrites nor
+// compiles. Entries are written atomically and verified on load (corrupt,
 // truncated or version-mismatched files read as misses), the directory may
 // be shared by concurrent processes, and disk-served results are
 // byte-identical to freshly computed ones. The empty string disables
@@ -208,28 +219,32 @@ func WithPersistentCache(dir string) Option {
 // CacheCounters is a snapshot of the persistent cache tier's accounting.
 // Loads that fail verification count as misses; VerifyMisses counts the
 // subset of misses rejected by fingerprint re-verification alone (engines
-// built WithVerify re-verify disk-served graphs).
+// built WithVerify re-verify disk-served graphs and programs). Stores,
+// StoreErrors and VerifyMisses sum all three entry kinds.
 type CacheCounters struct {
 	RewriteHits, RewriteMisses     uint64
 	BenchmarkHits, BenchmarkMisses uint64
+	CompileHits, CompileMisses     uint64
 	Stores, StoreErrors            uint64
 	VerifyMisses                   uint64
 }
 
 // PersistentCacheStats reports the persistent tier's hit/miss/store
-// counters since the engine was built, as the rewrite and benchmark caches
-// counted their tier probes. ok is false when the engine has no persistent
-// cache.
+// counters since the engine was built, as the rewrite, benchmark and
+// compile caches counted their tier probes. ok is false when the engine
+// has no persistent cache.
 func (e *Engine) PersistentCacheStats() (c CacheCounters, ok bool) {
 	if e.disk == nil {
 		return CacheCounters{}, false
 	}
-	rw, b := e.rwCache.Counters(), e.benchCache.Counters()
+	rw, b, cc := e.rwCache.Counters(), e.benchCache.Counters(), e.compileCache.Counters()
 	return CacheCounters{
 		RewriteHits: rw.TierHits, RewriteMisses: rw.TierMisses,
 		BenchmarkHits: b.TierHits, BenchmarkMisses: b.TierMisses,
-		Stores: rw.Stores + b.Stores, StoreErrors: rw.StoreErrors + b.StoreErrors,
-		VerifyMisses: rw.TierVerifyMisses + b.TierVerifyMisses,
+		CompileHits: cc.TierHits, CompileMisses: cc.TierMisses,
+		Stores:       rw.Stores + b.Stores + cc.Stores,
+		StoreErrors:  rw.StoreErrors + b.StoreErrors + cc.StoreErrors,
+		VerifyMisses: rw.TierVerifyMisses + b.TierVerifyMisses + cc.TierVerifyMisses,
 	}, true
 }
 
@@ -245,8 +260,8 @@ func (e *Engine) CacheSummary() (s string, ok bool) {
 	if !ok {
 		return "", false
 	}
-	return fmt.Sprintf("persistent cache: rewrite %d hits / %d misses, benchmark %d hits / %d misses, %d stores (dir %s)",
-		st.RewriteHits, st.RewriteMisses, st.BenchmarkHits, st.BenchmarkMisses, st.Stores, e.persistDir), true
+	return fmt.Sprintf("persistent cache: rewrite %d hits / %d misses, benchmark %d hits / %d misses, compile %d hits / %d misses, %d stores (dir %s)",
+		st.RewriteHits, st.RewriteMisses, st.BenchmarkHits, st.BenchmarkMisses, st.CompileHits, st.CompileMisses, st.Stores, e.persistDir), true
 }
 
 // WithVerify toggles static verification of every program the engine
@@ -260,7 +275,8 @@ func (e *Engine) CacheSummary() (s string, ok bool) {
 // failing. The check is one linear sweep per compile, cheap enough for
 // production; it also arms the persistent cache tier's load-time
 // re-verification (stale or corrupted-but-CRC-colliding entries read as
-// misses instead of serving unverifiable state). The CI/test suites run
+// misses instead of serving unverifiable state). Cached compilations are
+// verified like fresh ones. The CI/test suites run
 // with it on.
 func WithVerify(enabled bool) Option {
 	return func(e *Engine) { e.verify = enabled }
@@ -389,6 +405,7 @@ func (e *Engine) env() core.Env {
 		Sched:        e.scheduler(),
 		BenchCache:   e.benchCache,
 		RewriteCache: e.rwCache,
+		CompileCache: e.compileCache,
 		Verify:       e.verify,
 		CostModel:    e.costModel,
 	}
@@ -554,20 +571,20 @@ func (e *Engine) Benchmark(ctx context.Context, name string, shrink int) (*MIG, 
 }
 
 // MemoryCacheLens reports how many entries the engine's in-memory caches
-// currently hold (rewrite results and benchmark builds, including in-flight
-// singleflight computations). Servers export these alongside the
-// persistent tier's CacheCounters.
-func (e *Engine) MemoryCacheLens() (rewrites, benchmarks int) {
-	return e.rwCache.Len(), e.benchCache.Len()
+// currently hold (rewrite results, benchmark builds and compiled programs,
+// including in-flight singleflight computations). Servers export these
+// alongside the persistent tier's CacheCounters.
+func (e *Engine) MemoryCacheLens() (rewrites, benchmarks, compiles int) {
+	return e.rwCache.Len(), e.benchCache.Len(), e.compileCache.Len()
 }
 
 // MemoryCacheProbes reports the in-memory tiers' probe counters summed over
-// the rewrite and benchmark caches: hits include probes that attached to an
-// in-flight singleflight computation. Servers export these as
-// plimserve_cache_probe_total{tier="memory"}.
+// the rewrite, benchmark and compile caches: hits include probes that
+// attached to an in-flight singleflight computation. Servers export these
+// as plimserve_cache_probe_total{tier="memory"}.
 func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
-	rw, b := e.rwCache.Counters(), e.benchCache.Counters()
-	return rw.Hits + b.Hits, rw.Misses + b.Misses
+	rw, b, cc := e.rwCache.Counters(), e.benchCache.Counters(), e.compileCache.Counters()
+	return rw.Hits + b.Hits + cc.Hits, rw.Misses + b.Misses + cc.Misses
 }
 
 // plan returns the bit-sliced execution plan for p, memoized by program

@@ -3,8 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
+	"plim/internal/alloc"
+	"plim/internal/compile"
+	"plim/internal/cost"
 	"plim/internal/diskcache"
+	"plim/internal/isa"
 	"plim/internal/memo"
 	"plim/internal/mig"
 	"plim/internal/rewrite"
@@ -33,22 +38,27 @@ type rewriteKey struct {
 	effort int
 }
 
+// rewriteResult is a cached rewrite: the rewritten graph, its statistics
+// and its fingerprint, which keys the compile cache. A computed rewrite
+// hashes its output once; a disk hit reuses the fingerprint its entry
+// records.
 type rewriteResult struct {
 	m  *mig.MIG
 	st rewrite.Stats
+	fp uint64
 }
 
-// NewRewriteCache returns a cache evicting least-recently-used entries
-// once their summed estimated bytes exceed budget; budget ≤ 0 means
-// unbounded. A non-nil disk is the persistent second tier: disk-served
-// results are byte-identical to computed ones and, like memory hits, emit
-// no progress events.
-func NewRewriteCache(budget int, disk *diskcache.Cache) *RewriteCache {
+// NewRewriteCache returns a cache charging each rewritten graph its
+// estimated bytes against b, which evicts least-recently-used entries of
+// every cache it bounds; a nil b is unbounded. A non-nil disk is the
+// persistent second tier: disk-served results are byte-identical to
+// computed ones and, like memory hits, emit no progress events.
+func NewRewriteCache(b *memo.Budget, disk *diskcache.Cache) *RewriteCache {
 	var tier memo.Tier[rewriteKey, rewriteResult]
 	if disk != nil {
 		tier = rewriteTier{disk}
 	}
-	return &RewriteCache{memo.New(budget,
+	return &RewriteCache{memo.New(b,
 		func(r rewriteResult) int { return r.m.MemSize() },
 		"rewrite-probe",
 		func(k rewriteKey) (string, string) { return "fp", fmt.Sprintf("%016x", k.fp) },
@@ -59,26 +69,165 @@ func NewRewriteCache(budget int, disk *diskcache.Cache) *RewriteCache {
 type rewriteTier struct{ d *diskcache.Cache }
 
 func (t rewriteTier) Load(k rewriteKey) (rewriteResult, diskcache.ProbeOutcome) {
-	m, st, out := t.d.ProbeRewrite(k.fp, uint8(k.kind), k.effort)
-	return rewriteResult{m, st}, out
+	e, out := t.d.LoadRewrite(k.fp, uint8(k.kind), k.effort)
+	return rewriteResult{e.Graph, e.Stats, e.Fingerprint}, out
 }
 
 func (t rewriteTier) Store(k rewriteKey, r rewriteResult) error {
-	return t.d.StoreRewrite(k.fp, uint8(k.kind), k.effort, r.m, r.st)
+	return t.d.SaveRewrite(k.fp, uint8(k.kind), k.effort, diskcache.RewriteEntry{Graph: r.m, Stats: r.st, Fingerprint: r.fp})
 }
 
 // Rewrite is core.Rewrite memoized through the cache. On a hit no progress
 // events are emitted — the rewrite simply did not run again.
 func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
-	r, err := c.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
+	r, err := c.rewrite(ctx, m, kind, effort, label)
+	return r.m, r.st, err
+}
+
+// rewrite is Rewrite returning the whole cached result.
+func (c *RewriteCache) rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (rewriteResult, error) {
+	return c.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
 		out, st, err := Rewrite(ctx, m, kind, effort, label)
-		if err == nil && out == m {
+		if err != nil {
+			return rewriteResult{}, err
+		}
+		if out == m {
 			// Effort 0 (or RewriteNone on an already-clean graph) can hand
 			// the caller's own MIG back; the cache must never retain a
 			// graph the caller may keep mutating.
 			out = m.Clone()
 		}
-		return rewriteResult{out, st}, err
+		return rewriteResult{out, st, out.Fingerprint()}, nil
 	})
-	return r.m, r.st, err
+}
+
+// CompileCache memoizes the compile kernel of CompileConfig by (rewritten
+// graph fingerprint, selection policy, allocator, write cap): the
+// compile.Options fields a configuration sets. An entry is the program's
+// exact-size isa binary encoding, the same bytes the disk tier stores, and
+// is charged the encoding's length against the byte budget; each probe
+// records a "cache compile-probe" span. Embedding promotes Len and
+// Counters.
+//
+// Every hit decodes a private program, so no caller can mutate a cached
+// result, and rebuilds the rest of the compile.Result from it: write
+// counts are the histogram of destination cells (each RM3 writes its Z
+// once), #R is the program's cell count, and the cost is the caller's
+// cost model pricing the program. The cost model stays out of the key:
+// Model.Program equals emission-time pricing, as the cost-parity tests
+// pin. The caller that computes keeps its freshly compiled Result.
+type CompileCache struct {
+	*memo.Cache[compileKey, compiled]
+	persist bool // a disk tier stores every computed entry
+}
+
+type compileKey struct {
+	fp        uint64
+	selection compile.Selection
+	alloc     alloc.Kind
+	maxWrites uint64
+}
+
+// compiled is a cached compilation: the program's isa binary encoding and,
+// for a cache with a disk tier, the program's fingerprint, which the disk
+// entry records for re-verification.
+type compiled struct {
+	bin []byte
+	fp  uint64
+	// loaded holds the program the disk tier decoded to validate the
+	// entry until one caller claims it as its private copy, so a disk hit
+	// decodes once; nil for computed entries.
+	loaded *atomic.Pointer[isa.Program]
+}
+
+// NewCompileCache returns a cache charging each program its encoded size
+// against b, which evicts least-recently-used entries of every cache it
+// bounds; a nil b is unbounded. A non-nil disk is the persistent second
+// tier, storing the same encoding.
+func NewCompileCache(b *memo.Budget, disk *diskcache.Cache) *CompileCache {
+	var tier memo.Tier[compileKey, compiled]
+	if disk != nil {
+		tier = compileTier{disk}
+	}
+	return &CompileCache{memo.New(b,
+		func(c compiled) int { return len(c.bin) },
+		"compile-probe",
+		func(k compileKey) (string, string) { return "fp", fmt.Sprintf("%016x", k.fp) },
+		tier), disk != nil}
+}
+
+// compileTier adapts the disk cache's program entries to memo.Tier.
+type compileTier struct{ d *diskcache.Cache }
+
+func (t compileTier) Load(k compileKey) (compiled, diskcache.ProbeOutcome) {
+	e, out := t.d.ProbeProgram(k.disk())
+	if out != diskcache.ProbeHit {
+		return compiled{}, out
+	}
+	c := compiled{bin: e.Binary, fp: e.Fingerprint, loaded: new(atomic.Pointer[isa.Program])}
+	c.loaded.Store(e.Program)
+	return c, out
+}
+
+func (t compileTier) Store(k compileKey, c compiled) error {
+	return t.d.StoreProgram(k.disk(), diskcache.ProgramEntry{Binary: c.bin, Fingerprint: c.fp})
+}
+
+func (k compileKey) disk() diskcache.ProgramKey {
+	return diskcache.ProgramKey{Graph: k.fp, Selection: uint8(k.selection), Alloc: uint8(k.alloc), MaxWrites: k.maxWrites}
+}
+
+// Compile is compile.Compile memoized through the cache: fp must be m's
+// fingerprint, and only opts' selection, allocator and write cap may vary
+// between callers of one graph.
+func (c *CompileCache) Compile(ctx context.Context, m *mig.MIG, fp uint64, opts compile.Options) (*compile.Result, error) {
+	var fresh *compile.Result
+	v, err := c.Do(ctx, compileKey{fp, opts.Selection, opts.Alloc, opts.MaxWrites}, func() (compiled, error) {
+		res, err := compile.Compile(m, opts)
+		if err != nil {
+			return compiled{}, err
+		}
+		fresh = res
+		v := compiled{bin: res.Program.AppendBinary(nil)}
+		if c.persist {
+			v.fp = res.Program.Fingerprint()
+		}
+		return v, nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case fresh != nil:
+		return fresh, nil
+	}
+	return v.result(opts.CostModel)
+}
+
+// result rebuilds the compile.Result of a cached program, priced under
+// model when it is non-nil: the disk tier's decoded program if this
+// caller claims it, else a fresh decode.
+func (c compiled) result(model *cost.Model) (*compile.Result, error) {
+	var p *isa.Program
+	if c.loaded != nil {
+		p = c.loaded.Swap(nil)
+	}
+	if p == nil {
+		var err error
+		if p, err = isa.DecodeBinary(c.bin); err != nil {
+			// Unreachable: entries are encoded here or decoded by the
+			// disk probe before they are cached.
+			return nil, fmt.Errorf("core: cached program: %w", err)
+		}
+	}
+	res := &compile.Result{
+		Program:         p,
+		WriteCounts:     p.StaticWriteCounts(),
+		NumInstructions: len(p.Insts),
+		NumRRAMs:        int(p.NumCells),
+	}
+	if model != nil {
+		pc := model.Program(p)
+		res.Cost = &pc
+	}
+	return res, nil
 }

@@ -227,7 +227,7 @@ func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	return CompileConfig(ctx, Env{}, cur, cfg, st)
+	return CompileConfig(ctx, Env{}, cur, 0, cfg, st)
 }
 
 // Env is the plumbing a staged run, a suite or a sweep executes against:
@@ -243,6 +243,9 @@ type Env struct {
 	// RewriteCache memoizes rewrite stages across configurations,
 	// benchmarks and calls; required by every graph runner.
 	RewriteCache *RewriteCache
+	// CompileCache, when non-nil, memoizes every compile (see
+	// CompileConfig) across configurations, benchmarks and calls.
+	CompileCache *CompileCache
 	// Verify statically verifies every compiled program (see
 	// CompileConfig); a hard violation fails that configuration's compile.
 	Verify bool
@@ -253,10 +256,16 @@ type Env struct {
 
 // CompileConfig runs the compile/alloc stage of one configuration on an
 // already-rewritten MIG, emitting CompileStart/CompileDone events to the
-// progress observer carried by ctx, if any. rst is the rewriting
-// statistics to attach to the report (the staged runner shares one
-// rewrite across several configurations). Scratch state is drawn from
-// the compile package's pool, so the fast path is always allocation-lean.
+// progress observer carried by ctx, if any, around a computation and a
+// cache hit alike. rst is the rewriting statistics to attach to the report
+// (the staged runner shares one rewrite across several configurations).
+// Scratch state is drawn from the compile package's pool, so the fast
+// path is always allocation-lean.
+//
+// env.CompileCache, when non-nil, memoizes the compile by (fp, selection,
+// allocator, write cap); fp must be rewritten's fingerprint, and is unused
+// without a cache. A hit is the cached program rebuilt into a private
+// compile.Result (see CompileCache).
 //
 // When env.Verify is set, the compiled program is statically verified
 // (internal/verify) before the report is returned: def-before-use, range,
@@ -267,8 +276,9 @@ type Env struct {
 // env.CostModel, when non-nil, prices the compilation
 // (compile.Options.CostModel); with env.Verify additionally set,
 // static-vs-allocator cost parity is checked and a divergence fails the
-// compile like any other violation.
-func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, cfg Config, rst rewrite.Stats) (*Report, error) {
+// compile like any other violation. Verification and the parity checks
+// apply to every returned result, cached or computed.
+func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, fp uint64, cfg Config, rst rewrite.Stats) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -281,7 +291,13 @@ func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, cfg Config,
 		MaxWrites: cfg.MaxWrites,
 		CostModel: env.CostModel,
 	}
-	res, err := compile.Compile(rewritten, copts)
+	var res *compile.Result
+	var err error
+	if env.CompileCache != nil {
+		res, err = env.CompileCache.Compile(ctx, rewritten, fp, copts)
+	} else {
+		res, err = compile.Compile(rewritten, copts)
+	}
 	done := progress.CompileDone{
 		Function: rewritten.Name, Config: cfg.Name,
 		Elapsed: time.Since(start), Err: err,
@@ -360,9 +376,10 @@ func stageLabel(st Stage, cfgs []Config) string {
 // from task bodies after dep has completed and may return nil to signal
 // that upstream work failed, in which case no stage runs and no events are
 // emitted. Successful compiles write their reports into out (indexed like
-// cfgs). Rewrites go through env.RewriteCache and compiles apply env's
-// verification and cost model; env.Sched is not consulted, the graph
-// already belongs to a pool.
+// cfgs). Rewrites go through env.RewriteCache, compiles through
+// env.CompileCache when it is set, and compiles apply env's verification
+// and cost model; env.Sched is not consulted, the graph already belongs
+// to a pool.
 //
 // The returned leaves are the plan's compile tasks (join/aggregation tasks
 // should depend on them) and finish composes the plan's error in stage
@@ -370,8 +387,7 @@ func stageLabel(st Stage, cfgs []Config) string {
 // task depending on all of them, or after Graph.Wait).
 func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.MIG, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
-	rms := make([]*mig.MIG, len(stages))
-	rsts := make([]rewrite.Stats, len(stages))
+	rws := make([]rewriteResult, len(stages))
 	rwErrs := make([]error, len(stages))
 	cmpErrs := make([]error, len(cfgs))
 	leaves = make([]*sched.Task, 0, len(cfgs))
@@ -382,14 +398,15 @@ func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func(
 			if m == nil {
 				return // upstream failure; its error is reported there
 			}
-			rms[si], rsts[si], rwErrs[si] = env.RewriteCache.Rewrite(ctx, m, st.Kind, effort, label)
+			rws[si], rwErrs[si] = env.RewriteCache.rewrite(ctx, m, st.Kind, effort, label)
 		}, dep)
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {
-				if rms[si] == nil {
+				rw := &rws[si]
+				if rw.m == nil {
 					return // stage rewrite failed or was skipped
 				}
-				out[ci], cmpErrs[ci] = CompileConfig(ctx, env, rms[si], cfgs[ci], rsts[si])
+				out[ci], cmpErrs[ci] = CompileConfig(ctx, env, rw.m, rw.fp, cfgs[ci], rw.st)
 			}, rw)
 			leaves = append(leaves, ct)
 		}

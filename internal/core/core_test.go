@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"plim/internal/diskcache"
+	"plim/internal/memo"
 	"plim/internal/mig"
 	"plim/internal/progress"
 	"plim/internal/sched"
@@ -23,7 +24,7 @@ import (
 func testEnv(t *testing.T, workers int) Env {
 	pool := sched.New(workers)
 	t.Cleanup(pool.Stop)
-	return Env{Sched: pool, BenchCache: suite.NewCache(0, nil), RewriteCache: NewRewriteCache(0, nil)}
+	return Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: NewRewriteCache(nil, nil)}
 }
 
 func randomMIG(name string, pis, nodes, pos int, seed int64) *mig.MIG {
@@ -226,10 +227,10 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 	}
 	one, four := testEnv(t, 1).Sched, testEnv(t, 4).Sched
 	for name, env := range map[string]Env{
-		"inline":          {Sched: one, RewriteCache: NewRewriteCache(0, nil)},
-		"workers":         {Sched: four, RewriteCache: NewRewriteCache(0, nil)},
-		"inline+bounded":  {Sched: one, RewriteCache: NewRewriteCache(1, nil)},
-		"workers+bounded": {Sched: four, RewriteCache: NewRewriteCache(2, nil)},
+		"inline":          {Sched: one, RewriteCache: NewRewriteCache(nil, nil)},
+		"workers":         {Sched: four, RewriteCache: NewRewriteCache(nil, nil)},
+		"inline+bounded":  {Sched: one, RewriteCache: NewRewriteCache(memo.NewBudget(1), nil)},
+		"workers+bounded": {Sched: four, RewriteCache: NewRewriteCache(memo.NewBudget(2), nil)},
 	} {
 		got, err := RunStaged(context.Background(), env, m, cfgs, 2)
 		if err != nil {
@@ -283,7 +284,7 @@ func TestRunStagedRewritesOncePerStage(t *testing.T) {
 // an equal-fingerprint function returns the same MIG instance without
 // emitting rewrite events, and Len reports the entry.
 func TestRewriteCacheHitSharesResult(t *testing.T) {
-	cache := NewRewriteCache(0, nil)
+	cache := NewRewriteCache(nil, nil)
 	m := randomMIG("f", 8, 120, 8, 21)
 	events := 0
 	obs := progress.Func(func(progress.Event) { events++ })
@@ -325,7 +326,7 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 // TestRewriteCacheDoesNotCacheCancellation: a cancelled computation must
 // not poison the cache; the next caller recomputes successfully.
 func TestRewriteCacheDoesNotCacheCancellation(t *testing.T) {
-	cache := NewRewriteCache(0, nil)
+	cache := NewRewriteCache(nil, nil)
 	m := randomMIG("f", 8, 120, 8, 4)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -344,7 +345,7 @@ func TestRewriteCacheDoesNotCacheCancellation(t *testing.T) {
 // TestRewriteCacheSingleflight hammers one key from many goroutines; the
 // underlying rewrite must run exactly once.
 func TestRewriteCacheSingleflight(t *testing.T) {
-	cache := NewRewriteCache(0, nil)
+	cache := NewRewriteCache(nil, nil)
 	m := randomMIG("f", 8, 200, 8, 17)
 	var computes atomic.Int32
 	obs := progress.Func(func(ev progress.Event) {
@@ -380,7 +381,7 @@ func TestRewriteCacheSingleflight(t *testing.T) {
 // return the caller's own graph; the cache must store a private copy so
 // later caller mutations cannot corrupt hits.
 func TestRewriteCacheNeverRetainsCallerMIG(t *testing.T) {
-	cache := NewRewriteCache(0, nil)
+	cache := NewRewriteCache(nil, nil)
 	m := randomMIG("f", 6, 50, 4, 8)
 	nodesBefore := m.NumMaj()
 	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 0, "x")
@@ -422,7 +423,7 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	}
 	s1, s2, s3 := resultSize(m1), resultSize(m2), resultSize(m3)
 	budget := s1 + max(s2, s3)
-	cache := NewRewriteCache(budget, nil)
+	cache := NewRewriteCache(memo.NewBudget(budget), nil)
 	r1, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, "x")
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +461,7 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 // the computing caller but still unindex the entry and close its done
 // channel — otherwise every future caller of the key would block forever.
 func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
-	cache := NewRewriteCache(4, nil)
+	cache := NewRewriteCache(memo.NewBudget(4), nil)
 	bad := mig.New("bad")
 	bad.AddPI("x")
 	bad.AddPO(mig.MakeSignal(mig.NodeID(99), false), "f") // dangling reference
@@ -528,7 +529,7 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 		}
 	})
 
-	warmC := NewRewriteCache(0, disk)
+	warmC := NewRewriteCache(nil, disk)
 	want, wantSt, err := warmC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, "")
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +543,7 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	// A brand-new in-memory cache (a new process) over the same directory.
 	cycles = 0
-	coldC := NewRewriteCache(0, disk)
+	coldC := NewRewriteCache(nil, disk)
 	got, gotSt, err := coldC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, "")
 	if err != nil {
 		t.Fatal(err)
@@ -572,11 +573,11 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	// And the compiled programs must match exactly.
 	for _, cfg := range TableIConfigs() {
-		r1, err := CompileConfig(ctx, Env{Verify: true}, want, cfg, wantSt)
+		r1, err := CompileConfig(ctx, Env{Verify: true}, want, want.Fingerprint(), cfg, wantSt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := CompileConfig(ctx, Env{Verify: true}, got, cfg, gotSt)
+		r2, err := CompileConfig(ctx, Env{Verify: true}, got, got.Fingerprint(), cfg, gotSt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,7 +601,7 @@ func TestRewriteCacheDiskTierFailedComputeNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewRewriteCache(0, disk)
+	c := NewRewriteCache(nil, disk)
 	m := randomMIG("cancel", 8, 160, 6, 32)
 	ctx, cancel := context.WithCancel(context.Background())
 	ctx = progress.NewContext(ctx, func(ev progress.Event) {

@@ -1,21 +1,25 @@
 // Package diskcache is the persistent second tier below the engine's
 // in-memory caches: a content-addressed on-disk store for MIG rewrite
-// results and benchmark generator output. Separate CLI invocations
-// (plimtab, then plimc) start with cold processes but share a cache
-// directory, so the second invocation skips every rewrite the first one
-// already performed.
+// results, benchmark generator output and compiled programs. Separate CLI
+// invocations (plimtab, then plimc) start with cold processes but share a
+// cache directory, so the second invocation skips every rewrite and every
+// compilation the first one already performed.
 //
-// Two entry kinds are stored, mirroring the in-memory tiers they back:
+// Three entry kinds are stored, mirroring the in-memory tiers they back:
 //
 //   - rewrite results, keyed by (input-MIG fingerprint, rewrite kind,
 //     effort) exactly like core.RewriteCache, holding the rewritten MIG in
 //     the compact binary MIG encoding (mig.AppendBinary) plus its
 //     rewrite.Stats;
 //   - benchmark builds, keyed by (benchmark name, shrink) exactly like
-//     suite.Cache, holding the generated MIG.
+//     suite.Cache, holding the generated MIG;
+//   - compiled programs, keyed by (rewritten-MIG fingerprint, selection,
+//     allocator, write cap) exactly like core.CompileCache, holding the
+//     program's isa binary encoding (isa.Program.AppendBinary).
 //
 // Every entry is one file: a small text header (magic, format version, the
-// full key, payload length and CRC-32) followed by the binary MIG payload.
+// full key, the stored value's fingerprint, payload length and CRC-32)
+// followed by the binary payload.
 // Writes go through a temp file in the cache directory and an atomic
 // rename, so concurrent processes sharing a directory never observe a
 // partially written entry and the last writer simply wins. Reads verify
@@ -27,8 +31,8 @@
 //
 // Invalidation is by construction: keys are content-addressed (a different
 // input graph, algorithm or effort is a different file) and FormatVersion
-// is bumped whenever the MIG encoding, the stats layout or the fingerprint
-// function changes, which orphans every old entry at once.
+// is bumped whenever the MIG or program encoding, the stats layout or a
+// fingerprint function changes, which orphans every old entry at once.
 package diskcache
 
 import (
@@ -38,24 +42,28 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 	"unicode"
 
+	"plim/internal/isa"
 	"plim/internal/mig"
 	"plim/internal/rewrite"
 )
 
 // FormatVersion is written into every entry header and checked on load.
-// Bump it whenever the entry layout, the binary MIG encoding,
-// rewrite.Stats or mig.Fingerprint changes incompatibly; all existing
-// entries then read as misses and are rewritten on the next store.
+// Bump it whenever the entry layout, the binary MIG or program encoding,
+// rewrite.Stats, mig.Fingerprint or isa.Program.Fingerprint changes
+// incompatibly; all existing entries then read as misses and are
+// rewritten on the next store.
 //
 // Version history: 1 = initial layout; 2 = entries additionally record the
 // stored graph's own fingerprint (the "out" header line), enabling
 // load-time re-verification under SetVerify; 3 = binary MIG payload
-// (mig.AppendBinary) in place of .mig text.
+// (mig.AppendBinary) in place of .mig text. Program entries were added
+// under version 3: a new kind leaves the layout of the others unchanged.
 const FormatVersion = 3
 
 const magic = "plimcache"
@@ -64,7 +72,14 @@ const magic = "plimcache"
 const (
 	kindRewrite   = "rewrite"
 	kindBenchmark = "bench"
+	kindProgram   = "prog"
 )
+
+// versionTag opens every entry's first line, before the kind tag.
+var versionTag = magic + " " + strconv.Itoa(FormatVersion) + " "
+
+// ext is the file extension of every entry.
+const ext = ".plimcache"
 
 // ProbeOutcome classifies one disk probe for trace spans and metrics:
 // ProbeVerifyMiss is the subset of misses where a structurally readable
@@ -110,8 +125,8 @@ func Open(dir string) (*Cache, error) {
 }
 
 // staleTempAge is how old a .tmp-* file must be before Open reclaims it.
-// Stores buffer the whole entry in memory first, so a healthy writer holds
-// its temp file for milliseconds; an hour leaves a huge margin for slow
+// Stores hold the whole entry in memory before they create it, so a
+// healthy writer holds its temp file for milliseconds; an hour leaves a huge margin for slow
 // filesystems while still bounding the garbage a crashy fleet can leave in
 // a shared directory.
 const staleTempAge = time.Hour
@@ -134,21 +149,62 @@ func (c *Cache) Dir() string { return c.dir }
 
 // SetVerify toggles load-time re-verification (default off; plim.Engine
 // arms it under WithVerify). Every entry records the fingerprint of the
-// graph it stores; with verification on, a load additionally recomputes
-// the parsed graph's fingerprint and treats any mismatch as a miss. The
-// CRC already catches torn writes and random corruption; the fingerprint
-// closes the residual gap — a corrupted-but-CRC-colliding payload, or an
-// entry written by a build whose serialization drifted without a
-// FormatVersion bump — so a verifying engine can never be served a graph
-// that is not byte-for-byte the one that was stored.
+// graph or program it stores; with verification on, a load additionally
+// recomputes the decoded value's fingerprint and treats any mismatch as a
+// miss. The CRC already catches torn writes and random corruption; the
+// fingerprint closes the residual gap — a corrupted-but-CRC-colliding
+// payload, or an entry written by a build whose serialization drifted
+// without a FormatVersion bump — so a verifying engine can never be
+// served a graph or program that is not the one that was stored.
 func (c *Cache) SetVerify(enabled bool) { c.verify.Store(enabled) }
 
 func rewritePath(dir string, fp uint64, kind uint8, effort int) string {
-	return filepath.Join(dir, fmt.Sprintf("rw-%016x-k%d-e%d.plimcache", fp, kind, effort))
+	var buf [128]byte
+	b := appendDir(buf[:0], dir)
+	b = append(b, "rw-"...)
+	b = appendHex(b, fp, 16)
+	b = append(b, "-k"...)
+	b = strconv.AppendUint(b, uint64(kind), 10)
+	b = append(b, "-e"...)
+	b = strconv.AppendInt(b, int64(effort), 10)
+	return string(append(b, ext...))
 }
 
 func benchPath(dir, name string, shrink int) string {
-	return filepath.Join(dir, fmt.Sprintf("bench-%s-s%d.plimcache", sanitize(name), shrink))
+	var buf [128]byte
+	b := appendDir(buf[:0], dir)
+	b = append(b, "bench-"...)
+	b = append(b, sanitize(name)...)
+	b = append(b, "-s"...)
+	b = strconv.AppendInt(b, int64(shrink), 10)
+	return string(append(b, ext...))
+}
+
+func programPath(dir string, k ProgramKey) string {
+	var buf [128]byte
+	b := appendDir(buf[:0], dir)
+	b = append(b, "prog-"...)
+	b = appendHex(b, k.Graph, 16)
+	b = append(b, "-s"...)
+	b = strconv.AppendUint(b, uint64(k.Selection), 10)
+	b = append(b, "-a"...)
+	b = strconv.AppendUint(b, uint64(k.Alloc), 10)
+	b = append(b, "-w"...)
+	b = strconv.AppendUint(b, k.MaxWrites, 10)
+	return string(append(b, ext...))
+}
+
+func appendDir(b []byte, dir string) []byte {
+	return append(append(b, dir...), filepath.Separator)
+}
+
+// appendHex appends v as exactly digits lowercase hex digits, the %0*x
+// form the header and file names use.
+func appendHex(b []byte, v uint64, digits int) []byte {
+	for i := digits - 1; i >= 0; i-- {
+		b = append(b, "0123456789abcdef"[v>>(4*uint(i))&0xf])
+	}
+	return b
 }
 
 // sanitize keeps benchmark-derived file names path-safe. Registry names
@@ -215,82 +271,231 @@ func tokenSafe(name string) bool {
 	return !strings.ContainsFunc(name, unicode.IsSpace)
 }
 
-// StoreRewrite persists a rewrite result under (fp, kind, effort). Graphs
+// RewriteEntry is the content of a rewrite entry: the rewritten graph,
+// its rewriting statistics and the graph's fingerprint.
+type RewriteEntry struct {
+	Graph *mig.MIG
+	Stats rewrite.Stats
+	// Fingerprint is Graph.Fingerprint(). A store records it as given; a
+	// load returns the recorded value, which SetVerify re-checks against
+	// the decoded graph.
+	Fingerprint uint64
+}
+
+// StoreRewrite persists a rewrite result under (fp, kind, effort); it is
+// SaveRewrite with the graph's fingerprint computed here.
+func (c *Cache) StoreRewrite(fp uint64, kind uint8, effort int, m *mig.MIG, st rewrite.Stats) error {
+	return c.SaveRewrite(fp, kind, effort, RewriteEntry{m, st, m.Fingerprint()})
+}
+
+// SaveRewrite persists a rewrite entry under (fp, kind, effort). Graphs
 // that cannot round-trip faithfully (see Storable) are skipped with
 // ErrNotStorable. Stores are best-effort: the caller already holds the
 // computed result.
-func (c *Cache) StoreRewrite(fp uint64, kind uint8, effort int, m *mig.MIG, st rewrite.Stats) error {
-	return c.store(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(fp, kind, effort), m,
-		fmt.Sprintf(statsFormat, st.Cycles, st.NodesBefore, st.NodesAfter, st.DepthBefore, st.DepthAfter,
-			st.CompHistBefore[0], st.CompHistBefore[1], st.CompHistBefore[2], st.CompHistBefore[3],
-			st.CompHistAfter[0], st.CompHistAfter[1], st.CompHistAfter[2], st.CompHistAfter[3]))
+func (c *Cache) SaveRewrite(fp uint64, kind uint8, effort int, e RewriteEntry) error {
+	if !Storable(e.Graph) {
+		return ErrNotStorable
+	}
+	var kb, sb [128]byte
+	return c.store(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(kb[:0], fp, kind, effort),
+		e.Fingerprint, appendStats(sb[:0], &e.Stats), e.Graph.AppendBinary(nil))
 }
 
 // ProbeRewrite loads the rewrite result stored under (fp, kind, effort)
-// and reports how the probe resolved; the graph is nil unless it hit. An
-// entry whose stats line does not parse is a plain miss.
+// and reports how the probe resolved; it is LoadRewrite without the
+// recorded fingerprint.
 func (c *Cache) ProbeRewrite(fp uint64, kind uint8, effort int) (*mig.MIG, rewrite.Stats, ProbeOutcome) {
-	var st rewrite.Stats
-	m, extra, out := c.probe(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(fp, kind, effort), 1)
-	if out == ProbeMiss {
-		return nil, st, out
-	}
-	if _, err := fmt.Sscanf(extra[0], statsFormat,
-		&st.Cycles, &st.NodesBefore, &st.NodesAfter, &st.DepthBefore, &st.DepthAfter,
-		&st.CompHistBefore[0], &st.CompHistBefore[1], &st.CompHistBefore[2], &st.CompHistBefore[3],
-		&st.CompHistAfter[0], &st.CompHistAfter[1], &st.CompHistAfter[2], &st.CompHistAfter[3]); err != nil {
-		return nil, rewrite.Stats{}, ProbeMiss
-	}
-	return m, st, out
+	e, out := c.LoadRewrite(fp, kind, effort)
+	return e.Graph, e.Stats, out
 }
 
-const statsFormat = "stats %d %d %d %d %d %d %d %d %d %d %d %d %d"
+// LoadRewrite loads the rewrite entry stored under (fp, kind, effort) and
+// reports how the probe resolved; the entry is zero unless it hit. An
+// entry whose stats line does not parse is a plain miss.
+func (c *Cache) LoadRewrite(fp uint64, kind uint8, effort int) (RewriteEntry, ProbeOutcome) {
+	var kb [128]byte
+	out, stats, payload, ok := read(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(kb[:0], fp, kind, effort), true)
+	if !ok {
+		return RewriteEntry{}, ProbeMiss
+	}
+	e := RewriteEntry{Fingerprint: out}
+	if e.Stats, ok = parseStats(stats); !ok {
+		return RewriteEntry{}, ProbeMiss
+	}
+	var res ProbeOutcome
+	e.Graph, res = c.decodeGraph(payload, out)
+	if res != ProbeHit {
+		return RewriteEntry{}, res
+	}
+	return e, ProbeHit
+}
 
-func rewriteKey(fp uint64, kind uint8, effort int) string {
-	return fmt.Sprintf("key %016x %d %d", fp, kind, effort)
+// appendStats appends the stats line of a rewrite entry.
+func appendStats(b []byte, st *rewrite.Stats) []byte {
+	b = append(b, "stats"...)
+	for _, v := range [...]int{st.Cycles, st.NodesBefore, st.NodesAfter, int(st.DepthBefore), int(st.DepthAfter),
+		st.CompHistBefore[0], st.CompHistBefore[1], st.CompHistBefore[2], st.CompHistBefore[3],
+		st.CompHistAfter[0], st.CompHistAfter[1], st.CompHistAfter[2], st.CompHistAfter[3]} {
+		b = strconv.AppendInt(append(b, ' '), int64(v), 10)
+	}
+	return b
+}
+
+// parseStats parses a stats line written by appendStats: "stats" and
+// thirteen integers, each after one space.
+func parseStats(line []byte) (rewrite.Stats, bool) {
+	var v [13]int
+	rest, more := bytes.CutPrefix(line, []byte("stats "))
+	for i := range v {
+		var tok []byte
+		if !more {
+			return rewrite.Stats{}, false
+		}
+		tok, rest, more = bytes.Cut(rest, []byte{' '})
+		n, err := strconv.Atoi(string(tok))
+		if err != nil {
+			return rewrite.Stats{}, false
+		}
+		v[i] = n
+	}
+	if more || v[3] != int(int32(v[3])) || v[4] != int(int32(v[4])) {
+		return rewrite.Stats{}, false
+	}
+	return rewrite.Stats{
+		Cycles: v[0], NodesBefore: v[1], NodesAfter: v[2], DepthBefore: int32(v[3]), DepthAfter: int32(v[4]),
+		CompHistBefore: [4]int{v[5], v[6], v[7], v[8]},
+		CompHistAfter:  [4]int{v[9], v[10], v[11], v[12]},
+	}, true
+}
+
+func rewriteKey(b []byte, fp uint64, kind uint8, effort int) []byte {
+	b = appendHex(append(b, "key "...), fp, 16)
+	b = strconv.AppendUint(append(b, ' '), uint64(kind), 10)
+	return strconv.AppendInt(append(b, ' '), int64(effort), 10)
 }
 
 // StoreBenchmark persists a benchmark build under (name, shrink).
 func (c *Cache) StoreBenchmark(name string, shrink int, m *mig.MIG) error {
-	return c.store(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(name, shrink), m)
+	if !Storable(m) {
+		return ErrNotStorable
+	}
+	var kb [128]byte
+	return c.store(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(kb[:0], name, shrink),
+		m.Fingerprint(), nil, m.AppendBinary(nil))
 }
 
 // ProbeBenchmark loads the benchmark build stored under (name, shrink) and
 // reports how the probe resolved.
 func (c *Cache) ProbeBenchmark(name string, shrink int) (*mig.MIG, ProbeOutcome) {
-	m, _, out := c.probe(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(name, shrink), 0)
-	return m, out
+	var kb [128]byte
+	out, _, payload, ok := read(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(kb[:0], name, shrink), false)
+	if !ok {
+		return nil, ProbeMiss
+	}
+	return c.decodeGraph(payload, out)
 }
 
-func benchKey(name string, shrink int) string { return fmt.Sprintf("key %q %d", name, shrink) }
+func benchKey(b []byte, name string, shrink int) []byte {
+	b = strconv.AppendQuote(append(b, "key "...), name)
+	return strconv.AppendInt(append(b, ' '), int64(shrink), 10)
+}
 
-// store writes one entry atomically: serialize into memory, write a temp
-// file in the cache directory, rename over the final path. Concurrent
-// writers race benignly (both write complete files; the last rename wins)
-// and a crash mid-write leaves only a temp file or a truncated temp file,
-// never a truncated entry under the final name. The header is the magic
-// line, the key line, the stored graph's fingerprint ("out") and the
-// kind's extra lines, then the payload's length and CRC-32.
-func (c *Cache) store(path, entryKind, key string, m *mig.MIG, extra ...string) error {
-	if !Storable(m) {
-		return ErrNotStorable
+// decodeGraph decodes a MIG payload; under SetVerify it must also
+// reproduce the recorded fingerprint out.
+func (c *Cache) decodeGraph(payload []byte, out uint64) (*mig.MIG, ProbeOutcome) {
+	m, err := mig.ReadBinary(payload)
+	if err != nil || m.Validate() != nil {
+		return nil, ProbeMiss
 	}
-	payload := m.AppendBinary(nil)
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %s\n%s\nout %016x\n", magic, FormatVersion, entryKind, key, m.Fingerprint())
-	for _, line := range extra {
-		buf.WriteString(line)
-		buf.WriteByte('\n')
+	if c.verify.Load() && m.Fingerprint() != out {
+		return nil, ProbeVerifyMiss
 	}
-	fmt.Fprintf(&buf, "payload %d %08x\n", len(payload), crc32.ChecksumIEEE(payload))
-	buf.Write(payload)
+	return m, ProbeHit
+}
+
+// ProgramKey is a program entry's key, the compile cache's: the rewritten
+// graph's fingerprint, the selection policy, the allocator and the write
+// cap the program was compiled under.
+type ProgramKey struct {
+	Graph            uint64
+	Selection, Alloc uint8
+	MaxWrites        uint64
+}
+
+// ProgramEntry is the content of a program entry.
+type ProgramEntry struct {
+	// Binary is the program's isa binary encoding (Program.AppendBinary).
+	Binary []byte
+	// Fingerprint is the program's isa fingerprint. A store records it as
+	// given; a load returns the recorded value, which SetVerify re-checks
+	// against the decoded program.
+	Fingerprint uint64
+	// Program is Binary decoded; a load sets it, a store ignores it.
+	Program *isa.Program
+}
+
+// StoreProgram persists a compiled program entry under k.
+func (c *Cache) StoreProgram(k ProgramKey, e ProgramEntry) error {
+	var kb [128]byte
+	return c.store(programPath(c.dir, k), kindProgram, programKey(kb[:0], k), e.Fingerprint, nil, e.Binary)
+}
+
+// ProbeProgram loads the program entry stored under k and reports how the
+// probe resolved; the entry is zero unless it hit. A hit's binary decodes
+// to a valid program, returned with it; under SetVerify that program must
+// also reproduce the recorded fingerprint, or the probe is a verify-miss.
+func (c *Cache) ProbeProgram(k ProgramKey) (ProgramEntry, ProbeOutcome) {
+	var kb [128]byte
+	out, _, payload, ok := read(programPath(c.dir, k), kindProgram, programKey(kb[:0], k), false)
+	if !ok {
+		return ProgramEntry{}, ProbeMiss
+	}
+	p, err := isa.DecodeBinary(payload)
+	if err != nil {
+		return ProgramEntry{}, ProbeMiss
+	}
+	if c.verify.Load() && p.Fingerprint() != out {
+		return ProgramEntry{}, ProbeVerifyMiss
+	}
+	return ProgramEntry{payload, out, p}, ProbeHit
+}
+
+func programKey(b []byte, k ProgramKey) []byte {
+	b = appendHex(append(b, "key "...), k.Graph, 16)
+	b = strconv.AppendUint(append(b, ' '), uint64(k.Selection), 10)
+	b = strconv.AppendUint(append(b, ' '), uint64(k.Alloc), 10)
+	return strconv.AppendUint(append(b, ' '), k.MaxWrites, 10)
+}
+
+// store writes one entry atomically: write the header and the payload to
+// a temp file in the cache directory, rename it over the final path.
+// Concurrent writers race benignly (both write complete files; the last
+// rename wins) and a crash mid-write leaves only a temp file or a
+// truncated temp file, never a truncated entry under the final name. The
+// header is the magic line, the key line, the stored value's fingerprint
+// ("out"), the kind's extra line when it has one, then the payload's
+// length and CRC-32.
+func (c *Cache) store(path, entryKind string, key []byte, out uint64, extra, payload []byte) error {
+	h := make([]byte, 0, 96+len(key)+len(extra))
+	h = append(append(append(h, versionTag...), entryKind...), '\n')
+	h = append(append(h, key...), "\nout "...)
+	h = append(appendHex(h, out, 16), '\n')
+	if extra != nil {
+		h = append(append(h, extra...), '\n')
+	}
+	h = strconv.AppendInt(append(h, "payload "...), int64(len(payload)), 10)
+	h = append(appendHex(append(h, ' '), uint64(crc32.ChecksumIEEE(payload)), 8), '\n')
 
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("diskcache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(h); err != nil {
+		tmp.Close()
+		return fmt.Errorf("diskcache: %w", err)
+	}
+	if _, err := tmp.Write(payload); err != nil {
 		tmp.Close()
 		return fmt.Errorf("diskcache: %w", err)
 	}
@@ -303,47 +508,43 @@ func (c *Cache) store(path, entryKind, key string, m *mig.MIG, extra ...string) 
 	return nil
 }
 
-// probe reads the entry at path and classifies it. A hit needs the magic
-// line with this FormatVersion and entry kind, exactly the key line a
-// store writes, an "out" line, exactly extra more header lines (returned
-// for the caller to parse), a payload of the recorded length and checksum
-// that decodes to a valid graph and — under SetVerify — reproduces the
-// recorded fingerprint; a failed fingerprint alone is ProbeVerifyMiss, any
-// other problem ProbeMiss. An intact file refreshes its modification time.
-func (c *Cache) probe(path, entryKind, key string, extra int) (*mig.MIG, []string, ProbeOutcome) {
+// read reads the entry at path and checks its layout: the magic line with
+// this FormatVersion and entry kind, exactly the key line a store writes,
+// an "out" line, the kind's extra line when extra is set and nothing
+// else, and a payload of the recorded length and checksum. It returns the
+// recorded fingerprint, the extra line and the payload; ok is false on any
+// mismatch. An intact file refreshes its modification time.
+func read(path, entryKind string, key []byte, extra bool) (out uint64, extraLine, payload []byte, ok bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, ProbeMiss
+		return 0, nil, nil, false
 	}
 	line, rest, found := bytes.Cut(data, []byte{'\n'})
-	if !found {
-		return nil, nil, ProbeMiss
+	if !found || len(line) != len(versionTag)+len(entryKind) ||
+		string(line[:len(versionTag)]) != versionTag || string(line[len(versionTag):]) != entryKind {
+		return 0, nil, nil, false
 	}
-	var ver int
-	var gotMagic, gotKind string
-	if _, err := fmt.Sscanf(string(line), "%s %d %s", &gotMagic, &ver, &gotKind); err != nil ||
-		gotMagic != magic || ver != FormatVersion || gotKind != entryKind {
-		return nil, nil, ProbeMiss
-	}
-	var header []string
+	var header [3][]byte // key, out and at most one extra line
+	n := 0
 	for {
 		line, rest, found = bytes.Cut(rest, []byte{'\n'})
 		if !found {
-			return nil, nil, ProbeMiss
+			return 0, nil, nil, false
 		}
 		if bytes.HasPrefix(line, []byte("payload ")) {
 			break
 		}
-		header = append(header, string(line))
-		if len(header) > 8 {
-			return nil, nil, ProbeMiss // runaway header: not one of ours
+		if n == len(header) {
+			return 0, nil, nil, false // runaway header: not one of ours
 		}
+		header[n] = line
+		n++
 	}
-	var n int
-	var sum uint32
-	if _, err := fmt.Sscanf(string(line), "payload %d %x", &n, &sum); err != nil ||
-		len(rest) != n || crc32.ChecksumIEEE(rest) != sum {
-		return nil, nil, ProbeMiss
+	size, sum, found := bytes.Cut(line[len("payload "):], []byte{' '})
+	length, err1 := strconv.ParseUint(string(size), 10, 64)
+	crc, err2 := strconv.ParseUint(string(sum), 16, 32)
+	if !found || err1 != nil || err2 != nil || uint64(len(rest)) != length || uint64(crc32.ChecksumIEEE(rest)) != crc {
+		return 0, nil, nil, false
 	}
 	// Mark the entry recently used so GC's oldest-first eviction
 	// approximates LRU rather than FIFO. Best-effort: a concurrent writer
@@ -351,19 +552,17 @@ func (c *Cache) probe(path, entryKind, key string, extra int) (*mig.MIG, []strin
 	// entry look even younger.
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	if len(header) != 2+extra || header[0] != key {
-		return nil, nil, ProbeMiss
+	want := 2
+	if extra {
+		want = 3
 	}
-	var fp uint64
-	if _, err := fmt.Sscanf(header[1], "out %x", &fp); err != nil {
-		return nil, nil, ProbeMiss
+	if n != want || !bytes.Equal(header[0], key) {
+		return 0, nil, nil, false
 	}
-	m, err := mig.ReadBinary(rest)
-	if err != nil || m.Validate() != nil {
-		return nil, nil, ProbeMiss
+	hex, found := bytes.CutPrefix(header[1], []byte("out "))
+	out, err = strconv.ParseUint(string(hex), 16, 64)
+	if !found || err != nil {
+		return 0, nil, nil, false
 	}
-	if c.verify.Load() && m.Fingerprint() != fp {
-		return nil, header[2:], ProbeVerifyMiss
-	}
-	return m, header[2:], ProbeHit
+	return out, header[2], rest, true
 }

@@ -3,8 +3,10 @@ package isa
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -179,118 +181,185 @@ const (
 	// maxBinaryName bounds the decoded name: a length prefix beyond it is
 	// corruption, not a program.
 	maxBinaryName = 1 << 20
-	// decodeChunk caps the capacity pre-reserved from untrusted count
-	// prefixes. Decoded slices grow by append, so memory tracks bytes
-	// actually parsed — a truncated or hostile stream claiming 2^60
-	// elements hits EOF long before it can allocate anything large.
-	decodeChunk = 1 << 16
 )
 
-// WriteBinary encodes the program in the compact binary format.
+// Minimum encoded size of each element, used to bound counts by the bytes
+// left before anything is allocated: a PI cell or a PO is one uvarint, an
+// instruction its flags byte plus its destination.
+const (
+	minCellBytes = 1
+	minInstBytes = 2
+)
+
+// WriteBinary encodes the program in the compact binary format: one write
+// of AppendBinary's bytes.
 func (p *Program) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(binaryMagic)
-	bw.WriteByte(binaryVersion)
-	writeUvarint(bw, uint64(len(p.Name)))
-	bw.WriteString(p.Name)
-	writeUvarint(bw, uint64(p.NumCells))
-	writeUvarint(bw, uint64(len(p.PICells)))
-	for _, c := range p.PICells {
-		writeUvarint(bw, uint64(c))
-	}
-	writeUvarint(bw, uint64(len(p.POs)))
-	for _, po := range p.POs {
-		v := uint64(po.Addr) << 1
-		if po.Neg {
-			v |= 1
-		}
-		writeUvarint(bw, v)
-	}
-	writeUvarint(bw, uint64(len(p.Insts)))
-	for _, ins := range p.Insts {
-		flags := byte(ins.A.Kind) | byte(ins.B.Kind)<<2
-		bw.WriteByte(flags)
-		if ins.A.Kind == OpCell {
-			writeUvarint(bw, uint64(ins.A.Addr))
-		}
-		if ins.B.Kind == OpCell {
-			writeUvarint(bw, uint64(ins.B.Addr))
-		}
-		writeUvarint(bw, uint64(ins.Z))
-	}
-	return bw.Flush()
+	_, err := w.Write(p.AppendBinary(nil))
+	return err
 }
 
-// ReadBinary decodes a program written by WriteBinary.
+// AppendBinary appends the binary encoding of p to dst and returns the
+// extended slice. It grows dst at most once, to exactly the encoded size,
+// so encoding into a nil dst is one allocation whose length is its
+// capacity.
+func (p *Program) AppendBinary(dst []byte) []byte {
+	if n := p.binarySize(); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = append(dst, binaryMagic...)
+	dst = append(dst, binaryVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Name)))
+	dst = append(dst, p.Name...)
+	dst = binary.AppendUvarint(dst, uint64(p.NumCells))
+	dst = binary.AppendUvarint(dst, uint64(len(p.PICells)))
+	for _, c := range p.PICells {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(p.POs)))
+	for _, po := range p.POs {
+		dst = binary.AppendUvarint(dst, poWord(po))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(p.Insts)))
+	for _, ins := range p.Insts {
+		dst = append(dst, byte(ins.A.Kind)|byte(ins.B.Kind)<<2)
+		if ins.A.Kind == OpCell {
+			dst = binary.AppendUvarint(dst, uint64(ins.A.Addr))
+		}
+		if ins.B.Kind == OpCell {
+			dst = binary.AppendUvarint(dst, uint64(ins.B.Addr))
+		}
+		dst = binary.AppendUvarint(dst, uint64(ins.Z))
+	}
+	return dst
+}
+
+// binarySize is the length of AppendBinary's encoding of p.
+func (p *Program) binarySize() int {
+	n := len(binaryMagic) + 1 + uvarintLen(uint64(len(p.Name))) + len(p.Name) + uvarintLen(uint64(p.NumCells))
+	n += uvarintLen(uint64(len(p.PICells)))
+	for _, c := range p.PICells {
+		n += uvarintLen(uint64(c))
+	}
+	n += uvarintLen(uint64(len(p.POs)))
+	for _, po := range p.POs {
+		n += uvarintLen(poWord(po))
+	}
+	n += uvarintLen(uint64(len(p.Insts))) + len(p.Insts)
+	for _, ins := range p.Insts {
+		if ins.A.Kind == OpCell {
+			n += uvarintLen(uint64(ins.A.Addr))
+		}
+		if ins.B.Kind == OpCell {
+			n += uvarintLen(uint64(ins.B.Addr))
+		}
+		n += uvarintLen(uint64(ins.Z))
+	}
+	return n
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// poWord packs a PO reference as the format stores it: addr<<1 | neg.
+func poWord(po PORef) uint64 {
+	v := uint64(po.Addr) << 1
+	if po.Neg {
+		v |= 1
+	}
+	return v
+}
+
+// ReadBinary decodes a program written by WriteBinary: it reads the
+// stream to its end and decodes that with DecodeBinary, so bytes after the
+// program are an error.
 func ReadBinary(r io.Reader) (*Program, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("isa: bad magic %q", magic)
-	}
-	ver, err := br.ReadByte()
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if ver != binaryVersion {
+	return DecodeBinary(b)
+}
+
+var (
+	errTruncated = errors.New("isa: binary: truncated program or malformed varint")
+	errOversized = errors.New("isa: binary: count exceeds the bytes left")
+)
+
+// DecodeBinary decodes a program encoded by AppendBinary and validates it.
+// Every count is checked against the bytes left before its slice is
+// allocated, so a hostile payload cannot request more memory than its own
+// size implies. A truncated payload, a value that overflows its 32-bit
+// field, an unknown operand kind or reserved flag bit, trailing bytes and
+// an invalid program are all errors. Empty sections decode to nil slices,
+// as the compiler emits them.
+func DecodeBinary(b []byte) (*Program, error) {
+	if len(b) < len(binaryMagic)+1 {
+		return nil, errTruncated
+	}
+	if string(b[:len(binaryMagic)]) != binaryMagic {
+		return nil, fmt.Errorf("isa: bad magic %q", b[:len(binaryMagic)])
+	}
+	if ver := b[len(binaryMagic)]; ver != binaryVersion {
 		return nil, fmt.Errorf("isa: unsupported version %d", ver)
 	}
-	p := &Program{}
-	nameLen, err := binary.ReadUvarint(br)
+	d := decoder{b: b, off: len(binaryMagic) + 1}
+	nameLen, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if nameLen > maxBinaryName {
 		return nil, fmt.Errorf("isa: name length %d exceeds limit %d", nameLen, maxBinaryName)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
+	if nameLen > uint64(d.left()) {
+		return nil, errTruncated
+	}
+	p := &Program{Name: string(d.b[d.off : d.off+int(nameLen)])}
+	d.off += int(nameLen)
+	if p.NumCells, err = d.u32("cell count"); err != nil {
 		return nil, err
 	}
-	p.Name = string(name)
-	if p.NumCells, err = readU32(br, "cell count"); err != nil {
-		return nil, err
-	}
-	npi, err := binary.ReadUvarint(br)
+	npi, err := d.count(minCellBytes)
 	if err != nil {
 		return nil, err
 	}
-	p.PICells = make([]uint32, 0, min(npi, decodeChunk))
-	for i := uint64(0); i < npi; i++ {
-		v, err := readU32(br, "PI cell")
-		if err != nil {
+	if npi > 0 {
+		p.PICells = make([]uint32, npi)
+	}
+	for i := range p.PICells {
+		if p.PICells[i], err = d.u32("PI cell"); err != nil {
 			return nil, err
 		}
-		p.PICells = append(p.PICells, v)
 	}
-	npo, err := binary.ReadUvarint(br)
+	npo, err := d.count(minCellBytes)
 	if err != nil {
 		return nil, err
 	}
-	p.POs = make([]PORef, 0, min(npo, decodeChunk))
-	for i := uint64(0); i < npo; i++ {
-		v, err := binary.ReadUvarint(br)
+	if npo > 0 {
+		p.POs = make([]PORef, npo)
+	}
+	for i := range p.POs {
+		v, err := d.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if v>>1 > maxUint32 {
 			return nil, fmt.Errorf("isa: PO address %d overflows uint32", v>>1)
 		}
-		p.POs = append(p.POs, PORef{Addr: uint32(v >> 1), Neg: v&1 == 1})
+		p.POs[i] = PORef{Addr: uint32(v >> 1), Neg: v&1 == 1}
 	}
-	ninst, err := binary.ReadUvarint(br)
+	ninst, err := d.count(minInstBytes)
 	if err != nil {
 		return nil, err
 	}
-	p.Insts = make([]Instruction, 0, min(ninst, decodeChunk))
-	for i := uint64(0); i < ninst; i++ {
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, err
+	if ninst > 0 {
+		p.Insts = make([]Instruction, ninst)
+	}
+	for i := range p.Insts {
+		if d.left() == 0 {
+			return nil, errTruncated
 		}
+		flags := d.b[d.off]
+		d.off++
 		if flags>>4 != 0 {
 			return nil, fmt.Errorf("isa: inst %d: bad instruction flags %#x", i, flags)
 		}
@@ -302,19 +371,22 @@ func ReadBinary(r io.Reader) (*Program, error) {
 			return nil, fmt.Errorf("isa: inst %d: bad operand kind", i)
 		}
 		if ins.A.Kind == OpCell {
-			if ins.A.Addr, err = readU32(br, "operand A"); err != nil {
+			if ins.A.Addr, err = d.u32("operand A"); err != nil {
 				return nil, err
 			}
 		}
 		if ins.B.Kind == OpCell {
-			if ins.B.Addr, err = readU32(br, "operand B"); err != nil {
+			if ins.B.Addr, err = d.u32("operand B"); err != nil {
 				return nil, err
 			}
 		}
-		if ins.Z, err = readU32(br, "destination"); err != nil {
+		if ins.Z, err = d.u32("destination"); err != nil {
 			return nil, err
 		}
-		p.Insts = append(p.Insts, ins)
+		p.Insts[i] = ins
+	}
+	if d.left() != 0 {
+		return nil, fmt.Errorf("isa: binary: %d trailing bytes", d.left())
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -324,11 +396,28 @@ func ReadBinary(r io.Reader) (*Program, error) {
 
 const maxUint32 = 1<<32 - 1
 
-// readU32 decodes a uvarint that must fit a 32-bit address or count;
-// silently truncating an oversized value would let a corrupt stream
-// decode into a different (possibly valid) program.
-func readU32(br *bufio.Reader, what string) (uint32, error) {
-	v, err := binary.ReadUvarint(br)
+// decoder reads uvarints off the front of an encoded program.
+type decoder struct {
+	b   []byte
+	off int
+}
+
+func (d *decoder) left() int { return len(d.b) - d.off }
+
+func (d *decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		return 0, errTruncated
+	}
+	d.off += n
+	return v, nil
+}
+
+// u32 decodes a uvarint that must fit a 32-bit address or count; silently
+// truncating an oversized value would let a corrupt stream decode into a
+// different (possibly valid) program.
+func (d *decoder) u32(what string) (uint32, error) {
+	v, err := d.uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -338,8 +427,15 @@ func readU32(br *bufio.Reader, what string) (uint32, error) {
 	return uint32(v), nil
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+// count reads an element count whose elements take at least per bytes
+// each; a count the bytes left cannot hold is an error.
+func (d *decoder) count(per int) (int, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64(d.left()/per) {
+		return 0, errOversized
+	}
+	return int(v), nil
 }

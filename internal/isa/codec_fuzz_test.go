@@ -37,16 +37,24 @@ func fuzzSeeds(f *testing.F) {
 	}
 }
 
-// FuzzCodecRoundTrip feeds arbitrary bytes to the binary decoder; any
-// input it accepts must be a valid program that survives a binary
+// FuzzCodecRoundTrip feeds arbitrary bytes to the binary decoder, as a
+// stream (ReadBinary) and as a slice (DecodeBinary); both must agree, and
+// any input they accept must be a valid program that survives a binary
 // re-encode bit-identically and — when its name is assembly-safe — an
 // assembly round trip structurally.
 func FuzzCodecRoundTrip(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadBinary(bytes.NewReader(data))
+		ps, errs := DecodeBinary(data)
+		if (err == nil) != (errs == nil) || !reflect.DeepEqual(p, ps) {
+			t.Fatalf("ReadBinary (%v) and DecodeBinary (%v) disagree:\n%+v\nvs\n%+v", err, errs, p, ps)
+		}
 		if err != nil {
 			return // rejected inputs are fine; acceptance is what's checked
+		}
+		if enc := p.AppendBinary(nil); !bytes.Equal(enc, p.AppendBinary(nil)) || len(enc) != cap(enc) {
+			t.Fatal("AppendBinary is not deterministic or not exactly sized")
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("decoder accepted an invalid program: %v", err)

@@ -1,13 +1,18 @@
 // Package memo is the repository's one memoization primitive: Cache[K, V]
-// backs the rewrite cache (core.RewriteCache), the benchmark cache
-// (suite.Cache) and the engine's execution-plan cache. Every hit, from
-// memory or from the persistent Tier below it, must be byte-identical to a
-// fresh computation, so Cache.Do owns the whole discipline once:
-// singleflight with cancellable waiters, never caching a failed or
-// panicked computation, the tier probe and write-back, byte-budgeted LRU
-// eviction of completed entries, and one outcome-annotated trace span plus
-// one count per probe, taken where the probe is classified. Cached values
-// are shared and read-only.
+// backs the rewrite cache (core.RewriteCache), the compile cache
+// (core.CompileCache), the benchmark cache (suite.Cache) and the engine's
+// execution-plan cache. Every hit, from memory or from the persistent Tier
+// below it, must be byte-identical to a fresh computation, so Cache.Do
+// owns the whole discipline once: singleflight with cancellable waiters,
+// never caching a failed or panicked computation, the tier probe and
+// write-back, byte-budgeted LRU eviction of completed entries, and one
+// outcome-annotated trace span plus one count per probe, taken where the
+// probe is classified. Cached values are shared and read-only.
+//
+// The byte budget is a Budget that any number of caches share: an engine
+// builds one and hands it to all four of its caches, so its memory bound
+// holds for them together and a fill in one cache evicts the least
+// recently used completed entry of any of them.
 package memo
 
 import (
@@ -37,16 +42,42 @@ type Tier[K comparable, V any] interface {
 	Store(K, V) error
 }
 
+// Budget bounds the summed size of the completed entries of every cache
+// built on it. It holds the limit, one recency list over the entries of
+// all those caches and one mutex, which also guards each cache's index.
+// The limit is in the unit of the caches' size functions, estimated bytes
+// for every caller.
+type Budget struct {
+	mu sync.Mutex
+	// head is the most recently used entry of any cache, tail the least.
+	// total sums the costs of completed entries against limit (≤ 0 =
+	// unbounded).
+	head, tail   *link
+	limit, total int
+}
+
+// NewBudget returns a budget of limit bytes; limit ≤ 0 means unbounded.
+func NewBudget(limit int) *Budget { return &Budget{limit: limit} }
+
+// link is an entry's place on its budget's recency list.
+type link struct {
+	prev, next *link
+	// cost is size(v), charged once the computation succeeds; only then is
+	// the entry evictable, so an in-flight computation is never evicted.
+	cost  int
+	ready bool
+	owner dropper // the entry itself, so eviction can unindex it
+}
+
+// dropper is an entry as its budget sees it: eviction removes it from its
+// own cache's index, whatever the cache's key and value types.
+type dropper interface{ drop() }
+
 // Cache memoizes compute functions by key. The zero value is not usable;
 // call New.
 type Cache[K comparable, V any] struct {
-	mu      sync.Mutex
-	entries map[K]*entry[K, V] // waiters hold the entry, so eviction only unindexes
-	// head is the most recently used entry, tail the least. total sums the
-	// costs of completed entries against budget (≤ 0 = unbounded); the
-	// budget is in the unit of size, estimated bytes for every caller.
-	head, tail    *entry[K, V]
-	budget, total int
+	b       *Budget
+	entries map[K]*entry[K, V] // guarded by b.mu; waiters hold the entry, so eviction only unindexes
 
 	n counters
 
@@ -57,16 +88,19 @@ type Cache[K comparable, V any] struct {
 }
 
 type entry[K comparable, V any] struct {
-	key  K
-	done chan struct{} // closed when the computation finishes
+	link
+	c   *Cache[K, V]
+	key K
+	// done is made by the first waiter on an in-flight entry, under b.mu,
+	// and closed when the computation finishes; an entry nobody waits on
+	// never allocates one. A completed entry is ready and needs no wait.
+	done chan struct{}
 	v    V
 	err  error
-	// cost is size(v), charged once the computation succeeds; only then is
-	// the entry evictable, so an in-flight computation is never evicted.
-	cost       int
-	ready      bool
-	prev, next *entry[K, V]
 }
+
+// drop unindexes e from its cache; b.mu is held.
+func (e *entry[K, V]) drop() { delete(e.c.entries, e.key) }
 
 // Counters is a snapshot of a cache's probe accounting. Hits and Misses
 // classify every probe against the memory tier; a probe that attaches to
@@ -85,19 +119,24 @@ type counters struct {
 	hits, misses, tierHits, tierMisses, tierVerifyMisses, stores, storeErrors atomic.Uint64
 }
 
-// New returns a cache evicting least-recently-used completed entries once
-// their summed size(v) exceeds budget (≤ 0 = unbounded). probe names the
-// cache's trace span; attr, when non-nil, labels a traced span with one
-// key attribute and is only called when the span is recorded. tier, when
-// non-nil, is the persistent second level every memory miss probes.
-func New[K comparable, V any](budget int, size func(V) int, probe string, attr func(K) (string, string), tier Tier[K, V]) *Cache[K, V] {
-	return &Cache[K, V]{entries: make(map[K]*entry[K, V]), budget: budget, size: size, probe: probe, attr: attr, tier: tier}
+// New returns a cache charging each completed entry size(v) against b,
+// which evicts least-recently-used completed entries of every cache it
+// bounds once their summed charge exceeds its limit; a nil b is a private
+// unbounded budget. probe names the cache's trace span; attr, when
+// non-nil, labels a traced span with one key attribute and is only called
+// when the span is recorded. tier, when non-nil, is the persistent second
+// level every memory miss probes.
+func New[K comparable, V any](b *Budget, size func(V) int, probe string, attr func(K) (string, string), tier Tier[K, V]) *Cache[K, V] {
+	if b == nil {
+		b = NewBudget(0)
+	}
+	return &Cache[K, V]{b: b, entries: make(map[K]*entry[K, V]), size: size, probe: probe, attr: attr, tier: tier}
 }
 
 // Len reports the number of indexed entries, in-flight ones included.
 func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.b.mu.Lock()
+	defer c.b.mu.Unlock()
 	return len(c.entries)
 }
 
@@ -126,7 +165,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 	if sp.Traced() && c.attr != nil {
 		sp.Attr(c.attr(key))
 	}
-	c.mu.Lock()
+	c.b.mu.Lock()
 	e := c.get(key)
 	if e != nil {
 		c.n.hits.Add(1)
@@ -135,17 +174,27 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 	}
 	for {
 		if e == nil {
-			e = &entry[K, V]{key: key, done: make(chan struct{})}
+			e = &entry[K, V]{c: c, key: key}
+			e.owner = e
 			c.entries[key] = e
-			c.pushFront(e)
-			c.mu.Unlock()
+			c.b.pushFront(&e.link)
+			c.b.mu.Unlock()
 			c.fill(e, sp, compute)
 			if e.err != nil {
 				return zero, e.err
 			}
 			return e.v, nil
 		}
-		c.mu.Unlock()
+		if e.ready {
+			c.b.mu.Unlock()
+			sp.Attr("outcome", "memory-hit")
+			sp.End()
+			return e.v, nil
+		}
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		c.b.mu.Unlock()
 		select {
 		case <-e.done:
 			if e.err == nil {
@@ -160,7 +209,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 			sp.End()
 			return zero, ctx.Err()
 		}
-		c.mu.Lock()
+		c.b.mu.Lock()
 		e = c.get(key)
 	}
 }
@@ -168,21 +217,22 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 // fill resolves a fresh entry from the tier or compute and publishes it.
 func (c *Cache[K, V]) fill(e *entry[K, V], sp trace.Handle, compute func() (V, error)) {
 	// Publish via defer so a panicking computation still unindexes the
-	// entry and closes done; otherwise every later caller of the key would
-	// block on an entry nobody is computing. ErrPanicked stands until the
-	// tier or compute returns.
+	// entry and releases its waiters; otherwise every later caller of the
+	// key would block on an entry nobody is computing. ErrPanicked stands
+	// until the tier or compute returns.
 	e.err = ErrPanicked
 	defer func() {
-		c.mu.Lock()
+		c.b.mu.Lock()
 		if e.err != nil {
-			c.unindex(e)
+			c.b.unlink(&e.link)
+			e.drop()
 		} else {
-			e.ready, e.cost = true, c.size(e.v)
-			c.total += e.cost
-			c.evictExcess()
+			c.b.charge(&e.link, c.size(e.v))
 		}
-		c.mu.Unlock()
-		close(e.done)
+		if e.done != nil {
+			close(e.done)
+		}
+		c.b.mu.Unlock()
 	}()
 	outcome := "compute"
 	if c.tier != nil {
@@ -214,60 +264,59 @@ func (c *Cache[K, V]) fill(e *entry[K, V], sp trace.Handle, compute func() (V, e
 }
 
 // get returns the entry indexed for key, marking it most recently used,
-// or nil.
+// or nil. b.mu is held.
 func (c *Cache[K, V]) get(key K) *entry[K, V] {
 	e := c.entries[key]
 	if e != nil {
-		c.unlink(e)
-		c.pushFront(e)
+		c.b.unlink(&e.link)
+		c.b.pushFront(&e.link)
 	}
 	return e
 }
 
-// evictExcess unindexes completed entries, least recently used first,
-// until the charged total fits the budget or only in-flight entries
-// remain. An entry costlier than the whole budget evicts itself as soon
-// as it completes: the budget is a bound, not a promise of residency.
-func (c *Cache[K, V]) evictExcess() {
-	if c.budget <= 0 {
+// charge marks l completed at cost and evicts completed entries, least
+// recently used first, until the charged total fits the limit or only
+// in-flight entries remain. An entry costlier than the whole budget
+// evicts itself as soon as it completes: the budget is a bound, not a
+// promise of residency. b.mu is held.
+func (b *Budget) charge(l *link, cost int) {
+	l.ready, l.cost = true, cost
+	b.total += cost
+	if b.limit <= 0 {
 		return
 	}
-	for e := c.tail; e != nil && c.total > c.budget; {
-		victim := e
-		e = e.prev
+	for v := b.tail; v != nil && b.total > b.limit; {
+		victim := v
+		v = v.prev
 		if victim.ready {
-			c.unindex(victim)
+			b.unlink(victim)
+			b.total -= victim.cost
+			victim.owner.drop()
 		}
 	}
 }
 
-func (c *Cache[K, V]) unindex(e *entry[K, V]) {
-	c.unlink(e)
-	c.total -= e.cost
-	delete(c.entries, e.key)
-}
-
-func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
+func (b *Budget) pushFront(l *link) {
+	l.prev, l.next = nil, b.head
+	if b.head != nil {
+		b.head.prev = l
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	b.head = l
+	if b.tail == nil {
+		b.tail = l
 	}
 }
 
-func (c *Cache[K, V]) unlink(e *entry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (b *Budget) unlink(l *link) {
+	if l.prev != nil {
+		l.prev.next = l.next
 	} else {
-		c.head = e.next
+		b.head = l.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if l.next != nil {
+		l.next.prev = l.prev
 	} else {
-		c.tail = e.prev
+		b.tail = l.prev
 	}
-	e.prev, e.next = nil, nil
+	l.prev, l.next = nil, nil
 }

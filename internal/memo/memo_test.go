@@ -35,7 +35,7 @@ func (f *fakeTier) Store(_ string, v int) error {
 }
 
 func newIntCache(tier Tier[string, int]) *Cache[string, int] {
-	return New(0, func(int) int { return 8 }, "test-probe",
+	return New(nil, func(int) int { return 8 }, "test-probe",
 		func(k string) (string, string) { return "key", k }, tier)
 }
 
@@ -275,7 +275,7 @@ func TestEviction(t *testing.T) {
 		{"negative budget unbounded", -1, []string{"a:1000", "b:1000"}, []string{"b", "a"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[string](tc.budget, func(v int) int { return v }, "test-probe", nil, nil)
+			c := New[string](NewBudget(tc.budget), func(v int) int { return v }, "test-probe", nil, nil)
 			for _, step := range tc.steps {
 				key, cost, ok := strings.Cut(step, ":")
 				if !ok {
@@ -301,7 +301,7 @@ func TestEviction(t *testing.T) {
 	// In-flight entries are pinned: a budget overrun skips them and evicts
 	// completed entries around them until they complete.
 	t.Run("in flight pinned", func(t *testing.T) {
-		c := New[string](15, func(v int) int { return v }, "test-probe", nil, nil)
+		c := New[string](NewBudget(15), func(v int) int { return v }, "test-probe", nil, nil)
 		release := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {
@@ -331,21 +331,102 @@ func TestEviction(t *testing.T) {
 // the recency list, the index and the charged total agree.
 func lruKeys(t *testing.T, c *Cache[string, int]) []string {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var keys []string
-	total := 0
-	for e := c.head; e != nil; e = e.next {
-		if c.entries[e.key] != e {
+	return budgetKeys(t, c.b, c)[0]
+}
+
+// budgetKeys lists, for each of caches, its indexed keys in the order of
+// b's recency list, most recently used first, checking that the list
+// holds exactly the caches' indexed entries and that their costs sum to
+// b's charged total.
+func budgetKeys(t *testing.T, b *Budget, caches ...*Cache[string, int]) [][]string {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	keys := make([][]string, len(caches))
+	total, n := 0, 0
+	for l := b.head; l != nil; l = l.next {
+		e := l.owner.(*entry[string, int])
+		i := slices.Index(caches, e.c)
+		if i < 0 || e.c.entries[e.key] != e {
 			t.Fatalf("recency list holds unindexed key %q", e.key)
 		}
-		keys = append(keys, e.key)
-		total += e.cost
+		keys[i] = append(keys[i], e.key)
+		if l.ready {
+			total += l.cost
+		}
+		n++
 	}
-	if len(keys) != len(c.entries) || total != c.total {
-		t.Fatalf("list %v (cost %d) disagrees with %d indexed entries charged %d", keys, total, len(c.entries), c.total)
+	indexed := 0
+	for _, c := range caches {
+		indexed += len(c.entries)
+	}
+	if n != indexed || total != b.total {
+		t.Fatalf("list of %d keys %v (cost %d) disagrees with %d indexed entries charged %d", n, keys, total, indexed, b.total)
 	}
 	return keys
+}
+
+// TestSharedBudget: two caches of different value types on one budget
+// evict the least recently used completed entry of either cache, and the
+// charged total never exceeds the limit.
+func TestSharedBudget(t *testing.T) {
+	b := NewBudget(30)
+	ints := New[string](b, func(v int) int { return v }, "ints", nil, nil)
+	strs := New[string](b, func(v string) int { return len(v) }, "strs", nil, nil)
+	str := func(key, v string) {
+		t.Helper()
+		if got, err := strs.Do(context.Background(), key, func() (string, error) { return v, nil }); err != nil || got != v {
+			t.Fatalf("strs.Do(%q) = (%q, %v)", key, got, err)
+		}
+	}
+	num := func(key string, v int) {
+		t.Helper()
+		if got, err := ints.Do(context.Background(), key, func() (int, error) { return v, nil }); err != nil || got != v {
+			t.Fatalf("ints.Do(%q) = (%d, %v)", key, got, err)
+		}
+	}
+	order := func() []string {
+		t.Helper()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		var keys []string
+		for l := b.head; l != nil; l = l.next {
+			switch e := l.owner.(type) {
+			case *entry[string, int]:
+				keys = append(keys, "i:"+e.key)
+			case *entry[string, string]:
+				keys = append(keys, "s:"+e.key)
+			}
+		}
+		if b.total > b.limit {
+			t.Fatalf("charged %d over a limit of %d", b.total, b.limit)
+		}
+		return keys
+	}
+	num("a", 10)
+	str("x", "0123456789")
+	num("b", 10)
+	if got := order(); !slices.Equal(got, []string{"i:b", "s:x", "i:a"}) {
+		t.Fatalf("recency %v", got)
+	}
+	// A hit on a refreshes it, so the next fill in the other cache evicts
+	// x, the least recently used entry of either cache.
+	num("a", 10)
+	str("y", "0123456789")
+	if got := order(); !slices.Equal(got, []string{"s:y", "i:a", "i:b"}) {
+		t.Fatalf("recency after refreshing a %v", got)
+	}
+	if ints.Len() != 2 || strs.Len() != 1 {
+		t.Fatalf("lens %d ints / %d strs, want 2 / 1", ints.Len(), strs.Len())
+	}
+	// A costly fill in one cache empties the other.
+	num("c", 25)
+	if got := order(); !slices.Equal(got, []string{"i:c"}) {
+		t.Fatalf("recency after a 25-byte fill %v", got)
+	}
+	if strs.Len() != 0 || b.total != 25 {
+		t.Fatalf("strs holds %d entries, charged %d; want 0 and 25", strs.Len(), b.total)
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -195,9 +195,10 @@ func (m *metrics) render(s *Server) string {
 			writeHistogram(&b, "plimserve_sched_task_seconds", "kind", k.String(), h)
 		}
 	}
-	rw, bench := s.eng.MemoryCacheLens()
+	rw, bench, comp := s.eng.MemoryCacheLens()
 	header(&b, "plimserve_cache_memory_entries", "gauge", "Entries held by the in-memory cache tier, by kind.")
 	fmt.Fprintf(&b, "plimserve_cache_memory_entries{kind=\"benchmark\"} %d\n", bench)
+	fmt.Fprintf(&b, "plimserve_cache_memory_entries{kind=\"compile\"} %d\n", comp)
 	fmt.Fprintf(&b, "plimserve_cache_memory_entries{kind=\"rewrite\"} %d\n", rw)
 
 	// Probe outcomes across both tiers under one family, so hit ratios per
@@ -210,12 +211,12 @@ func (m *metrics) render(s *Server) string {
 	fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"memory\",outcome=\"hit\"} %d\n", mh)
 	fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"memory\",outcome=\"miss\"} %d\n", mm)
 	if hasDisk {
-		miss := diskStats.RewriteMisses + diskStats.BenchmarkMisses
+		miss := diskStats.RewriteMisses + diskStats.BenchmarkMisses + diskStats.CompileMisses
 		vm := diskStats.VerifyMisses
 		if vm > miss { // racy snapshots: never render a negative miss count
 			vm = miss
 		}
-		fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"disk\",outcome=\"hit\"} %d\n", diskStats.RewriteHits+diskStats.BenchmarkHits)
+		fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"disk\",outcome=\"hit\"} %d\n", diskStats.RewriteHits+diskStats.BenchmarkHits+diskStats.CompileHits)
 		fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"disk\",outcome=\"miss\"} %d\n", miss-vm)
 		fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"disk\",outcome=\"verify_miss\"} %d\n", vm)
 	}
@@ -224,9 +225,11 @@ func (m *metrics) render(s *Server) string {
 		st := diskStats
 		header(&b, "plimserve_cache_disk_hits_total", "counter", "Persistent cache loads served, by kind.")
 		fmt.Fprintf(&b, "plimserve_cache_disk_hits_total{kind=\"benchmark\"} %d\n", st.BenchmarkHits)
+		fmt.Fprintf(&b, "plimserve_cache_disk_hits_total{kind=\"compile\"} %d\n", st.CompileHits)
 		fmt.Fprintf(&b, "plimserve_cache_disk_hits_total{kind=\"rewrite\"} %d\n", st.RewriteHits)
 		header(&b, "plimserve_cache_disk_misses_total", "counter", "Persistent cache loads that missed (including verification failures), by kind.")
 		fmt.Fprintf(&b, "plimserve_cache_disk_misses_total{kind=\"benchmark\"} %d\n", st.BenchmarkMisses)
+		fmt.Fprintf(&b, "plimserve_cache_disk_misses_total{kind=\"compile\"} %d\n", st.CompileMisses)
 		fmt.Fprintf(&b, "plimserve_cache_disk_misses_total{kind=\"rewrite\"} %d\n", st.RewriteMisses)
 		header(&b, "plimserve_cache_disk_stores_total", "counter", "Persistent cache entries written.")
 		fmt.Fprintf(&b, "plimserve_cache_disk_stores_total %d\n", st.Stores)

@@ -30,17 +30,17 @@ type buildKey struct {
 	shrink int
 }
 
-// NewCache returns a cache evicting least-recently-used builds once their
-// summed estimated bytes exceed budget; budget ≤ 0 means unbounded. A
-// non-nil disk is the persistent second tier: generators are deterministic
+// NewCache returns a cache charging each build its estimated bytes against
+// b, which evicts least-recently-used entries of every cache it bounds; a
+// nil b is unbounded. A non-nil disk is the persistent second tier: generators are deterministic
 // and their output serializes fingerprint-faithfully, so a disk-served
 // graph is structurally identical to a fresh build.
-func NewCache(budget int, disk *diskcache.Cache) *Cache {
+func NewCache(b *memo.Budget, disk *diskcache.Cache) *Cache {
 	var tier memo.Tier[buildKey, *mig.MIG]
 	if disk != nil {
 		tier = buildTier{disk}
 	}
-	return &Cache{memo.New(budget, (*mig.MIG).MemSize, "benchmark-probe",
+	return &Cache{memo.New(b, (*mig.MIG).MemSize, "benchmark-probe",
 		func(k buildKey) (string, string) { return "benchmark", k.name }, tier)}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"plim/internal/diskcache"
+	"plim/internal/memo"
 	"plim/internal/mig"
 )
 
@@ -411,7 +412,7 @@ func TestSyntheticBenchmarksUseEveryInput(t *testing.T) {
 // builds return one shared instance, structurally identical to a fresh
 // build, and distinct (name, shrink) keys get distinct entries.
 func TestCacheSharesDeterministicBuilds(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(nil, nil)
 	a, err := c.BuildScaled(context.Background(), "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +448,7 @@ func TestCacheSharesDeterministicBuilds(t *testing.T) {
 // TestCacheConcurrentSingleflight hammers one key concurrently; all
 // callers must see the same instance.
 func TestCacheConcurrentSingleflight(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(nil, nil)
 	var wg sync.WaitGroup
 	outs := make([]*mig.MIG, 8)
 	for i := range outs {
@@ -493,7 +494,7 @@ func buildSize(t *testing.T, name string, shrink int) int {
 func TestCacheBudgetEvictsLRU(t *testing.T) {
 	sA, sB := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8)
 	budget := max(sA, sB)
-	c := NewCache(budget, nil)
+	c := NewCache(memo.NewBudget(budget), nil)
 	a1, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +532,7 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 // builds, but not all three.
 func TestCacheBudgetRespectsRecency(t *testing.T) {
 	sCtrl, sI2c, sRouter := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8), buildSize(t, "router", 8)
-	c := NewCache(sCtrl+max(sI2c, sRouter), nil)
+	c := NewCache(memo.NewBudget(sCtrl+max(sI2c, sRouter)), nil)
 	a1, err := c.BuildScaled(context.Background(), "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -571,7 +572,7 @@ func TestCacheDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := NewCache(0, disk)
+	warm := NewCache(nil, disk)
 	if _, err := warm.BuildScaled(context.Background(), "router", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +580,7 @@ func TestCacheDiskTier(t *testing.T) {
 		t.Fatalf("cold build counters: %+v", c)
 	}
 
-	cold := NewCache(0, disk)
+	cold := NewCache(nil, disk)
 	got, err := cold.BuildScaled(context.Background(), "router", 2)
 	if err != nil {
 		t.Fatal(err)
