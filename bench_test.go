@@ -32,7 +32,7 @@ func benchEnv(b *testing.B) func() core.Env {
 	pool := sched.New(runtime.GOMAXPROCS(0))
 	b.Cleanup(pool.Stop)
 	return func() core.Env {
-		return core.Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: core.NewRewriteCache(nil, nil)}
+		return core.Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: core.NewRewriteCache(nil, nil), CompileCache: core.NewCompileCache(nil, nil)}
 	}
 }
 

@@ -299,7 +299,7 @@ func main() {
 	// the host's scheduling rather than on the code.
 	procs := runtime.GOMAXPROCS(1)
 	pool := sched.New(1)
-	warmEnv := core.Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: core.NewRewriteCache(nil, nil), CostModel: plim.DefaultCostModel()}
+	warmEnv := core.Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: core.NewRewriteCache(nil, nil), CompileCache: core.NewCompileCache(nil, nil), CostModel: plim.DefaultCostModel()}
 	suiteOpts := tables.Options{Benchmarks: names, Effort: core.DefaultEffort, Shrink: *shrink}
 	if _, err := tables.RunSuite(context.Background(), warmEnv, cfgs, suiteOpts); err != nil {
 		cli.Fatal(err)

@@ -90,7 +90,7 @@ func main() {
 
 	// Execution goes through an engine so -trace can record per-chunk
 	// spans; without -trace this is equivalent to the plain ExecuteBatch
-	// free function (the engine stays cold apart from the plan cache).
+	// free function.
 	eng := plim.NewEngine(plim.WithTrace(*tracePath != ""))
 	res, err := eng.ExecuteBatch(context.Background(), prog, batch, plim.ExecOptions{Endurance: *endurance})
 	if err != nil {

@@ -11,7 +11,7 @@
 //	     localhost:8080/v1/compile -d '{"benchmark":"div","config":"full"}'
 //	curl -s localhost:8080/metrics
 //
-// The server admits at most -concurrency + -queue in-flight computations
+// The server admits at most -workers + -queue in-flight computations
 // (beyond that: 429 + Retry-After), coalesces identical in-flight requests
 // into one computation, runs every flight's work on the engine's shared
 // work-stealing scheduler ordered by request deadline, streams per-request
@@ -55,17 +55,16 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		effort      = flag.Int("effort", plim.DefaultEffort, "MIG rewriting cycles (0 = none)")
 		shrink      = flag.Int("shrink", 1, "default benchmark datapath shrink")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker pool (also the default -concurrency)")
+		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker pool (also the in-flight computations counted as running)")
 		cacheBudget = flag.Int("cache-budget", plim.DefaultCacheBudget, "byte budget of all in-memory caches together")
 		cacheDir    = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
 			"persistent cache directory shared with plimc/plimtab/... (default $PLIM_CACHE_DIR; empty = off)")
 		costPath = flag.String("cost-model", "",
 			"JSON instruction cost model pricing every response's cost block (default: built-in)")
 
-		concurrency = flag.Int("concurrency", 0, "in-flight computations counted as running (0 = -workers)")
-		queue       = flag.Int("queue", 0, "in-flight computations beyond -concurrency (0 = 4×concurrency); beyond both: 429")
-		reqTimeout  = flag.Duration("timeout", time.Minute, "default per-request deadline (<0 = none)")
-		maxTimeout  = flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested deadlines")
+		queue      = flag.Int("queue", 0, "in-flight computations beyond -workers (0 = 4×workers); beyond both: 429")
+		reqTimeout = flag.Duration("timeout", time.Minute, "default per-request deadline (<0 = none)")
+		maxTimeout = flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested deadlines")
 
 		gcInterval = flag.Duration("cache-gc-interval", 0, "disk-cache janitor period (0 = off; needs -cache-dir)")
 		gcMaxAge   = flag.Duration("cache-max-age", 0, "janitor: delete disk entries older than this (0 = no age limit)")
@@ -106,7 +105,6 @@ func main() {
 	eng := plim.NewEngine(engOpts...)
 
 	srv := server.New(eng, server.Options{
-		Concurrency:    *concurrency,
 		QueueDepth:     *queue,
 		DefaultTimeout: *reqTimeout,
 		MaxTimeout:     *maxTimeout,

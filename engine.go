@@ -50,17 +50,13 @@ type Engine struct {
 	// benchCache memoizes benchmark generator output, rwCache memoizes
 	// rewrite stages by (function fingerprint, pipeline, effort) and
 	// compileCache compiles by (rewritten-graph fingerprint, selection,
-	// allocator, write cap). All four caches, execPlans included, charge
-	// one budget of cacheBudget estimated bytes, which evicts the least
-	// recently used entry of any of them, so a long-lived engine fed a
-	// stream of distinct functions stays bounded.
+	// allocator, write cap). The three caches charge one budget of
+	// cacheBudget estimated bytes, which evicts the least recently used
+	// entry of any of them, so a long-lived engine fed a stream of
+	// distinct functions stays bounded.
 	benchCache   *suite.Cache
 	rwCache      *core.RewriteCache
 	compileCache *core.CompileCache
-
-	// execPlans memoizes bit-sliced execution plans by program fingerprint
-	// (see Engine.ExecuteBatch).
-	execPlans *memo.Cache[uint64, *exec.Plan]
 
 	// disk is the persistent second tier below the benchmark, rewrite and
 	// compile caches, opened at construction when WithPersistentCache
@@ -85,13 +81,12 @@ type Engine struct {
 }
 
 // DefaultCacheBudget is the default byte budget of the engine's in-memory
-// caches together (benchmark builds, rewrite results, compiled programs,
-// execution plans): 256 MiB of estimated resident size. Entries hold whole
-// MIGs and programs whose sizes vary by orders of magnitude, so the budget
-// is accounted in bytes (mig.MemSize estimates, encoded program sizes)
-// rather than entry counts; a paper-scale Table I (18 builds, 54
-// rewrites, 89 distinct programs) charges about 86 MB and fits with ample
-// headroom.
+// caches together (benchmark builds, rewrite results, compiled programs):
+// 256 MiB of estimated resident size. Entries hold whole MIGs and programs
+// whose sizes vary by orders of magnitude, so the budget is accounted in
+// bytes (mig.MemSize estimates, encoded program sizes) rather than entry
+// counts; a paper-scale Table I (18 builds, 54 rewrites, 89 distinct
+// programs) charges about 86 MB and fits with ample headroom.
 const DefaultCacheBudget = 256 << 20
 
 // Option configures an Engine at construction time.
@@ -126,8 +121,6 @@ func NewEngine(opts ...Option) *Engine {
 	e.benchCache = suite.NewCache(budget, e.disk)
 	e.rwCache = core.NewRewriteCache(budget, e.disk)
 	e.compileCache = core.NewCompileCache(budget, e.disk)
-	e.execPlans = memo.New(budget, (*exec.Plan).MemSize, "plan-probe",
-		func(fp uint64) (string, string) { return "fp", fmt.Sprintf("%016x", fp) }, nil)
 	return e
 }
 
@@ -175,12 +168,12 @@ func WithShrink(s int) Option {
 }
 
 // WithCacheBudget bounds all of the engine's in-memory caches together
-// (benchmark builds, rewrite results, compiled programs, execution plans)
-// to n estimated bytes; beyond the budget the least recently used entry of
-// any cache is evicted. The caches reuse generator output across runs and
-// run each distinct (function, pipeline, effort) rewrite and each
-// distinct compilation once — so regenerating Table III after Table I
-// skips every algorithm-2 rewrite — with results bit-identical to a fresh
+// (benchmark builds, rewrite results, compiled programs) to n estimated
+// bytes; beyond the budget the least recently used entry of any cache is
+// evicted. The caches reuse generator output across runs and run each
+// distinct (function, pipeline, effort) rewrite and each distinct
+// compilation once — so regenerating Table III after Table I skips every
+// algorithm-2 rewrite — with results bit-identical to a fresh
 // computation. Cached entries hold whole MIGs and programs of wildly
 // varying size, so the budget is accounted in bytes (mig.MemSize, encoded
 // program sizes), making it the engine's memory knob for server-style
@@ -587,15 +580,6 @@ func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
 	return rw.Hits + b.Hits + cc.Hits, rw.Misses + b.Misses + cc.Misses
 }
 
-// plan returns the bit-sliced execution plan for p, memoized by program
-// fingerprint (concurrent calls share one lowering). Plans are immutable
-// and shared; callers must not mutate a Program after executing it through
-// the engine, or a later fingerprint-identical call may be served the
-// stale plan.
-func (e *Engine) plan(ctx context.Context, p *Program) (*exec.Plan, error) {
-	return e.execPlans.Do(ctx, p.Fingerprint(), func() (*exec.Plan, error) { return exec.Compile(p) })
-}
-
 // ExecuteBatch evaluates a compiled program over a bit-sliced batch of
 // input vectors, 64 lanes per machine word — the high-throughput
 // counterpart of the scalar plim.Execute. The result carries one output
@@ -606,10 +590,11 @@ func (e *Engine) plan(ctx context.Context, p *Program) (*exec.Plan, error) {
 // interpreter's failing instruction, with the error wrapping
 // rram.ErrWornOut.
 //
-// Cancellation is honoured between 64-lane chunks, and every completed
-// chunk emits an EventExecuteChunk to the engine's observers. Compiled
-// execution plans are memoized by Program.Fingerprint in a byte-budgeted
-// cache, so servers replaying hot programs skip the lowering step.
+// Every call lowers p afresh (exec.Compile, cheaper than hashing p for a
+// cache key), so an execution reads only the program it is given, and
+// chunk events and exec_chunk spans name that program. Cancellation is
+// honoured between 64-lane chunks, and every completed chunk emits an
+// EventExecuteChunk to the engine's observers.
 //
 // On multi-worker engines, batches spanning several chunks are split into
 // contiguous chunk ranges that run as parallel leaves of one task graph on
@@ -626,7 +611,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 	ctx, csp := e.begin(ctx, "execute-batch")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	pl, err := e.plan(ctx, p)
+	pl, err := exec.Compile(p)
 	if err != nil {
 		return nil, err
 	}
@@ -636,19 +621,4 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 		opts.CostModel = e.costModel
 	}
 	return pl.RunSharded(ctx, b, opts, e.scheduler())
-}
-
-// Execute runs one input vector through the batched execution engine and
-// returns the primary outputs. It is a single-lane ExecuteBatch; use
-// plim.Execute for the scalar interpreter with crossbar inspection.
-func (e *Engine) Execute(ctx context.Context, p *Program, inputs []bool) ([]bool, error) {
-	b, err := exec.Pack([][]bool{inputs})
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.ExecuteBatch(ctx, p, b, ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Outputs.Vector(0), nil
 }

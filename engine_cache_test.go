@@ -1,6 +1,7 @@
 package plim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"runtime"
@@ -77,12 +78,11 @@ func TestEngineSchedulerSurvivesConcurrentGC(t *testing.T) {
 	}
 }
 
-// TestEngineExecuteBatchCompilesOnePlan: concurrent executions of one
-// fresh program share a single plan lowering through the plan cache's
-// singleflight instead of each compiling its own.
-func TestEngineExecuteBatchCompilesOnePlan(t *testing.T) {
+// TestEngineExecuteBatchConcurrentCallersAgree: concurrent executions of
+// one program on one engine return identical results.
+func TestEngineExecuteBatchConcurrentCallersAgree(t *testing.T) {
 	// sin's program is large enough that its lowering overlaps all the
-	// callers; a tiny program can finish before the others probe.
+	// callers; a tiny program can finish before the others start.
 	eng := NewEngine(WithShrink(2), WithEffort(0), WithWorkers(2))
 	m, err := eng.Benchmark(context.Background(), "sin", 2)
 	if err != nil {
@@ -119,16 +119,56 @@ func TestEngineExecuteBatchCompilesOnePlan(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	n := eng.execPlans.Counters()
-	if n.Misses != 1 || n.Hits != callers-1 {
-		t.Fatalf("plan cache probes: %d hits / %d misses, want %d / 1", n.Hits, n.Misses, callers-1)
-	}
-	if eng.execPlans.Len() != 1 {
-		t.Fatalf("plan cache holds %d plans, want 1", eng.execPlans.Len())
-	}
 	for i := 1; i < callers; i++ {
 		if !reflect.DeepEqual(outs[i], outs[0]) {
 			t.Fatalf("caller %d's execution differs from caller 0's", i)
 		}
+	}
+}
+
+// TestEngineExecutionDependsOnlyOnItsProgram: an engine execution reads
+// only the program it is given. Mutating a program after executing it must
+// not change a later execution of an equal program, which holds its own
+// instructions and PI/PO maps.
+func TestEngineExecutionDependsOnlyOnItsProgram(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(WithShrink(4), WithWorkers(1))
+	m, err := eng.Benchmark(ctx, "ctrl", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Run(ctx, m, Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := rep.Result.Program
+	var buf bytes.Buffer
+	if err := first.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	second, err := ReadProgram(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ExhaustiveBatch(len(first.PICells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ExecuteBatch(ctx, first, b, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.POs {
+		first.POs[i].Neg = !first.POs[i].Neg
+	}
+	got, err := eng.ExecuteBatch(ctx, second, b, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ExecuteBatch(second, b, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+		t.Fatal("a mutation of an earlier executed program changed a later execution")
 	}
 }

@@ -148,7 +148,7 @@ func TestEngineCompileHitsUnderOtherModels(t *testing.T) {
 
 // TestEngineBudgetOneStaysCorrect: an engine whose budget holds no entry
 // computes everything afresh with identical results, and every one of its
-// four caches is empty afterwards.
+// three caches is empty afterwards.
 func TestEngineBudgetOneStaysCorrect(t *testing.T) {
 	ctx := context.Background()
 	tiny := NewEngine(WithShrink(4), WithCacheBudget(1), WithVerify(true))
@@ -177,7 +177,7 @@ func TestEngineBudgetOneStaysCorrect(t *testing.T) {
 	}
 	lens := map[string]int{
 		"benchmark": tiny.benchCache.Len(), "rewrite": tiny.rwCache.Len(),
-		"compile": tiny.compileCache.Len(), "plan": tiny.execPlans.Len(),
+		"compile": tiny.compileCache.Len(),
 	}
 	for name, n := range lens {
 		if n != 0 {

@@ -87,7 +87,7 @@ func TestCompileCacheHitPricedByCallerModel(t *testing.T) {
 	cache := NewCompileCache(nil, nil)
 	fp := rw.Fingerprint()
 	for _, model := range []*cost.Model{cost.Default(), alt, nil} {
-		want, err := CompileConfig(ctx, Env{Verify: true, CostModel: model}, rw, fp, Full, st)
+		want, err := CompileConfig(ctx, Env{Verify: true, CostModel: model, CompileCache: NewCompileCache(nil, nil)}, rw, fp, Full, st)
 		if err != nil {
 			t.Fatal(err)
 		}

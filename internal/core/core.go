@@ -212,13 +212,15 @@ func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, cfgN
 }
 
 // Run rewrites m according to cfg (with the given effort) and compiles it
-// on the calling goroutine, without caches, verification or pricing: the
-// sequential reference the staged runners are pinned against. The input
-// MIG is not modified. Cancellation is checked on entry, between rewrite
-// cycles and before compilation; on cancellation the error is ctx.Err().
-// The progress observer carried by ctx, if any, receives a
-// progress.RewriteCycle event after every completed rewrite cycle and a
-// CompileStart/CompileDone pair around the compile/alloc stage.
+// on the calling goroutine, without shared caches, verification or
+// pricing: the sequential reference the staged runners are pinned against.
+// Its one compile goes through a private compile cache, which hands back
+// the freshly compiled result. The input MIG is not modified. Cancellation
+// is checked on entry, between rewrite cycles and before compilation; on
+// cancellation the error is ctx.Err(). The progress observer carried by
+// ctx, if any, receives a progress.RewriteCycle event after every
+// completed rewrite cycle and a CompileStart/CompileDone pair around the
+// compile/alloc stage.
 func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -227,7 +229,9 @@ func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	return CompileConfig(ctx, Env{}, cur, 0, cfg, st)
+	// The private cache holds this one compile, so its key needs no real
+	// fingerprint.
+	return CompileConfig(ctx, Env{CompileCache: NewCompileCache(nil, nil)}, cur, 0, cfg, st)
 }
 
 // Env is the plumbing a staged run, a suite or a sweep executes against:
@@ -243,8 +247,8 @@ type Env struct {
 	// RewriteCache memoizes rewrite stages across configurations,
 	// benchmarks and calls; required by every graph runner.
 	RewriteCache *RewriteCache
-	// CompileCache, when non-nil, memoizes every compile (see
-	// CompileConfig) across configurations, benchmarks and calls.
+	// CompileCache memoizes every compile (see CompileConfig) across
+	// configurations, benchmarks and calls; required by every compile.
 	CompileCache *CompileCache
 	// Verify statically verifies every compiled program (see
 	// CompileConfig); a hard violation fails that configuration's compile.
@@ -262,10 +266,9 @@ type Env struct {
 // Scratch state is drawn from the compile package's pool, so the fast
 // path is always allocation-lean.
 //
-// env.CompileCache, when non-nil, memoizes the compile by (fp, selection,
-// allocator, write cap); fp must be rewritten's fingerprint, and is unused
-// without a cache. A hit is the cached program rebuilt into a private
-// compile.Result (see CompileCache).
+// env.CompileCache memoizes the compile by (fp, selection, allocator,
+// write cap); fp must be rewritten's fingerprint. A hit is the cached
+// program rebuilt into a private compile.Result (see CompileCache).
 //
 // When env.Verify is set, the compiled program is statically verified
 // (internal/verify) before the report is returned: def-before-use, range,
@@ -291,13 +294,7 @@ func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, fp uint64, 
 		MaxWrites: cfg.MaxWrites,
 		CostModel: env.CostModel,
 	}
-	var res *compile.Result
-	var err error
-	if env.CompileCache != nil {
-		res, err = env.CompileCache.Compile(ctx, rewritten, fp, copts)
-	} else {
-		res, err = compile.Compile(rewritten, copts)
-	}
+	res, err := env.CompileCache.Compile(ctx, rewritten, fp, copts)
 	done := progress.CompileDone{
 		Function: rewritten.Name, Config: cfg.Name,
 		Elapsed: time.Since(start), Err: err,
@@ -377,9 +374,8 @@ func stageLabel(st Stage, cfgs []Config) string {
 // that upstream work failed, in which case no stage runs and no events are
 // emitted. Successful compiles write their reports into out (indexed like
 // cfgs). Rewrites go through env.RewriteCache, compiles through
-// env.CompileCache when it is set, and compiles apply env's verification
-// and cost model; env.Sched is not consulted, the graph already belongs
-// to a pool.
+// env.CompileCache, and compiles apply env's verification and cost
+// model; env.Sched is not consulted, the graph already belongs to a pool.
 //
 // The returned leaves are the plan's compile tasks (join/aggregation tasks
 // should depend on them) and finish composes the plan's error in stage

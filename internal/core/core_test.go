@@ -24,7 +24,7 @@ import (
 func testEnv(t *testing.T, workers int) Env {
 	pool := sched.New(workers)
 	t.Cleanup(pool.Stop)
-	return Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: NewRewriteCache(nil, nil)}
+	return Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: NewRewriteCache(nil, nil), CompileCache: NewCompileCache(nil, nil)}
 }
 
 func randomMIG(name string, pis, nodes, pos int, seed int64) *mig.MIG {
@@ -227,10 +227,10 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 	}
 	one, four := testEnv(t, 1).Sched, testEnv(t, 4).Sched
 	for name, env := range map[string]Env{
-		"inline":          {Sched: one, RewriteCache: NewRewriteCache(nil, nil)},
-		"workers":         {Sched: four, RewriteCache: NewRewriteCache(nil, nil)},
-		"inline+bounded":  {Sched: one, RewriteCache: NewRewriteCache(memo.NewBudget(1), nil)},
-		"workers+bounded": {Sched: four, RewriteCache: NewRewriteCache(memo.NewBudget(2), nil)},
+		"inline":          {Sched: one, RewriteCache: NewRewriteCache(nil, nil), CompileCache: NewCompileCache(nil, nil)},
+		"workers":         {Sched: four, RewriteCache: NewRewriteCache(nil, nil), CompileCache: NewCompileCache(nil, nil)},
+		"inline+bounded":  {Sched: one, RewriteCache: NewRewriteCache(memo.NewBudget(1), nil), CompileCache: NewCompileCache(nil, nil)},
+		"workers+bounded": {Sched: four, RewriteCache: NewRewriteCache(memo.NewBudget(2), nil), CompileCache: NewCompileCache(nil, nil)},
 	} {
 		got, err := RunStaged(context.Background(), env, m, cfgs, 2)
 		if err != nil {
@@ -573,11 +573,11 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	// And the compiled programs must match exactly.
 	for _, cfg := range TableIConfigs() {
-		r1, err := CompileConfig(ctx, Env{Verify: true}, want, want.Fingerprint(), cfg, wantSt)
+		r1, err := CompileConfig(ctx, Env{Verify: true, CompileCache: NewCompileCache(nil, nil)}, want, want.Fingerprint(), cfg, wantSt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := CompileConfig(ctx, Env{Verify: true}, got, got.Fingerprint(), cfg, gotSt)
+		r2, err := CompileConfig(ctx, Env{Verify: true, CompileCache: NewCompileCache(nil, nil)}, got, got.Fingerprint(), cfg, gotSt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -235,8 +235,3 @@ func (b *Batch) Hash() uint64 {
 	}
 	return h
 }
-
-// MemSize estimates the batch's memory footprint in bytes.
-func (b *Batch) MemSize() int {
-	return 64 + len(b.words)*(24+8*b.Chunks())
-}

@@ -22,8 +22,9 @@ type op struct {
 }
 
 // Plan is a compiled program lowered to the bit-sliced execution form. A
-// Plan is immutable after Compile and safe for concurrent Run calls; engines
-// cache Plans keyed by Program.Fingerprint.
+// Plan is immutable after Compile and safe for concurrent Run calls. It
+// reads the source program's PI/PO maps and instructions while it runs,
+// so the program must not change while a run is in progress.
 type Plan struct {
 	src      *isa.Program
 	ops      []op
@@ -63,20 +64,11 @@ func Compile(p *isa.Program) (*Plan, error) {
 	return pl, nil
 }
 
-// Program returns the source program.
-func (pl *Plan) Program() *isa.Program { return pl.src }
-
 // NumInputs reports the program's primary-input count.
 func (pl *Plan) NumInputs() int { return len(pl.src.PICells) }
 
 // NumOutputs reports the program's primary-output count.
 func (pl *Plan) NumOutputs() int { return len(pl.src.POs) }
-
-// MemSize estimates the plan's memory footprint in bytes (the cost charged
-// against engine cache budgets).
-func (pl *Plan) MemSize() int {
-	return 128 + len(pl.ops)*12 + len(pl.staticWrites)*8
-}
 
 // faultIndex returns the index of the first instruction a per-device write
 // budget of endurance would refuse (the scalar interpreter's failure point),
@@ -282,7 +274,7 @@ func (pl *Plan) RunContext(ctx context.Context, b *Batch, opts Options) (*Result
 }
 
 // Execute compiles and runs in one call — the convenience entry point for
-// one-shot callers; engines should Compile once and reuse the Plan.
+// one-shot callers.
 func Execute(ctx context.Context, p *isa.Program, b *Batch, opts Options) (*Result, error) {
 	pl, err := Compile(p)
 	if err != nil {

@@ -146,8 +146,10 @@ func (p *Program) Validate() error {
 // Fingerprint returns a 64-bit FNV-1a content hash of the program: the
 // address space, every instruction and the PI/PO cell maps. The name is
 // deliberately excluded so identical compilations of the same function
-// share a fingerprint. It keys executor plan caches and serving-layer
-// coalescing (see internal/exec and internal/server).
+// share a fingerprint. It identifies a program in verification reports
+// and /v1/execute responses, and the disk tier records it to re-verify
+// program entries (see internal/verify, internal/server and
+// internal/diskcache).
 func (p *Program) Fingerprint() uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)

@@ -1,16 +1,16 @@
 // Package memo is the repository's one memoization primitive: Cache[K, V]
 // backs the rewrite cache (core.RewriteCache), the compile cache
-// (core.CompileCache), the benchmark cache (suite.Cache) and the engine's
-// execution-plan cache. Every hit, from memory or from the persistent Tier
-// below it, must be byte-identical to a fresh computation, so Cache.Do
-// owns the whole discipline once: singleflight with cancellable waiters,
-// never caching a failed or panicked computation, the tier probe and
-// write-back, byte-budgeted LRU eviction of completed entries, and one
+// (core.CompileCache) and the benchmark cache (suite.Cache). Every hit,
+// from memory or from the persistent Tier below it, must be
+// byte-identical to a fresh computation, so Cache.Do owns the whole
+// discipline once: singleflight with cancellable waiters, never caching a
+// failed or panicked computation, the tier probe and write-back,
+// byte-budgeted LRU eviction of completed entries, and one
 // outcome-annotated trace span plus one count per probe, taken where the
 // probe is classified. Cached values are shared and read-only.
 //
 // The byte budget is a Budget that any number of caches share: an engine
-// builds one and hands it to all four of its caches, so its memory bound
+// builds one and hands it to all three of its caches, so its memory bound
 // holds for them together and a fill in one cache evicts the least
 // recently used completed entry of any of them.
 package memo

@@ -15,19 +15,19 @@ var errQueueFull = errors.New("server: admission queue full")
 // work-stealing scheduler (which multiplexes every flight over one worker
 // pool, ordered by request deadline), a flight no longer occupies a "run
 // slot" for its wall-clock: admission is a pure back-pressure gate. The
-// first concurrency admitted flights count as running, the excess — work
-// the scheduler holds as backlog — as queued; beyond concurrency+queueDepth
-// admit rejects immediately, without blocking.
+// first workers admitted flights (one per engine worker) count as running,
+// the excess — work the scheduler holds as backlog — as queued; beyond
+// workers+queueDepth admit rejects immediately, without blocking.
 type admission struct {
-	concurrency int
-	capacity    int // concurrency + queueDepth
+	workers  int
+	capacity int // workers + queueDepth
 
 	mu       sync.Mutex
 	inflight int
 }
 
-func newAdmission(concurrency, queueDepth int) *admission {
-	return &admission{concurrency: concurrency, capacity: concurrency + queueDepth}
+func newAdmission(workers, queueDepth int) *admission {
+	return &admission{workers: workers, capacity: workers + queueDepth}
 }
 
 // admit claims an in-flight seat without blocking. It returns a release
@@ -51,26 +51,26 @@ func (a *admission) admit() (release func(), err error) {
 	}, nil
 }
 
-// running reports how many in-flight computations count against the
-// configured concurrency.
+// running reports how many in-flight computations count as running: at
+// most one per engine worker.
 func (a *admission) running() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return min(a.inflight, a.concurrency)
+	return min(a.inflight, a.workers)
 }
 
-// queuedWaiting reports the in-flight computations beyond the configured
-// concurrency — the scheduler backlog admission still accepts.
+// queuedWaiting reports the in-flight computations beyond the engine's
+// workers — the scheduler backlog admission still accepts.
 func (a *admission) queuedWaiting() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return max(0, a.inflight-a.concurrency)
+	return max(0, a.inflight-a.workers)
 }
 
-// backlog reports the in-flight computations per unit of concurrency, read
-// once under the lock.
+// backlog reports the in-flight computations per engine worker, read once
+// under the lock.
 func (a *admission) backlog() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return float64(a.inflight) / float64(a.concurrency)
+	return float64(a.inflight) / float64(a.workers)
 }

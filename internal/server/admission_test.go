@@ -62,8 +62,8 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 // backlog decides alone: with nothing queued that is the 1 s floor,
 // however many flights admission holds.
 func TestRetryAfterColdStart(t *testing.T) {
-	eng := plim.NewEngine(plim.WithWorkers(1), plim.WithEffort(1))
-	s := New(eng, Options{Concurrency: 2, QueueDepth: 198})
+	eng := plim.NewEngine(plim.WithWorkers(2), plim.WithEffort(1))
+	s := New(eng, Options{QueueDepth: 198})
 	rows := []struct {
 		inflight   int
 		cold, warm time.Duration

@@ -394,9 +394,9 @@ func TestExecuteNDJSONBadRequests(t *testing.T) {
 // TestExecuteConcurrentBatches hammers one shared engine with parallel
 // /v1/execute requests — distinct batches, configs and endurance budgets
 // interleaved with identical (coalescable) requests. Run under -race this
-// pins down the thread safety of the plan cache and the executor.
+// pins down the thread safety of the executor.
 func TestExecuteConcurrentBatches(t *testing.T) {
-	_, ts, _ := newTestServer(t, Options{Concurrency: 4})
+	_, ts, _ := newTestServer(t, Options{}, plim.WithWorkers(4))
 	configs := []string{"naive", "full"}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)

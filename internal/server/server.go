@@ -24,18 +24,17 @@ import (
 )
 
 // Options configures a Server. The zero value derives everything from the
-// engine: concurrency from WithWorkers, a 4× wait queue, a 60 s default
-// request deadline capped at 10 min. Request bodies are capped at
-// maxBodyBytes.
+// engine: a wait queue of 4 × its workers, a 60 s default request deadline
+// capped at 10 min. Request bodies are capped at maxBodyBytes.
+//
+// The engine's worker count (WithWorkers) is the number of in-flight
+// computations regarded as running. Flights submit task graphs to the
+// engine's shared scheduler, which owns the actual CPU parallelism; the
+// worker count only anchors the running/queued gauge split and the
+// Retry-After fallback.
 type Options struct {
-	// Concurrency is the number of in-flight computations regarded as
-	// running (default: the engine's worker count). Flights submit task
-	// graphs to the engine's shared scheduler, which owns the actual CPU
-	// parallelism; Concurrency only anchors the running/queued gauge split
-	// and the Retry-After estimate.
-	Concurrency int
-	// QueueDepth bounds how many computations beyond Concurrency may be in
-	// flight at once (default 4 × Concurrency). Beyond Concurrency +
+	// QueueDepth bounds how many computations beyond the engine's workers
+	// may be in flight at once (default 4 × workers). Beyond workers +
 	// QueueDepth requests are answered 429 immediately.
 	QueueDepth int
 	// DefaultTimeout is the per-request deadline applied when a request
@@ -51,11 +50,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults(eng *plim.Engine) Options {
-	if o.Concurrency <= 0 {
-		o.Concurrency = eng.Workers()
-	}
 	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Concurrency
+		o.QueueDepth = 4 * eng.Workers()
 	}
 	if o.DefaultTimeout == 0 {
 		o.DefaultTimeout = 60 * time.Second
@@ -100,7 +96,7 @@ func New(eng *plim.Engine, opts Options) *Server {
 		eng:     eng,
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		adm:     newAdmission(opts.Concurrency, opts.QueueDepth),
+		adm:     newAdmission(eng.Workers(), opts.QueueDepth),
 		flights: newFlightGroup(),
 		met:     newMetrics(),
 		log:     opts.Logger,
@@ -921,8 +917,8 @@ func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *fl
 // rather than a guess from whole-flight wall-clocks. Kinds without latency
 // history contribute nothing, so a warm scheduler with nothing of known
 // cost queued answers the 1s floor. Before the scheduler has timed any
-// task it answers ⌈in-flight flights ÷ concurrency⌉ seconds. Clamped to
-// [1s, 60s].
+// task it answers ⌈in-flight flights ÷ engine workers⌉ seconds. Clamped
+// to [1s, 60s].
 func (s *Server) retryAfter() time.Duration {
 	st := s.eng.SchedulerStats()
 	var secs float64

@@ -273,7 +273,7 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 func TestAdmissionQueueFullReturns429(t *testing.T) {
 	// One engine worker: the gated flight blocks the whole scheduler, so the
 	// second admitted flight starves deterministically instead of finishing.
-	s, ts, p := newTestServer(t, Options{Concurrency: 1, QueueDepth: 1}, plim.WithWorkers(1))
+	s, ts, p := newTestServer(t, Options{QueueDepth: 1}, plim.WithWorkers(1))
 	p.gated.Store(true)
 
 	type result struct {

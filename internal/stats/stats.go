@@ -88,27 +88,6 @@ func Gini(writes []uint64) float64 {
 	return (2*weighted - float64(n+1)*cum) / (float64(n) * cum)
 }
 
-// Histogram buckets write counts into nBuckets equal-width buckets between
-// 0 and the maximum (inclusive). It returns the bucket counts and the bucket
-// width. Used by examples to render wear profiles.
-func Histogram(writes []uint64, nBuckets int) (buckets []int, width uint64) {
-	buckets = make([]int, nBuckets)
-	if len(writes) == 0 || nBuckets == 0 {
-		return buckets, 1
-	}
-	var max uint64
-	for _, w := range writes {
-		if w > max {
-			max = w
-		}
-	}
-	width = max/uint64(nBuckets) + 1
-	for _, w := range writes {
-		buckets[w/width]++
-	}
-	return buckets, width
-}
-
 // MaxLifetime is the sentinel for an unbounded lifetime. The convention,
 // shared by internal/verify and internal/cost: a run that writes no device
 // never wears one out, and an endurance budget of zero means "no budget" —

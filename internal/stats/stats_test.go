@@ -74,20 +74,6 @@ func TestGini(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	buckets, width := Histogram([]uint64{0, 1, 2, 9, 9}, 5)
-	if width != 2 {
-		t.Fatalf("width = %d", width)
-	}
-	if buckets[0] != 2 || buckets[1] != 1 || buckets[4] != 2 {
-		t.Fatalf("buckets = %v", buckets)
-	}
-	empty, w := Histogram(nil, 3)
-	if len(empty) != 3 || w != 1 {
-		t.Fatalf("empty histogram broken")
-	}
-}
-
 func TestLifetime(t *testing.T) {
 	if lt := Lifetime([]uint64{1, 5, 3}, 100); lt != 20 {
 		t.Fatalf("lifetime = %d, want 20", lt)

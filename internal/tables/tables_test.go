@@ -31,7 +31,7 @@ func quickOpts() Options {
 func testEnv(t *testing.T, workers int) core.Env {
 	pool := sched.New(workers)
 	t.Cleanup(pool.Stop)
-	return core.Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: core.NewRewriteCache(nil, nil)}
+	return core.Env{Sched: pool, BenchCache: suite.NewCache(nil, nil), RewriteCache: core.NewRewriteCache(nil, nil), CompileCache: core.NewCompileCache(nil, nil)}
 }
 
 func TestRunSuiteShape(t *testing.T) {

@@ -221,7 +221,7 @@ func Execute(p *Program, inputs []bool) ([]bool, *Crossbar, error) {
 // the bit-sliced executor (64 vectors per machine word) — semantically
 // identical to one scalar Execute per vector, including aggregate wear and
 // endurance faults, at a fraction of the cost. Engine.ExecuteBatch adds
-// plan caching, progress events and cancellation on top.
+// the engine's scheduler, progress events and cancellation on top.
 func ExecuteBatch(p *Program, b *Batch, opts ExecOptions) (*ExecResult, error) {
 	return exec.Execute(context.Background(), p, b, opts)
 }
