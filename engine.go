@@ -556,7 +556,11 @@ func (e *Engine) Benchmark(ctx context.Context, name string, shrink int) (*MIG, 
 	}
 	ctx, sp := e.traceSpan(ctx, "generate", name)
 	defer sp.End()
-	m, err := e.benchCache.BuildScaled(ctx, name, shrink)
+	r, err := e.benchCache.BuildScaled(ctx, name, shrink)
+	if err != nil {
+		return nil, err
+	}
+	m, err := r.Graph(ctx)
 	if err != nil {
 		return nil, err
 	}

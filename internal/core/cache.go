@@ -19,10 +19,15 @@ import (
 // and engine calls. It is a memo.Cache keyed by (function fingerprint,
 // rewrite kind, effort), so any structurally identical MIG — e.g. the same
 // benchmark rebuilt by a later table — reuses the stored result instead of
-// rewriting again. Entries are charged their graph's estimated size
-// (mig.MemSize) against the byte budget, and each probe records a "cache
+// rewriting again. The key is the input handle's fingerprint, so no
+// rewrite hashes its input. Entries are charged their graph's MemSize,
+// decoded or not, against the byte budget, and each probe records a "cache
 // rewrite-probe" span. Only the caller that computes emits progress
 // events. Embedding promotes Len and Counters.
+//
+// A disk hit's graph stays encoded until a caller needs it: a compile that
+// misses, or Rewrite. Should it then fail to decode, the rewrite runs
+// again from the input, under the context of the caller that needs it.
 //
 // Cached MIGs are shared across callers and must be treated as read-only.
 // The compilation stages only read their input, so the staged runners can
@@ -38,14 +43,13 @@ type rewriteKey struct {
 	effort int
 }
 
-// rewriteResult is a cached rewrite: the rewritten graph, its statistics
-// and its fingerprint, which keys the compile cache. A computed rewrite
-// hashes its output once; a disk hit reuses the fingerprint its entry
-// records.
+// rewriteResult is a cached rewrite: the rewritten graph's handle, whose
+// fingerprint keys the compile cache, and its statistics. A computed
+// rewrite hashes its output once; a disk hit carries the fingerprint its
+// entry records.
 type rewriteResult struct {
-	m  *mig.MIG
-	st rewrite.Stats
-	fp uint64
+	ref *mig.Ref
+	st  rewrite.Stats
 }
 
 // NewRewriteCache returns a cache charging each rewritten graph its
@@ -59,7 +63,7 @@ func NewRewriteCache(b *memo.Budget, disk *diskcache.Cache) *RewriteCache {
 		tier = rewriteTier{disk}
 	}
 	return &RewriteCache{memo.New(b,
-		func(r rewriteResult) int { return r.m.MemSize() },
+		func(r rewriteResult) int { return r.ref.MemSize() },
 		"rewrite-probe",
 		func(k rewriteKey) (string, string) { return "fp", fmt.Sprintf("%016x", k.fp) },
 		tier)}
@@ -70,35 +74,64 @@ type rewriteTier struct{ d *diskcache.Cache }
 
 func (t rewriteTier) Load(k rewriteKey) (rewriteResult, diskcache.ProbeOutcome) {
 	e, out := t.d.LoadRewrite(k.fp, uint8(k.kind), k.effort)
-	return rewriteResult{e.Graph, e.Stats, e.Fingerprint}, out
+	return rewriteResult{e.Graph, e.Stats}, out
 }
 
 func (t rewriteTier) Store(k rewriteKey, r rewriteResult) error {
-	return t.d.SaveRewrite(k.fp, uint8(k.kind), k.effort, diskcache.RewriteEntry{Graph: r.m, Stats: r.st, Fingerprint: r.fp})
+	return t.d.SaveRewrite(k.fp, uint8(k.kind), k.effort, diskcache.RewriteEntry{Graph: r.ref, Stats: r.st})
 }
 
 // Rewrite is core.Rewrite memoized through the cache. On a hit no progress
 // events are emitted — the rewrite simply did not run again.
 func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
-	r, err := c.rewrite(ctx, m, kind, effort, label)
-	return r.m, r.st, err
+	r, err := c.rewrite(ctx, mig.NewRef(m), kind, effort, label)
+	if err != nil {
+		return nil, rewrite.Stats{}, err
+	}
+	out, err := r.ref.Graph(ctx)
+	if err != nil {
+		return nil, rewrite.Stats{}, err
+	}
+	return out, r.st, nil
 }
 
-// rewrite is Rewrite returning the whole cached result.
-func (c *RewriteCache) rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (rewriteResult, error) {
-	return c.Do(ctx, rewriteKey{fp: m.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
-		out, st, err := Rewrite(ctx, m, kind, effort, label)
+// rewrite is Rewrite of a graph handle, returning the whole cached result.
+// A result whose graph is still encoded gets the rewrite of in as its
+// fallback, should the graph fail to decode.
+func (c *RewriteCache) rewrite(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int, label string) (rewriteResult, error) {
+	r, err := c.Do(ctx, rewriteKey{fp: in.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
+		out, st, err := rewriteGraph(ctx, in, kind, effort, label)
 		if err != nil {
 			return rewriteResult{}, err
 		}
-		if out == m {
-			// Effort 0 (or RewriteNone on an already-clean graph) can hand
-			// the caller's own MIG back; the cache must never retain a
-			// graph the caller may keep mutating.
-			out = m.Clone()
-		}
-		return rewriteResult{out, st, out.Fingerprint()}, nil
+		return rewriteResult{mig.NewRef(out), st}, nil
 	})
+	if err == nil && !r.ref.Decoded() {
+		r.ref.Recompute(func(ctx context.Context) (*mig.MIG, error) {
+			out, _, err := rewriteGraph(ctx, in, kind, effort, label)
+			return out, err
+		})
+	}
+	return r, err
+}
+
+// rewriteGraph is Rewrite of in's graph into a graph the cache may keep.
+func rewriteGraph(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
+	m, err := in.Graph(ctx)
+	if err != nil {
+		return nil, rewrite.Stats{}, err
+	}
+	out, st, err := Rewrite(ctx, m, kind, effort, label)
+	if err != nil {
+		return nil, rewrite.Stats{}, err
+	}
+	if out == m {
+		// Effort 0 (or RewriteNone on an already-clean graph) can hand
+		// the caller's own MIG back; the cache must never retain a
+		// graph the caller may keep mutating.
+		out = m.Clone()
+	}
+	return out, st, nil
 }
 
 // CompileCache memoizes the compile kernel of CompileConfig by (rewritten
@@ -107,7 +140,8 @@ func (c *RewriteCache) rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind
 // exact-size isa binary encoding, the same bytes the disk tier stores, and
 // is charged the encoding's length against the byte budget; each probe
 // records a "cache compile-probe" span. Embedding promotes Len and
-// Counters.
+// Counters. The key is the rewritten graph's handle's fingerprint, so a
+// hit never decodes that graph.
 //
 // Every hit decodes a private program, so no caller can mutate a cached
 // result, and rebuilds the rest of the compile.Result from it: write
@@ -177,12 +211,17 @@ func (k compileKey) disk() diskcache.ProgramKey {
 	return diskcache.ProgramKey{Graph: k.fp, Selection: uint8(k.selection), Alloc: uint8(k.alloc), MaxWrites: k.maxWrites}
 }
 
-// Compile is compile.Compile memoized through the cache: fp must be m's
-// fingerprint, and only opts' selection, allocator and write cap may vary
-// between callers of one graph.
-func (c *CompileCache) Compile(ctx context.Context, m *mig.MIG, fp uint64, opts compile.Options) (*compile.Result, error) {
+// Compile is compile.Compile memoized through the cache: the key is g's
+// fingerprint with opts' selection, allocator and write cap, and only a
+// miss reads g's graph. Only those three fields of opts may vary between
+// callers of one graph.
+func (c *CompileCache) Compile(ctx context.Context, g *mig.Ref, opts compile.Options) (*compile.Result, error) {
 	var fresh *compile.Result
-	v, err := c.Do(ctx, compileKey{fp, opts.Selection, opts.Alloc, opts.MaxWrites}, func() (compiled, error) {
+	v, err := c.Do(ctx, compileKey{g.Fingerprint(), opts.Selection, opts.Alloc, opts.MaxWrites}, func() (compiled, error) {
+		m, err := g.Graph(ctx)
+		if err != nil {
+			return compiled{}, err
+		}
 		res, err := compile.Compile(m, opts)
 		if err != nil {
 			return compiled{}, err

@@ -9,6 +9,7 @@ import (
 	"plim/internal/compile"
 	"plim/internal/cost"
 	"plim/internal/diskcache"
+	"plim/internal/mig"
 	"plim/internal/suite"
 )
 
@@ -40,12 +41,12 @@ func TestCompileCacheHitsEqualFreshCompile(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := fresh.Program.AppendBinary(nil)
-			fp := rw.Fingerprint()
+			g := mig.NewRef(rw)
 			for _, step := range []struct {
 				what  string
 				cache *CompileCache
 			}{{"computed", warm}, {"memory hit", warm}, {"disk hit", cold}, {"memory hit after a mutated hit", cold}} {
-				got, err := step.cache.Compile(ctx, rw, fp, opts)
+				got, err := step.cache.Compile(ctx, g, opts)
 				if err != nil {
 					t.Fatalf("%s/%s %s: %v", name, cfg.Name, step.what, err)
 				}
@@ -85,13 +86,13 @@ func TestCompileCacheHitPricedByCallerModel(t *testing.T) {
 	alt.RM3.EnergyPJ *= 3
 	alt.Set.Wear = 2
 	cache := NewCompileCache(nil, nil)
-	fp := rw.Fingerprint()
+	g := mig.NewRef(rw)
 	for _, model := range []*cost.Model{cost.Default(), alt, nil} {
-		want, err := CompileConfig(ctx, Env{Verify: true, CostModel: model, CompileCache: NewCompileCache(nil, nil)}, rw, fp, Full, st)
+		want, err := CompileConfig(ctx, Env{Verify: true, CostModel: model, CompileCache: NewCompileCache(nil, nil)}, g, Full, st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CompileConfig(ctx, Env{Verify: true, CostModel: model, CompileCache: cache}, rw, fp, Full, st)
+		got, err := CompileConfig(ctx, Env{Verify: true, CostModel: model, CompileCache: cache}, g, Full, st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -229,9 +229,7 @@ func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	// The private cache holds this one compile, so its key needs no real
-	// fingerprint.
-	return CompileConfig(ctx, Env{CompileCache: NewCompileCache(nil, nil)}, cur, 0, cfg, st)
+	return CompileConfig(ctx, Env{CompileCache: NewCompileCache(nil, nil)}, mig.NewRef(cur), cfg, st)
 }
 
 // Env is the plumbing a staged run, a suite or a sweep executes against:
@@ -258,17 +256,18 @@ type Env struct {
 	CostModel *cost.Model
 }
 
-// CompileConfig runs the compile/alloc stage of one configuration on an
-// already-rewritten MIG, emitting CompileStart/CompileDone events to the
-// progress observer carried by ctx, if any, around a computation and a
-// cache hit alike. rst is the rewriting statistics to attach to the report
+// CompileConfig runs the compile/alloc stage of one configuration on the
+// handle of an already-rewritten MIG, emitting CompileStart/CompileDone
+// events to the progress observer carried by ctx, if any, around a
+// computation and a cache hit alike. rst is the rewriting statistics to attach to the report
 // (the staged runner shares one rewrite across several configurations).
 // Scratch state is drawn from the compile package's pool, so the fast
 // path is always allocation-lean.
 //
-// env.CompileCache memoizes the compile by (fp, selection, allocator,
-// write cap); fp must be rewritten's fingerprint. A hit is the cached
-// program rebuilt into a private compile.Result (see CompileCache).
+// env.CompileCache memoizes the compile by (rewritten's fingerprint,
+// selection, allocator, write cap), and only a miss reads rewritten's
+// graph. A hit is the cached program rebuilt into a private
+// compile.Result (see CompileCache).
 //
 // When env.Verify is set, the compiled program is statically verified
 // (internal/verify) before the report is returned: def-before-use, range,
@@ -281,12 +280,12 @@ type Env struct {
 // static-vs-allocator cost parity is checked and a divergence fails the
 // compile like any other violation. Verification and the parity checks
 // apply to every returned result, cached or computed.
-func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, fp uint64, cfg Config, rst rewrite.Stats) (*Report, error) {
+func CompileConfig(ctx context.Context, env Env, rewritten *mig.Ref, cfg Config, rst rewrite.Stats) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	obs := progress.FromContext(ctx)
-	obs.Emit(progress.CompileStart{Function: rewritten.Name, Config: cfg.Name})
+	obs.Emit(progress.CompileStart{Function: rewritten.Name(), Config: cfg.Name})
 	start := time.Now()
 	copts := compile.Options{
 		Selection: cfg.Selection,
@@ -294,9 +293,9 @@ func CompileConfig(ctx context.Context, env Env, rewritten *mig.MIG, fp uint64, 
 		MaxWrites: cfg.MaxWrites,
 		CostModel: env.CostModel,
 	}
-	res, err := env.CompileCache.Compile(ctx, rewritten, fp, copts)
+	res, err := env.CompileCache.Compile(ctx, rewritten, copts)
 	done := progress.CompileDone{
-		Function: rewritten.Name, Config: cfg.Name,
+		Function: rewritten.Name(), Config: cfg.Name,
 		Elapsed: time.Since(start), Err: err,
 	}
 	if err == nil {
@@ -369,9 +368,10 @@ func stageLabel(st Stage, cfgs []Config) string {
 // StagedGraph adds the staged plan of cfgs at the given rewriting effort
 // to graph g: one rewrite task per distinct rewriting pipeline, one
 // compile task per configuration (depending on its stage's rewrite), all
-// depending on dep when non-nil. mFn supplies the input MIG; it is called
-// from task bodies after dep has completed and may return nil to signal
-// that upstream work failed, in which case no stage runs and no events are
+// depending on dep when non-nil. mFn supplies the input MIG's handle,
+// whose fingerprint keys every rewrite of the plan; it is called from task
+// bodies after dep has completed and may return nil to signal that
+// upstream work failed, in which case no stage runs and no events are
 // emitted. Successful compiles write their reports into out (indexed like
 // cfgs). Rewrites go through env.RewriteCache, compiles through
 // env.CompileCache, and compiles apply env's verification and cost
@@ -381,7 +381,7 @@ func stageLabel(st Stage, cfgs []Config) string {
 // should depend on them) and finish composes the plan's error in stage
 // order; it must only be called after every leaf completed (e.g. from a
 // task depending on all of them, or after Graph.Wait).
-func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.MIG, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
+func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.Ref, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
 	rws := make([]rewriteResult, len(stages))
 	rwErrs := make([]error, len(stages))
@@ -399,10 +399,10 @@ func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func(
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {
 				rw := &rws[si]
-				if rw.m == nil {
+				if rw.ref == nil {
 					return // stage rewrite failed or was skipped
 				}
-				out[ci], cmpErrs[ci] = CompileConfig(ctx, env, rw.m, rw.fp, cfgs[ci], rw.st)
+				out[ci], cmpErrs[ci] = CompileConfig(ctx, env, rw.ref, cfgs[ci], rw.st)
 			}, rw)
 			leaves = append(leaves, ct)
 		}
@@ -431,14 +431,16 @@ func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func(
 // over the shared rewritten MIG as independent scheduler tasks. Reports
 // are returned in configuration order and are identical to those of
 // sequential per-configuration Run calls. On cancellation the error is
-// ctx.Err() itself; unstarted tasks of the plan never run.
+// ctx.Err() itself; unstarted tasks of the plan never run. m is hashed
+// once, for the rewrite key every stage shares.
 func RunStaged(ctx context.Context, env Env, m *mig.MIG, cfgs []Config, effort int) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	g := env.Sched.NewGraph(ctx)
 	out := make([]*Report, len(cfgs))
-	_, finish := StagedGraph(g, env, effort, nil, func() *mig.MIG { return m }, cfgs, out)
+	in := mig.NewRef(m)
+	_, finish := StagedGraph(g, env, effort, nil, func() *mig.Ref { return in }, cfgs, out)
 	if err := g.Wait(); err != nil {
 		// Cancellation surfaces as ctx.Err() itself (the documented
 		// contract), not wrapped inside errors.Join.

@@ -573,11 +573,11 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	// And the compiled programs must match exactly.
 	for _, cfg := range TableIConfigs() {
-		r1, err := CompileConfig(ctx, Env{Verify: true, CompileCache: NewCompileCache(nil, nil)}, want, want.Fingerprint(), cfg, wantSt)
+		r1, err := CompileConfig(ctx, Env{Verify: true, CompileCache: NewCompileCache(nil, nil)}, mig.NewRef(want), cfg, wantSt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := CompileConfig(ctx, Env{Verify: true, CompileCache: NewCompileCache(nil, nil)}, got, got.Fingerprint(), cfg, gotSt)
+		r2, err := CompileConfig(ctx, Env{Verify: true, CompileCache: NewCompileCache(nil, nil)}, mig.NewRef(got), cfg, gotSt)
 		if err != nil {
 			t.Fatal(err)
 		}

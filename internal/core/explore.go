@@ -138,7 +138,7 @@ func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult,
 		finish  func() error
 	}
 	cells := make([]cell, nb*ns*ne)
-	migs := make([]*mig.MIG, nb*ns)
+	migs := make([]*mig.Ref, nb*ns)
 	genErrs := make([]error, nb*ns)
 	for bi, name := range opts.Benchmarks {
 		for si, shrink := range opts.Shrinks {
@@ -158,7 +158,7 @@ func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult,
 			}, nil)
 			for ei, effort := range opts.Efforts {
 				reports := make([]*Report, len(opts.Configs))
-				_, finish := StagedGraph(g, env, effort, gen, func() *mig.MIG { return migs[gi] }, opts.Configs, reports)
+				_, finish := StagedGraph(g, env, effort, gen, func() *mig.Ref { return migs[gi] }, opts.Configs, reports)
 				cells[gi*ne+ei] = cell{reports: reports, finish: finish}
 			}
 		}

@@ -29,6 +29,15 @@
 // merely costs a recomputation, and the fresh store overwrites the bad
 // entry.
 //
+// A program payload is decoded, and so validated, by its probe. A graph
+// payload is not: its probe checks the payload's header (mig.BinaryRef)
+// and returns a mig.Ref carrying the fingerprint the entry records, which
+// decodes the graph when a caller first reads it. The tier thus trusts an
+// intact entry to hold what was stored: the CRC guards the payload, and
+// the recorded fingerprint is taken as it stands. SetVerify withdraws
+// that trust: every probe then decodes its payload and re-hashes it
+// against the recorded fingerprint.
+//
 // Invalidation is by construction: keys are content-addressed (a different
 // input graph, algorithm or effort is a different file) and FormatVersion
 // is bumped whenever the MIG or program encoding, the stats layout or a
@@ -37,6 +46,7 @@ package diskcache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -149,13 +159,14 @@ func (c *Cache) Dir() string { return c.dir }
 
 // SetVerify toggles load-time re-verification (default off; plim.Engine
 // arms it under WithVerify). Every entry records the fingerprint of the
-// graph or program it stores; with verification on, a load additionally
-// recomputes the decoded value's fingerprint and treats any mismatch as a
-// miss. The CRC already catches torn writes and random corruption; the
-// fingerprint closes the residual gap — a corrupted-but-CRC-colliding
-// payload, or an entry written by a build whose serialization drifted
-// without a FormatVersion bump — so a verifying engine can never be
-// served a graph or program that is not the one that was stored.
+// graph or program it stores; with verification on, a load decodes its
+// payload, graphs included, recomputes the decoded value's fingerprint
+// and treats any mismatch as a miss. The CRC already catches torn writes
+// and random corruption; the fingerprint closes the residual gap — a
+// corrupted-but-CRC-colliding payload, or an entry written by a build
+// whose serialization drifted without a FormatVersion bump — so a
+// verifying engine can never be served a graph or program that is not the
+// one that was stored.
 func (c *Cache) SetVerify(enabled bool) { c.verify.Store(enabled) }
 
 func rewritePath(dir string, fp uint64, kind uint8, effort int) string {
@@ -272,59 +283,59 @@ func tokenSafe(name string) bool {
 }
 
 // RewriteEntry is the content of a rewrite entry: the rewritten graph,
-// its rewriting statistics and the graph's fingerprint.
+// whose handle carries its fingerprint, and its rewriting statistics.
 type RewriteEntry struct {
-	Graph *mig.MIG
+	Graph *mig.Ref
 	Stats rewrite.Stats
-	// Fingerprint is Graph.Fingerprint(). A store records it as given; a
-	// load returns the recorded value, which SetVerify re-checks against
-	// the decoded graph.
-	Fingerprint uint64
 }
 
 // StoreRewrite persists a rewrite result under (fp, kind, effort); it is
 // SaveRewrite with the graph's fingerprint computed here.
 func (c *Cache) StoreRewrite(fp uint64, kind uint8, effort int, m *mig.MIG, st rewrite.Stats) error {
-	return c.SaveRewrite(fp, kind, effort, RewriteEntry{m, st, m.Fingerprint()})
+	return c.SaveRewrite(fp, kind, effort, RewriteEntry{mig.NewRef(m), st})
 }
 
-// SaveRewrite persists a rewrite entry under (fp, kind, effort). Graphs
-// that cannot round-trip faithfully (see Storable) are skipped with
-// ErrNotStorable. Stores are best-effort: the caller already holds the
-// computed result.
+// SaveRewrite persists a rewrite entry under (fp, kind, effort),
+// recording the fingerprint its graph's handle carries. Graphs that cannot
+// round-trip faithfully (see Storable) are skipped with ErrNotStorable.
+// Stores are best-effort: the caller already holds the computed result.
 func (c *Cache) SaveRewrite(fp uint64, kind uint8, effort int, e RewriteEntry) error {
-	if !Storable(e.Graph) {
-		return ErrNotStorable
-	}
 	var kb, sb [128]byte
-	return c.store(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(kb[:0], fp, kind, effort),
-		e.Fingerprint, appendStats(sb[:0], &e.Stats), e.Graph.AppendBinary(nil))
+	return c.storeGraph(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(kb[:0], fp, kind, effort),
+		e.Graph, appendStats(sb[:0], &e.Stats))
 }
 
 // ProbeRewrite loads the rewrite result stored under (fp, kind, effort)
-// and reports how the probe resolved; it is LoadRewrite without the
-// recorded fingerprint.
+// and reports how the probe resolved; it is LoadRewrite with the graph
+// decoded, so a payload that does not decode is a miss.
 func (c *Cache) ProbeRewrite(fp uint64, kind uint8, effort int) (*mig.MIG, rewrite.Stats, ProbeOutcome) {
 	e, out := c.LoadRewrite(fp, kind, effort)
-	return e.Graph, e.Stats, out
+	if out != ProbeHit {
+		return nil, rewrite.Stats{}, out
+	}
+	m, err := e.Graph.Graph(context.Background())
+	if err != nil {
+		return nil, rewrite.Stats{}, ProbeMiss
+	}
+	return m, e.Stats, ProbeHit
 }
 
 // LoadRewrite loads the rewrite entry stored under (fp, kind, effort) and
 // reports how the probe resolved; the entry is zero unless it hit. An
-// entry whose stats line does not parse is a plain miss.
+// entry whose stats line does not parse is a plain miss. The graph is
+// read as graphRef reads it: undecoded, unless SetVerify is on.
 func (c *Cache) LoadRewrite(fp uint64, kind uint8, effort int) (RewriteEntry, ProbeOutcome) {
 	var kb [128]byte
 	out, stats, payload, ok := read(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(kb[:0], fp, kind, effort), true)
 	if !ok {
 		return RewriteEntry{}, ProbeMiss
 	}
-	e := RewriteEntry{Fingerprint: out}
+	var e RewriteEntry
 	if e.Stats, ok = parseStats(stats); !ok {
 		return RewriteEntry{}, ProbeMiss
 	}
 	var res ProbeOutcome
-	e.Graph, res = c.decodeGraph(payload, out)
-	if res != ProbeHit {
+	if e.Graph, res = c.graphRef(payload, out); res != ProbeHit {
 		return RewriteEntry{}, res
 	}
 	return e, ProbeHit
@@ -374,25 +385,29 @@ func rewriteKey(b []byte, fp uint64, kind uint8, effort int) []byte {
 	return strconv.AppendInt(append(b, ' '), int64(effort), 10)
 }
 
-// StoreBenchmark persists a benchmark build under (name, shrink).
+// StoreBenchmark persists a benchmark build under (name, shrink); it is
+// SaveBenchmark with the graph's fingerprint computed here.
 func (c *Cache) StoreBenchmark(name string, shrink int, m *mig.MIG) error {
-	if !Storable(m) {
-		return ErrNotStorable
-	}
+	return c.SaveBenchmark(name, shrink, mig.NewRef(m))
+}
+
+// SaveBenchmark persists a benchmark build under (name, shrink), recording
+// the fingerprint its handle carries.
+func (c *Cache) SaveBenchmark(name string, shrink int, r *mig.Ref) error {
 	var kb [128]byte
-	return c.store(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(kb[:0], name, shrink),
-		m.Fingerprint(), nil, m.AppendBinary(nil))
+	return c.storeGraph(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(kb[:0], name, shrink), r, nil)
 }
 
 // ProbeBenchmark loads the benchmark build stored under (name, shrink) and
-// reports how the probe resolved.
-func (c *Cache) ProbeBenchmark(name string, shrink int) (*mig.MIG, ProbeOutcome) {
+// reports how the probe resolved. The graph is read as graphRef reads it:
+// undecoded, unless SetVerify is on.
+func (c *Cache) ProbeBenchmark(name string, shrink int) (*mig.Ref, ProbeOutcome) {
 	var kb [128]byte
 	out, _, payload, ok := read(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(kb[:0], name, shrink), false)
 	if !ok {
 		return nil, ProbeMiss
 	}
-	return c.decodeGraph(payload, out)
+	return c.graphRef(payload, out)
 }
 
 func benchKey(b []byte, name string, shrink int) []byte {
@@ -400,17 +415,40 @@ func benchKey(b []byte, name string, shrink int) []byte {
 	return strconv.AppendInt(append(b, ' '), int64(shrink), 10)
 }
 
-// decodeGraph decodes a MIG payload; under SetVerify it must also
-// reproduce the recorded fingerprint out.
-func (c *Cache) decodeGraph(payload []byte, out uint64) (*mig.MIG, ProbeOutcome) {
-	m, err := mig.ReadBinary(payload)
-	if err != nil || m.Validate() != nil {
+// storeGraph writes a graph entry: the graph r holds, its fingerprint and
+// the kind's extra line. A graph that cannot round-trip faithfully is
+// skipped with ErrNotStorable.
+func (c *Cache) storeGraph(path, entryKind string, key []byte, r *mig.Ref, extra []byte) error {
+	m, err := r.Graph(context.Background())
+	if err != nil {
+		return err
+	}
+	if !Storable(m) {
+		return ErrNotStorable
+	}
+	return c.store(path, entryKind, key, r.Fingerprint(), extra, m.AppendBinary(nil))
+}
+
+// graphRef returns a handle on a MIG payload whose entry records
+// fingerprint out. It reads only the payload's header (mig.BinaryRef) and
+// takes the fingerprint from the entry; a payload the header check passes
+// decodes on first use. Under SetVerify the payload is decoded and hashed
+// here instead, and must reproduce out.
+func (c *Cache) graphRef(payload []byte, out uint64) (*mig.Ref, ProbeOutcome) {
+	r, err := mig.BinaryRef(payload, out)
+	if err != nil {
 		return nil, ProbeMiss
 	}
-	if c.verify.Load() && m.Fingerprint() != out {
-		return nil, ProbeVerifyMiss
+	if c.verify.Load() {
+		m, err := r.Graph(context.Background())
+		if err != nil {
+			return nil, ProbeMiss
+		}
+		if m.Fingerprint() != out {
+			return nil, ProbeVerifyMiss
+		}
 	}
-	return m, ProbeHit
+	return r, ProbeHit
 }
 
 // ProgramKey is a program entry's key, the compile cache's: the rewritten

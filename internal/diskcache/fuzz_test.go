@@ -1,0 +1,159 @@
+package diskcache
+
+import (
+	"context"
+	"errors"
+	"os"
+	"runtime"
+	"testing"
+
+	"plim/internal/mig"
+)
+
+// The keys FuzzDiskEntry stores and probes under, and the graph its
+// fallback recomputes.
+var (
+	fuzzRewriteFP = uint64(0x00c0ffee00c0ffee)
+	fuzzProgram   = ProgramKey{Graph: 0x1234, Selection: 2, Alloc: 1, MaxWrites: 10}
+	fuzzFallback  = testMIG("recomputed", 9)
+)
+
+// A probe plus the first use of its value may allocate fuzzEntryBound
+// bytes per entry byte, plus fuzzEntrySlack. The graph decoder spends up
+// to about a hundred bytes per payload byte: a one-byte PI name length
+// becomes a node, a PI slot, a name and a structural-hash bucket.
+const (
+	fuzzEntryBound = 256
+	fuzzEntrySlack = 64 << 10
+)
+
+// fuzzKind is one entry kind as FuzzDiskEntry drives it: where its entry
+// lives, the header a store writes, and a probe followed by the first use
+// of a hit, which returns the check to run on what it read.
+type fuzzKind struct {
+	path, kind string
+	key, extra []byte
+	use        func() (check func() error)
+}
+
+// FuzzDiskEntry writes arbitrary bytes as an entry of each kind — a
+// benchmark build, a rewrite result and a compiled program — once as the
+// whole file and once as the payload under a well-formed header with its
+// CRC, so the fuzzer reaches the graph and program decoders and not only
+// the header checks. Every probe is a miss or a hit, never a panic. A
+// graph hit is then read the way the engine reads it, through its handle:
+// it is valid and matches the header the probe read, or, when the payload
+// does not decode, it is the graph the handle's fallback recomputes. A
+// program hit is valid. A probe plus that first use allocates at most
+// fuzzEntryBound bytes per entry byte, plus fuzzEntrySlack.
+func FuzzDiskEntry(f *testing.F) {
+	seed, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, p := testMIG("seed", 1), testProgram("seed", 1)
+	if err := seed.StoreBenchmark("fz", 1, m); err != nil {
+		f.Fatal(err)
+	}
+	if err := seed.StoreRewrite(fuzzRewriteFP, 2, 5, m, testStats()); err != nil {
+		f.Fatal(err)
+	}
+	if err := seed.StoreProgram(fuzzProgram, programEntry(p)); err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range []string{benchPath(seed.Dir(), "fz", 1), rewritePath(seed.Dir(), fuzzRewriteFP, 2, 5), programPath(seed.Dir(), fuzzProgram)} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(m.AppendBinary(nil))
+	f.Add(p.AppendBinary(nil))
+
+	c, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	st := testStats()
+	var bk, rk, pk, sb [128]byte
+	bench := fuzzKind{path: benchPath(c.Dir(), "fz", 1), kind: kindBenchmark, key: benchKey(bk[:0], "fz", 1)}
+	bench.use = func() func() error {
+		r, out := c.ProbeBenchmark("fz", 1)
+		return useGraph(bench, r, out)
+	}
+	rw := fuzzKind{path: rewritePath(c.Dir(), fuzzRewriteFP, 2, 5), kind: kindRewrite,
+		key: rewriteKey(rk[:0], fuzzRewriteFP, 2, 5), extra: appendStats(sb[:0], &st)}
+	rw.use = func() func() error {
+		e, out := c.LoadRewrite(fuzzRewriteFP, 2, 5)
+		return useGraph(rw, e.Graph, out)
+	}
+	prog := fuzzKind{path: programPath(c.Dir(), fuzzProgram), kind: kindProgram, key: programKey(pk[:0], fuzzProgram)}
+	prog.use = func() func() error {
+		e, out := c.ProbeProgram(fuzzProgram)
+		return func() error {
+			if out != ProbeHit {
+				return nil
+			}
+			return e.Program.Validate()
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range []fuzzKind{bench, rw, prog} {
+			for _, wrap := range []bool{false, true} {
+				if wrap {
+					if err := c.store(k.path, k.kind, k.key, 0, k.extra, data); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := os.WriteFile(k.path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				fi, err := os.Stat(k.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				check := k.use()
+				runtime.ReadMemStats(&after)
+				if err := check(); err != nil {
+					t.Fatalf("%s entry (wrapped %t): %v", k.kind, wrap, err)
+				}
+				if n := after.TotalAlloc - before.TotalAlloc; n > uint64(fuzzEntryBound*fi.Size()+fuzzEntrySlack) {
+					t.Fatalf("%s entry (wrapped %t) of %d bytes: probe and first use allocated %d bytes", k.kind, wrap, fi.Size(), n)
+				}
+			}
+		}
+	})
+}
+
+// useGraph reads a graph probe's hit through its handle, with a fallback
+// that returns fuzzFallback, and returns the check of what it read: a
+// valid graph matching the handle's header when the entry's payload
+// decodes, fuzzFallback when it does not.
+func useGraph(k fuzzKind, r *mig.Ref, out ProbeOutcome) func() error {
+	if out != ProbeHit {
+		return func() error { return nil }
+	}
+	r.Recompute(func(context.Context) (*mig.MIG, error) { return fuzzFallback, nil })
+	g, err := r.Graph(context.Background())
+	return func() error {
+		if err != nil {
+			return err
+		}
+		_, _, payload, _ := read(k.path, k.kind, k.key, k.extra != nil)
+		_, decodeErr := mig.ReadBinary(payload)
+		switch {
+		case g == fuzzFallback && decodeErr == nil:
+			return errors.New("a decodable payload was recomputed")
+		case g == fuzzFallback:
+			return nil
+		case decodeErr != nil:
+			return errors.New("an undecodable payload was served")
+		case g.Validate() != nil || g.Name != r.Name() || g.NumPIs() != r.NumPIs() || g.NumPOs() != r.NumPOs() || g.MemSize() != r.MemSize():
+			return errors.New("the decoded graph does not match the header its handle read")
+		}
+		return nil
+	}
+}

@@ -46,9 +46,13 @@ func TestSuitePayloadsRoundTrip(t *testing.T) {
 			if err := c.StoreBenchmark(name, shrink, m); err != nil {
 				t.Fatal(err)
 			}
-			got, out := c.ProbeBenchmark(name, shrink)
+			r, out := c.ProbeBenchmark(name, shrink)
 			if out != diskcache.ProbeHit {
 				t.Fatalf("%s/%d: benchmark entry missed", name, shrink)
+			}
+			got, err := r.Graph(context.Background())
+			if err != nil {
+				t.Fatal(err)
 			}
 			same(name, m, got)
 			for _, kind := range []core.RewriteKind{core.RewriteAlgorithm1, core.RewriteAlgorithm2} {

@@ -11,6 +11,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // wordBits is the lane count: vectors per state word.
@@ -195,19 +196,27 @@ func (b *Batch) Unpack() [][]bool {
 }
 
 // Strings renders every vector in the "0101" format accepted by
-// PackStrings.
+// PackStrings. The vectors are written back to back into one buffer, a
+// chunk of 64 at a time straight from its state words, and every string
+// is a slice of that one buffer.
 func (b *Batch) Strings() []string {
 	out := make([]string, b.n)
-	buf := make([]byte, b.lines)
-	for v := range out {
-		for i := 0; i < b.lines; i++ {
-			if b.Get(v, i) {
-				buf[i] = '1'
-			} else {
-				buf[i] = '0'
+	var sb strings.Builder
+	sb.Grow(b.n * b.lines)
+	chunk := make([]byte, wordBits*b.lines)
+	for c := range b.Chunks() {
+		lanes := min(wordBits, b.n-c*wordBits)
+		for i, line := range b.words {
+			w := line[c]
+			for l := range lanes {
+				chunk[l*b.lines+i] = '0' + byte(w>>l&1)
 			}
 		}
-		out[v] = string(buf)
+		sb.Write(chunk[:lanes*b.lines])
+	}
+	all := sb.String()
+	for v := range out {
+		out[v] = all[v*b.lines : (v+1)*b.lines]
 	}
 	return out
 }

@@ -184,3 +184,30 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestStringsMatchesPerBit: Strings, which renders whole state words,
+// equals the vector-by-vector, bit-by-bit rendering for partial, exact and
+// multi-chunk batch lengths at every width from 0 to 130 lines.
+func TestStringsMatchesPerBit(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 4097} {
+		for lines := 0; lines <= 130; lines++ {
+			b := Random(lines, n, int64(n*131+lines))
+			got := b.Strings()
+			if len(got) != n {
+				t.Fatalf("n=%d lines=%d: %d strings", n, lines, len(got))
+			}
+			buf := make([]byte, lines)
+			for v := range n {
+				for i := range buf {
+					buf[i] = '0'
+					if b.Get(v, i) {
+						buf[i] = '1'
+					}
+				}
+				if got[v] != string(buf) {
+					t.Fatalf("n=%d lines=%d: vector %d is %q, want %q", n, lines, v, got[v], buf)
+				}
+			}
+		}
+	}
+}

@@ -285,13 +285,16 @@ var (
 	errOversized = errors.New("isa: binary: count exceeds the bytes left")
 )
 
-// DecodeBinary decodes a program encoded by AppendBinary and validates it.
-// Every count is checked against the bytes left before its slice is
-// allocated, so a hostile payload cannot request more memory than its own
-// size implies. A truncated payload, a value that overflows its 32-bit
-// field, an unknown operand kind or reserved flag bit, trailing bytes and
-// an invalid program are all errors. Empty sections decode to nil slices,
-// as the compiler emits them.
+// DecodeBinary decodes a program encoded by AppendBinary and validates it
+// in the same pass. The cell count precedes every section, so each PI
+// cell, PO, operand and destination is checked against it as it is read,
+// and the PI cells must be distinct; the result passes Validate. Every
+// count is checked against the bytes left before its slice is allocated,
+// so a hostile payload cannot request more memory than its own size
+// implies. A truncated payload, a cell count that overflows its 32-bit
+// field, an address out of range, an unknown operand kind or reserved
+// flag bit and trailing bytes are all errors. Empty sections decode to
+// nil slices, as the compiler emits them.
 func DecodeBinary(b []byte) (*Program, error) {
 	if len(b) < len(binaryMagic)+1 {
 		return nil, errTruncated
@@ -315,9 +318,14 @@ func DecodeBinary(b []byte) (*Program, error) {
 	}
 	p := &Program{Name: string(d.b[d.off : d.off+int(nameLen)])}
 	d.off += int(nameLen)
-	if p.NumCells, err = d.u32("cell count"); err != nil {
+	cells, err := d.uvarint()
+	if err != nil {
 		return nil, err
 	}
+	if cells > maxUint32 {
+		return nil, fmt.Errorf("isa: cell count %d overflows uint32", cells)
+	}
+	p.NumCells = uint32(cells)
 	npi, err := d.count(minCellBytes)
 	if err != nil {
 		return nil, err
@@ -326,9 +334,17 @@ func DecodeBinary(b []byte) (*Program, error) {
 		p.PICells = make([]uint32, npi)
 	}
 	for i := range p.PICells {
-		if p.PICells[i], err = d.u32("PI cell"); err != nil {
+		c, err := d.uvarint()
+		if err != nil {
 			return nil, err
 		}
+		if c >= cells {
+			return nil, fmt.Errorf("isa: PI %d cell %d out of range %d", i, c, cells)
+		}
+		p.PICells[i] = uint32(c)
+	}
+	if err := distinctPIs(p.PICells); err != nil {
+		return nil, err
 	}
 	npo, err := d.count(minCellBytes)
 	if err != nil {
@@ -342,8 +358,8 @@ func DecodeBinary(b []byte) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v>>1 > maxUint32 {
-			return nil, fmt.Errorf("isa: PO address %d overflows uint32", v>>1)
+		if v>>1 >= cells {
+			return nil, fmt.Errorf("isa: PO %d cell %d out of range %d", i, v>>1, cells)
 		}
 		p.POs[i] = PORef{Addr: uint32(v >> 1), Neg: v&1 == 1}
 	}
@@ -354,42 +370,11 @@ func DecodeBinary(b []byte) (*Program, error) {
 	if ninst > 0 {
 		p.Insts = make([]Instruction, ninst)
 	}
-	for i := range p.Insts {
-		if d.left() == 0 {
-			return nil, errTruncated
-		}
-		flags := d.b[d.off]
-		d.off++
-		if flags>>4 != 0 {
-			return nil, fmt.Errorf("isa: inst %d: bad instruction flags %#x", i, flags)
-		}
-		ins := Instruction{
-			A: Operand{Kind: OperandKind(flags & 3)},
-			B: Operand{Kind: OperandKind(flags >> 2 & 3)},
-		}
-		if ins.A.Kind > OpCell || ins.B.Kind > OpCell {
-			return nil, fmt.Errorf("isa: inst %d: bad operand kind", i)
-		}
-		if ins.A.Kind == OpCell {
-			if ins.A.Addr, err = d.u32("operand A"); err != nil {
-				return nil, err
-			}
-		}
-		if ins.B.Kind == OpCell {
-			if ins.B.Addr, err = d.u32("operand B"); err != nil {
-				return nil, err
-			}
-		}
-		if ins.Z, err = d.u32("destination"); err != nil {
-			return nil, err
-		}
-		p.Insts[i] = ins
+	if err := d.insts(p.Insts, cells); err != nil {
+		return nil, err
 	}
 	if d.left() != 0 {
 		return nil, fmt.Errorf("isa: binary: %d trailing bytes", d.left())
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
 	}
 	return p, nil
 }
@@ -405,7 +390,7 @@ type decoder struct {
 func (d *decoder) left() int { return len(d.b) - d.off }
 
 func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
+	v, n := frontUvarint(d.b[d.off:])
 	if n <= 0 {
 		return 0, errTruncated
 	}
@@ -413,18 +398,67 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// u32 decodes a uvarint that must fit a 32-bit address or count; silently
-// truncating an oversized value would let a corrupt stream decode into a
-// different (possibly valid) program.
-func (d *decoder) u32(what string) (uint32, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
+// insts decodes len(insts) instructions, checking every address against
+// cells. It walks a local slice, which keeps the loop free of the
+// decoder's fields.
+func (d *decoder) insts(insts []Instruction, cells uint64) error {
+	b := d.b[d.off:]
+	for i := range insts {
+		if len(b) == 0 {
+			return errTruncated
+		}
+		flags := b[0]
+		b = b[1:]
+		if flags>>4 != 0 {
+			return fmt.Errorf("isa: inst %d: bad instruction flags %#x", i, flags)
+		}
+		ka, kb := OperandKind(flags&3), OperandKind(flags>>2&3)
+		if ka > OpCell || kb > OpCell {
+			return fmt.Errorf("isa: inst %d: bad operand kind", i)
+		}
+		var a, bb uint64
+		var n int
+		if ka == OpCell {
+			if a, n = frontUvarint(b); n <= 0 {
+				return errTruncated
+			}
+			b = b[n:]
+		}
+		if kb == OpCell {
+			if bb, n = frontUvarint(b); n <= 0 {
+				return errTruncated
+			}
+			b = b[n:]
+		}
+		z, n := frontUvarint(b)
+		if n <= 0 {
+			return errTruncated
+		}
+		b = b[n:]
+		// A constant operand reads as address 0, which is in range once
+		// the destination is.
+		if z >= cells {
+			return fmt.Errorf("isa: inst %d destination %d out of range %d", i, z, cells)
+		}
+		if a >= cells || bb >= cells {
+			return fmt.Errorf("isa: inst %d operand @%d out of range %d", i, max(a, bb), cells)
+		}
+		insts[i] = Instruction{A: Operand{ka, uint32(a)}, B: Operand{kb, uint32(bb)}, Z: uint32(z)}
 	}
-	if v > maxUint32 {
-		return 0, fmt.Errorf("isa: %s %d overflows uint32", what, v)
+	d.off = len(d.b) - len(b)
+	return nil
+}
+
+// frontUvarint is binary.Uvarint with a fast path for the one- and
+// two-byte values most addresses take.
+func frontUvarint(b []byte) (uint64, int) {
+	if len(b) > 1 && b[1] < 0x80 {
+		if b[0] < 0x80 {
+			return uint64(b[0]), 1
+		}
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
 	}
-	return uint32(v), nil
+	return binary.Uvarint(b)
 }
 
 // count reads an element count whose elements take at least per bytes

@@ -112,18 +112,17 @@ type Program struct {
 func (p *Program) NumInstructions() int { return len(p.Insts) }
 
 // Validate checks that all addresses are within NumCells and PI cells are
-// unique.
+// unique. DecodeBinary makes the same checks as it decodes, so a decoded
+// program needs no second pass; ReadAsm, the compiler's tests and callers
+// that build or edit programs by hand run this one.
 func (p *Program) Validate() error {
-	//plim:alloc-ok validation map sized by PI count, once per compile
-	seen := make(map[uint32]int, len(p.PICells))
 	for i, c := range p.PICells {
 		if c >= p.NumCells {
 			return fmt.Errorf("isa: PI %d cell %d out of range %d", i, c, p.NumCells)
 		}
-		if j, dup := seen[c]; dup {
-			return fmt.Errorf("isa: PI %d and %d share cell %d", j, i, c)
-		}
-		seen[c] = i
+	}
+	if err := distinctPIs(p.PICells); err != nil {
+		return err
 	}
 	for i, po := range p.POs {
 		if po.Addr >= p.NumCells {
@@ -139,6 +138,27 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: inst %d operand %s out of range %d", n, op, p.NumCells)
 			}
 		}
+	}
+	return nil
+}
+
+// distinctPIs reports two PIs that share a cell. Compiled programs list
+// their PI cells in increasing order, which needs no set.
+func distinctPIs(cells []uint32) error {
+	increasing := true
+	for i := 1; i < len(cells) && increasing; i++ {
+		increasing = cells[i-1] < cells[i]
+	}
+	if increasing {
+		return nil
+	}
+	//plim:alloc-ok set sized by PI count, only for PI cells out of order
+	seen := make(map[uint32]int, len(cells))
+	for i, c := range cells {
+		if j, dup := seen[c]; dup {
+			return fmt.Errorf("isa: PI %d and %d share cell %d", j, i, c)
+		}
+		seen[c] = i
 	}
 	return nil
 }

@@ -90,57 +90,31 @@ func (m *MIG) AppendBinary(dst []byte) []byte {
 // self or out-of-range child reference, a duplicate majority node, a PO
 // past the graph, a truncated payload and trailing bytes are all errors.
 func ReadBinary(b []byte) (*MIG, error) {
-	d := decoder{b: b}
-	numPIs, err := d.count(0, minPIBytes)
+	h, err := readHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	numMaj, err := d.count(0, minMajBytes)
-	if err != nil {
-		return nil, err
-	}
-	numPOs, err := d.count(0, minPOBytes)
-	if err != nil {
-		return nil, err
-	}
-	// All three together must fit too, plus the model name's length.
-	if uint64(numPIs)*minPIBytes+uint64(numMaj)*minMajBytes+uint64(numPOs)*minPOBytes+1 > uint64(d.left()) {
-		return nil, errOversized
-	}
+	numPIs, numMaj, numPOs := h.numPIs, h.numMaj, h.numPOs
 	numNodes := 1 + numPIs + numMaj
-	if numNodes > math.MaxInt32 {
-		return nil, errOversized
-	}
 
-	// Name lengths, then the names as one string the names slice into.
-	lens := make([]int, 1+numPIs+numPOs)
-	total := 0
-	for i := range lens {
-		// Every name still to come needs at least its length byte, and
-		// the names so far must fit in what is left; checked after the
-		// last length, that keeps the slice below in bounds.
-		n, err := d.count(len(lens)-1-i, 1)
-		if err != nil {
-			return nil, err
-		}
-		lens[i] = n
-		if total += n; total > d.left() {
-			return nil, errTruncated
-		}
-	}
-	names := string(d.b[d.off : d.off+total])
-	d.off += total
-	name := func(i int) string {
-		s := names[:lens[i]]
-		names = names[lens[i]:]
+	// The names as one string the names slice into, in the order of their
+	// lengths, which readHeader checked; lens re-reads them as they are
+	// sliced.
+	names := string(b[h.names : h.names+h.modelLen+h.pinBytes])
+	lens := decoder{b: b, off: h.lens}
+	name := func() string {
+		n, _ := lens.uvarint()
+		s := names[:n]
+		names = names[n:]
 		return s
 	}
+	d := decoder{b: b, off: h.names + h.modelLen + h.pinBytes}
 
-	m := NewSized(name(0), numPIs+numMaj)
+	m := NewSized(name(), numPIs+numMaj)
 	m.piNodes = make([]NodeID, 0, numPIs)
 	m.piNames = make([]string, 0, numPIs)
 	for i := 0; i < numPIs; i++ {
-		m.AddPI(name(1 + i))
+		m.AddPI(name())
 	}
 	for p := uint64(numPIs + 1); p < uint64(numNodes); p++ {
 		var sig [3]Signal
@@ -171,12 +145,73 @@ func ReadBinary(b []byte) (*MIG, error) {
 		if v>>1 >= uint64(numNodes) {
 			return nil, fmt.Errorf("mig: binary: PO %d references node %d of %d", i, v>>1, numNodes)
 		}
-		m.AddPO(Signal(v), name(1+numPIs+i))
+		m.AddPO(Signal(v), name())
 	}
 	if d.left() != 0 {
 		return nil, fmt.Errorf("mig: binary: %d trailing bytes", d.left())
 	}
 	return m, nil
+}
+
+// binaryHeader is what the front of a payload determines before any node
+// is read: the element counts, where the name lengths and the names start,
+// the model name's length and the PI and PO names' total length.
+type binaryHeader struct {
+	numPIs, numMaj, numPOs int
+	lens, names            int
+	modelLen, pinBytes     int
+}
+
+// readHeader parses a payload's counts and name lengths, checking every
+// count against the bytes left, and allocates nothing.
+func readHeader(b []byte) (binaryHeader, error) {
+	var h binaryHeader
+	d := decoder{b: b}
+	var err error
+	if h.numPIs, err = d.count(0, minPIBytes); err != nil {
+		return h, err
+	}
+	if h.numMaj, err = d.count(0, minMajBytes); err != nil {
+		return h, err
+	}
+	if h.numPOs, err = d.count(0, minPOBytes); err != nil {
+		return h, err
+	}
+	// All three together must fit too, plus the model name's length.
+	if uint64(h.numPIs)*minPIBytes+uint64(h.numMaj)*minMajBytes+uint64(h.numPOs)*minPOBytes+1 > uint64(d.left()) {
+		return h, errOversized
+	}
+	if 1+h.numPIs+h.numMaj > math.MaxInt32 {
+		return h, errOversized
+	}
+	h.lens = d.off
+	n := 1 + h.numPIs + h.numPOs
+	total := 0
+	for i := 0; i < n; i++ {
+		// Every name still to come needs at least its length byte, and
+		// the names so far must fit in what is left; checked after the
+		// last length, that keeps the names in bounds.
+		l, err := d.count(n-1-i, 1)
+		if err != nil {
+			return h, err
+		}
+		if i == 0 {
+			h.modelLen = l
+		}
+		if total += l; total > d.left() {
+			return h, errTruncated
+		}
+	}
+	h.names = d.off
+	h.pinBytes = total - h.modelLen
+	return h, nil
+}
+
+// memSize is MemSize's estimate for the graph the header describes, which
+// is exactly ReadBinary's result's MemSize: a decoded graph strashes every
+// majority node once.
+func (h binaryHeader) memSize() int {
+	return memSize(h.modelLen, h.pinBytes, 1+h.numPIs+h.numMaj, h.numPIs, h.numPOs, h.numMaj)
 }
 
 // decoder reads uvarints off the front of a payload.

@@ -722,6 +722,20 @@ func OnesCount64(x uint64) int { return bits.OnesCount64(x) }
 // for byte-budgeted caches — see internal/memo and plim.WithCacheBudget —
 // the way diskcache.GC budgets the disk tier.
 func (m *MIG) MemSize() int {
+	pinBytes := 0
+	for _, s := range m.piNames {
+		pinBytes += len(s)
+	}
+	for _, s := range m.poNames {
+		pinBytes += len(s)
+	}
+	return memSize(len(m.Name), pinBytes, len(m.nodes), len(m.piNodes), len(m.pos), len(m.strash))
+}
+
+// memSize is the MemSize estimate of a graph of the given shape: a model
+// name of nameLen bytes, PI and PO names of pinBytes in total, and the
+// node, PI, PO and structural-hash entry counts.
+func memSize(nameLen, pinBytes, nodes, pis, pos, strash int) int {
 	const (
 		nodeBytes       = 20 // kind + 3 children + piIndex, aligned
 		sliceHdr        = 24
@@ -729,18 +743,13 @@ func (m *MIG) MemSize() int {
 		strashEntry     = 64 // [3]Signal key + NodeID value + bucket overhead
 		structANDlookup = 96 // MIG struct itself plus map header
 	)
-	sz := structANDlookup + len(m.Name)
-	sz += sliceHdr + len(m.nodes)*nodeBytes
-	sz += sliceHdr + len(m.piNodes)*4
-	sz += sliceHdr + len(m.pos)*4
+	sz := structANDlookup + nameLen
+	sz += sliceHdr + nodes*nodeBytes
+	sz += sliceHdr + pis*4
+	sz += sliceHdr + pos*4
 	sz += 2 * sliceHdr
-	for _, s := range m.piNames {
-		sz += stringHdr + len(s)
-	}
-	for _, s := range m.poNames {
-		sz += stringHdr + len(s)
-	}
-	sz += len(m.strash) * strashEntry
+	sz += (pis+pos)*stringHdr + pinBytes
+	sz += strash * strashEntry
 	return sz
 }
 

@@ -622,7 +622,11 @@ func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req com
 			return errorResult(err)
 		}
 		p := rep.Result.Program
+		// Random and exhaustive batches are generated here, once the
+		// program's input count is known: the span accounts for that time.
+		vsp := trace.StartNoCtx(ctx, "generate", "vectors")
 		b, err := mkBatch(len(p.PICells), len(p.POs))
+		vsp.End()
 		if err != nil {
 			var br badRequest
 			if errors.As(err, &br) {

@@ -11,18 +11,23 @@ import (
 // Cache memoizes benchmark generator output per (name, shrink) in a
 // memo.Cache. Every generator is deterministic, so a cached graph is
 // structurally identical to a fresh build; the expensive word-level
-// construction (and the follow-up Cleanup/Validate) runs once. Errors
-// (unknown benchmark, validation failure) are not cached, builds are
-// charged their estimated size (mig.MemSize) against the byte budget, and
-// each probe records a "cache benchmark-probe" span. Embedding promotes
-// Len and Counters.
+// construction (and the follow-up Cleanup/Validate) runs once. A value is
+// a mig.Ref: a computed build is hashed once, when it is built, and a disk
+// hit carries the fingerprint its entry records and decodes its graph only
+// when a caller asks for it (a rewrite that misses, Engine.Benchmark), so
+// a fully warm run never decodes a benchmark. A disk payload that fails to
+// decode then is rebuilt. Errors (unknown benchmark, validation failure)
+// are not cached, every entry is charged its graph's MemSize, decoded or
+// not, against the byte budget, and each probe records a "cache
+// benchmark-probe" span. Embedding promotes Len and Counters.
 //
-// Cached MIGs are shared between callers and must be treated as read-only.
-// The compilation flow only reads its input, so internal/tables hands the
-// shared instance straight to the staged runner; plim.Engine.Benchmark
-// clones before returning a cached graph to user code.
+// Cached graphs are shared between callers and must be treated as
+// read-only. The compilation flow only reads its input, so internal/tables
+// hands the shared handle straight to the staged runner;
+// plim.Engine.Benchmark clones before returning a cached graph to user
+// code.
 type Cache struct {
-	*memo.Cache[buildKey, *mig.MIG]
+	*memo.Cache[buildKey, *mig.Ref]
 }
 
 type buildKey struct {
@@ -36,34 +41,43 @@ type buildKey struct {
 // and their output serializes fingerprint-faithfully, so a disk-served
 // graph is structurally identical to a fresh build.
 func NewCache(b *memo.Budget, disk *diskcache.Cache) *Cache {
-	var tier memo.Tier[buildKey, *mig.MIG]
+	var tier memo.Tier[buildKey, *mig.Ref]
 	if disk != nil {
 		tier = buildTier{disk}
 	}
-	return &Cache{memo.New(b, (*mig.MIG).MemSize, "benchmark-probe",
+	return &Cache{memo.New(b, (*mig.Ref).MemSize, "benchmark-probe",
 		func(k buildKey) (string, string) { return "benchmark", k.name }, tier)}
 }
 
 // buildTier adapts the disk cache's benchmark entries to memo.Tier.
 type buildTier struct{ d *diskcache.Cache }
 
-func (t buildTier) Load(k buildKey) (*mig.MIG, diskcache.ProbeOutcome) {
-	return t.d.ProbeBenchmark(k.name, k.shrink)
+func (t buildTier) Load(k buildKey) (*mig.Ref, diskcache.ProbeOutcome) {
+	r, out := t.d.ProbeBenchmark(k.name, k.shrink)
+	if out == diskcache.ProbeHit {
+		r.Recompute(func(context.Context) (*mig.MIG, error) { return BuildScaled(k.name, k.shrink) })
+	}
+	return r, out
 }
 
-func (t buildTier) Store(k buildKey, m *mig.MIG) error {
-	return t.d.StoreBenchmark(k.name, k.shrink, m)
+func (t buildTier) Store(k buildKey, r *mig.Ref) error {
+	return t.d.SaveBenchmark(k.name, k.shrink, r)
 }
 
 // BuildScaled is suite.BuildScaled memoized through the cache. The
-// returned MIG is shared: callers must not mutate it. ctx's trace (if any)
-// receives a cache-probe span annotated with the outcome — memory-hit /
-// disk-hit / verify-miss / compute — as a child of the enclosing generate
-// task span. A cancelled ctx fails with ctx.Err() and releases a caller
-// waiting on another caller's build; a build itself always runs to
-// completion once started (generators are fast and take no context).
-func (c *Cache) BuildScaled(ctx context.Context, name string, shrink int) (*mig.MIG, error) {
-	return c.Do(ctx, buildKey{name: name, shrink: shrink}, func() (*mig.MIG, error) {
-		return BuildScaled(name, shrink)
+// returned handle is shared: callers must not mutate its graph. ctx's
+// trace (if any) receives a cache-probe span annotated with the outcome —
+// memory-hit / disk-hit / verify-miss / compute — as a child of the
+// enclosing generate task span. A cancelled ctx fails with ctx.Err() and
+// releases a caller waiting on another caller's build; a build itself
+// always runs to completion once started (generators are fast and take no
+// context).
+func (c *Cache) BuildScaled(ctx context.Context, name string, shrink int) (*mig.Ref, error) {
+	return c.Do(ctx, buildKey{name: name, shrink: shrink}, func() (*mig.Ref, error) {
+		m, err := BuildScaled(name, shrink)
+		if err != nil {
+			return nil, err
+		}
+		return mig.NewRef(m), nil
 	})
 }

@@ -450,7 +450,7 @@ func TestCacheSharesDeterministicBuilds(t *testing.T) {
 func TestCacheConcurrentSingleflight(t *testing.T) {
 	c := NewCache(nil, nil)
 	var wg sync.WaitGroup
-	outs := make([]*mig.MIG, 8)
+	outs := make([]*mig.Ref, 8)
 	for i := range outs {
 		wg.Add(1)
 		go func(i int) {
@@ -581,7 +581,11 @@ func TestCacheDiskTier(t *testing.T) {
 	}
 
 	cold := NewCache(nil, disk)
-	got, err := cold.BuildScaled(context.Background(), "router", 2)
+	r, err := cold.BuildScaled(context.Background(), "router", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Graph(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func RunSuite(ctx context.Context, env core.Env, cfgs []core.Config, opts Option
 // error into errs[idx].
 func (sr *SuiteResult) addBenchmark(g *sched.Graph, env core.Env, idx int, name string, cfgs []core.Config, opts Options, errs []error) {
 	var (
-		m      *mig.MIG
+		m      *mig.Ref
 		start  time.Time
 		genErr error
 	)
@@ -134,7 +134,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, env core.Env, idx int, name 
 		m = built
 	}, nil)
 	reports := make([]*core.Report, len(cfgs))
-	leaves, finish := core.StagedGraph(g, env, opts.Effort, gen, func() *mig.MIG { return m }, cfgs, reports)
+	leaves, finish := core.StagedGraph(g, env, opts.Effort, gen, func() *mig.Ref { return m }, cfgs, reports)
 	g.Task(sched.KindJoin, name, func(ctx context.Context) {
 		err := genErr
 		if err == nil {
