@@ -208,7 +208,7 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 	prog := rep.Result.Program
 	rng := rand.New(rand.NewSource(1))
-	inputs := make([]bool, len(prog.PICells))
+	inputs := make([]bool, prog.NumPIs())
 	for i := range inputs {
 		inputs[i] = rng.Intn(2) == 1
 	}

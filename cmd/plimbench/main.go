@@ -182,7 +182,7 @@ func main() {
 		cli.Fatal(err)
 	}
 	execProg := compiled.Program
-	execBatch := plim.RandomBatch(len(execProg.PICells), execVectors, 1)
+	execBatch := plim.RandomBatch(execProg.NumPIs(), execVectors, 1)
 	execVecs := execBatch.Unpack()
 	scalar := add("exec/scalar-256v", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -421,7 +421,7 @@ func main() {
 	// A mixed workload on one shared pool: a suite sweep's rewrite/compile
 	// tasks interleaving with a batched execution's chunk tasks — the
 	// server's steady state, where flights of different kinds share workers.
-	mixedBatch := plim.RandomBatch(len(execProg.PICells), 4096, 7)
+	mixedBatch := plim.RandomBatch(execProg.NumPIs(), 4096, 7)
 	add("sched/mixed-4p", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var wg sync.WaitGroup

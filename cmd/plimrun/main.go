@@ -61,9 +61,9 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	npi := len(prog.PICells)
+	npi := prog.NumPIs()
 	fmt.Printf("program     %s: %d instructions, %d devices, %d inputs, %d outputs\n",
-		prog.Name, prog.NumInstructions(), prog.NumCells, npi, len(prog.POs))
+		prog.Name(), prog.NumInstructions(), prog.NumCells(), npi, prog.NumPOs())
 
 	var ref *plim.MIG
 	if *verify != "" {
@@ -71,9 +71,9 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		if ref.NumPIs() != npi || ref.NumPOs() != len(prog.POs) {
+		if ref.NumPIs() != npi || ref.NumPOs() != prog.NumPOs() {
 			cli.Fatal(fmt.Errorf("plimrun: reference shape %d/%d does not match program %d/%d",
-				ref.NumPIs(), ref.NumPOs(), npi, len(prog.POs)))
+				ref.NumPIs(), ref.NumPOs(), npi, prog.NumPOs()))
 		}
 	}
 

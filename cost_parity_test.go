@@ -66,7 +66,7 @@ func TestCostParity(t *testing.T) {
 			// Scalar interpreter: classify the executed instructions and
 			// read max cell wear off the crossbar the run actually wore.
 			p := rep.Result.Program
-			inputs := make([]bool, len(p.PICells))
+			inputs := make([]bool, p.NumPIs())
 			for i := range inputs {
 				inputs[i] = i%3 == 0
 			}
@@ -75,11 +75,11 @@ func TestCostParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ops cost.Counts
-			for _, ins := range p.Insts {
+			for _, ins := range p.Insts() {
 				ops.Note(cost.Classify(ins))
 			}
 			var maxWear uint64
-			for _, w := range xbar.WriteCounts(int(p.NumCells)) {
+			for _, w := range xbar.WriteCounts(int(p.NumCells())) {
 				if w > maxWear {
 					maxWear = w
 				}
@@ -91,7 +91,7 @@ func TestCostParity(t *testing.T) {
 
 			// Batched executor: the batch cost is exactly lanes× the static
 			// cost (wear scales; per-run lifetime does not).
-			b := RandomBatch(len(p.PICells), lanes, 7)
+			b := RandomBatch(p.NumPIs(), lanes, 7)
 			res, err := ExecuteBatch(p, b, ExecOptions{CostModel: cm})
 			if err != nil {
 				t.Fatal(err)

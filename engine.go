@@ -615,10 +615,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 	ctx, csp := e.begin(ctx, "execute-batch")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	pl, err := exec.Compile(p)
-	if err != nil {
-		return nil, err
-	}
+	pl := exec.Compile(p)
 	if opts.CostModel == nil {
 		// Engine runs are always priced; an explicit per-call model (e.g. a
 		// design-space sweep re-pricing one program) overrides the engine's.

@@ -93,7 +93,7 @@ func TestEngineExecuteBatchConcurrentCallersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := rep.Result.Program
-	b := RandomBatch(len(p.PICells), 130, 3)
+	b := RandomBatch(p.NumPIs(), 130, 3)
 
 	const callers = 16
 	var (
@@ -127,9 +127,9 @@ func TestEngineExecuteBatchConcurrentCallersAgree(t *testing.T) {
 }
 
 // TestEngineExecutionDependsOnlyOnItsProgram: an engine execution reads
-// only the program it is given. Mutating a program after executing it must
-// not change a later execution of an equal program, which holds its own
-// instructions and PI/PO maps.
+// only the program it is given. Executing a copy of a program with every
+// output's polarity flipped, built through the constructor, must not
+// change a later execution of a program equal to the original.
 func TestEngineExecutionDependsOnlyOnItsProgram(t *testing.T) {
 	ctx := context.Background()
 	eng := NewEngine(WithShrink(4), WithWorkers(1))
@@ -150,15 +150,23 @@ func TestEngineExecutionDependsOnlyOnItsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExhaustiveBatch(len(first.PICells))
+	b, err := ExhaustiveBatch(first.NumPIs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.ExecuteBatch(ctx, first, b, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range first.POs {
-		first.POs[i].Neg = !first.POs[i].Neg
+	parts := first.Parts()
+	for i := range parts.POs {
+		parts.POs[i].Neg = !parts.POs[i].Neg
+	}
+	flipped, err := NewProgram(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ExecuteBatch(ctx, flipped, b, ExecOptions{}); err != nil {
+		t.Fatal(err)
 	}
 	got, err := eng.ExecuteBatch(ctx, second, b, ExecOptions{})
 	if err != nil {

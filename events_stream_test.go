@@ -80,7 +80,7 @@ func TestEventStreamsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := rep.Result.Program
-	batch := RandomBatch(len(prog.PICells), 200, 1) // 4 chunks
+	batch := RandomBatch(prog.NumPIs(), 200, 1) // 4 chunks
 	if batch.Chunks() < 2 {
 		t.Fatalf("batch spans %d chunks, want several", batch.Chunks())
 	}

@@ -38,7 +38,7 @@ func main() {
 		predicted := rep.Lifetime(endurance)
 
 		// Simulate: one crossbar, repeated executions until a device dies.
-		xbar := rram.NewLinear(int(rep.Result.Program.NumCells), rram.WithEndurance(endurance))
+		xbar := rram.NewLinear(int(rep.Result.Program.NumCells()), rram.WithEndurance(endurance))
 		ctrl := isa.NewController(xbar)
 		simulated := uint64(0)
 		for {

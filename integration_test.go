@@ -38,8 +38,7 @@ func TestIntegrationSuiteAllConfigs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.Name, err)
 				}
-				prog := rep.Result.Program
-				if err := prog.Validate(); err != nil {
+				if _, err := isa.DecodeBinary(rep.Result.Program.AppendBinary(nil)); err != nil {
 					t.Fatalf("%s: %v", cfg.Name, err)
 				}
 				verifyExecution(t, m, rep, cfg.Name)
@@ -63,7 +62,7 @@ func TestIntegrationSuiteAllConfigs(t *testing.T) {
 func verifyExecution(t *testing.T, m *mig.MIG, rep *core.Report, cfgName string) {
 	t.Helper()
 	prog := rep.Result.Program
-	rng := rand.New(rand.NewSource(int64(len(prog.Insts))))
+	rng := rand.New(rand.NewSource(int64(prog.NumInstructions())))
 	words := make([]uint64, m.NumPIs())
 	static := prog.StaticWriteCounts()
 
@@ -86,7 +85,7 @@ func verifyExecution(t *testing.T, m *mig.MIG, rep *core.Report, cfgName string)
 				t.Fatalf("%s: PO %d mismatch", cfgName, i)
 			}
 		}
-		measured := xbar.WriteCounts(int(prog.NumCells))
+		measured := xbar.WriteCounts(int(prog.NumCells()))
 		for cell := range static {
 			if static[cell] != measured[cell] || static[cell] != rep.Result.WriteCounts[cell] {
 				t.Fatalf("%s: cell %d write accounting diverges: static=%d measured=%d compiler=%d",
@@ -178,8 +177,9 @@ func TestIntegrationSerializationPipeline(t *testing.T) {
 		t.Fatalf("serialization changed compilation: %d/%d vs %d/%d",
 			a.NumInstructions(), a.NumRRAMs(), b.NumInstructions(), b.NumRRAMs())
 	}
-	for i, ins := range a.Result.Program.Insts {
-		if ins != b.Result.Program.Insts[i] {
+	bInsts := b.Result.Program.Parts().Insts
+	for i, ins := range a.Result.Program.Insts() {
+		if ins != bInsts[i] {
 			t.Fatalf("instruction %d differs after round-trip", i)
 		}
 	}

@@ -86,7 +86,8 @@ type Options struct {
 }
 
 // Result is a compiled program plus the endurance bookkeeping the paper's
-// tables report.
+// tables report. ResultOf rebuilds the Result of a program compiled
+// before from the counts the program keeps.
 type Result struct {
 	Program *isa.Program
 	// WriteCounts is the per-device write count of one program execution,
@@ -102,6 +103,26 @@ type Result struct {
 	// allocator-side accounting the verifier's static cost must match);
 	// nil when no model was configured.
 	Cost *cost.Cost
+}
+
+// ResultOf returns the Result of a compiled program p from the counts p
+// keeps, priced under model when it is non-nil: write counts are its
+// per-cell write counts (each RM3 writes its Z once), #I its instruction
+// count, #R its cell count, and the cost model's price of p equals the
+// price the compiler accumulates, as the cost-parity tests pin. It walks
+// no instruction; the Result shares p and nothing else.
+func ResultOf(p *isa.Program, model *cost.Model) *Result {
+	res := &Result{
+		Program:         p,
+		WriteCounts:     p.StaticWriteCounts(),
+		NumInstructions: p.NumInstructions(),
+		NumRRAMs:        int(p.NumCells()),
+	}
+	if model != nil {
+		c := model.Program(p)
+		res.Cost = &c
+	}
+	return res
 }
 
 // Compile translates m into a PLiM program, drawing scratch state from the
@@ -143,20 +164,22 @@ func compileOn(m *mig.MIG, opts Options, sc *compileScratch) (*Result, error) {
 	if err := c.run(); err != nil {
 		return nil, err
 	}
-	prog := &isa.Program{
+	// The program encodes the scratch buffers once and keeps only that
+	// encoding, so nothing in it aliases pooled memory.
+	prog, err := isa.NewProgram(isa.Parts{
 		Name:     m.Name,
-		Insts:    append([]isa.Instruction(nil), c.insts...), //plim:alloc-ok result copy, once per compile
+		Insts:    c.insts,
 		NumCells: uint32(c.alloc.NumCells()),
-		PICells:  append([]uint32(nil), c.piCells...), //plim:alloc-ok result copy, once per compile
-		POs:      append([]isa.PORef(nil), c.pos...),  //plim:alloc-ok result copy, once per compile
-	}
-	if err := prog.Validate(); err != nil {
+		PICells:  c.piCells,
+		POs:      c.pos,
+	})
+	if err != nil {
 		return nil, fmt.Errorf("compile: emitted invalid program: %w", err)
 	}
 	res := &Result{
 		Program:         prog,
 		WriteCounts:     c.alloc.WriteCounts(),
-		NumInstructions: len(prog.Insts),
+		NumInstructions: prog.NumInstructions(),
 		NumRRAMs:        c.alloc.NumCells(),
 	}
 	if m := opts.CostModel; m != nil {

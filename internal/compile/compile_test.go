@@ -75,7 +75,7 @@ func verifyCompiled(t *testing.T, m *mig.MIG, res *Result) {
 		}
 		// Static, compiler and measured write counts must agree cell by cell.
 		static := prog.StaticWriteCounts()
-		measured := xbar.WriteCounts(int(prog.NumCells))
+		measured := xbar.WriteCounts(int(prog.NumCells()))
 		for cell := range static {
 			if static[cell] != measured[cell] {
 				t.Fatalf("cell %d: static %d writes, measured %d", cell, static[cell], measured[cell])
@@ -216,10 +216,10 @@ func TestComplementedPOMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyCompiled(t, m, res)
-	if res.Program.POs[0].Neg || res.Program.POs[1].Neg || res.Program.POs[2].Neg {
+	if res.Program.Parts().POs[0].Neg || res.Program.Parts().POs[1].Neg || res.Program.Parts().POs[2].Neg {
 		t.Fatalf("materialized POs must not be negated reads")
 	}
-	if res.Program.POs[0].Addr != res.Program.POs[1].Addr {
+	if res.Program.Parts().POs[0].Addr != res.Program.Parts().POs[1].Addr {
 		t.Fatalf("equal complemented POs must share one device")
 	}
 
@@ -228,7 +228,7 @@ func TestComplementedPOMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyCompiled(t, m, kept)
-	if !kept.Program.POs[0].Neg {
+	if !kept.Program.Parts().POs[0].Neg {
 		t.Fatalf("KeepComplementedPOs must keep the negated read")
 	}
 	if kept.NumInstructions >= res.NumInstructions {
@@ -251,7 +251,7 @@ func TestConstAndPIOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyCompiled(t, m, res)
-	if res.Program.POs[1].Addr != res.Program.POs[2].Addr {
+	if res.Program.Parts().POs[1].Addr != res.Program.Parts().POs[2].Addr {
 		t.Fatalf("constant POs must share devices")
 	}
 }
@@ -333,10 +333,10 @@ func TestPinPIsKeepsInputs(t *testing.T) {
 	}
 	// With pinned PIs, no instruction may target a PI cell.
 	piSet := map[uint32]bool{}
-	for _, c := range res.Program.PICells {
+	for _, c := range res.Program.PICells() {
 		piSet[c] = true
 	}
-	for _, ins := range res.Program.Insts {
+	for _, ins := range res.Program.Insts() {
 		if piSet[ins.Z] {
 			t.Fatalf("instruction writes pinned PI cell: %v", ins)
 		}

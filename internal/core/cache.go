@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"plim/internal/alloc"
 	"plim/internal/compile"
-	"plim/internal/cost"
 	"plim/internal/diskcache"
 	"plim/internal/isa"
 	"plim/internal/memo"
@@ -27,7 +25,8 @@ import (
 //
 // A disk hit's graph stays encoded until a caller needs it: a compile that
 // misses, or Rewrite. Should it then fail to decode, the rewrite runs
-// again from the input, under the context of the caller that needs it.
+// again from the input, under the context of the caller that needs it,
+// and its result is stored through the disk tier again.
 //
 // Cached MIGs are shared across callers and must be treated as read-only.
 // The compilation stages only read their input, so the staged runners can
@@ -97,9 +96,11 @@ func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind
 
 // rewrite is Rewrite of a graph handle, returning the whole cached result.
 // A result whose graph is still encoded gets the rewrite of in as its
-// fallback, should the graph fail to decode.
+// fallback, should the graph fail to decode; the fallback stores the
+// result it recomputes, so the entry is rewritten.
 func (c *RewriteCache) rewrite(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int, label string) (rewriteResult, error) {
-	r, err := c.Do(ctx, rewriteKey{fp: in.Fingerprint(), kind: kind, effort: effort}, func() (rewriteResult, error) {
+	key := rewriteKey{fp: in.Fingerprint(), kind: kind, effort: effort}
+	r, err := c.Do(ctx, key, func() (rewriteResult, error) {
 		out, st, err := rewriteGraph(ctx, in, kind, effort, label)
 		if err != nil {
 			return rewriteResult{}, err
@@ -108,7 +109,10 @@ func (c *RewriteCache) rewrite(ctx context.Context, in *mig.Ref, kind RewriteKin
 	})
 	if err == nil && !r.ref.Decoded() {
 		r.ref.Recompute(func(ctx context.Context) (*mig.MIG, error) {
-			out, _, err := rewriteGraph(ctx, in, kind, effort, label)
+			out, st, err := rewriteGraph(ctx, in, kind, effort, label)
+			if err == nil {
+				c.Store(key, rewriteResult{mig.NewRef(out), st})
+			}
 			return out, err
 		})
 	}
@@ -136,23 +140,22 @@ func rewriteGraph(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int
 
 // CompileCache memoizes the compile kernel of CompileConfig by (rewritten
 // graph fingerprint, selection policy, allocator, write cap): the
-// compile.Options fields a configuration sets. An entry is the program's
-// exact-size isa binary encoding, the same bytes the disk tier stores, and
-// is charged the encoding's length against the byte budget; each probe
-// records a "cache compile-probe" span. Embedding promotes Len and
-// Counters. The key is the rewritten graph's handle's fingerprint, so a
-// hit never decodes that graph.
+// compile.Options fields a configuration sets. An entry is the compiled
+// isa.Program itself — its binary encoding, the same bytes the disk tier
+// stores, and the counts it keeps — charged the bytes it retains
+// (Program.MemSize) against the byte budget; each probe records a "cache
+// compile-probe" span. Embedding promotes Len and Counters. The key is the
+// rewritten graph's handle's fingerprint, so a hit never decodes that
+// graph.
 //
-// Every hit decodes a private program, so no caller can mutate a cached
-// result, and rebuilds the rest of the compile.Result from it: write
-// counts are the histogram of destination cells (each RM3 writes its Z
-// once), #R is the program's cell count, and the cost is the caller's
-// cost model pricing the program. The cost model stays out of the key:
+// Programs are immutable, so every hit shares the entry's program and
+// decodes no instruction: compile.ResultOf rebuilds the rest of the
+// compile.Result from the counts the program keeps, priced under the
+// caller's cost model. The cost model stays out of the key:
 // Model.Program equals emission-time pricing, as the cost-parity tests
 // pin. The caller that computes keeps its freshly compiled Result.
 type CompileCache struct {
-	*memo.Cache[compileKey, compiled]
-	persist bool // a disk tier stores every computed entry
+	*memo.Cache[compileKey, *isa.Program]
 }
 
 type compileKey struct {
@@ -162,49 +165,29 @@ type compileKey struct {
 	maxWrites uint64
 }
 
-// compiled is a cached compilation: the program's isa binary encoding and,
-// for a cache with a disk tier, the program's fingerprint, which the disk
-// entry records for re-verification.
-type compiled struct {
-	bin []byte
-	fp  uint64
-	// loaded holds the program the disk tier decoded to validate the
-	// entry until one caller claims it as its private copy, so a disk hit
-	// decodes once; nil for computed entries.
-	loaded *atomic.Pointer[isa.Program]
-}
-
-// NewCompileCache returns a cache charging each program its encoded size
-// against b, which evicts least-recently-used entries of every cache it
-// bounds; a nil b is unbounded. A non-nil disk is the persistent second
-// tier, storing the same encoding.
+// NewCompileCache returns a cache charging each program the bytes it
+// retains against b, which evicts least-recently-used entries of every
+// cache it bounds; a nil b is unbounded. A non-nil disk is the persistent
+// second tier, storing the program's encoding.
 func NewCompileCache(b *memo.Budget, disk *diskcache.Cache) *CompileCache {
-	var tier memo.Tier[compileKey, compiled]
+	var tier memo.Tier[compileKey, *isa.Program]
 	if disk != nil {
 		tier = compileTier{disk}
 	}
-	return &CompileCache{memo.New(b,
-		func(c compiled) int { return len(c.bin) },
-		"compile-probe",
+	return &CompileCache{memo.New(b, (*isa.Program).MemSize, "compile-probe",
 		func(k compileKey) (string, string) { return "fp", fmt.Sprintf("%016x", k.fp) },
-		tier), disk != nil}
+		tier)}
 }
 
 // compileTier adapts the disk cache's program entries to memo.Tier.
 type compileTier struct{ d *diskcache.Cache }
 
-func (t compileTier) Load(k compileKey) (compiled, diskcache.ProbeOutcome) {
-	e, out := t.d.ProbeProgram(k.disk())
-	if out != diskcache.ProbeHit {
-		return compiled{}, out
-	}
-	c := compiled{bin: e.Binary, fp: e.Fingerprint, loaded: new(atomic.Pointer[isa.Program])}
-	c.loaded.Store(e.Program)
-	return c, out
+func (t compileTier) Load(k compileKey) (*isa.Program, diskcache.ProbeOutcome) {
+	return t.d.ProbeProgram(k.disk())
 }
 
-func (t compileTier) Store(k compileKey, c compiled) error {
-	return t.d.StoreProgram(k.disk(), diskcache.ProgramEntry{Binary: c.bin, Fingerprint: c.fp})
+func (t compileTier) Store(k compileKey, p *isa.Program) error {
+	return t.d.StoreProgram(k.disk(), p)
 }
 
 func (k compileKey) disk() diskcache.ProgramKey {
@@ -217,21 +200,17 @@ func (k compileKey) disk() diskcache.ProgramKey {
 // callers of one graph.
 func (c *CompileCache) Compile(ctx context.Context, g *mig.Ref, opts compile.Options) (*compile.Result, error) {
 	var fresh *compile.Result
-	v, err := c.Do(ctx, compileKey{g.Fingerprint(), opts.Selection, opts.Alloc, opts.MaxWrites}, func() (compiled, error) {
+	p, err := c.Do(ctx, compileKey{g.Fingerprint(), opts.Selection, opts.Alloc, opts.MaxWrites}, func() (*isa.Program, error) {
 		m, err := g.Graph(ctx)
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		res, err := compile.Compile(m, opts)
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		fresh = res
-		v := compiled{bin: res.Program.AppendBinary(nil)}
-		if c.persist {
-			v.fp = res.Program.Fingerprint()
-		}
-		return v, nil
+		return res.Program, nil
 	})
 	switch {
 	case err != nil:
@@ -239,34 +218,5 @@ func (c *CompileCache) Compile(ctx context.Context, g *mig.Ref, opts compile.Opt
 	case fresh != nil:
 		return fresh, nil
 	}
-	return v.result(opts.CostModel)
-}
-
-// result rebuilds the compile.Result of a cached program, priced under
-// model when it is non-nil: the disk tier's decoded program if this
-// caller claims it, else a fresh decode.
-func (c compiled) result(model *cost.Model) (*compile.Result, error) {
-	var p *isa.Program
-	if c.loaded != nil {
-		p = c.loaded.Swap(nil)
-	}
-	if p == nil {
-		var err error
-		if p, err = isa.DecodeBinary(c.bin); err != nil {
-			// Unreachable: entries are encoded here or decoded by the
-			// disk probe before they are cached.
-			return nil, fmt.Errorf("core: cached program: %w", err)
-		}
-	}
-	res := &compile.Result{
-		Program:         p,
-		WriteCounts:     p.StaticWriteCounts(),
-		NumInstructions: len(p.Insts),
-		NumRRAMs:        int(p.NumCells),
-	}
-	if model != nil {
-		pc := model.Program(p)
-		res.Cost = &pc
-	}
-	return res, nil
+	return compile.ResultOf(p, opts.CostModel), nil
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"plim/internal/isa"
 	"plim/internal/stats"
@@ -32,12 +33,12 @@ import (
 // Op is an instruction class.
 type Op uint8
 
-// Instruction classes.
+// Instruction classes, numbered as isa numbers them.
 const (
-	OpReset Op = iota // RM3 #0,#1 → Z (Z ← 0)
-	OpSet             // RM3 #1,#0 → Z (Z ← 1)
-	OpRM3             // any other RM3: compute, copy, invert
-	NumOps
+	OpReset = Op(isa.ClassReset) // RM3 #0,#1 → Z (Z ← 0)
+	OpSet   = Op(isa.ClassSet)   // RM3 #1,#0 → Z (Z ← 1)
+	OpRM3   = Op(isa.ClassRM3)   // any other RM3: compute, copy, invert
+	NumOps  = Op(isa.NumClasses)
 )
 
 // String names the class.
@@ -53,22 +54,15 @@ func (o Op) String() string {
 	return "?"
 }
 
-// Classify returns the class of one instruction. The two preset forms are
-// the only destination-independent instructions (verify.isPreset proves the
-// same property); everything else is a full majority.
-func Classify(ins isa.Instruction) Op {
-	switch {
-	case ins.A.Kind == isa.OpConst0 && ins.B.Kind == isa.OpConst1:
-		return OpReset
-	case ins.A.Kind == isa.OpConst1 && ins.B.Kind == isa.OpConst0:
-		return OpSet
-	default:
-		return OpRM3
-	}
-}
+// Classify returns the class of one instruction (isa.Instruction.Class).
+// The two preset forms are the only destination-independent instructions
+// (verify.isPreset proves the same property); everything else is a full
+// majority.
+func Classify(ins isa.Instruction) Op { return Op(ins.Class()) }
 
 // Counts are per-class op totals — the integer quantity every layer
-// accumulates independently and FromCounts prices canonically.
+// accumulates independently and FromCounts prices canonically. A
+// program's isa.ClassCounts converts to Counts.
 type Counts [NumOps]uint64
 
 // Note counts one instruction of class op.
@@ -249,28 +243,33 @@ func lifetimeRuns(endurance, maxCellWear uint64) uint64 {
 	return endurance / maxCellWear
 }
 
-// Price prices an instruction slice over numCells cells in one walk:
-// per-class counts plus per-cell wear for the lifetime bound.
-func (m *Model) Price(insts []isa.Instruction, numCells int) Cost {
+// Program prices a whole program from the counts it keeps: its per-class
+// op counts, and its per-cell writes by class for the hottest cell's wear.
+// It equals a walk over the instructions for every model, whatever the
+// per-class wear.
+func (m *Model) Program(p *isa.Program) Cost {
+	var maxWear uint64
+	for _, n := range p.CellClassCounts() {
+		w := n[isa.ClassReset]*m.Reset.Wear + n[isa.ClassSet]*m.Set.Wear + n[isa.ClassRM3]*m.RM3.Wear
+		maxWear = max(maxWear, w)
+	}
+	return m.FromCounts(Counts(p.ClassCounts()), maxWear)
+}
+
+// Prefix prices the first n instructions of p in one walk: per-class
+// counts plus per-cell wear for the lifetime bound.
+func (m *Model) Prefix(p *isa.Program, n int) Cost {
 	var ops Counts
-	wear := make([]uint64, numCells)
-	for _, ins := range insts {
+	wear := make([]uint64, p.NumCells())
+	for i, ins := range p.Insts() {
+		if i == n {
+			break
+		}
 		op := Classify(ins)
 		ops[op]++
 		wear[ins.Z] += m.Of(op).Wear
 	}
-	var maxWear uint64
-	for _, w := range wear {
-		if w > maxWear {
-			maxWear = w
-		}
-	}
-	return m.FromCounts(ops, maxWear)
-}
-
-// Program prices a whole program.
-func (m *Model) Program(p *isa.Program) Cost {
-	return m.Price(p.Insts, int(p.NumCells))
+	return m.FromCounts(ops, slices.Max(append(wear, 0)))
 }
 
 // Scale prices n executions of a run costing c: counts, energy, latency and

@@ -32,7 +32,7 @@ func TestClassify(t *testing.T) {
 // op) the priced wear must equal the program's static write counts — the
 // parity the whole refactor preserves.
 func TestPriceMatchesStaticWriteCounts(t *testing.T) {
-	p := &isa.Program{
+	p := program(t, isa.Parts{
 		Name:     "t",
 		NumCells: 3,
 		Insts: []isa.Instruction{
@@ -43,7 +43,7 @@ func TestPriceMatchesStaticWriteCounts(t *testing.T) {
 		},
 		PICells: []uint32{0},
 		POs:     []isa.PORef{{Addr: 2}},
-	}
+	})
 	m := Default()
 	c := m.Program(p)
 	if c.Model != "default" || c.Resets != 1 || c.Sets != 1 || c.RM3s != 2 || c.Ops != 4 {
@@ -77,13 +77,13 @@ func TestPriceMatchesStaticWriteCounts(t *testing.T) {
 // wear, or no endurance budget, means the device never dies.
 func TestLifetimeConvention(t *testing.T) {
 	m := Default()
-	empty := m.Price(nil, 4)
+	empty := m.Program(program(t, isa.Parts{NumCells: 4, PICells: []uint32{0, 1, 2, 3}}))
 	if empty.LifetimeRuns != stats.MaxLifetime || !empty.Unlimited() {
 		t.Fatalf("zero-write program lifetime = %d, want stats.MaxLifetime", empty.LifetimeRuns)
 	}
 	budgetless := *Default()
 	budgetless.EnduranceWrites = 0
-	c := budgetless.Price([]isa.Instruction{{A: isa.Zero, B: isa.One, Z: 0}}, 1)
+	c := budgetless.Program(program(t, isa.Parts{NumCells: 1, Insts: []isa.Instruction{{A: isa.Zero, B: isa.One, Z: 0}}}))
 	if !c.Unlimited() {
 		t.Fatalf("budgetless model lifetime = %d, want unlimited", c.LifetimeRuns)
 	}
@@ -99,7 +99,7 @@ func TestScaleParity(t *testing.T) {
 		{A: isa.One, B: isa.Zero, Z: 1},
 		{A: isa.Cell(0), B: isa.Cell(1), Z: 0},
 	}
-	per := m.Price(insts, 2)
+	per := m.Program(program(t, isa.Parts{NumCells: 2, Insts: insts}))
 	const lanes = 64
 	got := m.Scale(per, lanes)
 	want := m.FromCounts(Counts{per.Resets * lanes, per.Sets * lanes, per.RM3s * lanes}, per.MaxCellWear*lanes)
@@ -115,6 +115,47 @@ func TestScaleParity(t *testing.T) {
 		float64(per.RM3s*lanes)*m.RM3.EnergyPJ {
 		t.Fatal("scaled energy not derived through the canonical expression")
 	}
+}
+
+// TestPrefixPricesAWalk: Prefix walks the first n instructions, so over
+// the whole program it equals Program, which prices from the program's
+// kept counts, also when the per-class wear differs; the empty prefix
+// costs nothing.
+func TestPrefixPricesAWalk(t *testing.T) {
+	p := program(t, isa.Parts{NumCells: 3, PICells: []uint32{0}, Insts: []isa.Instruction{
+		{A: isa.Zero, B: isa.One, Z: 1},
+		{A: isa.Cell(0), B: isa.Zero, Z: 1},
+		{A: isa.One, B: isa.Zero, Z: 2},
+		{A: isa.One, B: isa.Zero, Z: 2},
+		{A: isa.Zero, B: isa.One, Z: 2},
+	}})
+	uneven := Default()
+	uneven.Reset.Wear, uneven.Set.Wear, uneven.RM3.Wear = 1, 2, 3
+	for _, m := range []*Model{Default(), uneven} {
+		if got, want := m.Prefix(p, p.NumInstructions()), m.Program(p); got != want {
+			t.Errorf("%s: whole-program prefix %+v, Program %+v", m.Name, got, want)
+		}
+	}
+	// Cell 1 wears 1+3 and cell 2 wears 2+2+1 under the uneven model.
+	if got := uneven.Program(p).MaxCellWear; got != 5 {
+		t.Errorf("uneven hottest-cell wear %d, want 5", got)
+	}
+	if c := uneven.Prefix(p, 2); c.Ops != 2 || c.MaxCellWear != 4 {
+		t.Errorf("two-instruction prefix %+v", c)
+	}
+	if c := uneven.Prefix(p, 0); c.Ops != 0 || !c.Unlimited() {
+		t.Errorf("empty prefix %+v", c)
+	}
+}
+
+// program builds parts into a program.
+func program(t *testing.T, parts isa.Parts) *isa.Program {
+	t.Helper()
+	p, err := isa.NewProgram(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestLoadValidates(t *testing.T) {

@@ -15,7 +15,7 @@
 //     suite.Cache, holding the generated MIG;
 //   - compiled programs, keyed by (rewritten-MIG fingerprint, selection,
 //     allocator, write cap) exactly like core.CompileCache, holding the
-//     program's isa binary encoding (isa.Program.AppendBinary).
+//     program's isa binary encoding (isa.Program.Binary).
 //
 // Every entry is one file: a small text header (magic, format version, the
 // full key, the stored value's fingerprint, payload length and CRC-32)
@@ -29,14 +29,18 @@
 // merely costs a recomputation, and the fresh store overwrites the bad
 // entry.
 //
-// A program payload is decoded, and so validated, by its probe. A graph
-// payload is not: its probe checks the payload's header (mig.BinaryRef)
-// and returns a mig.Ref carrying the fingerprint the entry records, which
-// decodes the graph when a caller first reads it. The tier thus trusts an
-// intact entry to hold what was stored: the CRC guards the payload, and
-// the recorded fingerprint is taken as it stands. SetVerify withdraws
-// that trust: every probe then decodes its payload and re-hashes it
-// against the recorded fingerprint.
+// A program payload is validated by its probe, in the one scan with which
+// isa.DecodeBinary reads it into a program: the program keeps the payload
+// as its encoding, with its per-cell write counts, and no instruction is
+// decoded. A graph payload is not validated by its probe: the probe
+// checks the payload's header (mig.BinaryRef) and returns a mig.Ref
+// carrying the fingerprint the entry records, which decodes the graph
+// when a caller first reads it. Either way the payload is read into an
+// allocation of its own, so a cached value holds nothing else of the
+// file. The tier thus trusts an intact entry to hold what was stored: the
+// CRC guards the payload, and the recorded fingerprint is taken as it
+// stands. SetVerify withdraws that trust: every probe then decodes its
+// payload and re-hashes it against the recorded fingerprint.
 //
 // Invalidation is by construction: keys are content-addressed (a different
 // input graph, algorithm or effort is a different file) and FormatVersion
@@ -50,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -460,42 +465,32 @@ type ProgramKey struct {
 	MaxWrites        uint64
 }
 
-// ProgramEntry is the content of a program entry.
-type ProgramEntry struct {
-	// Binary is the program's isa binary encoding (Program.AppendBinary).
-	Binary []byte
-	// Fingerprint is the program's isa fingerprint. A store records it as
-	// given; a load returns the recorded value, which SetVerify re-checks
-	// against the decoded program.
-	Fingerprint uint64
-	// Program is Binary decoded; a load sets it, a store ignores it.
-	Program *isa.Program
-}
-
-// StoreProgram persists a compiled program entry under k.
-func (c *Cache) StoreProgram(k ProgramKey, e ProgramEntry) error {
+// StoreProgram persists a compiled program entry under k: the program's
+// encoding, recording its fingerprint.
+func (c *Cache) StoreProgram(k ProgramKey, p *isa.Program) error {
 	var kb [128]byte
-	return c.store(programPath(c.dir, k), kindProgram, programKey(kb[:0], k), e.Fingerprint, nil, e.Binary)
+	return c.store(programPath(c.dir, k), kindProgram, programKey(kb[:0], k), p.Fingerprint(), nil, p.Binary())
 }
 
 // ProbeProgram loads the program entry stored under k and reports how the
-// probe resolved; the entry is zero unless it hit. A hit's binary decodes
-// to a valid program, returned with it; under SetVerify that program must
-// also reproduce the recorded fingerprint, or the probe is a verify-miss.
-func (c *Cache) ProbeProgram(k ProgramKey) (ProgramEntry, ProbeOutcome) {
+// probe resolved; the program is nil unless it hit. A hit's payload is a
+// valid encoding, read into a program by isa.DecodeBinary's one scan, which
+// decodes no instruction; under SetVerify the program must also reproduce
+// the recorded fingerprint, or the probe is a verify-miss.
+func (c *Cache) ProbeProgram(k ProgramKey) (*isa.Program, ProbeOutcome) {
 	var kb [128]byte
 	out, _, payload, ok := read(programPath(c.dir, k), kindProgram, programKey(kb[:0], k), false)
 	if !ok {
-		return ProgramEntry{}, ProbeMiss
+		return nil, ProbeMiss
 	}
 	p, err := isa.DecodeBinary(payload)
 	if err != nil {
-		return ProgramEntry{}, ProbeMiss
+		return nil, ProbeMiss
 	}
 	if c.verify.Load() && p.Fingerprint() != out {
-		return ProgramEntry{}, ProbeVerifyMiss
+		return nil, ProbeVerifyMiss
 	}
-	return ProgramEntry{payload, out, p}, ProbeHit
+	return p, ProbeHit
 }
 
 func programKey(b []byte, k ProgramKey) []byte {
@@ -546,18 +541,33 @@ func (c *Cache) store(path, entryKind string, key []byte, out uint64, extra, pay
 	return nil
 }
 
+// maxHeader bounds an entry's header, the lines before its payload; the
+// longest a store writes, a rewrite entry's, is under 400 bytes.
+const maxHeader = 1024
+
 // read reads the entry at path and checks its layout: the magic line with
 // this FormatVersion and entry kind, exactly the key line a store writes,
 // an "out" line, the kind's extra line when extra is set and nothing
 // else, and a payload of the recorded length and checksum. It returns the
 // recorded fingerprint, the extra line and the payload; ok is false on any
-// mismatch. An intact file refreshes its modification time.
+// mismatch. The payload is read into an allocation of its own, so a value
+// that keeps it retains nothing else of the file. An intact file refreshes
+// its modification time.
 func read(path, entryKind string, key []byte, extra bool) (out uint64, extraLine, payload []byte, ok bool) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, nil, false
 	}
-	line, rest, found := bytes.Cut(data, []byte{'\n'})
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, nil, nil, false
+	}
+	head := make([]byte, min(fi.Size(), maxHeader))
+	if _, err := io.ReadFull(f, head); err != nil {
+		return 0, nil, nil, false
+	}
+	line, rest, found := bytes.Cut(head, []byte{'\n'})
 	if !found || len(line) != len(versionTag)+len(entryKind) ||
 		string(line[:len(versionTag)]) != versionTag || string(line[len(versionTag):]) != entryKind {
 		return 0, nil, nil, false
@@ -581,7 +591,11 @@ func read(path, entryKind string, key []byte, extra bool) (out uint64, extraLine
 	size, sum, found := bytes.Cut(line[len("payload "):], []byte{' '})
 	length, err1 := strconv.ParseUint(string(size), 10, 64)
 	crc, err2 := strconv.ParseUint(string(sum), 16, 32)
-	if !found || err1 != nil || err2 != nil || uint64(len(rest)) != length || uint64(crc32.ChecksumIEEE(rest)) != crc {
+	if !found || err1 != nil || err2 != nil || uint64(fi.Size())-uint64(len(head)-len(rest)) != length {
+		return 0, nil, nil, false
+	}
+	payload = make([]byte, length)
+	if _, err := io.ReadFull(f, payload[copy(payload, rest):]); err != nil || uint64(crc32.ChecksumIEEE(payload)) != crc {
 		return 0, nil, nil, false
 	}
 	// Mark the entry recently used so GC's oldest-first eviction
@@ -602,5 +616,5 @@ func read(path, entryKind string, key []byte, extra bool) (out uint64, extraLine
 	if !found || err != nil {
 		return 0, nil, nil, false
 	}
-	return out, header[2], rest, true
+	return out, header[2], payload, true
 }

@@ -5,23 +5,33 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
+	"plim/internal/compile"
+	"plim/internal/cost"
+	"plim/internal/isa"
 	"plim/internal/mig"
 )
 
-// The keys FuzzDiskEntry stores and probes under, and the graph its
-// fallback recomputes.
+// The keys FuzzDiskEntry stores and probes under, the graph its fallback
+// recomputes and the model a program hit is priced under, whose per-class
+// wear differs.
 var (
 	fuzzRewriteFP = uint64(0x00c0ffee00c0ffee)
 	fuzzProgram   = ProgramKey{Graph: 0x1234, Selection: 2, Alloc: 1, MaxWrites: 10}
 	fuzzFallback  = testMIG("recomputed", 9)
+	fuzzModel     = &cost.Model{Name: "wear-1-2-3", Reset: cost.OpCost{LatencyCycles: 1, Wear: 1},
+		Set: cost.OpCost{LatencyCycles: 1, Wear: 2}, RM3: cost.OpCost{LatencyCycles: 1, Wear: 3}}
 )
 
 // A probe plus the first use of its value may allocate fuzzEntryBound
 // bytes per entry byte, plus fuzzEntrySlack. The graph decoder spends up
 // to about a hundred bytes per payload byte: a one-byte PI name length
-// becomes a node, a PI slot, a name and a structural-hash bucket.
+// becomes a node, a PI slot, a name and a structural-hash bucket. A
+// program hit spends its per-cell counts and a hit's write counts, 32
+// bytes per cell, and a program can declare at most one cell per PI or
+// PO byte and three per two-byte instruction.
 const (
 	fuzzEntryBound = 256
 	fuzzEntrySlack = 64 << 10
@@ -44,7 +54,9 @@ type fuzzKind struct {
 // graph hit is then read the way the engine reads it, through its handle:
 // it is valid and matches the header the probe read, or, when the payload
 // does not decode, it is the graph the handle's fallback recomputes. A
-// program hit is valid. A probe plus that first use allocates at most
+// program hit is used the way a compile hit uses it: its compile.Result is
+// built from the counts the program kept, and must equal a walk over its
+// instructions. A probe plus that first use allocates at most
 // fuzzEntryBound bytes per entry byte, plus fuzzEntrySlack.
 func FuzzDiskEntry(f *testing.F) {
 	seed, err := Open(f.TempDir())
@@ -58,7 +70,7 @@ func FuzzDiskEntry(f *testing.F) {
 	if err := seed.StoreRewrite(fuzzRewriteFP, 2, 5, m, testStats()); err != nil {
 		f.Fatal(err)
 	}
-	if err := seed.StoreProgram(fuzzProgram, programEntry(p)); err != nil {
+	if err := seed.StoreProgram(fuzzProgram, p); err != nil {
 		f.Fatal(err)
 	}
 	for _, path := range []string{benchPath(seed.Dir(), "fz", 1), rewritePath(seed.Dir(), fuzzRewriteFP, 2, 5), programPath(seed.Dir(), fuzzProgram)} {
@@ -90,13 +102,12 @@ func FuzzDiskEntry(f *testing.F) {
 	}
 	prog := fuzzKind{path: programPath(c.Dir(), fuzzProgram), kind: kindProgram, key: programKey(pk[:0], fuzzProgram)}
 	prog.use = func() func() error {
-		e, out := c.ProbeProgram(fuzzProgram)
-		return func() error {
-			if out != ProbeHit {
-				return nil
-			}
-			return e.Program.Validate()
+		p, out := c.ProbeProgram(fuzzProgram)
+		if out != ProbeHit {
+			return func() error { return nil }
 		}
+		res := compile.ResultOf(p, fuzzModel)
+		return func() error { return checkResult(p, res) }
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -126,6 +137,24 @@ func FuzzDiskEntry(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkResult checks a compile hit's Result, built from the facts p kept,
+// against a walk over p's instructions.
+func checkResult(p *isa.Program, res *compile.Result) error {
+	writes := make([]uint64, p.NumCells())
+	for _, ins := range p.Insts() {
+		writes[ins.Z]++
+	}
+	switch {
+	case res.Program != p || res.NumInstructions != p.NumInstructions() || res.NumRRAMs != int(p.NumCells()):
+		return errors.New("a hit's #I or #R differs from its program's")
+	case !slices.Equal(res.WriteCounts, writes):
+		return errors.New("a hit's write counts differ from a walk over its program")
+	case *res.Cost != fuzzModel.Prefix(p, p.NumInstructions()):
+		return errors.New("a hit's price differs from a walk over its program")
+	}
+	return nil
 }
 
 // useGraph reads a graph probe's hit through its handle, with a fallback

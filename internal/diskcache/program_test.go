@@ -13,15 +13,15 @@ import (
 
 // testProgram is a small valid program whose shape varies with seed.
 func testProgram(name string, seed int) *isa.Program {
-	p := &isa.Program{Name: name, NumCells: 6, PICells: []uint32{0, 1}, POs: []isa.PORef{{Addr: 5}, {Addr: 4, Neg: true}}}
+	parts := isa.Parts{Name: name, NumCells: 6, PICells: []uint32{0, 1}, POs: []isa.PORef{{Addr: 5}, {Addr: 4, Neg: true}}}
 	for i := 0; i < 8+seed; i++ {
-		p.Insts = append(p.Insts, isa.Instruction{A: isa.Cell(uint32(i % 2)), B: isa.Cell(uint32((i + seed) % 4)), Z: uint32(2 + (i+seed)%4)})
+		parts.Insts = append(parts.Insts, isa.Instruction{A: isa.Cell(uint32(i % 2)), B: isa.Cell(uint32((i + seed) % 4)), Z: uint32(2 + (i+seed)%4)})
+	}
+	p, err := isa.NewProgram(parts)
+	if err != nil {
+		panic(err)
 	}
 	return p
-}
-
-func programEntry(p *isa.Program) ProgramEntry {
-	return ProgramEntry{Binary: p.AppendBinary(nil), Fingerprint: p.Fingerprint()}
 }
 
 func TestProgramRoundTrip(t *testing.T) {
@@ -31,14 +31,14 @@ func TestProgramRoundTrip(t *testing.T) {
 	if _, out := c.ProbeProgram(k); out != ProbeMiss {
 		t.Fatalf("empty cache probed %d", out)
 	}
-	if err := c.StoreProgram(k, programEntry(p)); err != nil {
+	if err := c.StoreProgram(k, p); err != nil {
 		t.Fatal(err)
 	}
-	e, out := c.ProbeProgram(k)
+	q, out := c.ProbeProgram(k)
 	if out != ProbeHit {
 		t.Fatalf("stored entry probed %d", out)
 	}
-	if !bytes.Equal(e.Binary, p.AppendBinary(nil)) || e.Fingerprint != p.Fingerprint() || e.Program.Fingerprint() != p.Fingerprint() {
+	if !bytes.Equal(q.Binary(), p.Binary()) || q.Fingerprint() != p.Fingerprint() {
 		t.Fatal("loaded entry differs from the stored program")
 	}
 	for _, other := range []ProgramKey{
@@ -58,7 +58,7 @@ func TestProgramRoundTrip(t *testing.T) {
 func TestProgramEntryBytesPinned(t *testing.T) {
 	c := open(t)
 	k := ProgramKey{Graph: 0x0123456789abcdef, Selection: 2, Alloc: 1, MaxWrites: 10}
-	if err := c.StoreProgram(k, programEntry(testProgram("pin", 2))); err != nil {
+	if err := c.StoreProgram(k, testProgram("pin", 2)); err != nil {
 		t.Fatal(err)
 	}
 	path := entryFile(t, c)
@@ -87,7 +87,7 @@ func TestVerifyOnLoadProgram(t *testing.T) {
 	victim, imposter := testProgram("victim", 1), testProgram("victim", 2)
 	forge := func(t *testing.T, c *Cache, payload []byte) {
 		t.Helper()
-		if err := c.StoreProgram(k, programEntry(victim)); err != nil {
+		if err := c.StoreProgram(k, victim); err != nil {
 			t.Fatal(err)
 		}
 		path := entryFile(t, c)
@@ -105,9 +105,9 @@ func TestVerifyOnLoadProgram(t *testing.T) {
 		c := open(t)
 		c.SetVerify(verify)
 		forge(t, c, imposter.AppendBinary(nil))
-		e, out := c.ProbeProgram(k)
+		p, out := c.ProbeProgram(k)
 		switch {
-		case !verify && (out != ProbeHit || e.Program.Fingerprint() != imposter.Fingerprint()):
+		case !verify && (out != ProbeHit || p.Fingerprint() != imposter.Fingerprint()):
 			t.Fatalf("unverified probe %d, want the imposter served", out)
 		case verify && out != ProbeVerifyMiss:
 			t.Fatalf("verified probe %d, want a verify-miss", out)
@@ -119,15 +119,18 @@ func TestVerifyOnLoadProgram(t *testing.T) {
 	}
 }
 
-// TestProbeHitAllocations pins the allocations of a disk hit of each kind.
-// About five go to the path, the file read and the modification-time
-// refresh; the header parse allocates nothing, and the rest is the payload
-// decode (six for a program: the program, its name, its three slices and
-// validation's PI map).
+// TestProbeHitAllocations pins the allocations of a disk hit of each kind
+// at their measured counts. Eight go to the path, opening and reading the
+// file — its header into one buffer and its payload into another — and
+// the modification-time refresh; the header parse allocates nothing. A
+// graph hit decodes nothing: its handle and the model name are the last
+// two. A program hit's scan decodes no instruction either: it allocates
+// the program and its per-cell counts, and a name of two or more bytes
+// would add one more.
 func TestProbeHitAllocations(t *testing.T) {
 	c := open(t)
 	k := ProgramKey{Graph: 1}
-	if err := c.StoreProgram(k, programEntry(testProgram("a", 1))); err != nil {
+	if err := c.StoreProgram(k, testProgram("a", 1)); err != nil {
 		t.Fatal(err)
 	}
 	m := testMIG("ctrl", 2)
@@ -142,9 +145,9 @@ func TestProbeHitAllocations(t *testing.T) {
 		max   float64
 		probe func() ProbeOutcome
 	}{
-		{"program", 11, func() ProbeOutcome { _, out := c.ProbeProgram(k); return out }},
-		{"benchmark", 19, func() ProbeOutcome { _, out := c.ProbeBenchmark("ctrl", 2); return out }},
-		{"rewrite", 19, func() ProbeOutcome { _, out := c.LoadRewrite(m.Fingerprint(), 2, 5); return out }},
+		{"program", 10, func() ProbeOutcome { _, out := c.ProbeProgram(k); return out }},
+		{"benchmark", 10, func() ProbeOutcome { _, out := c.ProbeBenchmark("ctrl", 2); return out }},
+		{"rewrite", 10, func() ProbeOutcome { _, out := c.LoadRewrite(m.Fingerprint(), 2, 5); return out }},
 	} {
 		var out ProbeOutcome
 		if n := testing.AllocsPerRun(20, func() { out = tc.probe() }); n > tc.max || out != ProbeHit {

@@ -23,8 +23,7 @@ type op struct {
 
 // Plan is a compiled program lowered to the bit-sliced execution form. A
 // Plan is immutable after Compile and safe for concurrent Run calls. It
-// reads the source program's PI/PO maps and instructions while it runs,
-// so the program must not change while a run is in progress.
+// reads the source program's PI/PO maps while it runs.
 type Plan struct {
 	src      *isa.Program
 	ops      []op
@@ -35,15 +34,13 @@ type Plan struct {
 	staticWrites []uint64
 }
 
-// Compile validates and lowers a program for bit-sliced execution.
-func Compile(p *isa.Program) (*Plan, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	n := int(p.NumCells)
+// Compile lowers a program for bit-sliced execution. Every isa.Program is
+// valid, so lowering cannot fail.
+func Compile(p *isa.Program) *Plan {
+	n := int(p.NumCells())
 	pl := &Plan{
 		src:          p,
-		ops:          make([]op, len(p.Insts)),
+		ops:          make([]op, p.NumInstructions()),
 		numCells:     n,
 		staticWrites: p.StaticWriteCounts(),
 	}
@@ -58,17 +55,17 @@ func Compile(p *isa.Program) (*Plan, error) {
 			return o.Addr
 		}
 	}
-	for i, ins := range p.Insts {
+	for i, ins := range p.Insts() {
 		pl.ops[i] = op{a: operand(ins.A), b: operand(ins.B), z: ins.Z}
 	}
-	return pl, nil
+	return pl
 }
 
 // NumInputs reports the program's primary-input count.
-func (pl *Plan) NumInputs() int { return len(pl.src.PICells) }
+func (pl *Plan) NumInputs() int { return pl.src.NumPIs() }
 
 // NumOutputs reports the program's primary-output count.
-func (pl *Plan) NumOutputs() int { return len(pl.src.POs) }
+func (pl *Plan) NumOutputs() int { return pl.src.NumPOs() }
 
 // faultIndex returns the index of the first instruction a per-device write
 // budget of endurance would refuse (the scalar interpreter's failure point),
@@ -174,13 +171,13 @@ func (pl *Plan) runRange(ctx context.Context, b *Batch, run []op, writeOutputs b
 		// One span per 64-lane chunk, annotated with its lane occupancy —
 		// a zero Handle (all no-ops, no allocation) when ctx carries no
 		// trace, which keeps RunContext's allocs/op pin intact.
-		sp := trace.StartNoCtx(ctx, "exec_chunk", pl.src.Name)
+		sp := trace.StartNoCtx(ctx, "exec_chunk", pl.src.Name())
 		for i := range state[:pl.numCells] {
 			state[i] = 0
 		}
 		state[pl.numCells] = 0
 		state[pl.numCells+1] = ^uint64(0)
-		for i, cell := range pl.src.PICells {
+		for i, cell := range pl.src.PICells() {
 			state[cell] = b.Word(i, c)
 		}
 		mask := b.ActiveMask(c)
@@ -191,7 +188,7 @@ func (pl *Plan) runRange(ctx context.Context, b *Batch, run []op, writeOutputs b
 			state[o.z] = r
 		}
 		if writeOutputs {
-			for i, po := range pl.src.POs {
+			for i, po := range pl.src.POs() {
 				w := state[po.Addr]
 				if po.Neg {
 					w = ^w
@@ -227,7 +224,10 @@ func (pl *Plan) finalize(b *Batch, run []op, faultAt int, switches []uint64, out
 	n := uint64(b.Len())
 	if m := opts.CostModel; m != nil {
 		// run is always a prefix of ops, which map 1:1 onto src.Insts.
-		per := m.Price(pl.src.Insts[:len(run)], pl.numCells)
+		per := m.Program(pl.src)
+		if len(run) < len(pl.ops) {
+			per = m.Prefix(pl.src, len(run))
+		}
 		c := m.Scale(per, n)
 		res.Cost = &c
 	}
@@ -243,7 +243,14 @@ func (pl *Plan) finalize(b *Batch, run []op, faultAt int, switches []uint64, out
 	for _, o := range run {
 		res.Writes[o.z] += n
 	}
-	return res, &FaultError{Inst: faultAt, Ins: pl.src.Insts[faultAt]}
+	fault := &FaultError{Inst: faultAt}
+	for i, ins := range pl.src.Insts() {
+		if i == faultAt {
+			fault.Ins = ins
+			break
+		}
+	}
+	return res, fault
 }
 
 // RunContext executes every vector of b through the program, 64 lanes per
@@ -264,7 +271,7 @@ func (pl *Plan) RunContext(ctx context.Context, b *Batch, opts Options) (*Result
 	var onChunk func(int)
 	if obs := progress.FromContext(ctx); obs != nil {
 		onChunk = func(c int) {
-			obs(progress.ExecuteChunk{Program: pl.src.Name, Done: c + 1, Total: chunks, Vectors: b.Len()})
+			obs(progress.ExecuteChunk{Program: pl.src.Name(), Done: c + 1, Total: chunks, Vectors: b.Len()})
 		}
 	}
 	if err := pl.runRange(ctx, b, run, faultAt < 0, switches, outputs, 0, chunks, onChunk); err != nil {
@@ -276,9 +283,5 @@ func (pl *Plan) RunContext(ctx context.Context, b *Batch, opts Options) (*Result
 // Execute compiles and runs in one call — the convenience entry point for
 // one-shot callers.
 func Execute(ctx context.Context, p *isa.Program, b *Batch, opts Options) (*Result, error) {
-	pl, err := Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.RunContext(ctx, b, opts)
+	return Compile(p).RunContext(ctx, b, opts)
 }

@@ -66,10 +66,7 @@ func TestEquivalenceAllPolicies(t *testing.T) {
 			m, progs := compileAll(t, tc.name, tc.shrink)
 			b := inputBatch(t, m.NumPIs())
 			for cfgName, p := range progs {
-				pl, err := Compile(p)
-				if err != nil {
-					t.Fatalf("%s: compile plan: %v", cfgName, err)
-				}
+				pl := Compile(p)
 				res, err := pl.RunContext(context.Background(), b, Options{})
 				if err != nil {
 					t.Fatalf("%s: run: %v", cfgName, err)
@@ -92,8 +89,8 @@ func TestEquivalenceAllPolicies(t *testing.T) {
 
 				// exec64 == scalar isa.Execute per vector, and aggregate wear
 				// equals the sum of per-run crossbar counters.
-				writes := make([]uint64, p.NumCells)
-				switches := make([]uint64, p.NumCells)
+				writes := make([]uint64, p.NumCells())
+				switches := make([]uint64, p.NumCells())
 				for v := 0; v < b.Len(); v++ {
 					out, xbar, err := isa.Execute(p, b.Vector(v))
 					if err != nil {
@@ -104,10 +101,10 @@ func TestEquivalenceAllPolicies(t *testing.T) {
 							t.Fatalf("%s: vector %d PO %d: exec %v, scalar %v", cfgName, v, o, res.Outputs.Get(v, o), bit)
 						}
 					}
-					for z, w := range xbar.WriteCounts(int(p.NumCells)) {
+					for z, w := range xbar.WriteCounts(int(p.NumCells())) {
 						writes[z] += w
 					}
-					for z, sw := range xbar.SwitchCounts(int(p.NumCells)) {
+					for z, sw := range xbar.SwitchCounts(int(p.NumCells())) {
 						switches[z] += sw
 					}
 				}
@@ -130,12 +127,12 @@ func TestEquivalenceAllPolicies(t *testing.T) {
 // scalarFaultIndex steps the scalar controller to the failing instruction.
 func scalarFaultIndex(t *testing.T, p *isa.Program, inputs []bool, endurance uint64) int {
 	t.Helper()
-	x := rram.NewLinear(int(p.NumCells), rram.WithEndurance(endurance))
+	x := rram.NewLinear(int(p.NumCells()), rram.WithEndurance(endurance))
 	c := isa.NewController(x)
 	if err := c.LoadInputs(p, inputs); err != nil {
 		t.Fatal(err)
 	}
-	for n, ins := range p.Insts {
+	for n, ins := range p.Insts() {
 		if err := c.Step(ins); err != nil {
 			if !errors.Is(err, rram.ErrWornOut) {
 				t.Fatalf("inst %d: unexpected error %v", n, err)
@@ -159,14 +156,11 @@ func TestEnduranceFaultMatchesScalar(t *testing.T) {
 	if maxWrites < 2 {
 		t.Fatalf("degenerate program: max static writes %d", maxWrites)
 	}
-	b, err := Exhaustive(len(p.PICells))
+	b, err := Exhaustive(p.NumPIs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(p)
 	for _, endurance := range []uint64{1, maxWrites - 1, maxWrites, maxWrites + 1} {
 		res, err := pl.RunContext(context.Background(), b, Options{Endurance: endurance})
 		scalarAt := scalarFaultIndex(t, p, b.Vector(0), endurance)
@@ -190,18 +184,21 @@ func TestEnduranceFaultMatchesScalar(t *testing.T) {
 			t.Fatalf("endurance %d: faulted run must carry wear but no outputs", endurance)
 		}
 		// Partial wear equals the scalar prefix, summed over all lanes.
-		x := rram.NewLinear(int(p.NumCells), rram.WithEndurance(endurance))
+		x := rram.NewLinear(int(p.NumCells()), rram.WithEndurance(endurance))
 		c := isa.NewController(x)
 		if err := c.LoadInputs(p, b.Vector(0)); err != nil {
 			t.Fatal(err)
 		}
-		for _, ins := range p.Insts[:scalarAt] {
+		for i, ins := range p.Insts() {
+			if i == scalarAt {
+				break
+			}
 			if err := c.Step(ins); err != nil {
 				t.Fatal(err)
 			}
 		}
 		n := uint64(b.Len())
-		for z, w := range x.WriteCounts(int(p.NumCells)) {
+		for z, w := range x.WriteCounts(int(p.NumCells())) {
 			if res.Writes[z] != w*n {
 				t.Fatalf("endurance %d: cell %d writes %d, want %d", endurance, z, res.Writes[z], w*n)
 			}
@@ -211,10 +208,7 @@ func TestEnduranceFaultMatchesScalar(t *testing.T) {
 
 func TestRunContextCancellation(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl, err := Compile(progs["naive"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(progs["naive"])
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b, _ := Exhaustive(pl.NumInputs())
@@ -225,20 +219,17 @@ func TestRunContextCancellation(t *testing.T) {
 
 func TestOnChunkProgress(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl, err := Compile(progs["naive"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(progs["naive"])
 	b, _ := Exhaustive(pl.NumInputs()) // 128 vectors = 2 chunks
 	var calls []int
 	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
 		c := ev.(progress.ExecuteChunk)
-		if c.Total != b.Chunks() || c.Program != pl.src.Name || c.Vectors != b.Len() {
-			t.Fatalf("event %+v, want %d chunks of %d vectors of %s", c, b.Chunks(), b.Len(), pl.src.Name)
+		if c.Total != b.Chunks() || c.Program != pl.src.Name() || c.Vectors != b.Len() {
+			t.Fatalf("event %+v, want %d chunks of %d vectors of %s", c, b.Chunks(), b.Len(), pl.src.Name())
 		}
 		calls = append(calls, c.Done)
 	})
-	_, err = pl.RunContext(ctx, b, Options{})
+	_, err := pl.RunContext(ctx, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +240,7 @@ func TestOnChunkProgress(t *testing.T) {
 
 func TestInputWidthMismatch(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl, err := Compile(progs["naive"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(progs["naive"])
 	if _, err := pl.Run(NewBatch(pl.NumInputs()+1, 4)); err == nil {
 		t.Fatal("width mismatch accepted")
 	}
@@ -260,10 +248,7 @@ func TestInputWidthMismatch(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl, err := Compile(progs["naive"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(progs["naive"])
 	res, err := pl.Run(NewBatch(pl.NumInputs(), 0))
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +273,7 @@ func TestProgramFingerprintDistinguishesPrograms(t *testing.T) {
 			// Distinct policies may legitimately produce identical programs,
 			// but not across all five; flag exact collisions only when the
 			// programs differ.
-			if len(p.Insts) != len(progs[prev].Insts) {
+			if p.NumInstructions() != progs[prev].NumInstructions() {
 				t.Fatalf("fingerprint collision between %s and %s", name, prev)
 			}
 			continue
@@ -300,14 +285,19 @@ func TestProgramFingerprintDistinguishesPrograms(t *testing.T) {
 	}
 	p := progs["full"]
 	fp := p.Fingerprint()
-	clone := *p
-	clone.Name = "renamed"
-	if clone.Fingerprint() != fp {
+	rebuild := func(edit func(*isa.Parts)) *isa.Program {
+		parts := p.Parts()
+		edit(&parts)
+		q, err := isa.NewProgram(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	if rebuild(func(q *isa.Parts) { q.Name = "renamed" }).Fingerprint() != fp {
 		t.Fatal("fingerprint must ignore the name")
 	}
-	mutated := *p
-	mutated.Insts = append([]isa.Instruction(nil), p.Insts...)
-	mutated.Insts[0].Z++
+	mutated := rebuild(func(q *isa.Parts) { q.Insts[0].Z = (q.Insts[0].Z + 1) % q.NumCells })
 	if mutated.Fingerprint() == fp {
 		t.Fatal("mutated program shares fingerprint")
 	}
@@ -322,10 +312,7 @@ func BenchmarkExec64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := Compile(rep.Result.Program)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pl := Compile(rep.Result.Program)
 	batch := Random(pl.NumInputs(), 256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -42,7 +42,7 @@ func (pl *Plan) RunSharded(ctx context.Context, b *Batch, opts Options, pool *sc
 	var onChunk func(int)
 	if obs := progress.FromContext(ctx); obs != nil {
 		onChunk = func(int) {
-			obs(progress.ExecuteChunk{Program: pl.src.Name, Done: int(done.Add(1)), Total: chunks, Vectors: b.Len()})
+			obs(progress.ExecuteChunk{Program: pl.src.Name(), Done: int(done.Add(1)), Total: chunks, Vectors: b.Len()})
 		}
 	}
 	g := pool.NewGraph(ctx)
@@ -54,7 +54,7 @@ func (pl *Plan) RunSharded(ctx context.Context, b *Batch, opts Options, pool *sc
 		}
 		part := make([]uint64, pl.numCells)
 		partials[s] = part
-		g.Task(sched.KindExecChunk, pl.src.Name, func(tctx context.Context) {
+		g.Task(sched.KindExecChunk, pl.src.Name(), func(tctx context.Context) {
 			// Cancellation errors are surfaced by Wait; nothing else can fail.
 			_ = pl.runRange(tctx, b, run, faultAt < 0, part, outputs, lo, hi, onChunk)
 		})

@@ -19,10 +19,7 @@ import (
 func TestRunShardedMatchesSequential(t *testing.T) {
 	_, progs := compileAll(t, "int2float", 2)
 	for name, p := range progs {
-		pl, err := Compile(p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		pl := Compile(p)
 		for _, vectors := range []int{1, 64, 65, 257, 1024} {
 			b := Random(pl.NumInputs(), vectors, int64(vectors)*7+3)
 			want, err := pl.RunContext(context.Background(), b, Options{})
@@ -58,10 +55,7 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 // run reports the same instruction and partial wear as the sequential one.
 func TestRunShardedFaultMatchesSequential(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl, err := Compile(progs["naive"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(progs["naive"])
 	b := Random(pl.NumInputs(), 300, 0xfeed)
 	opts := Options{Endurance: 2}
 	want, werr := pl.RunContext(context.Background(), b, opts)
@@ -93,10 +87,7 @@ func TestRunShardedFaultMatchesSequential(t *testing.T) {
 // monotone done counts (values 1..total, unordered across workers).
 func TestRunShardedOnChunk(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl, err := Compile(progs["full"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(progs["full"])
 	b := Random(pl.NumInputs(), 64*9, 42)
 	pool := sched.New(4)
 	defer pool.Stop()
@@ -114,7 +105,7 @@ func TestRunShardedOnChunk(t *testing.T) {
 		}
 		seen[c.Done]++
 	})
-	_, err = pl.RunSharded(ctx, b, Options{}, pool)
+	_, err := pl.RunSharded(ctx, b, Options{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +119,7 @@ func TestRunShardedOnChunk(t *testing.T) {
 // TestRunShardedCancellation: a cancelled context surfaces as ctx.Err().
 func TestRunShardedCancellation(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl, err := Compile(progs["full"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := Compile(progs["full"])
 	b := Random(pl.NumInputs(), 64*32, 7)
 	pool := sched.New(2)
 	defer pool.Stop()

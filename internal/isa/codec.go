@@ -25,14 +25,14 @@ import (
 // WriteAsm emits the program in assembly form.
 func (p *Program) WriteAsm(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".plim %s\n.cells %d\n", p.Name, p.NumCells)
+	fmt.Fprintf(bw, ".plim %s\n.cells %d\n", p.name, p.numCells)
 	fmt.Fprint(bw, ".pi")
-	for _, c := range p.PICells {
+	for _, c := range p.PICells() {
 		fmt.Fprintf(bw, " @%d", c)
 	}
 	fmt.Fprintln(bw)
 	fmt.Fprint(bw, ".po")
-	for _, po := range p.POs {
+	for _, po := range p.POs() {
 		if po.Neg {
 			fmt.Fprintf(bw, " @%d!", po.Addr)
 		} else {
@@ -40,18 +40,19 @@ func (p *Program) WriteAsm(w io.Writer) error {
 		}
 	}
 	fmt.Fprintln(bw)
-	for _, ins := range p.Insts {
+	for _, ins := range p.Insts() {
 		fmt.Fprintln(bw, ins.String())
 	}
 	fmt.Fprintln(bw, ".end")
 	return bw.Flush()
 }
 
-// ReadAsm parses the assembly format written by WriteAsm.
+// ReadAsm parses the assembly format written by WriteAsm and builds the
+// program with NewProgram.
 func ReadAsm(r io.Reader) (*Program, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	p := &Program{}
+	var p Parts
 	line := 0
 	seenEnd := false
 	for sc.Scan() {
@@ -130,10 +131,7 @@ func ReadAsm(r io.Reader) (*Program, error) {
 	if !seenEnd {
 		return nil, fmt.Errorf("isa: missing .end")
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return NewProgram(p)
 }
 
 func parseCellTok(tok string) (addr uint32, neg bool, err error) {
@@ -191,10 +189,9 @@ const (
 	minInstBytes = 2
 )
 
-// WriteBinary encodes the program in the compact binary format: one write
-// of AppendBinary's bytes.
+// WriteBinary writes the program's binary encoding.
 func (p *Program) WriteBinary(w io.Writer) error {
-	_, err := w.Write(p.AppendBinary(nil))
+	_, err := w.Write(p.enc)
 	return err
 }
 
@@ -203,9 +200,18 @@ func (p *Program) WriteBinary(w io.Writer) error {
 // so encoding into a nil dst is one allocation whose length is its
 // capacity.
 func (p *Program) AppendBinary(dst []byte) []byte {
-	if n := p.binarySize(); cap(dst)-len(dst) < n {
-		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	if cap(dst)-len(dst) < len(p.enc) {
+		dst = append(make([]byte, 0, len(dst)+len(p.enc)), dst...)
 	}
+	return append(dst, p.enc...)
+}
+
+// Binary returns the program's binary encoding, the bytes AppendBinary
+// appends, without copying them: the caller must not modify them.
+func (p *Program) Binary() []byte { return p.enc[:len(p.enc):len(p.enc)] }
+
+// appendBinary appends the binary encoding of the parts to dst.
+func (p *Parts) appendBinary(dst []byte) []byte {
 	dst = append(dst, binaryMagic...)
 	dst = append(dst, binaryVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Name)))
@@ -221,7 +227,7 @@ func (p *Program) AppendBinary(dst []byte) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(p.Insts)))
 	for _, ins := range p.Insts {
-		dst = append(dst, byte(ins.A.Kind)|byte(ins.B.Kind)<<2)
+		dst = append(dst, ins.flags())
 		if ins.A.Kind == OpCell {
 			dst = binary.AppendUvarint(dst, uint64(ins.A.Addr))
 		}
@@ -233,8 +239,9 @@ func (p *Program) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// binarySize is the length of AppendBinary's encoding of p.
-func (p *Program) binarySize() int {
+// binarySize is the length of the parts' encoding. An operand kind the
+// format cannot carry is an error.
+func (p *Parts) binarySize() (int, error) {
 	n := len(binaryMagic) + 1 + uvarintLen(uint64(len(p.Name))) + len(p.Name) + uvarintLen(uint64(p.NumCells))
 	n += uvarintLen(uint64(len(p.PICells)))
 	for _, c := range p.PICells {
@@ -245,7 +252,10 @@ func (p *Program) binarySize() int {
 		n += uvarintLen(poWord(po))
 	}
 	n += uvarintLen(uint64(len(p.Insts))) + len(p.Insts)
-	for _, ins := range p.Insts {
+	for i, ins := range p.Insts {
+		if ins.A.Kind > OpCell || ins.B.Kind > OpCell {
+			return 0, fmt.Errorf("isa: inst %d: bad operand kind", i)
+		}
 		if ins.A.Kind == OpCell {
 			n += uvarintLen(uint64(ins.A.Addr))
 		}
@@ -254,7 +264,7 @@ func (p *Program) binarySize() int {
 		}
 		n += uvarintLen(uint64(ins.Z))
 	}
-	return n
+	return n, nil
 }
 
 // uvarintLen is the length of v's uvarint encoding.
@@ -285,16 +295,23 @@ var (
 	errOversized = errors.New("isa: binary: count exceeds the bytes left")
 )
 
-// DecodeBinary decodes a program encoded by AppendBinary and validates it
-// in the same pass. The cell count precedes every section, so each PI
-// cell, PO, operand and destination is checked against it as it is read,
-// and the PI cells must be distinct; the result passes Validate. Every
-// count is checked against the bytes left before its slice is allocated,
-// so a hostile payload cannot request more memory than its own size
-// implies. A truncated payload, a cell count that overflows its 32-bit
-// field, an address out of range, an unknown operand kind or reserved
-// flag bit and trailing bytes are all errors. Empty sections decode to
-// nil slices, as the compiler emits them.
+// DecodeBinary reads a program encoded by AppendBinary. It validates and
+// summarizes the encoding in one scan and decodes no instruction: the
+// program keeps b as its encoding, so the caller must not modify b
+// afterwards.
+//
+// The cell count precedes every section, so each PI cell, PO, operand and
+// destination is checked against it as it is read, and the PI cells must
+// be distinct. The cell count must also be one the sections can
+// reference: at most one cell per PI and per PO and three per
+// instruction. That is checked from the section counts before the
+// per-cell counts are sized by it, and every count is checked against the
+// bytes left before anything is sized by it, so a hostile payload cannot
+// request more memory than its own size implies. A truncated payload, a
+// cell count that overflows its 32-bit field, a value encoded in more
+// bytes than it needs, an address out of range, an unknown operand kind
+// or reserved flag bit and trailing bytes are all errors, so a valid
+// program has exactly one encoding.
 func DecodeBinary(b []byte) (*Program, error) {
 	if len(b) < len(binaryMagic)+1 {
 		return nil, errTruncated
@@ -316,7 +333,7 @@ func DecodeBinary(b []byte) (*Program, error) {
 	if nameLen > uint64(d.left()) {
 		return nil, errTruncated
 	}
-	p := &Program{Name: string(d.b[d.off : d.off+int(nameLen)])}
+	p := &Program{name: string(d.b[d.off : d.off+int(nameLen)]), enc: b}
 	d.off += int(nameLen)
 	cells, err := d.uvarint()
 	if err != nil {
@@ -325,35 +342,19 @@ func DecodeBinary(b []byte) (*Program, error) {
 	if cells > maxUint32 {
 		return nil, fmt.Errorf("isa: cell count %d overflows uint32", cells)
 	}
-	p.NumCells = uint32(cells)
-	npi, err := d.count(minCellBytes)
-	if err != nil {
+	p.numCells = uint32(cells)
+	if p.numPIs, err = d.count(minCellBytes); err != nil {
 		return nil, err
 	}
-	if npi > 0 {
-		p.PICells = make([]uint32, npi)
-	}
-	for i := range p.PICells {
-		c, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if c >= cells {
-			return nil, fmt.Errorf("isa: PI %d cell %d out of range %d", i, c, cells)
-		}
-		p.PICells[i] = uint32(c)
-	}
-	if err := distinctPIs(p.PICells); err != nil {
+	p.piOff = d.off
+	if err := d.piCells(p.numPIs, cells); err != nil {
 		return nil, err
 	}
-	npo, err := d.count(minCellBytes)
-	if err != nil {
+	if p.numPOs, err = d.count(minCellBytes); err != nil {
 		return nil, err
 	}
-	if npo > 0 {
-		p.POs = make([]PORef, npo)
-	}
-	for i := range p.POs {
+	p.poOff = d.off
+	for i := range p.numPOs {
 		v, err := d.uvarint()
 		if err != nil {
 			return nil, err
@@ -361,20 +362,27 @@ func DecodeBinary(b []byte) (*Program, error) {
 		if v>>1 >= cells {
 			return nil, fmt.Errorf("isa: PO %d cell %d out of range %d", i, v>>1, cells)
 		}
-		p.POs[i] = PORef{Addr: uint32(v >> 1), Neg: v&1 == 1}
 	}
-	ninst, err := d.count(minInstBytes)
-	if err != nil {
+	if p.numInsts, err = d.count(minInstBytes); err != nil {
 		return nil, err
 	}
-	if ninst > 0 {
-		p.Insts = make([]Instruction, ninst)
+	if refs := uint64(p.numPIs) + uint64(p.numPOs) + 3*uint64(p.numInsts); cells > refs {
+		return nil, fmt.Errorf("isa: %d cells, but %d PIs, %d POs and %d instructions reference at most %d", cells, p.numPIs, p.numPOs, p.numInsts, refs)
 	}
-	if err := d.insts(p.Insts, cells); err != nil {
+	p.instOff = d.off
+	if cells > 0 {
+		p.cells = make([]ClassCounts, cells)
+	}
+	if err := d.insts(p.numInsts, p.cells); err != nil {
 		return nil, err
 	}
 	if d.left() != 0 {
 		return nil, fmt.Errorf("isa: binary: %d trailing bytes", d.left())
+	}
+	for _, n := range p.cells {
+		for k := range n {
+			p.ops[k] += n[k]
+		}
 	}
 	return p, nil
 }
@@ -390,7 +398,7 @@ type decoder struct {
 func (d *decoder) left() int { return len(d.b) - d.off }
 
 func (d *decoder) uvarint() (uint64, error) {
-	v, n := frontUvarint(d.b[d.off:])
+	v, n := minimalUvarint(d.b[d.off:])
 	if n <= 0 {
 		return 0, errTruncated
 	}
@@ -398,43 +406,82 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// insts decodes len(insts) instructions, checking every address against
-// cells. It walks a local slice, which keeps the loop free of the
-// decoder's fields.
-func (d *decoder) insts(insts []Instruction, cells uint64) error {
-	b := d.b[d.off:]
-	for i := range insts {
-		if len(b) == 0 {
+// piCells reads n PI cells, checking each against cells, and requires
+// them distinct. Compiled programs list their PI cells in increasing
+// order, which needs no set; any other order is checked with one.
+func (d *decoder) piCells(n int, cells uint64) error {
+	start := d.off
+	increasing := true
+	var prev uint64
+	for i := range n {
+		c, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if c >= cells {
+			return fmt.Errorf("isa: PI %d cell %d out of range %d", i, c, cells)
+		}
+		increasing = increasing && (i == 0 || prev < c)
+		prev = c
+	}
+	if increasing {
+		return nil
+	}
+	//plim:alloc-ok set sized by PI count, only for PI cells out of order
+	seen := make(map[uint64]int, n)
+	again := decoder{b: d.b, off: start}
+	for i := range n {
+		c, _ := again.uvarint()
+		if j, dup := seen[c]; dup {
+			return fmt.Errorf("isa: PI %d and %d share cell %d", j, i, c)
+		}
+		seen[c] = i
+	}
+	return nil
+}
+
+// insts scans n instructions, checking every address against
+// len(counts) and counting each destination's writes by class. It keeps
+// its offset in a local, which keeps the loop free of the decoder's
+// fields, and reads the one-byte addresses most instructions have in
+// line.
+func (d *decoder) insts(n int, counts []ClassCounts) error {
+	cells := uint64(len(counts))
+	b, off := d.b, d.off
+	for i := range n {
+		if off >= len(b) {
 			return errTruncated
 		}
-		flags := b[0]
-		b = b[1:]
-		if flags>>4 != 0 {
-			return fmt.Errorf("isa: inst %d: bad instruction flags %#x", i, flags)
-		}
-		ka, kb := OperandKind(flags&3), OperandKind(flags>>2&3)
-		if ka > OpCell || kb > OpCell {
+		flags := b[off]
+		f := flagsInfo[flags]
+		if f == badFlags {
+			if flags>>4 != 0 {
+				return fmt.Errorf("isa: inst %d: bad instruction flags %#x", i, flags)
+			}
 			return fmt.Errorf("isa: inst %d: bad operand kind", i)
 		}
-		var a, bb uint64
-		var n int
-		if ka == OpCell {
-			if a, n = frontUvarint(b); n <= 0 {
+		off++
+		var a, bb, z uint64
+		var ok bool
+		if f&aCell != 0 {
+			if off < len(b) && b[off] < 0x80 {
+				a, off = uint64(b[off]), off+1
+			} else if a, off, ok = uvarintAt(b, off); !ok {
 				return errTruncated
 			}
-			b = b[n:]
 		}
-		if kb == OpCell {
-			if bb, n = frontUvarint(b); n <= 0 {
+		if f&bCell != 0 {
+			if off < len(b) && b[off] < 0x80 {
+				bb, off = uint64(b[off]), off+1
+			} else if bb, off, ok = uvarintAt(b, off); !ok {
 				return errTruncated
 			}
-			b = b[n:]
 		}
-		z, n := frontUvarint(b)
-		if n <= 0 {
+		if off < len(b) && b[off] < 0x80 {
+			z, off = uint64(b[off]), off+1
+		} else if z, off, ok = uvarintAt(b, off); !ok {
 			return errTruncated
 		}
-		b = b[n:]
 		// A constant operand reads as address 0, which is in range once
 		// the destination is.
 		if z >= cells {
@@ -443,10 +490,52 @@ func (d *decoder) insts(insts []Instruction, cells uint64) error {
 		if a >= cells || bb >= cells {
 			return fmt.Errorf("isa: inst %d operand @%d out of range %d", i, max(a, bb), cells)
 		}
-		insts[i] = Instruction{A: Operand{ka, uint32(a)}, B: Operand{kb, uint32(bb)}, Z: uint32(z)}
+		counts[z][f&classMask]++
 	}
-	d.off = len(d.b) - len(b)
+	d.off = off
 	return nil
+}
+
+// flagsInfo describes each flags byte an instruction can start with: its
+// class, and whether operand A and operand B are cells. A byte with a
+// reserved bit set or an operand kind beyond OpCell is badFlags.
+var flagsInfo = func() (t [256]uint8) {
+	for flags := range t {
+		ka, kb := OperandKind(flags&3), OperandKind(flags>>2&3)
+		if flags>>4 != 0 || ka > OpCell || kb > OpCell {
+			t[flags] = badFlags
+			continue
+		}
+		t[flags] = uint8(Instruction{A: Operand{Kind: ka}, B: Operand{Kind: kb}}.Class())
+		if ka == OpCell {
+			t[flags] |= aCell
+		}
+		if kb == OpCell {
+			t[flags] |= bCell
+		}
+	}
+	return t
+}()
+
+const (
+	classMask = 3
+	aCell     = 1 << 2
+	bCell     = 1 << 3
+	badFlags  = 0xff
+)
+
+// uvarintAt reads the minimal uvarint at b[off:] and returns it with the
+// offset after it; ok is false when there is none.
+func uvarintAt(b []byte, off int) (v uint64, next int, ok bool) {
+	v, n := minimalUvarint(b[off:])
+	return v, off + n, n > 0
+}
+
+// longAddrAt reads the address of two or more bytes at b[off:] of a
+// validated encoding and returns it with the offset after it.
+func longAddrAt(b []byte, off int) (uint32, int) {
+	v, n := frontUvarint(b[off:])
+	return uint32(v), off + n
 }
 
 // frontUvarint is binary.Uvarint with a fast path for the one- and
@@ -459,6 +548,17 @@ func frontUvarint(b []byte) (uint64, int) {
 		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
 	}
 	return binary.Uvarint(b)
+}
+
+// minimalUvarint is frontUvarint that also refuses a value encoded in
+// more bytes than it needs, whose last byte is zero: every program then
+// has exactly one encoding, the one AppendBinary writes.
+func minimalUvarint(b []byte) (uint64, int) {
+	v, n := frontUvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // count reads an element count whose elements take at least per bytes

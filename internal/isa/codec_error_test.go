@@ -13,7 +13,7 @@ import (
 
 func validBinary(t *testing.T) []byte {
 	t.Helper()
-	p := &Program{
+	p := build(Parts{
 		Name:     "err-paths",
 		NumCells: 4,
 		PICells:  []uint32{0, 1},
@@ -23,7 +23,7 @@ func validBinary(t *testing.T) []byte {
 			{A: Cell(0), B: Cell(1), Z: 3},
 			{A: Zero, B: Cell(2), Z: 3},
 		},
-	}
+	})
 	// Cell 2 is deliberately unwritten garbage for the verifier; the codec
 	// only cares that addresses are in range.
 	var buf bytes.Buffer
@@ -99,21 +99,18 @@ func TestReadBinaryOverflow(t *testing.T) {
 func TestReadBinaryOutOfRangeCells(t *testing.T) {
 	// Structurally well-formed, semantically invalid: addresses beyond
 	// the declared cell count must be rejected by validation.
-	outOfRange := func(mutate func(p *Program)) []byte {
-		p := &Program{Name: "", NumCells: 2, PICells: []uint32{0}, POs: []PORef{{Addr: 1}},
+	outOfRange := func(mutate func(p *Parts)) []byte {
+		p := Parts{Name: "", NumCells: 2, PICells: []uint32{0}, POs: []PORef{{Addr: 1}},
 			Insts: []Instruction{{A: One, B: Zero, Z: 1}}}
-		mutate(p)
-		var buf bytes.Buffer
-		if err := p.WriteBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		mutate(&p)
+		return p.appendBinary(nil)
 	}
-	mustFail(t, outOfRange(func(p *Program) { p.PICells[0] = 9 }), "PI out of range")
-	mustFail(t, outOfRange(func(p *Program) { p.POs[0].Addr = 9 }), "PO out of range")
-	mustFail(t, outOfRange(func(p *Program) { p.Insts[0].Z = 9 }), "destination out of range")
-	mustFail(t, outOfRange(func(p *Program) { p.Insts[0].A = Cell(9) }), "operand out of range")
-	mustFail(t, outOfRange(func(p *Program) { p.PICells = []uint32{0, 0} }), "duplicate PI")
+	mustFail(t, outOfRange(func(p *Parts) { p.PICells[0] = 9 }), "PI out of range")
+	mustFail(t, outOfRange(func(p *Parts) { p.POs[0].Addr = 9 }), "PO out of range")
+	mustFail(t, outOfRange(func(p *Parts) { p.Insts[0].Z = 9 }), "destination out of range")
+	mustFail(t, outOfRange(func(p *Parts) { p.Insts[0].A = Cell(9) }), "operand out of range")
+	mustFail(t, outOfRange(func(p *Parts) { p.PICells = []uint32{0, 0} }), "duplicate PI")
+	mustFail(t, outOfRange(func(p *Parts) { p.PICells = []uint32{1, 0, 1} }), "duplicate PI out of order")
 }
 
 func TestReadBinaryBadInstructionFlags(t *testing.T) {

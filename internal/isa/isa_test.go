@@ -3,7 +3,10 @@ package isa
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -15,8 +18,10 @@ import (
 //
 //	RM3 #0,#1 -> @2   ; z ← 0
 //	RM3 @0,@1 -> @2   ; z ← ⟨a b̄ 0⟩ = a ∧ ¬b
-func andnProgram() *Program {
-	return &Program{
+func andnProgram() *Program { return build(andnParts()) }
+
+func andnParts() Parts {
+	return Parts{
 		Name:     "andn",
 		NumCells: 3,
 		PICells:  []uint32{0, 1},
@@ -37,8 +42,10 @@ func andnProgram() *Program {
 //	RM3 #0,@1 -> @2   ; t ← ⟨0 b̄ 1⟩ = b̄
 //	RM3 #0,#1 -> @3   ; z ← 0
 //	RM3 @0,@2 -> @3   ; z ← ⟨a ¬b̄ 0⟩ = a ∧ b
-func andProgram() *Program {
-	return &Program{
+func andProgram() *Program { return build(andParts()) }
+
+func andParts() Parts {
+	return Parts{
 		Name:     "and",
 		NumCells: 4,
 		PICells:  []uint32{0, 1},
@@ -52,11 +59,17 @@ func andProgram() *Program {
 	}
 }
 
+// build is NewProgram for fixtures that must be valid.
+func build(parts Parts) *Program {
+	p, err := NewProgram(parts)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestHandCodedAndNot(t *testing.T) {
 	p := andnProgram()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for row := 0; row < 4; row++ {
 		a := row&1 == 1
 		b := row>>1&1 == 1
@@ -72,9 +85,6 @@ func TestHandCodedAndNot(t *testing.T) {
 
 func TestHandCodedAnd(t *testing.T) {
 	p := andProgram()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for row := 0; row < 4; row++ {
 		a := row&1 == 1
 		b := row>>1&1 == 1
@@ -125,7 +135,7 @@ func TestStaticWriteCountsMatchInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured := x.WriteCounts(int(p.NumCells))
+	measured := x.WriteCounts(int(p.NumCells()))
 	for i := range static {
 		if static[i] != measured[i] {
 			t.Fatalf("cell %d: static %d, measured %d", i, static[i], measured[i])
@@ -133,9 +143,40 @@ func TestStaticWriteCountsMatchInterpreter(t *testing.T) {
 	}
 }
 
+// TestFactsComputedOnce: a program's counts are computed with the program,
+// and its fingerprint once, by whichever of any number of concurrent
+// readers asks first; every reader sees the same values.
+func TestFactsComputedOnce(t *testing.T) {
+	var computed atomic.Int64
+	fingerprintHook = func() { computed.Add(1) }
+	defer func() { fingerprintHook = nil }()
+	p := wideProgram()
+	const readers = 16
+	fps := make([]uint64, readers)
+	writes := make([][]uint64, readers)
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fps[i], writes[i] = p.Fingerprint(), p.StaticWriteCounts()
+		}()
+	}
+	wg.Wait()
+	if n := computed.Load(); n != 1 {
+		t.Fatalf("fingerprint computed %d times", n)
+	}
+	for i := range readers {
+		if fps[i] != fps[0] || !reflect.DeepEqual(writes[i], writes[0]) {
+			t.Fatalf("reader %d saw different facts", i)
+		}
+	}
+}
+
 func TestNegatedPO(t *testing.T) {
-	p := andnProgram()
-	p.POs[0].Neg = true
+	parts := andnParts()
+	parts.POs[0].Neg = true
+	p := build(parts)
 	out, _, err := Execute(p, []bool{true, false}) // a∧¬b = 1, negated = 0
 	if err != nil {
 		t.Fatal(err)
@@ -145,17 +186,20 @@ func TestNegatedPO(t *testing.T) {
 	}
 }
 
-func TestValidateCatchesBadPrograms(t *testing.T) {
-	cases := []*Program{
-		{NumCells: 1, PICells: []uint32{5}},                              // PI out of range
-		{NumCells: 2, PICells: []uint32{0, 0}},                           // duplicate PI
-		{NumCells: 1, POs: []PORef{{Addr: 3}}},                           // PO out of range
-		{NumCells: 1, Insts: []Instruction{{A: Zero, B: Zero, Z: 9}}},    // Z out of range
-		{NumCells: 1, Insts: []Instruction{{A: Cell(7), B: Zero, Z: 0}}}, // operand range
+func TestNewProgramRejectsBadPrograms(t *testing.T) {
+	cases := []Parts{
+		{NumCells: 1, PICells: []uint32{5}},                                                // PI out of range
+		{NumCells: 2, PICells: []uint32{0, 0}},                                             // duplicate PI
+		{NumCells: 1, POs: []PORef{{Addr: 3}}},                                             // PO out of range
+		{NumCells: 1, Insts: []Instruction{{A: Zero, B: Zero, Z: 9}}},                      // Z out of range
+		{NumCells: 1, Insts: []Instruction{{A: Cell(7), B: Zero, Z: 0}}},                   // operand range
+		{NumCells: 1, Insts: []Instruction{{A: Operand{Kind: 3}, B: Zero, Z: 0}}},          // operand kind
+		{NumCells: 5, PICells: []uint32{0}, Insts: []Instruction{{A: One, B: Zero, Z: 1}}}, // unreferenced cells
+		{NumCells: 1 << 24}, // a cell count alone
 	}
-	for i, p := range cases {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted a bad program", i)
+	for i, parts := range cases {
+		if p, err := NewProgram(parts); err == nil {
+			t.Errorf("case %d: NewProgram accepted a bad program: %+v", i, p.Parts())
 		}
 	}
 }
@@ -188,8 +232,9 @@ func TestRunStopsOnWornDevice(t *testing.T) {
 }
 
 func TestAsmRoundTrip(t *testing.T) {
-	p := andProgram()
-	p.POs = append(p.POs, PORef{Addr: 0, Neg: true})
+	parts := andParts()
+	parts.POs = append(parts.POs, PORef{Addr: 0, Neg: true})
+	p := build(parts)
 	var buf bytes.Buffer
 	if err := p.WriteAsm(&buf); err != nil {
 		t.Fatal(err)
@@ -219,8 +264,9 @@ func TestAsmReadErrors(t *testing.T) {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	p := andProgram()
-	p.POs = append(p.POs, PORef{Addr: 1, Neg: true})
+	parts := andParts()
+	parts.POs = append(parts.POs, PORef{Addr: 1, Neg: true})
+	p := build(parts)
 	var buf bytes.Buffer
 	if err := p.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -246,34 +292,20 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 
 func assertProgramsEqual(t *testing.T, want, got *Program) {
 	t.Helper()
-	if got.Name != want.Name || got.NumCells != want.NumCells {
-		t.Fatalf("header mismatch: %q/%d vs %q/%d", got.Name, got.NumCells, want.Name, want.NumCells)
+	if !reflect.DeepEqual(got.Parts(), want.Parts()) {
+		t.Fatalf("programs differ:\n%+v\nvs\n%+v", got.Parts(), want.Parts())
 	}
-	if len(got.PICells) != len(want.PICells) || len(got.POs) != len(want.POs) || len(got.Insts) != len(want.Insts) {
-		t.Fatalf("shape mismatch")
-	}
-	for i := range want.PICells {
-		if got.PICells[i] != want.PICells[i] {
-			t.Fatalf("PI %d mismatch", i)
-		}
-	}
-	for i := range want.POs {
-		if got.POs[i] != want.POs[i] {
-			t.Fatalf("PO %d mismatch", i)
-		}
-	}
-	for i := range want.Insts {
-		if got.Insts[i] != want.Insts[i] {
-			t.Fatalf("inst %d: %v vs %v", i, got.Insts[i], want.Insts[i])
-		}
+	if !bytes.Equal(got.Binary(), want.Binary()) {
+		t.Fatal("equal programs with different encodings")
 	}
 }
 
 // Property: binary round-trip preserves arbitrary generated programs.
 func TestBinaryRoundTripQuick(t *testing.T) {
 	f := func(raw []byte) bool {
-		// Derive a syntactically valid program from the fuzz bytes.
-		p := &Program{Name: "q", NumCells: 16}
+		// Derive a syntactically valid program from the fuzz bytes, with
+		// no more cells than its instructions can reference.
+		p := Parts{Name: "q", NumCells: uint32(min(16, 3*len(raw)))}
 		for i, b := range raw {
 			ins := Instruction{
 				A: Operand{Kind: OperandKind(b % 3)},
@@ -289,22 +321,14 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 			p.Insts = append(p.Insts, ins)
 		}
 		var buf bytes.Buffer
-		if err := p.WriteBinary(&buf); err != nil {
+		if err := build(p).WriteBinary(&buf); err != nil {
 			return false
 		}
 		got, err := ReadBinary(&buf)
 		if err != nil {
 			return false
 		}
-		if len(got.Insts) != len(p.Insts) {
-			return false
-		}
-		for i := range p.Insts {
-			if got.Insts[i] != p.Insts[i] {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(got.Parts(), p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -322,8 +346,8 @@ func TestOperandString(t *testing.T) {
 }
 
 // TestReadAsmNeverPanicsOnMutatedInput mirrors the MIG parser fuzz check
-// for the assembly reader: mutated programs either parse into something
-// Validate accepts or fail cleanly.
+// for the assembly reader: mutated programs either parse into a program
+// whose encoding decodes again or fail cleanly.
 func TestReadAsmNeverPanicsOnMutatedInput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := andProgram().WriteAsm(&buf); err != nil {
@@ -346,8 +370,8 @@ func TestReadAsmNeverPanicsOnMutatedInput(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if verr := got.Validate(); verr != nil {
-				t.Fatalf("ReadAsm accepted an invalid program: %v", verr)
+			if _, derr := DecodeBinary(got.AppendBinary(nil)); derr != nil {
+				t.Fatalf("ReadAsm accepted an invalid program: %v", derr)
 			}
 		}()
 	}

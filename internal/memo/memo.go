@@ -253,13 +253,25 @@ func (c *Cache[K, V]) fill(e *entry[K, V], sp trace.Handle, compute func() (V, e
 	sp.Attr("outcome", outcome)
 	sp.End()
 	e.v, e.err = compute()
-	if e.err == nil && c.tier != nil {
-		switch err := c.tier.Store(e.key, e.v); {
-		case err == nil:
-			c.n.stores.Add(1)
-		case !errors.Is(err, diskcache.ErrNotStorable):
-			c.n.storeErrors.Add(1)
-		}
+	if e.err == nil {
+		c.Store(e.key, e.v)
+	}
+}
+
+// Store writes v back through the tier under key, counted like the
+// write-back of a computed value; a cache without a tier stores nothing.
+// Do stores every value it computes; a caller stores a value it rebuilt
+// outside Do because the tier's copy turned out unusable, so the next
+// process finds a good one.
+func (c *Cache[K, V]) Store(key K, v V) {
+	if c.tier == nil {
+		return
+	}
+	switch err := c.tier.Store(key, v); {
+	case err == nil:
+		c.n.stores.Add(1)
+	case !errors.Is(err, diskcache.ErrNotStorable):
+		c.n.storeErrors.Add(1)
 	}
 }
 

@@ -105,6 +105,11 @@ func (r *Ref) Graph(ctx context.Context) (*MIG, error) {
 	}
 	fn := r.recompute.Load()
 	if fn == nil {
+		// A racing caller may have published the fallback's graph, and
+		// dropped the fallback, since decodePayload looked.
+		if m := r.m.Load(); m != nil {
+			return m, nil
+		}
 		return nil, err
 	}
 	if m, err = (*fn)(ctx); err != nil {

@@ -625,7 +625,7 @@ func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req com
 		// Random and exhaustive batches are generated here, once the
 		// program's input count is known: the span accounts for that time.
 		vsp := trace.StartNoCtx(ctx, "generate", "vectors")
-		b, err := mkBatch(len(p.PICells), len(p.POs))
+		b, err := mkBatch(p.NumPIs(), p.NumPOs())
 		vsp.End()
 		if err != nil {
 			var br badRequest
@@ -646,8 +646,8 @@ func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req com
 			Config:       cfg.Name,
 			Shrink:       shrink,
 			Fingerprint:  fmt.Sprintf("%016x", p.Fingerprint()),
-			Instructions: len(p.Insts),
-			RRAMs:        int(p.NumCells),
+			Instructions: p.NumInstructions(),
+			RRAMs:        int(p.NumCells()),
 			Vectors:      b.Len(),
 			Chunks:       b.Chunks(),
 			Writes:       summarizeWrites(plim.SummarizeWrites(res.Writes)),

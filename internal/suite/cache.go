@@ -16,7 +16,7 @@ import (
 // hit carries the fingerprint its entry records and decodes its graph only
 // when a caller asks for it (a rewrite that misses, Engine.Benchmark), so
 // a fully warm run never decodes a benchmark. A disk payload that fails to
-// decode then is rebuilt. Errors (unknown benchmark, validation failure)
+// decode then is rebuilt, and the rebuilt graph is stored again. Errors (unknown benchmark, validation failure)
 // are not cached, every entry is charged its graph's MemSize, decoded or
 // not, against the byte budget, and each probe records a "cache
 // benchmark-probe" span. Embedding promotes Len and Counters.
@@ -41,21 +41,35 @@ type buildKey struct {
 // and their output serializes fingerprint-faithfully, so a disk-served
 // graph is structurally identical to a fresh build.
 func NewCache(b *memo.Budget, disk *diskcache.Cache) *Cache {
+	c := new(Cache)
 	var tier memo.Tier[buildKey, *mig.Ref]
 	if disk != nil {
-		tier = buildTier{disk}
+		tier = buildTier{disk, c}
 	}
-	return &Cache{memo.New(b, (*mig.Ref).MemSize, "benchmark-probe",
-		func(k buildKey) (string, string) { return "benchmark", k.name }, tier)}
+	c.Cache = memo.New(b, (*mig.Ref).MemSize, "benchmark-probe",
+		func(k buildKey) (string, string) { return "benchmark", k.name }, tier)
+	return c
 }
 
-// buildTier adapts the disk cache's benchmark entries to memo.Tier.
-type buildTier struct{ d *diskcache.Cache }
+// buildTier adapts the disk cache's benchmark entries to memo.Tier. A hit
+// whose payload turns out not to decode is rebuilt where it is first
+// needed, and the rebuilt graph is stored through c, so the entry is
+// rewritten.
+type buildTier struct {
+	d *diskcache.Cache
+	c *Cache
+}
 
 func (t buildTier) Load(k buildKey) (*mig.Ref, diskcache.ProbeOutcome) {
 	r, out := t.d.ProbeBenchmark(k.name, k.shrink)
 	if out == diskcache.ProbeHit {
-		r.Recompute(func(context.Context) (*mig.MIG, error) { return BuildScaled(k.name, k.shrink) })
+		r.Recompute(func(context.Context) (*mig.MIG, error) {
+			m, err := BuildScaled(k.name, k.shrink)
+			if err == nil {
+				t.c.Store(k, mig.NewRef(m))
+			}
+			return m, err
+		})
 	}
 	return r, out
 }

@@ -1,11 +1,11 @@
 // Package verify statically checks PLiM programs. A PLiM program is
 // straight-line — no branches, no loops — so a single linear sweep over
 // the instruction stream proves properties that would otherwise need
-// dynamic observation: every operand is defined before it is read, every
-// address stays inside the allocator's declared footprint, no write is
-// wasted (overwritten before anything reads it), every declared output is
-// actually computed, and the exact number of write pulses each cell
-// receives. The last point is the load-bearing one for the endurance
+// dynamic observation: every operand is defined before it is read, no
+// write is wasted (overwritten before anything reads it), every declared
+// output is actually computed, and the exact number of write pulses each
+// cell receives. That every address stays inside the declared footprint
+// needs no sweep: an isa.Program cannot hold one that does not. The last point is the load-bearing one for the endurance
 // model: static per-cell write counts are data-independent, so they must
 // equal the dynamic wear the interpreter and internal/exec report — any
 // divergence means the wear accounting itself is broken.
@@ -36,8 +36,6 @@ import (
 // Check names the individual properties the verifier proves. They appear
 // in Violation.Check and in the JSON reports served by /v1/compile.
 const (
-	CheckRange      = "range"           // cell reference outside NumCells
-	CheckPIOverlap  = "pi-overlap"      // two PIs share a cell
 	CheckDefUse     = "def-before-use"  // read of a never-written, non-PI cell
 	CheckDeadWrite  = "dead-write"      // write overwritten before any read
 	CheckLiveness   = "output-liveness" // declared PO never computed
@@ -155,42 +153,29 @@ func isPreset(ins isa.Instruction) bool {
 }
 
 // Program verifies p and returns the full report. It never executes an
-// instruction: one O(#insts + #cells) sweep.
+// instruction: one O(#insts + #cells) sweep. Every address of a program
+// is within its cell count and its PI cells are distinct — isa.NewProgram
+// and isa.DecodeBinary refuse anything else — so the sweep checks
+// dataflow, not the footprint.
 func Program(p *isa.Program, opts Options) *Report {
+	cells := p.NumCells()
 	r := &Report{
-		Name:         p.Name,
+		Name:         p.Name(),
 		Fingerprint:  p.Fingerprint(),
-		Instructions: len(p.Insts),
-		Cells:        int(p.NumCells),
-		WriteCounts:  make([]uint64, p.NumCells),
+		Instructions: p.NumInstructions(),
+		Cells:        int(cells),
+		WriteCounts:  make([]uint64, cells),
 	}
 
-	n := int64(p.NumCells)
-	inRange := func(c uint32) bool { return int64(c) < n }
-
-	// Footprint and PI-map checks (the statically declared interface).
-	defined := make([]bool, p.NumCells)
-	piOwner := make([]int32, p.NumCells)
-	for i := range piOwner {
-		piOwner[i] = -1
-	}
-	for i, c := range p.PICells {
-		if !inRange(c) {
-			r.violate(CheckRange, -1, int64(c), "PI %d cell out of range %d", i, p.NumCells)
-			continue
-		}
-		if j := piOwner[c]; j >= 0 {
-			r.violate(CheckPIOverlap, -1, int64(c), "PI %d and PI %d share a cell", j, i)
-			continue
-		}
-		piOwner[c] = int32(i)
+	defined := make([]bool, cells)
+	for _, c := range p.PICells() {
 		defined[c] = true // preloaded before instruction 0
 	}
 
 	// Dataflow sweep. lastWrite[c] is the index of the pending (not yet
 	// read) write to c, or -1; a preset landing on a pending write means
 	// the pending write aged the device for nothing.
-	lastWrite := make([]int32, p.NumCells)
+	lastWrite := make([]int32, cells)
 	for i := range lastWrite {
 		lastWrite[i] = -1
 	}
@@ -200,28 +185,20 @@ func Program(p *isa.Program, opts Options) *Report {
 	var costOps cost.Counts
 	var costWear []uint64
 	if opts.CostModel != nil {
-		costWear = make([]uint64, p.NumCells)
+		costWear = make([]uint64, cells)
 	}
 	read := func(inst int, c uint32, what string) {
-		if !inRange(c) {
-			r.violate(CheckRange, inst, int64(c), "%s cell %d out of range %d", what, c, p.NumCells)
-			return
-		}
 		if !defined[c] {
 			r.violate(CheckDefUse, inst, int64(c), "%s reads cell %d before any write or PI preload", what, c)
 		}
 		lastWrite[c] = -1 // pending write (if any) is now observed
 	}
-	for i, ins := range p.Insts {
+	for i, ins := range p.Insts() {
 		if ins.A.Kind == isa.OpCell {
 			read(i, ins.A.Addr, "operand A")
 		}
 		if ins.B.Kind == isa.OpCell {
 			read(i, ins.B.Addr, "operand B")
-		}
-		if !inRange(ins.Z) {
-			r.violate(CheckRange, i, int64(ins.Z), "destination cell %d out of range %d", ins.Z, p.NumCells)
-			continue
 		}
 		if !isPreset(ins) {
 			// The majority reads the destination's old value.
@@ -248,11 +225,7 @@ func Program(p *isa.Program, opts Options) *Report {
 	}
 
 	// Output liveness, and POs count as reads for deadness.
-	for i, po := range p.POs {
-		if !inRange(po.Addr) {
-			r.violate(CheckRange, -1, int64(po.Addr), "PO %d cell out of range %d", i, p.NumCells)
-			continue
-		}
+	for i, po := range p.POs() {
 		if !defined[po.Addr] {
 			r.violate(CheckLiveness, -1, int64(po.Addr), "PO %d is never computed (cell %d has no write and no PI preload)", i, po.Addr)
 		}

@@ -10,13 +10,17 @@ import (
 // prog builds a minimal valid program: cells 0..1 are PIs, the rest is up
 // to the caller.
 func prog(cells uint32, insts []isa.Instruction, pos ...isa.PORef) *isa.Program {
-	return &isa.Program{
+	p, err := isa.NewProgram(isa.Parts{
 		Name:     "t",
 		NumCells: cells,
 		PICells:  []uint32{0, 1},
 		POs:      pos,
 		Insts:    insts,
+	})
+	if err != nil {
+		panic(err)
 	}
+	return p
 }
 
 func hasCheck(vs []Violation, check string) bool {
@@ -93,33 +97,6 @@ func TestPresetDefinesDestination(t *testing.T) {
 		if !hasCheck(r.Violations, CheckDefUse) {
 			t.Fatalf("%v reads its destination and should be flagged: %+v", ins, r.Violations)
 		}
-	}
-}
-
-func TestRangeViolations(t *testing.T) {
-	p := prog(3, []isa.Instruction{
-		{A: isa.Cell(7), B: isa.Zero, Z: 2}, // operand out of range
-		{A: isa.Zero, B: isa.One, Z: 9},     // destination out of range
-	}, isa.PORef{Addr: 8}) // PO out of range
-	p.PICells = []uint32{0, 5} // PI out of range
-	r := Program(p, Options{})
-	var n int
-	for _, v := range r.Violations {
-		if v.Check == CheckRange {
-			n++
-		}
-	}
-	if n != 4 {
-		t.Fatalf("want 4 range violations, got %d: %+v", n, r.Violations)
-	}
-}
-
-func TestPIOverlap(t *testing.T) {
-	p := prog(3, nil, isa.PORef{Addr: 0})
-	p.PICells = []uint32{1, 1}
-	r := Program(p, Options{})
-	if !hasCheck(r.Violations, CheckPIOverlap) {
-		t.Fatalf("shared PI cell not caught: %+v", r.Violations)
 	}
 }
 

@@ -114,8 +114,9 @@ func TestWarmDiskRunDecodesNoGraph(t *testing.T) {
 
 // TestUndecodableGraphIsRecomputed: a graph whose payload passed every
 // header check but does not decode is rebuilt or re-rewritten where it is
-// first needed, never reported as an error. With the programs gone every
-// compile misses and reads its rewritten graph.
+// first needed, never reported as an error, and stored again, so only the
+// first engine to read it pays. With the programs gone every compile
+// misses and reads its rewritten graph.
 func TestUndecodableGraphIsRecomputed(t *testing.T) {
 	ctx := context.Background()
 	dir, want := primeLazyDir(t)
@@ -137,9 +138,25 @@ func TestUndecodableGraphIsRecomputed(t *testing.T) {
 	if cycles() == 0 {
 		t.Fatal("no rewrite ran for the undecodable rewrite entries")
 	}
+	// Four graph entries and, one per Table I configuration, the
+	// programs of each benchmark; callers racing on one cut entry may
+	// each recompute and store it.
+	if st, _ := eng.PersistentCacheStats(); st.Stores < uint64((4+len(TableIConfigs()))*len(lazySubset)) {
+		t.Fatalf("%+v: want every cut entry and every program stored again", st)
+	}
+	// A second engine decodes and re-hashes every graph it probes: each
+	// cut entry now decodes.
+	verifying := NewEngine(WithShrink(persistShrink), WithPersistentCache(dir), WithVerify(true))
+	if got := lazyCSV(t, verifying); got != want {
+		t.Fatal("the table over the rewritten entries differs from the cold one")
+	}
+	if st, _ := verifying.PersistentCacheStats(); st.BenchmarkHits != 3 || st.RewriteHits != 9 || st.BenchmarkMisses != 0 || st.RewriteMisses != 0 {
+		t.Fatalf("probes %+v, want every rewritten entry to decode", st)
+	}
 
 	// The facade's graph accessors recover the same way, on an engine
 	// that has only the cut entries to go on.
+	cutGraphPayloads(t, dir)
 	fresh := NewEngine(WithShrink(persistShrink))
 	eng = NewEngine(WithShrink(persistShrink), WithPersistentCache(dir))
 	for _, name := range lazySubset {

@@ -3,8 +3,12 @@ package plim
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"plim/internal/isa"
 )
 
 // persistSubset keeps the persistent-cache tests fast while covering a
@@ -168,4 +172,42 @@ func TestPersistentCacheBadDirSurfaces(t *testing.T) {
 	if _, err := eng.Benchmark(context.Background(), "ctrl", 1); err == nil {
 		t.Fatal("unusable cache directory not surfaced")
 	}
+}
+
+// TestDiskWarmSuiteAllocatesLessThanAnInstruction: a warm Table I run over
+// a primed disk cache, at shrink 2 and without WithVerify, allocates fewer
+// bytes per compiled instruction than one decoded isa.Instruction takes:
+// every compile hit reads the counts its program kept and decodes no
+// instruction.
+func TestDiskWarmSuiteAllocatesLessThanAnInstruction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table I at shrink 2")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	if _, err := NewEngine(WithShrink(2), WithPersistentCache(dir)).RunSuite(ctx, TableIConfigs()); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(WithShrink(2), WithPersistentCache(dir))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr, err := eng.RunSuite(ctx, TableIConfigs())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := eng.PersistentCacheStats(); st.CompileMisses != 0 || st.CompileHits == 0 {
+		t.Fatalf("%+v: want every compile a disk hit", st)
+	}
+	insts := 0
+	for _, row := range sr.Reports {
+		for _, rep := range row {
+			insts += rep.NumInstructions()
+		}
+	}
+	perInst := float64(after.TotalAlloc-before.TotalAlloc) / float64(insts)
+	if size := float64(unsafe.Sizeof(isa.Instruction{})); perInst >= size {
+		t.Fatalf("%.1f bytes per compiled instruction over %d instructions, want fewer than %.0f", perInst, insts, size)
+	}
+	t.Logf("%.1f bytes per compiled instruction over %d instructions", perInst, insts)
 }

@@ -13,7 +13,9 @@
 //	m, _ := eng.Benchmark(ctx, "adder", 1)                    // or build your own MIG
 //	rep, _ := eng.Run(ctx, m, plim.Full)                      // rewrite + compile
 //	fmt.Println(rep.Writes)                                   // min/max/STDEV of device writes
-//	out, xbar, _ := plim.Execute(rep.Result.Program, inputs)  // run on the crossbar
+//	p := rep.Result.Program                                   // immutable, read through accessors
+//	inputs := make([]bool, p.NumPIs())
+//	out, xbar, _ := plim.Execute(p, inputs)                   // run on the crossbar
 //
 // Engine methods accept a context.Context for cancellation and report
 // progress through typed events, to an engine-wide callback
@@ -51,8 +53,14 @@ type (
 	MIG = mig.MIG
 	// Signal references an MIG node with optional complement.
 	Signal = mig.Signal
-	// Program is a compiled straight-line RM3 program.
+	// Program is a compiled straight-line RM3 program: immutable, held
+	// in its binary encoding and read through accessors (Insts decodes
+	// the instructions as it goes). NewProgram builds one from its
+	// parts.
 	Program = isa.Program
+	// ProgramParts is a program in plain form, for building or editing
+	// one.
+	ProgramParts = isa.Parts
 	// Instruction is one RM3 operation.
 	Instruction = isa.Instruction
 	// Crossbar is the RRAM array model.
@@ -167,6 +175,9 @@ func NewMIG(name string) *MIG { return mig.New(name) }
 
 // ReadMIG parses a .mig netlist.
 func ReadMIG(r io.Reader) (*MIG, error) { return mig.Read(r) }
+
+// NewProgram builds a program from its parts, validating it.
+func NewProgram(parts ProgramParts) (*Program, error) { return isa.NewProgram(parts) }
 
 // ReadProgram parses a compiled RM3 program in binary form.
 func ReadProgram(r io.Reader) (*Program, error) { return isa.ReadBinary(r) }

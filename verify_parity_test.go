@@ -49,7 +49,7 @@ func TestStaticDynamicWriteParity(t *testing.T) {
 			mustEqual(t, "isa.StaticWriteCounts", static, p.StaticWriteCounts(), 1)
 
 			// Scalar interpreter: one run on a fresh crossbar.
-			inputs := make([]bool, len(p.PICells))
+			inputs := make([]bool, p.NumPIs())
 			for i := range inputs {
 				inputs[i] = i%3 == 0
 			}
@@ -57,10 +57,10 @@ func TestStaticDynamicWriteParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustEqual(t, "interpreter crossbar", static, xbar.WriteCounts(int(p.NumCells)), 1)
+			mustEqual(t, "interpreter crossbar", static, xbar.WriteCounts(int(p.NumCells())), 1)
 
 			// Batched executor: aggregate wear over 64 lanes is 64× static.
-			b := RandomBatch(len(p.PICells), lanes, 7)
+			b := RandomBatch(p.NumPIs(), lanes, 7)
 			res, err := ExecuteBatch(p, b, ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
