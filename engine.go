@@ -594,9 +594,10 @@ func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
 // interpreter's failing instruction, with the error wrapping
 // rram.ErrWornOut.
 //
-// Every call lowers p afresh (exec.Compile, cheaper than hashing p for a
-// cache key), so an execution reads only the program it is given, and
-// chunk events and exec_chunk spans name that program. Cancellation is
+// It runs the batch with exec.Run on the engine's scheduler. Every call
+// lowers p afresh (cheaper than hashing p for a cache key), so an
+// execution reads only the program it is given, and chunk events and
+// exec_chunk spans name that program. Cancellation is
 // honoured between 64-lane chunks, and every completed chunk emits an
 // EventExecuteChunk to the engine's observers.
 //
@@ -615,11 +616,10 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 	ctx, csp := e.begin(ctx, "execute-batch")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	pl := exec.Compile(p)
 	if opts.CostModel == nil {
 		// Engine runs are always priced; an explicit per-call model (e.g. a
 		// design-space sweep re-pricing one program) overrides the engine's.
 		opts.CostModel = e.costModel
 	}
-	return pl.RunSharded(ctx, b, opts, e.scheduler())
+	return exec.Run(ctx, p, b, opts, e.scheduler())
 }

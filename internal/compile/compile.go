@@ -70,14 +70,6 @@ type Options struct {
 	// strategy"; 0 disables it. Values 1–3 cannot express a preset+copy+RM3
 	// sequence and are rejected.
 	MaxWrites uint64
-	// KeepComplementedPOs leaves complemented primary outputs as a negated
-	// read instead of materializing the inverted value (2 instructions and
-	// 1 device each). The paper's cost model materializes them.
-	KeepComplementedPOs bool
-	// PinPIs prevents primary-input devices from being recycled after their
-	// last use. The paper reuses them (its #R figures are below
-	// #PI + #PO + workspace otherwise).
-	PinPIs bool
 	// CostModel, when non-nil, prices every emitted instruction as it is
 	// allocated: the Result gains an exact per-run Cost accumulated at the
 	// emission sites, alongside the allocator's write bookkeeping. Costing
@@ -385,9 +377,6 @@ func (c *compiler) run() error {
 		c.piCells[i] = addr
 		c.cell[pn] = addr
 		c.computed[pn] = true
-		if c.opts.PinPIs {
-			c.remaining[pn]++
-		}
 	}
 	for i := 0; i < m.NumPIs(); i++ {
 		pn := m.PINode(i)
@@ -438,7 +427,8 @@ func (c *compiler) run() error {
 }
 
 // finalizePOs materializes primary outputs: constants get preset devices,
-// complemented outputs get inverted copies (unless KeepComplementedPOs).
+// complemented outputs get inverted copies (2 instructions and 1 device
+// each, as the paper's cost model counts them).
 func (c *compiler) finalizePOs() error {
 	m := c.m
 	c.sc.pos = grow(c.sc.pos, m.NumPOs())
@@ -466,10 +456,6 @@ func (c *compiler) finalizePOs() error {
 		src := c.cell[pn]
 		if !po.Complemented() {
 			c.pos[i] = isa.PORef{Addr: src}
-			continue
-		}
-		if c.opts.KeepComplementedPOs {
-			c.pos[i] = isa.PORef{Addr: src, Neg: true}
 			continue
 		}
 		addr, ok := c.invPOCells[pn]

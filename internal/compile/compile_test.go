@@ -21,8 +21,6 @@ func allOptions() []Options {
 		{Selection: Endurance, Alloc: alloc.MinWrite},
 		{Selection: Endurance, Alloc: alloc.MinWrite, MaxWrites: 10},
 		{Selection: Endurance, Alloc: alloc.MinWrite, MaxWrites: 4},
-		{Selection: Standard, Alloc: alloc.MinWrite, KeepComplementedPOs: true},
-		{Selection: Standard, Alloc: alloc.MinWrite, PinPIs: true},
 	}
 }
 
@@ -222,18 +220,6 @@ func TestComplementedPOMaterialization(t *testing.T) {
 	if res.Program.Parts().POs[0].Addr != res.Program.Parts().POs[1].Addr {
 		t.Fatalf("equal complemented POs must share one device")
 	}
-
-	kept, err := Compile(m, Options{Selection: Standard, Alloc: alloc.MinWrite, KeepComplementedPOs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyCompiled(t, m, kept)
-	if !kept.Program.Parts().POs[0].Neg {
-		t.Fatalf("KeepComplementedPOs must keep the negated read")
-	}
-	if kept.NumInstructions >= res.NumInstructions {
-		t.Fatalf("keeping complements must save instructions (%d vs %d)", kept.NumInstructions, res.NumInstructions)
-	}
 }
 
 func TestConstAndPIOutputs(t *testing.T) {
@@ -323,25 +309,6 @@ func TestMinWriteStrategyDoesNotChangeCosts(t *testing.T) {
 			t.Fatalf("seed %d: #R differs: lifo %d vs minwrite %d", seed, lifo.NumRRAMs, minw.NumRRAMs)
 		}
 	}
-}
-
-func TestPinPIsKeepsInputs(t *testing.T) {
-	m := fullAdderMIG()
-	res, err := Compile(m, Options{Selection: Standard, Alloc: alloc.MinWrite, PinPIs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With pinned PIs, no instruction may target a PI cell.
-	piSet := map[uint32]bool{}
-	for _, c := range res.Program.PICells() {
-		piSet[c] = true
-	}
-	for _, ins := range res.Program.Insts() {
-		if piSet[ins.Z] {
-			t.Fatalf("instruction writes pinned PI cell: %v", ins)
-		}
-	}
-	verifyCompiled(t, m, res)
 }
 
 func TestUnusedPIStillGetsCell(t *testing.T) {

@@ -61,27 +61,53 @@ func Pack(vectors [][]bool) (*Batch, error) {
 }
 
 // PackStrings builds a batch from "0101"-style vector strings (character i
-// is line i), the format the CLIs and the server accept.
+// is line i), the format the CLIs and the server accept. It sizes the
+// batch once and appends every vector with AppendString.
 func PackStrings(vectors []string) (*Batch, error) {
 	if len(vectors) == 0 {
 		return NewBatch(0, 0), nil
 	}
 	b := NewBatch(len(vectors[0]), len(vectors))
-	for v, vec := range vectors {
-		if len(vec) != b.lines {
-			return nil, fmt.Errorf("exec: vector %d has %d lines, want %d", v, len(vec), b.lines)
-		}
-		for i := 0; i < len(vec); i++ {
-			switch vec[i] {
-			case '0':
-			case '1':
-				b.Set(v, i, true)
-			default:
-				return nil, fmt.Errorf("exec: vector %d: bad character %q (want 0 or 1)", v, vec[i])
-			}
+	b.n = 0
+	for i := range b.words {
+		b.words[i] = b.words[i][:0]
+	}
+	for _, vec := range vectors {
+		if err := b.AppendString(vec); err != nil {
+			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// AppendString appends one "0101"-style vector (character i is line i).
+// The first vector appended to an empty batch fixes its width; every later
+// one must match it. Word columns grow by one per 64 vectors (amortized
+// append), so a batch built vector by vector — the server's streamed input
+// — holds the packed size of what has arrived, never the raw text. On an
+// error the batch is left as it was.
+func (b *Batch) AppendString(vec string) error {
+	for i := 0; i < len(vec); i++ {
+		if vec[i] != '0' && vec[i] != '1' {
+			return fmt.Errorf("exec: vector %d: bad character %q (want 0 or 1)", b.n, vec[i])
+		}
+	}
+	if b.n == 0 && len(vec) != b.lines {
+		b.lines = len(vec)
+		b.words = make([][]uint64, b.lines)
+	}
+	if len(vec) != b.lines {
+		return fmt.Errorf("exec: vector %d has %d lines, want %d", b.n, len(vec), b.lines)
+	}
+	chunk, bit := b.n/wordBits, uint(b.n%wordBits)
+	for i := range b.words {
+		if bit == 0 {
+			b.words[i] = append(b.words[i], 0)
+		}
+		b.words[i][chunk] |= uint64(vec[i]-'0') << bit
+	}
+	b.n++
+	return nil
 }
 
 // Random returns a batch of n uniformly random vectors, deterministic in

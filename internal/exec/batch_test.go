@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -55,6 +56,81 @@ func TestPackStrings(t *testing.T) {
 	}
 	if _, err := PackStrings([]string{"01", "011"}); err == nil {
 		t.Fatal("ragged strings accepted")
+	}
+}
+
+// TestAppendStringMatchesPackStrings: growing an empty batch one vector
+// at a time is equivalent to the one-shot constructor across
+// chunk-boundary sizes, including Hash (the coalescing key), so streamed
+// and buffered requests coalesce.
+func TestAppendStringMatchesPackStrings(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 128, 200} {
+		vecs := make([]string, n)
+		for v := range vecs {
+			buf := make([]byte, 7)
+			for i := range buf {
+				buf[i] = '0' + byte((v>>uint(i%3)+i*v)&1)
+			}
+			vecs[v] = string(buf)
+		}
+		want, err := PackStrings(vecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := NewBatch(0, 0)
+		for _, vec := range vecs {
+			if err := got.AppendString(vec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.Len() != n || got.Lines() != 7 || got.Chunks() != want.Chunks() {
+			t.Fatalf("n=%d: dimensions %d×%d/%d", n, got.Lines(), got.Len(), got.Chunks())
+		}
+		if got.Hash() != want.Hash() || !slices.Equal(got.Strings(), want.Strings()) {
+			t.Fatalf("n=%d: appended batch diverges from PackStrings", n)
+		}
+	}
+}
+
+// TestAppendStringRejectsBadInput: a ragged or non-binary vector is
+// refused and leaves the batch as it was.
+func TestAppendStringRejectsBadInput(t *testing.T) {
+	b := NewBatch(0, 0)
+	if err := b.AppendString("010"); err != nil {
+		t.Fatal(err)
+	}
+	h := b.Hash()
+	if err := b.AppendString("0101"); err == nil {
+		t.Fatal("ragged vector accepted")
+	}
+	if err := b.AppendString("01x"); err == nil {
+		t.Fatal("bad character accepted")
+	}
+	if b.Len() != 1 || b.Lines() != 3 || b.Hash() != h {
+		t.Fatalf("refused vectors changed the batch: %d×%d", b.Lines(), b.Len())
+	}
+	b = NewBatch(0, 0)
+	if err := b.AppendString("01x"); err == nil {
+		t.Fatal("bad character accepted")
+	}
+	if b.Len() != 0 || b.Lines() != 0 {
+		t.Fatalf("refused first vector changed the empty batch: %d×%d", b.Lines(), b.Len())
+	}
+}
+
+// TestAppendStringEmpty: an empty batch has no chunks, and the first
+// vector appended fixes its width whatever width it was made with.
+func TestAppendStringEmpty(t *testing.T) {
+	b := NewBatch(0, 0)
+	if b.Len() != 0 || b.Lines() != 0 || b.Chunks() != 0 {
+		t.Fatalf("empty batch: %d×%d", b.Lines(), b.Len())
+	}
+	b = NewBatch(5, 0)
+	if err := b.AppendString("01"); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 1 || b.Lines() != 2 || b.Chunks() != 1 || b.Strings()[0] != "01" {
+		t.Fatalf("first vector did not fix the width: %d×%d %q", b.Lines(), b.Len(), b.Strings())
 	}
 }
 

@@ -66,8 +66,7 @@ func TestEquivalenceAllPolicies(t *testing.T) {
 			m, progs := compileAll(t, tc.name, tc.shrink)
 			b := inputBatch(t, m.NumPIs())
 			for cfgName, p := range progs {
-				pl := Compile(p)
-				res, err := pl.RunContext(context.Background(), b, Options{})
+				res, err := Run(context.Background(), p, b, Options{}, nil)
 				if err != nil {
 					t.Fatalf("%s: run: %v", cfgName, err)
 				}
@@ -160,9 +159,8 @@ func TestEnduranceFaultMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := Compile(p)
 	for _, endurance := range []uint64{1, maxWrites - 1, maxWrites, maxWrites + 1} {
-		res, err := pl.RunContext(context.Background(), b, Options{Endurance: endurance})
+		res, err := Run(context.Background(), p, b, Options{Endurance: endurance}, nil)
 		scalarAt := scalarFaultIndex(t, p, b.Vector(0), endurance)
 		if scalarAt < 0 {
 			if err != nil {
@@ -208,28 +206,28 @@ func TestEnduranceFaultMatchesScalar(t *testing.T) {
 
 func TestRunContextCancellation(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl := Compile(progs["naive"])
+	p := progs["naive"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b, _ := Exhaustive(pl.NumInputs())
-	if _, err := pl.RunContext(ctx, b, Options{}); !errors.Is(err, context.Canceled) {
+	b, _ := Exhaustive(p.NumPIs())
+	if _, err := Run(ctx, p, b, Options{}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
 func TestOnChunkProgress(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl := Compile(progs["naive"])
-	b, _ := Exhaustive(pl.NumInputs()) // 128 vectors = 2 chunks
+	p := progs["naive"]
+	b, _ := Exhaustive(p.NumPIs()) // 128 vectors = 2 chunks
 	var calls []int
 	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
 		c := ev.(progress.ExecuteChunk)
-		if c.Total != b.Chunks() || c.Program != pl.src.Name() || c.Vectors != b.Len() {
-			t.Fatalf("event %+v, want %d chunks of %d vectors of %s", c, b.Chunks(), b.Len(), pl.src.Name())
+		if c.Total != b.Chunks() || c.Program != p.Name() || c.Vectors != b.Len() {
+			t.Fatalf("event %+v, want %d chunks of %d vectors of %s", c, b.Chunks(), b.Len(), p.Name())
 		}
 		calls = append(calls, c.Done)
 	})
-	_, err := pl.RunContext(ctx, b, Options{})
+	_, err := Run(ctx, p, b, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,16 +238,16 @@ func TestOnChunkProgress(t *testing.T) {
 
 func TestInputWidthMismatch(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl := Compile(progs["naive"])
-	if _, err := pl.Run(NewBatch(pl.NumInputs()+1, 4)); err == nil {
+	p := progs["naive"]
+	if _, err := Run(context.Background(), p, NewBatch(p.NumPIs()+1, 4), Options{}, nil); err == nil {
 		t.Fatal("width mismatch accepted")
 	}
 }
 
 func TestEmptyBatch(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl := Compile(progs["naive"])
-	res, err := pl.Run(NewBatch(pl.NumInputs(), 0))
+	p := progs["naive"]
+	res, err := Run(context.Background(), p, NewBatch(p.NumPIs(), 0), Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +257,7 @@ func TestEmptyBatch(t *testing.T) {
 		}
 	}
 	// Even a would-fault endurance budget has no lane to fault in.
-	if _, err := pl.RunContext(context.Background(), NewBatch(pl.NumInputs(), 0), Options{Endurance: 1}); err != nil {
+	if _, err := Run(context.Background(), p, NewBatch(p.NumPIs(), 0), Options{Endurance: 1}, nil); err != nil {
 		t.Fatalf("empty batch faulted: %v", err)
 	}
 }
@@ -312,11 +310,13 @@ func BenchmarkExec64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl := Compile(rep.Result.Program)
-	batch := Random(pl.NumInputs(), 256, 1)
+	// Lower once: the loop times the run of a lowered program.
+	p := rep.Result.Program
+	ops := lower(p)
+	batch := Random(p.NumPIs(), 256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.Run(batch); err != nil {
+		if _, err := run(context.Background(), p, ops, batch, Options{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,21 +14,21 @@ import (
 
 // TestRunShardedMatchesSequential is the determinism proof for parallel
 // chunk joins: for every Table I policy, outputs, per-cell write counts
-// and per-cell switch counts of the sharded run are exactly the
-// sequential RunContext's, across several worker counts and batch shapes.
+// and per-cell switch counts of a run sharded over a pool are exactly
+// those of the one-range run without a pool, across several worker counts
+// and batch shapes.
 func TestRunShardedMatchesSequential(t *testing.T) {
 	_, progs := compileAll(t, "int2float", 2)
 	for name, p := range progs {
-		pl := Compile(p)
 		for _, vectors := range []int{1, 64, 65, 257, 1024} {
-			b := Random(pl.NumInputs(), vectors, int64(vectors)*7+3)
-			want, err := pl.RunContext(context.Background(), b, Options{})
+			b := Random(p.NumPIs(), vectors, int64(vectors)*7+3)
+			want, err := Run(context.Background(), p, b, Options{}, nil)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, vectors, err)
 			}
 			for _, workers := range []int{2, 3, 8} {
 				pool := sched.New(workers)
-				got, err := pl.RunSharded(context.Background(), b, Options{}, pool)
+				got, err := Run(context.Background(), p, b, Options{}, pool)
 				pool.Stop()
 				if err != nil {
 					t.Fatalf("%s/%d/w%d: %v", name, vectors, workers, err)
@@ -55,16 +55,16 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 // run reports the same instruction and partial wear as the sequential one.
 func TestRunShardedFaultMatchesSequential(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl := Compile(progs["naive"])
-	b := Random(pl.NumInputs(), 300, 0xfeed)
+	p := progs["naive"]
+	b := Random(p.NumPIs(), 300, 0xfeed)
 	opts := Options{Endurance: 2}
-	want, werr := pl.RunContext(context.Background(), b, opts)
+	want, werr := Run(context.Background(), p, b, opts, nil)
 	if werr == nil {
 		t.Skip("naive/ctrl does not fault at endurance 2")
 	}
 	pool := sched.New(4)
 	defer pool.Stop()
-	got, gerr := pl.RunSharded(context.Background(), b, opts, pool)
+	got, gerr := Run(context.Background(), p, b, opts, pool)
 	if gerr == nil {
 		t.Fatal("sharded run did not fault")
 	}
@@ -87,8 +87,8 @@ func TestRunShardedFaultMatchesSequential(t *testing.T) {
 // monotone done counts (values 1..total, unordered across workers).
 func TestRunShardedOnChunk(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl := Compile(progs["full"])
-	b := Random(pl.NumInputs(), 64*9, 42)
+	p := progs["full"]
+	b := Random(p.NumPIs(), 64*9, 42)
 	pool := sched.New(4)
 	defer pool.Stop()
 	var mu sync.Mutex
@@ -105,7 +105,7 @@ func TestRunShardedOnChunk(t *testing.T) {
 		}
 		seen[c.Done]++
 	})
-	_, err := pl.RunSharded(ctx, b, Options{}, pool)
+	_, err := Run(ctx, p, b, Options{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestRunShardedOnChunk(t *testing.T) {
 // TestRunShardedCancellation: a cancelled context surfaces as ctx.Err().
 func TestRunShardedCancellation(t *testing.T) {
 	_, progs := compileAll(t, "ctrl", 1)
-	pl := Compile(progs["full"])
-	b := Random(pl.NumInputs(), 64*32, 7)
+	p := progs["full"]
+	b := Random(p.NumPIs(), 64*32, 7)
 	pool := sched.New(2)
 	defer pool.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pl.RunSharded(ctx, b, Options{}, pool); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, p, b, Options{}, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -8,12 +8,13 @@ import (
 
 // DefaultHotPathRoots are the pinned entry points of the two allocation-
 // sensitive paths: the compiler (run once per compile request, gated by an
-// allocs/op benchmark) and the batched executor's plan runner (run once per
-// executed batch). Roots are written pkg.Func or pkg.Type.Method, where pkg
-// is the import path or the bare package name.
+// allocs/op benchmark) and the batched executor's one runner (run once per
+// executed batch, on the calling goroutine or sharded over the scheduler).
+// Roots are written pkg.Func or pkg.Type.Method, where pkg is the import
+// path or the bare package name.
 var DefaultHotPathRoots = []string{
 	"plim/internal/compile.CompileWith",
-	"plim/internal/exec.Plan.RunContext",
+	"plim/internal/exec.Run",
 }
 
 // HotPathAlloc flags allocation sites in functions reachable from
@@ -33,7 +34,9 @@ var HotPathAlloc = HotPathAllocWithRoots(DefaultHotPathRoots)
 // container/heap (which box their arguments). Calls through stored
 // function values are invisible to a syntactic graph — keep hot-path
 // indirection behind interfaces out of these packages, or add explicit
-// roots. A deliberate allocation is acknowledged in place:
+// roots. A root whose package is loaded but which names no function in it
+// is reported, so a renamed root cannot silently check nothing. A
+// deliberate allocation is acknowledged in place:
 //
 //	//plim:alloc-ok one-time result copy, not per-node
 //	out := append([]uint64(nil), counts...)
@@ -102,13 +105,30 @@ func hotPathAlloc(pkgs []*Package, roots []string) []Diagnostic {
 	}
 	var queue []*funcNode
 	reached := make(map[*funcNode]bool)
+	named := make(map[string]bool, len(roots))
 	for _, n := range nodes {
 		for _, key := range []string{n.pkg.Path + "." + n.name, n.pkg.Name + "." + n.name} {
-			if r, ok := rootSet[key]; ok && !reached[n] {
-				n.root = r
-				reached[n] = true
-				queue = append(queue, n)
+			if r, ok := rootSet[key]; ok {
+				named[r] = true
+				if !reached[n] {
+					n.root = r
+					reached[n] = true
+					queue = append(queue, n)
+				}
 			}
+		}
+	}
+	// A root that names nothing in its loaded package would check nothing
+	// and pass: after a rename, that is a silently dropped hot path. A
+	// root whose package is not loaded (a single-directory run) is silent.
+	var diags []Diagnostic
+	for _, r := range roots {
+		if pkg := rootPackage(pkgs, r); pkg != nil && !named[r] {
+			diags = append(diags, Diagnostic{
+				Pos:      pkg.Fset.Position(pkg.Files[0].Name.Pos()),
+				Analyzer: "hotpathalloc",
+				Message:  fmt.Sprintf("hot-path root %s names no function in package %s", r, pkg.Path),
+			})
 		}
 	}
 
@@ -134,7 +154,6 @@ func hotPathAlloc(pkgs []*Package, roots []string) []Diagnostic {
 	}
 
 	// Scan reachable bodies for allocation sites.
-	var diags []Diagnostic
 	for _, n := range nodes {
 		if !reached[n] {
 			continue
@@ -160,6 +179,19 @@ func hotPathAlloc(pkgs []*Package, roots []string) []Diagnostic {
 		})
 	}
 	return diags
+}
+
+// rootPackage returns the loaded package a root spec (pkg.Func or
+// pkg.Type.Method) is written against, or nil when none is loaded.
+func rootPackage(pkgs []*Package, root string) *Package {
+	for _, pkg := range pkgs {
+		for _, prefix := range []string{pkg.Path + ".", pkg.Name + "."} {
+			if rest, ok := strings.CutPrefix(root, prefix); ok && !strings.Contains(rest, "/") {
+				return pkg
+			}
+		}
+	}
+	return nil
 }
 
 // resolve returns the possible callees of one call expression.

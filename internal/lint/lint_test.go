@@ -60,12 +60,31 @@ func TestHotPathFixture(t *testing.T) {
 	}
 }
 
+// TestHotPathNoRootsNoFindings: a root in a package that is not loaded
+// reaches nothing and reports nothing, as in a single-directory run with
+// the default roots.
 func TestHotPathNoRootsNoFindings(t *testing.T) {
 	pkgs := loadFixture(t, "hotpath")
-	a := HotPathAllocWithRoots([]string{"hotpath.NoSuchRoot"})
+	a := HotPathAllocWithRoots([]string{"elsewhere.Hot"})
 	if diags := Run(pkgs, []*Analyzer{a}); len(diags) != 0 {
 		t.Fatalf("no reachable roots but got %d diagnostics: %v", len(diags), diags)
 	}
+}
+
+// TestHotPathStaleRootReported: a root whose package is loaded but which
+// names no function in it is a finding of its own, beside the findings of
+// the roots that do name one.
+func TestHotPathStaleRootReported(t *testing.T) {
+	pkgs := loadFixture(t, "hotpath")
+	a := HotPathAllocWithRoots([]string{"hotpath.Hot", "hotpath.NoSuchRoot"})
+	expectDiags(t, Run(pkgs, []*Analyzer{a}), []string{
+		"hot-path root hotpath.NoSuchRoot names no function in package hotpath",
+		"make(map) allocates",
+		"append onto a fresh slice",
+		"sort.Ints",
+		"conversion to any",
+		"map literal",
+	})
 }
 
 func TestDeterminismFixture(t *testing.T) {

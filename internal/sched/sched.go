@@ -391,7 +391,6 @@ func (p *Pool) stealLocked(w *worker) *Task {
 		}
 		half := (len(v.deque) + 1) / 2
 		stolen := v.deque[:half]
-		v.deque = append([]*Task(nil), v.deque[half:]...)
 		w.steals.Add(1)
 		for _, s := range stolen {
 			s.stolen = int32(v.id) + 1
@@ -402,6 +401,11 @@ func (p *Pool) stealLocked(w *worker) *Task {
 		for j := len(stolen) - 1; j >= 1; j-- {
 			w.deque = append(w.deque, stolen[j])
 		}
+		// The victim keeps its newer half, moved to the front of its own
+		// backing array: a steal allocates nothing.
+		kept := copy(v.deque, v.deque[half:])
+		clear(v.deque[kept:])
+		v.deque = v.deque[:kept]
 		return t
 	}
 	return nil

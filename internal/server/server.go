@@ -573,17 +573,17 @@ func (s *Server) handleExecuteStream(w http.ResponseWriter, r *http.Request) {
 		fail(err.Error())
 		return
 	}
-	bu := plim.NewBatchBuilder()
+	b := plim.NewBatch(0, 0)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue // tolerate blank lines and trailing newlines
 		}
-		if bu.Len() >= maxExecuteVectors {
+		if b.Len() >= maxExecuteVectors {
 			fail(fmt.Sprintf("at most %d vectors per request", maxExecuteVectors))
 			return
 		}
-		if err := bu.AddString(line); err != nil {
+		if err := b.AppendString(line); err != nil {
 			fail(fmt.Sprintf("invalid vector: %s", err))
 			return
 		}
@@ -592,11 +592,10 @@ func (s *Server) handleExecuteStream(w http.ResponseWriter, r *http.Request) {
 		fail(fmt.Sprintf("reading vectors: %s", err))
 		return
 	}
-	if bu.Len() == 0 {
+	if b.Len() == 0 {
 		fail("ndjson body carries no vectors")
 		return
 	}
-	b := bu.Batch()
 	vecKey := fmt.Sprintf("v:%016x", b.Hash())
 	s.dispatchExecute(w, r, req, cfg, vecKey, decoded(b))
 }

@@ -231,13 +231,19 @@ func Execute(p *Program, inputs []bool) ([]bool, *Crossbar, error) {
 // ExecuteBatch evaluates a program over a whole batch of input vectors with
 // the bit-sliced executor (64 vectors per machine word) — semantically
 // identical to one scalar Execute per vector, including aggregate wear and
-// endurance faults, at a fraction of the cost. Engine.ExecuteBatch adds
-// the engine's scheduler, progress events and cancellation on top.
+// endurance faults, at a fraction of the cost. It runs the whole batch on
+// the calling goroutine; Engine.ExecuteBatch shards it over the engine's
+// scheduler and adds progress events and cancellation.
 func ExecuteBatch(p *Program, b *Batch, opts ExecOptions) (*ExecResult, error) {
-	return exec.Execute(context.Background(), p, b, opts)
+	return exec.Run(context.Background(), p, b, opts, nil)
 }
 
 // NewBatch returns an all-zero batch of n vectors of the given width.
+// NewBatch(0, 0) is the empty batch that Batch.AppendString grows one
+// "0101"-style vector at a time, the first vector fixing the width — the
+// constructor behind streamed (NDJSON) vector input: the packed form grows
+// by one machine word per line per 64 vectors, so memory never tracks the
+// raw input text.
 func NewBatch(lines, n int) *Batch { return exec.NewBatch(lines, n) }
 
 // PackBatchStrings packs "0101"-style vector strings (character i is
@@ -246,17 +252,6 @@ func PackBatchStrings(vectors []string) (*Batch, error) { return exec.PackString
 
 // RandomBatch returns n uniformly random vectors, deterministic in seed.
 func RandomBatch(lines, n int, seed int64) *Batch { return exec.Random(lines, n, seed) }
-
-// BatchBuilder packs vectors into a Batch incrementally, one vector at a
-// time, without knowing the final count up front — the constructor behind
-// streamed (NDJSON) vector input. See NewBatchBuilder.
-type BatchBuilder = exec.Builder
-
-// NewBatchBuilder returns an empty incremental batch builder. Feed it
-// "0101"-style vectors with AddString (the first fixes the width) and
-// freeze the result with Batch; the packed form grows by one machine word
-// per line per 64 vectors, so memory never tracks the raw input text.
-func NewBatchBuilder() *BatchBuilder { return exec.NewBuilder() }
 
 // ExhaustiveBatch returns the full 2^lines truth-table batch (lines ≤ 24),
 // the input of whole-truth-table equivalence checks between compiled
