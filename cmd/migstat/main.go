@@ -130,11 +130,7 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		vr := rep.Verify
-		if vr == nil {
-			vr = plim.Verify(rep.Result.Program, plim.VerifyOptions{CostModel: eng.CostModel()})
-			verify.CheckWriteParity(vr, rep.Result.WriteCounts, "allocator")
-		}
+		vr := rep.Verify // set on every compile of an engine built WithVerify
 		fmt.Println()
 		vr.Render(os.Stdout, verify.RenderOptions{Verbose: *verbose})
 		if !vr.OK() {

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -36,8 +35,8 @@ import (
 
 func main() {
 	var (
-		inFile    = flag.String("in", "", "compiled program to verify (.bin binary or .plim/.asm assembly)")
-		format    = flag.String("format", "auto", "input format: auto|bin|asm")
+		inFile    = flag.String("in", "", "compiled program to verify (binary or assembly)")
+		format    = flag.String("format", "auto", "input format: auto (sniff the binary magic)|bin|asm")
 		benchName = flag.String("bench", "", "compile-and-verify a benchmark instead of reading a program")
 		cfgName   = flag.String("config", "full", "configuration for -bench: naive|compiler21|minwrite|rewriting|full, optionally +capN")
 		cap       = flag.Uint64("cap", 0, "per-cell write cap to check against (0 = the config's cap, if any)")
@@ -95,32 +94,12 @@ func main() {
 	}
 }
 
-// checkFile verifies a program read from disk. These bytes may come from
-// anywhere — the codec rejects malformed streams with an error, and the
-// verifier judges whatever decodes.
+// checkFile verifies a program read from disk; the verifier judges
+// whatever decodes.
 func checkFile(path, format string, cap uint64, cm *plim.CostModel) (*plim.VerifyReport, error) {
-	data, err := os.ReadFile(path)
+	p, err := cli.ReadProgram(path, format)
 	if err != nil {
-		return nil, err
-	}
-	if format == "auto" {
-		if bytes.HasPrefix(data, []byte("PLIM")) {
-			format = "bin"
-		} else {
-			format = "asm"
-		}
-	}
-	var p *plim.Program
-	switch format {
-	case "bin":
-		p, err = plim.ReadProgram(bytes.NewReader(data))
-	case "asm":
-		p, err = plim.ReadProgramAsm(bytes.NewReader(data))
-	default:
-		return nil, fmt.Errorf("plimcheck: unknown -format %q (want auto, bin or asm)", format)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("plimcheck: %s: %w", path, err)
+		return nil, fmt.Errorf("plimcheck: %w", err)
 	}
 	return plim.Verify(p, plim.VerifyOptions{MaxWrites: cap, CostModel: cm}), nil
 }
@@ -152,14 +131,6 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 	if err != nil {
 		return nil, err
 	}
-	// The engine ran WithVerify, so hard violations (including allocator
-	// parity, checked in core) would have failed Run; the report remains
-	// for wear numbers and dead-write warnings.
-	rpt := rep.Verify
-	if rpt == nil {
-		rpt = plim.Verify(rep.Result.Program, plim.VerifyOptions{MaxWrites: cfg.MaxWrites, CostModel: cm})
-		verify.CheckWriteParity(rpt, rep.Result.WriteCounts, "allocator")
-	}
 	if tracePath != "" {
 		if err := cli.WriteTrace(eng, "plimcheck", tracePath, verbose); err != nil {
 			return nil, err
@@ -168,5 +139,8 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 	if s, ok := eng.CacheSummary(); ok {
 		fmt.Fprintln(os.Stderr, s)
 	}
-	return rpt, nil
+	// The engine runs WithVerify, so every report carries its verification:
+	// a hard violation (allocator parity included, checked in core) fails
+	// Run, and the report remains for wear numbers and dead-write warnings.
+	return rep.Verify, nil
 }

@@ -38,7 +38,7 @@ import (
 
 func main() {
 	var (
-		inFile    = flag.String("in", "", "compiled program (.bin or .plim assembly)")
+		inFile    = flag.String("in", "", "compiled program (binary or assembly, told apart by the binary magic)")
 		inputsHex = flag.String("inputs", "", "input bits, LSB-first string of 0/1 (length = #PI)")
 		batchFile = flag.String("batch", "", `file of input vectors, one 0/1 string per line ("-" = stdin)`)
 		random    = flag.Int("random", 0, "run N random input vectors instead")
@@ -57,9 +57,9 @@ func main() {
 	if *inFile == "" {
 		cli.Fatal(fmt.Errorf("plimrun: need -in"))
 	}
-	prog, err := loadProgram(*inFile)
+	prog, err := cli.ReadProgram(*inFile, "auto")
 	if err != nil {
-		cli.Fatal(err)
+		cli.Fatal(fmt.Errorf("plimrun: %w", err))
 	}
 	npi := prog.NumPIs()
 	fmt.Printf("program     %s: %d instructions, %d devices, %d inputs, %d outputs\n",
@@ -201,18 +201,6 @@ func loadReference(ref string, shrink int, cacheDir string) (*plim.MIG, error) {
 	}
 	eng := plim.NewEngine(plim.WithPersistentCache(cacheDir))
 	return eng.Benchmark(context.Background(), ref, shrink)
-}
-
-func loadProgram(path string) (*plim.Program, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".plim") || strings.HasSuffix(path, ".asm") {
-		return plim.ReadProgramAsm(f)
-	}
-	return plim.ReadProgram(f)
 }
 
 // checkBatch compares the executor's packed outputs against word-parallel

@@ -37,6 +37,7 @@ import (
 
 	"plim"
 	"plim/internal/cli"
+	"plim/internal/core"
 )
 
 func main() {
@@ -57,6 +58,20 @@ func main() {
 			"persistent cache directory shared across plimtab/plimc invocations (default $PLIM_CACHE_DIR; empty = off)")
 	)
 	flag.Parse()
+
+	want := func(name string) bool { return *table == "all" || *table == name }
+	// Each cap is a full+capN configuration, parsed as every other config
+	// name is, and refused before any suite runs.
+	var capCfgs []plim.Config
+	if want("3") {
+		for _, c := range strings.Split(*caps, ",") {
+			cfg, err := core.ParseConfig("full+cap"+strings.TrimSpace(c), 0)
+			if err != nil {
+				cli.Fatal(fmt.Errorf("plimtab: -caps: %w", err))
+			}
+			capCfgs = append(capCfgs, cfg)
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -123,7 +138,6 @@ func main() {
 		}
 	}
 
-	want := func(name string) bool { return *table == "all" || *table == name }
 	start := time.Now()
 
 	if want("1") || want("2") || want("cost") {
@@ -157,15 +171,7 @@ func main() {
 
 	if want("3") {
 		progress("running Table III cap sweep...")
-		var cfgs []plim.Config
-		for _, c := range strings.Split(*caps, ",") {
-			var w uint64
-			if _, err := fmt.Sscanf(strings.TrimSpace(c), "%d", &w); err != nil {
-				cli.Fatal(fmt.Errorf("plimtab: bad cap %q", c))
-			}
-			cfgs = append(cfgs, plim.FullCap(w))
-		}
-		sr, err := eng.RunSuite(ctx, cfgs, names...)
+		sr, err := eng.RunSuite(ctx, capCfgs, names...)
 		if err != nil {
 			cli.Fatal(err)
 		}

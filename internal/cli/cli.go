@@ -1,8 +1,9 @@
 // Package cli holds what the plim command-line tools share: the fatal
-// exit, file output and -trace export.
+// exit, program-file input, file output and -trace export.
 package cli
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -14,6 +15,37 @@ import (
 func Fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// ReadProgram reads the compiled program at path. format "bin" or "asm"
+// forces the binary encoding or assembly text; "auto" tells them apart by
+// the binary encoding's "PLIM" magic, whatever the file is named. The
+// bytes may come from anywhere: the codecs refuse a malformed program with
+// an error.
+func ReadProgram(path, format string) (*plim.Program, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if format == "auto" {
+		format = "asm"
+		if bytes.HasPrefix(data, []byte("PLIM")) {
+			format = "bin"
+		}
+	}
+	var p *plim.Program
+	switch format {
+	case "bin":
+		p, err = plim.ReadProgram(bytes.NewReader(data))
+	case "asm":
+		p, err = plim.ReadProgramAsm(bytes.NewReader(data))
+	default:
+		return nil, fmt.Errorf("unknown -format %q (want auto, bin or asm)", format)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return p, nil
 }
 
 // WriteFile creates path and fills it with write, returning the first

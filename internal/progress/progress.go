@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Event is a progress notification. The concrete types are RewriteCycle,
-// CompileStart, CompileDone, BenchmarkStart, BenchmarkDone and
-// ExecuteChunk.
+// Event is a progress notification. The concrete types are TaskStart,
+// TaskDone, RewriteCycle, CompileStart, CompileDone, BenchmarkStart,
+// BenchmarkDone and ExecuteChunk.
 type Event interface{ event() }
 
 // Func receives progress events. A nil Func discards them. Unless the

@@ -36,13 +36,14 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"time"
 
 	"plim"
 )
 
-// computeRequest is the body shared by the three compute endpoints; each
+// computeRequest is the body shared by the four compute endpoints; each
 // endpoint ignores the fields it has no use for.
 type computeRequest struct {
 	// Benchmark names one of the paper's benchmarks; Netlist inlines a .mig
@@ -101,6 +102,10 @@ type computeRequest struct {
 	// Output selects the /v1/execute outputs encoding: "strings" (default)
 	// or "packed".
 	Output string `json:"output,omitempty"`
+
+	// vectorLines scans the vector lines of a streamed (NDJSON) /v1/execute
+	// body, whose first line was the request; vectorSource packs them.
+	vectorLines *bufio.Scanner
 
 	// TimeoutMS caps this request's total time (queue wait included);
 	// 0 uses the server default. Coalesced requests share the deadline of

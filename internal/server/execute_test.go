@@ -193,6 +193,7 @@ func TestExecuteBadRequests(t *testing.T) {
 		{"bad packed dims", `{"benchmark":"ctrl","vectors_packed":{"n":70,"lines":2,"words":"AAAAAAAAAAA="}}`},
 		{"unknown output", `{"benchmark":"ctrl","random":4,"output":"hex"}`},
 		{"no function source", `{"random":4}`},
+		{"exhaustive over 20 inputs", `{"netlist":".model wide\n` + strings.Repeat(`.pi\n`, 21) + `.po 1\n.end\n","exhaustive":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -376,6 +377,7 @@ func TestExecuteNDJSONBadRequests(t *testing.T) {
 		{"unknown field", `{"benchmark":"ctrl","frobnicate":1}`, []string{"01"}},
 		{"unknown output", `{"benchmark":"ctrl","output":"hex"}`, []string{"01"}},
 		{"no function source", `{}`, []string{"01"}},
+		{"blank request line", "", []string{"01"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

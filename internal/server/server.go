@@ -105,10 +105,10 @@ func New(eng *plim.Engine, opts Options) *Server {
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /v1/benchmarks", s.instrument("benchmarks", s.handleBenchmarks))
-	s.mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.handleCompile))
-	s.mux.HandleFunc("POST /v1/execute", s.instrument("execute", s.handleExecute))
-	s.mux.HandleFunc("POST /v1/rewrite", s.instrument("rewrite", s.handleRewrite))
-	s.mux.HandleFunc("POST /v1/suite", s.instrument("suite", s.handleSuite))
+	s.mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.serve(readBody, s.compile)))
+	s.mux.HandleFunc("POST /v1/execute", s.instrument("execute", s.serve(readExecute, s.execute)))
+	s.mux.HandleFunc("POST /v1/rewrite", s.instrument("rewrite", s.serve(readBody, s.rewrite)))
+	s.mux.HandleFunc("POST /v1/suite", s.instrument("suite", s.serve(readBody, s.suite)))
 	return s
 }
 
@@ -209,35 +209,98 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// badRequest is a request-validation failure answered before any
-// computation is planned.
+// badRequest is a refusal of the request: answered 400 before the flight
+// starts, or by the flight once the program's widths are known (see
+// errorResult).
 type badRequest struct{ msg string }
 
 func (e badRequest) Error() string { return e.msg }
 
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (computeRequest, error) {
-	var req computeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if errors.Is(err, io.EOF) {
-			return req, nil // empty body: all defaults
+// A computation is one flight's work. Its context carries the flight's
+// deadline, its trace when traced, and its progress observer.
+type computation func(ctx context.Context) response
+
+// An endpoint checks the fields of a compute request that its route reads
+// and plans the request's flight: the flight key, less the trace flag, and
+// the computation.
+type endpoint func(req computeRequest) (key string, fn computation, err error)
+
+// serve is the one request path of the compute endpoints: read decodes the
+// request, ep checks it and plans its flight, any refusal is answered 400,
+// and the flight is dispatched under its key with the trace flag appended.
+func (s *Server) serve(read func(http.ResponseWriter, *http.Request) (computeRequest, error), ep endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, err := read(w, r)
+		var key string
+		var fn computation
+		if err == nil {
+			key, fn, err = ep(req)
 		}
-		return req, badRequest{fmt.Sprintf("invalid request body: %s", err)}
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			return
+		}
+		s.dispatch(w, r, req.TimeoutMS, key+"|trace="+strconv.FormatBool(req.Trace), req.Trace, fn)
 	}
-	return req, req.validate()
 }
 
-// validate checks the fields every compute request shares, whether it
-// arrives as a JSON body or as the first line of an NDJSON execute stream.
-func (req computeRequest) validate() error {
+// decodeRequest decodes one JSON compute request, refusing unknown fields,
+// and checks the fields every compute request shares. what names the input
+// in the refusal.
+func decodeRequest(in io.Reader, what string) (computeRequest, error) {
+	var req computeRequest
+	dec := json.NewDecoder(in)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("invalid %s: %w", what, err)
+	}
 	switch {
 	case req.TimeoutMS < 0:
-		return badRequest{"timeout_ms must be ≥ 0"}
+		return req, badRequest{"timeout_ms must be ≥ 0"}
 	case req.Shrink < 0:
-		return badRequest{"shrink must be ≥ 1 (or 0 for the server default)"}
+		return req, badRequest{"shrink must be ≥ 1 (or 0 for the server default)"}
 	}
-	return nil
+	return req, nil
+}
+
+// readBody reads a JSON request body of at most maxBodyBytes. An empty body
+// asks for all defaults.
+func readBody(w http.ResponseWriter, r *http.Request) (computeRequest, error) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), "request body")
+	if errors.Is(err, io.EOF) {
+		return computeRequest{}, nil
+	}
+	return req, err
+}
+
+// readExecute reads either input form of /v1/execute. The streaming form
+// (Content-Type: application/x-ndjson) opens with the JSON request line —
+// without a vector source — and carries one raw "0101" vector on each
+// following line. Only the request line is read here: vectorSource packs
+// the vector lines once the request's other fields have passed, into
+// 64-lane chunks as they arrive, so the body is never buffered whole. It
+// bypasses the maxBodyBytes cap and is bounded by the vector cap times the
+// width fixed by the first vector. The packed batch content-hashes into
+// the same flight key as the buffered forms, so a streamed request
+// coalesces with (and answers byte-identically to) an equivalent JSON one.
+func readExecute(w http.ResponseWriter, r *http.Request) (computeRequest, error) {
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
+		return readBody(w, r)
+	}
+	sc := bufio.NewScanner(r.Body)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return computeRequest{}, badRequest{fmt.Sprintf("reading request line: %s", err)}
+		}
+		return computeRequest{}, badRequest{"ndjson body: missing request line"}
+	}
+	req, err := decodeRequest(bytes.NewReader(sc.Bytes()), "request line")
+	if err == nil && (len(req.Vectors) > 0 || req.VectorsPacked != nil || req.Random != 0 || req.Seed != 0 || req.Exhaustive) {
+		err = badRequest{"ndjson execute: vectors are the body lines; remove the vector-source fields"}
+	}
+	req.vectorLines = sc
+	return req, err
 }
 
 // sourceMIG resolves the request's function source. Benchmark sources
@@ -293,34 +356,28 @@ func parseKind(kind string) (plim.RewriteKind, error) {
 	return 0, badRequest{fmt.Sprintf("unknown rewrite kind %q (want none, alg1 or alg2)", kind)}
 }
 
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeRequest(w, r)
-	if err == nil && req.Emit != "" && req.Emit != "asm" && req.Emit != "binary" {
-		err = badRequest{fmt.Sprintf("unknown emit %q (want asm or binary)", req.Emit)}
+// compile plans a /v1/compile flight.
+func (s *Server) compile(req computeRequest) (string, computation, error) {
+	if req.Emit != "" && req.Emit != "asm" && req.Emit != "binary" {
+		return "", nil, badRequest{fmt.Sprintf("unknown emit %q (want asm or binary)", req.Emit)}
 	}
-	var cfg plim.Config
-	if err == nil {
-		cfg, err = parseConfig(req.Config, req.Cap)
-	}
-	var srcKey string
-	var shrink int
-	var load func(ctx context.Context) (*plim.MIG, error)
-	if err == nil {
-		srcKey, shrink, load, err = s.sourceMIG(req)
-	}
+	cfg, err := parseConfig(req.Config, req.Cap)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+		return "", nil, err
+	}
+	srcKey, shrink, load, err := s.sourceMIG(req)
+	if err != nil {
+		return "", nil, err
 	}
 	// The cost model name joins the key: responses embed priced totals, so
 	// requests served by engines priced differently must never coalesce.
-	key := fmt.Sprintf("compile|%s|%s|%s|verify=%t|cm=%s|trace=%t", srcKey, cfg.Name, req.Emit, req.Verify, s.eng.CostModelName(), req.Trace)
-	s.dispatch(w, r, req.TimeoutMS, key, req.Trace, func(ctx context.Context, publish func(plim.Event)) response {
+	key := fmt.Sprintf("compile|%s|%s|%s|verify=%t|cm=%s", srcKey, cfg.Name, req.Emit, req.Verify, s.eng.CostModelName())
+	return key, func(ctx context.Context) response {
 		m, err := load(ctx)
 		if err != nil {
 			return errorResult(err)
 		}
-		rep, err := s.eng.Run(plim.ContextWithProgress(ctx, publish), m, cfg)
+		rep, err := s.eng.Run(ctx, m, cfg)
 		if err != nil {
 			return errorResult(err)
 		}
@@ -363,12 +420,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			out.ProgramBinary = b.Bytes()
 		}
 		return jsonResult(http.StatusOK, out)
-	})
+	}, nil
 }
 
-// maxExecuteVectors bounds one /v1/execute batch (explicit, random or
-// exhaustive): 2^20 vectors keep the packed state of even wide programs in
-// the tens of megabytes.
+// maxExecuteVectors bounds one /v1/execute batch (explicit, streamed,
+// random or exhaustive): 2^20 vectors keep the packed state of even wide
+// programs in the tens of megabytes.
 const maxExecuteVectors = 1 << 20
 
 // maxBatchWords bounds the packed words one execution sizes from request
@@ -426,6 +483,31 @@ func packVectors(b *plim.Batch) *packedVectors {
 	return &packedVectors{N: b.Len(), Lines: b.Lines(), Words: words}
 }
 
+// packLines packs the vector lines of a streamed execute body, skipping
+// blank ones.
+func packLines(sc *bufio.Scanner) (*plim.Batch, error) {
+	b := plim.NewBatch(0, 0)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue // tolerate blank lines and trailing newlines
+		}
+		if b.Len() >= maxExecuteVectors {
+			return nil, badRequest{fmt.Sprintf("at most %d vectors per request", maxExecuteVectors)}
+		}
+		if err := b.AppendString(line); err != nil {
+			return nil, badRequest{fmt.Sprintf("invalid vector: %s", err)}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, badRequest{fmt.Sprintf("reading vectors: %s", err)}
+	}
+	if b.Len() == 0 {
+		return nil, badRequest{"ndjson body carries no vectors"}
+	}
+	return b, nil
+}
+
 // decoded is the batch constructor of vectors the request carried: the
 // input batch exists already; the program's widths bound the output batch.
 func decoded(b *plim.Batch) func(pis, pos int) (*plim.Batch, error) {
@@ -438,14 +520,14 @@ func decoded(b *plim.Batch) func(pis, pos int) (*plim.Batch, error) {
 }
 
 // vectorSource resolves the request's input vectors into a coalescing key
-// component and a constructor. Explicit vectors pack (and content-hash)
-// immediately; random and exhaustive batches are generated inside the
-// flight, once the program's input count is known. The constructor takes
-// the program's input and output counts and refuses a batch beyond
-// maxBatchWords.
+// component and a constructor. Explicit and streamed vectors pack (and
+// content-hash) immediately; random and exhaustive batches are generated
+// inside the flight, once the program's input count is known. The
+// constructor takes the program's input and output counts and refuses a
+// batch beyond maxBatchWords.
 func vectorSource(req computeRequest) (key string, mk func(pis, pos int) (*plim.Batch, error), err error) {
 	sources := 0
-	for _, set := range []bool{len(req.Vectors) > 0, req.VectorsPacked != nil, req.Random != 0, req.Exhaustive} {
+	for _, set := range []bool{req.vectorLines != nil, len(req.Vectors) > 0, req.VectorsPacked != nil, req.Random != 0, req.Exhaustive} {
 		if set {
 			sources++
 		}
@@ -456,22 +538,19 @@ func vectorSource(req computeRequest) (key string, mk func(pis, pos int) (*plim.
 	if req.Seed != 0 && req.Random == 0 {
 		return "", nil, badRequest{"seed applies to random vectors only"}
 	}
+	var b *plim.Batch
 	switch {
+	case req.vectorLines != nil:
+		b, err = packLines(req.vectorLines)
 	case len(req.Vectors) > 0:
 		if len(req.Vectors) > maxExecuteVectors {
 			return "", nil, badRequest{fmt.Sprintf("at most %d vectors per request", maxExecuteVectors)}
 		}
-		b, err := plim.PackBatchStrings(req.Vectors)
-		if err != nil {
-			return "", nil, badRequest{fmt.Sprintf("invalid vectors: %s", err)}
+		if b, err = plim.PackBatchStrings(req.Vectors); err != nil {
+			err = badRequest{fmt.Sprintf("invalid vectors: %s", err)}
 		}
-		return fmt.Sprintf("v:%016x", b.Hash()), decoded(b), nil
 	case req.VectorsPacked != nil:
-		b, err := unpackVectors(req.VectorsPacked)
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("v:%016x", b.Hash()), decoded(b), nil
+		b, err = unpackVectors(req.VectorsPacked)
 	case req.Random != 0:
 		if req.Random < 0 || req.Random > maxExecuteVectors {
 			return "", nil, badRequest{fmt.Sprintf("random must be between 1 and %d", maxExecuteVectors)}
@@ -494,129 +573,38 @@ func vectorSource(req computeRequest) (key string, mk func(pis, pos int) (*plim.
 			return plim.ExhaustiveBatch(pis)
 		}, nil
 	}
-}
-
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/x-ndjson") {
-		s.handleExecuteStream(w, r)
-		return
-	}
-	req, err := s.decodeRequest(w, r)
-	if err == nil {
-		err = validateExecute(req)
-	}
-	var cfg plim.Config
-	if err == nil {
-		cfg, err = parseConfig(req.Config, req.Cap)
-	}
-	var vecKey string
-	var mkBatch func(pis, pos int) (*plim.Batch, error)
-	if err == nil {
-		vecKey, mkBatch, err = vectorSource(req)
-	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+		return "", nil, err
 	}
-	s.dispatchExecute(w, r, req, cfg, vecKey, mkBatch)
+	return fmt.Sprintf("v:%016x", b.Hash()), decoded(b), nil
 }
 
-// validateExecute checks the execute-only request fields shared by the JSON
-// and NDJSON input forms.
-func validateExecute(req computeRequest) error {
+// execute plans a /v1/execute flight: compile the program, then run the
+// request's batch on it.
+func (s *Server) execute(req computeRequest) (string, computation, error) {
 	if req.Output != "" && req.Output != "strings" && req.Output != "packed" {
-		return badRequest{fmt.Sprintf("unknown output %q (want strings or packed)", req.Output)}
+		return "", nil, badRequest{fmt.Sprintf("unknown output %q (want strings or packed)", req.Output)}
 	}
-	return nil
-}
-
-// handleExecuteStream is the streaming input form of /v1/execute
-// (Content-Type: application/x-ndjson): the first line is the JSON request
-// — without a vector source, and with vectors following as one raw "0101"
-// line each. Vectors are packed into 64-lane chunks as they arrive, so the
-// body is never buffered whole; it bypasses the maxBodyBytes cap and is
-// bounded by the vector cap times the width fixed by the first vector.
-// The packed batch content-hashes into the same coalescing key as the
-// buffered forms, so a streamed request coalesces with (and answers
-// byte-identically to) an equivalent JSON one.
-func (s *Server) handleExecuteStream(w http.ResponseWriter, r *http.Request) {
-	fail := func(msg string) { writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg}) }
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			fail(fmt.Sprintf("reading request line: %s", err))
-		} else {
-			fail("ndjson body: missing request line")
-		}
-		return
-	}
-	var req computeRequest
-	dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		fail(fmt.Sprintf("invalid request line: %s", err))
-		return
-	}
-	err := req.validate()
-	if err == nil && (len(req.Vectors) > 0 || req.VectorsPacked != nil || req.Random != 0 || req.Seed != 0 || req.Exhaustive) {
-		err = badRequest{"ndjson execute: vectors are the body lines; remove the vector-source fields"}
-	}
-	if err == nil {
-		err = validateExecute(req)
-	}
-	var cfg plim.Config
-	if err == nil {
-		cfg, err = parseConfig(req.Config, req.Cap)
-	}
+	cfg, err := parseConfig(req.Config, req.Cap)
 	if err != nil {
-		fail(err.Error())
-		return
+		return "", nil, err
 	}
-	b := plim.NewBatch(0, 0)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue // tolerate blank lines and trailing newlines
-		}
-		if b.Len() >= maxExecuteVectors {
-			fail(fmt.Sprintf("at most %d vectors per request", maxExecuteVectors))
-			return
-		}
-		if err := b.AppendString(line); err != nil {
-			fail(fmt.Sprintf("invalid vector: %s", err))
-			return
-		}
+	vecKey, mkBatch, err := vectorSource(req)
+	if err != nil {
+		return "", nil, err
 	}
-	if err := sc.Err(); err != nil {
-		fail(fmt.Sprintf("reading vectors: %s", err))
-		return
-	}
-	if b.Len() == 0 {
-		fail("ndjson body carries no vectors")
-		return
-	}
-	vecKey := fmt.Sprintf("v:%016x", b.Hash())
-	s.dispatchExecute(w, r, req, cfg, vecKey, decoded(b))
-}
-
-// dispatchExecute is the request path shared by the JSON and NDJSON input
-// forms of /v1/execute, from function-source resolution onward.
-func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req computeRequest, cfg plim.Config, vecKey string, mkBatch func(pis, pos int) (*plim.Batch, error)) {
 	srcKey, shrink, load, err := s.sourceMIG(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+		return "", nil, err
 	}
-	key := fmt.Sprintf("execute|%s|%s|e%d|%s|%s|cm=%s|trace=%t", srcKey, cfg.Name, req.Endurance, vecKey, req.Output, s.eng.CostModelName(), req.Trace)
+	key := fmt.Sprintf("execute|%s|%s|e%d|%s|%s|cm=%s", srcKey, cfg.Name, req.Endurance, vecKey, req.Output, s.eng.CostModelName())
 	endurance, packedOut := req.Endurance, req.Output == "packed"
-	s.dispatch(w, r, req.TimeoutMS, key, req.Trace, func(ctx context.Context, publish func(plim.Event)) response {
+	return key, func(ctx context.Context) response {
 		m, err := load(ctx)
 		if err != nil {
 			return errorResult(err)
 		}
-		pctx := plim.ContextWithProgress(ctx, publish)
-		rep, err := s.eng.Run(pctx, m, cfg)
+		rep, err := s.eng.Run(ctx, m, cfg)
 		if err != nil {
 			return errorResult(err)
 		}
@@ -627,13 +615,9 @@ func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req com
 		b, err := mkBatch(p.NumPIs(), p.NumPOs())
 		vsp.End()
 		if err != nil {
-			var br badRequest
-			if errors.As(err, &br) {
-				return response{status: http.StatusBadRequest, body: mustJSON(errorResponse{Error: br.msg})}
-			}
 			return errorResult(err)
 		}
-		res, err := s.eng.ExecuteBatch(pctx, p, b, plim.ExecOptions{Endurance: endurance})
+		res, err := s.eng.ExecuteBatch(ctx, p, b, plim.ExecOptions{Endurance: endurance})
 		var fault *plim.ExecFaultError
 		if err != nil && !errors.As(err, &fault) {
 			return errorResult(err)
@@ -662,7 +646,7 @@ func (s *Server) dispatchExecute(w http.ResponseWriter, r *http.Request, req com
 			out.Outputs = res.Outputs.Strings()
 		}
 		return jsonResult(http.StatusOK, out)
-	})
+	}, nil
 }
 
 // total sums a per-cell counter vector.
@@ -674,29 +658,22 @@ func total(counts []uint64) uint64 {
 	return t
 }
 
-func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeRequest(w, r)
-	var kind plim.RewriteKind
-	if err == nil {
-		kind, err = parseKind(req.Kind)
-	}
-	var srcKey string
-	var shrink int
-	var load func(ctx context.Context) (*plim.MIG, error)
-	if err == nil {
-		srcKey, shrink, load, err = s.sourceMIG(req)
-	}
+// rewrite plans a /v1/rewrite flight.
+func (s *Server) rewrite(req computeRequest) (string, computation, error) {
+	kind, err := parseKind(req.Kind)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+		return "", nil, err
 	}
-	key := fmt.Sprintf("rewrite|%s|%s|trace=%t", srcKey, kind, req.Trace)
-	s.dispatch(w, r, req.TimeoutMS, key, req.Trace, func(ctx context.Context, publish func(plim.Event)) response {
+	srcKey, shrink, load, err := s.sourceMIG(req)
+	if err != nil {
+		return "", nil, err
+	}
+	return fmt.Sprintf("rewrite|%s|%s", srcKey, kind), func(ctx context.Context) response {
 		m, err := load(ctx)
 		if err != nil {
 			return errorResult(err)
 		}
-		out, st, err := s.eng.Rewrite(plim.ContextWithProgress(ctx, publish), m, kind)
+		out, st, err := s.eng.Rewrite(ctx, m, kind)
 		if err != nil {
 			return errorResult(err)
 		}
@@ -714,52 +691,40 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 			Stats:    rewriteStats(st),
 			MIG:      mig.String(),
 		})
-	})
+	}, nil
 }
 
-func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeRequest(w, r)
-	if err == nil {
-		switch {
-		case req.Benchmark != "" || req.Netlist != "":
-			err = badRequest{"suite requests take a benchmarks list, not benchmark/netlist"}
-		case req.Shrink != 0 && req.Shrink != s.eng.Shrink():
-			err = badRequest{fmt.Sprintf("suite runs at the server's shrink (%d)", s.eng.Shrink())}
+// suite plans a /v1/suite flight over the server's shrink.
+func (s *Server) suite(req computeRequest) (string, computation, error) {
+	switch {
+	case req.Benchmark != "" || req.Netlist != "":
+		return "", nil, badRequest{"suite requests take a benchmarks list, not benchmark/netlist"}
+	case req.Shrink != 0 && req.Shrink != s.eng.Shrink():
+		return "", nil, badRequest{fmt.Sprintf("suite runs at the server's shrink (%d)", s.eng.Shrink())}
+	}
+	for _, b := range req.Benchmarks {
+		if _, ok := plim.LookupBenchmark(b); !ok {
+			return "", nil, badRequest{fmt.Sprintf("unknown benchmark %q", b)}
 		}
 	}
-	if err == nil {
-		for _, b := range req.Benchmarks {
-			if _, ok := plim.LookupBenchmark(b); !ok {
-				err = badRequest{fmt.Sprintf("unknown benchmark %q", b)}
-				break
+	cfgs := plim.TableIConfigs()
+	if len(req.Configs) > 0 {
+		cfgs = make([]plim.Config, len(req.Configs))
+		for i, name := range req.Configs {
+			var err error
+			if cfgs[i], err = parseConfig(name, 0); err != nil {
+				return "", nil, err
 			}
 		}
-	}
-	var cfgs []plim.Config
-	if err == nil {
-		if len(req.Configs) == 0 {
-			cfgs = plim.TableIConfigs()
-		} else {
-			cfgs = make([]plim.Config, len(req.Configs))
-			for i, name := range req.Configs {
-				if cfgs[i], err = parseConfig(name, 0); err != nil {
-					break
-				}
-			}
-		}
-	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
 	}
 	cfgNames := make([]string, len(cfgs))
 	for i, c := range cfgs {
 		cfgNames[i] = c.Name
 	}
-	key := fmt.Sprintf("suite|%s|%s|cm=%s|trace=%t", strings.Join(req.Benchmarks, ","), strings.Join(cfgNames, ","), s.eng.CostModelName(), req.Trace)
+	key := fmt.Sprintf("suite|%s|%s|cm=%s", strings.Join(req.Benchmarks, ","), strings.Join(cfgNames, ","), s.eng.CostModelName())
 	benchmarks := req.Benchmarks
-	s.dispatch(w, r, req.TimeoutMS, key, req.Trace, func(ctx context.Context, publish func(plim.Event)) response {
-		sr, err := s.eng.RunSuite(plim.ContextWithProgress(ctx, publish), cfgs, benchmarks...)
+	return key, func(ctx context.Context) response {
+		sr, err := s.eng.RunSuite(ctx, cfgs, benchmarks...)
 		if err != nil {
 			return errorResult(err)
 		}
@@ -789,7 +754,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		return jsonResult(http.StatusOK, out)
-	})
+	}, nil
 }
 
 // effectiveTimeout maps a request's timeout_ms onto the server's policy.
@@ -807,15 +772,16 @@ func (s *Server) effectiveTimeout(ms int64) time.Duration {
 	return d
 }
 
-// dispatch is the shared serving path of the three compute endpoints:
-// apply the request deadline, coalesce onto (or start) the flight for key,
-// then either stream progress (SSE) or wait for the shared response. With
-// traced set, the leader opens a per-flight trace whose root "request" span
-// carries the flight key and the leader role, and an "admit" child span
-// covering the flight goroutine's start and admission; coalesced followers
-// receive the shared trace (their coalescing is visible as the
-// X-Plim-Coalesced header plus the follower's own access-log line).
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, timeoutMS int64, key string, traced bool, fn func(context.Context, func(plim.Event)) response) {
+// dispatch is the flight half of serve, shared by the four compute
+// endpoints: apply the request deadline, coalesce onto (or start) the
+// flight for key, then either stream progress (SSE) or wait for the shared
+// response. With traced set, the leader opens a per-flight trace whose root
+// "request" span carries the flight key and the leader role, and an
+// "admit" child span covering the flight goroutine's start and admission;
+// coalesced followers receive the shared trace (their coalescing is
+// visible as the X-Plim-Coalesced header plus the follower's own
+// access-log line).
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, timeoutMS int64, key string, traced bool, fn computation) {
 	reqCtx := r.Context()
 	if d := s.effectiveTimeout(timeoutMS); d > 0 {
 		var cancel context.CancelFunc
@@ -879,7 +845,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, timeoutMS int6
 // it), which closes the admit span dispatch opened, then the engine call,
 // whose work the engine's scheduler multiplexes with every other flight's
 // by request deadline.
-func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *flight, tr *trace.Trace, root, admit trace.Handle, fn func(context.Context, func(plim.Event)) response) {
+func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *flight, tr *trace.Trace, root, admit trace.Handle, fn computation) {
 	defer cancel()
 	start := time.Now()
 	var resp response
@@ -943,11 +909,13 @@ func (s *Server) retryAfter() time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// safeCompute runs the computation with a panic barrier: runFlight executes
-// on a bare goroutine, outside net/http's per-request recovery, so without
-// this one adversarial netlist tripping a compiler invariant would take
-// down the whole daemon instead of failing one flight.
-func (s *Server) safeCompute(ctx context.Context, f *flight, fn func(context.Context, func(plim.Event)) response) (resp response) {
+// safeCompute runs the computation with the flight's progress observer on
+// its context, which counts each event for /metrics and publishes it to the
+// flight's subscribers, behind a panic barrier: runFlight executes on a
+// bare goroutine, outside net/http's per-request recovery, so without this
+// one adversarial netlist tripping a compiler invariant would take down the
+// whole daemon instead of failing one flight.
+func (s *Server) safeCompute(ctx context.Context, f *flight, fn computation) (resp response) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp = response{
@@ -956,10 +924,10 @@ func (s *Server) safeCompute(ctx context.Context, f *flight, fn func(context.Con
 			}
 		}
 	}()
-	return fn(ctx, func(ev plim.Event) {
+	return fn(plim.ContextWithProgress(ctx, func(ev plim.Event) {
 		s.met.countEvent(ev)
 		f.publish(ev)
-	})
+	}))
 }
 
 func wantsSSE(r *http.Request) bool {
@@ -1020,11 +988,15 @@ func (s *Server) streamSSE(w http.ResponseWriter, ctx context.Context, f *flight
 	fl.Flush()
 }
 
-// errorResult maps a computation error onto a response: deadline → 504,
-// cancellation → 503 (drain/abandonment), anything else → 500.
+// errorResult maps a computation error onto a response: a refusal
+// (badRequest, such as a batch too large for the program's widths) → 400,
+// deadline → 504, cancellation → 503 (drain/abandonment), anything else →
+// 500.
 func errorResult(err error) response {
 	status := http.StatusInternalServerError
 	switch {
+	case errors.As(err, new(badRequest)):
+		status = http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

@@ -408,7 +408,7 @@ func TestComputationPanicFailsOneFlightNotTheServer(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.flights.setCancel(f, cancel)
-	go s.runFlight(ctx, cancel, f, nil, trace.Handle{}, trace.Handle{}, func(context.Context, func(plim.Event)) response {
+	go s.runFlight(ctx, cancel, f, nil, trace.Handle{}, trace.Handle{}, func(context.Context) response {
 		panic("compiler invariant violated")
 	})
 	resp, err := f.wait(context.Background())
