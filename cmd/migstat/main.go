@@ -25,6 +25,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 
 	"plim"
 	"plim/internal/cli"
+	"plim/internal/core"
 	"plim/internal/verify"
 )
 
@@ -48,40 +50,16 @@ func main() {
 		checkEq   = flag.Bool("check", true, "verify rewriting preserved the function")
 		doVerify  = flag.Bool("verify", false, "compile the result (full config) and print the static verification report")
 		verbose   = flag.Bool("v", false, "stream per-cycle progress events to stderr")
-		cacheDir  = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
-			"persistent cache directory shared across plimc/plimtab/migstat invocations (default $PLIM_CACHE_DIR; empty = off)")
+		cacheDir  = cli.CacheDirFlag()
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	engOpts := []plim.Option{
-		plim.WithEffort(*effort),
-		plim.WithPersistentCache(*cacheDir),
-		plim.WithVerify(*doVerify),
-	}
-	if *verbose {
-		engOpts = append(engOpts, plim.WithProgress(func(ev plim.Event) {
-			fmt.Fprintln(os.Stderr, plim.FormatEvent(ev))
-		}))
-	}
-	eng := plim.NewEngine(engOpts...)
-
-	var m *plim.MIG
-	var err error
-	switch {
-	case *benchName != "":
-		m, err = eng.Benchmark(ctx, *benchName, *shrink)
-	case *inFile != "":
-		var f *os.File
-		if f, err = os.Open(*inFile); err == nil {
-			m, err = plim.ReadMIG(f)
-			f.Close()
-		}
-	default:
-		err = fmt.Errorf("migstat: need -bench or -in")
-	}
+	run := cli.Run{Tool: "migstat", CacheDir: *cacheDir, Verbose: *verbose}
+	eng := run.Engine(plim.WithEffort(*effort), plim.WithVerify(*doVerify))
+	m, err := run.Graph(ctx, eng, *benchName, *shrink, *inFile)
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -89,16 +67,9 @@ func main() {
 	fmt.Printf("input       %s: %s\n", m.Name, m.Statistics())
 
 	out := m
-	var kind plim.RewriteKind
-	switch *rw {
-	case "none":
-		kind = plim.RewriteNone
-	case "alg1":
-		kind = plim.RewriteAlgorithm1
-	case "alg2":
-		kind = plim.RewriteAlgorithm2
-	default:
-		cli.Fatal(fmt.Errorf("migstat: unknown -rewrite %q", *rw))
+	kind, err := core.ParseRewriteKind(*rw)
+	if err != nil {
+		cli.Fatal(fmt.Errorf("migstat: %w", err))
 	}
 	if kind != plim.RewriteNone {
 		var st plim.RewriteStats
@@ -106,7 +77,7 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		fmt.Printf("rewritten   %s: %s\n", *rw, out.Statistics())
+		fmt.Printf("rewritten   %s: %s\n", cmp.Or(*rw, kind.String()), out.Statistics())
 		fmt.Printf("            %d → %d nodes, depth %d → %d, %d cycles\n",
 			st.NodesBefore, st.NodesAfter, st.DepthBefore, st.DepthAfter, st.Cycles)
 		if *checkEq {
@@ -148,7 +119,7 @@ func main() {
 			cli.Fatal(err)
 		}
 	}
-	if s, ok := eng.CacheSummary(); ok {
-		fmt.Fprintln(os.Stderr, s)
+	if err := run.Finish(eng); err != nil {
+		cli.Fatal(err)
 	}
 }

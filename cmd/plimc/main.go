@@ -44,8 +44,7 @@ func main() {
 		showStats = flag.Bool("stats", true, "print compilation statistics")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON trace of this run (with -v: also a span tree on stderr)")
 		verbose   = flag.Bool("v", false, "stream progress events to stderr")
-		cacheDir  = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
-			"persistent cache directory shared across plimc/plimtab invocations (default $PLIM_CACHE_DIR; empty = off)")
+		cacheDir  = cli.CacheDirFlag()
 	)
 	flag.Parse()
 
@@ -64,19 +63,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	engOpts := []plim.Option{
-		plim.WithEffort(*effort),
-		plim.WithPersistentCache(*cacheDir),
-		plim.WithTrace(*tracePath != ""),
-	}
-	if *verbose {
-		engOpts = append(engOpts, plim.WithProgress(func(ev plim.Event) {
-			fmt.Fprintln(os.Stderr, plim.FormatEvent(ev))
-		}))
-	}
-	eng := plim.NewEngine(engOpts...)
-
-	m, err := loadMIG(ctx, eng, *benchName, *shrink, *inFile)
+	run := cli.Run{Tool: "plimc", CacheDir: *cacheDir, Trace: *tracePath, Verbose: *verbose}
+	eng := run.Engine(plim.WithEffort(*effort))
+	m, err := run.Graph(ctx, eng, *benchName, *shrink, *inFile)
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -110,35 +99,7 @@ func main() {
 			cli.Fatal(err)
 		}
 	}
-	if *tracePath != "" {
-		if err := cli.WriteTrace(eng, "plimc", *tracePath, *verbose); err != nil {
-			cli.Fatal(err)
-		}
+	if err := run.Finish(eng); err != nil {
+		cli.Fatal(err)
 	}
-	printCacheSummary(eng)
-}
-
-// printCacheSummary reports the persistent tier's per-run accounting; the
-// CI cold-vs-warm smoke job asserts on this line.
-func printCacheSummary(eng *plim.Engine) {
-	if s, ok := eng.CacheSummary(); ok {
-		fmt.Fprintln(os.Stderr, s)
-	}
-}
-
-func loadMIG(ctx context.Context, eng *plim.Engine, bench string, shrink int, file string) (*plim.MIG, error) {
-	switch {
-	case bench != "" && file != "":
-		return nil, fmt.Errorf("plimc: use either -bench or -in, not both")
-	case bench != "":
-		return eng.Benchmark(ctx, bench, shrink)
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return plim.ReadMIG(f)
-	}
-	return nil, fmt.Errorf("plimc: need -bench or -in (try -list)")
 }

@@ -47,23 +47,18 @@ func main() {
 		strict    = flag.Bool("strict", false, "also fail (exit 1) on dead writes")
 		tracePath = flag.String("trace", "", "with -bench: write a Chrome trace-event JSON trace of the compile (with -v: also a span tree on stderr)")
 		verbose   = flag.Bool("v", false, "list the full per-cell write histogram")
-		cacheDir  = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
-			"persistent cache directory shared with plimc/plimtab/migstat (default $PLIM_CACHE_DIR; empty = off)")
-		costPath = flag.String("cost-model", "",
+		cacheDir  = cli.CacheDirFlag()
+		costPath  = flag.String("cost-model", "",
 			"JSON instruction cost model pricing the report's cost block (default: built-in)")
 	)
 	flag.Parse()
 
-	cm := plim.DefaultCostModel()
-	if *costPath != "" {
-		var err error
-		if cm, err = plim.LoadCostModel(*costPath); err != nil {
-			cli.Fatal(err)
-		}
+	cm, err := cli.CostModel(*costPath)
+	if err != nil {
+		cli.Fatal(err)
 	}
 
 	var rpt *plim.VerifyReport
-	var err error
 	switch {
 	case *inFile != "" && *benchName != "":
 		err = fmt.Errorf("plimcheck: use either -in or -bench, not both")
@@ -72,7 +67,10 @@ func main() {
 	case *inFile != "":
 		rpt, err = checkFile(*inFile, *format, *cap, cm)
 	case *benchName != "":
-		rpt, err = checkBenchmark(*benchName, *cfgName, *cap, *effort, *shrink, *cacheDir, *tracePath, *verbose, cm)
+		// -v lists the write histogram and prints the span tree, no events.
+		run := cli.Run{Tool: "plimcheck", CacheDir: *cacheDir, Trace: *tracePath, Verbose: *verbose,
+			Skip: func(plim.Event) bool { return true }}
+		rpt, err = checkBenchmark(run, *benchName, *cfgName, *cap, *effort, *shrink, cm)
 	default:
 		err = fmt.Errorf("plimcheck: need -in or -bench")
 	}
@@ -108,7 +106,7 @@ func checkFile(path, format string, cap uint64, cm *plim.CostModel) (*plim.Verif
 // verifies the result, including static-vs-allocator write parity — the
 // cross-check that the wear accounting the paper's tables are built on is
 // itself sound.
-func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cacheDir, tracePath string, verbose bool, cm *plim.CostModel) (*plim.VerifyReport, error) {
+func checkBenchmark(run cli.Run, bench, cfgName string, cap uint64, effort, shrink int, cm *plim.CostModel) (*plim.VerifyReport, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -116,13 +114,7 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 	if err != nil {
 		return nil, fmt.Errorf("plimcheck: %w", err)
 	}
-	eng := plim.NewEngine(
-		plim.WithEffort(effort),
-		plim.WithPersistentCache(cacheDir),
-		plim.WithVerify(true),
-		plim.WithCostModel(cm),
-		plim.WithTrace(tracePath != ""),
-	)
+	eng := run.Engine(plim.WithEffort(effort), plim.WithVerify(true), plim.WithCostModel(cm))
 	m, err := eng.Benchmark(ctx, bench, shrink)
 	if err != nil {
 		return nil, err
@@ -131,16 +123,8 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 	if err != nil {
 		return nil, err
 	}
-	if tracePath != "" {
-		if err := cli.WriteTrace(eng, "plimcheck", tracePath, verbose); err != nil {
-			return nil, err
-		}
-	}
-	if s, ok := eng.CacheSummary(); ok {
-		fmt.Fprintln(os.Stderr, s)
-	}
 	// The engine runs WithVerify, so every report carries its verification:
 	// a hard violation (allocator parity included, checked in core) fails
 	// Run, and the report remains for wear numbers and dead-write warnings.
-	return rep.Verify, nil
+	return rep.Verify, run.Finish(eng)
 }

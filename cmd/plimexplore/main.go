@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -53,19 +52,15 @@ func main() {
 		quiet     = flag.Bool("q", false, "suppress the cache/timing summary on stderr")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON trace of the sweep (with -v: also a span tree on stderr)")
 		verbose   = flag.Bool("v", false, "stream per-benchmark progress events to stderr")
-		cacheDir  = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
-			"persistent cache directory shared across plimc/plimtab/... (default $PLIM_CACHE_DIR; empty = off)")
+		cacheDir  = cli.CacheDirFlag()
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var opts plim.ExploreOptions
+	opts := plim.ExploreOptions{Benchmarks: cli.SplitList(*benches)}
 	var err error
-	if *benches != "" {
-		opts.Benchmarks = splitList(*benches)
-	}
 	if opts.Configs, err = parseConfigs(*configs); err != nil {
 		cli.Fatal(err)
 	}
@@ -75,7 +70,7 @@ func main() {
 	if opts.Shrinks, err = parseInts(*shrinks, "shrink"); err != nil {
 		cli.Fatal(err)
 	}
-	for _, path := range splitList(*models) {
+	for _, path := range cli.SplitList(*models) {
 		m, err := plim.LoadCostModel(path)
 		if err != nil {
 			cli.Fatal(err)
@@ -83,22 +78,15 @@ func main() {
 		opts.Models = append(opts.Models, m)
 	}
 
-	engOpts := []plim.Option{
-		plim.WithWorkers(*workers),
-		plim.WithPersistentCache(*cacheDir),
-		plim.WithTrace(*tracePath != ""),
-		plim.WithVerify(*doVerify),
-	}
-	if *verbose && !*quiet {
-		engOpts = append(engOpts, plim.WithProgress(func(ev plim.Event) {
+	run := cli.Run{Tool: "plimexplore", CacheDir: *cacheDir, Trace: *tracePath, Verbose: *verbose, Quiet: *quiet,
+		Skip: func(ev plim.Event) bool {
 			switch ev.(type) {
 			case plim.EventRewriteCycle, plim.EventCompileStart, plim.EventTaskStart, plim.EventTaskDone:
-				return // the sweep is wide; per-benchmark granularity is enough
+				return true // the sweep is wide; per-benchmark granularity is enough
 			}
-			fmt.Fprintln(os.Stderr, plim.FormatEvent(ev))
-		}))
-	}
-	eng := plim.NewEngine(engOpts...)
+			return false
+		}}
+	eng := run.Engine(plim.WithWorkers(*workers), plim.WithVerify(*doVerify))
 
 	start := time.Now()
 	res, err := eng.Explore(ctx, opts)
@@ -106,15 +94,11 @@ func main() {
 		cli.Fatal(err)
 	}
 
-	out := io.Writer(os.Stdout)
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer f.Close()
-		out = f
+	out, err := cli.Output(*outFile)
+	if err != nil {
+		cli.Fatal(err)
 	}
+	defer out.Close()
 	switch *format {
 	case "csv":
 		err = res.WriteCSV(out, !*all)
@@ -127,34 +111,18 @@ func main() {
 		cli.Fatal(err)
 	}
 
-	if *tracePath != "" {
-		if err := cli.WriteTrace(eng, "plimexplore", *tracePath, *verbose && !*quiet); err != nil {
-			cli.Fatal(err)
-		}
+	if err := run.Finish(eng); err != nil {
+		cli.Fatal(err)
 	}
 	if !*quiet {
-		if s, ok := eng.CacheSummary(); ok {
-			fmt.Fprintln(os.Stderr, s)
-		}
 		fmt.Fprintf(os.Stderr, "explored %d points (%d on front) in %v\n",
 			len(res.Points), len(res.Front()), time.Since(start).Round(time.Millisecond))
 	}
 }
 
-// splitList splits a comma-separated flag, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func parseInts(s, what string) ([]int, error) {
 	var out []int
-	for _, f := range splitList(s) {
+	for _, f := range cli.SplitList(s) {
 		n, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, fmt.Errorf("plimexplore: bad %s %q", what, f)
@@ -172,7 +140,7 @@ func parseConfigs(s string) ([]plim.Config, error) {
 		return plim.TableIConfigs(), nil
 	}
 	var cfgs []plim.Config
-	for _, name := range splitList(s) {
+	for _, name := range cli.SplitList(s) {
 		if strings.HasPrefix(name, "cap") {
 			name = "full+" + name
 		}

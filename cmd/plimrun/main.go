@@ -49,8 +49,7 @@ func main() {
 		endurance = flag.Uint64("endurance", 0, "per-device write budget (0 = unlimited)")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON trace of the batch execution")
 		shrink    = flag.Int("shrink", 1, "datapath divisor when -verify names a benchmark")
-		cacheDir  = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
-			"persistent cache directory for benchmark rebuilds (default $PLIM_CACHE_DIR; empty = off)")
+		cacheDir  = cli.CacheDirFlag()
 	)
 	flag.Parse()
 
@@ -90,16 +89,16 @@ func main() {
 
 	// Execution goes through an engine so -trace can record per-chunk
 	// spans; without -trace this is equivalent to the plain ExecuteBatch
-	// free function.
-	eng := plim.NewEngine(plim.WithTrace(*tracePath != ""))
+	// free function. The engine has no persistent cache: only a -verify
+	// benchmark rebuild uses one, so there is no cache summary to print.
+	run := cli.Run{Tool: "plimrun", Trace: *tracePath}
+	eng := run.Engine()
 	res, err := eng.ExecuteBatch(context.Background(), prog, batch, plim.ExecOptions{Endurance: *endurance})
 	if err != nil {
 		cli.Fatal(fmt.Errorf("plimrun: %w", err))
 	}
-	if *tracePath != "" {
-		if err := cli.WriteTrace(eng, "plimrun", *tracePath, false); err != nil {
-			cli.Fatal(err)
-		}
+	if err := run.Finish(eng); err != nil {
+		cli.Fatal(err)
 	}
 
 	if ref != nil {
@@ -188,13 +187,8 @@ func readVectors(path string) ([]string, error) {
 // netlist; otherwise the value must name one of the paper's benchmarks,
 // rebuilt at the given shrink through the persistent cache (when set).
 func loadReference(ref string, shrink int, cacheDir string) (*plim.MIG, error) {
-	if _, statErr := os.Stat(ref); statErr == nil {
-		f, err := os.Open(ref)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return plim.ReadMIG(f)
+	if _, err := os.Stat(ref); err == nil {
+		return cli.ReadNetlist(ref)
 	}
 	if _, ok := plim.LookupBenchmark(ref); !ok {
 		return nil, fmt.Errorf("plimrun: -verify %q is neither a readable file nor a benchmark name", ref)

@@ -57,9 +57,8 @@ func main() {
 		shrink      = flag.Int("shrink", 1, "default benchmark datapath shrink")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker pool (also the in-flight computations counted as running)")
 		cacheBudget = flag.Int("cache-budget", plim.DefaultCacheBudget, "byte budget of all in-memory caches together")
-		cacheDir    = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
-			"persistent cache directory shared with plimc/plimtab/... (default $PLIM_CACHE_DIR; empty = off)")
-		costPath = flag.String("cost-model", "",
+		cacheDir    = cli.CacheDirFlag()
+		costPath    = flag.String("cost-model", "",
 			"JSON instruction cost model pricing every response's cost block (default: built-in)")
 
 		queue      = flag.Int("queue", 0, "in-flight computations beyond -workers (0 = 4×workers); beyond both: 429")
@@ -83,26 +82,17 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	engOpts := []plim.Option{
-		plim.WithEffort(*effort),
-		plim.WithShrink(*shrink),
-		plim.WithWorkers(*workers),
-		plim.WithCacheBudget(*cacheBudget),
-		plim.WithPersistentCache(*cacheDir),
+	cm, err := cli.CostModel(*costPath)
+	if err != nil {
+		cli.Fatal(err)
 	}
-	if *costPath != "" {
-		cm, err := plim.LoadCostModel(*costPath)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		engOpts = append(engOpts, plim.WithCostModel(cm))
-	}
+	var logEvent func(plim.Event) // -v: every progress event as a log record
 	if *verbose {
-		engOpts = append(engOpts, plim.WithProgress(func(ev plim.Event) {
-			logger.Info("progress", "event", plim.FormatEvent(ev))
-		}))
+		logEvent = func(ev plim.Event) { logger.Info("progress", "event", plim.FormatEvent(ev)) }
 	}
-	eng := plim.NewEngine(engOpts...)
+	run := cli.Run{Tool: "plimserve", CacheDir: *cacheDir}
+	eng := run.Engine(plim.WithEffort(*effort), plim.WithShrink(*shrink), plim.WithWorkers(*workers),
+		plim.WithCacheBudget(*cacheBudget), plim.WithCostModel(cm), plim.WithProgress(logEvent))
 
 	srv := server.New(eng, server.Options{
 		QueueDepth:     *queue,
@@ -174,10 +164,10 @@ func main() {
 		logger.Error("plimserve drain incomplete", "error", err)
 		os.Exit(1)
 	}
-	if s, ok := eng.CacheSummary(); ok {
-		// The one-line summary format is shared with the other CLIs (and
-		// grepped by CI smoke jobs), so it stays a plain stderr line.
-		fmt.Fprintln(os.Stderr, s)
+	// The one-line summary is shared with the other CLIs (and grepped by CI
+	// smoke jobs), so it stays a plain stderr line, not a log record.
+	if err := run.Finish(eng); err != nil {
+		cli.Fatal(err)
 	}
 	logger.Info("plimserve stopped")
 }

@@ -28,7 +28,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -54,8 +53,7 @@ func main() {
 		quiet     = flag.Bool("q", false, "suppress progress output")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON trace of the run (with -v: also a span tree on stderr)")
 		verbose   = flag.Bool("v", false, "stream per-benchmark progress events to stderr")
-		cacheDir  = flag.String("cache-dir", os.Getenv("PLIM_CACHE_DIR"),
-			"persistent cache directory shared across plimtab/plimc invocations (default $PLIM_CACHE_DIR; empty = off)")
+		cacheDir  = cli.CacheDirFlag()
 	)
 	flag.Parse()
 
@@ -76,49 +74,28 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	engOpts := []plim.Option{
-		plim.WithEffort(*effort),
-		plim.WithShrink(*shrink),
-		plim.WithWorkers(*workers),
-		plim.WithPersistentCache(*cacheDir),
-		plim.WithTrace(*tracePath != ""),
+	cm, err := cli.CostModel(*costPath)
+	if err != nil {
+		cli.Fatal(err)
 	}
-	if *costPath != "" {
-		cm, err := plim.LoadCostModel(*costPath)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		engOpts = append(engOpts, plim.WithCostModel(cm))
-	}
-	if *verbose && !*quiet {
-		engOpts = append(engOpts, plim.WithProgress(func(ev plim.Event) {
+	run := cli.Run{Tool: "plimtab", CacheDir: *cacheDir, Trace: *tracePath, Verbose: *verbose, Quiet: *quiet,
+		Skip: func(ev plim.Event) bool {
+			// Per-cycle spam is only useful for single runs (see plimc -v),
+			// and the matching done events carry the payload and timing.
 			switch ev.(type) {
-			case plim.EventRewriteCycle:
-				return // per-cycle spam is only useful for single runs; see plimc -v
-			case plim.EventCompileStart:
-				return // the matching EventCompileDone carries the payload
-			case plim.EventTaskStart:
-				return // the matching EventTaskDone carries the timing
+			case plim.EventRewriteCycle, plim.EventCompileStart, plim.EventTaskStart:
+				return true
 			}
-			fmt.Fprintln(os.Stderr, plim.FormatEvent(ev))
-		}))
+			return false
+		}}
+	eng := run.Engine(plim.WithEffort(*effort), plim.WithShrink(*shrink), plim.WithWorkers(*workers),
+		plim.WithCostModel(cm))
+	names := cli.SplitList(*benches)
+	out, err := cli.Output(*outFile)
+	if err != nil {
+		cli.Fatal(err)
 	}
-	eng := plim.NewEngine(engOpts...)
-
-	var names []string
-	if *benches != "" {
-		names = strings.Split(*benches, ",")
-	}
-
-	out := io.Writer(os.Stdout)
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
+	defer out.Close()
 
 	render := func(g *plim.Grid) {
 		switch *format {
@@ -197,13 +174,8 @@ func main() {
 		render(g)
 	}
 
-	if *tracePath != "" {
-		if err := cli.WriteTrace(eng, "plimtab", *tracePath, *verbose && !*quiet); err != nil {
-			cli.Fatal(err)
-		}
-	}
-	if s, ok := eng.CacheSummary(); ok {
-		progress(s)
+	if err := run.Finish(eng); err != nil {
+		cli.Fatal(err)
 	}
 	progress(fmt.Sprintf("done in %v", time.Since(start).Round(time.Millisecond)))
 }

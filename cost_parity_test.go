@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"plim/internal/cost"
+	"plim/internal/isa"
 	"plim/internal/verify"
 )
 
@@ -74,9 +75,9 @@ func TestCostParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ops cost.Counts
+			var ops isa.ClassCounts
 			for _, ins := range p.Insts() {
-				ops.Note(cost.Classify(ins))
+				ops[ins.Class()]++
 			}
 			var maxWear uint64
 			for _, w := range xbar.WriteCounts(int(p.NumCells())) {

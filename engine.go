@@ -365,6 +365,7 @@ func (e *Engine) traceSpan(ctx context.Context, kind, name string) (context.Cont
 // WithProgress installs a progress callback. The engine serializes
 // delivery: fn is never invoked concurrently, even during parallel suite
 // runs. fn must not block for long — it runs on the worker's critical path.
+// A nil fn installs no callback.
 func WithProgress(fn func(Event)) Option {
 	return func(e *Engine) { e.progress = progress.Func(fn) }
 }

@@ -226,7 +226,7 @@ type compiler struct {
 	// costOps counts emitted instructions per cost class when
 	// opts.CostModel is set; per-cell weighted wear rides the allocator
 	// (NoteWear next to NoteWrite).
-	costOps cost.Counts
+	costOps isa.ClassCounts
 }
 
 // parentsOf returns the distinct majority parents of node n.
@@ -479,9 +479,9 @@ func (c *compiler) emit(ins isa.Instruction) {
 	c.insts = append(c.insts, ins)
 	c.alloc.NoteWrite(ins.Z, 1)
 	if m := c.opts.CostModel; m != nil {
-		op := cost.Classify(ins)
-		c.costOps.Note(op)
-		c.alloc.NoteWear(ins.Z, m.Of(op).Wear)
+		class := ins.Class()
+		c.costOps[class]++
+		c.alloc.NoteWear(ins.Z, m.Of(class).Wear)
 	}
 }
 

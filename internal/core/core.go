@@ -58,6 +58,21 @@ func (k RewriteKind) String() string {
 	return "?"
 }
 
+// ParseRewriteKind resolves a rewriting choice by the name String gives it
+// or by its short form alg1 or alg2; "" means algorithm2. The error text is
+// user-facing and carries no package prefix.
+func ParseRewriteKind(name string) (RewriteKind, error) {
+	switch name {
+	case "none":
+		return RewriteNone, nil
+	case "alg1", "algorithm1":
+		return RewriteAlgorithm1, nil
+	case "", "alg2", "algorithm2":
+		return RewriteAlgorithm2, nil
+	}
+	return 0, fmt.Errorf("unknown rewrite kind %q (want none, alg1 or alg2)", name)
+}
+
 // DefaultEffort is the paper's MIG-rewriting cycle count (§IV).
 const DefaultEffort = 5
 

@@ -6,11 +6,12 @@
 // executor) derives its totals from the same per-class op counts — so
 // their costs must agree exactly, a parity the tests pin.
 //
-// The class of an instruction follows the PLiM operand forms: the two
-// destination-independent presets RM3 #0,#1 → Z (RESET, Z ← 0) and
-// RM3 #1,#0 → Z (SET, Z ← 1) are priced as bulk switching operations;
-// every other instruction — compute, copy, invert — is a full resistive
-// majority (RM3) whose result depends on the destination's prior state.
+// The class of an instruction (isa.Instruction.Class) follows the PLiM
+// operand forms: the two destination-independent presets RM3 #0,#1 → Z
+// (RESET, Z ← 0) and RM3 #1,#0 → Z (SET, Z ← 1) are priced as bulk
+// switching operations; every other instruction — compute, copy, invert —
+// is a full resistive majority (RM3) whose result depends on the
+// destination's prior state.
 //
 // Costs are derived canonically: totals are computed from integer per-class
 // counts in one fixed expression (FromCounts), never accumulated
@@ -29,47 +30,6 @@ import (
 	"plim/internal/isa"
 	"plim/internal/stats"
 )
-
-// Op is an instruction class.
-type Op uint8
-
-// Instruction classes, numbered as isa numbers them.
-const (
-	OpReset = Op(isa.ClassReset) // RM3 #0,#1 → Z (Z ← 0)
-	OpSet   = Op(isa.ClassSet)   // RM3 #1,#0 → Z (Z ← 1)
-	OpRM3   = Op(isa.ClassRM3)   // any other RM3: compute, copy, invert
-	NumOps  = Op(isa.NumClasses)
-)
-
-// String names the class.
-func (o Op) String() string {
-	switch o {
-	case OpReset:
-		return "reset"
-	case OpSet:
-		return "set"
-	case OpRM3:
-		return "rm3"
-	}
-	return "?"
-}
-
-// Classify returns the class of one instruction (isa.Instruction.Class).
-// The two preset forms are the only destination-independent instructions
-// (verify.isPreset proves the same property); everything else is a full
-// majority.
-func Classify(ins isa.Instruction) Op { return Op(ins.Class()) }
-
-// Counts are per-class op totals — the integer quantity every layer
-// accumulates independently and FromCounts prices canonically. A
-// program's isa.ClassCounts converts to Counts.
-type Counts [NumOps]uint64
-
-// Note counts one instruction of class op.
-func (c *Counts) Note(op Op) { c[op]++ }
-
-// Total sums all classes.
-func (c Counts) Total() uint64 { return c[OpReset] + c[OpSet] + c[OpRM3] }
 
 // OpCost prices one instruction class.
 type OpCost struct {
@@ -118,11 +78,11 @@ func Default() *Model {
 }
 
 // Of returns the price of one class.
-func (m *Model) Of(op Op) OpCost {
-	switch op {
-	case OpReset:
+func (m *Model) Of(c isa.Class) OpCost {
+	switch c {
+	case isa.ClassReset:
 		return m.Reset
-	case OpSet:
+	case isa.ClassSet:
 		return m.Set
 	default:
 		return m.RM3
@@ -134,13 +94,13 @@ func (m *Model) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("cost: model has no name")
 	}
-	for op := OpReset; op < NumOps; op++ {
-		oc := m.Of(op)
+	for c := isa.ClassReset; c < isa.NumClasses; c++ {
+		oc := m.Of(c)
 		if math.IsNaN(oc.EnergyPJ) || math.IsInf(oc.EnergyPJ, 0) || oc.EnergyPJ < 0 {
-			return fmt.Errorf("cost: model %q: %s energy %v is not a finite non-negative number", m.Name, op, oc.EnergyPJ)
+			return fmt.Errorf("cost: model %q: %s energy %v is not a finite non-negative number", m.Name, c, oc.EnergyPJ)
 		}
 		if oc.LatencyCycles == 0 {
-			return fmt.Errorf("cost: model %q: %s latency must be at least one cycle", m.Name, op)
+			return fmt.Errorf("cost: model %q: %s latency must be at least one cycle", m.Name, c)
 		}
 	}
 	return nil
@@ -211,24 +171,24 @@ func (c Cost) Unlimited() bool { return c.LifetimeRuns == stats.MaxLifetime }
 // FromCounts prices per-class op counts. maxCellWear is the hottest cell's
 // accumulated wear, which the caller tracks per cell (the canonical helpers
 // Price and Program do). This is the single derivation every layer shares.
-func (m *Model) FromCounts(ops Counts, maxCellWear uint64) Cost {
+func (m *Model) FromCounts(ops isa.ClassCounts, maxCellWear uint64) Cost {
 	c := Cost{
 		Model:       m.Name,
-		Resets:      ops[OpReset],
-		Sets:        ops[OpSet],
-		RM3s:        ops[OpRM3],
+		Resets:      ops[isa.ClassReset],
+		Sets:        ops[isa.ClassSet],
+		RM3s:        ops[isa.ClassRM3],
 		Ops:         ops.Total(),
 		MaxCellWear: maxCellWear,
 	}
-	c.EnergyPJ = float64(ops[OpReset])*m.Reset.EnergyPJ +
-		float64(ops[OpSet])*m.Set.EnergyPJ +
-		float64(ops[OpRM3])*m.RM3.EnergyPJ
-	c.LatencyCycles = ops[OpReset]*m.Reset.LatencyCycles +
-		ops[OpSet]*m.Set.LatencyCycles +
-		ops[OpRM3]*m.RM3.LatencyCycles
-	c.TotalWear = ops[OpReset]*m.Reset.Wear +
-		ops[OpSet]*m.Set.Wear +
-		ops[OpRM3]*m.RM3.Wear
+	c.EnergyPJ = float64(ops[isa.ClassReset])*m.Reset.EnergyPJ +
+		float64(ops[isa.ClassSet])*m.Set.EnergyPJ +
+		float64(ops[isa.ClassRM3])*m.RM3.EnergyPJ
+	c.LatencyCycles = ops[isa.ClassReset]*m.Reset.LatencyCycles +
+		ops[isa.ClassSet]*m.Set.LatencyCycles +
+		ops[isa.ClassRM3]*m.RM3.LatencyCycles
+	c.TotalWear = ops[isa.ClassReset]*m.Reset.Wear +
+		ops[isa.ClassSet]*m.Set.Wear +
+		ops[isa.ClassRM3]*m.RM3.Wear
 	c.LifetimeRuns = lifetimeRuns(m.EnduranceWrites, maxCellWear)
 	return c
 }
@@ -253,21 +213,21 @@ func (m *Model) Program(p *isa.Program) Cost {
 		w := n[isa.ClassReset]*m.Reset.Wear + n[isa.ClassSet]*m.Set.Wear + n[isa.ClassRM3]*m.RM3.Wear
 		maxWear = max(maxWear, w)
 	}
-	return m.FromCounts(Counts(p.ClassCounts()), maxWear)
+	return m.FromCounts(p.ClassCounts(), maxWear)
 }
 
 // Prefix prices the first n instructions of p in one walk: per-class
 // counts plus per-cell wear for the lifetime bound.
 func (m *Model) Prefix(p *isa.Program, n int) Cost {
-	var ops Counts
+	var ops isa.ClassCounts
 	wear := make([]uint64, p.NumCells())
 	for i, ins := range p.Insts() {
 		if i == n {
 			break
 		}
-		op := Classify(ins)
-		ops[op]++
-		wear[ins.Z] += m.Of(op).Wear
+		c := ins.Class()
+		ops[c]++
+		wear[ins.Z] += m.Of(c).Wear
 	}
 	return m.FromCounts(ops, slices.Max(append(wear, 0)))
 }
@@ -278,7 +238,7 @@ func (m *Model) Prefix(p *isa.Program, n int) Cost {
 // LifetimeRuns stays the per-run figure — a batch does not change how many
 // runs the endurance budget survives.
 func (m *Model) Scale(c Cost, n uint64) Cost {
-	out := m.FromCounts(Counts{c.Resets * n, c.Sets * n, c.RM3s * n}, c.MaxCellWear*n)
+	out := m.FromCounts(isa.ClassCounts{c.Resets * n, c.Sets * n, c.RM3s * n}, c.MaxCellWear*n)
 	out.LifetimeRuns = c.LifetimeRuns
 	return out
 }

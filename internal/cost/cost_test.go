@@ -8,26 +8,6 @@ import (
 	"plim/internal/stats"
 )
 
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		ins  isa.Instruction
-		want Op
-	}{
-		{isa.Instruction{A: isa.Zero, B: isa.One, Z: 0}, OpReset},
-		{isa.Instruction{A: isa.One, B: isa.Zero, Z: 0}, OpSet},
-		{isa.Instruction{A: isa.Cell(1), B: isa.Zero, Z: 0}, OpRM3}, // copy
-		{isa.Instruction{A: isa.Zero, B: isa.Cell(1), Z: 0}, OpRM3}, // invert
-		{isa.Instruction{A: isa.Cell(1), B: isa.Cell(2), Z: 0}, OpRM3},
-		{isa.Instruction{A: isa.Zero, B: isa.Zero, Z: 0}, OpRM3}, // ⟨0 1 Z⟩ = Z: not a preset
-		{isa.Instruction{A: isa.One, B: isa.One, Z: 0}, OpRM3},   // ⟨1 0 Z⟩ = Z: not a preset
-	}
-	for _, c := range cases {
-		if got := Classify(c.ins); got != c.want {
-			t.Errorf("Classify(%s) = %s, want %s", c.ins, got, c.want)
-		}
-	}
-}
-
 // TestPriceMatchesStaticWriteCounts: under the default model (wear 1 per
 // op) the priced wear must equal the program's static write counts — the
 // parity the whole refactor preserves.
@@ -102,7 +82,7 @@ func TestScaleParity(t *testing.T) {
 	per := m.Program(program(t, isa.Parts{NumCells: 2, Insts: insts}))
 	const lanes = 64
 	got := m.Scale(per, lanes)
-	want := m.FromCounts(Counts{per.Resets * lanes, per.Sets * lanes, per.RM3s * lanes}, per.MaxCellWear*lanes)
+	want := m.FromCounts(isa.ClassCounts{per.Resets * lanes, per.Sets * lanes, per.RM3s * lanes}, per.MaxCellWear*lanes)
 	want.LifetimeRuns = per.LifetimeRuns
 	if got != want {
 		t.Fatalf("scaled cost %+v, want %+v", got, want)

@@ -146,7 +146,7 @@ func checkFacts(t *testing.T, p *isa.Program) {
 		ops[ins.Class()]++
 		cells[ins.Z][ins.Class()]++
 		for k, m := range wearModels {
-			wear[k][ins.Z] += m.Of(cost.Classify(ins)).Wear
+			wear[k][ins.Z] += m.Of(ins.Class()).Wear
 		}
 	}
 	if p.ClassCounts() != ops {
@@ -172,7 +172,7 @@ func checkFacts(t *testing.T, p *isa.Program) {
 		for _, w := range wear[k] {
 			maxWear = max(maxWear, w)
 		}
-		if got, want := m.Program(p), m.FromCounts(cost.Counts(ops), maxWear); got != want {
+		if got, want := m.Program(p), m.FromCounts(ops, maxWear); got != want {
 			t.Fatalf("%s: Model.Program %+v, walk %+v", m.Name, got, want)
 		}
 	}

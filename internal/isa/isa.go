@@ -110,6 +110,19 @@ const (
 	NumClasses
 )
 
+// String names the class as cost models do: reset, set or rm3.
+func (c Class) String() string {
+	switch c {
+	case ClassReset:
+		return "reset"
+	case ClassSet:
+		return "set"
+	case ClassRM3:
+		return "rm3"
+	}
+	return "?"
+}
+
 // ClassCounts counts instructions per class.
 type ClassCounts [NumClasses]uint64
 

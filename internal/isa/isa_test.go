@@ -335,6 +335,28 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestClassify pins the cost class of each operand form: only the two
+// presets are destination-independent.
+func TestClassify(t *testing.T) {
+	cases := []struct {
+		ins  Instruction
+		want Class
+	}{
+		{Instruction{A: Zero, B: One, Z: 0}, ClassReset},
+		{Instruction{A: One, B: Zero, Z: 0}, ClassSet},
+		{Instruction{A: Cell(1), B: Zero, Z: 0}, ClassRM3}, // copy
+		{Instruction{A: Zero, B: Cell(1), Z: 0}, ClassRM3}, // invert
+		{Instruction{A: Cell(1), B: Cell(2), Z: 0}, ClassRM3},
+		{Instruction{A: Zero, B: Zero, Z: 0}, ClassRM3}, // ⟨0 1 Z⟩ = Z: not a preset
+		{Instruction{A: One, B: One, Z: 0}, ClassRM3},   // ⟨1 0 Z⟩ = Z: not a preset
+	}
+	for _, c := range cases {
+		if got := c.ins.Class(); got != c.want {
+			t.Errorf("%s.Class() = %s, want %s", c.ins, got, c.want)
+		}
+	}
+}
+
 func TestOperandString(t *testing.T) {
 	if Zero.String() != "#0" || One.String() != "#1" || Cell(5).String() != "@5" {
 		t.Fatal("operand rendering broken")

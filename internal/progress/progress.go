@@ -14,8 +14,9 @@ import (
 
 // Event is a progress notification. The concrete types are TaskStart,
 // TaskDone, RewriteCycle, CompileStart, CompileDone, BenchmarkStart,
-// BenchmarkDone and ExecuteChunk.
-type Event interface{ event() }
+// BenchmarkDone and ExecuteChunk. Name is the event type's wire name: the
+// server's SSE event line and /metrics type label.
+type Event interface{ Name() string }
 
 // Func receives progress events. A nil Func discards them. Unless the
 // caller says otherwise (plim.Engine serializes), a Func may be invoked
@@ -121,11 +122,11 @@ type TaskDone struct {
 	Elapsed time.Duration
 }
 
-func (RewriteCycle) event()   {}
-func (CompileStart) event()   {}
-func (CompileDone) event()    {}
-func (BenchmarkStart) event() {}
-func (BenchmarkDone) event()  {}
-func (ExecuteChunk) event()   {}
-func (TaskStart) event()      {}
-func (TaskDone) event()       {}
+func (RewriteCycle) Name() string   { return "rewrite_cycle" }
+func (CompileStart) Name() string   { return "compile_start" }
+func (CompileDone) Name() string    { return "compile_done" }
+func (BenchmarkStart) Name() string { return "benchmark_start" }
+func (BenchmarkDone) Name() string  { return "benchmark_done" }
+func (ExecuteChunk) Name() string   { return "execute_chunk" }
+func (TaskStart) Name() string      { return "task_start" }
+func (TaskDone) Name() string       { return "task_done" }

@@ -277,12 +277,12 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// eventPayload maps a typed progress event onto its SSE name and JSON
-// payload.
-func eventPayload(ev plim.Event) (name string, data any) {
+// eventPayload maps a typed progress event onto the JSON payload of its
+// SSE frame; the frame's event line is ev.Name().
+func eventPayload(ev plim.Event) any {
 	switch ev := ev.(type) {
 	case plim.EventRewriteCycle:
-		return "rewrite_cycle", struct {
+		return struct {
 			Function string `json:"function"`
 			Config   string `json:"config,omitempty"`
 			Cycle    int    `json:"cycle"`
@@ -290,12 +290,12 @@ func eventPayload(ev plim.Event) (name string, data any) {
 			Nodes    int    `json:"nodes"`
 		}{ev.Function, ev.Config, ev.Cycle, ev.Effort, ev.Nodes}
 	case plim.EventCompileStart:
-		return "compile_start", struct {
+		return struct {
 			Function string `json:"function"`
 			Config   string `json:"config"`
 		}{ev.Function, ev.Config}
 	case plim.EventCompileDone:
-		return "compile_done", struct {
+		return struct {
 			Function     string  `json:"function"`
 			Config       string  `json:"config"`
 			ElapsedMS    float64 `json:"elapsed_ms"`
@@ -304,20 +304,20 @@ func eventPayload(ev plim.Event) (name string, data any) {
 			Error        string  `json:"error,omitempty"`
 		}{ev.Function, ev.Config, ms(ev.Elapsed), ev.Instructions, ev.RRAMs, errString(ev.Err)}
 	case plim.EventBenchmarkStart:
-		return "benchmark_start", struct {
+		return struct {
 			Benchmark string `json:"benchmark"`
 			Index     int    `json:"index"`
 			Total     int    `json:"total"`
 		}{ev.Benchmark, ev.Index, ev.Total}
 	case plim.EventExecuteChunk:
-		return "execute_chunk", struct {
+		return struct {
 			Program string `json:"program"`
 			Done    int    `json:"done"`
 			Total   int    `json:"total"`
 			Vectors int    `json:"vectors"`
 		}{ev.Program, ev.Done, ev.Total, ev.Vectors}
 	case plim.EventBenchmarkDone:
-		return "benchmark_done", struct {
+		return struct {
 			Benchmark string  `json:"benchmark"`
 			Index     int     `json:"index"`
 			Total     int     `json:"total"`
@@ -325,20 +325,18 @@ func eventPayload(ev plim.Event) (name string, data any) {
 			Error     string  `json:"error,omitempty"`
 		}{ev.Benchmark, ev.Index, ev.Total, ms(ev.Elapsed), errString(ev.Err)}
 	case plim.EventTaskStart:
-		return "task_start", struct {
+		return struct {
 			Kind  string `json:"kind"`
 			Label string `json:"label"`
 		}{ev.Kind, ev.Label}
 	case plim.EventTaskDone:
-		return "task_done", struct {
+		return struct {
 			Kind      string  `json:"kind"`
 			Label     string  `json:"label"`
 			ElapsedMS float64 `json:"elapsed_ms"`
 		}{ev.Kind, ev.Label, ms(ev.Elapsed)}
 	}
-	return "unknown", struct {
-		Description string `json:"description"`
-	}{fmt.Sprintf("%T", ev)}
+	return ev
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

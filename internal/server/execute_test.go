@@ -203,11 +203,25 @@ func TestExecuteBadRequests(t *testing.T) {
 			}
 		})
 	}
-	// Vector width mismatches surface from inside the flight as a
-	// computation error, not a 400: the PI count is only known post-compile.
-	resp, body := postJSON(t, ts.URL+"/v1/execute", `{"benchmark":"ctrl","vectors":["0"]}`, nil)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("width mismatch: want 500, got %d: %s", resp.StatusCode, body)
+	// A vector width mismatch is refused inside the flight, once the
+	// program's input count is known, and answered 400 in every explicit
+	// vector form: ctrl has 7 inputs, these vectors 1 bit each.
+	const want = "vector width 1 does not match the program's 7 inputs"
+	for form, post := range map[string]func() (*http.Response, []byte){
+		"json": func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/execute", `{"benchmark":"ctrl","vectors":["0"]}`, nil)
+		},
+		"packed": func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/execute", `{"benchmark":"ctrl","vectors_packed":{"n":1,"lines":1,"words":"AQAAAAAAAAA="}}`, nil)
+		},
+		"ndjson": func() (*http.Response, []byte) {
+			return postNDJSON(t, ts.URL+"/v1/execute", `{"benchmark":"ctrl"}`, []string{"0"})
+		},
+	} {
+		resp, body := post()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Errorf("width mismatch, %s form: want 400 %q, got %d: %s", form, want, resp.StatusCode, body)
+		}
 	}
 }
 

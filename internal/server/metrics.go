@@ -64,9 +64,8 @@ func (m *metrics) observeRequest(route string, code int, elapsed time.Duration) 
 // chunk event (Done == Total) also adds the batch to the execute counters,
 // so they come from the same stream as the execute_chunk count.
 func (m *metrics) countEvent(ev plim.Event) {
-	name, _ := eventPayload(ev)
 	m.mu.Lock()
-	m.events[name]++
+	m.events[ev.Name()]++
 	if c, ok := ev.(plim.EventExecuteChunk); ok && c.Done == c.Total {
 		m.execVectors += uint64(c.Vectors)
 		m.execChunks += uint64(c.Total)

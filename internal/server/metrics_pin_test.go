@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"plim"
 )
@@ -128,5 +129,25 @@ func TestMetricsSeriesPinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(values, wantValues) {
 		t.Errorf("pinned values:\ngot  %v\nwant %v", values, wantValues)
+	}
+}
+
+// TestCountEventAllocatesNothing pins event counting at zero allocations:
+// countEvent reads the event's name and, for a batch's last chunk, its
+// sizes, and builds no SSE payload. A 4096-vector execute publishes 64
+// chunk events, and every scheduler task two more.
+func TestCountEventAllocatesNothing(t *testing.T) {
+	m := newMetrics()
+	for _, ev := range []plim.Event{
+		plim.EventExecuteChunk{Program: "ctrl", Done: 1, Total: 2, Vectors: 100},
+		plim.EventExecuteChunk{Program: "ctrl", Done: 2, Total: 2, Vectors: 100},
+		plim.EventTaskStart{Kind: "compile", Label: "full"},
+		plim.EventTaskDone{Kind: "compile", Label: "full", Elapsed: time.Millisecond},
+		plim.EventCompileDone{Function: "ctrl", Config: "full", Instructions: 81, RRAMs: 21},
+	} {
+		m.countEvent(ev) // the first count of a type adds its map entry
+		if n := testing.AllocsPerRun(100, func() { m.countEvent(ev) }); n != 0 {
+			t.Errorf("countEvent(%s) allocates %v times per event, want 0", ev.Name(), n)
+		}
 	}
 }

@@ -344,18 +344,6 @@ func parseConfig(name string, cap uint64) (plim.Config, error) {
 	return cfg, nil
 }
 
-func parseKind(kind string) (plim.RewriteKind, error) {
-	switch kind {
-	case "none":
-		return plim.RewriteNone, nil
-	case "alg1", "algorithm1":
-		return plim.RewriteAlgorithm1, nil
-	case "alg2", "algorithm2", "":
-		return plim.RewriteAlgorithm2, nil
-	}
-	return 0, badRequest{fmt.Sprintf("unknown rewrite kind %q (want none, alg1 or alg2)", kind)}
-}
-
 // compile plans a /v1/compile flight.
 func (s *Server) compile(req computeRequest) (string, computation, error) {
 	if req.Emit != "" && req.Emit != "asm" && req.Emit != "binary" {
@@ -509,9 +497,13 @@ func packLines(sc *bufio.Scanner) (*plim.Batch, error) {
 }
 
 // decoded is the batch constructor of vectors the request carried: the
-// input batch exists already; the program's widths bound the output batch.
+// input batch exists already and must be as wide as the program's inputs;
+// the program's widths bound the output batch.
 func decoded(b *plim.Batch) func(pis, pos int) (*plim.Batch, error) {
 	return func(pis, pos int) (*plim.Batch, error) {
+		if b.Lines() != pis {
+			return nil, badRequest{fmt.Sprintf("vector width %d does not match the program's %d inputs", b.Lines(), pis)}
+		}
 		if err := checkBatchWords(pis+pos, b.Len()); err != nil {
 			return nil, err
 		}
@@ -660,9 +652,9 @@ func total(counts []uint64) uint64 {
 
 // rewrite plans a /v1/rewrite flight.
 func (s *Server) rewrite(req computeRequest) (string, computation, error) {
-	kind, err := parseKind(req.Kind)
+	kind, err := core.ParseRewriteKind(req.Kind)
 	if err != nil {
-		return "", nil, err
+		return "", nil, badRequest{err.Error()}
 	}
 	srcKey, shrink, load, err := s.sourceMIG(req)
 	if err != nil {
@@ -954,12 +946,11 @@ func (s *Server) streamSSE(w http.ResponseWriter, ctx context.Context, f *flight
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	resp, err := f.stream(ctx, func(ev plim.Event) error {
-		name, data := eventPayload(ev)
-		b, err := json.Marshal(data)
+		b, err := json.Marshal(eventPayload(ev))
 		if err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, b); err != nil {
+		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Name(), b); err != nil {
 			return err
 		}
 		fl.Flush()

@@ -182,7 +182,7 @@ func Program(p *isa.Program, opts Options) *Report {
 	// Cost accumulation rides the same sweep: per-class op counts plus
 	// per-cell weighted wear (identical to WriteCounts under the default
 	// model's unit wear).
-	var costOps cost.Counts
+	var costOps isa.ClassCounts
 	var costWear []uint64
 	if opts.CostModel != nil {
 		costWear = make([]uint64, cells)
@@ -218,9 +218,9 @@ func Program(p *isa.Program, opts Options) *Report {
 		lastWrite[ins.Z] = int32(i)
 		r.WriteCounts[ins.Z]++
 		if m := opts.CostModel; m != nil {
-			op := cost.Classify(ins)
-			costOps.Note(op)
-			costWear[ins.Z] += m.Of(op).Wear
+			class := ins.Class()
+			costOps[class]++
+			costWear[ins.Z] += m.Of(class).Wear
 		}
 	}
 
