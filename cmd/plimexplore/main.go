@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -55,6 +56,17 @@ func main() {
 		cacheDir  = cli.CacheDirFlag()
 	)
 	flag.Parse()
+
+	// A bad -format is refused before the sweep runs.
+	var write func(*plim.ExploreResult, io.Writer, bool) error
+	switch *format {
+	case "csv":
+		write = (*plim.ExploreResult).WriteCSV
+	case "json":
+		write = (*plim.ExploreResult).WriteJSON
+	default:
+		cli.Fatal(fmt.Errorf("plimexplore: unknown format %q (want csv or json)", *format))
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -99,15 +111,7 @@ func main() {
 		cli.Fatal(err)
 	}
 	defer out.Close()
-	switch *format {
-	case "csv":
-		err = res.WriteCSV(out, !*all)
-	case "json":
-		err = res.WriteJSON(out, !*all)
-	default:
-		err = fmt.Errorf("plimexplore: unknown format %q (want csv or json)", *format)
-	}
-	if err != nil {
+	if err := write(res, out, !*all); err != nil {
 		cli.Fatal(err)
 	}
 

@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,6 +58,21 @@ func main() {
 	)
 	flag.Parse()
 
+	// Bad -table and -format values are refused before anything runs.
+	if !slices.Contains([]string{"1", "2", "3", "cost", "ablation", "all"}, *table) {
+		cli.Fatal(fmt.Errorf("plimtab: unknown table %q (want 1, 2, 3, cost, ablation or all)", *table))
+	}
+	var text func(*plim.Grid) string
+	switch *format {
+	case "text":
+		text = (*plim.Grid).Text
+	case "md":
+		text = (*plim.Grid).Markdown
+	case "csv":
+		text = (*plim.Grid).CSV
+	default:
+		cli.Fatal(fmt.Errorf("plimtab: unknown format %q", *format))
+	}
 	want := func(name string) bool { return *table == "all" || *table == name }
 	// Each cap is a full+capN configuration, parsed as every other config
 	// name is, and refused before any suite runs.
@@ -97,18 +113,7 @@ func main() {
 	}
 	defer out.Close()
 
-	render := func(g *plim.Grid) {
-		switch *format {
-		case "text":
-			fmt.Fprintln(out, g.Text())
-		case "md":
-			fmt.Fprintln(out, g.Markdown())
-		case "csv":
-			fmt.Fprintln(out, g.CSV())
-		default:
-			cli.Fatal(fmt.Errorf("plimtab: unknown format %q", *format))
-		}
-	}
+	render := func(g *plim.Grid) { fmt.Fprintln(out, text(g)) }
 	progress := func(msg string) {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr, msg)

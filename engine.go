@@ -502,7 +502,8 @@ func (e *Engine) RunSuite(ctx context.Context, cfgs []Config, benchmarks ...stri
 // configuration — its effort, its shrink, its cost model — rather than the
 // package-level defaults, so a bare ExploreOptions{} sweeps exactly what
 // Run would compile. Every compile is verified when the engine was built
-// WithVerify.
+// WithVerify. Progress events report per-(benchmark, shrink) start/done,
+// per-cycle rewriting and per-configuration compile start/done.
 func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 	if e.err != nil {
 		return nil, e.err

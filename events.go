@@ -16,7 +16,7 @@ import (
 type Event = progress.Event
 
 // EventRewriteCycle reports one completed MIG-rewriting cycle of a Run,
-// RunAll, RunSuite or Rewrite call. In a staged run several configurations
+// RunAll, RunSuite, Explore or Rewrite call. In a staged run several configurations
 // share one rewrite; the Config field then names the shared pipeline
 // ("algorithm1"/"algorithm2") instead of a single configuration.
 type EventRewriteCycle = progress.RewriteCycle
@@ -29,10 +29,12 @@ type EventCompileStart = progress.CompileStart
 // configuration finished, carrying the paper's #I and #R on success.
 type EventCompileDone = progress.CompileDone
 
-// EventBenchmarkStart reports that a RunSuite job began.
+// EventBenchmarkStart reports that one benchmark of a RunSuite call, or
+// one (benchmark, shrink) pair of an Explore sweep, began.
 type EventBenchmarkStart = progress.BenchmarkStart
 
-// EventBenchmarkDone reports that a RunSuite job finished.
+// EventBenchmarkDone reports that one benchmark of a RunSuite call, or one
+// (benchmark, shrink) pair of an Explore sweep, finished.
 type EventBenchmarkDone = progress.BenchmarkDone
 
 // EventExecuteChunk reports that an Execute/ExecuteBatch call finished one

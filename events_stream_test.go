@@ -126,7 +126,7 @@ func TestEventStreamsPinned(t *testing.T) {
 		"run-warm":        {6, "444f63c55222c758"},
 		"run-all":         {28, "4e32be9dfd37181f"},
 		"run-suite":       {68, "5f5294ac6c2c34e4"},
-		"explore":         {112, "7140b1ec6b38b649"},
+		"explore":         {120, "a75960a5a82d010e"},
 		"rewrite":         {1, "cb6dad7b0391d854"},
 		"execute":         {4, "d908840ec24655f8"},
 		"execute-sharded": {8, "1517e63f8af3ceb8"},

@@ -380,7 +380,7 @@ func stageLabel(st Stage, cfgs []Config) string {
 	return st.Kind.String()
 }
 
-// StagedGraph adds the staged plan of cfgs at the given rewriting effort
+// stagedGraph adds the staged plan of cfgs at the given rewriting effort
 // to graph g: one rewrite task per distinct rewriting pipeline, one
 // compile task per configuration (depending on its stage's rewrite), all
 // depending on dep when non-nil. mFn supplies the input MIG's handle,
@@ -396,7 +396,7 @@ func stageLabel(st Stage, cfgs []Config) string {
 // should depend on them) and finish composes the plan's error in stage
 // order; it must only be called after every leaf completed (e.g. from a
 // task depending on all of them, or after Graph.Wait).
-func StagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.Ref, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
+func stagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.Ref, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
 	rws := make([]rewriteResult, len(stages))
 	rwErrs := make([]error, len(stages))
@@ -455,7 +455,7 @@ func RunStaged(ctx context.Context, env Env, m *mig.MIG, cfgs []Config, effort i
 	g := env.Sched.NewGraph(ctx)
 	out := make([]*Report, len(cfgs))
 	in := mig.NewRef(m)
-	_, finish := StagedGraph(g, env, effort, nil, func() *mig.Ref { return in }, cfgs, out)
+	_, finish := stagedGraph(g, env, effort, nil, func() *mig.Ref { return in }, cfgs, out)
 	if err := g.Wait(); err != nil {
 		// Cancellation surfaces as ctx.Err() itself (the documented
 		// contract), not wrapped inside errors.Join.
@@ -465,4 +465,106 @@ func RunStaged(ctx context.Context, env Env, m *mig.MIG, cfgs []Config, effort i
 		return nil, err
 	}
 	return out, nil
+}
+
+// SweepPair is one (benchmark, shrink) pair of a RunSweep: the benchmark's
+// graph at that shrink and Reports[e][c], the report of configuration c
+// compiled after rewriting at effort e.
+type SweepPair struct {
+	Graph   *mig.Ref
+	Reports [][]*Report
+}
+
+// RunSweep evaluates every configuration on every (benchmark, shrink) pair
+// at every rewriting effort as one task graph on env.Sched: the graph
+// behind the paper's Tables I–III (one shrink, one effort) and the
+// design-space sweep. Each pair contributes a generate task that emits
+// progress.BenchmarkStart and builds the benchmark through env.BenchCache,
+// the staged plan of cfgs at every effort (one rewrite task per distinct
+// pipeline, memoized through env.RewriteCache, and one compile task per
+// configuration depending on its stage's rewrite), and a join task
+// depending on all of them that composes the pair's errors and emits
+// progress.BenchmarkDone. Generate and join tasks and the benchmark events
+// carry the benchmark name, suffixed /sN only when the sweep has several
+// shrinks; event Index and Total count pairs. Nothing serializes distinct
+// pairs against each other, so one pair's compile fan-out overlaps the
+// next one's rewrites and the sweep keeps every worker of the pool busy
+// (sharing it with every other caller of the same pool). Progress events
+// go to the observer carried by ctx, if any; it may be invoked
+// concurrently from worker goroutines.
+//
+// Pairs come back benchmark-major: benchmarks[b] at shrinks[s] is pair
+// b*len(shrinks)+s. Results are deterministic; with one worker, tasks run
+// in depth-first creation order, so the event stream is an exact sequence.
+// Once ctx is cancelled unstarted tasks never run and RunSweep returns
+// ctx.Err(). A failing pair does not stop the others: every failure names
+// its benchmark and shrink (and the effort of a failed stage), and all of
+// them come back as one joined error.
+func RunSweep(ctx context.Context, env Env, benchmarks []string, shrinks, efforts []int, cfgs []Config) ([]SweepPair, error) {
+	for _, e := range efforts {
+		if e < 0 {
+			return nil, fmt.Errorf("core: effort must be ≥ 0, got %d", e)
+		}
+	}
+	for _, s := range shrinks {
+		if s < 1 {
+			return nil, fmt.Errorf("core: shrink must be ≥ 1, got %d", s)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g := env.Sched.NewGraph(ctx)
+	pairs := make([]SweepPair, len(benchmarks)*len(shrinks))
+	errs := make([]error, len(pairs))
+	for pi := range pairs {
+		name, shrink := benchmarks[pi/len(shrinks)], shrinks[pi%len(shrinks)]
+		label := name
+		if len(shrinks) > 1 {
+			label = fmt.Sprintf("%s/s%d", name, shrink)
+		}
+		p := &pairs[pi]
+		var (
+			start  time.Time
+			genErr error
+		)
+		gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
+			progress.FromContext(ctx).Emit(progress.BenchmarkStart{Benchmark: label, Index: pi, Total: len(pairs)})
+			start = time.Now()
+			p.Graph, genErr = env.BenchCache.BuildScaled(ctx, name, shrink)
+		}, nil)
+		deps := []*sched.Task{gen}
+		finish := make([]func() error, len(efforts))
+		p.Reports = make([][]*Report, len(efforts))
+		for ei, effort := range efforts {
+			p.Reports[ei] = make([]*Report, len(cfgs))
+			var leaves []*sched.Task
+			leaves, finish[ei] = stagedGraph(g, env, effort, gen, func() *mig.Ref { return p.Graph }, cfgs, p.Reports[ei])
+			deps = append(deps, leaves...)
+		}
+		g.Task(sched.KindJoin, label, func(ctx context.Context) {
+			var perr []error
+			if genErr != nil {
+				perr = append(perr, fmt.Errorf("core: %s (shrink %d): %w", name, shrink, genErr))
+			}
+			for ei, f := range finish {
+				if err := f(); err != nil {
+					perr = append(perr, fmt.Errorf("core: %s (shrink %d, effort %d): %w", name, shrink, efforts[ei], err))
+				}
+			}
+			errs[pi] = errors.Join(perr...)
+			progress.FromContext(ctx).Emit(progress.BenchmarkDone{
+				Benchmark: label, Index: pi, Total: len(pairs),
+				Elapsed: time.Since(start), Err: errs[pi],
+			})
+		}, deps...)
+	}
+	if err := g.Wait(); err != nil {
+		// Cancellation surfaces as ctx.Err() itself, not a joined wrap.
+		return nil, err
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return pairs, nil
 }

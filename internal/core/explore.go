@@ -10,8 +10,6 @@ import (
 	"strings"
 
 	"plim/internal/cost"
-	"plim/internal/mig"
-	"plim/internal/sched"
 	"plim/internal/stats"
 	"plim/internal/suite"
 )
@@ -80,16 +78,6 @@ func (o *ExploreOptions) normalize() error {
 	if len(o.Models) == 0 {
 		o.Models = []*cost.Model{cost.Default()}
 	}
-	for _, e := range o.Efforts {
-		if e < 0 {
-			return fmt.Errorf("core: explore effort must be ≥ 0, got %d", e)
-		}
-	}
-	for _, s := range o.Shrinks {
-		if s < 1 {
-			return fmt.Errorf("core: explore shrink must be ≥ 1, got %d", s)
-		}
-	}
 	names := make(map[string]bool, len(o.Models))
 	for _, m := range o.Models {
 		if m == nil {
@@ -107,15 +95,15 @@ func (o *ExploreOptions) normalize() error {
 }
 
 // Explore sweeps the design space (benchmark × shrink × effort × config ×
-// cost model) as one task graph on env.Sched: one generate task per
-// (benchmark, shrink) through env.BenchCache, one rewrite task per
-// distinct (benchmark, shrink, effort, pipeline) — memoized through
-// env.RewriteCache, which the axis product makes the difference
-// between O(points) and O(distinct rewrites) graph work — and one compile
-// task per (benchmark, shrink, effort, config), compiled under Models[0]
-// in place of env.CostModel. Pricing under each model is pure arithmetic
-// on the compiled program, so the model axis multiplies output rows, not
-// graph work.
+// cost model) as one RunSweep on env.Sched, compiled under Models[0] in
+// place of env.CostModel: one generate task per (benchmark, shrink)
+// through env.BenchCache, one rewrite task per distinct (benchmark,
+// shrink, effort, pipeline) — memoized through env.RewriteCache, which
+// the axis product makes the difference between O(points) and O(distinct
+// rewrites) graph work — and one compile task per (benchmark, shrink,
+// effort, config). Pricing under each model is pure arithmetic on the
+// compiled program, so the model axis multiplies output rows, not graph
+// work.
 //
 // The result is deterministic: points appear in input axis order and every
 // priced quantity derives from exact integer operation counts, so repeated
@@ -126,81 +114,28 @@ func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult,
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	env.CostModel = opts.Models[0]
-	g := env.Sched.NewGraph(ctx)
-
-	nb, ns, ne := len(opts.Benchmarks), len(opts.Shrinks), len(opts.Efforts)
-	type cell struct {
-		reports []*Report
-		finish  func() error
-	}
-	cells := make([]cell, nb*ns*ne)
-	migs := make([]*mig.Ref, nb*ns)
-	genErrs := make([]error, nb*ns)
-	for bi, name := range opts.Benchmarks {
-		for si, shrink := range opts.Shrinks {
-			gi := bi*ns + si
-			name, shrink := name, shrink
-			label := name
-			if ns > 1 || shrink != 1 {
-				label = fmt.Sprintf("%s/s%d", name, shrink)
-			}
-			gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
-				m, err := env.BenchCache.BuildScaled(ctx, name, shrink)
-				if err != nil {
-					genErrs[gi] = fmt.Errorf("core: explore %s (shrink %d): %w", name, shrink, err)
-					return
-				}
-				migs[gi] = m
-			}, nil)
-			for ei, effort := range opts.Efforts {
-				reports := make([]*Report, len(opts.Configs))
-				_, finish := StagedGraph(g, env, effort, gen, func() *mig.Ref { return migs[gi] }, opts.Configs, reports)
-				cells[gi*ne+ei] = cell{reports: reports, finish: finish}
-			}
-		}
-	}
-	if err := g.Wait(); err != nil {
+	pairs, err := RunSweep(ctx, env, opts.Benchmarks, opts.Shrinks, opts.Efforts, opts.Configs)
+	if err != nil {
 		return nil, err
 	}
-	var errs []error
-	for gi, err := range genErrs {
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for ei := 0; ei < ne; ei++ {
-			if err := cells[gi*ne+ei].finish(); err != nil {
-				errs = append(errs, fmt.Errorf("core: explore %s (shrink %d, effort %d): %w",
-					opts.Benchmarks[gi/ns], opts.Shrinks[gi%ns], opts.Efforts[ei], err))
-			}
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-
-	res := &ExploreResult{Points: make([]ExplorePoint, 0, nb*ns*ne*len(opts.Configs)*len(opts.Models))}
-	for bi := range opts.Benchmarks {
-		for si, shrink := range opts.Shrinks {
-			for ei, effort := range opts.Efforts {
-				for ci, cfg := range opts.Configs {
-					rep := cells[(bi*ns+si)*ne+ei].reports[ci]
-					for _, m := range opts.Models {
-						res.Points = append(res.Points, ExplorePoint{
-							Benchmark:    opts.Benchmarks[bi],
-							Config:       cfg.Name,
-							Effort:       effort,
-							Shrink:       shrink,
-							Model:        m.Name,
-							Instructions: rep.NumInstructions(),
-							RRAMs:        rep.NumRRAMs(),
-							Cost:         m.Program(rep.Result.Program),
-						})
-					}
+	ns := len(opts.Shrinks)
+	res := &ExploreResult{Points: make([]ExplorePoint, 0, len(pairs)*len(opts.Efforts)*len(opts.Configs)*len(opts.Models))}
+	for pi, p := range pairs {
+		for ei, effort := range opts.Efforts {
+			for ci, cfg := range opts.Configs {
+				rep := p.Reports[ei][ci]
+				for _, m := range opts.Models {
+					res.Points = append(res.Points, ExplorePoint{
+						Benchmark:    opts.Benchmarks[pi/ns],
+						Config:       cfg.Name,
+						Effort:       effort,
+						Shrink:       opts.Shrinks[pi%ns],
+						Model:        m.Name,
+						Instructions: rep.NumInstructions(),
+						RRAMs:        rep.NumRRAMs(),
+						Cost:         m.Program(rep.Result.Program),
+					})
 				}
 			}
 		}

@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"plim/internal/cost"
+	"plim/internal/progress"
 )
 
 func quickExplore() ExploreOptions {
@@ -158,5 +161,94 @@ func TestExploreValidation(t *testing.T) {
 	bad.Benchmarks = []string{"nope"}
 	if _, err := Explore(ctx, env, bad); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestExploreBenchmarkEvents checks the sweep's per-pair progress: one
+// BenchmarkStart and one BenchmarkDone per (benchmark, shrink), Index and
+// Total counted over pairs, and a /sN label suffix only when the sweep
+// has several shrinks.
+func TestExploreBenchmarkEvents(t *testing.T) {
+	cases := []struct {
+		shrinks []int
+		labels  []string // in pair order
+	}{
+		{[]int{4}, []string{"ctrl", "dec"}},
+		{[]int{8, 4}, []string{"ctrl/s8", "ctrl/s4", "dec/s8", "dec/s4"}},
+	}
+	for _, c := range cases {
+		var mu sync.Mutex
+		events := 0
+		starts := map[string]progress.BenchmarkStart{}
+		dones := map[string]progress.BenchmarkDone{}
+		ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch ev := ev.(type) {
+			case progress.BenchmarkStart:
+				starts[ev.Benchmark] = ev
+				events++
+			case progress.BenchmarkDone:
+				dones[ev.Benchmark] = ev
+				events++
+			}
+		})
+		opts := ExploreOptions{Benchmarks: []string{"ctrl", "dec"}, Shrinks: c.shrinks, Efforts: []int{0, 1}}
+		if _, err := Explore(ctx, testEnv(t, 2), opts); err != nil {
+			t.Fatal(err)
+		}
+		if events != 2*len(c.labels) {
+			t.Fatalf("shrinks %v: %d benchmark events, want a start and a done for each of %v", c.shrinks, events, c.labels)
+		}
+		for i, label := range c.labels {
+			s, d := starts[label], dones[label]
+			if s.Index != i || s.Total != len(c.labels) || d.Index != i || d.Total != len(c.labels) || d.Err != nil {
+				t.Fatalf("shrinks %v: %s events %+v and %+v, want pair %d of %d", c.shrinks, label, s, d, i, len(c.labels))
+			}
+		}
+	}
+}
+
+// TestExploreReportsEveryFailedPair checks that a failing (benchmark,
+// shrink) pair stops no other pair, and that every failure names its
+// benchmark and shrink, in the returned error and in its done event.
+func TestExploreReportsEveryFailedPair(t *testing.T) {
+	var mu sync.Mutex
+	dones := map[string]error{}
+	compiles := map[string]int{}
+	ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev := ev.(type) {
+		case progress.BenchmarkDone:
+			dones[ev.Benchmark] = ev.Err
+		case progress.CompileDone:
+			compiles[ev.Function]++
+		}
+	})
+	opts := ExploreOptions{Benchmarks: []string{"ctrl", "nope", "dec"}, Shrinks: []int{8, 4}, Efforts: []int{1}}
+	_, err := Explore(ctx, testEnv(t, 2), opts)
+	if err == nil {
+		t.Fatal("a sweep over an unknown benchmark succeeded")
+	}
+	for _, shrink := range []int{8, 4} {
+		want := fmt.Sprintf("nope (shrink %d)", shrink)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not name %q: %v", want, err)
+		}
+		if e := dones[fmt.Sprintf("nope/s%d", shrink)]; e == nil || !strings.Contains(e.Error(), want) {
+			t.Errorf("done event of nope/s%d carries %v, want an error naming %q", shrink, e, want)
+		}
+		for _, ok := range []string{"ctrl", "dec"} {
+			label := fmt.Sprintf("%s/s%d", ok, shrink)
+			if e, done := dones[label]; !done || e != nil {
+				t.Errorf("%s: done %v with error %v, want a clean done", label, done, e)
+			}
+		}
+	}
+	for _, ok := range []string{"ctrl", "dec"} {
+		if want := 2 * len(TableIConfigs()); compiles[ok] != want {
+			t.Errorf("%s: %d compiles, want %d", ok, compiles[ok], want)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package progress defines the typed progress events emitted by the
 // long-running parts of the flow — scheduler tasks, MIG rewriting,
-// compilation, benchmark-suite runs and batched execution — and the
+// compilation, benchmark suites and sweeps, and batched execution — and the
 // callback type that receives them. The public facade re-exports the event
 // types (plim.Event*, plim.WithProgress). The observer rides the context:
 // the caller installs it with NewContext, and every emitter below reads it
@@ -81,14 +81,16 @@ type CompileDone struct {
 	Err          error
 }
 
-// BenchmarkStart reports that a suite job began building and compiling.
+// BenchmarkStart reports that a suite or sweep pair — one benchmark at one
+// shrink — began building and compiling.
 type BenchmarkStart struct {
-	Benchmark string
-	Index     int // position in the suite's benchmark list
-	Total     int // number of benchmarks in the run
+	Benchmark string // benchmark name, suffixed /sN in a sweep of several shrinks
+	Index     int    // position of the pair in the run
+	Total     int    // number of pairs in the run
 }
 
-// BenchmarkDone reports that a suite job finished (Err != nil on failure).
+// BenchmarkDone reports that a suite or sweep pair finished (Err != nil on
+// failure).
 type BenchmarkDone struct {
 	Benchmark string
 	Index     int

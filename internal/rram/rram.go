@@ -66,30 +66,15 @@ func (d *Device) write(v bool, endurance uint64) error {
 	return nil
 }
 
-// Crossbar is a rows×cols array of devices with linear addressing
-// (addr = row*cols + col), shared peripheral circuitry, and a cycle model.
+// Crossbar is a linear array of devices with shared peripheral circuitry.
 // The PLiM controller wraps a crossbar and executes RM3 instructions on it.
 type Crossbar struct {
-	rows, cols int
-	devices    []Device
-	endurance  uint64 // per-device write budget; 0 = unlimited
+	devices   []Device
+	endurance uint64 // per-device write budget; 0 = unlimited
 
-	reads      uint64
-	writeOps   uint64
-	cycleModel CycleModel
-	cycles     uint64
+	reads    uint64
+	writeOps uint64
 }
-
-// CycleModel assigns latencies (in controller cycles) to the primitive
-// array operations. The defaults follow the PLiM controller's
-// fetch/read/read/write loop: one cycle per operand read and one per write.
-type CycleModel struct {
-	Read  uint64
-	Write uint64
-}
-
-// DefaultCycleModel is the PLiM controller timing used when none is given.
-var DefaultCycleModel = CycleModel{Read: 1, Write: 1}
 
 // Option configures a Crossbar.
 type Option func(*Crossbar)
@@ -99,40 +84,19 @@ func WithEndurance(limit uint64) Option {
 	return func(c *Crossbar) { c.endurance = limit }
 }
 
-// WithCycleModel overrides the peripheral timing model.
-func WithCycleModel(m CycleModel) Option {
-	return func(c *Crossbar) { c.cycleModel = m }
-}
-
-// NewCrossbar allocates a rows×cols crossbar with all devices reset to 0.
-func NewCrossbar(rows, cols int, opts ...Option) *Crossbar {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("rram: invalid crossbar geometry %dx%d", rows, cols))
-	}
-	c := &Crossbar{
-		rows:       rows,
-		cols:       cols,
-		devices:    make([]Device, rows*cols),
-		cycleModel: DefaultCycleModel,
-	}
+// NewLinear allocates a crossbar of n devices, all reset to 0; the
+// compiler's address space is linear. n may be 0: a program of no cells
+// runs on an empty crossbar.
+func NewLinear(n int, opts ...Option) *Crossbar {
+	c := &Crossbar{devices: make([]Device, n)}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
 }
 
-// NewLinear allocates a 1×n crossbar; the compiler's address space is
-// linear, so most callers use this.
-func NewLinear(n int, opts ...Option) *Crossbar { return NewCrossbar(1, n, opts...) }
-
 // Size returns the number of devices.
 func (c *Crossbar) Size() int { return len(c.devices) }
-
-// Rows and Cols return the geometry.
-func (c *Crossbar) Rows() int { return c.rows }
-
-// Cols returns the number of columns.
-func (c *Crossbar) Cols() int { return c.cols }
 
 func (c *Crossbar) check(addr uint32) {
 	if int(addr) >= len(c.devices) {
@@ -145,7 +109,6 @@ func (c *Crossbar) check(addr uint32) {
 func (c *Crossbar) Read(addr uint32) bool {
 	c.check(addr)
 	c.reads++
-	c.cycles += c.cycleModel.Read
 	return c.devices[addr].value
 }
 
@@ -153,7 +116,6 @@ func (c *Crossbar) Read(addr uint32) bool {
 func (c *Crossbar) Write(addr uint32, v bool) error {
 	c.check(addr)
 	c.writeOps++
-	c.cycles += c.cycleModel.Write
 	return c.devices[addr].write(v, c.endurance)
 }
 
@@ -175,7 +137,6 @@ func (c *Crossbar) RM3(p, q bool, addr uint32) error {
 	nq := !q
 	res := p && z || nq && z || p && nq
 	c.writeOps++
-	c.cycles += c.cycleModel.Write
 	return c.devices[addr].write(res, c.endurance)
 }
 
@@ -211,9 +172,10 @@ func (c *Crossbar) SwitchCounts(n int) []uint64 {
 	return out
 }
 
-// Totals returns aggregate operation counters.
+// Totals returns aggregate operation counters; cycles counts one per read
+// and one per write, the PLiM controller's fetch/read/read/write loop.
 func (c *Crossbar) Totals() (reads, writes, cycles uint64) {
-	return c.reads, c.writeOps, c.cycles
+	return c.reads, c.writeOps, c.reads + c.writeOps
 }
 
 // WearMap renders an ASCII heat map of write counts (row-major), bucketing

@@ -96,7 +96,7 @@ func TestEnduranceFailure(t *testing.T) {
 }
 
 func TestCycleAccounting(t *testing.T) {
-	c := NewLinear(4, WithCycleModel(CycleModel{Read: 2, Write: 5}))
+	c := NewLinear(4)
 	c.Read(0)
 	_ = c.Write(1, true)
 	_ = c.RM3(true, true, 2)
@@ -104,31 +104,27 @@ func TestCycleAccounting(t *testing.T) {
 	if reads != 1 || writes != 2 {
 		t.Fatalf("reads=%d writes=%d", reads, writes)
 	}
-	if cycles != 2+5+5 {
-		t.Fatalf("cycles=%d, want 12", cycles)
+	if cycles != 1+2 {
+		t.Fatalf("cycles=%d, want one per read and per write", cycles)
 	}
-}
-
-func TestCrossbarGeometry(t *testing.T) {
-	c := NewCrossbar(4, 8)
-	if c.Size() != 32 || c.Rows() != 4 || c.Cols() != 8 {
-		t.Fatalf("geometry wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("out-of-range access must panic")
-		}
-	}()
-	c.Read(32)
 }
 
 func TestInvalidGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("NewCrossbar(0,5) must panic")
-		}
-	}()
-	NewCrossbar(0, 5)
+	cases := map[string]func(){
+		"negative size":          func() { NewLinear(-1) },
+		"out-of-range address":   func() { NewLinear(4).Read(4) },
+		"address on empty array": func() { _ = NewLinear(0).Write(0, true) },
+	}
+	for name, f := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestWriteCountsSnapshot(t *testing.T) {

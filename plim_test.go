@@ -1,6 +1,7 @@
 package plim
 
 import (
+	"bytes"
 	"context"
 	"testing"
 )
@@ -39,6 +40,30 @@ func TestQuickstartFlow(t *testing.T) {
 		}
 		if _, writes, _ := xbar.Totals(); writes != uint64(rep.NumInstructions()) {
 			t.Fatalf("crossbar writes %d != #I %d", writes, rep.NumInstructions())
+		}
+	}
+}
+
+// TestExecuteEmptyProgram runs a valid program of no cells, inputs or
+// instructions, as NewProgram builds it and ReadProgram decodes it, through
+// both executors: the scalar one gets an empty crossbar.
+func TestExecuteEmptyProgram(t *testing.T) {
+	built, err := NewProgram(ProgramParts{Name: "empty"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := ReadProgram(bytes.NewReader(built.Binary()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Program{built, decoded} {
+		out, xbar, err := Execute(p, nil)
+		if err != nil || len(out) != 0 || xbar.Size() != 0 {
+			t.Fatalf("Execute: outputs %v, crossbar of %d devices, err %v", out, xbar.Size(), err)
+		}
+		res, err := ExecuteBatch(p, NewBatch(0, 3), ExecOptions{})
+		if err != nil || res.Vectors != 3 || len(res.Writes) != 0 {
+			t.Fatalf("ExecuteBatch: %+v, err %v", res, err)
 		}
 	}
 }
