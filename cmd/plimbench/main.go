@@ -42,6 +42,10 @@
 // worker-scaling curve; on a single-core runner every point time-slices on
 // one CPU and the honest curve is flat.
 //
+// The serve/ family times warm plimserve requests through the server's
+// handler, without a listener: a compile of a named benchmark and an
+// execute that answers 4,096 vectors as "0101" strings.
+//
 // The trace/ family pins the span recorder's contract: with tracing
 // disabled a Start/End pair is one context lookup and zero allocations
 // (asserted outright — the gate's absolute floor would forgive strays),
@@ -55,6 +59,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
@@ -67,6 +73,7 @@ import (
 	"plim/internal/core"
 	"plim/internal/rewrite"
 	"plim/internal/sched"
+	"plim/internal/server"
 	"plim/internal/suite"
 	"plim/internal/tables"
 	"plim/internal/trace"
@@ -444,6 +451,37 @@ func main() {
 	runtime.GOMAXPROCS(prevProcs)
 	fmt.Fprintf(os.Stderr, "sched scaling at GOMAXPROCS=%d: %s (flat on a single-core host)\n",
 		schedProcs, strings.Join(curve, ", "))
+
+	// The serve family: warm requests through plimserve's handler
+	// (Server.ServeHTTP on an httptest recorder, no listener), one a
+	// compile of a named benchmark and one an execute whose 4,096 output
+	// vectors come back as "0101" strings. The engine has one worker, so
+	// an execute never shards and the allocation counts do not depend on
+	// GOMAXPROCS.
+	srv := server.New(plim.NewEngine(plim.WithShrink(*shrink), plim.WithWorkers(1)), server.Options{})
+	for _, req := range []struct{ name, path, body string }{
+		{"serve/compile-warm", "/v1/compile", `{"benchmark":"multiplier","config":"full"}`},
+		{"serve/execute-warm-4096v", "/v1/execute", `{"benchmark":"ctrl","config":"full","random":4096,"seed":1}`},
+	} {
+		serve := func() error {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", req.path, strings.NewReader(req.body)))
+			if rec.Code != http.StatusOK {
+				return fmt.Errorf("plimbench: %s: %d %s", req.name, rec.Code, rec.Body)
+			}
+			return nil
+		}
+		if err := serve(); err != nil { // warms the engine's caches
+			cli.Fatal(err)
+		}
+		add(req.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := serve(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
 	out, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {

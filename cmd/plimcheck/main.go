@@ -115,16 +115,13 @@ func checkBenchmark(run cli.Run, bench, cfgName string, cap uint64, effort, shri
 		return nil, fmt.Errorf("plimcheck: %w", err)
 	}
 	eng := run.Engine(plim.WithEffort(effort), plim.WithVerify(true), plim.WithCostModel(cm))
-	m, err := eng.Benchmark(ctx, bench, shrink)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := eng.Run(ctx, m, cfg)
+	rep, err := eng.RunBenchmark(ctx, bench, shrink, cfg)
 	if err != nil {
 		return nil, err
 	}
 	// The engine runs WithVerify, so every report carries its verification:
 	// a hard violation (allocator parity included, checked in core) fails
-	// Run, and the report remains for wear numbers and dead-write warnings.
+	// the run, and the report remains for wear numbers and dead-write
+	// warnings.
 	return rep.Verify, run.Finish(eng)
 }

@@ -11,6 +11,7 @@ import (
 	"plim/internal/diskcache"
 	"plim/internal/exec"
 	"plim/internal/memo"
+	"plim/internal/mig"
 	"plim/internal/progress"
 	"plim/internal/sched"
 	"plim/internal/suite"
@@ -441,9 +442,10 @@ func (e *Engine) Shrink() int { return e.shrink }
 
 // Run rewrites and compiles m under the given configuration. The input MIG
 // is not modified; the rewrite stage is served from the engine's cache
-// when it has already run for this function. Cancellation is honoured
-// between rewrite cycles and before compilation; on cancellation the error
-// is ctx.Err().
+// when it has already run for this function. m is hashed once per call,
+// for the rewrite key; RunBenchmark compiles a named benchmark without
+// that hash. Cancellation is honoured between rewrite cycles and before
+// compilation; on cancellation the error is ctx.Err().
 func (e *Engine) Run(ctx context.Context, m *MIG, cfg Config) (*Report, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -451,7 +453,34 @@ func (e *Engine) Run(ctx context.Context, m *MIG, cfg Config) (*Report, error) {
 	ctx, csp := e.begin(ctx, "run")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	reps, err := core.RunStaged(ctx, e.env(), m, []Config{cfg}, e.effort)
+	return e.runOne(ctx, mig.NewRef(m), cfg)
+}
+
+// RunBenchmark rewrites and compiles one of the paper's benchmarks, built
+// with datapaths divided by shrink (1 = paper scale), under the given
+// configuration. Its report is the one Run gives for the graph Benchmark
+// returns, but it compiles the engine's cached build itself: nothing is
+// cloned, and nothing is hashed, since a cached build carries its
+// fingerprint. The build is probed under the same generate span that
+// Benchmark records. Cancellation is honoured as in Run.
+func (e *Engine) RunBenchmark(ctx context.Context, name string, shrink int, cfg Config) (*Report, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	ctx, csp := e.begin(ctx, "run-benchmark")
+	defer csp.End()
+	defer runtime.KeepAlive(e)
+	_, sp, in, err := e.generate(ctx, name, shrink)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return e.runOne(ctx, in, cfg)
+}
+
+// runOne runs the staged plan of one configuration on the handle in.
+func (e *Engine) runOne(ctx context.Context, in *mig.Ref, cfg Config) (*Report, error) {
+	reps, err := core.RunStaged(ctx, e.env(), in, []Config{cfg}, e.effort)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +498,7 @@ func (e *Engine) RunAll(ctx context.Context, m *MIG, cfgs []Config) ([]*Report, 
 	ctx, csp := e.begin(ctx, "run-all")
 	defer csp.End()
 	defer runtime.KeepAlive(e)
-	return core.RunStaged(ctx, e.env(), m, cfgs, e.effort)
+	return core.RunStaged(ctx, e.env(), mig.NewRef(m), cfgs, e.effort)
 }
 
 // RunSuite evaluates every configuration on every named benchmark (all 18
@@ -545,20 +574,17 @@ func (e *Engine) Rewrite(ctx context.Context, m *MIG, kind RewriteKind) (*MIG, R
 // shrink (1 = paper scale). Builds share the engine's benchmark caches
 // (memory and disk), so repeated builds — servers answering requests at
 // mixed shrinks included — generate each (benchmark, shrink) once; the
-// result is always a private clone. When ctx carries a trace (a server
-// flight) or the engine traces (WithTrace), the build records a generate
-// span with the cache probe nested inside, so traced requests account for
-// benchmark generation, not just the compile.
+// result is always a private clone, which the caller may modify. To
+// compile a benchmark, RunBenchmark skips that clone. When ctx carries a
+// trace (a server flight) or the engine traces (WithTrace), the build
+// records a generate span with the cache probe nested inside, so traced
+// requests account for benchmark generation, not just the compile.
 func (e *Engine) Benchmark(ctx context.Context, name string, shrink int) (*MIG, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	if shrink < 1 {
-		return nil, fmt.Errorf("plim: Benchmark(%q, %d): shrink must be ≥ 1", name, shrink)
-	}
-	ctx, sp := e.traceSpan(ctx, "generate", name)
+	ctx, sp, r, err := e.generate(ctx, name, shrink)
 	defer sp.End()
-	r, err := e.benchCache.BuildScaled(ctx, name, shrink)
 	if err != nil {
 		return nil, err
 	}
@@ -567,6 +593,19 @@ func (e *Engine) Benchmark(ctx context.Context, name string, shrink int) (*MIG, 
 		return nil, err
 	}
 	return m.Clone(), nil
+}
+
+// generate opens the generate span that Benchmark and RunBenchmark record
+// and probes the engine's benchmark caches for (name, shrink) beneath it.
+// The returned handle is the cache's: shared and read-only. The caller
+// ends the span once it is done with the build.
+func (e *Engine) generate(ctx context.Context, name string, shrink int) (context.Context, trace.Handle, *mig.Ref, error) {
+	if shrink < 1 {
+		return ctx, trace.Handle{}, nil, fmt.Errorf("plim: benchmark %q at shrink %d: shrink must be ≥ 1", name, shrink)
+	}
+	ctx, sp := e.traceSpan(ctx, "generate", name)
+	r, err := e.benchCache.BuildScaled(ctx, name, shrink)
+	return ctx, sp, r, err
 }
 
 // MemoryCacheLens reports how many entries the engine's in-memory caches

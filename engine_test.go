@@ -407,6 +407,55 @@ func TestWithCacheBenchmarkIsPrivate(t *testing.T) {
 	}
 }
 
+// TestRunBenchmarkMatchesRun: RunBenchmark, which compiles the engine's
+// cached build itself, reports what Run reports for the graph Benchmark
+// returns, and records the generate span Benchmark records inside its call
+// span.
+func TestRunBenchmarkMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	for _, cfg := range []Config{Naive, Full, FullCap(20)} {
+		eng := NewEngine(WithEffort(2), WithTrace(true))
+		got, err := eng.RunBenchmark(ctx, "ctrl", 8, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := NewEngine(WithEffort(2))
+		m, err := ref.Benchmark(ctx, "ctrl", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Run(ctx, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Result.Program.Binary(), want.Result.Program.Binary()) ||
+			got.Rewrite != want.Rewrite || got.Writes != want.Writes || *got.Cost != *want.Cost {
+			t.Fatalf("%s: RunBenchmark's report differs from Run's on Benchmark's graph", cfg.Name)
+		}
+		spans := eng.TakeTrace().Spans()
+		var call, generate int
+		for _, sp := range spans {
+			switch {
+			case sp.Kind == "call" && sp.Name == "run-benchmark":
+				call++
+			case sp.Kind == "generate" && sp.Name == "ctrl" && sp.Parent >= 0 && spans[sp.Parent].Kind == "call":
+				generate++
+			}
+		}
+		if call != 1 || generate != 1 {
+			t.Fatalf("%s: %d run-benchmark call spans and %d generate spans beneath a call, want one each", cfg.Name, call, generate)
+		}
+	}
+	for _, bad := range []struct {
+		name   string
+		shrink int
+	}{{"ctrl", 0}, {"nosuch", 8}} {
+		if _, err := NewEngine().RunBenchmark(ctx, bad.name, bad.shrink, Full); err == nil {
+			t.Fatalf("RunBenchmark(%q, %d) succeeded", bad.name, bad.shrink)
+		}
+	}
+}
+
 // TestEngineCachedRunMatchesUncached runs the same function through an
 // engine and the uncached sequential reference core.Run; reports must be
 // byte-identical, and the engine's second run must skip the rewrite (no

@@ -440,21 +440,22 @@ func stagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func(
 	return leaves, finish
 }
 
-// RunStaged runs several configurations on the same function as a staged
-// plan on env.Sched: each distinct rewriting pipeline runs once (memoized
-// through env.RewriteCache) and the compile/alloc stages fan out
-// over the shared rewritten MIG as independent scheduler tasks. Reports
-// are returned in configuration order and are identical to those of
-// sequential per-configuration Run calls. On cancellation the error is
-// ctx.Err() itself; unstarted tasks of the plan never run. m is hashed
-// once, for the rewrite key every stage shares.
-func RunStaged(ctx context.Context, env Env, m *mig.MIG, cfgs []Config, effort int) ([]*Report, error) {
+// RunStaged runs several configurations on the function behind the handle
+// in as a staged plan on env.Sched: each distinct rewriting pipeline runs
+// once (memoized through env.RewriteCache) and the compile/alloc stages
+// fan out over the shared rewritten MIG as independent scheduler tasks.
+// Reports are returned in configuration order and are identical to those
+// of sequential per-configuration Run calls. On cancellation the error is
+// ctx.Err() itself; unstarted tasks of the plan never run. Every stage
+// keys its rewrite by in's fingerprint, so RunStaged hashes nothing: a
+// caller's graph is hashed once, where mig.NewRef wraps it, and a cached
+// handle (a suite.Cache build) is neither hashed nor copied.
+func RunStaged(ctx context.Context, env Env, in *mig.Ref, cfgs []Config, effort int) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	g := env.Sched.NewGraph(ctx)
 	out := make([]*Report, len(cfgs))
-	in := mig.NewRef(m)
 	_, finish := stagedGraph(g, env, effort, nil, func() *mig.Ref { return in }, cfgs, out)
 	if err := g.Wait(); err != nil {
 		// Cancellation surfaces as ctx.Err() itself (the documented

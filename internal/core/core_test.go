@@ -103,7 +103,7 @@ func TestRunPreservesFunctionAcrossConfigs(t *testing.T) {
 
 func TestRunAllOrdersReports(t *testing.T) {
 	m := randomMIG("f", 6, 60, 4, 5)
-	reps, err := RunStaged(context.Background(), testEnv(t, 1), m, TableIConfigs(), 2)
+	reps, err := RunStaged(context.Background(), testEnv(t, 1), mig.NewRef(m), TableIConfigs(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 		"inline+bounded":  {Sched: one, RewriteCache: NewRewriteCache(memo.NewBudget(1), nil), CompileCache: NewCompileCache(nil, nil)},
 		"workers+bounded": {Sched: four, RewriteCache: NewRewriteCache(memo.NewBudget(2), nil), CompileCache: NewCompileCache(nil, nil)},
 	} {
-		got, err := RunStaged(context.Background(), env, m, cfgs, 2)
+		got, err := RunStaged(context.Background(), env, mig.NewRef(m), cfgs, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -271,7 +271,7 @@ func TestRunStagedRewritesOncePerStage(t *testing.T) {
 			starts[c.Config]++
 		}
 	})
-	_, err := RunStaged(ctx, testEnv(t, 1), m, TableIConfigs(), 2)
+	_, err := RunStaged(ctx, testEnv(t, 1), mig.NewRef(m), TableIConfigs(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestRunStagedCancellationIsCtxErr(t *testing.T) {
 			cancel()
 		}
 	})
-	_, err := RunStaged(ctx, testEnv(t, 1), m, TableIConfigs(), 1)
+	_, err := RunStaged(ctx, testEnv(t, 1), mig.NewRef(m), TableIConfigs(), 1)
 	cancel()
 	if err == nil {
 		t.Fatal("cancelled staged run returned nil error")

@@ -11,7 +11,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 )
 
 // wordBits is the lane count: vectors per state word.
@@ -222,29 +222,51 @@ func (b *Batch) Unpack() [][]bool {
 }
 
 // Strings renders every vector in the "0101" format accepted by
-// PackStrings. The vectors are written back to back into one buffer, a
-// chunk of 64 at a time straight from its state words, and every string
-// is a slice of that one buffer.
+// PackStrings. The vectors are written back to back by AppendVectors, and
+// every string is a slice of that one text.
 func (b *Batch) Strings() []string {
+	all := string(b.AppendVectors(make([]byte, 0, b.n*b.lines), "", ""))
 	out := make([]string, b.n)
-	var sb strings.Builder
-	sb.Grow(b.n * b.lines)
-	chunk := make([]byte, wordBits*b.lines)
-	for c := range b.Chunks() {
-		lanes := min(wordBits, b.n-c*wordBits)
-		for i, line := range b.words {
-			w := line[c]
-			for l := range lanes {
-				chunk[l*b.lines+i] = '0' + byte(w>>l&1)
-			}
-		}
-		sb.Write(chunk[:lanes*b.lines])
-	}
-	all := sb.String()
 	for v := range out {
 		out[v] = all[v*b.lines : (v+1)*b.lines]
 	}
 	return out
+}
+
+// AppendVectors appends every vector to dst in the "0101" format, each
+// one preceded by before and followed by after, and returns the extended
+// slice; with before `"` and after `",` that is a JSON array's elements
+// and a trailing comma. It is the one bit-to-text loop of the package:
+// dst grows once, and each 64-lane chunk is delimited and then filled
+// line by line straight from its state words, so every word is read once.
+func (b *Batch) AppendVectors(dst []byte, before, after string) []byte {
+	stride := len(before) + b.lines + len(after)
+	start := len(dst)
+	dst = slices.Grow(dst, b.n*stride)[:start+b.n*stride]
+	text := dst[start:]
+	for c := range b.Chunks() {
+		lanes := min(wordBits, b.n-c*wordBits)
+		chunk := text[c*wordBits*stride : (c*wordBits+lanes)*stride]
+		if c == 0 {
+			for v := range lanes {
+				rec := chunk[v*stride : (v+1)*stride]
+				copy(rec, before)
+				copy(rec[len(before)+b.lines:], after)
+			}
+		} else {
+			// Every chunk is delimited as the first, full one is: copy
+			// it, bits and all, and overwrite the bits below.
+			copy(chunk, text)
+		}
+		for i, line := range b.words {
+			w := line[c]
+			for k := len(before) + i; k < len(chunk); k += stride {
+				chunk[k] = '0' + byte(w&1)
+				w >>= 1
+			}
+		}
+	}
+	return dst
 }
 
 // Hash returns a 64-bit FNV-1a content hash over the batch's dimensions and

@@ -287,3 +287,28 @@ func TestStringsMatchesPerBit(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendVectorsMatchesPerBit: AppendVectors keeps what dst held and
+// appends every vector, between its delimiters, exactly as the
+// vector-by-vector, bit-by-bit rendering does.
+func TestAppendVectorsMatchesPerBit(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		for _, lines := range []int{0, 1, 7, 64, 65} {
+			b := Random(lines, n, int64(n*67+lines))
+			want := []byte("[")
+			for v := range n {
+				want = append(want, '"')
+				for i := range lines {
+					want = append(want, '0')
+					if b.Get(v, i) {
+						want[len(want)-1] = '1'
+					}
+				}
+				want = append(want, '"', ',')
+			}
+			if got := b.AppendVectors([]byte("["), `"`, `",`); string(got) != string(want) {
+				t.Fatalf("n=%d lines=%d:\n got %s\nwant %s", n, lines, got, want)
+			}
+		}
+	}
+}

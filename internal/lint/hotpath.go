@@ -6,15 +6,18 @@ import (
 	"strings"
 )
 
-// DefaultHotPathRoots are the pinned entry points of the two allocation-
+// DefaultHotPathRoots are the pinned entry points of the three allocation-
 // sensitive paths: the compiler (run once per compile request, gated by an
-// allocs/op benchmark) and the batched executor's one runner (run once per
-// executed batch, on the calling goroutine or sharded over the scheduler).
-// Roots are written pkg.Func or pkg.Type.Method, where pkg is the import
-// path or the bare package name.
+// allocs/op benchmark), the batched executor's one runner (run once per
+// executed batch, on the calling goroutine or sharded over the scheduler)
+// and the batch's one bit-to-text loop (run once per execute response
+// with "0101" outputs, over every output bit). Roots are written pkg.Func
+// or pkg.Type.Method, where pkg is the import path or the bare package
+// name.
 var DefaultHotPathRoots = []string{
 	"plim/internal/compile.CompileWith",
 	"plim/internal/exec.Run",
+	"plim/internal/exec.Batch.AppendVectors",
 }
 
 // HotPathAlloc flags allocation sites in functions reachable from

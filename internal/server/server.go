@@ -303,36 +303,65 @@ func readExecute(w http.ResponseWriter, r *http.Request) (computeRequest, error)
 	return req, err
 }
 
-// sourceMIG resolves the request's function source. Benchmark sources
-// return a loader (so cache-served flights never build eagerly); netlist
-// sources parse immediately — the fingerprint is the coalescing key.
-func (s *Server) sourceMIG(req computeRequest) (key string, shrink int, load func(ctx context.Context) (*plim.MIG, error), err error) {
-	shrink = req.Shrink
+// source is a request's resolved function source: a benchmark name at a
+// shrink, or a parsed netlist.
+type source struct {
+	key    string // the flight-key component: bench:<name>@<shrink> or mig:<fingerprint>
+	shrink int    // the benchmark's shrink; 0 for a netlist
+	bench  string
+	m      *plim.MIG
+}
+
+// sourceMIG resolves the request's function source. A benchmark source is
+// only named here, so a cache-served flight never builds it; a netlist
+// source is parsed at once, because its fingerprint is the coalescing key.
+// A flight then compiles the source through run or takes a private copy of
+// its graph through graph.
+func (s *Server) sourceMIG(req computeRequest) (source, error) {
+	shrink := req.Shrink
 	if shrink == 0 {
 		shrink = s.eng.Shrink()
 	}
 	switch {
 	case req.Benchmark != "" && req.Netlist != "":
-		return "", 0, nil, badRequest{"set either benchmark or netlist, not both"}
+		return source{}, badRequest{"set either benchmark or netlist, not both"}
 	case req.Benchmark != "":
 		if _, ok := plim.LookupBenchmark(req.Benchmark); !ok {
-			return "", 0, nil, badRequest{fmt.Sprintf("unknown benchmark %q", req.Benchmark)}
+			return source{}, badRequest{fmt.Sprintf("unknown benchmark %q", req.Benchmark)}
 		}
-		name := req.Benchmark
-		return fmt.Sprintf("bench:%s@%d", name, shrink), shrink,
-			func(ctx context.Context) (*plim.MIG, error) { return s.eng.Benchmark(ctx, name, shrink) }, nil
+		return source{key: fmt.Sprintf("bench:%s@%d", req.Benchmark, shrink), shrink: shrink, bench: req.Benchmark}, nil
 	case req.Netlist != "":
 		if req.Shrink != 0 {
-			return "", 0, nil, badRequest{"shrink applies to benchmark sources only"}
+			return source{}, badRequest{"shrink applies to benchmark sources only"}
 		}
 		m, err := plim.ReadMIG(strings.NewReader(req.Netlist))
 		if err != nil {
-			return "", 0, nil, badRequest{fmt.Sprintf("invalid netlist: %s", err)}
+			return source{}, badRequest{fmt.Sprintf("invalid netlist: %s", err)}
 		}
-		return fmt.Sprintf("mig:%016x", m.Fingerprint()), 0,
-			func(context.Context) (*plim.MIG, error) { return m, nil }, nil
+		return source{key: fmt.Sprintf("mig:%016x", m.Fingerprint()), m: m}, nil
 	}
-	return "", 0, nil, badRequest{"need benchmark or netlist"}
+	return source{}, badRequest{"need benchmark or netlist"}
+}
+
+// run rewrites and compiles src under cfg: a benchmark on the engine's
+// cached build (Engine.RunBenchmark), which is neither copied nor hashed,
+// a netlist through Engine.Run. The compiled program carries the name of
+// the graph it was compiled from, the cached handle's or the netlist's,
+// and responses name the function by it.
+func (s *Server) run(ctx context.Context, src source, cfg plim.Config) (*plim.Report, error) {
+	if src.m != nil {
+		return s.eng.Run(ctx, src.m, cfg)
+	}
+	return s.eng.RunBenchmark(ctx, src.bench, src.shrink, cfg)
+}
+
+// graph returns src's graph for a flight that needs the graph itself: a
+// benchmark as a private copy (Engine.Benchmark), a netlist as parsed.
+func (s *Server) graph(ctx context.Context, src source) (*plim.MIG, error) {
+	if src.m != nil {
+		return src.m, nil
+	}
+	return s.eng.Benchmark(ctx, src.bench, src.shrink)
 }
 
 // parseConfig is core.ParseConfig with its error as a bad request.
@@ -353,19 +382,15 @@ func (s *Server) compile(req computeRequest) (string, computation, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srcKey, shrink, load, err := s.sourceMIG(req)
+	src, err := s.sourceMIG(req)
 	if err != nil {
 		return "", nil, err
 	}
 	// The cost model name joins the key: responses embed priced totals, so
 	// requests served by engines priced differently must never coalesce.
-	key := fmt.Sprintf("compile|%s|%s|%s|verify=%t|cm=%s", srcKey, cfg.Name, req.Emit, req.Verify, s.eng.CostModelName())
+	key := fmt.Sprintf("compile|%s|%s|%s|verify=%t|cm=%s", src.key, cfg.Name, req.Emit, req.Verify, s.eng.CostModelName())
 	return key, func(ctx context.Context) response {
-		m, err := load(ctx)
-		if err != nil {
-			return errorResult(err)
-		}
-		rep, err := s.eng.Run(ctx, m, cfg)
+		rep, err := s.run(ctx, src, cfg)
 		if err != nil {
 			return errorResult(err)
 		}
@@ -374,9 +399,9 @@ func (s *Server) compile(req computeRequest) (string, computation, error) {
 		esp := trace.StartNoCtx(ctx, "encode", "response")
 		defer esp.End()
 		out := compileResponse{
-			Function:     m.Name,
+			Function:     rep.Result.Program.Name(),
 			Config:       cfg.Name,
-			Shrink:       shrink,
+			Shrink:       src.shrink,
 			Effort:       s.eng.Effort(),
 			Rewrite:      rewriteStats(rep.Rewrite),
 			Instructions: rep.NumInstructions(),
@@ -585,18 +610,14 @@ func (s *Server) execute(req computeRequest) (string, computation, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srcKey, shrink, load, err := s.sourceMIG(req)
+	src, err := s.sourceMIG(req)
 	if err != nil {
 		return "", nil, err
 	}
-	key := fmt.Sprintf("execute|%s|%s|e%d|%s|%s|cm=%s", srcKey, cfg.Name, req.Endurance, vecKey, req.Output, s.eng.CostModelName())
+	key := fmt.Sprintf("execute|%s|%s|e%d|%s|%s|cm=%s", src.key, cfg.Name, req.Endurance, vecKey, req.Output, s.eng.CostModelName())
 	endurance, packedOut := req.Endurance, req.Output == "packed"
 	return key, func(ctx context.Context) response {
-		m, err := load(ctx)
-		if err != nil {
-			return errorResult(err)
-		}
-		rep, err := s.eng.Run(ctx, m, cfg)
+		rep, err := s.run(ctx, src, cfg)
 		if err != nil {
 			return errorResult(err)
 		}
@@ -617,9 +638,9 @@ func (s *Server) execute(req computeRequest) (string, computation, error) {
 		esp := trace.StartNoCtx(ctx, "encode", "response")
 		defer esp.End()
 		out := executeResponse{
-			Function:     m.Name,
+			Function:     p.Name(),
 			Config:       cfg.Name,
-			Shrink:       shrink,
+			Shrink:       src.shrink,
 			Fingerprint:  fmt.Sprintf("%016x", p.Fingerprint()),
 			Instructions: p.NumInstructions(),
 			RRAMs:        int(p.NumCells()),
@@ -635,10 +656,33 @@ func (s *Server) execute(req computeRequest) (string, computation, error) {
 		case packedOut:
 			out.OutputsPack = packVectors(res.Outputs)
 		default:
-			out.Outputs = res.Outputs.Strings()
+			return outputsResult(out, res.Outputs)
 		}
 		return jsonResult(http.StatusOK, out)
 	}, nil
+}
+
+// outputsResult is jsonResult of out with Outputs set to the vectors of
+// outs, each as a "0101" string. Only the other fields go through
+// encoding/json. The array is written from outs' words straight into the
+// body (Batch.AppendVectors) where encoding/json puts the field, before
+// "writes": no string in out can contain `,"` unescaped, so the first
+// `,"writes":` is that field's boundary. The body is byte-identical to
+// jsonResult's; like omitempty, an empty batch adds no field.
+func outputsResult(out executeResponse, outs *plim.Batch) response {
+	resp := jsonResult(http.StatusOK, out)
+	if resp.status != http.StatusOK || outs.Len() == 0 {
+		return resp
+	}
+	at := bytes.Index(resp.body, []byte(`,"writes":`))
+	const field = `,"outputs":[`
+	body := make([]byte, 0, len(resp.body)+len(field)+outs.Len()*(outs.Lines()+3))
+	body = append(body, resp.body[:at]...)
+	body = append(body, field...)
+	body = outs.AppendVectors(body, `"`, `",`)
+	body[len(body)-1] = ']' // the last element's comma
+	resp.body = append(body, resp.body[at:]...)
+	return resp
 }
 
 // total sums a per-cell counter vector.
@@ -656,12 +700,12 @@ func (s *Server) rewrite(req computeRequest) (string, computation, error) {
 	if err != nil {
 		return "", nil, badRequest{err.Error()}
 	}
-	srcKey, shrink, load, err := s.sourceMIG(req)
+	src, err := s.sourceMIG(req)
 	if err != nil {
 		return "", nil, err
 	}
-	return fmt.Sprintf("rewrite|%s|%s", srcKey, kind), func(ctx context.Context) response {
-		m, err := load(ctx)
+	return fmt.Sprintf("rewrite|%s|%s", src.key, kind), func(ctx context.Context) response {
+		m, err := s.graph(ctx, src)
 		if err != nil {
 			return errorResult(err)
 		}
@@ -679,7 +723,7 @@ func (s *Server) rewrite(req computeRequest) (string, computation, error) {
 			Function: m.Name,
 			Kind:     kind.String(),
 			Effort:   s.eng.Effort(),
-			Shrink:   shrink,
+			Shrink:   src.shrink,
 			Stats:    rewriteStats(st),
 			MIG:      mig.String(),
 		})

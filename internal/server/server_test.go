@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -709,5 +710,32 @@ func TestCompileVerifyWithoutEngineVerify(t *testing.T) {
 	}
 	if out.Verification == nil || !out.Verification.OK {
 		t.Fatalf("expected a clean fallback verification: %s", b)
+	}
+}
+
+// TestWarmCompileAllocations: a warm /v1/compile of a named benchmark runs
+// on the engine's cached build, so it neither clones nor hashes the graph
+// (the multiplier at shrink 2 has about 5,000 nodes) and allocates little
+// beyond the request and response.
+func TestWarmCompileAllocations(t *testing.T) {
+	s := New(plim.NewEngine(plim.WithShrink(2), plim.WithWorkers(1)), Options{})
+	serve := func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compile", strings.NewReader(`{"benchmark":"multiplier","config":"full"}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("compile: %d %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // cold: generate, rewrite and compile
+	serve()
+	const reqs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reqs {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reqs; per >= 64<<10 {
+		t.Fatalf("a warm compile allocates %d bytes, want < 64 KiB", per)
 	}
 }

@@ -22,10 +22,11 @@ import (
 // benchmark-probe" span. Embedding promotes Len and Counters.
 //
 // Cached graphs are shared between callers and must be treated as
-// read-only. The compilation flow only reads its input, so internal/tables
-// hands the shared handle straight to the staged runner;
-// plim.Engine.Benchmark clones before returning a cached graph to user
-// code.
+// read-only. The compilation flow only reads its input, so the sweep
+// (core.RunSweep) and plim.Engine.RunBenchmark hand the shared handle
+// straight to the staged runner, which neither copies nor hashes it;
+// only plim.Engine.Benchmark, which returns the graph to user code,
+// clones it.
 type Cache struct {
 	*memo.Cache[buildKey, *mig.Ref]
 }
