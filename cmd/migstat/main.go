@@ -12,11 +12,12 @@
 //	migstat -bench log2 -rewrite alg2 -cache-dir ~/.cache/plim
 //	migstat -bench ctrl -shrink 4 -rewrite alg2 -verify
 //
-// With -verify the (rewritten) MIG is additionally compiled with the
-// minimum-write allocator (no further rewriting, so the graph is judged as
-// it stands) and statically verified — the same dataflow/wear report
-// plimcheck prints — so a rewriting experiment shows its downstream write
-// pressure immediately.
+// With -verify the (rewritten) MIG is additionally compiled under the full
+// configuration (Algorithm 2 rewriting, endurance-aware selection,
+// minimum-write allocation: the program plimc -config full emits) and
+// statically verified — the same dataflow/wear report plimcheck prints —
+// so a rewriting experiment shows its downstream write pressure
+// immediately.
 //
 // With -cache-dir (default $PLIM_CACHE_DIR) rewrite results and benchmark
 // builds persist across invocations and are shared with the other CLIs, so
@@ -97,7 +98,7 @@ func main() {
 	}
 
 	if *doVerify {
-		rep, err := eng.Run(ctx, out, plim.MinWrite)
+		rep, err := eng.Run(ctx, out, plim.Full)
 		if err != nil {
 			cli.Fatal(err)
 		}

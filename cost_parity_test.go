@@ -14,7 +14,7 @@ import (
 // compiled program is one exact value however it is derived —
 //
 //	static      the verifier's sweep over the instruction stream
-//	allocator   the compiler's emit-time accounting (Report.Cost)
+//	program     the counts the program keeps (Model.Program, Report.Cost)
 //	scalar      op classes of the program + the interpreter crossbar's
 //	            recorded max cell wear
 //	batched     the batched executor's aggregate, divided by the lanes

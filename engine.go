@@ -281,10 +281,12 @@ func WithVerify(enabled bool) Option {
 // pure accounting: it never influences rewriting, node selection or device
 // allocation, so two engines differing only in cost model emit
 // byte-identical programs — only Report.Cost / ExecResult.Cost change.
-// With WithVerify on, static-vs-allocator cost parity is proven for every
-// compile; a divergence fails the run. A nil model is invalid — cost
-// accounting is always on (it is one integer classify per emitted
-// instruction); it cannot be disabled, only re-priced.
+// Every report is priced from the counts its program keeps; with
+// WithVerify on, every compile proves that the verifier's walk over the
+// instructions prices it the same, and a divergence fails the run. A nil
+// model is invalid — pricing is always on (arithmetic over the per-cell
+// class counts every program keeps); it cannot be disabled, only
+// re-priced.
 func WithCostModel(m *CostModel) Option {
 	return func(e *Engine) {
 		if m == nil {

@@ -55,12 +55,6 @@ type Allocator struct {
 	inUse   []bool
 	retired []bool
 
-	// wear is the per-device cost-weighted wear (internal/cost), maintained
-	// lazily by NoteWear: compilations without a cost model never touch it.
-	// It annotates allocator decisions without influencing them — the free
-	// set policies order by writes, so behaviour is unchanged by default.
-	wear []uint64
-
 	freeStack []uint32  // LIFO policy
 	freeHeap  writeHeap // MinWrite policy
 
@@ -87,7 +81,6 @@ func (a *Allocator) Reset(kind Kind, maxWrites uint64) {
 	a.writes = a.writes[:0]
 	a.inUse = a.inUse[:0]
 	a.retired = a.retired[:0]
-	a.wear = a.wear[:0]
 	a.freeStack = a.freeStack[:0]
 	a.freeHeap = a.freeHeap[:0]
 }
@@ -212,39 +205,6 @@ func (a *Allocator) NoteWrite(addr uint32, n uint64) {
 			addr, a.maxWrites, a.writes[addr], n))
 	}
 	a.writes[addr] += n
-}
-
-// NoteWear records w cost-weighted wear on device addr (see internal/cost:
-// the model's per-class wear increment, 1 per write pulse by default). The
-// wear table grows lazily to the current device count, so compilations that
-// never call NoteWear pay nothing for it.
-func (a *Allocator) NoteWear(addr uint32, w uint64) {
-	if int(addr) >= len(a.wear) {
-		a.wear = append(a.wear, make([]uint64, len(a.writes)-len(a.wear))...)
-	}
-	a.wear[addr] += w
-}
-
-// MaxWear returns the hottest device's cost-weighted wear — the quantity
-// that bounds the compiled program's lifetime under a cost model. It is
-// zero when NoteWear was never called.
-func (a *Allocator) MaxWear() uint64 {
-	var max uint64
-	for _, w := range a.wear {
-		if w > max {
-			max = w
-		}
-	}
-	return max
-}
-
-// WearCounts returns a copy of the per-device cost-weighted wear, padded to
-// NumCells (devices allocated after the last NoteWear have zero wear).
-func (a *Allocator) WearCounts() []uint64 {
-	//plim:alloc-ok one result copy per compile, not per operation
-	out := make([]uint64, len(a.writes))
-	copy(out, a.wear)
-	return out
 }
 
 // Retired reports whether addr was retired by the cap.

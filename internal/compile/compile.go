@@ -32,7 +32,6 @@ import (
 	"fmt"
 
 	"plim/internal/alloc"
-	"plim/internal/cost"
 	"plim/internal/isa"
 	"plim/internal/mig"
 )
@@ -70,11 +69,6 @@ type Options struct {
 	// strategy"; 0 disables it. Values 1–3 cannot express a preset+copy+RM3
 	// sequence and are rejected.
 	MaxWrites uint64
-	// CostModel, when non-nil, prices every emitted instruction as it is
-	// allocated: the Result gains an exact per-run Cost accumulated at the
-	// emission sites, alongside the allocator's write bookkeeping. Costing
-	// never changes which program is compiled.
-	CostModel *cost.Model
 }
 
 // Result is a compiled program plus the endurance bookkeeping the paper's
@@ -90,31 +84,19 @@ type Result struct {
 	NumInstructions int
 	// NumRRAMs is the paper's #R: every device the program ever allocated.
 	NumRRAMs int
-	// Cost is the per-run price of the program under Options.CostModel,
-	// accumulated instruction by instruction at the emission sites (the
-	// allocator-side accounting the verifier's static cost must match);
-	// nil when no model was configured.
-	Cost *cost.Cost
 }
 
 // ResultOf returns the Result of a compiled program p from the counts p
-// keeps, priced under model when it is non-nil: write counts are its
-// per-cell write counts (each RM3 writes its Z once), #I its instruction
-// count, #R its cell count, and the cost model's price of p equals the
-// price the compiler accumulates, as the cost-parity tests pin. It walks
-// no instruction; the Result shares p and nothing else.
-func ResultOf(p *isa.Program, model *cost.Model) *Result {
-	res := &Result{
+// keeps: write counts are its per-cell write counts (each RM3 writes its
+// Z once), #I its instruction count and #R its cell count. It walks no
+// instruction; the Result shares p and nothing else.
+func ResultOf(p *isa.Program) *Result {
+	return &Result{
 		Program:         p,
 		WriteCounts:     p.StaticWriteCounts(),
 		NumInstructions: p.NumInstructions(),
 		NumRRAMs:        int(p.NumCells()),
 	}
-	if model != nil {
-		c := model.Program(p)
-		res.Cost = &c
-	}
-	return res
 }
 
 // Compile translates m into a PLiM program, drawing scratch state from the
@@ -168,17 +150,12 @@ func compileOn(m *mig.MIG, opts Options, sc *compileScratch) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: emitted invalid program: %w", err)
 	}
-	res := &Result{
+	return &Result{
 		Program:         prog,
 		WriteCounts:     c.alloc.WriteCounts(),
 		NumInstructions: prog.NumInstructions(),
 		NumRRAMs:        c.alloc.NumCells(),
-	}
-	if m := opts.CostModel; m != nil {
-		rc := m.FromCounts(c.costOps, c.alloc.MaxWear())
-		res.Cost = &rc
-	}
-	return res, nil
+	}, nil
 }
 
 type compiler struct {
@@ -222,11 +199,6 @@ type compiler struct {
 	// and constPOCells the two constant PO cells.
 	invPOCells   map[mig.NodeID]uint32
 	constPOCells [2]int64
-
-	// costOps counts emitted instructions per cost class when
-	// opts.CostModel is set; per-cell weighted wear rides the allocator
-	// (NoteWear next to NoteWrite).
-	costOps isa.ClassCounts
 }
 
 // parentsOf returns the distinct majority parents of node n.
@@ -478,11 +450,6 @@ func (c *compiler) finalizePOs() error {
 func (c *compiler) emit(ins isa.Instruction) {
 	c.insts = append(c.insts, ins)
 	c.alloc.NoteWrite(ins.Z, 1)
-	if m := c.opts.CostModel; m != nil {
-		class := ins.Class()
-		c.costOps[class]++
-		c.alloc.NoteWear(ins.Z, m.Of(class).Wear)
-	}
 }
 
 // emitPreset writes constant v into addr: RM3 #0,#1 (→0) or RM3 #1,#0 (→1).

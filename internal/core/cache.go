@@ -150,10 +150,10 @@ func rewriteGraph(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int
 //
 // Programs are immutable, so every hit shares the entry's program and
 // decodes no instruction: compile.ResultOf rebuilds the rest of the
-// compile.Result from the counts the program keeps, priced under the
-// caller's cost model. The cost model stays out of the key:
-// Model.Program equals emission-time pricing, as the cost-parity tests
-// pin. The caller that computes keeps its freshly compiled Result.
+// compile.Result from the counts the program keeps. No cost model enters
+// the cache: CompileConfig prices whatever program it gets back from the
+// counts that program keeps. The caller that computes keeps its freshly
+// compiled Result, whose write counts are the allocator's.
 type CompileCache struct {
 	*memo.Cache[compileKey, *isa.Program]
 }
@@ -195,9 +195,7 @@ func (k compileKey) disk() diskcache.ProgramKey {
 }
 
 // Compile is compile.Compile memoized through the cache: the key is g's
-// fingerprint with opts' selection, allocator and write cap, and only a
-// miss reads g's graph. Only those three fields of opts may vary between
-// callers of one graph.
+// fingerprint with opts, and only a miss reads g's graph.
 func (c *CompileCache) Compile(ctx context.Context, g *mig.Ref, opts compile.Options) (*compile.Result, error) {
 	var fresh *compile.Result
 	p, err := c.Do(ctx, compileKey{g.Fingerprint(), opts.Selection, opts.Alloc, opts.MaxWrites}, func() (*isa.Program, error) {
@@ -218,5 +216,5 @@ func (c *CompileCache) Compile(ctx context.Context, g *mig.Ref, opts compile.Opt
 	case fresh != nil:
 		return fresh, nil
 	}
-	return compile.ResultOf(p, opts.CostModel), nil
+	return compile.ResultOf(p), nil
 }

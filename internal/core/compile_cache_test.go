@@ -28,7 +28,6 @@ func TestCompileCacheHitsEqualFreshCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := cost.Default()
 	warm, cold := NewCompileCache(nil, disk), NewCompileCache(nil, disk)
 	for _, name := range []string{"ctrl", "int2float", "sin"} {
 		m, err := suite.BuildScaled(name, 4)
@@ -40,7 +39,7 @@ func TestCompileCacheHitsEqualFreshCompile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := compile.Options{Selection: cfg.Selection, Alloc: cfg.Alloc, MaxWrites: cfg.MaxWrites, CostModel: model}
+			opts := compile.Options{Selection: cfg.Selection, Alloc: cfg.Alloc, MaxWrites: cfg.MaxWrites}
 			fresh, err := compile.Compile(rw, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -73,8 +72,8 @@ func TestCompileCacheHitsEqualFreshCompile(t *testing.T) {
 
 // TestCompileCacheHitPricedByCallerModel: the cost model is not part of
 // the key, so an entry computed under one model and hit under another is
-// priced under the caller's model, exactly as its emission would have
-// been; with Verify the cost-parity check holds on the hit.
+// priced under the caller's model, exactly as a fresh compile is; with
+// Verify the cost-parity check holds on the hit.
 func TestCompileCacheHitPricedByCallerModel(t *testing.T) {
 	ctx := context.Background()
 	m, err := suite.BuildScaled("router", 4)
@@ -100,8 +99,8 @@ func TestCompileCacheHitPricedByCallerModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Cost, want.Cost) || !reflect.DeepEqual(got.Result.Cost, want.Result.Cost) {
-			t.Fatalf("model %v: hit priced %+v, emission %+v", model, got.Cost, want.Cost)
+		if !reflect.DeepEqual(got.Cost, want.Cost) {
+			t.Fatalf("model %v: hit priced %+v, fresh compile %+v", model, got.Cost, want.Cost)
 		}
 	}
 	if n := cache.Counters(); n.Misses != 1 || n.Hits != 2 {
@@ -119,8 +118,8 @@ func sameResult(a, b *compile.Result) bool {
 
 // TestCompileCacheHitsShareOneProgram: every hit of an entry, computed or
 // loaded from disk, from any number of concurrent callers, gets the
-// entry's one program, with equal facts and prices; each caller gets
-// write counts of its own.
+// entry's one program, with equal facts; each caller gets write counts of
+// its own.
 func TestCompileCacheHitsShareOneProgram(t *testing.T) {
 	ctx := context.Background()
 	disk, err := diskcache.Open(t.TempDir())
@@ -132,7 +131,7 @@ func TestCompileCacheHitsShareOneProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := mig.NewRef(m)
-	opts := compile.Options{Selection: compile.Endurance, Alloc: alloc.MinWrite, CostModel: cost.Default()}
+	opts := compile.Options{Selection: compile.Endurance, Alloc: alloc.MinWrite}
 	if _, err := NewCompileCache(nil, disk).Compile(ctx, g, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +168,9 @@ func TestCompileCacheHitsShareOneProgram(t *testing.T) {
 			if res.Program != first.Program {
 				t.Fatalf("%s hit %d got a program of its own", what, i)
 			}
-			if fps[i] != first.Program.Fingerprint() || !reflect.DeepEqual(res.Cost, first.Cost) ||
+			if fps[i] != first.Program.Fingerprint() ||
 				!reflect.DeepEqual(res.WriteCounts, first.WriteCounts) || &res.WriteCounts[0] == &first.WriteCounts[0] {
-				t.Fatalf("%s hit %d: facts, price or write counts differ or are shared", what, i)
+				t.Fatalf("%s hit %d: facts or write counts differ or are shared", what, i)
 			}
 		}
 	}

@@ -158,9 +158,11 @@ type Report struct {
 	// may list dead-write warnings.
 	Verify *verify.Report
 	// Cost is the per-run price of the compiled program under the
-	// configured cost model (Env.CostModel / plim.WithCostModel); nil
-	// without one. When the run is verified, static and allocator cost
-	// parity has been proven before this report exists.
+	// configured cost model (Env.CostModel / plim.WithCostModel), priced
+	// from the counts the program keeps (cost.Model.Program); nil without
+	// one. When the run is verified, the verifier's walk over the
+	// instructions has been proven to price it the same before this report
+	// exists.
 	Cost *cost.Cost
 }
 
@@ -266,8 +268,9 @@ type Env struct {
 	// Verify statically verifies every compiled program (see
 	// CompileConfig); a hard violation fails that configuration's compile.
 	Verify bool
-	// CostModel, when non-nil, prices every compilation (Report.Cost) and
-	// — with Verify set — proves static-vs-allocator cost parity.
+	// CostModel, when non-nil, prices every compiled program (Report.Cost)
+	// and — with Verify set — proves that the verifier's instruction walk
+	// prices it the same.
 	CostModel *cost.Model
 }
 
@@ -290,11 +293,12 @@ type Env struct {
 // parity. A hard violation fails the compile; dead-write warnings land in
 // Report.Verify.
 //
-// env.CostModel, when non-nil, prices the compilation
-// (compile.Options.CostModel); with env.Verify additionally set,
-// static-vs-allocator cost parity is checked and a divergence fails the
-// compile like any other violation. Verification and the parity checks
-// apply to every returned result, cached or computed.
+// env.CostModel, when non-nil, prices the compiled program from the
+// counts it keeps (cost.Model.Program), cached or computed alike: this is
+// the one place a report is priced. With env.Verify additionally set, the
+// verifier's walk over the instructions is checked against that price and
+// a divergence fails the compile like any other violation. Verification
+// and the parity checks apply to every returned result.
 func CompileConfig(ctx context.Context, env Env, rewritten *mig.Ref, cfg Config, rst rewrite.Stats) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -306,7 +310,6 @@ func CompileConfig(ctx context.Context, env Env, rewritten *mig.Ref, cfg Config,
 		Selection: cfg.Selection,
 		Alloc:     cfg.Alloc,
 		MaxWrites: cfg.MaxWrites,
-		CostModel: env.CostModel,
 	}
 	res, err := env.CompileCache.Compile(ctx, rewritten, copts)
 	done := progress.CompileDone{
@@ -326,13 +329,16 @@ func CompileConfig(ctx context.Context, env Env, rewritten *mig.Ref, cfg Config,
 		Rewrite: rst,
 		Result:  res,
 		Writes:  stats.Summarize(res.WriteCounts),
-		Cost:    res.Cost,
+	}
+	if m := env.CostModel; m != nil {
+		c := m.Program(res.Program)
+		report.Cost = &c
 	}
 	if env.Verify {
 		vr := verify.Program(res.Program, verify.Options{MaxWrites: cfg.MaxWrites, CostModel: env.CostModel})
 		verify.CheckWriteParity(vr, res.WriteCounts, "allocator")
-		if res.Cost != nil {
-			verify.CheckCostParity(vr, *res.Cost, "allocator")
+		if report.Cost != nil {
+			verify.CheckCostParity(vr, *report.Cost, "program")
 		}
 		if err := vr.Err(); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", cfg.Name, err)

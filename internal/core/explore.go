@@ -28,11 +28,11 @@ type ExploreOptions struct {
 	Efforts []int
 	// Shrinks are the datapath divisors; nil means {1} (paper scale).
 	Shrinks []int
-	// Models price every compiled program. The first model is also threaded
-	// through compilation (Report.Cost and, with Env.Verify, the parity
-	// check); the rest price the identical programs after the fact — the
-	// model is pure accounting and never influences compilation, so one
-	// compile per (benchmark, shrink, effort, config) covers every model.
+	// Models price every compiled program from the counts it keeps. The
+	// first model is also the sweep's Env.CostModel (Report.Cost and, with
+	// Env.Verify, the parity check against the verifier's walk); the model
+	// is pure accounting and never influences compilation, so one compile
+	// per (benchmark, shrink, effort, config) covers every model.
 	// Nil means {cost.Default()}. Model names must be distinct: they key the
 	// output rows and the Pareto grouping.
 	Models []*cost.Model
@@ -95,8 +95,8 @@ func (o *ExploreOptions) normalize() error {
 }
 
 // Explore sweeps the design space (benchmark × shrink × effort × config ×
-// cost model) as one RunSweep on env.Sched, compiled under Models[0] in
-// place of env.CostModel: one generate task per (benchmark, shrink)
+// cost model) as one RunSweep on env.Sched, with Models[0] in place of
+// env.CostModel: one generate task per (benchmark, shrink)
 // through env.BenchCache, one rewrite task per distinct (benchmark,
 // shrink, effort, pipeline) — memoized through env.RewriteCache, which
 // the axis product makes the difference between O(points) and O(distinct

@@ -1,10 +1,11 @@
 // Package cost prices PLiM instructions. It is the single pluggable cost
-// abstraction behind every layer that previously carried its own write/wear
-// accounting: a Model assigns each instruction class an energy, a cycle
-// latency and a wear increment, and every layer (static verification,
-// the compiler's allocator bookkeeping, the scalar interpreter, the batched
-// executor) derives its totals from the same per-class op counts — so
-// their costs must agree exactly, a parity the tests pin.
+// abstraction: a Model assigns each instruction class an energy, a cycle
+// latency and a wear increment, and every price derives its totals from
+// per-class op counts — Program from the counts a program keeps (every
+// compile report), Prefix from a walk over its instructions (static
+// verification, a batch cut short by an endurance fault), and the scalar
+// interpreter and batched executor from what they ran — so their costs
+// must agree exactly, a parity the tests pin.
 //
 // The class of an instruction (isa.Instruction.Class) follows the PLiM
 // operand forms: the two destination-independent presets RM3 #0,#1 → Z
@@ -25,7 +26,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"plim/internal/isa"
 	"plim/internal/stats"
@@ -229,7 +229,11 @@ func (m *Model) Prefix(p *isa.Program, n int) Cost {
 		ops[c]++
 		wear[ins.Z] += m.Of(c).Wear
 	}
-	return m.FromCounts(ops, slices.Max(append(wear, 0)))
+	var maxWear uint64
+	for _, w := range wear {
+		maxWear = max(maxWear, w)
+	}
+	return m.FromCounts(ops, maxWear)
 }
 
 // Scale prices n executions of a run costing c: counts, energy, latency and

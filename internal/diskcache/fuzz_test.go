@@ -106,7 +106,7 @@ func FuzzDiskEntry(f *testing.F) {
 		if out != ProbeHit {
 			return func() error { return nil }
 		}
-		res := compile.ResultOf(p, fuzzModel)
+		res := compile.ResultOf(p)
 		return func() error { return checkResult(p, res) }
 	}
 
@@ -151,7 +151,7 @@ func checkResult(p *isa.Program, res *compile.Result) error {
 		return errors.New("a hit's #I or #R differs from its program's")
 	case !slices.Equal(res.WriteCounts, writes):
 		return errors.New("a hit's write counts differ from a walk over its program")
-	case *res.Cost != fuzzModel.Prefix(p, p.NumInstructions()):
+	case fuzzModel.Program(p) != fuzzModel.Prefix(p, p.NumInstructions()):
 		return errors.New("a hit's price differs from a walk over its program")
 	}
 	return nil

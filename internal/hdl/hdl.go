@@ -41,9 +41,6 @@ func (b *Builder) Input(name string, width int) Vec {
 	return v
 }
 
-// InputBit declares a single-bit primary input.
-func (b *Builder) InputBit(name string) mig.Signal { return b.M.AddPI(name) }
-
 // Output declares the bits of v as primary outputs named name[i].
 func (b *Builder) Output(name string, v Vec) {
 	for i, s := range v {

@@ -16,8 +16,6 @@ package mig
 import (
 	"fmt"
 	"maps"
-	"math/bits"
-	"sort"
 )
 
 // NodeID indexes a node inside an MIG. Node 0 is always the constant-0 node.
@@ -185,9 +183,6 @@ func (m *MIG) Children(n NodeID) [3]Signal {
 	}
 	return m.nodes[n].children
 }
-
-// PIIndex returns the input index of PI node n.
-func (m *MIG) PIIndex(n NodeID) int { return int(m.nodes[n].piIndex) }
 
 // PINode returns the node of primary input i.
 func (m *MIG) PINode(i int) NodeID { return m.piNodes[i] }
@@ -661,25 +656,6 @@ func (m *MIG) Validate() error {
 	return nil
 }
 
-// SortedStrashKeys is a test helper exposing deterministic iteration over
-// the structural-hash table.
-func (m *MIG) SortedStrashKeys() [][3]Signal {
-	keys := make([][3]Signal, 0, len(m.strash))
-	for k := range m.strash {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		for t := 0; t < 3; t++ {
-			if a[t] != b[t] {
-				return a[t] < b[t]
-			}
-		}
-		return false
-	})
-	return keys
-}
-
 // PatternWords returns the number of 64-bit words needed to enumerate all
 // 2^n assignments of n variables exhaustively.
 func PatternWords(n int) int {
@@ -711,10 +687,6 @@ func ExhaustivePattern(v, w int) uint64 {
 	}
 	return 0
 }
-
-// OnesCount64 is re-exported for convenience of callers building truth
-// tables (avoids importing math/bits everywhere).
-func OnesCount64(x uint64) int { return bits.OnesCount64(x) }
 
 // MemSize estimates the graph's resident size in bytes: node storage, the
 // PI/PO tables with their name strings, and the structural-hash index when

@@ -9,12 +9,15 @@
 // granularity instead of queueing whole.
 //
 // Determinism contract: with a single worker, tasks run in depth-first
-// creation order — a completed task's newly-ready dependents are pushed
-// onto the worker's deque in reverse creation order, so the LIFO pop walks
-// them oldest-first before returning to the injector. This reproduces the
-// sequential execution order of the pre-scheduler staged runner exactly,
-// which is what keeps single-worker progress-event streams stable across
-// runs (and is pinned by engine tests).
+// creation order — no task of a graph runs before Wait, which hands the
+// graph's dependency-free tasks to the injector in creation order, and a
+// completed task's newly-ready dependents are pushed onto the worker's
+// deque in reverse creation order, so the LIFO pop walks them oldest-first
+// before returning to the injector. The order therefore does not depend on
+// how fast the builder adds tasks. This reproduces the sequential
+// execution order of the pre-scheduler staged runner exactly, which is
+// what keeps single-worker progress-event streams stable across runs (and
+// is pinned by engine tests).
 //
 // Priority: every graph carries an optional deadline (servers map a
 // request's timeout to it). The injector is a min-heap on (effective
@@ -96,7 +99,8 @@ const noDeadline = int64(math.MaxInt64)
 const AgingHorizon = 5 * time.Minute
 
 // Task is one node of a dependency graph. Tasks are created with
-// Graph.Task and scheduled automatically once every dependency completed.
+// Graph.Task and scheduled automatically once the graph's Wait was called
+// and every dependency completed.
 type Task struct {
 	g     *Graph
 	kind  Kind
@@ -106,8 +110,8 @@ type Task struct {
 	// Scheduling state, guarded by the pool mutex.
 	waits    int     // unfinished dependencies
 	children []*Task // tasks waiting on this one
-	done     bool
-	seq      uint64 // global submission order, tie-breaks equal deadlines
+	nextRoot *Task   // the graph's next dependency-free task (Graph.roots)
+	seq      uint64  // global submission order, tie-breaks equal deadlines
 
 	// Injector state, set by injectLocked: enqueue time and the aged
 	// priority key min(graph deadline, enqNs + AgingHorizon). Tasks that
@@ -132,7 +136,12 @@ type Graph struct {
 	obs      progress.Func
 
 	pending int // unfinished tasks + 1 builder hold, guarded by pool mutex
-	doneCh  chan struct{}
+	// roots lists the tasks created without a dependency, linked in
+	// creation order through Task.nextRoot (a list, so that building a
+	// graph allocates nothing beyond its tasks), until Wait injects them;
+	// guarded by pool mutex.
+	roots, lastRoot *Task
+	doneCh          chan struct{}
 }
 
 // worker is one scheduler worker's state.
@@ -233,11 +242,11 @@ func (p *Pool) NewGraph(ctx context.Context) *Graph {
 	return g
 }
 
-// Task adds a task to the graph. fn runs once every dep has completed; it
-// receives the graph context. fn must handle its own errors (write them to
-// captured slots) — the scheduler only tracks completion. Task may be
-// called concurrently with the graph executing, but not after Wait. Nil
-// dependencies are ignored.
+// Task adds a task to the graph. fn runs once Wait was called and every
+// dep has completed; it receives the graph context. fn must handle its own
+// errors (write them to captured slots) — the scheduler only tracks
+// completion. No task runs before Wait, so Task must not be called after
+// Wait, nor from a task body. Nil dependencies are ignored.
 func (g *Graph) Task(kind Kind, label string, fn func(context.Context), deps ...*Task) *Task {
 	t := &Task{g: g, kind: kind, label: label, fn: fn}
 	p := g.p
@@ -246,27 +255,37 @@ func (g *Graph) Task(kind Kind, label string, fn func(context.Context), deps ...
 	p.seq++
 	t.seq = p.seq
 	for _, d := range deps {
-		if d == nil || d.done {
+		if d == nil {
 			continue
 		}
 		d.children = append(d.children, t)
 		t.waits++
 	}
 	if t.waits == 0 {
-		// External submission: no worker context, go through the injector.
-		p.injectLocked(t)
+		if g.lastRoot == nil {
+			g.roots = t
+		} else {
+			g.lastRoot.nextRoot = t
+		}
+		g.lastRoot = t
 	}
 	p.mu.Unlock()
 	return t
 }
 
-// Wait releases the builder hold and blocks until every task of the graph
-// has run or been skipped, then returns the graph context's error (nil when
-// the graph completed uncancelled). Wait must not be called from a task
-// body — a worker waiting on its own pool deadlocks the schedule.
+// Wait hands the graph's dependency-free tasks to the injector in creation
+// order, releases the builder hold and blocks until every task of the
+// graph has run or been skipped, then returns the graph context's error
+// (nil when the graph completed uncancelled). Wait must not be called from
+// a task body — a worker waiting on its own pool deadlocks the schedule.
 func (g *Graph) Wait() error {
 	p := g.p
 	p.mu.Lock()
+	for t := g.roots; t != nil; t = t.nextRoot {
+		// External submission: no worker context, go through the injector.
+		p.injectLocked(t)
+	}
+	g.roots, g.lastRoot = nil, nil
 	g.pending--
 	done := g.pending == 0
 	p.mu.Unlock()
@@ -451,7 +470,6 @@ func (p *Pool) exec(w *worker, t *Task) {
 		g.obs.Emit(progress.TaskDone{Kind: t.kind.String(), Label: t.label, Elapsed: elapsed})
 	}
 	p.mu.Lock()
-	t.done = true
 	var ready []*Task
 	for _, c := range t.children {
 		c.waits--

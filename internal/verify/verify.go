@@ -41,7 +41,7 @@ const (
 	CheckLiveness   = "output-liveness" // declared PO never computed
 	CheckWearCap    = "wear-cap"        // static writes exceed the policy cap
 	CheckWriteCount = "write-parity"    // static counts disagree with a dynamic/allocator aggregate
-	CheckCost       = "cost-parity"     // static cost disagrees with a dynamic/allocator cost
+	CheckCost       = "cost-parity"     // static cost disagrees with the program's kept counts or a dynamic cost
 )
 
 // Options configures a verification pass.
@@ -50,9 +50,10 @@ type Options struct {
 	// (core.Config.MaxWrites); any cell whose static count exceeds it is
 	// reported as a wear-cap violation.
 	MaxWrites uint64
-	// CostModel, when non-nil, prices the program during the sweep: the
-	// report gains exact static energy/latency/lifetime totals derived from
-	// the same per-instruction walk that proves the write counts.
+	// CostModel, when non-nil, prices the program by a walk over its
+	// instructions (cost.Model.Prefix over the whole program): the report
+	// gains exact static energy/latency/lifetime totals that owe nothing to
+	// the counts the program keeps.
 	CostModel *cost.Model
 }
 
@@ -179,14 +180,6 @@ func Program(p *isa.Program, opts Options) *Report {
 	for i := range lastWrite {
 		lastWrite[i] = -1
 	}
-	// Cost accumulation rides the same sweep: per-class op counts plus
-	// per-cell weighted wear (identical to WriteCounts under the default
-	// model's unit wear).
-	var costOps isa.ClassCounts
-	var costWear []uint64
-	if opts.CostModel != nil {
-		costWear = make([]uint64, cells)
-	}
 	read := func(inst int, c uint32, what string) {
 		if !defined[c] {
 			r.violate(CheckDefUse, inst, int64(c), "%s reads cell %d before any write or PI preload", what, c)
@@ -217,11 +210,6 @@ func Program(p *isa.Program, opts Options) *Report {
 		defined[ins.Z] = true
 		lastWrite[ins.Z] = int32(i)
 		r.WriteCounts[ins.Z]++
-		if m := opts.CostModel; m != nil {
-			class := ins.Class()
-			costOps[class]++
-			costWear[ins.Z] += m.Of(class).Wear
-		}
 	}
 
 	// Output liveness, and POs count as reads for deadness.
@@ -255,13 +243,7 @@ func Program(p *isa.Program, opts Options) *Report {
 		}
 	}
 	if m := opts.CostModel; m != nil {
-		var maxWear uint64
-		for _, w := range costWear {
-			if w > maxWear {
-				maxWear = w
-			}
-		}
-		c := m.FromCounts(costOps, maxWear)
+		c := m.Prefix(p, p.NumInstructions())
 		r.Cost = &c
 	}
 	return r
@@ -288,13 +270,14 @@ func CheckWriteParity(r *Report, got []uint64, source string) bool {
 	return ok
 }
 
-// CheckCostParity compares the report's static cost against an
-// independently accounted one — the compiler/allocator's emission-time
-// accumulation (compile.Result.Cost) or internal/exec's per-run dynamic
-// cost — and records a cost-parity violation on divergence. Both sides
-// derive their totals through cost.Model.FromCounts, so agreement is exact,
-// including the floating-point energy total. It returns true when they
-// agree (or when the report was produced without a cost model).
+// CheckCostParity compares the report's static cost, priced by a walk over
+// the instructions, against an independently derived one — the price of
+// the counts the program keeps (cost.Model.Program, which core.Report.Cost
+// is) or internal/exec's per-run dynamic cost — and records a cost-parity
+// violation on divergence. Both sides derive their totals through
+// cost.Model.FromCounts, so agreement is exact, including the
+// floating-point energy total. It returns true when they agree (or when
+// the report was produced without a cost model).
 func CheckCostParity(r *Report, got cost.Cost, source string) bool {
 	if r.Cost == nil {
 		return true

@@ -31,9 +31,6 @@ func NewStartGap(n int, psi uint64) *StartGap {
 	return &StartGap{n: n, gap: n, psi: psi}
 }
 
-// NumPhysical returns the physical line count (logical + 1 spare).
-func (s *StartGap) NumPhysical() int { return s.n + 1 }
-
 // Moves returns how many gap movements (copy writes) have happened.
 func (s *StartGap) Moves() uint64 { return s.moves }
 
