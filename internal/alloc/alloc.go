@@ -138,9 +138,6 @@ func (a *Allocator) Acquire(need uint64) uint32 {
 				}
 				a.skipStack = skipped[:0]
 				a.inUse[addr] = true
-				if DebugAcquireHook != nil {
-					DebugAcquireHook(addr, a.writes[addr], len(a.freeStack))
-				}
 				return addr
 			}
 			skipped = append(skipped, addr)
@@ -155,18 +152,7 @@ func (a *Allocator) Acquire(need uint64) uint32 {
 		// writes, no free device can.
 		if a.freeHeap.Len() > 0 && a.eligible(a.freeHeap[0].addr, need) {
 			addr := a.freeHeap.pop()
-			if debugCheck {
-				for _, e := range a.freeHeap {
-					if a.writes[e.addr] < a.writes[addr] {
-						panic(fmt.Sprintf("alloc: popped %d (w=%d) but %d (w=%d) is free",
-							addr, a.writes[addr], e.addr, a.writes[e.addr]))
-					}
-				}
-			}
 			a.inUse[addr] = true
-			if DebugAcquireHook != nil {
-				DebugAcquireHook(addr, a.writes[addr], a.freeHeap.Len())
-			}
 			return addr
 		}
 	}
@@ -289,14 +275,3 @@ func (h writeHeap) down(i0, n int) {
 		i = j
 	}
 }
-
-// debugCheck enables expensive internal invariant checks; tests and probes
-// may flip it.
-var debugCheck = false
-
-// SetDebugCheck toggles the internal invariant checks.
-func SetDebugCheck(v bool) { debugCheck = v }
-
-// DebugAcquireHook, when non-nil, observes every successful recycled-device
-// acquisition (debug/probing aid).
-var DebugAcquireHook func(addr uint32, writes uint64, poolSize int)

@@ -299,29 +299,6 @@ func TestCapInvariantQuick(t *testing.T) {
 	}
 }
 
-func TestDebugFacilities(t *testing.T) {
-	SetDebugCheck(true)
-	defer SetDebugCheck(false)
-	var seen []uint32
-	DebugAcquireHook = func(addr uint32, writes uint64, pool int) {
-		seen = append(seen, addr)
-	}
-	defer func() { DebugAcquireHook = nil }()
-	for _, k := range []Kind{LIFO, MinWrite} {
-		seen = nil
-		a := New(k, 0)
-		d := a.Acquire(2)
-		a.NoteWrite(d, 1)
-		a.Release(d)
-		if got := a.Acquire(2); got != d {
-			t.Fatalf("%v: recycle expected", k)
-		}
-		if len(seen) != 1 || seen[0] != d {
-			t.Fatalf("%v: hook saw %v", k, seen)
-		}
-	}
-}
-
 // TestResetMatchesFresh drives a deterministic acquire/write/release script
 // against a freshly constructed allocator and against one that previously
 // ran a different workload and was Reset — addresses, write counts, cell

@@ -99,28 +99,21 @@ func ResultOf(p *isa.Program) *Result {
 	}
 }
 
-// Compile translates m into a PLiM program, drawing scratch state from the
-// package's shared pool.
+// Compile translates m into a PLiM program. The per-node tables,
+// candidate heap, instruction buffer and device allocator come from the
+// package's scratch pool and return to it when compilation finishes, so a
+// hot caller (the staged per-configuration fan-out) performs O(1)
+// graph-sized allocations per compilation. The returned Result is always
+// private to the caller — nothing in it aliases pooled memory.
 func Compile(m *mig.MIG, opts Options) (*Result, error) {
-	return CompileWith(m, opts, defaultScratchPool)
-}
-
-// CompileWith is Compile with an explicit scratch pool: the per-node tables,
-// candidate heap, instruction buffer and device allocator are acquired from
-// pool and returned to it when compilation finishes, so a hot caller (the
-// staged per-configuration fan-out) performs O(1) graph-sized allocations
-// per compilation. A nil pool disables reuse and compiles on fresh scratch.
-// The returned Result is always private to the caller — nothing in it
-// aliases pooled memory.
-func CompileWith(m *mig.MIG, opts Options, pool *ScratchPool) (*Result, error) {
 	if opts.MaxWrites > 0 && opts.MaxWrites < 4 {
 		return nil, fmt.Errorf("compile: max-write cap %d cannot fit a preset+copy+RM3 sequence; use 0 or ≥4", opts.MaxWrites)
 	}
-	sc := pool.get(m.NumNodes())
+	sc := getScratch(m.NumNodes())
 	res, err := compileOn(m, opts, sc)
 	// The scratch returns to the pool on every path: after an error its
 	// contents are garbage, but acquisition re-sizes and clears every table.
-	pool.put(sc)
+	putScratch(sc)
 	return res, err
 }
 

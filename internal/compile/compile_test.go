@@ -469,22 +469,22 @@ func TestCompileAllocsPinned(t *testing.T) {
 	}
 }
 
-// TestScratchReuseParity compiles the same graphs over and over through one
-// pool (so every table and the Allocator are reused) and against a nil pool
-// (fresh scratch each time): programs, write counts and metrics must be
+// TestScratchReuseParity compiles the same graphs over and over on one
+// scratch (so every table and the Allocator are reused) and on a fresh
+// scratch each time: programs, write counts and metrics must be
 // byte-identical. This is the reused-allocator == fresh-allocator guarantee
 // the scratch pool's Reset contract promises.
 func TestScratchReuseParity(t *testing.T) {
-	pool := NewScratchPool()
+	sc := new(compileScratch)
 	for seed := int64(1); seed <= 4; seed++ {
 		m := buildRandomMIG("parity", 9, 220, 8, seed)
 		for _, opts := range allOptions() {
-			fresh, err := CompileWith(m, opts, nil)
+			fresh, err := compileOn(m, opts, new(compileScratch))
 			if err != nil {
 				t.Fatalf("seed %d %+v: %v", seed, opts, err)
 			}
 			for round := 0; round < 3; round++ {
-				pooled, err := CompileWith(m, opts, pool)
+				reused, err := compileOn(m, opts, sc)
 				if err != nil {
 					t.Fatalf("seed %d %+v round %d: %v", seed, opts, round, err)
 				}
@@ -492,16 +492,16 @@ func TestScratchReuseParity(t *testing.T) {
 				if err := fresh.Program.WriteBinary(&a); err != nil {
 					t.Fatal(err)
 				}
-				if err := pooled.Program.WriteBinary(&b); err != nil {
+				if err := reused.Program.WriteBinary(&b); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(a.Bytes(), b.Bytes()) {
-					t.Fatalf("seed %d %+v round %d: pooled program differs from fresh", seed, opts, round)
+					t.Fatalf("seed %d %+v round %d: reused program differs from fresh", seed, opts, round)
 				}
-				if !slices.Equal(fresh.WriteCounts, pooled.WriteCounts) {
+				if !slices.Equal(fresh.WriteCounts, reused.WriteCounts) {
 					t.Fatalf("seed %d %+v round %d: write counts differ", seed, opts, round)
 				}
-				if fresh.NumInstructions != pooled.NumInstructions || fresh.NumRRAMs != pooled.NumRRAMs {
+				if fresh.NumInstructions != reused.NumInstructions || fresh.NumRRAMs != reused.NumRRAMs {
 					t.Fatalf("seed %d %+v round %d: metrics differ", seed, opts, round)
 				}
 			}
@@ -512,11 +512,11 @@ func TestScratchReuseParity(t *testing.T) {
 // TestResultDoesNotAliasScratch: the Result must stay intact after the
 // scratch that built it is reused by another compilation.
 func TestResultDoesNotAliasScratch(t *testing.T) {
-	pool := NewScratchPool()
+	sc := new(compileScratch)
 	m1 := buildRandomMIG("alias1", 8, 150, 6, 11)
 	m2 := buildRandomMIG("alias2", 8, 150, 6, 12)
 	opts := Options{Selection: Endurance, Alloc: alloc.MinWrite}
-	r1, err := CompileWith(m1, opts, pool)
+	r1, err := compileOn(m1, opts, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestResultDoesNotAliasScratch(t *testing.T) {
 	}
 	wcBefore := append([]uint64(nil), r1.WriteCounts...)
 	// Reuse the scratch on a different graph, then re-serialize r1.
-	if _, err := CompileWith(m2, opts, pool); err != nil {
+	if _, err := compileOn(m2, opts, sc); err != nil {
 		t.Fatal(err)
 	}
 	var after bytes.Buffer

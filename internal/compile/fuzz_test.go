@@ -70,25 +70,25 @@ func resultDigest(t *testing.T, res *Result) string {
 // FuzzCompile compiles arbitrary small graphs under every option set of
 // allOptions plus a capped LIFO allocator. Every decoded graph is a valid
 // MIG, so compilation must succeed without panicking, compute the graph's
-// function with exact write counts, and give the same result from a pooled
+// function with exact write counts, and give the same result from a reused
 // scratch as from a fresh one.
 func FuzzCompile(f *testing.F) {
-	pool := NewScratchPool()
+	sc := new(compileScratch)
 	optsList := append(allOptions(), Options{Selection: NodeOrder, Alloc: alloc.LIFO, MaxWrites: 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzMIG(data)
 		for _, opts := range optsList {
-			pooled, err := CompileWith(m, opts, pool)
+			reused, err := compileOn(m, opts, sc)
 			if err != nil {
-				t.Fatalf("%+v: pooled compile: %v", opts, err)
+				t.Fatalf("%+v: reused compile: %v", opts, err)
 			}
-			fresh, err := CompileWith(m, opts, nil)
+			fresh, err := compileOn(m, opts, new(compileScratch))
 			if err != nil {
 				t.Fatalf("%+v: fresh compile: %v", opts, err)
 			}
-			verifyCompiled(t, m, pooled)
-			if a, b := resultDigest(t, pooled), resultDigest(t, fresh); a != b {
-				t.Fatalf("%+v: pooled digest %s, fresh %s", opts, a, b)
+			verifyCompiled(t, m, reused)
+			if a, b := resultDigest(t, reused), resultDigest(t, fresh); a != b {
+				t.Fatalf("%+v: reused digest %s, fresh %s", opts, a, b)
 			}
 		}
 	})

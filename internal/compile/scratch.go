@@ -11,9 +11,9 @@ import (
 
 // compileScratch is the reusable state of one compilation: every per-node
 // table the compiler sweeps, the flattened parent adjacency, the candidate
-// heap and instruction buffers, and a resettable device allocator. A scratch
-// is acquired from a ScratchPool sized for the graph, so compiling many
-// functions (or one function under many configurations) performs O(1)
+// heap and instruction buffers, and a resettable device allocator. Compile
+// draws a scratch sized for the graph from the package's pool, so compiling
+// many functions (or one function under many configurations) performs O(1)
 // graph-sized allocations per run instead of rebuilding every table.
 //
 // Nothing in a scratch outlives the compilation that used it: the emitted
@@ -65,18 +65,11 @@ func grow[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// ScratchPool recycles compile scratch state across compilations, bucketed
+// scratchPool recycles compile scratch state across compilations, bucketed
 // by graph size so a tiny function never pins the tables of a huge one (and
 // vice versa: a huge graph never churns through scratches grown for small
-// ones). The zero value is NOT usable; call NewScratchPool. A nil
-// *ScratchPool is valid and disables reuse (every compilation allocates a
-// fresh scratch), which the parity tests use as the reuse-free reference.
-//
-// Pools are safe for concurrent use; the staged compile fan-out hands one
-// pool to every worker.
-type ScratchPool struct {
-	classes [poolClasses]sync.Pool
-}
+// ones). Every Compile call, on any goroutine, draws from it.
+var scratchPool [poolClasses]sync.Pool
 
 const (
 	// Graphs below 2^poolMinBits nodes share the smallest class; beyond
@@ -85,15 +78,6 @@ const (
 	poolMaxBits = 24
 	poolClasses = poolMaxBits - poolMinBits + 1
 )
-
-// NewScratchPool returns an empty pool.
-func NewScratchPool() *ScratchPool {
-	return &ScratchPool{}
-}
-
-// defaultScratchPool backs plain Compile calls, so every caller benefits
-// from scratch reuse without threading a pool explicitly.
-var defaultScratchPool = NewScratchPool()
 
 func sizeClass(n int) int {
 	b := bits.Len(uint(n))
@@ -106,23 +90,18 @@ func sizeClass(n int) int {
 	return b - poolMinBits
 }
 
-// get returns a scratch whose tables are (typically) already sized for a
-// graph of n nodes. The caller must resize every table before use; get
-// guarantees nothing about the returned scratch's contents.
-func (p *ScratchPool) get(n int) *compileScratch {
-	if p == nil {
-		return &compileScratch{}
-	}
-	if sc, ok := p.classes[sizeClass(n)].Get().(*compileScratch); ok {
+// getScratch returns a scratch whose tables are (typically) already sized
+// for a graph of n nodes. The caller must resize every table before use;
+// getScratch guarantees nothing about the returned scratch's contents.
+func getScratch(n int) *compileScratch {
+	if sc, ok := scratchPool[sizeClass(n)].Get().(*compileScratch); ok {
 		return sc
 	}
 	return &compileScratch{}
 }
 
-// put returns a scratch to the pool bucket matching its grown capacity.
-func (p *ScratchPool) put(sc *compileScratch) {
-	if p == nil {
-		return
-	}
-	p.classes[sizeClass(cap(sc.cell))].Put(sc)
+// putScratch returns a scratch to the pool bucket matching its grown
+// capacity.
+func putScratch(sc *compileScratch) {
+	scratchPool[sizeClass(cap(sc.cell))].Put(sc)
 }

@@ -26,6 +26,7 @@ import (
 	"plim/internal/alloc"
 	"plim/internal/compile"
 	"plim/internal/cost"
+	"plim/internal/diskcache"
 	"plim/internal/mig"
 	"plim/internal/progress"
 	"plim/internal/rewrite"
@@ -287,11 +288,10 @@ type Env struct {
 // graph. A hit is the cached program rebuilt into a private
 // compile.Result (see CompileCache).
 //
-// When env.Verify is set, the compiled program is statically verified
-// (internal/verify) before the report is returned: def-before-use, range,
-// output liveness, the policy's wear cap and static-vs-allocator write
-// parity. A hard violation fails the compile; dead-write warnings land in
-// Report.Verify.
+// When env.Verify is set, the report is verified (Verify) before it is
+// returned: def-before-use, range, output liveness, the policy's wear cap
+// and static-vs-allocator write parity. A hard violation fails the
+// compile; dead-write warnings land in Report.Verify.
 //
 // env.CostModel, when non-nil, prices the compiled program from the
 // counts it keeps (cost.Model.Program), cached or computed alike: this is
@@ -335,17 +335,28 @@ func CompileConfig(ctx context.Context, env Env, rewritten *mig.Ref, cfg Config,
 		report.Cost = &c
 	}
 	if env.Verify {
-		vr := verify.Program(res.Program, verify.Options{MaxWrites: cfg.MaxWrites, CostModel: env.CostModel})
-		verify.CheckWriteParity(vr, res.WriteCounts, "allocator")
-		if report.Cost != nil {
-			verify.CheckCostParity(vr, *report.Cost, "program")
-		}
+		vr := Verify(report, env.CostModel)
 		if err := vr.Err(); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", cfg.Name, err)
 		}
 		report.Verify = vr
 	}
 	return report, nil
+}
+
+// Verify statically verifies the program of rep (internal/verify) under
+// its configuration's write cap, pricing it by the verifier's walk under
+// model when model is non-nil, and checks the verifier's write counts
+// against rep's (the allocator's, for the caller that compiled it) and,
+// when rep is priced, its walk against rep.Cost. Hard violations,
+// parity failures included, are in the returned report.
+func Verify(rep *Report, model *cost.Model) *verify.Report {
+	vr := verify.Program(rep.Result.Program, verify.Options{MaxWrites: rep.Config.MaxWrites, CostModel: model})
+	verify.CheckWriteParity(vr, rep.Result.WriteCounts, "allocator")
+	if rep.Cost != nil {
+		verify.CheckCostParity(vr, *rep.Cost, "program")
+	}
+	return vr
 }
 
 // Stage is one rewrite stage of an execution plan: the set of planned
@@ -404,7 +415,7 @@ func stageLabel(st Stage, cfgs []Config) string {
 // task depending on all of them, or after Graph.Wait).
 func stagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.Ref, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
-	rws := make([]rewriteResult, len(stages))
+	rws := make([]diskcache.RewriteEntry, len(stages))
 	rwErrs := make([]error, len(stages))
 	cmpErrs := make([]error, len(cfgs))
 	leaves = make([]*sched.Task, 0, len(cfgs))
@@ -420,10 +431,10 @@ func stagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func(
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {
 				rw := &rws[si]
-				if rw.ref == nil {
+				if rw.Graph == nil {
 					return // stage rewrite failed or was skipped
 				}
-				out[ci], cmpErrs[ci] = CompileConfig(ctx, env, rw.ref, cfgs[ci], rw.st)
+				out[ci], cmpErrs[ci] = CompileConfig(ctx, env, rw.Graph, cfgs[ci], rw.Stats)
 			}, rw)
 			leaves = append(leaves, ct)
 		}

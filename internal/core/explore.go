@@ -29,10 +29,12 @@ type ExploreOptions struct {
 	// Shrinks are the datapath divisors; nil means {1} (paper scale).
 	Shrinks []int
 	// Models price every compiled program from the counts it keeps. The
-	// first model is also the sweep's Env.CostModel (Report.Cost and, with
-	// Env.Verify, the parity check against the verifier's walk); the model
-	// is pure accounting and never influences compilation, so one compile
-	// per (benchmark, shrink, effort, config) covers every model.
+	// first model is also the sweep's Env.CostModel, so its points carry
+	// the report's own price (Report.Cost and, with Env.Verify, the parity
+	// check against the verifier's walk) and each further model prices
+	// the program once; the model is pure accounting and never influences
+	// compilation, so one compile per (benchmark, shrink, effort, config)
+	// covers every model.
 	// Nil means {cost.Default()}. Model names must be distinct: they key the
 	// output rows and the Pareto grouping.
 	Models []*cost.Model
@@ -125,7 +127,11 @@ func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult,
 		for ei, effort := range opts.Efforts {
 			for ci, cfg := range opts.Configs {
 				rep := p.Reports[ei][ci]
-				for _, m := range opts.Models {
+				for mi, m := range opts.Models {
+					c := *rep.Cost // CompileConfig priced it under Models[0]
+					if mi > 0 {
+						c = m.Program(rep.Result.Program)
+					}
 					res.Points = append(res.Points, ExplorePoint{
 						Benchmark:    opts.Benchmarks[pi/ns],
 						Config:       cfg.Name,
@@ -134,7 +140,7 @@ func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult,
 						Model:        m.Name,
 						Instructions: rep.NumInstructions(),
 						RRAMs:        rep.NumRRAMs(),
-						Cost:         m.Program(rep.Result.Program),
+						Cost:         c,
 					})
 				}
 			}

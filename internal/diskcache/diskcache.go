@@ -5,21 +5,26 @@
 // cache directory, so the second invocation skips every rewrite and every
 // compilation the first one already performed.
 //
-// Three entry kinds are stored, mirroring the in-memory tiers they back:
+// Three entry kinds are stored, one per in-memory cache they back. Each
+// kind's key is declared here once, as a struct the in-memory cache keys
+// on too, and a cache's tier is the pair of methods that load and store
+// its kind:
 //
-//   - rewrite results, keyed by (input-MIG fingerprint, rewrite kind,
-//     effort) exactly like core.RewriteCache, holding the rewritten MIG in
+//   - rewrite results, keyed by RewriteKey (input-MIG fingerprint, rewrite
+//     kind, effort) for core.RewriteCache, holding the rewritten MIG in
 //     the compact binary MIG encoding (mig.AppendBinary) plus its
-//     rewrite.Stats;
-//   - benchmark builds, keyed by (benchmark name, shrink) exactly like
-//     suite.Cache, holding the generated MIG;
-//   - compiled programs, keyed by (rewritten-MIG fingerprint, selection,
-//     allocator, write cap) exactly like core.CompileCache, holding the
-//     program's isa binary encoding (isa.Program.Binary).
+//     rewrite.Stats (LoadRewrite, SaveRewrite);
+//   - benchmark builds, keyed by BenchmarkKey (benchmark name, shrink) for
+//     suite.Cache, holding the generated MIG (ProbeBenchmark,
+//     SaveBenchmark);
+//   - compiled programs, keyed by ProgramKey (rewritten-MIG fingerprint,
+//     selection, allocator, write cap) for core.CompileCache, holding the
+//     program's isa binary encoding, isa.Program.Binary (ProbeProgram,
+//     StoreProgram).
 //
-// Every entry is one file: a small text header (magic, format version, the
-// full key, the stored value's fingerprint, payload length and CRC-32)
-// followed by the binary payload.
+// Every entry is one file, whose name its key renders: a small text header
+// (magic, format version, the key line its key renders, the stored value's
+// fingerprint, payload length and CRC-32) followed by the binary payload.
 // Writes go through a temp file in the cache directory and an atomic
 // rename, so concurrent processes sharing a directory never observe a
 // partially written entry and the last writer simply wins. Reads verify
@@ -174,40 +179,77 @@ func (c *Cache) Dir() string { return c.dir }
 // one that was stored.
 func (c *Cache) SetVerify(enabled bool) { c.verify.Store(enabled) }
 
-func rewritePath(dir string, fp uint64, kind uint8, effort int) string {
-	var buf [128]byte
-	b := appendDir(buf[:0], dir)
-	b = append(b, "rw-"...)
-	b = appendHex(b, fp, 16)
-	b = append(b, "-k"...)
-	b = strconv.AppendUint(b, uint64(kind), 10)
-	b = append(b, "-e"...)
-	b = strconv.AppendInt(b, int64(effort), 10)
-	return string(append(b, ext...))
+// RewriteKey is a rewrite entry's key and core.RewriteCache's: the input
+// graph's fingerprint, the rewrite kind and the effort.
+type RewriteKey struct {
+	Graph  uint64
+	Kind   uint8
+	Effort int
 }
 
-func benchPath(dir, name string, shrink int) string {
-	var buf [128]byte
-	b := appendDir(buf[:0], dir)
-	b = append(b, "bench-"...)
-	b = append(b, sanitize(name)...)
-	b = append(b, "-s"...)
-	b = strconv.AppendInt(b, int64(shrink), 10)
-	return string(append(b, ext...))
+// BenchmarkKey is a benchmark entry's key and suite.Cache's: the
+// benchmark's name and its shrink factor.
+type BenchmarkKey struct {
+	Name   string
+	Shrink int
 }
 
-func programPath(dir string, k ProgramKey) string {
+// ProgramKey is a program entry's key and core.CompileCache's: the
+// rewritten graph's fingerprint, the selection policy, the allocator and
+// the write cap the program was compiled under.
+type ProgramKey struct {
+	Graph            uint64
+	Selection, Alloc uint8
+	MaxWrites        uint64
+}
+
+// Each key renders its entry's file in a cache directory (path) and the
+// key line the entry's header records (line); a read accepts only the
+// entry whose key line is the one of the key that named its file.
+
+func (k RewriteKey) path(dir string) string {
 	var buf [128]byte
-	b := appendDir(buf[:0], dir)
-	b = append(b, "prog-"...)
+	b := append(appendDir(buf[:0], dir), "rw-"...)
 	b = appendHex(b, k.Graph, 16)
-	b = append(b, "-s"...)
-	b = strconv.AppendUint(b, uint64(k.Selection), 10)
-	b = append(b, "-a"...)
-	b = strconv.AppendUint(b, uint64(k.Alloc), 10)
-	b = append(b, "-w"...)
-	b = strconv.AppendUint(b, k.MaxWrites, 10)
+	b = strconv.AppendUint(append(b, "-k"...), uint64(k.Kind), 10)
+	b = strconv.AppendInt(append(b, "-e"...), int64(k.Effort), 10)
 	return string(append(b, ext...))
+}
+
+func (k RewriteKey) line(b []byte) []byte {
+	b = appendHex(append(b, "key "...), k.Graph, 16)
+	b = strconv.AppendUint(append(b, ' '), uint64(k.Kind), 10)
+	return strconv.AppendInt(append(b, ' '), int64(k.Effort), 10)
+}
+
+func (k BenchmarkKey) path(dir string) string {
+	var buf [128]byte
+	b := append(appendDir(buf[:0], dir), "bench-"...)
+	b = append(b, sanitize(k.Name)...)
+	b = strconv.AppendInt(append(b, "-s"...), int64(k.Shrink), 10)
+	return string(append(b, ext...))
+}
+
+func (k BenchmarkKey) line(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "key "...), k.Name)
+	return strconv.AppendInt(append(b, ' '), int64(k.Shrink), 10)
+}
+
+func (k ProgramKey) path(dir string) string {
+	var buf [128]byte
+	b := append(appendDir(buf[:0], dir), "prog-"...)
+	b = appendHex(b, k.Graph, 16)
+	b = strconv.AppendUint(append(b, "-s"...), uint64(k.Selection), 10)
+	b = strconv.AppendUint(append(b, "-a"...), uint64(k.Alloc), 10)
+	b = strconv.AppendUint(append(b, "-w"...), k.MaxWrites, 10)
+	return string(append(b, ext...))
+}
+
+func (k ProgramKey) line(b []byte) []byte {
+	b = appendHex(append(b, "key "...), k.Graph, 16)
+	b = strconv.AppendUint(append(b, ' '), uint64(k.Selection), 10)
+	b = strconv.AppendUint(append(b, ' '), uint64(k.Alloc), 10)
+	return strconv.AppendUint(append(b, ' '), k.MaxWrites, 10)
 }
 
 func appendDir(b []byte, dir string) []byte {
@@ -294,27 +336,26 @@ type RewriteEntry struct {
 	Stats rewrite.Stats
 }
 
-// StoreRewrite persists a rewrite result under (fp, kind, effort); it is
-// SaveRewrite with the graph's fingerprint computed here.
+// StoreRewrite persists a rewrite result under RewriteKey{fp, kind,
+// effort}; it is SaveRewrite with the graph's fingerprint computed here.
 func (c *Cache) StoreRewrite(fp uint64, kind uint8, effort int, m *mig.MIG, st rewrite.Stats) error {
-	return c.SaveRewrite(fp, kind, effort, RewriteEntry{mig.NewRef(m), st})
+	return c.SaveRewrite(RewriteKey{fp, kind, effort}, RewriteEntry{mig.NewRef(m), st})
 }
 
-// SaveRewrite persists a rewrite entry under (fp, kind, effort),
-// recording the fingerprint its graph's handle carries. Graphs that cannot
-// round-trip faithfully (see Storable) are skipped with ErrNotStorable.
-// Stores are best-effort: the caller already holds the computed result.
-func (c *Cache) SaveRewrite(fp uint64, kind uint8, effort int, e RewriteEntry) error {
+// SaveRewrite persists a rewrite entry under k, recording the fingerprint
+// its graph's handle carries. Graphs that cannot round-trip faithfully
+// (see Storable) are skipped with ErrNotStorable. Stores are best-effort:
+// the caller already holds the computed result.
+func (c *Cache) SaveRewrite(k RewriteKey, e RewriteEntry) error {
 	var kb, sb [128]byte
-	return c.storeGraph(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(kb[:0], fp, kind, effort),
-		e.Graph, appendStats(sb[:0], &e.Stats))
+	return c.storeGraph(k.path(c.dir), kindRewrite, k.line(kb[:0]), e.Graph, appendStats(sb[:0], &e.Stats))
 }
 
-// ProbeRewrite loads the rewrite result stored under (fp, kind, effort)
-// and reports how the probe resolved; it is LoadRewrite with the graph
-// decoded, so a payload that does not decode is a miss.
+// ProbeRewrite loads the rewrite result stored under RewriteKey{fp, kind,
+// effort} and reports how the probe resolved; it is LoadRewrite with the
+// graph decoded, so a payload that does not decode is a miss.
 func (c *Cache) ProbeRewrite(fp uint64, kind uint8, effort int) (*mig.MIG, rewrite.Stats, ProbeOutcome) {
-	e, out := c.LoadRewrite(fp, kind, effort)
+	e, out := c.LoadRewrite(RewriteKey{fp, kind, effort})
 	if out != ProbeHit {
 		return nil, rewrite.Stats{}, out
 	}
@@ -325,13 +366,13 @@ func (c *Cache) ProbeRewrite(fp uint64, kind uint8, effort int) (*mig.MIG, rewri
 	return m, e.Stats, ProbeHit
 }
 
-// LoadRewrite loads the rewrite entry stored under (fp, kind, effort) and
-// reports how the probe resolved; the entry is zero unless it hit. An
-// entry whose stats line does not parse is a plain miss. The graph is
-// read as graphRef reads it: undecoded, unless SetVerify is on.
-func (c *Cache) LoadRewrite(fp uint64, kind uint8, effort int) (RewriteEntry, ProbeOutcome) {
+// LoadRewrite loads the rewrite entry stored under k and reports how the
+// probe resolved; the entry is zero unless it hit. An entry whose stats
+// line does not parse is a plain miss. The graph is read as graphRef
+// reads it: undecoded, unless SetVerify is on.
+func (c *Cache) LoadRewrite(k RewriteKey) (RewriteEntry, ProbeOutcome) {
 	var kb [128]byte
-	out, stats, payload, ok := read(rewritePath(c.dir, fp, kind, effort), kindRewrite, rewriteKey(kb[:0], fp, kind, effort), true)
+	out, stats, payload, ok := read(k.path(c.dir), kindRewrite, k.line(kb[:0]), true)
 	if !ok {
 		return RewriteEntry{}, ProbeMiss
 	}
@@ -384,40 +425,29 @@ func parseStats(line []byte) (rewrite.Stats, bool) {
 	}, true
 }
 
-func rewriteKey(b []byte, fp uint64, kind uint8, effort int) []byte {
-	b = appendHex(append(b, "key "...), fp, 16)
-	b = strconv.AppendUint(append(b, ' '), uint64(kind), 10)
-	return strconv.AppendInt(append(b, ' '), int64(effort), 10)
-}
-
-// StoreBenchmark persists a benchmark build under (name, shrink); it is
-// SaveBenchmark with the graph's fingerprint computed here.
+// StoreBenchmark persists a benchmark build under BenchmarkKey{name,
+// shrink}; it is SaveBenchmark with the graph's fingerprint computed here.
 func (c *Cache) StoreBenchmark(name string, shrink int, m *mig.MIG) error {
-	return c.SaveBenchmark(name, shrink, mig.NewRef(m))
+	return c.SaveBenchmark(BenchmarkKey{name, shrink}, mig.NewRef(m))
 }
 
-// SaveBenchmark persists a benchmark build under (name, shrink), recording
-// the fingerprint its handle carries.
-func (c *Cache) SaveBenchmark(name string, shrink int, r *mig.Ref) error {
+// SaveBenchmark persists a benchmark build under k, recording the
+// fingerprint its handle carries.
+func (c *Cache) SaveBenchmark(k BenchmarkKey, r *mig.Ref) error {
 	var kb [128]byte
-	return c.storeGraph(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(kb[:0], name, shrink), r, nil)
+	return c.storeGraph(k.path(c.dir), kindBenchmark, k.line(kb[:0]), r, nil)
 }
 
-// ProbeBenchmark loads the benchmark build stored under (name, shrink) and
-// reports how the probe resolved. The graph is read as graphRef reads it:
-// undecoded, unless SetVerify is on.
-func (c *Cache) ProbeBenchmark(name string, shrink int) (*mig.Ref, ProbeOutcome) {
+// ProbeBenchmark loads the benchmark build stored under k and reports how
+// the probe resolved. The graph is read as graphRef reads it: undecoded,
+// unless SetVerify is on.
+func (c *Cache) ProbeBenchmark(k BenchmarkKey) (*mig.Ref, ProbeOutcome) {
 	var kb [128]byte
-	out, _, payload, ok := read(benchPath(c.dir, name, shrink), kindBenchmark, benchKey(kb[:0], name, shrink), false)
+	out, _, payload, ok := read(k.path(c.dir), kindBenchmark, k.line(kb[:0]), false)
 	if !ok {
 		return nil, ProbeMiss
 	}
 	return c.graphRef(payload, out)
-}
-
-func benchKey(b []byte, name string, shrink int) []byte {
-	b = strconv.AppendQuote(append(b, "key "...), name)
-	return strconv.AppendInt(append(b, ' '), int64(shrink), 10)
 }
 
 // storeGraph writes a graph entry: the graph r holds, its fingerprint and
@@ -456,20 +486,11 @@ func (c *Cache) graphRef(payload []byte, out uint64) (*mig.Ref, ProbeOutcome) {
 	return r, ProbeHit
 }
 
-// ProgramKey is a program entry's key, the compile cache's: the rewritten
-// graph's fingerprint, the selection policy, the allocator and the write
-// cap the program was compiled under.
-type ProgramKey struct {
-	Graph            uint64
-	Selection, Alloc uint8
-	MaxWrites        uint64
-}
-
 // StoreProgram persists a compiled program entry under k: the program's
 // encoding, recording its fingerprint.
 func (c *Cache) StoreProgram(k ProgramKey, p *isa.Program) error {
 	var kb [128]byte
-	return c.store(programPath(c.dir, k), kindProgram, programKey(kb[:0], k), p.Fingerprint(), nil, p.Binary())
+	return c.store(k.path(c.dir), kindProgram, k.line(kb[:0]), p.Fingerprint(), nil, p.Binary())
 }
 
 // ProbeProgram loads the program entry stored under k and reports how the
@@ -479,7 +500,7 @@ func (c *Cache) StoreProgram(k ProgramKey, p *isa.Program) error {
 // the recorded fingerprint, or the probe is a verify-miss.
 func (c *Cache) ProbeProgram(k ProgramKey) (*isa.Program, ProbeOutcome) {
 	var kb [128]byte
-	out, _, payload, ok := read(programPath(c.dir, k), kindProgram, programKey(kb[:0], k), false)
+	out, _, payload, ok := read(k.path(c.dir), kindProgram, k.line(kb[:0]), false)
 	if !ok {
 		return nil, ProbeMiss
 	}
@@ -491,13 +512,6 @@ func (c *Cache) ProbeProgram(k ProgramKey) (*isa.Program, ProbeOutcome) {
 		return nil, ProbeVerifyMiss
 	}
 	return p, ProbeHit
-}
-
-func programKey(b []byte, k ProgramKey) []byte {
-	b = appendHex(append(b, "key "...), k.Graph, 16)
-	b = strconv.AppendUint(append(b, ' '), uint64(k.Selection), 10)
-	b = strconv.AppendUint(append(b, ' '), uint64(k.Alloc), 10)
-	return strconv.AppendUint(append(b, ' '), k.MaxWrites, 10)
 }
 
 // store writes one entry atomically: write the header and the payload to

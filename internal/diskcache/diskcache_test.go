@@ -108,23 +108,23 @@ func TestRewriteRoundTrip(t *testing.T) {
 func TestBenchmarkRoundTrip(t *testing.T) {
 	c := open(t)
 	m := testMIG("ctrl", 2)
-	if _, out := c.ProbeBenchmark("ctrl", 2); out == ProbeHit {
+	if _, out := c.ProbeBenchmark(BenchmarkKey{"ctrl", 2}); out == ProbeHit {
 		t.Fatal("hit on empty cache")
 	}
 	if err := c.StoreBenchmark("ctrl", 2, m); err != nil {
 		t.Fatal(err)
 	}
-	got, out := c.ProbeBenchmark("ctrl", 2)
+	got, out := c.ProbeBenchmark(BenchmarkKey{"ctrl", 2})
 	if out != ProbeHit {
 		t.Fatal("stored benchmark missed")
 	}
 	if got.Fingerprint() != m.Fingerprint() {
 		t.Fatal("loaded benchmark fingerprint differs")
 	}
-	if _, out := c.ProbeBenchmark("ctrl", 3); out == ProbeHit {
+	if _, out := c.ProbeBenchmark(BenchmarkKey{"ctrl", 3}); out == ProbeHit {
 		t.Fatal("shrink is not part of the key")
 	}
-	if _, out := c.ProbeBenchmark("ctrl2", 2); out == ProbeHit {
+	if _, out := c.ProbeBenchmark(BenchmarkKey{"ctrl2", 2}); out == ProbeHit {
 		t.Fatal("name is not part of the key")
 	}
 }
@@ -226,7 +226,7 @@ func TestV2TextEntryMigrates(t *testing.T) {
 	}
 	v2 := fmt.Appendf(nil, "plimcache 2 rewrite\nkey %016x 2 5\nout %016x\nstats 3 60 41 12 9 1 2 3 4 5 6 7 8\npayload %d %08x\n%s",
 		fp, fp, text.Len(), crc32ieee(text.Bytes()), text.Bytes())
-	path := rewritePath(c.Dir(), fp, 2, 5)
+	path := RewriteKey{fp, 2, 5}.path(c.Dir())
 	if err := os.WriteFile(path, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestMismatchedKeyInsideEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := entryFile(t, c)
-	other := rewritePath(c.Dir(), fp+1, 2, 5)
+	other := RewriteKey{fp + 1, 2, 5}.path(c.Dir())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +511,7 @@ func TestVerifyOnLoadBenchmark(t *testing.T) {
 	if err := c.StoreBenchmark("adder", 2, m); err != nil {
 		t.Fatal(err)
 	}
-	got, out := c.ProbeBenchmark("adder", 2)
+	got, out := c.ProbeBenchmark(BenchmarkKey{"adder", 2})
 	if out != ProbeHit || got.Fingerprint() != m.Fingerprint() {
 		t.Fatal("verified benchmark load failed on an honest entry")
 	}
@@ -525,7 +525,7 @@ func TestVerifyOnLoadBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetVerify(false)
-	if _, out := c.ProbeBenchmark("adder", 2); out == ProbeHit {
+	if _, out := c.ProbeBenchmark(BenchmarkKey{"adder", 2}); out == ProbeHit {
 		t.Fatal("mangled out line must be a miss")
 	}
 }

@@ -73,7 +73,7 @@ func FuzzDiskEntry(f *testing.F) {
 	if err := seed.StoreProgram(fuzzProgram, p); err != nil {
 		f.Fatal(err)
 	}
-	for _, path := range []string{benchPath(seed.Dir(), "fz", 1), rewritePath(seed.Dir(), fuzzRewriteFP, 2, 5), programPath(seed.Dir(), fuzzProgram)} {
+	for _, path := range []string{BenchmarkKey{"fz", 1}.path(seed.Dir()), RewriteKey{fuzzRewriteFP, 2, 5}.path(seed.Dir()), fuzzProgram.path(seed.Dir())} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -89,18 +89,18 @@ func FuzzDiskEntry(f *testing.F) {
 	}
 	st := testStats()
 	var bk, rk, pk, sb [128]byte
-	bench := fuzzKind{path: benchPath(c.Dir(), "fz", 1), kind: kindBenchmark, key: benchKey(bk[:0], "fz", 1)}
+	bench := fuzzKind{path: BenchmarkKey{"fz", 1}.path(c.Dir()), kind: kindBenchmark, key: BenchmarkKey{"fz", 1}.line(bk[:0])}
 	bench.use = func() func() error {
-		r, out := c.ProbeBenchmark("fz", 1)
+		r, out := c.ProbeBenchmark(BenchmarkKey{"fz", 1})
 		return useGraph(bench, r, out)
 	}
-	rw := fuzzKind{path: rewritePath(c.Dir(), fuzzRewriteFP, 2, 5), kind: kindRewrite,
-		key: rewriteKey(rk[:0], fuzzRewriteFP, 2, 5), extra: appendStats(sb[:0], &st)}
+	rw := fuzzKind{path: RewriteKey{fuzzRewriteFP, 2, 5}.path(c.Dir()), kind: kindRewrite,
+		key: RewriteKey{fuzzRewriteFP, 2, 5}.line(rk[:0]), extra: appendStats(sb[:0], &st)}
 	rw.use = func() func() error {
-		e, out := c.LoadRewrite(fuzzRewriteFP, 2, 5)
+		e, out := c.LoadRewrite(RewriteKey{fuzzRewriteFP, 2, 5})
 		return useGraph(rw, e.Graph, out)
 	}
-	prog := fuzzKind{path: programPath(c.Dir(), fuzzProgram), kind: kindProgram, key: programKey(pk[:0], fuzzProgram)}
+	prog := fuzzKind{path: fuzzProgram.path(c.Dir()), kind: kindProgram, key: fuzzProgram.line(pk[:0])}
 	prog.use = func() func() error {
 		p, out := c.ProbeProgram(fuzzProgram)
 		if out != ProbeHit {

@@ -18,7 +18,7 @@ func storeN(t *testing.T, c *Cache, n int) []string {
 		if err := c.StoreBenchmark("gc", i+1, m); err != nil {
 			t.Fatal(err)
 		}
-		paths[i] = benchPath(c.Dir(), "gc", i+1)
+		paths[i] = BenchmarkKey{"gc", i + 1}.path(c.Dir())
 	}
 	return paths
 }
@@ -120,7 +120,7 @@ func TestGCLoadRefreshesRecency(t *testing.T) {
 	backdate(t, paths[0], 3*time.Hour)
 	backdate(t, paths[1], 2*time.Hour)
 	// A hit on the older entry must move it to the young end.
-	if _, out := c.ProbeBenchmark("gc", 1); out != ProbeHit {
+	if _, out := c.ProbeBenchmark(BenchmarkKey{"gc", 1}); out != ProbeHit {
 		t.Fatal("load miss on stored entry")
 	}
 	var one int64
@@ -154,7 +154,7 @@ func TestGCSparesConcurrentlyRefreshedEntry(t *testing.T) {
 	backdate(t, paths[0], 48*time.Hour)
 	gcTestHookBeforeRemove = func(path string) {
 		// A concurrent load hits the entry right now.
-		if _, out := c.ProbeBenchmark("gc", 1); out != ProbeHit {
+		if _, out := c.ProbeBenchmark(BenchmarkKey{"gc", 1}); out != ProbeHit {
 			t.Error("load miss on stored entry")
 		}
 	}
@@ -208,7 +208,7 @@ func TestGCConcurrentWithLoads(t *testing.T) {
 					return
 				default:
 				}
-				c.ProbeBenchmark("gc", i%entries+1)
+				c.ProbeBenchmark(BenchmarkKey{"gc", i%entries + 1})
 			}
 		}(g)
 	}

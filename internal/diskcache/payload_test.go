@@ -46,7 +46,7 @@ func TestSuitePayloadsRoundTrip(t *testing.T) {
 			if err := c.StoreBenchmark(name, shrink, m); err != nil {
 				t.Fatal(err)
 			}
-			r, out := c.ProbeBenchmark(name, shrink)
+			r, out := c.ProbeBenchmark(diskcache.BenchmarkKey{Name: name, Shrink: shrink})
 			if out != diskcache.ProbeHit {
 				t.Fatalf("%s/%d: benchmark entry missed", name, shrink)
 			}

@@ -146,8 +146,8 @@ func TestProbeHitAllocations(t *testing.T) {
 		probe func() ProbeOutcome
 	}{
 		{"program", 10, func() ProbeOutcome { _, out := c.ProbeProgram(k); return out }},
-		{"benchmark", 10, func() ProbeOutcome { _, out := c.ProbeBenchmark("ctrl", 2); return out }},
-		{"rewrite", 10, func() ProbeOutcome { _, out := c.LoadRewrite(m.Fingerprint(), 2, 5); return out }},
+		{"benchmark", 10, func() ProbeOutcome { _, out := c.ProbeBenchmark(BenchmarkKey{"ctrl", 2}); return out }},
+		{"rewrite", 10, func() ProbeOutcome { _, out := c.LoadRewrite(RewriteKey{m.Fingerprint(), 2, 5}); return out }},
 	} {
 		var out ProbeOutcome
 		if n := testing.AllocsPerRun(20, func() { out = tc.probe() }); n > tc.max || out != ProbeHit {

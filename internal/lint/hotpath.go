@@ -15,7 +15,7 @@ import (
 // or pkg.Type.Method, where pkg is the import path or the bare package
 // name.
 var DefaultHotPathRoots = []string{
-	"plim/internal/compile.CompileWith",
+	"plim/internal/compile.Compile",
 	"plim/internal/exec.Run",
 	"plim/internal/exec.Batch.AppendVectors",
 }

@@ -11,10 +11,11 @@
 //
 //   - hotpathalloc: no fresh allocations (map construction, growth from a
 //     fresh slice, interface boxing, sort/heap calls) in functions reachable
-//     from the pinned hot-path roots compile.CompileWith and exec.Run.
-//     These paths run per compile / per executed batch and are covered by
-//     an allocs/op benchmark gate; a stray map literal in a helper three
-//     calls down silently regresses it. The //plim:alloc-ok <reason> line
+//     from the pinned hot-path roots compile.Compile, exec.Run and
+//     exec.Batch.AppendVectors (DefaultHotPathRoots). These paths run per
+//     compile / per executed batch and are covered by an allocs/op
+//     benchmark gate; a stray map literal in a helper three calls down
+//     silently regresses it. The //plim:alloc-ok <reason> line
 //     directive acknowledges a deliberate, measured allocation, and a root
 //     that names no function in its loaded package is itself a finding.
 //

@@ -31,15 +31,16 @@ import (
 // same panic in their own stack if it is deterministic).
 var ErrPanicked = errors.New("memo: computation panicked")
 
-// Tier is a persistent second level below the in-memory cache. Load
-// reports diskcache.ProbeHit with a value byte-identical to what the
-// compute function would produce; any other outcome is a miss. Store
-// errors are counted, not returned: a failed store only costs a later
-// process a recomputation. A store the tier skips returns
-// diskcache.ErrNotStorable and is not counted at all.
-type Tier[K comparable, V any] interface {
-	Load(K) (V, diskcache.ProbeOutcome)
-	Store(K, V) error
+// Tier is a persistent second level below the in-memory cache, given as
+// its two functions; the zero Tier means memory only. Load reports
+// diskcache.ProbeHit with a value byte-identical to what the compute
+// function would produce; any other outcome is a miss. Store errors are
+// counted, not returned: a failed store only costs a later process a
+// recomputation. A store the tier skips returns diskcache.ErrNotStorable
+// and is not counted at all.
+type Tier[K comparable, V any] struct {
+	Load  func(K) (V, diskcache.ProbeOutcome)
+	Store func(K, V) error
 }
 
 // Budget bounds the summed size of the completed entries of every cache
@@ -81,7 +82,7 @@ type Cache[K comparable, V any] struct {
 
 	n counters
 
-	tier  Tier[K, V] // nil: memory only
+	tier  Tier[K, V]
 	size  func(V) int
 	probe string
 	attr  func(K) (string, string)
@@ -124,7 +125,7 @@ type counters struct {
 // bounds once their summed charge exceeds its limit; a nil b is a private
 // unbounded budget. probe names the cache's trace span; attr, when
 // non-nil, labels a traced span with one key attribute and is only called
-// when the span is recorded. tier, when non-nil, is the persistent second
+// when the span is recorded. tier, unless zero, is the persistent second
 // level every memory miss probes.
 func New[K comparable, V any](b *Budget, size func(V) int, probe string, attr func(K) (string, string), tier Tier[K, V]) *Cache[K, V] {
 	if b == nil {
@@ -235,7 +236,7 @@ func (c *Cache[K, V]) fill(e *entry[K, V], sp trace.Handle, compute func() (V, e
 		c.b.mu.Unlock()
 	}()
 	outcome := "compute"
-	if c.tier != nil {
+	if c.tier.Load != nil {
 		v, out := c.tier.Load(e.key)
 		switch out {
 		case diskcache.ProbeHit:
@@ -264,7 +265,7 @@ func (c *Cache[K, V]) fill(e *entry[K, V], sp trace.Handle, compute func() (V, e
 // outside Do because the tier's copy turned out unusable, so the next
 // process finds a good one.
 func (c *Cache[K, V]) Store(key K, v V) {
-	if c.tier == nil {
+	if c.tier.Store == nil {
 		return
 	}
 	switch err := c.tier.Store(key, v); {

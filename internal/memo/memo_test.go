@@ -117,7 +117,7 @@ func TestDoTierOutcomes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var tier Tier[string, int]
 			if tc.tier != nil {
-				tier = tc.tier
+				tier = Tier[string, int]{Load: tc.tier.Load, Store: tc.tier.Store}
 			}
 			c := newIntCache(tier)
 			tr := trace.New()
@@ -177,7 +177,7 @@ func TestDoTierOutcomes(t *testing.T) {
 // cancelled, while the computation itself runs on and is cached for the
 // next caller.
 func TestCancelledWaiterLeavesComputationCached(t *testing.T) {
-	c := newIntCache(nil)
+	c := newIntCache(Tier[string, int]{})
 	release := make(chan struct{})
 	leader := make(chan error, 1)
 	go func() {
@@ -212,7 +212,7 @@ func TestCancelledWaiterLeavesComputationCached(t *testing.T) {
 // whose caller panics does not inherit the panic or wedge; it computes the
 // value itself.
 func TestWaiterRetriesAfterLeaderPanic(t *testing.T) {
-	c := newIntCache(nil)
+	c := newIntCache(Tier[string, int]{})
 	release := make(chan struct{})
 	leader := make(chan any, 1)
 	go func() {
@@ -242,7 +242,7 @@ func TestWaiterRetriesAfterLeaderPanic(t *testing.T) {
 // TestDoCancelledUpFront: a cancelled context fails before a ready hit is
 // served.
 func TestDoCancelledUpFront(t *testing.T) {
-	c := newIntCache(nil)
+	c := newIntCache(Tier[string, int]{})
 	if _, err := c.Do(context.Background(), "k", func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestEviction(t *testing.T) {
 		{"negative budget unbounded", -1, []string{"a:1000", "b:1000"}, []string{"b", "a"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[string](NewBudget(tc.budget), func(v int) int { return v }, "test-probe", nil, nil)
+			c := New[string](NewBudget(tc.budget), func(v int) int { return v }, "test-probe", nil, Tier[string, int]{})
 			for _, step := range tc.steps {
 				key, cost, ok := strings.Cut(step, ":")
 				if !ok {
@@ -301,7 +301,7 @@ func TestEviction(t *testing.T) {
 	// In-flight entries are pinned: a budget overrun skips them and evicts
 	// completed entries around them until they complete.
 	t.Run("in flight pinned", func(t *testing.T) {
-		c := New[string](NewBudget(15), func(v int) int { return v }, "test-probe", nil, nil)
+		c := New[string](NewBudget(15), func(v int) int { return v }, "test-probe", nil, Tier[string, int]{})
 		release := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {
@@ -371,8 +371,8 @@ func budgetKeys(t *testing.T, b *Budget, caches ...*Cache[string, int]) [][]stri
 // charged total never exceeds the limit.
 func TestSharedBudget(t *testing.T) {
 	b := NewBudget(30)
-	ints := New[string](b, func(v int) int { return v }, "ints", nil, nil)
-	strs := New[string](b, func(v string) int { return len(v) }, "strs", nil, nil)
+	ints := New[string](b, func(v int) int { return v }, "ints", nil, Tier[string, int]{})
+	strs := New[string](b, func(v string) int { return len(v) }, "strs", nil, Tier[string, string]{})
 	str := func(key, v string) {
 		t.Helper()
 		if got, err := strs.Do(context.Background(), key, func() (string, error) { return v, nil }); err != nil || got != v {

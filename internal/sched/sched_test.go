@@ -189,11 +189,7 @@ func TestStealsOccur(t *testing.T) {
 	p := New(4)
 	defer p.Stop()
 	g := p.NewGraph(context.Background())
-	// The root waits until the whole fan-out hangs off it: a root that
-	// finished earlier would send the remaining tasks through the injector,
-	// where idle workers take them without stealing.
-	attached := make(chan struct{})
-	root := g.Task(KindGenerate, "root", func(context.Context) { <-attached })
+	root := g.Task(KindGenerate, "root", func(context.Context) {})
 	var n atomic.Int64
 	for i := 0; i < 64; i++ {
 		g.Task(KindCompile, "fan", func(context.Context) {
@@ -201,7 +197,6 @@ func TestStealsOccur(t *testing.T) {
 			n.Add(1)
 		}, root)
 	}
-	close(attached)
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"plim"
 	"plim/internal/core"
 	"plim/internal/trace"
-	"plim/internal/verify"
 )
 
 // Options configures a Server. The zero value derives everything from the
@@ -413,8 +412,7 @@ func (s *Server) compile(req computeRequest) (string, computation, error) {
 		if req.Verify {
 			vr := rep.Verify // already computed when the engine runs WithVerify
 			if vr == nil {
-				vr = plim.Verify(rep.Result.Program, plim.VerifyOptions{MaxWrites: cfg.MaxWrites})
-				verify.CheckWriteParity(vr, rep.Result.WriteCounts, "allocator")
+				vr = core.Verify(rep, s.eng.CostModel())
 			}
 			out.Verification = verifyReport(vr)
 		}

@@ -111,7 +111,8 @@ type (
 	// (energy/latency/lifetime per configuration; not in the paper).
 	TableCostData = tables.TableCostData
 	// ExploreOptions configures a design-space sweep (Engine.Explore): its
-	// axes and Verify. The sweep runs on the engine's scheduler and caches.
+	// axes and cost models. The sweep runs on the engine's scheduler and
+	// caches, and verifies under the engine's WithVerify.
 	ExploreOptions = core.ExploreOptions
 	// ExploreResult is a completed sweep with its Pareto fronts marked.
 	ExploreResult = core.ExploreResult
