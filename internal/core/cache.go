@@ -72,8 +72,8 @@ func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind
 // cache: a computed rewrite hashes its output once, and a disk hit
 // carries the fingerprint its entry records. An entry whose graph is
 // still encoded gets the rewrite of in as its fallback, should the graph
-// fail to decode; the fallback stores the entry it recomputes, so the
-// file is rewritten.
+// fail to decode, unless the first call on the entry gave it one; the
+// fallback stores the entry it recomputes, so the file is rewritten.
 func (c *RewriteCache) rewrite(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int, label string) (diskcache.RewriteEntry, error) {
 	key := diskcache.RewriteKey{Graph: in.Fingerprint(), Kind: uint8(kind), Effort: effort}
 	r, err := c.Do(ctx, key, func() (diskcache.RewriteEntry, error) {
@@ -83,7 +83,7 @@ func (c *RewriteCache) rewrite(ctx context.Context, in *mig.Ref, kind RewriteKin
 		}
 		return diskcache.RewriteEntry{Graph: mig.NewRef(out), Stats: st}, nil
 	})
-	if err == nil && !r.Graph.Decoded() {
+	if err == nil && r.Graph.NeedsRecompute() {
 		r.Graph.Recompute(func(ctx context.Context) (*mig.MIG, error) {
 			out, st, err := rewriteGraph(ctx, in, kind, effort, label)
 			if err == nil {

@@ -210,15 +210,12 @@ func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, cfgN
 			return nil, rewrite.Stats{}, err
 		}
 		out := m.Cleanup()
-		st := rewrite.Stats{
-			NodesBefore:    m.Statistics().MajNodes,
-			NodesAfter:     out.Statistics().MajNodes,
-			CompHistBefore: m.ComplementHistogram(),
-			CompHistAfter:  out.ComplementHistogram(),
-		}
-		_, st.DepthBefore = m.Levels()
-		_, st.DepthAfter = out.Levels()
-		return out, st, nil
+		before, after := m.Statistics(), out.Statistics()
+		return out, rewrite.Stats{
+			NodesBefore: before.MajNodes, NodesAfter: after.MajNodes,
+			DepthBefore: before.Depth, DepthAfter: after.Depth,
+			CompHistBefore: before.ComplementHist, CompHistAfter: after.ComplementHist,
+		}, nil
 	}
 	obs := progress.FromContext(ctx)
 	return rewrite.RunContext(ctx, m, pipeline, effort, func(cycle, nodes int) {

@@ -208,8 +208,9 @@ func readHeader(b []byte) (binaryHeader, error) {
 }
 
 // memSize is MemSize's estimate for the graph the header describes, which
-// is exactly ReadBinary's result's MemSize: a decoded graph strashes every
-// majority node once.
+// is exactly ReadBinary's result's MemSize: both charge the structural hash
+// 64 B per majority node, the rate that keeps a byte budget's meaning, not
+// the size of the decoded graph's table.
 func (h binaryHeader) memSize() int {
 	return memSize(h.modelLen, h.pinBytes, 1+h.numPIs+h.numMaj, h.numPIs, h.numPOs, h.numMaj)
 }

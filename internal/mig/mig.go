@@ -15,7 +15,9 @@ package mig
 
 import (
 	"fmt"
-	"maps"
+	"hash/maphash"
+	"math/bits"
+	"slices"
 )
 
 // NodeID indexes a node inside an MIG. Node 0 is always the constant-0 node.
@@ -107,24 +109,33 @@ type MIG struct {
 	pos     []Signal
 	poNames []string
 
-	strash map[[3]Signal]NodeID
+	// strash is the structural hash: an open-addressed, linearly probed
+	// table of every majority node's id, a power of two long (empty until
+	// the first majority node) and at most half full. 0 marks an empty
+	// slot, since node 0 is the constant and never hashed; a slot's key
+	// is its node's children, so no key is stored twice.
+	strash []NodeID
 }
 
+// minStrashSlots is the length of a structural-hash table allocated by the
+// first insert.
+const minStrashSlots = 16
+
 // New returns an empty MIG containing only the constant node. The
-// structural-hash map grows lazily; callers that know their graph's
-// magnitude should use NewSized.
+// structural-hash table is allocated by the first majority node and
+// grows by rehashing; callers that know their graph's magnitude should
+// use NewSized.
 func New(name string) *MIG {
 	m := &MIG{
-		Name:   name,
-		nodes:  make([]node, 1, 1024),
-		strash: make(map[[3]Signal]NodeID),
+		Name:  name,
+		nodes: make([]node, 1, 1024),
 	}
 	m.nodes[0] = node{kind: KindConst}
 	return m
 }
 
 // NewSized returns an empty MIG with capacity reserved for roughly
-// nodeCap nodes: both the node arena and the structural-hash map are
+// nodeCap nodes: both the node arena and the structural-hash table are
 // pre-sized, so graphs of a known magnitude build without rehashing or
 // slice growth. nodeCap is a hint, not a limit.
 func NewSized(name string, nodeCap int) *MIG {
@@ -134,15 +145,15 @@ func NewSized(name string, nodeCap int) *MIG {
 	m := &MIG{
 		Name:   name,
 		nodes:  make([]node, 1, 1+nodeCap),
-		strash: make(map[[3]Signal]NodeID, nodeCap),
+		strash: make([]NodeID, max(minStrashSlots, 1<<bits.Len(uint(2*nodeCap-1)))),
 	}
 	m.nodes[0] = node{kind: KindConst}
 	return m
 }
 
 // Reset empties the MIG in place for reuse as a rebuild arena: the node
-// slice is truncated (keeping its capacity), the structural-hash map is
-// cleared (keeping its buckets) and the PI/PO tables drop to zero length.
+// slice is truncated (keeping its capacity), the structural-hash table is
+// cleared (keeping its length) and the PI/PO tables drop to zero length.
 // It must only be called on MIGs obtained from New or NewSized.
 func (m *MIG) Reset(name string) {
 	m.Name = name
@@ -240,18 +251,8 @@ func (m *MIG) Maj(a, b, c Signal) Signal {
 	if s, ok := TrivialMaj(a, b, c); ok {
 		return s
 	}
-	key := sort3(a, b, c)
-	if id, ok := m.strash[key]; ok {
-		return MakeSignal(id, false)
-	}
-	// Canonical polarity: keep the node with at most one complemented
-	// non-constant child? No — polarity canonicalization is the job of the
-	// rewriting passes (Ω.I), which the paper schedules explicitly. The
-	// constructor only canonicalizes order.
-	id := NodeID(len(m.nodes))
-	m.nodes = append(m.nodes, node{kind: KindMaj, children: key})
-	m.strash[key] = id
-	return MakeSignal(id, false)
+	// Only the order is canonicalized: polarity is the Ω.I passes' job.
+	return m.strashAdd(sort3(a, b, c))
 }
 
 // TrivialMaj applies only the trivial majority rules Ω.M and reports whether
@@ -282,7 +283,7 @@ func (m *MIG) LookupMaj(a, b, c Signal) (Signal, bool) {
 	if s, ok := TrivialMaj(a, b, c); ok {
 		return s, true
 	}
-	if id, ok := m.strash[sort3(a, b, c)]; ok {
+	if id, _ := m.strashFind(sort3(a, b, c)); id != 0 {
 		return MakeSignal(id, false), true
 	}
 	return 0, false
@@ -292,14 +293,72 @@ func (m *MIG) LookupMaj(a, b, c Signal) (Signal, bool) {
 // and sorted). It is used by tests and by deserialization, where the input
 // graph's exact structure must be preserved.
 func (m *MIG) RawMaj(a, b, c Signal) Signal {
-	key := sort3(a, b, c)
-	if id, ok := m.strash[key]; ok {
-		return MakeSignal(id, false)
+	return m.strashAdd(sort3(a, b, c))
+}
+
+// strashSeed keys the structural hash once per process, as Go keys its
+// map hash: /v1/compile builds graphs from client netlists, and under a
+// fixed hash a crafted netlist could put every node on one probe chain
+// and build in quadratic time.
+var strashSeed = func() [2]uint64 {
+	seed := maphash.MakeSeed()
+	return [2]uint64{maphash.String(seed, "lo"), maphash.String(seed, "hi")}
+}()
+
+// strashHash folds a sorted child triple into 64 bits: the keyed halves
+// of the triple multiplied into 128 bits, whose two words are xored.
+func strashHash(key [3]Signal) uint64 {
+	hi, lo := bits.Mul64((uint64(key[0])|uint64(key[1])<<32)^strashSeed[0], uint64(key[2])^strashSeed[1])
+	return hi ^ lo
+}
+
+// strashFind probes the structural hash for key: it returns the node
+// whose children are key, or 0 and the empty slot where key belongs (-1
+// while the table is empty).
+func (m *MIG) strashFind(key [3]Signal) (NodeID, int) {
+	if len(m.strash) == 0 {
+		return 0, -1
 	}
-	id := NodeID(len(m.nodes))
-	m.nodes = append(m.nodes, node{kind: KindMaj, children: key})
-	m.strash[key] = id
+	mask := uint64(len(m.strash) - 1)
+	for i := strashHash(key) & mask; ; i = (i + 1) & mask {
+		if id := m.strash[i]; id == 0 || m.nodes[id].children == key {
+			return id, int(i)
+		}
+	}
+}
+
+// strashAdd returns the node whose children are key, appending it first
+// if there is none. Past load 1/2 the table doubles.
+func (m *MIG) strashAdd(key [3]Signal) Signal {
+	id, slot := m.strashFind(key)
+	if id == 0 {
+		id = NodeID(len(m.nodes))
+		m.nodes = append(m.nodes, node{kind: KindMaj, children: key})
+		if 2*m.NumMaj() > len(m.strash) {
+			m.growStrash()
+		} else {
+			m.strash[slot] = id
+		}
+	}
 	return MakeSignal(id, false)
+}
+
+// growStrash doubles the structural hash (allocating minStrashSlots at
+// first) and rehashes every majority node of the node slice into it.
+func (m *MIG) growStrash() {
+	m.strash = make([]NodeID, max(minStrashSlots, 2*len(m.strash)))
+	mask := uint64(len(m.strash) - 1)
+	for id := range m.nodes {
+		n := &m.nodes[id]
+		if n.kind != KindMaj {
+			continue
+		}
+		i := strashHash(n.children) & mask
+		for m.strash[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.strash[i] = NodeID(id)
+	}
 }
 
 // And returns a ∧ b = ⟨a b 0⟩.
@@ -318,8 +377,6 @@ func (m *MIG) Xor(a, b Signal) Signal {
 func (m *MIG) Mux(s, t, f Signal) Signal {
 	return m.Or(m.And(s, t), m.And(s.Not(), f))
 }
-
-// Maj3 of three different word slices — helper for tests.
 
 // ForEachMaj calls fn for every majority node in topological (ascending id)
 // order.
@@ -438,24 +495,8 @@ func (m *MIG) LiveNodesInto(buf []bool) []bool {
 // constant edge is just the constant 1 and costs nothing on PLiM), plus the
 // number of complemented primary-output edges.
 func (m *MIG) CountComplementedEdges() (fanin, po int) {
-	live := m.LiveNodes()
-	for i := range m.nodes {
-		n := &m.nodes[i]
-		if n.kind != KindMaj || !live[i] {
-			continue
-		}
-		for _, c := range n.children {
-			if c.Complemented() && !c.IsConst() {
-				fanin++
-			}
-		}
-	}
-	for _, p := range m.pos {
-		if p.Complemented() && !p.IsConst() {
-			po++
-		}
-	}
-	return fanin, po
+	h := m.ComplementHistogram()
+	return h[1] + 2*h[2] + 3*h[3], m.complementedPOs()
 }
 
 // ComplementHistogram returns hist[k] = number of live majority nodes with
@@ -463,8 +504,11 @@ func (m *MIG) CountComplementedEdges() (fanin, po int) {
 // k ≠ 1 need extra PLiM instructions, which is why the rewriting algorithms
 // drive nodes toward k = 1.
 func (m *MIG) ComplementHistogram() [4]int {
-	var hist [4]int
-	live := m.LiveNodes()
+	return m.complementHist(m.LiveNodes())
+}
+
+// complementHist is ComplementHistogram over the liveness live.
+func (m *MIG) complementHist(live []bool) (hist [4]int) {
 	for i := range m.nodes {
 		n := &m.nodes[i]
 		if n.kind != KindMaj || !live[i] {
@@ -479,6 +523,17 @@ func (m *MIG) ComplementHistogram() [4]int {
 		hist[k]++
 	}
 	return hist
+}
+
+// complementedPOs counts the complemented primary-output edges, ignoring
+// outputs driven by a constant.
+func (m *MIG) complementedPOs() (n int) {
+	for _, p := range m.pos {
+		if p.Complemented() && !p.IsConst() {
+			n++
+		}
+	}
+	return n
 }
 
 // Eval simulates the MIG word-parallel: inputs[i] carries 64 Boolean
@@ -537,24 +592,18 @@ type Stats struct {
 	ComplementedPOs int
 }
 
-// Statistics computes structural statistics over live nodes.
+// Statistics computes structural statistics over live nodes in one
+// liveness sweep and one level sweep.
 func (m *MIG) Statistics() Stats {
-	live := m.LiveNodes()
-	liveMaj := 0
-	for i := range m.nodes {
-		if m.nodes[i].kind == KindMaj && live[i] {
-			liveMaj++
-		}
-	}
+	hist := m.complementHist(m.LiveNodes())
 	_, depth := m.Levels()
-	_, poComp := m.CountComplementedEdges()
 	return Stats{
 		PIs:             m.NumPIs(),
 		POs:             m.NumPOs(),
-		MajNodes:        liveMaj,
+		MajNodes:        hist[0] + hist[1] + hist[2] + hist[3],
 		Depth:           depth,
-		ComplementHist:  m.ComplementHistogram(),
-		ComplementedPOs: poComp,
+		ComplementHist:  hist,
+		ComplementedPOs: m.complementedPOs(),
 	}
 }
 
@@ -572,7 +621,7 @@ func (m *MIG) Clone() *MIG {
 		piNames: append([]string(nil), m.piNames...),
 		pos:     append([]Signal(nil), m.pos...),
 		poNames: append([]string(nil), m.poNames...),
-		strash:  maps.Clone(m.strash),
+		strash:  slices.Clone(m.strash),
 	}
 }
 
@@ -636,11 +685,10 @@ func (m *MIG) Validate() error {
 		if cs != sort3(cs[0], cs[1], cs[2]) {
 			return fmt.Errorf("mig %q: node %d children not sorted: %v", m.Name, i, cs)
 		}
-		if cs[0].Node() == cs[1].Node() || cs[1].Node() == cs[2].Node() {
-			// Duplicate underlying nodes are legal only via RawMaj (kept for
-			// deserialized graphs); the compiler handles them, so Validate
-			// accepts them. Nothing to check here beyond ordering.
-			_ = cs
+		// Children may share a node (RawMaj keeps a deserialized graph's
+		// structure); the compiler handles that.
+		if id, _ := m.strashFind(cs); id != NodeID(i) {
+			return fmt.Errorf("mig %q: node %d is not in the structural hash: its children probe to node %d", m.Name, i, id)
 		}
 	}
 	for i, po := range m.pos {
@@ -689,10 +737,10 @@ func ExhaustivePattern(v, w int) uint64 {
 }
 
 // MemSize estimates the graph's resident size in bytes: node storage, the
-// PI/PO tables with their name strings, and the structural-hash index when
-// present. It is an estimate (Go's allocator rounds size classes up), meant
-// for byte-budgeted caches — see internal/memo and plim.WithCacheBudget —
-// the way diskcache.GC budgets the disk tier.
+// PI/PO tables with their name strings, and the structural hash at a fixed
+// charge per majority node. It is an estimate (Go's allocator rounds size
+// classes up), meant for byte-budgeted caches — see internal/memo and
+// plim.WithCacheBudget — the way diskcache.GC budgets the disk tier.
 func (m *MIG) MemSize() int {
 	pinBytes := 0
 	for _, s := range m.piNames {
@@ -701,27 +749,31 @@ func (m *MIG) MemSize() int {
 	for _, s := range m.poNames {
 		pinBytes += len(s)
 	}
-	return memSize(len(m.Name), pinBytes, len(m.nodes), len(m.piNodes), len(m.pos), len(m.strash))
+	return memSize(len(m.Name), pinBytes, len(m.nodes), len(m.piNodes), len(m.pos), m.NumMaj())
 }
 
 // memSize is the MemSize estimate of a graph of the given shape: a model
 // name of nameLen bytes, PI and PO names of pinBytes in total, and the
-// node, PI, PO and structural-hash entry counts.
-func memSize(nameLen, pinBytes, nodes, pis, pos, strash int) int {
+// node, PI, PO and majority-node counts.
+func memSize(nameLen, pinBytes, nodes, pis, pos, maj int) int {
 	const (
-		nodeBytes       = 20 // kind + 3 children + piIndex, aligned
-		sliceHdr        = 24
-		stringHdr       = 16
-		strashEntry     = 64 // [3]Signal key + NodeID value + bucket overhead
-		structANDlookup = 96 // MIG struct itself plus map header
+		nodeBytes = 20 // kind + 3 children + piIndex, aligned
+		sliceHdr  = 24
+		stringHdr = 16
+		// strashEntry is the structural hash's charge per majority node,
+		// not the table's size (4 B a slot, 8–16 B a node): it is the
+		// rate byte budgets have always charged, kept so that a budget
+		// still holds the same graphs.
+		strashEntry = 64
+		structBytes = 96 // the MIG struct itself and the table's header
 	)
-	sz := structANDlookup + nameLen
+	sz := structBytes + nameLen
 	sz += sliceHdr + nodes*nodeBytes
 	sz += sliceHdr + pis*4
 	sz += sliceHdr + pos*4
 	sz += 2 * sliceHdr
 	sz += (pis+pos)*stringHdr + pinBytes
-	sz += strash * strashEntry
+	sz += maj * strashEntry
 	return sz
 }
 

@@ -76,6 +76,11 @@ func (r *Ref) MemSize() int { return r.size }
 // Decoded reports whether the graph is built, so Graph returns at once.
 func (r *Ref) Decoded() bool { return r.m.Load() != nil }
 
+// NeedsRecompute reports whether the graph is still encoded and has no
+// Recompute fallback, so a caller builds a fallback only when it would be
+// kept.
+func (r *Ref) NeedsRecompute() bool { return !r.Decoded() && r.recompute.Load() == nil }
+
 // Recompute gives an encoded Ref its fallback: should the payload fail to
 // decode, Graph returns fn's graph instead, computed under Graph's
 // context. The first fallback set is kept; it is dropped, with everything

@@ -117,21 +117,19 @@ func Run(m *mig.MIG, pipeline []Pass, effort int) (*mig.MIG, Stats) {
 // Internally the per-cycle pass loop runs over a pair of per-call arena
 // MIGs (see scratch), so a whole rewriting run performs O(1) graph
 // allocations regardless of effort; ownership of the final arena passes to
-// the caller. When no cycle changes anything the input m itself is
-// returned — callers needing a private copy must clone on that path.
+// the caller. With effort 0 the input m itself is returned — callers
+// needing a private copy must clone on that path.
 func RunContext(ctx context.Context, m *mig.MIG, pipeline []Pass, effort int, onCycle func(cycle, nodes int)) (*mig.MIG, Stats, error) {
-	st := Stats{
-		NodesBefore:    m.Statistics().MajNodes,
-		CompHistBefore: m.ComplementHistogram(),
-	}
-	_, st.DepthBefore = m.Levels()
-	cur := m
+	// One Statistics call per graph fills the stats and the fixpoint
+	// fingerprint; a cycle's closing fingerprint is the next one's start.
+	cur, s := m, m.Statistics()
+	st := Stats{NodesBefore: s.MajNodes, DepthBefore: s.Depth, CompHistBefore: s.ComplementHist}
+	fp := fingerprint(cur, s)
 	sc := &scratch{}
 	for cycle := 0; cycle < effort; cycle++ {
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
-		before := fingerprint(cur)
 		for _, p := range pipeline {
 			cur = applyPass(sc, cur, p)
 		}
@@ -140,34 +138,34 @@ func RunContext(ctx context.Context, m *mig.MIG, pipeline []Pass, effort int, on
 		if onCycle != nil {
 			onCycle(st.Cycles, cur.NumMaj())
 		}
-		if fingerprint(cur) == before {
+		s = cur.Statistics()
+		last := fp
+		if fp = fingerprint(cur, s); fp == last {
 			break
 		}
 	}
-	// cur is either the caller's input (zero productive cycles) or one of
-	// sc's two arenas. The scratch is private to this call and dies with it,
-	// so the arena transfers ownership to the caller directly — cloning it
-	// here would only duplicate the result to throw one copy away. Callers
-	// that must not alias the input (core.RewriteCache) already clone on the
+	// cur is either the caller's input (effort 0) or one of sc's two
+	// arenas. The scratch is private to this call and dies with it, so the
+	// arena transfers ownership to the caller directly — cloning it here
+	// would only duplicate the result to throw one copy away. Callers that
+	// must not alias the input (core.RewriteCache) already clone on the
 	// cur == m path themselves.
-	st.NodesAfter = cur.Statistics().MajNodes
-	st.CompHistAfter = cur.ComplementHistogram()
-	_, st.DepthAfter = cur.Levels()
+	st.NodesAfter, st.DepthAfter, st.CompHistAfter = s.MajNodes, s.Depth, s.ComplementHist
 	return cur, st, nil
 }
 
-// fingerprint summarizes a graph cheaply; equal fingerprints across a cycle
-// mean the cycle was an (extremely likely) fixpoint. Node count, PO signals
-// and complement histogram change whenever any pass changes anything
+// fingerprint summarizes a graph cheaply from its statistics s; equal
+// fingerprints across a cycle mean the cycle was an (extremely likely)
+// fixpoint. Node count (dangling nodes included), PO signals, complement
+// histogram and depth change whenever any pass changes anything
 // structurally relevant to compilation.
-func fingerprint(m *mig.MIG) [8]int {
-	h := m.ComplementHistogram()
+func fingerprint(m *mig.MIG, s mig.Stats) [8]int {
+	h := s.ComplementHist
 	fp := [8]int{m.NumMaj(), m.NumPOs(), h[0], h[1], h[2], h[3]}
 	for i := 0; i < m.NumPOs(); i++ {
 		fp[6] = fp[6]*31 + int(m.PO(i))
 	}
-	_, d := m.Levels()
-	fp[7] = int(d)
+	fp[7] = int(s.Depth)
 	return fp
 }
 

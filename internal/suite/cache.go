@@ -55,8 +55,9 @@ func NewCache(b *memo.Budget, disk *diskcache.Cache) *Cache {
 // releases a caller waiting on another caller's build; a build itself
 // always runs to completion once started (generators are fast and take no
 // context). A handle whose graph is still encoded gets the build as its
-// fallback, should the graph fail to decode; the fallback stores the
-// graph it rebuilds, so the entry is rewritten.
+// fallback, should the graph fail to decode, unless the first call on the
+// handle gave it one; the fallback stores the graph it rebuilds, so the
+// entry is rewritten.
 func (c *Cache) BuildScaled(ctx context.Context, name string, shrink int) (*mig.Ref, error) {
 	key := diskcache.BenchmarkKey{Name: name, Shrink: shrink}
 	r, err := c.Do(ctx, key, func() (*mig.Ref, error) {
@@ -66,7 +67,7 @@ func (c *Cache) BuildScaled(ctx context.Context, name string, shrink int) (*mig.
 		}
 		return mig.NewRef(m), nil
 	})
-	if err == nil && !r.Decoded() {
+	if err == nil && r.NeedsRecompute() {
 		r.Recompute(func(context.Context) (*mig.MIG, error) {
 			m, err := BuildScaled(name, shrink)
 			if err == nil {

@@ -211,3 +211,29 @@ func TestDiskWarmSuiteAllocatesLessThanAnInstruction(t *testing.T) {
 	}
 	t.Logf("%.1f bytes per compiled instruction over %d instructions", perInst, insts)
 }
+
+// TestDiskWarmRunBenchmarkAllocsPinned pins the allocations of a warm
+// RunBenchmark on a disk-primed engine, where every compile hits and the
+// benchmark and rewritten graphs stay encoded. Each graph handle gets its
+// recompute fallback on the first call; a later call that built one again
+// would allocate two more per handle.
+func TestDiskWarmRunBenchmarkAllocsPinned(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	if _, err := NewEngine(WithPersistentCache(dir)).RunBenchmark(ctx, "ctrl", persistShrink, Full); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(WithWorkers(1), WithPersistentCache(dir))
+	run := func() {
+		if _, err := eng.RunBenchmark(ctx, "ctrl", persistShrink, Full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if st, _ := eng.PersistentCacheStats(); st.BenchmarkHits != 1 || st.RewriteHits != 1 || st.CompileHits != 1 {
+		t.Fatalf("%+v: want the warm-up to hit the disk once per stage", st)
+	}
+	if n := testing.AllocsPerRun(100, run); n > 28 {
+		t.Errorf("warm RunBenchmark: %v allocs/op, want at most 28", n)
+	}
+}
