@@ -353,33 +353,45 @@ func main() {
 	// The explore family: the design-space sweep behind plimexplore — two
 	// rewriting efforts under two cost models — cold and cache-warm. The
 	// model axis is pure post-hoc pricing, so its marginal cost over the
-	// equivalent suite runs is what this family keeps honest. New names are
-	// gate-safe: a baseline that predates them skips, it does not fail.
-	exploreOpts := func() plim.ExploreOptions {
+	// equivalent suite runs is what this family keeps honest. The
+	// efforts-cold entry sweeps efforts {0, 2, 5}, plimexplore's own
+	// example, where at the default benchmarks and shrink every effort-5
+	// rewrite takes its stage's effort-2 fixpoint result: its allocs/op
+	// pins that no rewriting cycle runs twice. New names are gate-safe: a
+	// baseline that predates them skips, it does not fail.
+	exploreOpts := func(efforts ...int) plim.ExploreOptions {
 		alt := plim.DefaultCostModel()
 		alt.Name = "alt"
 		alt.RM3.EnergyPJ *= 2
 		return plim.ExploreOptions{
 			Benchmarks: names,
-			Efforts:    []int{0, core.DefaultEffort},
+			Efforts:    efforts,
 			Models:     []*plim.CostModel{plim.DefaultCostModel(), alt},
 		}
 	}
-	add("explore/sweep-cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cold := plim.NewEngine(plim.WithShrink(*shrink))
-			if _, err := cold.Explore(context.Background(), exploreOpts()); err != nil {
-				b.Fatal(err)
+	for _, sw := range []struct {
+		name    string
+		efforts []int
+	}{
+		{"explore/sweep-cold", []int{0, core.DefaultEffort}},
+		{"explore/sweep-efforts-cold", []int{0, 2, core.DefaultEffort}},
+	} {
+		add(sw.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cold := plim.NewEngine(plim.WithShrink(*shrink))
+				if _, err := cold.Explore(context.Background(), exploreOpts(sw.efforts...)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	expEng := plim.NewEngine(plim.WithShrink(*shrink))
-	if _, err := expEng.Explore(context.Background(), exploreOpts()); err != nil {
+	if _, err := expEng.Explore(context.Background(), exploreOpts(0, core.DefaultEffort)); err != nil {
 		cli.Fatal(err)
 	}
 	add("explore/sweep-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := expEng.Explore(context.Background(), exploreOpts()); err != nil {
+			if _, err := expEng.Explore(context.Background(), exploreOpts(0, core.DefaultEffort)); err != nil {
 				b.Fatal(err)
 			}
 		}

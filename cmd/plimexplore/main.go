@@ -10,9 +10,11 @@
 // The whole sweep runs as one task graph on the engine's work-stealing
 // scheduler: each benchmark builds once per shrink, each rewriting
 // pipeline runs once per (benchmark, shrink, effort) — served from the
-// in-memory and, with -cache-dir, persistent caches — and the compile
-// fan-out keeps every worker busy. Cost models are pure accounting, so the
-// model axis multiplies output rows without recompiling anything.
+// in-memory and, with -cache-dir, persistent caches, and across ascending
+// efforts each rewriting cycle runs once, a larger effort continuing the
+// smaller one's run — and the compile fan-out keeps every worker busy.
+// Cost models are pure accounting, so the model axis multiplies output
+// rows without recompiling anything.
 //
 // Output is byte-deterministic: the same sweep produces the same bytes,
 // cold or cache-warm, which CI exploits to pin reproducibility. By default

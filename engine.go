@@ -49,9 +49,11 @@ type Engine struct {
 	err         error      // first invalid option; surfaced by every method
 
 	// benchCache memoizes benchmark generator output, rwCache memoizes
-	// rewrite stages by (function fingerprint, pipeline, effort) and
-	// compileCache compiles by (rewritten-graph fingerprint, selection,
-	// allocator, write cap). The three caches charge one budget of
+	// rewrite stages by (function fingerprint, pipeline, effort) — keyed
+	// by what decides the result, so the no-rewrite pipeline ignores
+	// effort and effort 0 ignores the pipeline — and compileCache
+	// compiles by (rewritten-graph fingerprint, selection, allocator,
+	// write cap). The three caches charge one budget of
 	// cacheBudget estimated bytes, which evicts the least recently used
 	// entry of any of them, so a long-lived engine fed a stream of
 	// distinct functions stays bounded.
@@ -175,7 +177,11 @@ func WithShrink(s int) Option {
 // distinct (function, pipeline, effort) rewrite and each distinct
 // compilation once — so regenerating Table III after Table I skips every
 // algorithm-2 rewrite — with results bit-identical to a fresh
-// computation. Cached entries hold whole MIGs and programs of wildly
+// computation. A rewrite is keyed by what decides its result: without
+// rewriting (the naive configuration) effort does not enter, and at
+// effort 0 the pipeline does not. Within one Explore, a larger effort
+// continues the rewrite of a smaller one instead of repeating its
+// cycles. Cached entries hold whole MIGs and programs of wildly
 // varying size, so the budget is accounted in bytes (mig.MemSize, encoded
 // program sizes), making it the engine's memory knob for server-style
 // workloads over unbounded streams of distinct functions. n must be ≥ 1;
@@ -534,7 +540,10 @@ func (e *Engine) RunSuite(ctx context.Context, cfgs []Config, benchmarks ...stri
 // package-level defaults, so a bare ExploreOptions{} sweeps exactly what
 // Run would compile. Every compile is verified when the engine was built
 // WithVerify. Progress events report per-(benchmark, shrink) start/done,
-// per-cycle rewriting and per-configuration compile start/done.
+// per-cycle rewriting and per-configuration compile start/done. Each
+// rewriting cycle of a (benchmark, shrink, pipeline) runs once across
+// ascending efforts, so a larger effort's rewrite events report only the
+// cycles it adds, numbered from the input.
 func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 	if e.err != nil {
 		return nil, e.err

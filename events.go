@@ -18,7 +18,10 @@ type Event = progress.Event
 // EventRewriteCycle reports one completed MIG-rewriting cycle of a Run,
 // RunAll, RunSuite, Explore or Rewrite call. In a staged run several configurations
 // share one rewrite; the Config field then names the shared pipeline
-// ("algorithm1"/"algorithm2") instead of a single configuration.
+// ("algorithm1"/"algorithm2") instead of a single configuration. Events
+// report the cycles a call ran: a cache hit emits none, and an Explore
+// effort that continues a smaller effort's run emits only the cycles it
+// adds, numbered from the input and tagged with its own Effort.
 type EventRewriteCycle = progress.RewriteCycle
 
 // EventCompileStart reports that the compile/alloc stage of one

@@ -14,9 +14,10 @@ import (
 
 // RewriteCache memoizes rewriting runs across configurations, benchmarks
 // and engine calls. It is a memo.Cache keyed by diskcache.RewriteKey
-// (function fingerprint, rewrite kind, effort), so any structurally
-// identical MIG — e.g. the same benchmark rebuilt by a later table —
-// reuses the stored result instead of rewriting again. The key is the
+// (function fingerprint, rewrite kind, effort), with the kind and effort
+// of what does not decide the result folded away (rewriteKey), so any
+// structurally identical MIG — e.g. the same benchmark rebuilt by a later
+// table — reuses the stored result instead of rewriting again. The key is the
 // input handle's fingerprint, so no rewrite hashes its input. Entries are
 // charged their graph's MemSize, decoded or not, against the byte budget,
 // and each probe records a "cache rewrite-probe" span. Only the caller
@@ -56,7 +57,7 @@ func NewRewriteCache(b *memo.Budget, disk *diskcache.Cache) *RewriteCache {
 // Rewrite is core.Rewrite memoized through the cache. On a hit no progress
 // events are emitted — the rewrite simply did not run again.
 func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
-	r, err := c.rewrite(ctx, mig.NewRef(m), kind, effort, label)
+	r, _, err := c.rewrite(ctx, mig.NewRef(m), kind, effort, label, stageRun{})
 	if err != nil {
 		return nil, rewrite.Stats{}, err
 	}
@@ -67,6 +68,33 @@ func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind
 	return out, r.Stats, nil
 }
 
+// A stageRun is a rewrite as a sweep hands it from one effort to the
+// next larger one of the same stage (see RunSweep): the entry and how its
+// run ended. End is zero unless the caller computed the run; a memory or
+// disk hit cannot tell, because Stats does not record it, and a failure
+// has no entry.
+type stageRun struct {
+	diskcache.RewriteEntry
+	End rewrite.End
+}
+
+// rewriteKey keys a rewrite by what decides its result. RewriteNone
+// ignores effort, so it keys effort 0. Effort 0 runs no cycle, so it
+// ignores the pipeline and both algorithms key RewriteAlgorithm1. The kind
+// is validated first, so an unknown kind errors at effort 0 too.
+func rewriteKey(fp uint64, kind RewriteKind, effort int) (diskcache.RewriteKey, error) {
+	if _, err := PipelineFor(kind); err != nil {
+		return diskcache.RewriteKey{}, err
+	}
+	switch {
+	case kind == RewriteNone:
+		effort = 0
+	case effort == 0:
+		kind = RewriteAlgorithm1
+	}
+	return diskcache.RewriteKey{Graph: fp, Kind: uint8(kind), Effort: effort}, nil
+}
+
 // rewrite is Rewrite of a graph handle, returning the whole cached entry,
 // whose graph's handle carries the fingerprint that keys the compile
 // cache: a computed rewrite hashes its output once, and a disk hit
@@ -74,36 +102,57 @@ func (c *RewriteCache) Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind
 // still encoded gets the rewrite of in as its fallback, should the graph
 // fail to decode, unless the first call on the entry gave it one; the
 // fallback stores the entry it recomputes, so the file is rewritten.
-func (c *RewriteCache) rewrite(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int, label string) (diskcache.RewriteEntry, error) {
-	key := diskcache.RewriteKey{Graph: in.Fingerprint(), Kind: uint8(kind), Effort: effort}
+//
+// prev is the same rewrite of in at a smaller effort, and a miss starts
+// from it: a run that ended at its fixpoint is the run at every larger
+// effort, so the entry shares its graph handle (and is charged under
+// both keys), and a run that ended on its bound is continued. With a
+// zero prev the miss rewrites in. The returned End is how the run ended
+// when this call computed it, and zero on a hit.
+func (c *RewriteCache) rewrite(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int, label string, prev stageRun) (diskcache.RewriteEntry, rewrite.End, error) {
+	key, err := rewriteKey(in.Fingerprint(), kind, effort)
+	if err != nil {
+		return diskcache.RewriteEntry{}, 0, err
+	}
+	var end rewrite.End
 	r, err := c.Do(ctx, key, func() (diskcache.RewriteEntry, error) {
-		out, st, err := rewriteGraph(ctx, in, kind, effort, label)
+		if prev.End == rewrite.Fixpoint {
+			end = rewrite.Fixpoint
+			return prev.RewriteEntry, nil
+		}
+		out, st, e, err := rewriteGraph(ctx, in, prev, kind, effort, label)
 		if err != nil {
 			return diskcache.RewriteEntry{}, err
 		}
+		end = e
 		return diskcache.RewriteEntry{Graph: mig.NewRef(out), Stats: st}, nil
 	})
 	if err == nil && r.Graph.NeedsRecompute() {
 		r.Graph.Recompute(func(ctx context.Context) (*mig.MIG, error) {
-			out, st, err := rewriteGraph(ctx, in, kind, effort, label)
+			out, st, _, err := rewriteGraph(ctx, in, stageRun{}, kind, effort, label)
 			if err == nil {
 				c.Store(key, diskcache.RewriteEntry{Graph: mig.NewRef(out), Stats: st})
 			}
 			return out, err
 		})
 	}
-	return r, err
+	return r, end, err
 }
 
-// rewriteGraph is Rewrite of in's graph into a graph the cache may keep.
-func rewriteGraph(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, error) {
-	m, err := in.Graph(ctx)
-	if err != nil {
-		return nil, rewrite.Stats{}, err
+// rewriteGraph is Rewrite of in's graph into a graph the cache may keep,
+// continuing prev's run instead when it ended on its bound.
+func rewriteGraph(ctx context.Context, in *mig.Ref, prev stageRun, kind RewriteKind, effort int, label string) (*mig.MIG, rewrite.Stats, rewrite.End, error) {
+	src, from := in, (*rewrite.Stats)(nil)
+	if prev.End == rewrite.Bound {
+		src, from = prev.Graph, &prev.Stats
 	}
-	out, st, err := Rewrite(ctx, m, kind, effort, label)
+	m, err := src.Graph(ctx)
 	if err != nil {
-		return nil, rewrite.Stats{}, err
+		return nil, rewrite.Stats{}, 0, err
+	}
+	out, st, end, err := rewriteRun(ctx, m, from, kind, effort, label)
+	if err != nil {
+		return nil, rewrite.Stats{}, 0, err
 	}
 	if out == m {
 		// Effort 0 (or RewriteNone on an already-clean graph) can hand
@@ -111,7 +160,7 @@ func rewriteGraph(ctx context.Context, in *mig.Ref, kind RewriteKind, effort int
 		// graph the caller may keep mutating.
 		out = m.Clone()
 	}
-	return out, st, nil
+	return out, st, end, nil
 }
 
 // CompileCache memoizes the compile kernel of CompileConfig by

@@ -201,13 +201,23 @@ func PipelineFor(kind RewriteKind) ([]rewrite.Pass, error) {
 // be empty — after every completed cycle. On cancellation the MIG is nil
 // and the error is ctx.Err().
 func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, cfgName string) (*mig.MIG, rewrite.Stats, error) {
+	out, st, _, err := rewriteRun(ctx, m, nil, kind, effort, cfgName)
+	return out, st, err
+}
+
+// rewriteRun is Rewrite reporting how the run ended; RewriteNone, whose
+// result effort does not enter, ends at its fixpoint. A non-nil from
+// continues a run of kind that ended on its bound: m and *from are that
+// run's graph and stats (rewrite.Continue), and the call emits only the
+// cycles it runs, numbered from the original input.
+func rewriteRun(ctx context.Context, m *mig.MIG, from *rewrite.Stats, kind RewriteKind, effort int, cfgName string) (*mig.MIG, rewrite.Stats, rewrite.End, error) {
 	pipeline, err := PipelineFor(kind)
 	if err != nil {
-		return nil, rewrite.Stats{}, err
+		return nil, rewrite.Stats{}, 0, err
 	}
 	if pipeline == nil {
 		if err := ctx.Err(); err != nil {
-			return nil, rewrite.Stats{}, err
+			return nil, rewrite.Stats{}, 0, err
 		}
 		out := m.Cleanup()
 		before, after := m.Statistics(), out.Statistics()
@@ -215,15 +225,19 @@ func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, cfgN
 			NodesBefore: before.MajNodes, NodesAfter: after.MajNodes,
 			DepthBefore: before.Depth, DepthAfter: after.Depth,
 			CompHistBefore: before.ComplementHist, CompHistAfter: after.ComplementHist,
-		}, nil
+		}, rewrite.Fixpoint, nil
 	}
 	obs := progress.FromContext(ctx)
-	return rewrite.RunContext(ctx, m, pipeline, effort, func(cycle, nodes int) {
+	onCycle := func(cycle, nodes int) {
 		obs.Emit(progress.RewriteCycle{
 			Function: m.Name, Config: cfgName,
 			Cycle: cycle, Effort: effort, Nodes: nodes,
 		})
-	})
+	}
+	if from != nil {
+		return rewrite.Continue(ctx, m, *from, pipeline, effort, onCycle)
+	}
+	return rewrite.RunContext(ctx, m, pipeline, effort, onCycle)
 }
 
 // Run rewrites m according to cfg (with the given effort) and compiles it
@@ -394,6 +408,24 @@ func stageLabel(st Stage, cfgs []Config) string {
 	return st.Kind.String()
 }
 
+// A stageLink carries a sweep's rewrite stages at one effort to the same
+// stages at a larger effort listed after it (see RunSweep): each stage's
+// rewrite task, its entry and, when that task computed the run, how the
+// run ended.
+type stageLink struct {
+	tasks []*sched.Task
+	rws   []diskcache.RewriteEntry
+	ends  []rewrite.End
+}
+
+// run returns what stage si hands on; a nil link hands on nothing.
+func (l *stageLink) run(si int) stageRun {
+	if l == nil {
+		return stageRun{}
+	}
+	return stageRun{l.rws[si], l.ends[si]}
+}
+
 // stagedGraph adds the staged plan of cfgs at the given rewriting effort
 // to graph g: one rewrite task per distinct rewriting pipeline, one
 // compile task per configuration (depending on its stage's rewrite), all
@@ -406,25 +438,45 @@ func stageLabel(st Stage, cfgs []Config) string {
 // env.CompileCache, and compiles apply env's verification and cost
 // model; env.Sched is not consulted, the graph already belongs to a pool.
 //
+// A sweep chains the plans of its efforts through links, which a plan of
+// one effort never has. A non-nil prev is the same plan at a smaller
+// effort: each stage's rewrite also depends on prev's, and a miss starts
+// from the run prev's task computed (RewriteCache.rewrite). A non-nil
+// next is filled with this plan's stages for a later plan to start from.
+//
 // The returned leaves are the plan's compile tasks (join/aggregation tasks
 // should depend on them) and finish composes the plan's error in stage
 // order; it must only be called after every leaf completed (e.g. from a
 // task depending on all of them, or after Graph.Wait).
-func stagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.Ref, cfgs []Config, out []*Report) (leaves []*sched.Task, finish func() error) {
+func stagedGraph(g *sched.Graph, env Env, effort int, dep *sched.Task, mFn func() *mig.Ref, cfgs []Config, out []*Report, prev, next *stageLink) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
 	rws := make([]diskcache.RewriteEntry, len(stages))
 	rwErrs := make([]error, len(stages))
 	cmpErrs := make([]error, len(cfgs))
 	leaves = make([]*sched.Task, 0, len(cfgs))
+	if next != nil {
+		*next = stageLink{make([]*sched.Task, len(stages)), rws, make([]rewrite.End, len(stages))}
+	}
 	for si, st := range stages {
-		label := stageLabel(st, cfgs)
+		label, kind := stageLabel(st, cfgs), st.Kind
+		var after *sched.Task
+		if prev != nil {
+			after = prev.tasks[si]
+		}
 		rw := g.Task(sched.KindRewrite, label, func(ctx context.Context) {
 			m := mFn()
 			if m == nil {
 				return // upstream failure; its error is reported there
 			}
-			rws[si], rwErrs[si] = env.RewriteCache.rewrite(ctx, m, st.Kind, effort, label)
-		}, dep)
+			var end rewrite.End
+			rws[si], end, rwErrs[si] = env.RewriteCache.rewrite(ctx, m, kind, effort, label, prev.run(si))
+			if next != nil {
+				next.ends[si] = end
+			}
+		}, dep, after)
+		if next != nil {
+			next.tasks[si] = rw
+		}
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {
 				rw := &rws[si]
@@ -470,7 +522,7 @@ func RunStaged(ctx context.Context, env Env, in *mig.Ref, cfgs []Config, effort 
 	}
 	g := env.Sched.NewGraph(ctx)
 	out := make([]*Report, len(cfgs))
-	_, finish := stagedGraph(g, env, effort, nil, func() *mig.Ref { return in }, cfgs, out)
+	_, finish := stagedGraph(g, env, effort, nil, func() *mig.Ref { return in }, cfgs, out, nil, nil)
 	if err := g.Wait(); err != nil {
 		// Cancellation surfaces as ctx.Err() itself (the documented
 		// contract), not wrapped inside errors.Join.
@@ -507,6 +559,18 @@ type SweepPair struct {
 // (sharing it with every other caller of the same pool). Progress events
 // go to the observer carried by ctx, if any; it may be invoked
 // concurrently from worker goroutines.
+//
+// Each rewriting cycle of a (benchmark, shrink, pipeline) runs once. A
+// stage's rewrite at an effort e > 0 depends on the same stage's rewrite
+// at the effort listed just before e when that one is nonzero and
+// smaller (chained), so efforts listed in ascending order chain one to
+// the next, and descending efforts and a one-effort graph do not chain.
+// When that rewrite computed its run, a miss at e starts from it: a run
+// that reached its fixpoint is the result at e too, and a run that ended
+// on its bound is continued to e (rewrite.Continue), emitting only the
+// cycles it adds. When it did not — a cache hit or a failure — the
+// rewrite at e starts from the input. Either way it fills its own cache
+// key, and its reports are those of a one-effort sweep.
 //
 // Pairs come back benchmark-major: benchmarks[b] at shrinks[s] is pair
 // b*len(shrinks)+s. Results are deterministic; with one worker, tasks run
@@ -551,11 +615,17 @@ func RunSweep(ctx context.Context, env Env, benchmarks []string, shrinks, effort
 		deps := []*sched.Task{gen}
 		finish := make([]func() error, len(efforts))
 		p.Reports = make([][]*Report, len(efforts))
+		var prev *stageLink
 		for ei, effort := range efforts {
 			p.Reports[ei] = make([]*Report, len(cfgs))
+			var next *stageLink
+			if chained(efforts, ei+1) {
+				next = new(stageLink)
+			}
 			var leaves []*sched.Task
-			leaves, finish[ei] = stagedGraph(g, env, effort, gen, func() *mig.Ref { return p.Graph }, cfgs, p.Reports[ei])
+			leaves, finish[ei] = stagedGraph(g, env, effort, gen, func() *mig.Ref { return p.Graph }, cfgs, p.Reports[ei], prev, next)
 			deps = append(deps, leaves...)
+			prev = next
 		}
 		g.Task(sched.KindJoin, label, func(ctx context.Context) {
 			var perr []error
@@ -582,4 +652,13 @@ func RunSweep(ctx context.Context, env Env, benchmarks []string, shrinks, effort
 		return nil, err
 	}
 	return pairs, nil
+}
+
+// chained reports whether a sweep's rewrites at efforts[i] continue
+// those at efforts[i-1]: they do when that effort is nonzero (effort 0
+// runs no cycle) and smaller. Efforts listed in ascending order thus
+// chain one to the next, and one effort or a descending list chains
+// nothing.
+func chained(efforts []int, i int) bool {
+	return i > 0 && i < len(efforts) && 0 < efforts[i-1] && efforts[i-1] < efforts[i]
 }

@@ -103,9 +103,12 @@ func (o *ExploreOptions) normalize() error {
 // shrink, effort, pipeline) — memoized through env.RewriteCache, which
 // the axis product makes the difference between O(points) and O(distinct
 // rewrites) graph work — and one compile task per (benchmark, shrink,
-// effort, config). Pricing under each model is pure arithmetic on the
-// compiled program, so the model axis multiplies output rows, not graph
-// work.
+// effort, config). Along the effort axis each rewriting cycle of a
+// (benchmark, shrink, pipeline) runs once: a larger effort continues the
+// smaller one's run, or takes its result once the run has reached its
+// fixpoint (see RunSweep). Pricing under each model is pure arithmetic on
+// the compiled program, so the model axis multiplies output rows, not
+// graph work.
 //
 // The result is deterministic: points appear in input axis order and every
 // priced quantity derives from exact integer operation counts, so repeated

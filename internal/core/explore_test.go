@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -250,5 +251,129 @@ func TestExploreReportsEveryFailedPair(t *testing.T) {
 		if want := 2 * len(TableIConfigs()); compiles[ok] != want {
 			t.Errorf("%s: %d compiles, want %d", ok, compiles[ok], want)
 		}
+	}
+}
+
+// TestChained pins which efforts chain: each to the one listed just
+// before it, when that one is nonzero and smaller.
+func TestChained(t *testing.T) {
+	for _, c := range []struct {
+		efforts []int
+		want    []bool
+	}{
+		{[]int{5}, []bool{false}},
+		{[]int{0, 5}, []bool{false, false}},
+		{[]int{5, 2, 1}, []bool{false, false, false}},
+		{[]int{2, 2}, []bool{false, false}},
+		{[]int{0, 1, 2, 5}, []bool{false, false, true, true}},
+	} {
+		for i, want := range c.want {
+			if got := chained(c.efforts, i); got != want {
+				t.Errorf("chained(%v, %d) = %v, want %v", c.efforts, i, got, want)
+			}
+		}
+		if chained(c.efforts, len(c.efforts)) {
+			t.Errorf("chained(%v, %d) = true past the last effort", c.efforts, len(c.efforts))
+		}
+	}
+}
+
+// TestExploreChainsEfforts: a sweep over several efforts is, point for
+// point, the single-effort sweeps of each of its efforts on fresh
+// engines, whatever the order or repetition of the efforts (the pareto
+// column aside: it ranks a point against the rest of its own sweep). With
+// ascending efforts every stage runs each rewriting cycle once, so its
+// cycle events are exactly those of its largest effort alone: mem_ctrl's
+// Algorithm 1 run continues from effort 1 to 2 to 3, where it reaches
+// its fixpoint, and bar's and priority's Algorithm 2 runs reach theirs
+// at cycle 1. Four workers, which run the chain concurrently with the
+// rest of the sweep, give the same points.
+func TestExploreChainsEfforts(t *testing.T) {
+	benchmarks := []string{"mem_ctrl", "bar", "priority", "sin"}
+	type stage struct{ function, label string }
+	sweepOn := func(workers int, efforts ...int) ([]ExplorePoint, map[stage][]progress.RewriteCycle) {
+		t.Helper()
+		var mu sync.Mutex
+		cycles := map[stage][]progress.RewriteCycle{}
+		ctx := progress.NewContext(context.Background(), func(ev progress.Event) {
+			if c, ok := ev.(progress.RewriteCycle); ok {
+				mu.Lock()
+				defer mu.Unlock()
+				k := stage{c.Function, c.Config}
+				c.Effort = 0 // the effort of the call that ran the cycle
+				cycles[k] = append(cycles[k], c)
+			}
+		})
+		res, err := Explore(ctx, testEnv(t, workers), ExploreOptions{Benchmarks: benchmarks, Shrinks: []int{2}, Efforts: efforts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Points {
+			res.Points[i].Pareto = false
+		}
+		return res.Points, cycles
+	}
+	sweep := func(efforts ...int) ([]ExplorePoint, map[stage][]progress.RewriteCycle) {
+		t.Helper()
+		return sweepOn(1, efforts...)
+	}
+	single := map[int][]ExplorePoint{}
+	singleCycles := map[int]map[stage][]progress.RewriteCycle{}
+	for _, e := range []int{0, 1, 2, 3, 5} {
+		single[e], singleCycles[e] = sweep(e)
+	}
+	if n := len(singleCycles[5][stage{"mem_ctrl", "algorithm1"}]); n != 3 {
+		t.Fatalf("mem_ctrl's Algorithm 1 run took %d cycles, want 3 to continue a continuation", n)
+	}
+	ascending, _ := sweep(0, 1, 2, 3, 5)
+	if parallel, _ := sweepOn(4, 0, 1, 2, 3, 5); !slices.Equal(parallel, ascending) {
+		t.Fatal("the chained sweep on four workers differs from the one-worker sweep")
+	}
+	for _, efforts := range [][]int{{0, 1, 2, 3, 5}, {5, 2, 1}, {2, 2}} {
+		points, cycles := sweep(efforts...)
+		per := len(TableIConfigs())
+		for pi, p := range points {
+			b, ei, ci := pi/(len(efforts)*per), pi/per%len(efforts), pi%per
+			if want := single[efforts[ei]][b*per+ci]; p != want {
+				t.Fatalf("efforts %v: point %d is %+v, the single-effort sweep's %+v", efforts, pi, p, want)
+			}
+		}
+		if !slices.IsSorted(efforts) {
+			continue // descending efforts do not chain
+		}
+		largest := singleCycles[efforts[len(efforts)-1]]
+		if len(cycles) != len(largest) {
+			t.Fatalf("efforts %v: %d stages ran cycles, the largest effort alone %d", efforts, len(cycles), len(largest))
+		}
+		for k, want := range largest {
+			if got := cycles[k]; !slices.Equal(got, want) {
+				t.Fatalf("efforts %v: stage %v ran cycles %+v, the largest effort alone %+v", efforts, k, got, want)
+			}
+		}
+	}
+}
+
+// TestSweepRewritesEachKeyOnce: rewrites are keyed by what decides them.
+// After a Table I run at the default effort, a sweep at efforts 0 and 5
+// on the same engine computes one rewrite per graph, effort 0's, which
+// both algorithms share: the Table I cleanup serves RewriteNone at both
+// efforts, and its effort-5 runs serve the sweep's.
+func TestSweepRewritesEachKeyOnce(t *testing.T) {
+	ctx := context.Background()
+	benchmarks := []string{"mem_ctrl", "bar", "priority", "sin"}
+	env := testEnv(t, 1)
+	if _, err := RunSweep(ctx, env, benchmarks, []int{2}, []int{DefaultEffort}, TableIConfigs()); err != nil {
+		t.Fatal(err)
+	}
+	before := env.RewriteCache.Counters()
+	if _, err := Explore(ctx, env, ExploreOptions{Benchmarks: benchmarks, Shrinks: []int{2}, Efforts: []int{0, DefaultEffort}}); err != nil {
+		t.Fatal(err)
+	}
+	after := env.RewriteCache.Counters()
+	if misses := after.Misses - before.Misses; misses != uint64(len(benchmarks)) {
+		t.Fatalf("the sweep computed %d rewrites, want %d: one effort-0 rewrite per graph", misses, len(benchmarks))
+	}
+	if n := env.RewriteCache.Len(); n != 4*len(benchmarks) {
+		t.Fatalf("the cache holds %d rewrites, want 4 per graph: the cleanup, effort 0 and each algorithm at effort %d", n, DefaultEffort)
 	}
 }

@@ -90,7 +90,7 @@ var Algorithm2 = []Pass{
 
 // Stats reports the effect of a rewriting run.
 type Stats struct {
-	Cycles         int // cycles actually executed (early exit on fixpoint)
+	Cycles         int // cycles run from the original input (early exit on fixpoint)
 	NodesBefore    int
 	NodesAfter     int
 	DepthBefore    int32
@@ -99,73 +99,104 @@ type Stats struct {
 	CompHistAfter  [4]int
 }
 
+// End is how a rewriting run ended. The zero End is no run's end.
+type End uint8
+
+const (
+	// Bound means the run stopped on its effort bound: Continue can run
+	// it further.
+	Bound End = iota + 1
+	// Fixpoint means the run's last cycle left the graph's fingerprint
+	// unchanged, so a run at any larger effort ends on the same result.
+	Fixpoint
+)
+
 // Run applies the pipeline for up to effort cycles (the paper uses
 // effort = 5) and returns the rewritten MIG together with statistics. The
 // input MIG is not modified. Rewriting stops early when a full cycle reaches
 // a fixpoint. Run cannot be cancelled; use RunContext for that.
 func Run(m *mig.MIG, pipeline []Pass, effort int) (*mig.MIG, Stats) {
-	out, st, _ := RunContext(context.Background(), m, pipeline, effort, nil)
+	out, st, _, _ := RunContext(context.Background(), m, pipeline, effort, nil)
 	return out, st
 }
 
-// RunContext is Run with cooperative cancellation and per-cycle progress.
-// Cancellation is checked between cycles (one cycle is the atomic unit of
-// work); on cancellation the MIG result is nil and the error is ctx.Err().
-// After every completed cycle onCycle (if non-nil) receives the 1-based
-// cycle index and the current majority-node count.
+// RunContext is Run with cooperative cancellation and per-cycle progress,
+// reporting how the run ended. Cancellation is checked between cycles
+// (one cycle is the atomic unit of work); on cancellation the MIG result
+// is nil and the error is ctx.Err(). After every completed cycle onCycle
+// (if non-nil) receives the 1-based cycle index and the current
+// majority-node count.
 //
-// Internally the per-cycle pass loop runs over a pair of per-call arena
-// MIGs (see scratch), so a whole rewriting run performs O(1) graph
-// allocations regardless of effort; ownership of the final arena passes to
-// the caller. With effort 0 the input m itself is returned — callers
-// needing a private copy must clone on that path.
-func RunContext(ctx context.Context, m *mig.MIG, pipeline []Pass, effort int, onCycle func(cycle, nodes int)) (*mig.MIG, Stats, error) {
+// RunContext is Continue from the input's start state: the stats of a run
+// that ran no cycle. Internally the per-cycle pass loop runs over a pair
+// of per-call arena MIGs (see scratch), so a whole rewriting run performs
+// O(1) graph allocations regardless of effort; ownership of the final
+// arena passes to the caller. With effort 0 the input m itself is
+// returned — callers needing a private copy must clone on that path.
+func RunContext(ctx context.Context, m *mig.MIG, pipeline []Pass, effort int, onCycle func(cycle, nodes int)) (*mig.MIG, Stats, End, error) {
+	s := m.Statistics()
+	st := Stats{
+		NodesBefore: s.MajNodes, DepthBefore: s.Depth, CompHistBefore: s.ComplementHist,
+		NodesAfter: s.MajNodes, DepthAfter: s.Depth, CompHistAfter: s.ComplementHist,
+	}
+	return Continue(ctx, m, st, pipeline, effort, onCycle)
+}
+
+// Continue runs a run of pipeline that ended on its bound further, up to
+// effort cycles in all: m and st are the graph and stats that run
+// returned, and m is not modified. The result is exactly that of one run
+// at effort from the original input: Cycles counts from that input, the
+// Before fields describe it, and onCycle receives each cycle's global
+// number. Progress therefore reports only the cycles this call ran.
+// Cancellation, arenas and the effort-0 aliasing are those of RunContext:
+// when no cycle runs, m itself is returned.
+func Continue(ctx context.Context, m *mig.MIG, st Stats, pipeline []Pass, effort int, onCycle func(cycle, nodes int)) (*mig.MIG, Stats, End, error) {
 	// One Statistics call per graph fills the stats and the fixpoint
 	// fingerprint; a cycle's closing fingerprint is the next one's start.
-	cur, s := m, m.Statistics()
-	st := Stats{NodesBefore: s.MajNodes, DepthBefore: s.Depth, CompHistBefore: s.ComplementHist}
-	fp := fingerprint(cur, s)
+	cur, end := m, Bound
+	fp := fingerprint(cur, &st)
 	sc := &scratch{}
-	for cycle := 0; cycle < effort; cycle++ {
+	for st.Cycles < effort {
 		if err := ctx.Err(); err != nil {
-			return nil, st, err
+			return nil, st, 0, err
 		}
 		for _, p := range pipeline {
 			cur = applyPass(sc, cur, p)
 		}
 		cur = cleanupPass(sc, cur)
-		st.Cycles = cycle + 1
+		st.Cycles++
 		if onCycle != nil {
 			onCycle(st.Cycles, cur.NumMaj())
 		}
-		s = cur.Statistics()
+		s := cur.Statistics()
+		st.NodesAfter, st.DepthAfter, st.CompHistAfter = s.MajNodes, s.Depth, s.ComplementHist
 		last := fp
-		if fp = fingerprint(cur, s); fp == last {
+		if fp = fingerprint(cur, &st); fp == last {
+			end = Fixpoint
 			break
 		}
 	}
-	// cur is either the caller's input (effort 0) or one of sc's two
+	// cur is either the caller's input (no cycle ran) or one of sc's two
 	// arenas. The scratch is private to this call and dies with it, so the
 	// arena transfers ownership to the caller directly — cloning it here
 	// would only duplicate the result to throw one copy away. Callers that
 	// must not alias the input (core.RewriteCache) already clone on the
 	// cur == m path themselves.
-	st.NodesAfter, st.DepthAfter, st.CompHistAfter = s.MajNodes, s.Depth, s.ComplementHist
-	return cur, st, nil
+	return cur, st, end, nil
 }
 
-// fingerprint summarizes a graph cheaply from its statistics s; equal
-// fingerprints across a cycle mean the cycle was an (extremely likely)
-// fixpoint. Node count (dangling nodes included), PO signals, complement
-// histogram and depth change whenever any pass changes anything
-// structurally relevant to compilation.
-func fingerprint(m *mig.MIG, s mig.Stats) [8]int {
-	h := s.ComplementHist
+// fingerprint summarizes graph m, whose statistics st's After fields
+// hold, cheaply; equal fingerprints across a cycle mean the cycle was an
+// (extremely likely) fixpoint. Node count (dangling nodes included), PO
+// signals, complement histogram and depth change whenever any pass
+// changes anything structurally relevant to compilation.
+func fingerprint(m *mig.MIG, st *Stats) [8]int {
+	h := st.CompHistAfter
 	fp := [8]int{m.NumMaj(), m.NumPOs(), h[0], h[1], h[2], h[3]}
 	for i := 0; i < m.NumPOs(); i++ {
 		fp[6] = fp[6]*31 + int(m.PO(i))
 	}
-	fp[7] = int(s.Depth)
+	fp[7] = int(st.DepthAfter)
 	return fp
 }
 

@@ -1,7 +1,9 @@
 package rewrite
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"plim/internal/mig"
@@ -355,6 +357,90 @@ func TestRunEarlyExit(t *testing.T) {
 	_, st := Run(m, Algorithm2, 50)
 	if st.Cycles >= 50 {
 		t.Fatalf("fixpoint not detected, ran %d cycles", st.Cycles)
+	}
+}
+
+// cycleRun is one rewriting call as TestContinueIsTheLongerRun compares
+// it: the graph, its fingerprint, the stats, how the run ended and the
+// cycle numbers and node counts passed to onCycle.
+type cycleRun struct {
+	out    *mig.MIG
+	fp     uint64
+	st     Stats
+	end    End
+	cycles [][2]int
+}
+
+// same reports whether r and o agree on everything but the graph handle.
+func (r cycleRun) same(o cycleRun) bool {
+	return r.fp == o.fp && r.st == o.st && r.end == o.end && slices.Equal(r.cycles, o.cycles)
+}
+
+// TestContinueIsTheLongerRun pins the continuation the sweep relies on,
+// for both algorithms at every 0 < e′ < e ≤ 6: a run that ended on its
+// bound at e′, continued to e, is RunContext at e — the same graph
+// fingerprint, Stats and end state, with its cycles numbered on from
+// e′ — and leaves the graph it continued untouched; a run that ended at
+// its fixpoint at e′ is RunContext at e. Several runs take three cycles,
+// so a continuation can itself end on its bound.
+func TestContinueIsTheLongerRun(t *testing.T) {
+	ctx := context.Background()
+	graphs := []*mig.MIG{
+		buildTestMIG(t, "rnd", 4, 40, 4, 78), // both algorithms take 3 cycles
+		buildTestMIG(t, "rnd", 6, 80, 6, 12), // Algorithm 1 takes 3 cycles
+		buildTestMIG(t, "rnd", 10, 200, 10, 1),
+		buildTestMIG(t, "rnd", 10, 200, 10, 2),
+	}
+	record := func(r *cycleRun) func(cycle, nodes int) {
+		return func(cycle, nodes int) { r.cycles = append(r.cycles, [2]int{cycle, nodes}) }
+	}
+	longest := 0
+	for gi, m := range graphs {
+		for _, alg := range []struct {
+			name     string
+			pipeline []Pass
+		}{{"algorithm1", Algorithm1}, {"algorithm2", Algorithm2}} {
+			var fresh [7]cycleRun
+			for e := 1; e < len(fresh); e++ {
+				r := &fresh[e]
+				var err error
+				if r.out, r.st, r.end, err = RunContext(ctx, m, alg.pipeline, e, record(r)); err != nil {
+					t.Fatal(err)
+				}
+				r.fp = r.out.Fingerprint()
+			}
+			longest = max(longest, fresh[6].st.Cycles)
+			for short := 1; short < len(fresh); short++ {
+				prev := fresh[short]
+				for e := short + 1; e < len(fresh); e++ {
+					want := fresh[e]
+					if prev.end == Fixpoint {
+						if !prev.same(want) {
+							t.Fatalf("graph %d %s: fixpoint run at effort %d is %+v, the run at %d %+v", gi, alg.name, short, prev, e, want)
+						}
+						continue
+					}
+					if prev.end != Bound || prev.st.Cycles != short {
+						t.Fatalf("graph %d %s: run at effort %d ended %d after %d cycles", gi, alg.name, short, prev.end, prev.st.Cycles)
+					}
+					got := cycleRun{cycles: slices.Clone(prev.cycles)}
+					var err error
+					if got.out, got.st, got.end, err = Continue(ctx, prev.out, prev.st, alg.pipeline, e, record(&got)); err != nil {
+						t.Fatal(err)
+					}
+					got.fp = got.out.Fingerprint()
+					if !got.same(want) {
+						t.Fatalf("graph %d %s: effort %d continued to %d is %+v, the run at %d %+v", gi, alg.name, short, e, got, e, want)
+					}
+					if prev.out.Fingerprint() != prev.fp {
+						t.Fatalf("graph %d %s: continuing the run at effort %d modified its graph", gi, alg.name, short)
+					}
+				}
+			}
+		}
+	}
+	if longest < 3 {
+		t.Fatalf("the longest run took %d cycles, want one of at least 3", longest)
 	}
 }
 
